@@ -8,7 +8,7 @@
 //! ```
 //!
 //! Output is organised per experiment id (fig1..fig6, tab1..tab3, stats,
-//! truth, ant, lag, ablation, cluster, serve); EXPERIMENTS.md records
+//! truth, ant, lag, ablation); EXPERIMENTS.md records
 //! paper-vs-measured for each.
 
 use sift_core::context::AnnotatedSpike;
@@ -20,13 +20,13 @@ use sift_probe::{cross_validate, AddressPopulation, ProbeConfig, Prober};
 use sift_simtime::{format_day, format_spike_time, Hour, HourRange, Month, Weekday, STUDY_RANGE};
 use sift_trends::{Scenario, ScenarioParams, ServiceConfig, TrendsService};
 use std::collections::HashSet;
+use std::time::Duration;
 
 struct Args {
     scale: f64,
     only: Option<HashSet<String>>,
     threads: usize,
     daily_rising: bool,
-    bench_out: Option<std::path::PathBuf>,
     trace_out: Option<std::path::PathBuf>,
 }
 
@@ -38,7 +38,6 @@ fn parse_args() -> Args {
             .map(|n| n.get())
             .unwrap_or(8),
         daily_rising: true,
-        bench_out: None,
         trace_out: None,
     };
     let mut it = std::env::args().skip(1);
@@ -63,9 +62,6 @@ fn parse_args() -> Args {
             "--quick" => {
                 args.scale = 0.25;
                 args.daily_rising = false;
-            }
-            "--bench-out" => {
-                args.bench_out = Some(it.next().expect("--bench-out <path>").into());
             }
             "--trace-out" => {
                 args.trace_out = Some(it.next().expect("--trace-out <path>").into());
@@ -115,8 +111,11 @@ fn main() {
     );
     drop(study_span);
     eprint!("# stage timings:\n{}", result.stats.telemetry);
-    if args.bench_out.is_some() || args.trace_out.is_some() {
-        emit_profile(&args, &params, study_trace_id);
+    if let Some(path) = &args.trace_out {
+        let trace = sift_obs::trace::wait_completed(study_trace_id, Duration::from_secs(30))
+            .expect("study trace did not complete");
+        std::fs::write(path, sift_obs::chrome_trace_json(&trace)).expect("write --trace-out");
+        eprintln!("# trace: {} spans -> {}", trace.spans.len(), path.display());
     }
 
     let spikes = result.bare_spikes();
@@ -163,83 +162,11 @@ fn main() {
     if wants("ablation") {
         exp_ablation(&service);
     }
-    if wants("cluster") {
-        exp_cluster(&args);
-    }
-    if wants("serve") {
-        exp_serve(&args);
-    }
     eprintln!("# total {:.1?}", total_span.elapsed());
 }
 
 fn section(id: &str, title: &str) {
     println!("\n== {id}: {title} ==");
-}
-
-/// Exports the study's trace tree (`--trace-out`, Chrome trace-event
-/// JSON) and the `BENCH_<date>.json` profile (`--bench-out`): end-to-end
-/// plus per-stage timings read off the critical path of the finished
-/// trace — not ad-hoc stopwatches — so the stage numbers sum to the wall
-/// time the run actually took.
-fn emit_profile(args: &Args, params: &StudyParams, trace_id: u64) {
-    let trace = sift_obs::trace::wait_completed(trace_id, std::time::Duration::from_secs(30))
-        .expect("study trace did not complete");
-    if let Some(path) = &args.trace_out {
-        std::fs::write(path, sift_obs::chrome_trace_json(&trace)).expect("write --trace-out");
-        eprintln!("# trace: {} spans -> {}", trace.spans.len(), path.display());
-    }
-    let Some(path) = &args.bench_out else { return };
-    let cp = sift_obs::critical_path(&trace).expect("trace has a root");
-    eprint!("# {cp}");
-    let end_to_end = cp.total_us;
-    let mut stages = String::new();
-    for (i, (stage, names)) in sift_core::study::PIPELINE_STAGES.iter().enumerate() {
-        if i > 0 {
-            stages.push(',');
-        }
-        let us = cp.named_us(names);
-        stages.push_str(&format!(
-            "\"{stage}\":{{\"seconds\":{:.6},\"share\":{:.6}}}",
-            us as f64 / 1e6,
-            cp.share(names)
-        ));
-    }
-    let json = format!(
-        concat!(
-            "{{\"schema\":\"sift-bench/1\",\"date\":\"{date}\",",
-            "\"scale\":{scale},\"regions\":{regions},\"threads\":{threads},",
-            "\"end_to_end_seconds\":{e2e:.6},\"stages\":{{{stages}}},",
-            "\"tolerance\":{{\"end_to_end\":0.15,\"stage\":0.35,",
-            "\"abs_floor_seconds\":0.25}}}}\n"
-        ),
-        date = today_utc(),
-        scale = args.scale,
-        regions = params.regions.len(),
-        threads = params.threads,
-        e2e = end_to_end as f64 / 1e6,
-        stages = stages,
-    );
-    std::fs::write(path, json).expect("write --bench-out");
-    eprintln!("# bench profile -> {}", path.display());
-}
-
-/// Today as `YYYY-MM-DD` (UTC), from the system clock. Days-to-civil is
-/// the standard Gregorian era decomposition.
-fn today_utc() -> String {
-    let secs = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let z = secs as i64 / 86_400 + 719_468;
-    let era = z.div_euclid(146_097);
-    let doe = z.rem_euclid(146_097);
-    let yoe = (doe - doe / 1460 + doe / 36_524 - doe / 146_096) / 365;
-    let doy = doe - (365 * yoe + yoe / 4 - yoe / 100);
-    let mp = (5 * doy + 2) / 153;
-    let d = doy - (153 * mp + 2) / 5 + 1;
-    let m = if mp < 10 { mp + 3 } else { mp - 9 };
-    let y = yoe + era * 400 + i64::from(m <= 2);
-    format!("{y:04}-{m:02}-{d:02}")
 }
 
 /// §1/§4 headline numbers.
@@ -800,256 +727,6 @@ fn exp_ablation(service: &TrendsService) {
             outcome.spikes.len()
         );
     }
-}
-
-/// Sharded coordinator/worker crawl (PR 8): a coordinator plus four
-/// worker threads over real sockets must reproduce the single-process
-/// `run_study` bit-for-bit on the same parameters, and the section
-/// reports the wall-time and shard-distribution cost of the extra hop.
-/// The window is a prefix of the study range so the default full run
-/// stays affordable; the world is the same seeded scenario either way.
-fn exp_cluster(args: &Args) {
-    section("cluster", "sharded crawl vs single-process run_study");
-    use sift_cluster::{cluster_router, spawn_worker, ClusterConfig, Coordinator, WorkerConfig};
-    use sift_fetcher::{trends_router, HttpTrendsClient};
-    use sift_net::Server;
-    use std::sync::Arc;
-    use std::time::{Duration, Instant};
-
-    let scenario = Scenario::generate(ScenarioParams {
-        background_scale: args.scale,
-        ..ScenarioParams::default()
-    });
-    let service = Arc::new(TrendsService::new(scenario, ServiceConfig::default()));
-    let trends = Server::new(trends_router(Arc::clone(&service)))
-        .with_workers(8)
-        .bind("127.0.0.1:0")
-        .expect("bind trends service");
-    let params = StudyParams {
-        range: HourRange::new(Hour(0), Hour(2_000)),
-        threads: 2,
-        daily_rising: args.daily_rising,
-        ..StudyParams::default()
-    };
-
-    let t0 = Instant::now();
-    let client = HttpTrendsClient::new(trends.addr(), "127.0.0.5");
-    let reference = run_study(&client, &params).expect("single-process study");
-    let single = t0.elapsed();
-
-    const WORKERS: usize = 4;
-    // The coordinator runs in its production shape: control state WAL'd
-    // and checkpointed through `sift-journal`, so the sharded wall-time
-    // includes the per-acknowledgement fsync cost of the control plane.
-    let wal_dir = std::env::temp_dir().join(format!("sift-bench-cluster-{}", std::process::id()));
-    if wal_dir.exists() {
-        std::fs::remove_dir_all(&wal_dir).expect("clear coordinator wal dir");
-    }
-    let (coord, recovery) =
-        Coordinator::durable(params.clone(), ClusterConfig::default(), &wal_dir)
-            .expect("durable coordinator");
-    assert!(!recovery.had_state, "the bench always starts fresh");
-    let coord = Arc::new(coord);
-    let coord_server = Server::new(cluster_router(&coord))
-        .with_workers(8)
-        .bind("127.0.0.1:0")
-        .expect("bind coordinator");
-    let t0 = Instant::now();
-    let workers: Vec<_> = (0..WORKERS)
-        .map(|i| {
-            spawn_worker(
-                format!("bench-worker-{i}"),
-                coord_server.addr(),
-                trends.addr(),
-                params.clone(),
-                WorkerConfig::default(),
-            )
-        })
-        .collect();
-    let sharded = coord
-        .wait_result(Duration::from_secs(600))
-        .expect("sharded study");
-    let elapsed = t0.elapsed();
-    let shares: Vec<String> = workers
-        .into_iter()
-        .map(|w| {
-            let id = w.id().to_owned();
-            format!("{id}:{}", w.join().shards_done)
-        })
-        .collect();
-    coord_server.shutdown();
-    trends.shutdown();
-    let _ = std::fs::remove_dir_all(&wal_dir);
-
-    let identical = sharded.timelines == reference.timelines
-        && sharded.heavy_hitters == reference.heavy_hitters
-        && sharded.spikes.len() == reference.spikes.len()
-        && sharded
-            .spikes
-            .iter()
-            .zip(reference.spikes.iter())
-            .all(|(a, b)| a.spike == b.spike && a.annotations == b.annotations)
-        && sharded.stats.frames_requested == reference.stats.frames_requested
-        && sharded.stats.rising_requested == reference.stats.rising_requested;
-    assert!(identical, "sharded result diverged from run_study");
-    println!(
-        "  {} regions over {WORKERS} workers: bit-identical to run_study \
-         ({} spikes, {} frames)",
-        params.regions.len(),
-        sharded.spikes.len(),
-        sharded.stats.frames_requested
-    );
-    println!(
-        "  wall time: single-process {:.1?}, sharded {:.1?} ({:+.0}%)",
-        single,
-        elapsed,
-        (elapsed.as_secs_f64() / single.as_secs_f64() - 1.0) * 100.0
-    );
-    println!("  shard distribution: {}", shares.join(" "));
-}
-
-/// The online daemon under read load (PR 10): the daemon ingests the
-/// window as the simulated clock sweeps forward while a fleet of pollers
-/// hammers `/spikes` through a deliberately tight admission gate. The
-/// section reports the staleness clients actually observed (the
-/// `X-Sift-Staleness-Ms` header, p50/p99) and the shed rate — how many
-/// reads the daemon turned away with a canned 503 instead of queueing
-/// them into latency. Off the BENCH-gate path (like `cluster`): load
-/// numbers from a contended box are weather, not regressions.
-fn exp_serve(args: &Args) {
-    section(
-        "serve",
-        "online daemon staleness and shed under poller load",
-    );
-    use sift_net::{AdmissionConfig, HttpClient, Request};
-    use sift_serve::{Daemon, ServeConfig};
-    use sift_simtime::SimClock;
-    use sift_trends::{SearchTerm, TrendsClient};
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
-    use std::time::{Duration, Instant};
-
-    let scenario = Scenario::generate(ScenarioParams {
-        background_scale: args.scale,
-        ..ScenarioParams::default()
-    });
-    let service = Arc::new(TrendsService::new(scenario, ServiceConfig::default()));
-    let regions = vec![State::TX, State::CA, State::FL, State::NY];
-    let range = HourRange::new(Hour(0), Hour(1_680));
-    let mut cfg = ServeConfig::new(
-        SearchTerm::parse("topic:Internet outage"),
-        regions.clone(),
-        range,
-    );
-    cfg.workers = 4;
-    cfg.admission = AdmissionConfig {
-        max_inflight: 2,
-        max_queue: 2,
-        retry_after_secs: 1,
-    };
-
-    let dir = std::env::temp_dir().join(format!("sift-bench-serve-{}", std::process::id()));
-    if dir.exists() {
-        std::fs::remove_dir_all(&dir).expect("clear serve state dir");
-    }
-    let clock = Arc::new(SimClock::new(Hour(0)));
-    let daemon = Daemon::start(
-        cfg,
-        Arc::clone(&service) as Arc<dyn TrendsClient>,
-        Arc::clone(&clock),
-        &dir,
-    )
-    .expect("start daemon");
-
-    const POLLERS: usize = 16;
-    let stop = Arc::new(AtomicBool::new(false));
-    let t0 = Instant::now();
-    let pollers: Vec<_> = (0..POLLERS)
-        .map(|i| {
-            let stop = Arc::clone(&stop);
-            let addr = daemon.addr();
-            let region = regions[i % regions.len()];
-            std::thread::spawn(move || {
-                let client = HttpClient::new(addr).with_timeout(Duration::from_secs(30));
-                let mut staleness: Vec<u64> = Vec::new();
-                let (mut ok, mut shed) = (0u64, 0u64);
-                while !stop.load(Ordering::Relaxed) {
-                    match client.send(&Request::get(format!("/spikes?region={region}"))) {
-                        Ok(resp) if resp.status.is_success() => {
-                            ok += 1;
-                            if let Some(ms) = resp
-                                .headers
-                                .get("x-sift-staleness-ms")
-                                .and_then(|v| v.parse().ok())
-                            {
-                                staleness.push(ms);
-                            }
-                        }
-                        Ok(resp) if resp.status.0 == 503 => shed += 1,
-                        _ => {}
-                    }
-                }
-                (staleness, ok, shed)
-            })
-        })
-        .collect();
-
-    // Sweep the simulated clock across the window in day-sized steps so
-    // ingest trails a moving "now" the way a live deployment would.
-    while clock.now() < range.end {
-        clock.advance(24);
-        std::thread::sleep(Duration::from_millis(5));
-    }
-    assert!(
-        daemon.wait_caught_up(Duration::from_secs(600)),
-        "daemon never caught up to the end of the window"
-    );
-    let elapsed = t0.elapsed();
-    stop.store(true, Ordering::Relaxed);
-
-    let mut all_staleness: Vec<u64> = Vec::new();
-    let (mut ok, mut shed) = (0u64, 0u64);
-    for p in pollers {
-        let (staleness, o, s) = p.join().expect("poller thread");
-        all_staleness.extend(staleness);
-        ok += o;
-        shed += s;
-    }
-    all_staleness.sort_unstable();
-    let pct = |p: f64| -> u64 {
-        if all_staleness.is_empty() {
-            return 0;
-        }
-        let idx = ((all_staleness.len() - 1) as f64 * p).round() as usize;
-        all_staleness[idx]
-    };
-
-    let spikes: usize = regions
-        .iter()
-        .map(|r| daemon.spikes(*r).map_or(0, |reply| reply.spikes.len()))
-        .sum();
-    daemon.shutdown();
-    let _ = std::fs::remove_dir_all(&dir);
-
-    let total = ok + shed;
-    println!(
-        "  {POLLERS} pollers over {} regions for {:.1?}: {ok} reads served, \
-         {shed} shed ({:.2}% of {total})",
-        regions.len(),
-        elapsed,
-        if total == 0 {
-            0.0
-        } else {
-            shed as f64 / total as f64 * 100.0
-        }
-    );
-    println!(
-        "  client-observed staleness: p50 {}ms, p99 {}ms, max {}ms",
-        pct(0.50),
-        pct(0.99),
-        all_staleness.last().copied().unwrap_or(0)
-    );
-    println!("  {spikes} spikes sealed across the window at catch-up");
 }
 
 fn labels(a: &AnnotatedSpike) -> String {

@@ -1,39 +1,14 @@
-//! Shared harness code for the benchmarks and the experiments binary.
+//! Shared harness code for the experiments and calibration binaries.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use sift_core::{StudyParams, StudyResult};
-use sift_geo::State;
-use sift_simtime::{Hour, HourRange};
-use sift_trends::{Scenario, ScenarioParams, ServiceConfig, TrendsService};
+use sift_core::StudyResult;
+use sift_trends::{Scenario, ServiceConfig, TrendsService};
 
 /// Builds the full two-year US world service (the paper's study setting).
 pub fn full_service() -> TrendsService {
     TrendsService::new(Scenario::us_2020_2021(), ServiceConfig::default())
-}
-
-/// Builds a scaled-down world service for fast benches: `scale` of the
-/// background events, restricted to `regions` when non-empty.
-pub fn scaled_service(scale: f64, regions: &[State]) -> TrendsService {
-    let mut params = ScenarioParams {
-        background_scale: scale,
-        ..ScenarioParams::default()
-    };
-    if !regions.is_empty() {
-        params.regions = regions.to_vec();
-    }
-    TrendsService::new(Scenario::generate(params), ServiceConfig::default())
-}
-
-/// Study parameters for a quick single-region run over `days`.
-pub fn quick_params(state: State, days: i64) -> StudyParams {
-    StudyParams {
-        range: HourRange::new(Hour(0), Hour(days * 24)),
-        regions: vec![state],
-        threads: 1,
-        ..StudyParams::default()
-    }
 }
 
 /// One-line summary of a study result for harness logs.

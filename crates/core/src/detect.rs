@@ -214,6 +214,14 @@ pub struct DetectorSnapshot {
     emitted: usize,
 }
 
+impl DetectorSnapshot {
+    /// The series the snapshot was taken from: its region and first hour.
+    /// A checkpoint reader compares this with the series it expects.
+    pub fn series(&self) -> (State, Hour) {
+        (self.state, self.origin)
+    }
+}
+
 /// The prominence walk, online: values stream in hour by hour and spikes
 /// are sealed (emitted, never revised) as soon as the series makes them
 /// final.

@@ -21,22 +21,6 @@ use sift_trends::{RisingRequest, SearchTerm};
 use std::collections::HashMap;
 use std::fmt;
 
-/// The four pipeline stages a study's critical path is bucketed into, in
-/// pipeline order, each with the span names whose self-time it absorbs:
-/// stitch → re-fetch averaging (collection inclusive of HTTP attempts) →
-/// prominence walk → annotation (rising gathering, heavy hitters,
-/// clustering). The bench binaries and `scripts/check.sh`'s regression
-/// gate report per-stage seconds under these names.
-pub const PIPELINE_STAGES: &[(&str, &[&str])] = &[
-    ("stitch", &["stitch"]),
-    (
-        "refetch",
-        &["fetch", "frame", "request", "serve", "region", "plan"],
-    ),
-    ("detect", &["detect"]),
-    ("annotate", &["annotate", "context", "cluster", "rising"]),
-];
-
 /// Parameters of one study.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct StudyParams {
@@ -836,18 +820,19 @@ mod tests {
         assert!(stitch.arg("frames_stitched").is_some_and(|n| n > 0));
         let cp = sift_obs::critical_path(&trace).expect("critical path");
         // The walk telescopes: critical-path time sums to the root's
-        // duration, and the four pipeline stages account for nearly all
-        // of the study span's wall time.
+        // duration, and the pipeline's stage spans (stitch, re-fetch
+        // averaging inclusive of frame fetches, prominence walk,
+        // annotation) account for nearly all of the study span's wall
+        // time.
         let study = trace
             .spans
             .iter()
             .find(|s| s.name == "study")
             .expect("study span");
-        let stage_names: Vec<&str> = PIPELINE_STAGES
-            .iter()
-            .flat_map(|(_, names)| names.iter().copied())
-            .collect();
-        let staged = cp.named_us(&stage_names);
+        let staged = cp.named_us(&[
+            "stitch", "fetch", "frame", "request", "serve", "region", "plan", "detect", "annotate",
+            "context", "cluster", "rising",
+        ]);
         assert!(
             staged * 10 >= study.dur_us * 9,
             "stages cover >=90% of the study: {staged}us of {}us",

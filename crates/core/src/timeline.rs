@@ -256,6 +256,14 @@ pub struct StitcherSnapshot {
     max_raw: f64,
 }
 
+impl StitcherSnapshot {
+    /// The series the snapshot was taken from: its region and first hour.
+    /// A checkpoint reader compares this with the series it expects.
+    pub fn series(&self) -> (State, Hour) {
+        (self.state, self.start)
+    }
+}
+
 /// Incrementally stitches frames as they arrive, producing the *raw*
 /// calibrated series — the exact values `stitch` builds *before* its
 /// final 0–100 renormalization.

@@ -7,22 +7,18 @@
 use crate::config::{Config, Severity};
 use crate::context::FileCtx;
 
-pub mod breaker_obs;
-pub mod cluster_obs;
 pub mod deadline_propagation;
 pub mod durable_write;
-pub mod fault_obs;
 pub mod float_eq;
 pub mod hot_alloc;
 pub mod lock_order;
 pub mod lossy_cast;
-pub mod nemesis_obs;
 pub mod no_panic;
 pub mod no_print;
 pub mod route_obs;
-pub mod serve_obs;
 pub mod swallowed_result;
 pub mod trace_span;
+pub mod variant_label;
 pub mod wall_clock;
 
 /// A finding before path/severity attachment.
@@ -224,74 +220,23 @@ pub fn registry() -> Vec<Rule> {
             kind: RuleKind::Workspace(route_obs::check),
         },
         Rule {
-            id: "fault-obs",
-            summary: "every `FaultKind` variant needs a matching \
-                      `sift_net_faults_injected_total` label string",
-            rationale: "Chaos runs are judged against /metrics: a fault kind \
-                        whose snake_case label never appears in code is \
-                        injected but invisible, so fault coverage is checked \
-                        at lint time, not discovered mid-incident.",
+            id: "variant-label",
+            summary: "every variant of the six degrade/fault enums \
+                      (`FaultKind`, `BreakerState`, `ShedCause`, \
+                      `RerouteReason`, `NemesisFaultKind`, `DegradeReason`) \
+                      needs its snake_case label string and a registered \
+                      metric",
+            rationale: "Chaos runs, overload incidents, sharded-crawl \
+                        reroutes and degraded reads are all judged after the \
+                        fact from /metrics; a variant whose snake_case label \
+                        never appears in code could fire during an incident \
+                        yet be indistinguishable or invisible there, so label \
+                        and metric coverage are checked at lint time, not \
+                        discovered mid-incident.",
             default_severity: Severity::Deny,
             applies_in_tests: false,
             skips_bins: true,
-            kind: RuleKind::Workspace(fault_obs::check),
-        },
-        Rule {
-            id: "breaker-obs",
-            summary: "every `BreakerState` variant needs a matching \
-                      `sift_client_breaker_state` label string",
-            rationale: "Overload incidents are reconstructed from the breaker \
-                        gauge and transition log; a state whose snake_case \
-                        label never appears in code could be entered but not \
-                        told apart in /metrics, so label coverage is checked \
-                        at lint time.",
-            default_severity: Severity::Deny,
-            applies_in_tests: false,
-            skips_bins: true,
-            kind: RuleKind::Workspace(breaker_obs::check),
-        },
-        Rule {
-            id: "cluster-obs",
-            summary: "every `ShedCause` / `RerouteReason` variant needs a \
-                      matching shed/reroute counter label string",
-            rationale: "A sharded crawl degrades by shedding queue work and \
-                        rerouting dead workers' shards; a cause whose \
-                        snake_case label never appears in code can fire during \
-                        an incident yet be indistinguishable in /metrics, so \
-                        label and counter coverage are checked at lint time.",
-            default_severity: Severity::Deny,
-            applies_in_tests: false,
-            skips_bins: true,
-            kind: RuleKind::Workspace(cluster_obs::check),
-        },
-        Rule {
-            id: "nemesis-obs",
-            summary: "every `NemesisFaultKind` variant needs a matching \
-                      `sift_cluster_nemesis_faults_total` label string",
-            rationale: "Chaos runs are judged after the fact from /metrics; a \
-                        nemesis fault kind whose snake_case label never \
-                        appears in code could be injected during a run yet be \
-                        invisible in the audit, so label and counter coverage \
-                        are checked at lint time.",
-            default_severity: Severity::Deny,
-            applies_in_tests: false,
-            skips_bins: true,
-            kind: RuleKind::Workspace(nemesis_obs::check),
-        },
-        Rule {
-            id: "serve-obs",
-            summary: "every `DegradeReason` variant needs a matching \
-                      `sift_serve_degraded_reads_total` label string",
-            rationale: "The serving daemon degrades reads instead of failing \
-                        them, so incidents are judged entirely from the \
-                        degraded-read exposition; a reason whose snake_case \
-                        label never appears in code could hold for hours while \
-                        its reads stay indistinguishable from healthy ones — \
-                        label and counter coverage are checked at lint time.",
-            default_severity: Severity::Deny,
-            applies_in_tests: false,
-            skips_bins: true,
-            kind: RuleKind::Workspace(serve_obs::check),
+            kind: RuleKind::Workspace(variant_label::check),
         },
     ]
 }

@@ -180,9 +180,9 @@ fn route_obs_fixture() {
 }
 
 #[test]
-fn breaker_obs_fixture() {
+fn variant_label_breaker_fixture() {
     check(
-        "breaker_obs",
+        "variant_label_breaker",
         include_str!("fixtures/breaker_obs.rs"),
         &Config::default(),
         false,
@@ -190,9 +190,9 @@ fn breaker_obs_fixture() {
 }
 
 #[test]
-fn serve_obs_fixture() {
+fn variant_label_degrade_fixture() {
     check(
-        "serve_obs",
+        "variant_label_degrade",
         include_str!("fixtures/serve_obs.rs"),
         &Config::default(),
         false,

@@ -1,9 +1,9 @@
-//! Fixture for the `breaker-obs` rule: every `BreakerState` variant needs
+//! Fixture for the `variant-label` rule: every `BreakerState` variant needs
 //! its snake_case label string in non-test code, plus the registered
 //! `sift_client_breaker_state` gauge. `Closed` and `Open` are labelled
 //! below; `Stuck` never is, so the enum site is flagged once.
 
-pub enum BreakerState { //~ breaker-obs
+pub enum BreakerState { //~ variant-label
     Closed,
     Open,
     Stuck,

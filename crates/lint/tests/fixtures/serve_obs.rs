@@ -1,9 +1,9 @@
-//! Fixture for the `serve-obs` rule: every `DegradeReason` variant needs
+//! Fixture for the `variant-label` rule: every `DegradeReason` variant needs
 //! its snake_case label as a string literal somewhere in non-test code
 //! (plus a registered `sift_serve_degraded_reads_total` counter).
 //! `BreakerOpen` is covered by the label below; `Ghost` has none.
 
-pub enum DegradeReason { //~ serve-obs
+pub enum DegradeReason { //~ variant-label
     BreakerOpen,
     Ghost,
 }

@@ -16,6 +16,19 @@ fn workspace_is_lint_clean() {
     let root = workspace_root();
     let cfg = load_config(&root).expect("Lint.toml parses");
     validate_rule_ids(&cfg).expect("Lint.toml names only known rules");
+    // Clean only means something for `durable-write` if every module
+    // that owns on-disk state is on its strict list.
+    for module in [
+        "crates/fetcher/src/durable.rs",
+        "crates/core/src/durable.rs",
+        "crates/cluster/src/recovery.rs",
+        "crates/serve/src/region.rs",
+    ] {
+        assert!(
+            cfg.path_strict("durable-write", module),
+            "{module} persists state but is not a durable-write strict path"
+        );
+    }
     let findings = lint_workspace(&root, &cfg).expect("workspace walk succeeds");
     let deny: Vec<_> = findings
         .iter()

@@ -31,7 +31,7 @@ use std::time::{Duration, Instant};
 /// The three breaker states.
 ///
 /// Gauge exposition: `sift_client_breaker_state{endpoint=…}` carries the
-/// numeric state (0 closed, 1 open, 2 half-open); the `breaker-obs` lint
+/// numeric state (0 closed, 1 open, 2 half-open); the `variant-label` lint
 /// rule checks every variant's snake_case label stays registered.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum BreakerState {

@@ -58,7 +58,7 @@ impl FaultKind {
 
     /// The metric label this kind is counted under in
     /// `sift_net_faults_injected_total{kind=…}` (snake_case of the
-    /// variant name; the `fault-obs` lint rule checks the mapping stays
+    /// variant name; the `variant-label` lint rule checks the mapping stays
     /// complete).
     pub fn label(self) -> &'static str {
         match self {
@@ -272,7 +272,7 @@ impl NemesisFaultKind {
 
     /// The metric label this kind is counted under in
     /// `sift_cluster_nemesis_faults_total{kind=…}` (snake_case of the
-    /// variant name; the `nemesis-obs` lint rule checks the mapping
+    /// variant name; the `variant-label` lint rule checks the mapping
     /// stays complete).
     pub fn label(self) -> &'static str {
         match self {

@@ -78,7 +78,10 @@ pub(crate) struct RegionCore {
 impl RegionCore {
     /// Opens (and recovers) the region rooted at `dir`: loads the newest
     /// checkpoint if one exists, then replays the WAL tail through the
-    /// live apply path.
+    /// live apply path. A checkpoint taken for another region or another
+    /// origin hour is `InvalidData`: restoring it would serve that
+    /// series' spikes under this region's name until the first ingest
+    /// failed.
     pub fn open(
         dir: &Path,
         state: State,
@@ -93,6 +96,21 @@ impl RegionCore {
             Some(bytes) => Some(decode_checkpoint(&bytes)?),
             None => None,
         };
+        if let Some(ckpt) = &recovered {
+            for found in [ckpt.stitcher.series(), ckpt.detector.series()] {
+                if found != (state, start) {
+                    return Err(io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        format!(
+                            "{} holds a checkpoint of {} from {}, not {state} from {start}",
+                            ckpt_path.display(),
+                            found.0,
+                            found.1
+                        ),
+                    ));
+                }
+            }
+        }
         let (journal, recovery) = Journal::open_with(&dir.join("region.wal"), crash.clone())?;
 
         let keep = usize::try_from(plan.frame_len).unwrap_or(usize::MAX);
@@ -170,8 +188,13 @@ impl RegionCore {
     }
 
     /// Ingests one live frame under the WAL-before-apply invariant:
-    /// journal first (fsync'd), then stitch + detect, then maybe
-    /// checkpoint. Returns the number of spikes sealed by this frame.
+    /// journal first, then stitch + detect, then maybe checkpoint. The
+    /// append is not fsync'd per frame: `write_all` hands it to the
+    /// kernel before the frame is applied, which is what lets a killed
+    /// process replay it; the journal batches fsync (every
+    /// `DEFAULT_SYNC_EVERY` appends) and the `sync()` ahead of each
+    /// checkpoint is what makes the tail durable. Returns the number of
+    /// spikes sealed by this frame.
     pub fn ingest(
         &mut self,
         idx: usize,
@@ -305,14 +328,22 @@ mod tests {
     use sift_journal::testutil::scratch_dir;
     use sift_trends::SearchTerm;
 
-    fn fresh_core(tag: &str) -> RegionCore {
+    fn open_in(dir: &Path, state: State, start: Hour) -> io::Result<RegionCore> {
         RegionCore::open(
-            &scratch_dir(&format!("serve_region_{tag}")),
-            State::TX,
-            Hour(0),
+            dir,
+            state,
+            start,
             PlanParams::default(),
             DetectParams::default(),
             None,
+        )
+    }
+
+    fn fresh_core(tag: &str) -> RegionCore {
+        open_in(
+            &scratch_dir(&format!("serve_region_{tag}")),
+            State::TX,
+            Hour(0),
         )
         .expect("open region")
     }
@@ -373,6 +404,26 @@ mod tests {
             None,
             "within the lag budget an open segment is not degradation"
         );
+    }
+
+    /// A directory holding another region's (or another origin's)
+    /// checkpoint is rejected at open, not at the first ingest.
+    #[test]
+    fn foreign_checkpoint_is_rejected_at_open() {
+        let dir = scratch_dir("serve_region_foreign");
+        {
+            let mut core = open_in(&dir, State::TX, Hour(0)).expect("open region");
+            core.ingest(0, &flat_frame(10), 1).expect("ingest");
+            assert_eq!(core.wal_tail, 0, "the frame was checkpointed");
+        }
+        for (state, start) in [(State::CA, Hour(0)), (State::TX, Hour(168))] {
+            match open_in(&dir, state, start) {
+                Ok(_) => panic!("TX-from-0 checkpoint opened as {state} from {start}"),
+                Err(e) => assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{e}"),
+            }
+        }
+        let core = open_in(&dir, State::TX, Hour(0)).expect("its own region reopens");
+        assert_eq!(core.watermark(), Hour(168));
     }
 
     /// The watermark tracks stitched coverage and `staleness_ms` falls

@@ -5,6 +5,9 @@
 //! rerouted to the survivors. The per-worker response journals must also
 //! merge into one conflict-free store.
 
+mod common;
+
+use common::world;
 use sift::cluster::{
     cluster_router, spawn_worker, ClusterConfig, Coordinator, StatusReply, WorkerConfig,
     WorkerHandle,
@@ -15,59 +18,10 @@ use sift::geo::State;
 use sift::journal::testutil::scratch_dir;
 use sift::net::{HttpClient, Server, ServerHandle};
 use sift::simtime::{Hour, HourRange};
-use sift::trends::terms::Provider;
-use sift::trends::{Cause, OutageEvent, PowerTrigger, Scenario, TrendsService};
+use sift::trends::TrendsService;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-/// The seeded world every run replays. Responses are a pure function of
-/// request coordinates and the scenario seed, so the baseline process and
-/// every worker see identical bytes. Target events sit on two regions;
-/// anchor outages keep the frame chain calibrated everywhere.
-fn world(regions: &[State]) -> Scenario {
-    let mut events = vec![
-        OutageEvent {
-            id: 0,
-            name: "power".into(),
-            cause: Cause::Power(PowerTrigger::Storm),
-            start: Hour(300),
-            duration_h: 8,
-            states: vec![(State::TX, 0.3), (State::CA, 0.2)],
-            severity: 9_000.0,
-            lags_h: vec![0, 0],
-        },
-        OutageEvent {
-            id: 1,
-            name: "isp".into(),
-            cause: Cause::IspNetwork(Provider::Spectrum),
-            start: Hour(600),
-            duration_h: 5,
-            states: vec![(State::CA, 0.2)],
-            severity: 8_000.0,
-            lags_h: vec![0],
-        },
-    ];
-    for (i, start) in (40..800).step_by(70).enumerate() {
-        for (j, state) in [State::TX, State::CA].into_iter().enumerate() {
-            events.push(OutageEvent {
-                id: 100 + (i * 2 + j) as u32,
-                name: format!("anchor-{i}-{state}"),
-                cause: Cause::IspNetwork(Provider::Frontier),
-                start: Hour(start + 11 * j as i64),
-                duration_h: 2,
-                states: vec![(state, 0.02)],
-                severity: 8_000.0,
-                lags_h: vec![0],
-            });
-        }
-    }
-    let mut scenario = Scenario::single_region(State::TX, vec![]);
-    scenario.params.regions = regions.to_vec();
-    scenario.events = events;
-    scenario.events.sort_by_key(|e| (e.start, e.id));
-    scenario
-}
 
 fn study_params(regions: &[State]) -> StudyParams {
     StudyParams {

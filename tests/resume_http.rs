@@ -9,68 +9,19 @@
 //! boundary (no unwinding, no flushing — the closest stand-in for
 //! `kill -9`) and resumes from the orphaned journal files.
 
+mod common;
+
+use common::world;
 use sift::core::{run_study, run_study_durable, StudyDurability, StudyParams, StudyResult};
 use sift::fetcher::{trends_router, HttpTrendsClient};
 use sift::journal::testutil::scratch_dir;
 use sift::journal::{CrashInjector, CrashMode, CrashPlan, CrashSite};
 use sift::net::{Server, ServerHandle};
 use sift::simtime::{Hour, HourRange};
-use sift::trends::terms::Provider;
-use sift::trends::{Cause, OutageEvent, PowerTrigger, Scenario, TrendsService};
+use sift::trends::TrendsService;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::Arc;
-
-/// The seeded world every run replays: two target events plus anchor
-/// outages keeping the frame chain calibrated. Responses are a pure
-/// function of request coordinates and the scenario seed, so independent
-/// service instances (even in different processes) serve identical bytes.
-fn world() -> Scenario {
-    let mut events = vec![
-        OutageEvent {
-            id: 0,
-            name: "power".into(),
-            cause: Cause::Power(PowerTrigger::Storm),
-            start: Hour(300),
-            duration_h: 8,
-            states: vec![(sift::geo::State::TX, 0.3), (sift::geo::State::CA, 0.2)],
-            severity: 9_000.0,
-            lags_h: vec![0, 0],
-        },
-        OutageEvent {
-            id: 1,
-            name: "isp".into(),
-            cause: Cause::IspNetwork(Provider::Spectrum),
-            start: Hour(600),
-            duration_h: 5,
-            states: vec![(sift::geo::State::CA, 0.2)],
-            severity: 8_000.0,
-            lags_h: vec![0],
-        },
-    ];
-    for (i, start) in (40..800).step_by(70).enumerate() {
-        for (j, state) in [sift::geo::State::TX, sift::geo::State::CA]
-            .into_iter()
-            .enumerate()
-        {
-            events.push(OutageEvent {
-                id: 100 + (i * 2 + j) as u32,
-                name: format!("anchor-{i}-{state}"),
-                cause: Cause::IspNetwork(Provider::Frontier),
-                start: Hour(start + 11 * j as i64),
-                duration_h: 2,
-                states: vec![(state, 0.02)],
-                severity: 8_000.0,
-                lags_h: vec![0],
-            });
-        }
-    }
-    let mut scenario = Scenario::single_region(sift::geo::State::TX, vec![]);
-    scenario.params.regions = vec![sift::geo::State::TX, sift::geo::State::CA];
-    scenario.events = events;
-    scenario.events.sort_by_key(|e| (e.start, e.id));
-    scenario
-}
 
 fn study_params() -> StudyParams {
     StudyParams {
@@ -85,7 +36,10 @@ fn study_params() -> StudyParams {
 /// service-side `frames_served` tick is then exactly one study fetch,
 /// which the zero-refetch accounting below relies on).
 fn http_stack(identity: &str) -> (Arc<TrendsService>, ServerHandle, HttpTrendsClient) {
-    let service = Arc::new(TrendsService::with_defaults(world()));
+    let service = Arc::new(TrendsService::with_defaults(world(&[
+        sift::geo::State::TX,
+        sift::geo::State::CA,
+    ])));
     let server = Server::new(trends_router(Arc::clone(&service)))
         .with_workers(4)
         .bind("127.0.0.1:0")

@@ -23,16 +23,18 @@
 //!    and counted in `sift_serve_degraded_reads_total{reason=…}`, while
 //!    the reads themselves keep answering `200`.
 
+mod common;
+
+use common::world;
 use sift::geo::State;
 use sift::journal::testutil::scratch_dir;
 use sift::journal::{CrashInjector, CrashMode, CrashPlan, CrashSite};
 use sift::net::{AdmissionConfig, HttpClient, Request, Response, StatusCode};
 use sift::serve::{Daemon, RegionsReply, ServeConfig, SpikesReply};
 use sift::simtime::{Hour, HourRange, SimClock};
-use sift::trends::terms::Provider;
 use sift::trends::{
-    Cause, FetchError, FrameRequest, FrameResponse, OutageEvent, PowerTrigger, RisingRequest,
-    RisingResponse, Scenario, SearchTerm, TrendsClient, TrendsService,
+    FetchError, FrameRequest, FrameResponse, RisingRequest, RisingResponse, SearchTerm,
+    TrendsClient, TrendsService,
 };
 use std::io::Read;
 use std::net::TcpStream;
@@ -44,55 +46,6 @@ use std::time::{Duration, Instant};
 /// Several tests below read global gauges (parked waiters, accept-queue
 /// depth); concurrent tests in this binary would race them.
 static RUN_LOCK: Mutex<()> = Mutex::new(());
-
-/// The seeded world every daemon ingests: two target events plus anchor
-/// outages every 70 hours, so spikes keep sealing as the clock advances.
-/// Responses are a pure function of request coordinates and the scenario
-/// seed, so independent service instances (even in different processes)
-/// serve identical bytes.
-fn world() -> Scenario {
-    let mut events = vec![
-        OutageEvent {
-            id: 0,
-            name: "power".into(),
-            cause: Cause::Power(PowerTrigger::Storm),
-            start: Hour(300),
-            duration_h: 8,
-            states: vec![(State::TX, 0.3), (State::CA, 0.2)],
-            severity: 9_000.0,
-            lags_h: vec![0, 0],
-        },
-        OutageEvent {
-            id: 1,
-            name: "isp".into(),
-            cause: Cause::IspNetwork(Provider::Spectrum),
-            start: Hour(600),
-            duration_h: 5,
-            states: vec![(State::CA, 0.2)],
-            severity: 8_000.0,
-            lags_h: vec![0],
-        },
-    ];
-    for (i, start) in (40..800).step_by(70).enumerate() {
-        for (j, state) in [State::TX, State::CA].into_iter().enumerate() {
-            events.push(OutageEvent {
-                id: 100 + (i * 2 + j) as u32,
-                name: format!("anchor-{i}-{state}"),
-                cause: Cause::IspNetwork(Provider::Frontier),
-                start: Hour(start + 11 * j as i64),
-                duration_h: 2,
-                states: vec![(state, 0.02)],
-                severity: 8_000.0,
-                lags_h: vec![0],
-            });
-        }
-    }
-    let mut scenario = Scenario::single_region(State::TX, vec![]);
-    scenario.params.regions = vec![State::TX, State::CA];
-    scenario.events = events;
-    scenario.events.sort_by_key(|e| (e.start, e.id));
-    scenario
-}
 
 /// An in-process upstream: the deterministic trends service behind a
 /// [`TrendsClient`] with test-controlled health, failure injection and a
@@ -107,7 +60,7 @@ struct Upstream {
 impl Upstream {
     fn new() -> Arc<Upstream> {
         Arc::new(Upstream {
-            service: Arc::new(TrendsService::with_defaults(world())),
+            service: Arc::new(TrendsService::with_defaults(world(&[State::TX, State::CA]))),
             healthy: AtomicBool::new(true),
             failing: AtomicBool::new(false),
             fetches: AtomicU64::new(0),
