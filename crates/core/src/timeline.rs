@@ -314,15 +314,11 @@ impl StreamStitcher {
         }
     }
 
-    /// Appends the next frame: `out_new` is cleared and refilled with the
-    /// newly covered raw hours (frames arrive overlapping; only the
-    /// non-overlapping suffix is new).
-    pub fn append(
-        &mut self,
-        frame: &FrameResponse,
-        out_new: &mut Vec<f64>,
-    ) -> Result<(), StitchError> {
-        out_new.clear();
+    /// Whether [`append`](Self::append) would accept `frame`, without
+    /// changing anything; returns how many of the frame's leading hours
+    /// overlap the series. A caller that journals a frame before applying
+    /// it runs this first, so nothing `append` would refuse is journaled.
+    pub fn check(&self, frame: &FrameResponse) -> Result<usize, StitchError> {
         if frame.state != self.state {
             return Err(StitchError::MixedStates);
         }
@@ -347,6 +343,19 @@ impl StreamStitcher {
                 window: to_i64(self.tail.len()),
             });
         }
+        Ok(overlap_len)
+    }
+
+    /// Appends the next frame: `out_new` is cleared and refilled with the
+    /// newly covered raw hours (frames arrive overlapping; only the
+    /// non-overlapping suffix is new).
+    pub fn append(
+        &mut self,
+        frame: &FrameResponse,
+        out_new: &mut Vec<f64>,
+    ) -> Result<(), StitchError> {
+        out_new.clear();
+        let overlap_len = self.check(frame)?;
 
         // Same estimator, same operation order as `stitch_core`: the sum
         // over the series tail ranges over raw values built by the very

@@ -1,7 +1,7 @@
 //! Property tests: stitching and detection invariants.
 
 use proptest::prelude::*;
-use sift_core::detect::{detect_spikes, DetectParams};
+use sift_core::detect::{detect_spikes, DetectParams, Spike};
 use sift_core::timeline::{stitch, Timeline};
 use sift_geo::State;
 use sift_simtime::Hour;
@@ -37,6 +37,50 @@ fn piecewise_frames(truth: &[f64], frame_len: usize, step: usize) -> Vec<FrameRe
         start += step;
     }
     out
+}
+
+/// The prominence walk written straight from §3.3, rescanning the series
+/// for every spike (O(n²)): the oracle `detect_spikes` is checked against.
+fn reference_spikes(v: &[f64], p: &DetectParams) -> Vec<Spike> {
+    let mut consumed = vec![false; v.len()];
+    let mut spikes = Vec::new();
+    while spikes.len() < p.max_spikes {
+        // "Starts at the highest peak": the highest unconsumed block that
+        // clears `min_peak`, the earliest on ties.
+        let mut highest: Option<usize> = None;
+        for i in 0..v.len() {
+            if !consumed[i] && v[i] >= p.min_peak && highest.map_or(true, |j| v[i] > v[j]) {
+                highest = Some(i);
+            }
+        }
+        let Some(peak) = highest else { break };
+        // Forward "until the current time block's value is less than half
+        // of the value in the previous block (or zero)" or another spike.
+        let mut end = peak + 1;
+        while end < v.len()
+            && !consumed[end]
+            && v[end] > p.walk_floor
+            && v[end] >= v[end - 1] * p.half_ratio
+        {
+            end += 1;
+        }
+        // Backward "until the current block's value is zero or the
+        // endpoint of another spike".
+        let mut start = peak;
+        while start > 0 && !consumed[start - 1] && v[start - 1] > p.walk_floor {
+            start -= 1;
+        }
+        consumed[start..end].fill(true);
+        spikes.push(Spike {
+            state: State::TX,
+            start: Hour(start as i64),
+            peak: Hour(peak as i64),
+            end: Hour(end as i64),
+            magnitude: v[peak],
+        });
+    }
+    spikes.sort_by_key(|s| s.start);
+    spikes
 }
 
 fn truth_strategy() -> impl Strategy<Value = Vec<f64>> {
@@ -142,5 +186,19 @@ proptest! {
             );
         }
         prop_assert!(b.len() <= values.len());
+    }
+}
+
+proptest! {
+    /// The sorted-visit detector finds exactly the spikes of the literal
+    /// §3.3 walk, bounds and magnitudes included.
+    #[test]
+    fn detect_spikes_matches_the_reference_walk(
+        values in proptest::collection::vec(0.0f64..100.0, 0..600),
+    ) {
+        let params = DetectParams::default();
+        let reference = reference_spikes(&values, &params);
+        let tl = Timeline { state: State::TX, start: Hour(0), values };
+        prop_assert_eq!(detect_spikes(&tl, &params), reference);
     }
 }

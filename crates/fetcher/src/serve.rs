@@ -155,6 +155,65 @@ mod tests {
         h.shutdown();
     }
 
+    /// A server that answers every request with one fixed CA week from
+    /// hour 0: the client must refuse it for any other request rather
+    /// than hand a frame to the journal that the stitcher will reject.
+    #[test]
+    fn answer_to_another_request_is_a_transport_error() {
+        use sift_trends::{FrameResponse, RisingResponse};
+        let term = SearchTerm::parse("topic:Internet outage");
+        let frame = ApiResult::Ok(FrameResponse {
+            term: term.clone(),
+            state: State::CA,
+            start: Hour(0),
+            values: vec![1; 168],
+        });
+        let rising = ApiResult::Ok(RisingResponse {
+            state: State::CA,
+            start: Hour(0),
+            rising: Vec::new(),
+        });
+        let router = Router::new()
+            .route(Method::Post, "/api/frame", move |_| {
+                Response::json(&frame).expect("encode")
+            })
+            .route(Method::Post, "/api/rising", move |_| {
+                Response::json(&rising).expect("encode")
+            });
+        let h = Server::new(router).bind("127.0.0.1:0").expect("bind");
+        let client = HttpTrendsClient::new(h.addr(), "127.0.0.9");
+
+        let ask = |state, start, len| FrameRequest {
+            term: term.clone(),
+            state,
+            start: Hour(start),
+            len,
+            tag: 0,
+        };
+        client
+            .fetch_frame(&ask(State::CA, 0, 168))
+            .expect("the matching request is served");
+        for req in [
+            ask(State::TX, 0, 168),
+            ask(State::CA, 24, 168),
+            ask(State::CA, 0, 24),
+        ] {
+            let err = client.fetch_frame(&req).expect_err("mismatched frame");
+            assert!(matches!(err, FetchError::Transport(_)), "{err}");
+        }
+        let err = client
+            .fetch_rising(&RisingRequest {
+                term: term.clone(),
+                state: State::TX,
+                start: Hour(0),
+                len: 168,
+                tag: 0,
+            })
+            .expect_err("mismatched rising");
+        assert!(matches!(err, FetchError::Transport(_)), "{err}");
+        h.shutdown();
+    }
+
     #[test]
     fn malformed_body_is_bad_request() {
         let (h, _service) = spawn();

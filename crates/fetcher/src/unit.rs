@@ -4,7 +4,9 @@
 //! in `sift-trends`; this module provides the two deployable unit kinds —
 //! in-process (labelled) and HTTP.
 
+use sift_geo::State;
 use sift_net::{CircuitBreaker, HttpClient, RetryBudget};
+use sift_simtime::Hour;
 use sift_trends::{
     FrameRequest, FrameResponse, RisingRequest, RisingResponse, ServiceError, TrendsService,
 };
@@ -112,6 +114,16 @@ impl HttpTrendsClient {
     }
 }
 
+/// A body that decodes but echoes other coordinates than the request's
+/// is a transport failure, like a garbled one: callers retry or degrade
+/// on those, whereas a wrong frame handed back as a success is journaled
+/// and then refused by the stitcher on every replay.
+fn answers_another_request(path: &str, state: State, start: Hour) -> FetchError {
+    FetchError::Transport(format!(
+        "{path} answered a different request than {state} from {start}"
+    ))
+}
+
 impl TrendsClient for HttpTrendsClient {
     fn fetch_frame(&self, req: &FrameRequest) -> Result<FrameResponse, FetchError> {
         // Child of the queue worker's restored fetch span (same thread),
@@ -123,6 +135,11 @@ impl TrendsClient for HttpTrendsClient {
             .map_err(|e| FetchError::Transport(e.to_string()))?;
         match result {
             ApiResult::Ok(resp) => {
+                if (resp.state, resp.start) != (req.state, req.start)
+                    || u32::try_from(resp.values.len()) != Ok(req.len)
+                {
+                    return Err(answers_another_request("/api/frame", req.state, req.start));
+                }
                 sift_obs::attr_add("frames", 1);
                 Ok(resp)
             }
@@ -137,6 +154,9 @@ impl TrendsClient for HttpTrendsClient {
             .post_json("/api/rising", req)
             .map_err(|e| FetchError::Transport(e.to_string()))?;
         match result {
+            ApiResult::Ok(resp) if (resp.state, resp.start) != (req.state, req.start) => {
+                Err(answers_another_request("/api/rising", req.state, req.start))
+            }
             ApiResult::Ok(resp) => Ok(resp),
             ApiResult::Err(e) => Err(FetchError::Service(e)),
         }
@@ -208,8 +228,6 @@ impl TrendsClient for RoundRobin {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sift_geo::State;
-    use sift_simtime::Hour;
     use sift_trends::{Scenario, SearchTerm};
 
     fn service() -> Arc<TrendsService> {

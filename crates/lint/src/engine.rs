@@ -1,14 +1,12 @@
 //! Walks the workspace, runs every rule, applies policy and suppressions.
 //!
-//! The engine runs in three stages: per-file context construction
-//! (lex → token tree → scope pass), the per-file rules, and the
-//! workspace rules. The first two stages are embarrassingly parallel and
-//! fan out across worker threads with an atomic work-stealing cursor;
-//! the workspace rules need every [`FileCtx`] at once and run serially.
-//! Findings are sorted by position at the end, so parallel and serial
-//! runs produce byte-identical reports.
+//! The engine is one serial path in three stages: per-file context
+//! construction (lex → token tree → scope pass), the per-file rules, and
+//! the workspace rules, which need every [`FileCtx`] at once. A full lint
+//! of this workspace takes about 0.14 s, so there is no cache and no
+//! thread fan-out to keep in agreement with it. Findings are sorted by
+//! position at the end.
 
-use crate::cache::{self, fnv1a, Cache, CachedFile};
 use crate::config::{Config, Severity};
 use crate::context::FileCtx;
 use crate::rules::{registry, RawFinding, Rule, RuleKind};
@@ -16,7 +14,6 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fs;
 use std::io;
 use std::path::Path;
-use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 /// A finished, policy-applied finding.
@@ -30,16 +27,7 @@ pub struct Finding {
     pub message: String,
 }
 
-/// Engine knobs the CLI exposes.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct LintOptions {
-    /// Worker threads for the parallel stages (`0` = one per core).
-    pub threads: usize,
-    /// Collect per-rule and per-file wall time.
-    pub timing: bool,
-}
-
-/// Wall-time accounting for `--timing`.
+/// Wall-time accounting, printed by `--timing`.
 #[derive(Clone, Debug, Default)]
 pub struct TimingReport {
     /// Rule id → total time across all files, reporting order.
@@ -47,216 +35,78 @@ pub struct TimingReport {
     /// Path → context build + per-file rule time.
     pub per_file: Vec<(String, Duration)>,
     pub total: Duration,
-    /// Files served from the incremental cache (cached runs only).
-    pub files_reused: usize,
 }
 
-/// Findings plus optional accounting.
+/// What both entry points return: the findings plus where the time went.
 #[derive(Clone, Debug, Default)]
 pub struct LintReport {
     pub findings: Vec<Finding>,
-    pub timing: Option<TimingReport>,
-    /// A cache that could not be written back (the lint itself is fine).
-    pub cache_write_error: Option<String>,
+    pub timing: TimingReport,
+}
+
+/// Callers that only want the findings (every test, the self-check) use
+/// the report as the slice; only `--timing` looks at the rest.
+impl std::ops::Deref for LintReport {
+    type Target = [Finding];
+
+    fn deref(&self) -> &[Finding] {
+        &self.findings
+    }
 }
 
 /// Lints in-memory sources (used by fixture tests and by
 /// [`lint_workspace`] after reading files).
-pub fn lint_sources(sources: &[(String, String)], cfg: &Config) -> Vec<Finding> {
-    lint_sources_opts(sources, cfg, LintOptions::default()).findings
-}
-
-/// [`lint_sources`] with explicit engine options.
-pub fn lint_sources_opts(
-    sources: &[(String, String)],
-    cfg: &Config,
-    opts: LintOptions,
-) -> LintReport {
+pub fn lint_sources(sources: &[(String, String)], cfg: &Config) -> LintReport {
     let started = Instant::now();
-    let threads = worker_count(opts.threads, sources.len());
-    let (contexts, mut file_time) = build_contexts(sources, cfg, threads);
-
+    let rules = registry();
     let mut rule_time: BTreeMap<&'static str, Duration> = BTreeMap::new();
-    let want: Vec<bool> = vec![true; contexts.len()];
-    let per_file = per_file_pass(
-        &contexts,
-        cfg,
-        threads,
-        &want,
-        &mut rule_time,
-        &mut file_time,
-    );
+    let mut per_file = Vec::with_capacity(sources.len());
+    let mut contexts = Vec::with_capacity(sources.len());
+    let mut findings = Vec::new();
 
-    let mut findings: Vec<Finding> = per_file.into_iter().flatten().collect();
-    findings.extend(workspace_pass(&contexts, cfg, &mut rule_time));
-    sort_findings(&mut findings);
-
-    LintReport {
-        findings,
-        timing: opts
-            .timing
-            .then(|| timing_report(rule_time, file_time, started.elapsed(), 0)),
-        cache_write_error: None,
+    for (path, text) in sources {
+        let file_started = Instant::now();
+        let ctx = FileCtx::new(path, text, cfg);
+        for rule in &rules {
+            let RuleKind::PerFile(check) = &rule.kind else {
+                continue;
+            };
+            let severity = cfg.severity(rule.id, rule.default_severity);
+            if severity == Severity::Allow || !rule_applies_to(rule, &ctx, cfg) {
+                continue;
+            }
+            let rule_started = Instant::now();
+            let mut raw = Vec::new();
+            check(&ctx, cfg, &mut raw);
+            admit(rule, severity, &ctx, raw, true, &mut findings);
+            *rule_time.entry(rule.id).or_default() += rule_started.elapsed();
+        }
+        per_file.push((path.clone(), file_started.elapsed()));
+        contexts.push(ctx);
     }
-}
 
-fn worker_count(requested: usize, jobs: usize) -> usize {
-    let auto = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
-    let n = if requested == 0 { auto } else { requested };
-    n.min(jobs).max(1)
-}
-
-fn sort_findings(findings: &mut [Finding]) {
+    findings.extend(workspace_pass(&contexts, cfg, &mut rule_time));
     findings.sort_by(|a, b| {
         (&a.path, a.line, a.col, a.rule, &a.message)
             .cmp(&(&b.path, b.line, b.col, b.rule, &b.message))
     });
-}
 
-fn timing_report(
-    rule_time: BTreeMap<&'static str, Duration>,
-    file_time: Vec<(String, Duration)>,
-    total: Duration,
-    files_reused: usize,
-) -> TimingReport {
     // Report rules in registry order so the output is stable.
-    let per_rule = registry()
+    let per_rule = rules
         .iter()
         .filter_map(|r| rule_time.get(r.id).map(|d| (r.id, *d)))
         .collect();
-    TimingReport {
-        per_rule,
-        per_file: file_time,
-        total,
-        files_reused,
+    LintReport {
+        findings,
+        timing: TimingReport {
+            per_rule,
+            per_file,
+            total: started.elapsed(),
+        },
     }
 }
 
-/// Builds every [`FileCtx`] across `threads` workers; returns contexts in
-/// source order plus per-file build time.
-fn build_contexts(
-    sources: &[(String, String)],
-    cfg: &Config,
-    threads: usize,
-) -> (Vec<FileCtx>, Vec<(String, Duration)>) {
-    let cursor = AtomicUsize::new(0);
-    let mut parts: Vec<(usize, FileCtx, Duration)> = Vec::with_capacity(sources.len());
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut local = Vec::new();
-                    loop {
-                        let i = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some((path, text)) = sources.get(i) else {
-                            break local;
-                        };
-                        let built = Instant::now();
-                        let ctx = FileCtx::new(path, text, cfg);
-                        local.push((i, ctx, built.elapsed()));
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            match h.join() {
-                Ok(local) => parts.extend(local),
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-    });
-    parts.sort_by_key(|&(i, _, _)| i);
-    let mut contexts = Vec::with_capacity(parts.len());
-    let mut times = Vec::with_capacity(parts.len());
-    for (_, ctx, took) in parts {
-        times.push((ctx.path.clone(), took));
-        contexts.push(ctx);
-    }
-    (contexts, times)
-}
-
-/// Runs every per-file rule over the contexts selected by `want`, in
-/// parallel. Returns findings grouped by context index (empty groups for
-/// unselected files); accumulates per-rule and per-file wall time.
-fn per_file_pass(
-    contexts: &[FileCtx],
-    cfg: &Config,
-    threads: usize,
-    want: &[bool],
-    rule_time: &mut BTreeMap<&'static str, Duration>,
-    file_time: &mut [(String, Duration)],
-) -> Vec<Vec<Finding>> {
-    struct Part {
-        idx: usize,
-        findings: Vec<Finding>,
-        rule_time: Vec<(&'static str, Duration)>,
-        took: Duration,
-    }
-    let cursor = AtomicUsize::new(0);
-    let mut parts: Vec<Part> = Vec::with_capacity(contexts.len());
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..threads)
-            .map(|_| {
-                scope.spawn(|| {
-                    let rules = registry();
-                    let mut local = Vec::new();
-                    loop {
-                        let idx = cursor.fetch_add(1, Ordering::Relaxed);
-                        let Some(ctx) = contexts.get(idx) else {
-                            break local;
-                        };
-                        if !want[idx] {
-                            continue;
-                        }
-                        let file_started = Instant::now();
-                        let mut findings = Vec::new();
-                        let mut times = Vec::new();
-                        for rule in &rules {
-                            let RuleKind::PerFile(check) = &rule.kind else {
-                                continue;
-                            };
-                            let severity = cfg.severity(rule.id, rule.default_severity);
-                            if severity == Severity::Allow || !rule_applies_to(rule, ctx, cfg) {
-                                continue;
-                            }
-                            let rule_started = Instant::now();
-                            let mut raw = Vec::new();
-                            check(ctx, cfg, &mut raw);
-                            admit(rule, severity, ctx, raw, true, &mut findings);
-                            times.push((rule.id, rule_started.elapsed()));
-                        }
-                        local.push(Part {
-                            idx,
-                            findings,
-                            rule_time: times,
-                            took: file_started.elapsed(),
-                        });
-                    }
-                })
-            })
-            .collect();
-        for h in handles {
-            match h.join() {
-                Ok(local) => parts.extend(local),
-                Err(payload) => std::panic::resume_unwind(payload),
-            }
-        }
-    });
-    let mut grouped: Vec<Vec<Finding>> = Vec::new();
-    grouped.resize_with(contexts.len(), Vec::new);
-    for part in parts {
-        for (id, d) in part.rule_time {
-            *rule_time.entry(id).or_default() += d;
-        }
-        if let Some(slot) = file_time.get_mut(part.idx) {
-            slot.1 += part.took;
-        }
-        grouped[part.idx] = part.findings;
-    }
-    grouped
-}
-
-/// Runs the workspace rules (serial: they need every context at once).
+/// Runs the workspace rules, which need every context at once.
 fn workspace_pass(
     contexts: &[FileCtx],
     cfg: &Config,
@@ -323,139 +173,8 @@ fn admit(
 }
 
 /// Lints every `.rs` file selected by the config under `root`.
-pub fn lint_workspace(root: &Path, cfg: &Config) -> io::Result<Vec<Finding>> {
+pub fn lint_workspace(root: &Path, cfg: &Config) -> io::Result<LintReport> {
     Ok(lint_sources(&read_workspace(root, cfg)?, cfg))
-}
-
-/// [`lint_workspace`] with engine options (threads, timing).
-pub fn lint_workspace_opts(root: &Path, cfg: &Config, opts: LintOptions) -> io::Result<LintReport> {
-    Ok(lint_sources_opts(&read_workspace(root, cfg)?, cfg, opts))
-}
-
-/// [`lint_workspace`] through the incremental cache at `cache_path`.
-///
-/// Unchanged files (by content hash, under an unchanged policy
-/// fingerprint) reuse their per-file findings without re-running rules;
-/// a fully unchanged workspace reuses the workspace-rule findings too and
-/// skips parsing entirely. The refreshed cache is written back
-/// best-effort — a write failure is reported on the side, never as a
-/// lint failure.
-pub fn lint_workspace_cached(
-    root: &Path,
-    cfg: &Config,
-    fingerprint: u64,
-    cache_path: &Path,
-    opts: LintOptions,
-) -> io::Result<LintReport> {
-    let started = Instant::now();
-    let sources = read_workspace(root, cfg)?;
-    let hashes: Vec<u64> = sources.iter().map(|(_, t)| fnv1a(t.as_bytes())).collect();
-    let workspace_hash = {
-        use std::fmt::Write as _;
-        let mut listing = String::new();
-        for ((path, _), h) in sources.iter().zip(&hashes) {
-            listing.push_str(path);
-            let _ = write!(listing, "\u{0}{h:016x}\u{0}");
-        }
-        fnv1a(listing.as_bytes())
-    };
-
-    let cached: Cache = fs::read_to_string(cache_path)
-        .ok()
-        .and_then(|t| cache::load(&t))
-        .filter(|c| c.fingerprint == fingerprint)
-        .unwrap_or_default();
-
-    // Fast path: nothing changed at all — the workspace hash covers the
-    // exact file set and every content hash.
-    if cached.workspace_hash == workspace_hash && !cached.files.is_empty() {
-        let mut findings: Vec<Finding> = cached
-            .files
-            .values()
-            .flat_map(|f| f.findings.iter().cloned())
-            .collect();
-        findings.extend(cached.workspace.iter().cloned());
-        sort_findings(&mut findings);
-        return Ok(LintReport {
-            findings,
-            timing: opts.timing.then(|| {
-                timing_report(
-                    BTreeMap::new(),
-                    Vec::new(),
-                    started.elapsed(),
-                    sources.len(),
-                )
-            }),
-            cache_write_error: None,
-        });
-    }
-
-    let threads = worker_count(opts.threads, sources.len());
-    let (contexts, mut file_time) = build_contexts(&sources, cfg, threads);
-
-    // A file is reusable when its content hash matches the cached entry.
-    let want: Vec<bool> = sources
-        .iter()
-        .zip(&hashes)
-        .map(|((path, _), h)| cached.files.get(path).map_or(true, |f| f.hash != *h))
-        .collect();
-    let reused = want.iter().filter(|w| !**w).count();
-
-    let mut rule_time: BTreeMap<&'static str, Duration> = BTreeMap::new();
-    let mut per_file = per_file_pass(
-        &contexts,
-        cfg,
-        threads,
-        &want,
-        &mut rule_time,
-        &mut file_time,
-    );
-    for (idx, (path, _)) in sources.iter().enumerate() {
-        if !want[idx] {
-            if let Some(entry) = cached.files.get(path) {
-                per_file[idx] = entry.findings.clone();
-            }
-        }
-    }
-    let workspace = workspace_pass(&contexts, cfg, &mut rule_time);
-
-    let mut next = Cache {
-        fingerprint,
-        files: BTreeMap::new(),
-        workspace_hash,
-        workspace: workspace.clone(),
-    };
-    let mut findings: Vec<Finding> = Vec::new();
-    for ((idx, (path, _)), hash) in sources.iter().enumerate().zip(&hashes) {
-        next.files.insert(
-            path.clone(),
-            CachedFile {
-                hash: *hash,
-                findings: per_file[idx].clone(),
-            },
-        );
-        findings.append(&mut per_file[idx]);
-    }
-    findings.extend(workspace);
-    sort_findings(&mut findings);
-
-    let cache_write_error = write_cache(cache_path, &cache::save(&next))
-        .err()
-        .map(|e| format!("{}: {e}", cache_path.display()));
-    Ok(LintReport {
-        findings,
-        timing: opts
-            .timing
-            .then(|| timing_report(rule_time, file_time, started.elapsed(), reused)),
-        cache_write_error,
-    })
-}
-
-fn write_cache(path: &Path, text: &str) -> io::Result<()> {
-    if let Some(dir) = path.parent() {
-        fs::create_dir_all(dir)?;
-    }
-    fs::write(path, text)
 }
 
 /// One inline allow directive that no longer earns its keep.
@@ -484,8 +203,10 @@ pub enum StaleReason {
 /// longer cover any would-be finding. Stale allows are how outdated
 /// exceptions outlive their justification — this keeps the set honest.
 pub fn audit_allows(sources: &[(String, String)], cfg: &Config) -> Vec<StaleAllow> {
-    let threads = worker_count(0, sources.len());
-    let (contexts, _) = build_contexts(sources, cfg, threads);
+    let contexts: Vec<FileCtx> = sources
+        .iter()
+        .map(|(path, text)| FileCtx::new(path, text, cfg))
+        .collect();
 
     // (path, rule) → lines a finding would land on without suppression.
     let mut would: BTreeMap<(String, &'static str), BTreeSet<u32>> = BTreeMap::new();
@@ -614,7 +335,7 @@ mod tests {
     use super::*;
 
     fn lint_one(path: &str, src: &str, cfg: &Config) -> Vec<Finding> {
-        lint_sources(&[(path.to_owned(), src.to_owned())], cfg)
+        lint_sources(&[(path.to_owned(), src.to_owned())], cfg).findings
     }
 
     #[test]
@@ -672,43 +393,8 @@ mod tests {
     }
 
     #[test]
-    fn parallel_and_serial_runs_are_byte_identical() {
-        let cfg = Config::default();
-        let sources = many_sources();
-        let serial = lint_sources_opts(
-            &sources,
-            &cfg,
-            LintOptions {
-                threads: 1,
-                timing: false,
-            },
-        );
-        let parallel = lint_sources_opts(
-            &sources,
-            &cfg,
-            LintOptions {
-                threads: 8,
-                timing: false,
-            },
-        );
-        assert_eq!(
-            crate::report::render_json(&serial.findings),
-            crate::report::render_json(&parallel.findings),
-        );
-        assert!(!serial.findings.is_empty());
-    }
-
-    #[test]
     fn timing_covers_rules_and_files() {
-        let report = lint_sources_opts(
-            &many_sources(),
-            &Config::default(),
-            LintOptions {
-                threads: 4,
-                timing: true,
-            },
-        );
-        let timing = report.timing.expect("timing requested");
+        let timing = lint_sources(&many_sources(), &Config::default()).timing;
         assert_eq!(timing.per_file.len(), 24);
         assert!(timing.per_rule.iter().any(|(id, _)| *id == "no-panic"));
     }
@@ -740,59 +426,5 @@ mod tests {
         let src = "fn f() {\n  a.unwrap(); // sift-lint: allow(no-panic) — documented\n}\n";
         let stale = audit_allows(&[("crates/x/src/lib.rs".to_owned(), src.to_owned())], &cfg);
         assert!(stale.is_empty(), "{stale:?}");
-    }
-
-    #[test]
-    fn cached_run_is_identical_and_reuses_files() {
-        let dir = std::env::temp_dir().join(format!("sift-lint-cache-test-{}", std::process::id()));
-        let src_dir = dir.join("crates/x/src");
-        std::fs::create_dir_all(&src_dir).expect("mkdir");
-        std::fs::write(src_dir.join("lib.rs"), "fn f() { a.unwrap(); }\n").expect("write");
-        std::fs::write(
-            src_dir.join("other.rs"),
-            "fn g(x: f64) { if x == 1.0 {} }\n",
-        )
-        .expect("write");
-        let cfg = Config::default();
-        let cache_path = dir.join("target/sift-lint-cache.json");
-        let opts = LintOptions {
-            threads: 2,
-            timing: true,
-        };
-
-        let cold = lint_workspace_cached(&dir, &cfg, 7, &cache_path, opts).expect("cold");
-        assert!(cache_path.is_file(), "cache written");
-        assert_eq!(cold.timing.as_ref().expect("timing").files_reused, 0);
-
-        let warm = lint_workspace_cached(&dir, &cfg, 7, &cache_path, opts).expect("warm");
-        assert_eq!(
-            crate::report::render_json(&cold.findings),
-            crate::report::render_json(&warm.findings),
-        );
-        assert_eq!(warm.timing.as_ref().expect("timing").files_reused, 2);
-
-        // Editing one file invalidates that file (and the workspace pass)
-        // but keeps the untouched file's entry.
-        std::fs::write(
-            src_dir.join("lib.rs"),
-            "fn f() { a.unwrap(); b.unwrap(); }\n",
-        )
-        .expect("write");
-        let edited = lint_workspace_cached(&dir, &cfg, 7, &cache_path, opts).expect("edited");
-        assert_eq!(
-            edited
-                .findings
-                .iter()
-                .filter(|f| f.rule == "no-panic")
-                .count(),
-            2
-        );
-        assert_eq!(edited.timing.as_ref().expect("timing").files_reused, 1);
-
-        // A fingerprint change (policy edit) discards everything.
-        let refreshed = lint_workspace_cached(&dir, &cfg, 8, &cache_path, opts).expect("refresh");
-        assert_eq!(refreshed.timing.as_ref().expect("timing").files_reused, 0);
-
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

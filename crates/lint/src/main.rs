@@ -1,10 +1,6 @@
 //! The `sift-lint` command-line gate.
 
-use sift_lint::{
-    cache, find_root, json::Json, load_config, validate_rule_ids, LintOptions, Severity,
-    StaleReason,
-};
-use std::collections::BTreeSet;
+use sift_lint::{find_root, load_config, validate_rule_ids, Severity, StaleReason};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -12,9 +8,7 @@ const USAGE: &str = "\
 sift-lint — workspace-native static analysis for SIFT
 
 USAGE:
-    sift-lint [--json] [--root <dir>] [--config <file>] [--cache]
-              [--threads <n>] [--timing] [--baseline <file>]
-    sift-lint --write-baseline <file>
+    sift-lint [--json] [--root <dir>] [--config <file>] [--timing]
     sift-lint --audit-allows
     sift-lint --rules-md
 
@@ -22,12 +16,7 @@ OPTIONS:
     --json             machine-readable output (one JSON object)
     --root <dir>       workspace root (default: nearest ancestor with Lint.toml)
     --config <f>       config file (default: <root>/Lint.toml)
-    --cache            reuse results for unchanged files via
-                       <root>/target/sift-lint-cache.json
-    --threads <n>      worker threads for the parallel stages (default: cores)
     --timing           per-rule and per-file wall time on stderr
-    --baseline <f>     ignore findings recorded in a baseline file
-    --write-baseline <f>  record current findings as the baseline and exit 0
     --audit-allows     report stale inline `sift-lint: allow(...)` directives
     --rules-md         print the generated rule-reference table and exit
     --help             this text
@@ -43,33 +32,16 @@ fn main() -> ExitCode {
     let mut root_arg: Option<PathBuf> = None;
     let mut config_arg: Option<PathBuf> = None;
     let mut rules_md = false;
-    let mut use_cache = false;
     let mut timing = false;
     let mut audit = false;
-    let mut threads = 0usize;
-    let mut baseline_arg: Option<PathBuf> = None;
-    let mut write_baseline_arg: Option<PathBuf> = None;
 
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--json" => json = true,
             "--rules-md" => rules_md = true,
-            "--cache" => use_cache = true,
             "--timing" => timing = true,
             "--audit-allows" => audit = true,
-            "--threads" => match args.next().and_then(|v| v.parse().ok()) {
-                Some(v) => threads = v,
-                None => return usage_error("--threads needs a number"),
-            },
-            "--baseline" => match args.next() {
-                Some(v) => baseline_arg = Some(PathBuf::from(v)),
-                None => return usage_error("--baseline needs a value"),
-            },
-            "--write-baseline" => match args.next() {
-                Some(v) => write_baseline_arg = Some(PathBuf::from(v)),
-                None => return usage_error("--write-baseline needs a value"),
-            },
             "--root" => match args.next() {
                 Some(v) => root_arg = Some(PathBuf::from(v)),
                 None => return usage_error("--root needs a value"),
@@ -115,59 +87,19 @@ fn main() -> ExitCode {
         return run_audit(&root, &cfg);
     }
 
-    let opts = LintOptions { threads, timing };
-    let report = if use_cache {
-        let cache_path = root.join("target/sift-lint-cache.json");
-        let fingerprint = cache::policy_fingerprint(&config_text);
-        sift_lint::lint_workspace_cached(&root, &cfg, fingerprint, &cache_path, opts)
-    } else {
-        sift_lint::lint_workspace_opts(&root, &cfg, opts)
-    };
-    let report = match report {
+    let report = match sift_lint::lint_workspace(&root, &cfg) {
         Ok(r) => r,
         Err(e) => return config_error(&format!("walking {}: {e}", root.display())),
     };
-    if let Some(e) = &report.cache_write_error {
-        eprintln!("sift-lint: warning: could not write cache: {e}");
-    }
-
-    let mut findings = report.findings;
-    if let Some(path) = &baseline_arg {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => return config_error(&format!("{}: {e}", path.display())),
-        };
-        let Some(known) = baseline_keys(&text) else {
-            return config_error(&format!("{}: not a findings baseline", path.display()));
-        };
-        let before = findings.len();
-        findings.retain(|f| !known.contains(&(f.path.clone(), f.rule.to_owned(), f.line)));
-        eprintln!(
-            "sift-lint: baseline suppressed {} finding(s), {} remain",
-            before - findings.len(),
-            findings.len()
-        );
-    }
-
-    if let Some(path) = &write_baseline_arg {
-        if let Err(e) = std::fs::write(path, sift_lint::render_json(&findings)) {
-            return config_error(&format!("{}: {e}", path.display()));
-        }
-        eprintln!(
-            "sift-lint: wrote baseline with {} finding(s) to {}",
-            findings.len(),
-            path.display()
-        );
-        return ExitCode::SUCCESS;
-    }
+    let findings = &report.findings;
 
     if json {
-        print!("{}", sift_lint::render_json(&findings));
+        print!("{}", sift_lint::render_json(findings));
     } else {
-        print!("{}", sift_lint::render_text(&findings));
+        print!("{}", sift_lint::render_text(findings));
     }
-    if let Some(t) = &report.timing {
-        print_timing(t);
+    if timing {
+        print_timing(&report.timing);
     }
 
     if findings.iter().any(|f| f.severity == Severity::Deny) {
@@ -175,20 +107,6 @@ fn main() -> ExitCode {
     } else {
         ExitCode::SUCCESS
     }
-}
-
-/// Parses a `render_json` document into `(path, rule, line)` keys.
-fn baseline_keys(text: &str) -> Option<BTreeSet<(String, String, u32)>> {
-    let doc = Json::parse(text)?;
-    let mut keys = BTreeSet::new();
-    for f in doc.get("findings")?.as_arr()? {
-        keys.insert((
-            f.get("path")?.as_str()?.to_owned(),
-            f.get("rule")?.as_str()?.to_owned(),
-            f.get("line")?.as_u32()?,
-        ));
-    }
-    Some(keys)
 }
 
 fn run_audit(root: &std::path::Path, cfg: &sift_lint::Config) -> ExitCode {
@@ -221,9 +139,6 @@ fn run_audit(root: &std::path::Path, cfg: &sift_lint::Config) -> ExitCode {
 
 fn print_timing(t: &sift_lint::TimingReport) {
     eprintln!("sift-lint timing: total {:?}", t.total);
-    if t.files_reused > 0 {
-        eprintln!("  cache: {} file(s) reused", t.files_reused);
-    }
     for (id, d) in &t.per_rule {
         eprintln!("  rule {id:<22} {d:?}");
     }

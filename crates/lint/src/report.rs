@@ -67,7 +67,7 @@ pub fn render_json(findings: &[Finding]) -> String {
     out
 }
 
-pub(crate) fn json_str(s: &str) -> String {
+fn json_str(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {

@@ -195,12 +195,19 @@ impl RegionCore {
     /// `DEFAULT_SYNC_EVERY` appends) and the `sync()` ahead of each
     /// checkpoint is what makes the tail durable. Returns the number of
     /// spikes sealed by this frame.
+    ///
+    /// A frame the stitcher would refuse is refused before the journal
+    /// sees it: replay applies every record, so a journaled frame that
+    /// cannot apply would fail every later `open`.
     pub fn ingest(
         &mut self,
         idx: usize,
         resp: &FrameResponse,
         checkpoint_every: u64,
     ) -> io::Result<usize> {
+        self.stitcher
+            .check(resp)
+            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
         let record = ServeRecord {
             idx: u64::try_from(idx).unwrap_or(u64::MAX),
             resp: resp.clone(),
@@ -423,6 +430,28 @@ mod tests {
             }
         }
         let core = open_in(&dir, State::TX, Hour(0)).expect("its own region reopens");
+        assert_eq!(core.watermark(), Hour(168));
+    }
+
+    /// A frame the stitcher refuses never reaches the WAL: the region is
+    /// unchanged, reopens cleanly, and then takes the right frame.
+    #[test]
+    fn rejected_frame_is_not_journaled() {
+        let dir = scratch_dir("serve_region_rejected");
+        let foreign = FrameResponse {
+            state: State::CA,
+            ..flat_frame(10)
+        };
+        {
+            let mut core = open_in(&dir, State::TX, Hour(0)).expect("open region");
+            let err = core.ingest(0, &foreign, 1_000).expect_err("CA into TX");
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+            assert_eq!(core.wal_tail, 0);
+            assert_eq!(core.watermark(), Hour(0));
+        }
+        let mut core = open_in(&dir, State::TX, Hour(0)).expect("reopens after a rejection");
+        assert_eq!((core.replayed, core.next_frame), (0, 0));
+        core.ingest(0, &flat_frame(10), 1_000).expect("ingest");
         assert_eq!(core.watermark(), Hour(168));
     }
 
