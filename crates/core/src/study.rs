@@ -6,8 +6,10 @@
 //! days) → heavy hitters → annotate → cluster across states.
 
 use crate::area::{cluster_spikes, OutageCluster};
-use crate::context::{annotate, heavy_hitters, AnnotatedSpike, ContextParams};
-use crate::detect::DetectParams;
+use crate::context::{
+    count_phrases, heavy_from_counts, AnnotatedSpike, ContextParams, PhraseTable,
+};
+use crate::detect::{DetectParams, Spike};
 use crate::durable::{RegionJournal, StudyDurability};
 use crate::plan::{plan_frames, PlanParams};
 use crate::refetch::{averaged_timeline, averaged_timeline_durable, RefetchError, RefetchParams};
@@ -336,18 +338,25 @@ pub fn assemble_study(
     regions.sort_by_key(|r| r.state.index());
 
     // ---- Global phase: heavy hitters over every spike's suggestion set,
-    // then annotation.
+    // then annotation. Every distinct phrase is counted, normalized and
+    // embedded once, in the table all spikes are annotated against.
     let context_span = sift_obs::span("context");
-    let suggestion_sets = regions.iter().flat_map(|r| {
-        r.spikes
-            .iter()
-            .map(|(_, sugg)| sugg.iter().map(|t| t.term.clone()).collect::<Vec<_>>())
-    });
-    let (heavy, distinct_terms) = heavy_hitters(suggestion_sets, params.context.heavy_hitter_mass);
+    let (heavy, distinct_terms, mut spikes) = {
+        let gathered: Vec<&(Spike, Vec<RisingTerm>)> =
+            regions.iter().flat_map(|r| r.spikes.iter()).collect();
+        let counts = count_phrases(
+            gathered
+                .iter()
+                .flat_map(|(_, suggestions)| suggestions.iter().map(|t| t.term.as_str())),
+        );
+        let (heavy, distinct_terms) = heavy_from_counts(&counts, params.context.heavy_hitter_mass);
+        let table = PhraseTable::new(counts.into_keys(), &heavy);
+        let spikes = annotate_spikes(&table, &gathered, params, context_span.context());
+        (heavy, distinct_terms, spikes)
+    };
 
-    // ---- Annotate and assemble.
+    // ---- Assemble.
     let mut stats = StudyStats::default();
-    let mut spikes: Vec<AnnotatedSpike> = Vec::new();
     let mut timelines = Vec::with_capacity(regions.len());
     for r in &regions {
         stats.frames_requested += r.frames_requested;
@@ -367,14 +376,6 @@ pub fn assemble_study(
         if r.halted {
             stats.halted_regions += 1;
         }
-        let _annotate_span = sift_obs::span("annotate");
-        for (spike, suggestions) in &r.spikes {
-            spikes.push(annotate(*spike, suggestions, &heavy, &params.context));
-        }
-        sift_obs::attr_add(
-            "spikes_annotated",
-            u64::try_from(r.spikes.len()).unwrap_or(u64::MAX),
-        );
     }
     for r in regions {
         timelines.push((r.state, r.timeline));
@@ -423,6 +424,53 @@ pub fn assemble_study(
         distinct_terms,
         stats,
     }
+}
+
+/// Annotates every gathered spike against the study's phrase table, on
+/// `params.threads` threads.
+///
+/// The spike list is cut into contiguous chunks; the calling thread takes
+/// the first instead of idling, scoped workers the rest, each under its
+/// own `annotate` span parented on `context`. A spike's annotations
+/// depend on that spike and the read-only table alone, and the chunks are
+/// concatenated in order, so the thread count cannot reach the result.
+fn annotate_spikes(
+    table: &PhraseTable<'_>,
+    gathered: &[&(Spike, Vec<RisingTerm>)],
+    params: &StudyParams,
+    context: sift_obs::SpanContext,
+) -> Vec<AnnotatedSpike> {
+    let annotate_chunk = |chunk: &[&(Spike, Vec<RisingTerm>)]| -> Vec<AnnotatedSpike> {
+        let _span = sift_obs::span_in(context, "annotate");
+        sift_obs::attr_add(
+            "spikes_annotated",
+            u64::try_from(chunk.len()).unwrap_or(u64::MAX),
+        );
+        chunk
+            .iter()
+            .map(|(spike, suggestions)| table.annotate(*spike, suggestions, &params.context))
+            .collect()
+    };
+    let per_thread = gathered.len().div_ceil(params.threads.max(1)).max(1);
+    let mut chunks = gathered.chunks(per_thread);
+    let first = chunks.next().unwrap_or_default();
+    std::thread::scope(|scope| {
+        let workers: Vec<_> = chunks
+            .map(|chunk| scope.spawn(move || annotate_chunk(chunk)))
+            .collect();
+        let mut annotated = Vec::with_capacity(gathered.len());
+        annotated.extend(annotate_chunk(first));
+        for worker in workers {
+            // sift-lint: allow(no-panic) — re-raising a worker panic on join is the only sane option
+            let chunk = worker.join().expect("annotate worker panicked");
+            // Copied, not moved: a worker's labels sit in its malloc arena
+            // on top of the region phase's suggestion lists, and left
+            // there they keep that arena from shrinking when the lists
+            // are freed (peak RSS 66 MB instead of 62 on `study_full`).
+            annotated.extend(chunk.iter().cloned());
+        }
+        annotated
+    })
 }
 
 /// The per-region pipeline: averaging, detection, rising gathering.
@@ -840,18 +888,110 @@ mod tests {
         );
     }
 
+    /// Everything a study outputs except wall-clock telemetry, with
+    /// float weights as bits.
+    fn outputs(r: &StudyResult) -> String {
+        let spikes: Vec<_> = r
+            .spikes
+            .iter()
+            .map(|a| {
+                let annotations: Vec<_> = a
+                    .annotations
+                    .iter()
+                    .map(|n| (&n.label, n.weight.to_bits(), n.heavy_hitter))
+                    .collect();
+                (a.spike, annotations)
+            })
+            .collect();
+        format!(
+            "{spikes:?}\n{:?}\n{}\n{:?}\n{:?}",
+            r.heavy_hitters, r.distinct_terms, r.clusters, r.timelines
+        )
+    }
+
     #[test]
     fn single_thread_matches_parallel() {
         let service = two_region_service();
         let mut params = small_params();
         params.threads = 1;
         let seq = run_study(&service, &params).expect("study runs");
-        params.threads = 2;
-        let par = run_study(&service, &params).expect("study runs");
-        assert_eq!(seq.spikes.len(), par.spikes.len());
-        for (a, b) in seq.spikes.iter().zip(par.spikes.iter()) {
-            assert_eq!(a.spike, b.spike);
-            assert_eq!(a.annotations, b.annotations);
+        assert!(seq.spikes.len() > 8, "more spikes than the widest fan-out");
+        for threads in [2, 3, 8] {
+            params.threads = threads;
+            let par = run_study(&service, &params).expect("study runs");
+            assert_eq!(outputs(&seq), outputs(&par), "threads = {threads}");
         }
+    }
+
+    fn region_outcomes(params: &StudyParams) -> Vec<RegionOutcome> {
+        let service = two_region_service();
+        let plan = plan_frames(params.range, params.plan);
+        params
+            .regions
+            .iter()
+            .map(|&state| {
+                run_region_study(&service, params, &plan.frames, state, None).expect("region runs")
+            })
+            .collect()
+    }
+
+    #[test]
+    fn study_annotations_match_the_string_keyed_reference() {
+        use crate::context::tests::{
+            assert_same_annotations, reference_annotate, reference_heavy_hitters,
+        };
+        let params = small_params();
+        let regions = region_outcomes(&params);
+        let gathered: Vec<(Spike, Vec<RisingTerm>)> =
+            regions.iter().flat_map(|r| r.spikes.clone()).collect();
+        let sets: Vec<Vec<String>> = gathered
+            .iter()
+            .map(|(_, sugg)| sugg.iter().map(|t| t.term.clone()).collect())
+            .collect();
+        let (heavy, distinct) = reference_heavy_hitters(&sets, params.context.heavy_hitter_mass);
+
+        let result = assemble_study(&params, regions, false);
+        assert_eq!(result.heavy_hitters, heavy);
+        assert_eq!(result.distinct_terms, distinct);
+        assert_eq!(result.spikes.len(), gathered.len());
+        assert!(result.spikes.iter().any(|a| a.annotations.len() > 1));
+        for got in &result.spikes {
+            let (spike, suggestions) = gathered
+                .iter()
+                .find(|(s, _)| *s == got.spike)
+                .expect("annotated spike was gathered");
+            let want = reference_annotate(*spike, suggestions, &heavy, &params.context);
+            assert_same_annotations(got, &want);
+        }
+    }
+
+    #[test]
+    fn assemble_handles_no_spikes_and_fewer_spikes_than_threads() {
+        let mut params = small_params();
+        params.threads = 8;
+        let mut regions = region_outcomes(&params);
+
+        // Three spikes for eight threads.
+        regions[0].spikes.truncate(2);
+        regions[1].spikes.truncate(1);
+        let few = assemble_study(&params, regions.clone(), false);
+        assert_eq!(few.spikes.len(), 3);
+        assert!(few.spikes.iter().all(|a| !a.annotations.is_empty()));
+        params.threads = 1;
+        assert_eq!(
+            outputs(&few),
+            outputs(&assemble_study(&params, regions.clone(), false))
+        );
+
+        // None at all.
+        params.threads = 8;
+        for r in &mut regions {
+            r.spikes.clear();
+        }
+        let none = assemble_study(&params, regions, false);
+        assert!(none.spikes.is_empty() && none.clusters.is_empty());
+        assert!(none.heavy_hitters.is_empty());
+        assert_eq!(none.distinct_terms, 0);
+        assert_eq!(none.timelines.len(), 2);
     }
 }

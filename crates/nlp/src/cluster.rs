@@ -1,6 +1,6 @@
 //! Greedy agglomerative clustering of search phrases.
 
-use crate::vector::{cosine, Embedding};
+use crate::vector::Normed;
 
 /// A cluster of semantically similar phrases.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -12,66 +12,71 @@ pub struct Cluster {
     pub representative: usize,
 }
 
-/// Clusters weighted phrases by cosine similarity of their embeddings.
+/// Clusters weighted phrases by cosine similarity of their embeddings:
+/// embeds each phrase, then [`cluster_embedded`].
+pub fn cluster_phrases(phrases: &[(String, f64)], threshold: f32) -> Vec<Cluster> {
+    let vectors: Vec<Normed> = phrases.iter().map(|(p, _)| Normed::of_phrase(p)).collect();
+    let items: Vec<(&Normed, f64)> = vectors.iter().zip(phrases).map(|(v, p)| (v, p.1)).collect();
+    cluster_embedded(&items, threshold)
+}
+
+/// Clusters weighted, already embedded phrases — the entry for callers
+/// that see the same phrase many times and embed it once.
 ///
 /// Phrases are visited in descending weight order; each joins the first
-/// existing cluster whose (weight-averaged, renormalized) centroid is at
-/// least `threshold` similar, otherwise it founds a new cluster. Phrases
-/// with zero embeddings (all stop words) each form singleton clusters —
-/// there is nothing semantic to merge on.
+/// existing cluster whose centroid is at least `threshold` similar,
+/// otherwise it founds a new cluster. A centroid starts as its founder's
+/// embedding; every joining member is added to it at scale 1 and the sum
+/// renormalized. That is a running blend in which the newest member
+/// counts as much as all earlier ones together, not a weight-average: a
+/// phrase's weight only decides when it is visited. Phrases with zero
+/// embeddings (all stop words) each form singleton clusters — there is
+/// nothing semantic to merge on.
 ///
 /// Output clusters are ordered by their total member weight, descending,
 /// which is the order the annotation ranking consumes them in.
-pub fn cluster_phrases(phrases: &[(String, f64)], threshold: f32) -> Vec<Cluster> {
+pub fn cluster_embedded(items: &[(&Normed, f64)], threshold: f32) -> Vec<Cluster> {
     struct Working {
         members: Vec<usize>,
-        centroid: Embedding,
-        mass: f32,
+        centroid: Normed,
+        /// False for the singleton of a zero embedding, which nothing joins.
+        joinable: bool,
         total_weight: f64,
     }
 
-    let embeddings: Vec<Embedding> = phrases
-        .iter()
-        .map(|(p, _)| Embedding::of_phrase(p))
-        .collect();
-
     // Descending weight, stable on index, so heavier phrases seed clusters.
-    let mut order: Vec<usize> = (0..phrases.len()).collect();
+    let mut order: Vec<usize> = (0..items.len()).collect();
     order.sort_by(|&a, &b| {
-        phrases[b]
+        items[b]
             .1
-            .partial_cmp(&phrases[a].1)
+            .partial_cmp(&items[a].1)
             .unwrap_or(std::cmp::Ordering::Equal)
             .then(a.cmp(&b))
     });
 
     let mut clusters: Vec<Working> = Vec::new();
     for idx in order {
-        let emb = &embeddings[idx];
-        let joined = if emb.is_zero() {
-            None
-        } else {
+        let (vector, weight) = items[idx];
+        let joinable = !vector.embedding().is_zero();
+        let joined = if joinable {
             clusters
                 .iter_mut()
-                .find(|c| c.mass > 0.0 && cosine(&c.centroid, emb) >= threshold)
+                .find(|c| c.joinable && c.centroid.similarity(vector) >= threshold)
+        } else {
+            None
         };
         match joined {
             Some(c) => {
                 c.members.push(idx);
-                c.total_weight += phrases[idx].1;
-                c.centroid.accumulate(emb, 1.0);
-                c.centroid.normalize();
-                c.mass += 1.0;
+                c.total_weight += weight;
+                c.centroid.absorb(vector);
             }
-            None => {
-                let mass = if emb.is_zero() { 0.0 } else { 1.0 };
-                clusters.push(Working {
-                    members: vec![idx],
-                    centroid: emb.clone(),
-                    mass,
-                    total_weight: phrases[idx].1,
-                });
-            }
+            None => clusters.push(Working {
+                members: vec![idx],
+                centroid: vector.clone(),
+                joinable,
+                total_weight: weight,
+            }),
         }
     }
 
@@ -89,9 +94,9 @@ pub fn cluster_phrases(phrases: &[(String, f64)], threshold: f32) -> Vec<Cluster
                 .members
                 .iter()
                 .max_by(|&&a, &&b| {
-                    phrases[a]
+                    items[a]
                         .1
-                        .partial_cmp(&phrases[b].1)
+                        .partial_cmp(&items[b].1)
                         .unwrap_or(std::cmp::Ordering::Equal)
                         .then(b.cmp(&a))
                 })

@@ -18,7 +18,7 @@ pub const GENERIC_WEIGHT: f32 = 0.25;
 pub const ENTITY_WEIGHT: f32 = 1.0;
 
 /// Synonyms of "outage" in user search phrasing.
-const OUTAGE_SYNONYMS: &[&str] = &[
+pub(crate) const OUTAGE_SYNONYMS: &[&str] = &[
     "down",
     "offline",
     "broken",
@@ -38,7 +38,7 @@ const OUTAGE_SYNONYMS: &[&str] = &[
 ];
 
 /// Generic domain words that should not dominate similarity.
-const GENERIC_WORDS: &[&str] = &[
+pub(crate) const GENERIC_WORDS: &[&str] = &[
     "internet",
     "service",
     "network",

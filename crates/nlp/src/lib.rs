@@ -27,9 +27,9 @@ pub mod lexicon;
 pub mod token;
 pub mod vector;
 
-pub use cluster::{cluster_phrases, Cluster};
+pub use cluster::{cluster_embedded, cluster_phrases, Cluster};
 pub use token::{normalize, tokenize};
-pub use vector::{cosine, Embedding, EMBEDDING_DIM};
+pub use vector::{cosine, Embedding, Normed, EMBEDDING_DIM};
 
 /// Default cosine-similarity threshold above which two phrases are
 /// considered the same search intent. Chosen so `is verizon down` ≈

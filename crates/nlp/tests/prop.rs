@@ -1,7 +1,11 @@
 //! Property tests: normalization, embeddings and clustering invariants.
 
 use proptest::prelude::*;
-use sift_nlp::{cluster_phrases, cosine, normalize, Embedding, DEFAULT_SIMILARITY_THRESHOLD};
+use sift_nlp::{
+    cluster_embedded, cluster_phrases, cosine, normalize, Embedding, Normed,
+    DEFAULT_SIMILARITY_THRESHOLD,
+};
+use std::collections::BTreeMap;
 
 fn phrase_strategy() -> impl Strategy<Value = String> {
     proptest::collection::vec("[a-z]{1,8}", 1..5).prop_map(|ws| ws.join(" "))
@@ -61,5 +65,63 @@ proptest! {
         let clusters = cluster_phrases(&phrases, DEFAULT_SIMILARITY_THRESHOLD);
         prop_assert_eq!(clusters.len(), 1);
         prop_assert_eq!(clusters[0].members.len(), 2);
+    }
+
+    /// Clustering vectors embedded once per *distinct* phrase — the way
+    /// the study's phrase table hands them over — gives exactly what
+    /// `cluster_phrases` gives on the raw phrases: members,
+    /// representative, order.
+    #[test]
+    fn pre_embedded_clustering_matches_cluster_phrases(
+        picks in proptest::collection::vec((0usize..8, 0u32..4), 0..25),
+        pool in proptest::collection::vec(phrase_strategy(), 8..9),
+        threshold in 0.3f32..0.9,
+    ) {
+        // A small pool makes duplicates and tied weights the common case;
+        // "is my" embeds to zero.
+        let phrases: Vec<(String, f64)> = picks
+            .iter()
+            .map(|&(p, w)| {
+                let phrase = if p == 7 { "is my".to_owned() } else { pool[p].clone() };
+                (phrase, f64::from(w) * 50.0)
+            })
+            .collect();
+        let table: BTreeMap<&str, Normed> = phrases
+            .iter()
+            .map(|(p, _)| (p.as_str(), Normed::of_phrase(p)))
+            .collect();
+        let items: Vec<(&Normed, f64)> = phrases.iter().map(|(p, w)| (&table[p.as_str()], *w)).collect();
+        prop_assert_eq!(cluster_embedded(&items, threshold), cluster_phrases(&phrases, threshold));
+    }
+
+    /// A similarity read from carried norms is the same f32, bit for
+    /// bit, as `cosine` recomputing them — for phrase vectors, the zero
+    /// vector and centroids that have absorbed members.
+    #[test]
+    fn carried_norm_similarity_is_bit_equal_to_cosine(
+        a in phrase_strategy(),
+        b in phrase_strategy(),
+        joiners in proptest::collection::vec(phrase_strategy(), 0..4),
+    ) {
+        let zero = Normed::new(Embedding::zero());
+        let other = Normed::of_phrase(&b);
+        let mut centroid = Normed::of_phrase(&a);
+        // The centroid as the clustering loop first built it.
+        let mut plain = Embedding::of_phrase(&a);
+        for j in std::iter::once(None).chain(joiners.iter().map(Some)) {
+            if let Some(j) = j {
+                let j = Normed::of_phrase(j);
+                centroid.absorb(&j);
+                plain.accumulate(j.embedding(), 1.0);
+                plain.normalize();
+            }
+            prop_assert_eq!(centroid.embedding(), &plain);
+            for (x, y) in [(&centroid, &other), (&other, &centroid), (&centroid, &zero), (&zero, &zero)] {
+                prop_assert_eq!(
+                    x.similarity(y).to_bits(),
+                    cosine(x.embedding(), y.embedding()).to_bits()
+                );
+            }
+        }
     }
 }

@@ -24,10 +24,13 @@ use std::time::{Duration, Instant};
 
 /// Per-trace cap on recorded spans; beyond it spans still time and hit
 /// `sift_span_seconds`, but their records are dropped and counted in
-/// `sift_obs_trace_spans_dropped_total`.
+/// `sift_obs_trace_spans_dropped_total`. Also the cap on spans held by
+/// the whole recent ring.
 pub const TRACE_SPAN_CAP: usize = 100_000;
 
-/// How many completed traces the recent ring keeps.
+/// How many completed traces the recent ring keeps at most; it keeps
+/// fewer when they are large (no more than [`TRACE_SPAN_CAP`] spans in
+/// total, the newest trace always).
 pub const RECENT_TRACE_CAP: usize = 32;
 
 /// One closed span inside a trace tree.
@@ -185,9 +188,22 @@ pub(crate) fn span_closed(rec: SpanRecord) {
         return;
     }
     spans.sort_by_key(|s| (s.start_us, s.span_id));
-    recent.push_back(Trace { trace_id, spans });
-    while recent.len() > RECENT_TRACE_CAP {
-        recent.pop_front();
+    push_recent(&mut recent, Trace { trace_id, spans });
+}
+
+/// Appends a completed trace to the ring, then evicts from the old end
+/// until the ring holds at most [`RECENT_TRACE_CAP`] traces and at most
+/// [`TRACE_SPAN_CAP`] spans in total — always keeping the newest. The
+/// span bound is what bounds memory: a full study is one trace of tens
+/// of thousands of spans, and 32 of those would be most of a process's
+/// resident set.
+fn push_recent(recent: &mut VecDeque<Trace>, trace: Trace) {
+    recent.push_back(trace);
+    let mut held: usize = recent.iter().map(|t| t.spans.len()).sum();
+    while recent.len() > 1 && (recent.len() > RECENT_TRACE_CAP || held > TRACE_SPAN_CAP) {
+        if let Some(evicted) = recent.pop_front() {
+            held -= evicted.spans.len();
+        }
     }
 }
 
@@ -528,6 +544,45 @@ mod tests {
         let v: serde_json::Value = serde_json::from_str(&text).expect("valid json");
         assert!(matches!(v, serde_json::Value::Array(_)));
         assert!(text.contains("\"parent_id\":null"));
+    }
+
+    #[test]
+    fn recent_ring_is_bounded_by_spans_as_well_as_by_count() {
+        let trace_of = |trace_id: u64, spans: u64| Trace {
+            trace_id,
+            spans: (0..spans)
+                .map(|i| rec(trace_id, i + 1, (i > 0).then_some(1), "s", i, 1))
+                .collect(),
+        };
+        let held = |ring: &VecDeque<Trace>| ring.iter().map(|t| t.spans.len()).sum::<usize>();
+
+        // Forty study-sized traces: the ring sheds the oldest to stay
+        // under the span cap, and the newest is always there to read.
+        let mut ring = VecDeque::new();
+        for id in 1..=40 {
+            push_recent(&mut ring, trace_of(id, 10_000));
+            assert!(held(&ring) <= TRACE_SPAN_CAP, "{} spans held", held(&ring));
+            assert_eq!(ring.back().map(|t| t.trace_id), Some(id));
+        }
+        assert_eq!(ring.len(), TRACE_SPAN_CAP / 10_000);
+        assert_eq!(ring.front().map(|t| t.trace_id), Some(31));
+
+        // Small traces are still bounded by count alone.
+        let mut ring = VecDeque::new();
+        for id in 1..=RECENT_TRACE_CAP as u64 {
+            push_recent(&mut ring, trace_of(id, 3));
+        }
+        assert_eq!(ring.len(), RECENT_TRACE_CAP);
+        assert_eq!(ring.front().map(|t| t.trace_id), Some(1));
+        push_recent(&mut ring, trace_of(99, 3));
+        assert_eq!(ring.len(), RECENT_TRACE_CAP);
+        assert_eq!(ring.front().map(|t| t.trace_id), Some(2));
+
+        // One trace at the per-trace cap displaces everything else but
+        // is itself kept.
+        push_recent(&mut ring, trace_of(100, TRACE_SPAN_CAP as u64));
+        assert_eq!(ring.len(), 1);
+        assert_eq!(ring.back().map(|t| t.trace_id), Some(100));
     }
 
     #[test]
