@@ -82,48 +82,29 @@ impl Spike {
     }
 }
 
-/// Reusable working buffers for [`detect_spikes_into`]. The refetch loop
-/// detects once per round per region; keeping the visit-order and
-/// consumed-block buffers here makes every round after the first
-/// allocation-free.
+/// Working buffers of the walk core. [`IncrementalDetector`] keeps one
+/// across segments; the batch pass builds one per call.
 #[derive(Debug, Default)]
-pub struct DetectScratch {
+struct DetectScratch {
     consumed: Vec<bool>,
     order: Vec<usize>,
 }
 
 /// Detects every spike in a timeline, returned sorted by start hour.
-///
-/// Convenience wrapper over [`detect_spikes_into`] that allocates its own
-/// buffers; callers detecting in a loop should hold a [`DetectScratch`]
-/// and an output `Vec` instead.
 pub fn detect_spikes(timeline: &Timeline, params: &DetectParams) -> Vec<Spike> {
-    let mut scratch = DetectScratch::default();
     let mut spikes = Vec::new();
-    detect_spikes_into(timeline, params, &mut scratch, &mut spikes);
-    spikes
-}
-
-/// [`detect_spikes`] into caller-owned buffers: `spikes` is cleared and
-/// refilled; `scratch` keeps its capacity across calls.
-pub fn detect_spikes_into(
-    timeline: &Timeline,
-    params: &DetectParams,
-    scratch: &mut DetectScratch,
-    spikes: &mut Vec<Spike>,
-) {
-    spikes.clear();
     detect_values_into(
         timeline.state,
         timeline.start,
         &timeline.values,
         params,
         params.max_spikes,
-        scratch,
-        spikes,
+        &mut DetectScratch::default(),
+        &mut spikes,
     );
     spikes.sort_unstable_by_key(|s| (s.start, s.peak));
     sift_obs::attr_add("spikes", u64::try_from(spikes.len()).unwrap_or(u64::MAX));
+    spikes
 }
 
 /// The shared walk core: detects spikes over a raw value slice whose

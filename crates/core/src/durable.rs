@@ -1,13 +1,16 @@
-//! Study-level durability: per-region journals and round checkpoints.
+//! Study-level durability: per-region write-ahead journals.
 //!
 //! A study crawls each region through the re-fetch averaging loop and a
 //! rising-suggestions pass — days of HTTP traffic at paper scale. This
 //! module makes that pipeline resumable: every fetched response is
 //! journaled before it is used, and each completed re-fetch round is
-//! sealed with an atomic checkpoint that subsumes (and empties) the
-//! journal. A study killed in round *k* resumes at round *k* with rounds
-//! `< k` intact, re-fetching at most the one response that was in flight
-//! when the process died.
+//! sealed with a synced `RoundDone` record. A study killed in round *k*
+//! resumes at round *k* with rounds `< k` intact, re-fetching at most
+//! the one response that was in flight when the process died.
+//!
+//! There is no checkpoint: what a resume needs is every response the
+//! region ever received, so a snapshot of that state would be the
+//! journal again, rewritten at every round boundary.
 //!
 //! Replay is exact by construction: the re-fetch loop consumes recovered
 //! responses through the same code path as live fetches, and the
@@ -15,14 +18,17 @@
 //! so a crashed-and-resumed study converges to the same `StudyResult` as
 //! an uninterrupted run of the same seed (proven in `tests/resume_http.rs`).
 //!
-//! Layout: `<dir>/<STATE>/region.ckpt` + `<dir>/<STATE>/region.wal`,
-//! one durability domain per region so the parallel region workers never
-//! contend on a file.
+//! Layout: `<dir>/<STATE>/region.wal`, one durability domain per region
+//! so the parallel region workers never contend on a file. The first
+//! record names the study (term, region, frame plan); a journal that
+//! names another study is refused at open, because its `(round, idx)`
+//! slots hold the answers to different requests.
 
 use serde::{Deserialize, Serialize};
 use sift_geo::State;
-use sift_journal::{read_checkpoint, write_checkpoint, CrashInjector, Journal};
-use sift_trends::{FrameResponse, RisingResponse};
+use sift_journal::{CrashInjector, Journal};
+use sift_simtime::HourRange;
+use sift_trends::{FrameResponse, RisingResponse, SearchTerm};
 use std::collections::HashMap;
 use std::io;
 use std::path::{Path, PathBuf};
@@ -45,8 +51,8 @@ impl StudyDurability {
         }
     }
 
-    /// Wires a crash injector into every journal append and checkpoint
-    /// this study performs (shared across regions).
+    /// Wires a crash injector into every journal append this study
+    /// performs (shared across regions).
     pub fn with_crash(mut self, crash: Arc<CrashInjector>) -> StudyDurability {
         self.crash = Some(crash);
         self
@@ -57,15 +63,38 @@ impl StudyDurability {
         &self.dir
     }
 
-    /// Opens (recovering) the journal of one region.
-    pub fn region(&self, state: State) -> io::Result<RegionJournal> {
-        RegionJournal::open(&self.dir.join(state.abbrev()), self.crash.clone())
+    /// Opens (recovering) the journal of one region of the study that
+    /// tracks `term` over the frame plan `frames`. Fails with
+    /// `InvalidData` when the directory holds another study's journal.
+    pub fn region(
+        &self,
+        term: &SearchTerm,
+        state: State,
+        frames: &[HourRange],
+    ) -> io::Result<RegionJournal> {
+        let study = RegionRecord::Study {
+            term: term.clone(),
+            state,
+            frames: frames.to_vec(),
+        };
+        RegionJournal::open(&self.dir.join(state.abbrev()), &study, self.crash.clone())
     }
 }
 
 /// One journaled response or round boundary.
 #[derive(Serialize, Deserialize)]
 enum RegionRecord {
+    /// The first record of every journal: the study it belongs to. Frame
+    /// slots are keyed by `(round, idx)`, so they mean something only
+    /// under the frame plan `idx` indexes.
+    Study {
+        /// The tracked search term.
+        term: SearchTerm,
+        /// The region.
+        state: State,
+        /// The frame plan, in slot order.
+        frames: Vec<HourRange>,
+    },
     /// A frame slot filled in the re-fetch loop (fetched or degraded).
     Frame {
         /// Re-fetch round (0-based).
@@ -91,25 +120,12 @@ enum RegionRecord {
     },
 }
 
-/// Checkpoint payload: the full replay state at a round boundary.
-#[derive(Default, Serialize, Deserialize)]
-struct ReplayState {
-    /// `(round, idx, response)` for every filled frame slot.
-    frames: Vec<(u32, u32, FrameResponse)>,
-    /// Rounds fully completed.
-    rounds_done: u32,
-    /// `(start, len, response)` for every rising response.
-    rising: Vec<(i64, u32, RisingResponse)>,
-}
-
 /// The durability domain of one region: a write-ahead journal of
-/// responses plus a checkpoint sealed at each round boundary. The
-/// re-fetch loop asks it for recovered responses before fetching, and
-/// hands it every fresh response before using it.
+/// responses and round boundaries. The re-fetch loop asks it for
+/// recovered responses before fetching, and hands it every fresh
+/// response before using it.
 pub struct RegionJournal {
     journal: Journal,
-    ckpt_path: PathBuf,
-    crash: Option<Arc<CrashInjector>>,
     frames: HashMap<(u32, u32), FrameResponse>,
     rising: HashMap<(i64, u32), RisingResponse>,
     rounds_done: u32,
@@ -118,62 +134,67 @@ pub struct RegionJournal {
 }
 
 impl RegionJournal {
-    fn open(dir: &Path, crash: Option<Arc<CrashInjector>>) -> io::Result<RegionJournal> {
+    fn open(
+        dir: &Path,
+        study: &RegionRecord,
+        crash: Option<Arc<CrashInjector>>,
+    ) -> io::Result<RegionJournal> {
         std::fs::create_dir_all(dir)?;
-        let ckpt_path = dir.join("region.ckpt");
-        let mut state = match read_checkpoint(&ckpt_path)? {
-            Some(bytes) => decode_state(&bytes)?,
-            None => ReplayState::default(),
+        let (journal, recovery) = Journal::open_with(&dir.join("region.wal"), crash)?;
+        let mut region = RegionJournal {
+            journal,
+            frames: HashMap::new(),
+            rising: HashMap::new(),
+            rounds_done: 0,
+            resumed_from_round: 0,
+            replayed: 0,
         };
-        let (journal, recovery) = Journal::open_with(&dir.join("region.wal"), crash.clone())?;
-        for payload in &recovery.records {
+        let mut records = recovery.records.iter();
+        match records.next() {
+            // A fresh journal (or one torn inside its first record): name
+            // the study. No sync of its own — it rides the batched one.
+            None => region.append(study)?,
+            Some(first) if first.as_slice() == encode(study)?.as_bytes() => {}
+            Some(_) => {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!(
+                        "{} is the journal of another study (term, region or frame plan differ)",
+                        region.journal.path().display()
+                    ),
+                ));
+            }
+        }
+        for payload in records {
             let parsed = std::str::from_utf8(payload)
                 .ok()
                 .and_then(|json| serde_json::from_str::<RegionRecord>(json).ok());
             match parsed {
                 Some(RegionRecord::Frame { round, idx, resp }) => {
-                    state.frames.push((round, idx, resp));
+                    region.frames.insert((round, idx), resp);
                 }
                 Some(RegionRecord::RoundDone { round }) => {
-                    state.rounds_done = state.rounds_done.max(round + 1);
+                    region.rounds_done = region.rounds_done.max(round + 1);
                 }
                 Some(RegionRecord::Rising { start, len, resp }) => {
-                    state.rising.push((start, len, resp));
+                    region.rising.insert((start, len), resp);
                 }
-                None => {
+                Some(RegionRecord::Study { .. }) | None => {
                     sift_obs::event(
                         sift_obs::Level::Warn,
                         "core.durable",
-                        "journal record with valid CRC failed to decode; skipped",
+                        "journal record with valid CRC is not a response or round boundary; skipped",
                         &[],
                     );
                 }
             }
         }
-        let frames: HashMap<(u32, u32), FrameResponse> = state
-            .frames
-            .into_iter()
-            .map(|(round, idx, resp)| ((round, idx), resp))
-            .collect();
-        let rising: HashMap<(i64, u32), RisingResponse> = state
-            .rising
-            .into_iter()
-            .map(|(start, len, resp)| ((start, len), resp))
-            .collect();
-        Ok(RegionJournal {
-            journal,
-            ckpt_path,
-            crash,
-            frames,
-            rising,
-            rounds_done: state.rounds_done,
-            resumed_from_round: state.rounds_done,
-            replayed: 0,
-        })
+        region.resumed_from_round = region.rounds_done;
+        Ok(region)
     }
 
     /// The round the region resumes at: the first one not sealed by a
-    /// checkpoint or a journaled `RoundDone`. Zero on a fresh directory.
+    /// journaled `RoundDone`. Zero on a fresh directory.
     pub fn resumed_from_round(&self) -> u32 {
         self.resumed_from_round
     }
@@ -217,15 +238,15 @@ impl RegionJournal {
         Ok(())
     }
 
-    /// Seals a completed round: journals the boundary, then writes the
-    /// checkpoint that subsumes (and empties) the journal.
+    /// Seals a completed round: journals the boundary and syncs, so the
+    /// round survives power loss as well as process death.
     pub fn round_done(&mut self, round: u32) -> io::Result<()> {
         if round < self.rounds_done {
             return Ok(()); // replayed round: already sealed in a previous life
         }
         self.append(&RegionRecord::RoundDone { round })?;
         self.rounds_done = round + 1;
-        self.checkpoint()
+        self.journal.sync()
     }
 
     /// The recovered rising response for a frame, if the journal holds one.
@@ -244,49 +265,20 @@ impl RegionJournal {
         Ok(())
     }
 
-    /// Seals the region: checkpoint everything, empty the journal. Called
-    /// when the region's pipeline completes, so a resume of a finished
-    /// study replays without re-fetching anything.
+    /// Seals the region: syncs everything journaled. Called when the
+    /// region's pipeline completes, so a resume of a finished study
+    /// replays without re-fetching anything.
     pub fn finish(&mut self) -> io::Result<()> {
-        self.journal.sync()?;
-        self.checkpoint()
-    }
-
-    fn checkpoint(&mut self) -> io::Result<()> {
-        let mut frames: Vec<(u32, u32, FrameResponse)> = self
-            .frames
-            .iter()
-            .map(|(&(round, idx), resp)| (round, idx, resp.clone()))
-            .collect();
-        frames.sort_by_key(|&(round, idx, _)| (round, idx));
-        let mut rising: Vec<(i64, u32, RisingResponse)> = self
-            .rising
-            .iter()
-            .map(|(&(start, len), resp)| (start, len, resp.clone()))
-            .collect();
-        rising.sort_by_key(|&(start, len, _)| (start, len));
-        let state = ReplayState {
-            frames,
-            rounds_done: self.rounds_done,
-            rising,
-        };
-        let json = serde_json::to_string(&state)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-        write_checkpoint(&self.ckpt_path, json.as_bytes(), self.crash.as_deref())?;
-        self.journal.truncate_all()
+        self.journal.sync()
     }
 
     fn append(&mut self, record: &RegionRecord) -> io::Result<()> {
-        let json = serde_json::to_string(record)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-        self.journal.append(json.as_bytes())
+        self.journal.append(encode(record)?.as_bytes())
     }
 }
 
-fn decode_state(bytes: &[u8]) -> io::Result<ReplayState> {
-    let json =
-        std::str::from_utf8(bytes).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-    serde_json::from_str(json).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+fn encode(record: &RegionRecord) -> io::Result<String> {
+    serde_json::to_string(record).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
 }
 
 #[cfg(test)]
@@ -295,15 +287,32 @@ mod tests {
     use sift_journal::testutil::scratch_dir;
     use sift_journal::{CrashPlan, CrashSite};
     use sift_simtime::Hour;
-    use sift_trends::SearchTerm;
+
+    fn term() -> SearchTerm {
+        SearchTerm::parse("topic:Internet outage")
+    }
 
     fn frame(start: i64, values: Vec<u8>) -> FrameResponse {
         FrameResponse {
-            term: SearchTerm::parse("topic:Internet outage"),
+            term: term(),
             state: State::TX,
             start: Hour(start),
             values,
         }
+    }
+
+    /// A two-slot frame plan starting at `start`.
+    fn plan(start: i64) -> [HourRange; 2] {
+        [
+            HourRange::with_len(Hour(start), 168),
+            HourRange::with_len(Hour(start + 84), 168),
+        ]
+    }
+
+    fn open(durability: &StudyDurability) -> RegionJournal {
+        durability
+            .region(&term(), State::TX, &plan(0))
+            .expect("open")
     }
 
     #[test]
@@ -311,15 +320,15 @@ mod tests {
         let dir = scratch_dir("region_journal");
         let durability = StudyDurability::new(&dir);
         {
-            let mut j = durability.region(State::TX).expect("open");
+            let mut j = open(&durability);
             assert_eq!(j.resumed_from_round(), 0);
             j.record_frame(0, 0, &frame(0, vec![1])).expect("record");
-            j.record_frame(0, 1, &frame(168, vec![2])).expect("record");
+            j.record_frame(0, 1, &frame(84, vec![2])).expect("record");
             j.round_done(0).expect("seal round");
             j.record_frame(1, 0, &frame(0, vec![3])).expect("record");
             // No RoundDone for round 1: the process "dies" here.
         }
-        let mut j = durability.region(State::TX).expect("reopen");
+        let mut j = open(&durability);
         assert_eq!(j.resumed_from_round(), 1, "round 0 sealed, round 1 open");
         assert!(j.round_recovered(0, 2));
         assert!(!j.round_recovered(1, 2), "round 1 is missing slot 1");
@@ -333,26 +342,43 @@ mod tests {
         assert_eq!(j.frames_replayed(), 2);
     }
 
-    #[test]
-    fn crash_between_checkpoint_temp_and_rename_keeps_journal_authoritative() {
-        let dir = scratch_dir("region_ckpt_crash");
-        let inj = Arc::new(CrashInjector::new(
-            CrashPlan::nowhere().at(CrashSite::CheckpointTempWritten, 0),
-        ));
-        let durability = StudyDurability::new(&dir).with_crash(inj);
+    /// Runs one slot and the seal of round 0 under `site`, which fires on
+    /// the third append: study record, frame, `RoundDone`.
+    fn crash_at_the_round_seal(tag: &str, site: CrashSite) -> StudyDurability {
+        let dir = scratch_dir(tag);
+        let inj = Arc::new(CrashInjector::new(CrashPlan::nowhere().at(site, 2)));
+        let durability = StudyDurability::new(&dir).with_crash(Arc::clone(&inj));
         let crashed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut j = durability.region(State::TX).expect("open");
+            let mut j = open(&durability);
             j.record_frame(0, 0, &frame(0, vec![7])).expect("record");
-            j.round_done(0).expect("seal round"); // dies before the rename
+            j.round_done(0).expect("seal round"); // dies on the RoundDone record
         }))
         .is_err();
-        assert!(crashed, "injected crash must fire");
-        // Recovery: the checkpoint never landed, but the journal still
-        // holds the frame AND the RoundDone record, so nothing is lost.
-        let clean = StudyDurability::new(&dir);
-        let mut j = clean.region(State::TX).expect("recover");
+        assert!(crashed && inj.tripped(), "injected crash must fire");
+        StudyDurability::new(&dir)
+    }
+
+    #[test]
+    fn crash_after_the_round_seal_keeps_the_round_sealed() {
+        let clean = crash_at_the_round_seal("region_seal_after", CrashSite::AfterJournalRecord);
+        let mut j = open(&clean);
         assert_eq!(j.resumed_from_round(), 1);
         assert_eq!(j.replayed_frame(0, 0).expect("slot").values, vec![7]);
+    }
+
+    #[test]
+    fn torn_round_seal_replays_the_round_per_slot_and_seals_it_again() {
+        let clean = crash_at_the_round_seal("region_seal_torn", CrashSite::MidJournalRecord);
+        {
+            // The seal is lost, the frame before it is not: the round is
+            // recovered slot by slot, without the network.
+            let mut j = open(&clean);
+            assert_eq!(j.resumed_from_round(), 0);
+            assert!(j.round_recovered(0, 1));
+            assert_eq!(j.replayed_frame(0, 0).expect("slot").values, vec![7]);
+            j.round_done(0).expect("seal again");
+        }
+        assert_eq!(open(&clean).resumed_from_round(), 1);
     }
 
     #[test]
@@ -360,7 +386,7 @@ mod tests {
         let dir = scratch_dir("region_finish");
         let durability = StudyDurability::new(&dir);
         {
-            let mut j = durability.region(State::TX).expect("open");
+            let mut j = open(&durability);
             j.record_frame(0, 0, &frame(0, vec![1])).expect("record");
             j.round_done(0).expect("seal");
             j.record_rising(
@@ -375,8 +401,26 @@ mod tests {
             .expect("record rising");
             j.finish().expect("finish");
         }
-        let mut j = durability.region(State::TX).expect("reopen");
+        let mut j = open(&durability);
         assert!(j.replayed_rising(0, 168).is_some());
         assert!(j.replayed_frame(0, 0).is_some());
+    }
+
+    #[test]
+    fn another_studys_journal_is_refused() {
+        let dir = scratch_dir("region_foreign");
+        let durability = StudyDurability::new(&dir);
+        open(&durability)
+            .record_frame(0, 0, &frame(0, vec![1]))
+            .expect("record");
+        // Same directory, same region, a plan shifted by three weeks:
+        // slot (0, 0) would answer a request this study never makes.
+        let other_plan = durability.region(&term(), State::TX, &plan(504));
+        let err = other_plan.err().expect("foreign plan refused");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        let other_term = SearchTerm::parse("internet down");
+        assert!(durability.region(&other_term, State::TX, &plan(0)).is_err());
+        // The study the journal belongs to still opens, data intact.
+        assert!(open(&durability).replayed_frame(0, 0).is_some());
     }
 }

@@ -19,7 +19,7 @@
 //!    prioritised and semantically clustered,
 //! 5. and drives the whole study end to end ([`study`], [`report`]),
 //!    crash-safely when asked ([`durable`]): responses are journaled
-//!    write-ahead, rounds sealed with atomic checkpoints, and a killed
+//!    write-ahead, rounds sealed with a synced record, and a killed
 //!    study resumes where it died.
 
 #![forbid(unsafe_code)]

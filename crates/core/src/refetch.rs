@@ -8,9 +8,9 @@
 //! detect converge" (§3.2). The paper observes convergence after six
 //! rounds.
 
-use crate::detect::{detect_spikes_into, DetectParams, DetectScratch, Spike};
+use crate::detect::{detect_spikes, DetectParams, Spike};
 use crate::durable::RegionJournal;
-use crate::timeline::{stitch_into, StitchError, Timeline};
+use crate::timeline::{stitch, StitchError, Timeline};
 use serde::{Deserialize, Serialize};
 use sift_geo::State;
 use sift_simtime::{Hour, HourRange};
@@ -72,7 +72,7 @@ pub struct RefetchOutcome {
     /// recovered journal instead of the network (resumed runs only).
     pub frames_replayed: u64,
     /// The re-fetch round this loop resumed at (0 for a fresh run): every
-    /// earlier round was recovered whole from a checkpoint or journal.
+    /// earlier round was recovered whole from the journal.
     pub resumed_from_round: u32,
     /// Frame slots filled from the previous round's response because the
     /// fresh fetch failed (graceful degradation; only possible after
@@ -96,8 +96,8 @@ pub enum RefetchError {
     Fetch(FetchError),
     /// Fetched frames could not be stitched.
     Stitch(StitchError),
-    /// The write-ahead journal or checkpoint could not be written. Raised
-    /// only when durability was requested: a crawl that cannot uphold its
+    /// The write-ahead journal could not be written. Raised only when
+    /// durability was requested: a crawl that cannot uphold its
     /// crash-safety contract fails loudly instead of silently degrading
     /// to a non-resumable run.
     Durability(std::io::Error),
@@ -125,18 +125,6 @@ impl std::error::Error for RefetchError {}
 /// rounds barely move the score, while a major spike appearing or
 /// disappearing does.
 pub fn spike_set_similarity(a: &[Spike], b: &[Spike], tolerance_h: i64) -> f64 {
-    spike_set_similarity_scratch(a, b, tolerance_h, &mut Vec::new())
-}
-
-/// [`spike_set_similarity`] with a caller-owned match buffer (`used` is
-/// cleared and refilled), so the per-round convergence check in the
-/// averaging loop allocates nothing.
-pub fn spike_set_similarity_scratch(
-    a: &[Spike],
-    b: &[Spike],
-    tolerance_h: i64,
-    used: &mut Vec<bool>,
-) -> f64 {
     if a.is_empty() && b.is_empty() {
         return 1.0;
     }
@@ -145,8 +133,7 @@ pub fn spike_set_similarity_scratch(
     if denom <= 0.0 {
         return 1.0;
     }
-    used.clear();
-    used.resize(b.len(), false);
+    let mut used = vec![false; b.len()];
     let mut matched = 0.0f64;
     for sa in a {
         if let Some((idx, sb)) = b
@@ -189,12 +176,12 @@ pub fn averaged_timeline(
 
 /// [`averaged_timeline`] with crash-safe durability: every response is
 /// journaled before it is folded into the running mean, each completed
-/// round is sealed with an atomic checkpoint, and slots the journal
-/// already holds are replayed instead of re-fetched. A loop killed in
-/// round *k* therefore resumes at round *k*, re-fetching at most the one
-/// response that was in flight — and, because replayed responses flow
-/// through the same code path as live ones, converges to the same
-/// outcome an uninterrupted run would have produced.
+/// round is sealed with a synced `RoundDone` record, and slots the
+/// journal already holds are replayed instead of re-fetched. A loop
+/// killed in round *k* therefore resumes at round *k*, re-fetching at
+/// most the one response that was in flight — and, because replayed
+/// responses flow through the same code path as live ones, converges to
+/// the same outcome an uninterrupted run would have produced.
 pub fn averaged_timeline_durable(
     client: &dyn TrendsClient,
     term: &SearchTerm,
@@ -205,25 +192,6 @@ pub fn averaged_timeline_durable(
     journal: &mut RegionJournal,
 ) -> Result<RefetchOutcome, RefetchError> {
     averaged_timeline_impl(client, term, state, frames, params, detect, Some(journal))
-}
-
-/// A zero-length placeholder for the round loop's reusable timeline
-/// buffers; every field is overwritten before first use.
-fn empty_timeline(state: State) -> Timeline {
-    Timeline {
-        state,
-        start: Hour(0),
-        values: Vec::new(),
-    }
-}
-
-/// Copies `src` into `dst` reusing `dst`'s value buffer — the derived
-/// `Clone` would allocate a fresh `Vec` per round.
-fn copy_timeline(dst: &mut Timeline, src: &Timeline) {
-    dst.state = src.state;
-    dst.start = src.start;
-    dst.values.clear();
-    dst.values.extend_from_slice(&src.values);
 }
 
 fn averaged_timeline_impl(
@@ -246,22 +214,14 @@ fn averaged_timeline_impl(
     let mut converged = false;
     let mut halted = false;
 
-    // Per-round working set, hoisted so the loop reuses capacity instead
-    // of reallocating once per round (this is the per-region hot path:
-    // every buffer below would otherwise be rebuilt max_rounds times).
     let mut responses: Vec<FrameResponse> = Vec::with_capacity(frames.len());
-    // Empty until the first round completes; the degradation fallback
-    // checks emptiness where it previously checked `Option::None`.
+    // Empty until the first round completes: the degradation fallback
+    // reads the previous round's response for the same slot.
     let mut prev_responses: Vec<FrameResponse> = Vec::new();
-    let mut round_timeline = empty_timeline(state);
-    let mut mean = empty_timeline(state);
-    let mut detect_input = empty_timeline(state);
-    let mut detect_scratch = DetectScratch::default();
+    // The running mean of the round timelines, un-renormalized.
+    let mut mean: Option<Timeline> = None;
     let mut spikes: Vec<Spike> = Vec::new();
-    let mut strong: Vec<Spike> = Vec::new();
-    let mut prev_strong: Vec<Spike> = Vec::new();
-    let mut have_prev_strong = false;
-    let mut similarity_used: Vec<bool> = Vec::new();
+    let mut prev_strong: Option<Vec<Spike>> = None;
     // One request, re-stamped per frame: `SearchTerm` owns heap, so
     // cloning it per fetch would allocate once per frame per round.
     let mut request = FrameRequest {
@@ -290,7 +250,6 @@ fn averaged_timeline_impl(
                 "core.refetch",
                 "refetch halted: client unhealthy (breaker open)",
                 &[
-                    // sift-lint: allow(hot-alloc) — halt path: fires at most once, then breaks the loop
                     ("state", serde_json::Value::Str(state_label.clone())),
                     ("rounds_run", serde_json::Value::UInt(u64::from(rounds))),
                 ],
@@ -342,11 +301,9 @@ fn averaged_timeline_impl(
                             "core.refetch",
                             "frame fetch failed; reusing previous round's sample",
                             &[
-                                // sift-lint: allow(hot-alloc) — failure path: runs once per degraded frame, not per sample
                                 ("state", serde_json::Value::Str(state_label.clone())),
                                 ("frame_start", serde_json::Value::Int(r.start.0)),
                                 ("round", serde_json::Value::UInt(u64::from(rounds))),
-                                // sift-lint: allow(hot-alloc) — failure path: the error string is the event payload
                                 ("error", serde_json::Value::Str(e.to_string())),
                             ],
                         );
@@ -357,7 +314,6 @@ fn averaged_timeline_impl(
                             j.record_frame(round, idx, &prev_responses[i])
                                 .map_err(RefetchError::Durability)?;
                         }
-                        // sift-lint: allow(hot-alloc) — failure path: the degraded slot needs its own copy
                         responses.push(prev_responses[i].clone());
                     }
                 }
@@ -365,53 +321,47 @@ fn averaged_timeline_impl(
             sift_obs::attr_add("frames", u64::try_from(responses.len()).unwrap_or(u64::MAX));
         }
 
-        {
+        let round_timeline = {
             let _span = sift_obs::span("stitch");
-            stitch_into(&responses, &mut round_timeline).map_err(RefetchError::Stitch)?;
-        }
+            stitch(&responses).map_err(RefetchError::Stitch)?
+        };
         std::mem::swap(&mut prev_responses, &mut responses);
-        // Seal the round: atomic checkpoint subsuming (and emptying) the
-        // journal. A crash from here on resumes at round + 1.
+        // Seal the round: a synced `RoundDone` record. A crash from here
+        // on resumes at round + 1.
         if let Some(j) = journal.as_mut() {
             j.round_done(round).map_err(RefetchError::Durability)?;
         }
 
-        if round == 0 {
-            copy_timeline(&mut mean, &round_timeline);
-        } else {
-            mean.accumulate_mean(&round_timeline, round + 1);
-        }
+        let mean = match &mut mean {
+            Some(mean) => {
+                mean.accumulate_mean(&round_timeline, round + 1);
+                mean
+            }
+            None => mean.insert(round_timeline),
+        };
         // Work on a renormalized copy; the running mean itself must stay
         // un-renormalized so later rounds average in the same units.
         {
             let _span = sift_obs::span("detect");
-            copy_timeline(&mut detect_input, &mean);
+            let mut detect_input = mean.clone();
             detect_input.renormalize();
-            detect_spikes_into(&detect_input, detect, &mut detect_scratch, &mut spikes);
+            spikes = detect_spikes(&detect_input, detect);
         }
 
-        strong.clear();
-        strong.extend(
-            spikes
-                .iter()
-                .copied()
-                .filter(|s| s.magnitude >= params.convergence_floor),
-        );
-        if have_prev_strong {
-            let sim = spike_set_similarity_scratch(
-                &prev_strong,
-                &strong,
-                params.peak_tolerance_h,
-                &mut similarity_used,
-            );
+        let strong: Vec<Spike> = spikes
+            .iter()
+            .copied()
+            .filter(|s| s.magnitude >= params.convergence_floor)
+            .collect();
+        if let Some(prev_strong) = &prev_strong {
+            let sim = spike_set_similarity(prev_strong, &strong, params.peak_tolerance_h);
             similarity_trace.push(sim);
             if rounds >= params.min_rounds && sim >= params.convergence {
                 converged = true;
                 break;
             }
         }
-        std::mem::swap(&mut prev_strong, &mut strong);
-        have_prev_strong = true;
+        prev_strong = Some(strong);
     }
 
     sift_obs::counter("sift_refetch_rounds_total", &[("state", &state_label)])
@@ -425,7 +375,8 @@ fn averaged_timeline_impl(
     // `spikes` and `mean` hold the last completed round's detection and
     // running mean: round 1 always runs to completion or returns `Err`
     // above, and the halt/convergence breaks leave both intact.
-    let mut timeline = mean;
+    // sift-lint: allow(no-panic) — `max_rounds >= 1` is asserted on entry and round 1 never halts
+    let mut timeline = mean.expect("round 1 completed");
     timeline.renormalize();
     let slots = frames_fetched + frames_degraded;
     let coverage = if slots == 0 {
@@ -830,7 +781,7 @@ mod tests {
         ));
         let durability = StudyDurability::new(&dir).with_crash(inj);
         let crashed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut j = durability.region(State::TX).expect("open");
+            let mut j = durability.region(&term, State::TX, &frames).expect("open");
             let _ = averaged_timeline_durable(
                 &service_with_events(),
                 &term,
@@ -845,7 +796,7 @@ mod tests {
         assert!(crashed, "injected crash must fire");
 
         let mut j = StudyDurability::new(&dir)
-            .region(State::TX)
+            .region(&term, State::TX, &frames)
             .expect("recover");
         let resumed = averaged_timeline_durable(
             &service_with_events(),

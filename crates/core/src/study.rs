@@ -160,8 +160,8 @@ pub enum StudyError {
         /// The underlying failure.
         source: FetchError,
     },
-    /// The region's write-ahead journal or checkpoint could not be read
-    /// or written (durable studies only).
+    /// The region's write-ahead journal could not be read or written, or
+    /// belongs to another study (durable studies only).
     Durability {
         /// The region that failed.
         state: State,
@@ -237,13 +237,15 @@ pub fn run_study(
 }
 
 /// [`run_study`] with crash-safe durability: every region journals its
-/// responses and seals each completed re-fetch round with an atomic
-/// checkpoint under the durability directory, so a study killed in round
+/// responses and seals each completed re-fetch round with a synced
+/// record under the durability directory, so a study killed in round
 /// *k* of a region resumes at round *k* with rounds `< k` intact —
 /// re-fetching at most the one response that was in flight — and produces
 /// the same [`StudyResult`] an uninterrupted run would have.
 /// [`StudyStats::resumed_from_round`] records, per region, where the
-/// resumed loop picked up.
+/// resumed loop picked up. A directory that holds the journals of a
+/// different study (term or frame plan) is refused with
+/// [`StudyError::Durability`].
 pub fn run_study_durable(
     client: &dyn TrendsClient,
     params: &StudyParams,
@@ -490,7 +492,7 @@ pub fn run_region_study(
     // One durability domain per region: the parallel workers never share
     // a journal file.
     let mut journal: Option<RegionJournal> = durability
-        .map(|d| d.region(state))
+        .map(|d| d.region(&params.term, state, frames))
         .transpose()
         .map_err(|source| StudyError::Durability { state, source })?;
 
@@ -784,7 +786,7 @@ mod tests {
     }
 
     #[test]
-    fn durable_study_crashed_at_a_checkpoint_resumes_identically() {
+    fn durable_study_crashed_at_a_round_seal_resumes_identically() {
         use sift_journal::testutil::scratch_dir;
         use sift_journal::{CrashInjector, CrashPlan, CrashSite};
         use std::sync::Arc;
@@ -792,53 +794,110 @@ mod tests {
         let params = small_params();
         let clean = run_study(&two_region_service(), &params).expect("clean study");
 
-        let dir = scratch_dir("study_durable");
-        // Die while a checkpoint's temp file is written but not yet
-        // renamed into place — the journal must stay authoritative.
-        let inj = Arc::new(CrashInjector::new(
-            CrashPlan::nowhere().at(CrashSite::CheckpointTempWritten, 3),
-        ));
-        let crashed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let durability = StudyDurability::new(&dir).with_crash(inj);
-            let _ = run_study_durable(&two_region_service(), &params, &durability);
-        }))
-        .is_err();
-        assert!(crashed, "injected crash must fire");
+        // The first life runs on one worker, so the n-th append is the
+        // same record every time: TX journals its study record, then per
+        // round one frame per slot and the `RoundDone` that seals it.
+        let first_life = StudyParams {
+            threads: 1,
+            ..params.clone()
+        };
+        let slots = u64::try_from(plan_frames(params.range, params.plan).len()).unwrap();
+        let seal_of_round_1 = 2 * slots + 2;
 
-        let resumed =
-            run_study_durable(&two_region_service(), &params, &StudyDurability::new(&dir))
+        // Die just after round 1's seal lands (TX resumes at round 2), and
+        // half-way through writing it (the seal is torn off: TX resumes at
+        // round 1, recovers it slot by slot and seals it again).
+        for (site, tx_resumes_at) in [
+            (CrashSite::AfterJournalRecord, 2),
+            (CrashSite::MidJournalRecord, 1),
+        ] {
+            let dir = scratch_dir(&format!("study_durable_{}", site.label()));
+            let inj = Arc::new(CrashInjector::new(
+                CrashPlan::nowhere().at(site, seal_of_round_1),
+            ));
+            let crashed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let durability = StudyDurability::new(&dir).with_crash(Arc::clone(&inj));
+                let _ = run_study_durable(&two_region_service(), &first_life, &durability);
+            }))
+            .is_err();
+            assert!(crashed && inj.tripped(), "{site}: injected crash must fire");
+
+            let service = two_region_service();
+            let resumed = run_study_durable(&service, &params, &StudyDurability::new(&dir))
                 .expect("resumed study");
 
-        assert!(resumed.stats.frames_replayed > 0, "{:?}", resumed.stats);
-        assert!(
-            resumed
-                .stats
-                .resumed_from_round
-                .iter()
-                .any(|&(_, round)| round > 0),
-            "{:?}",
-            resumed.stats.resumed_from_round
-        );
-        assert_eq!(resumed.spikes.len(), clean.spikes.len());
-        for (a, b) in resumed.spikes.iter().zip(clean.spikes.iter()) {
-            assert_eq!(a.spike, b.spike);
-            assert_eq!(a.annotations, b.annotations);
-        }
-        assert_eq!(resumed.timelines, clean.timelines);
-        assert_eq!(resumed.clusters.len(), clean.clusters.len());
-        assert_eq!(resumed.stats.frames_requested, clean.stats.frames_requested);
+            assert_eq!(
+                resumed.stats.resumed_from_round,
+                vec![(State::CA, 0), (State::TX, tx_resumes_at)],
+                "{site}"
+            );
+            // Both of TX's journaled rounds replay; nothing of them is
+            // fetched again, torn seal or not.
+            assert_eq!(resumed.stats.frames_replayed, 2 * slots, "{site}");
+            assert_eq!(
+                service.stats().frames_served + resumed.stats.frames_replayed,
+                clean.stats.frames_requested,
+                "{site}"
+            );
+            assert_eq!(resumed.spikes.len(), clean.spikes.len());
+            for (a, b) in resumed.spikes.iter().zip(clean.spikes.iter()) {
+                assert_eq!(a.spike, b.spike);
+                assert_eq!(a.annotations, b.annotations);
+            }
+            assert_eq!(resumed.timelines, clean.timelines);
+            assert_eq!(resumed.clusters.len(), clean.clusters.len());
+            assert_eq!(resumed.stats.frames_requested, clean.stats.frames_requested);
 
-        // A resume of the *finished* study is a pure replay: zero fetches.
-        let replayed =
-            run_study_durable(&two_region_service(), &params, &StudyDurability::new(&dir))
+            // A resume of the *finished* study is a pure replay: zero fetches.
+            let service = two_region_service();
+            let replayed = run_study_durable(&service, &params, &StudyDurability::new(&dir))
                 .expect("pure replay");
-        assert_eq!(
-            replayed.stats.frames_replayed,
-            replayed.stats.frames_requested
-        );
-        for (a, b) in replayed.spikes.iter().zip(clean.spikes.iter()) {
-            assert_eq!(a.spike, b.spike);
+            assert_eq!(
+                replayed.stats.frames_replayed,
+                replayed.stats.frames_requested
+            );
+            let served = service.stats();
+            assert_eq!((served.frames_served, served.rising_served), (0, 0));
+            for (a, b) in replayed.spikes.iter().zip(clean.spikes.iter()) {
+                assert_eq!(a.spike, b.spike);
+            }
         }
+    }
+
+    #[test]
+    fn durable_study_refuses_another_studys_directory() {
+        use sift_journal::testutil::scratch_dir;
+
+        let first = StudyParams {
+            range: HourRange::new(Hour(0), Hour(1008)),
+            ..small_params()
+        };
+        let durability = StudyDurability::new(scratch_dir("study_foreign_dir"));
+        run_study_durable(&two_region_service(), &first, &durability).expect("first study");
+
+        // Another range over the same directory: its `(round, idx)` slots
+        // would be answered with the first study's frames.
+        let shifted = StudyParams {
+            range: HourRange::new(Hour(504), Hour(1512)),
+            ..first.clone()
+        };
+        let other_term = StudyParams {
+            term: SearchTerm::parse("internet down"),
+            ..first.clone()
+        };
+        for foreign in [shifted, other_term] {
+            let service = two_region_service();
+            let err = run_study_durable(&service, &foreign, &durability)
+                .expect_err("foreign directory refused");
+            assert!(matches!(err, StudyError::Durability { .. }), "{err}");
+            let served = service.stats();
+            assert_eq!((served.frames_served, served.rising_served), (0, 0));
+        }
+
+        // The study the directory belongs to still reopens, as a pure replay.
+        let again = run_study_durable(&two_region_service(), &first, &durability)
+            .expect("the same study reopens");
+        assert_eq!(again.stats.frames_replayed, again.stats.frames_requested);
     }
 
     #[test]

@@ -23,6 +23,7 @@ use serde::{Deserialize, Serialize};
 use sift_geo::State;
 use sift_simtime::{Hour, HourRange};
 use sift_trends::FrameResponse;
+use std::borrow::Borrow;
 use std::fmt;
 
 /// A continuous, globally-calibrated interest time series for one region,
@@ -158,90 +159,39 @@ impl std::error::Error for StitchError {}
 ///
 /// Frames must be sorted by start (the fetcher's response store returns
 /// them this way), cover each hour at least once, and each frame must
-/// overlap the series built so far.
-pub fn stitch(frames: &[&FrameResponse]) -> Result<Timeline, StitchError> {
-    let first = *frames.first().ok_or(StitchError::NoFrames)?;
+/// overlap the series built so far and add at least one hour to it.
+///
+/// The batch entry of the one stitcher: every frame goes through a
+/// [`StreamStitcher`] whose window holds the longest frame (no overlap
+/// is wider than the frame that brings it), and the finished raw series
+/// is renormalized.
+pub fn stitch<T: Borrow<FrameResponse>>(frames: &[T]) -> Result<Timeline, StitchError> {
+    let first = frames.first().ok_or(StitchError::NoFrames)?.borrow();
+    if frames.iter().any(|f| f.borrow().state != first.state) {
+        return Err(StitchError::MixedStates);
+    }
+    let keep = frames
+        .iter()
+        .map(|f| f.borrow().values.len())
+        .max()
+        .unwrap_or(0);
+    let mut stitcher = StreamStitcher::new(first.state, first.start, keep);
     let mut out = Timeline {
         state: first.state,
         start: first.start,
         values: Vec::new(),
     };
-    stitch_core(frames, &mut out)?;
-    Ok(out)
-}
-
-/// [`stitch`] into a caller-owned timeline: `out.values` is cleared and
-/// refilled, keeping its capacity, so a loop stitching round after round
-/// (the refetch averaging loop) allocates nothing after the first round.
-/// Also takes the frames by value-slice, sparing callers the `Vec<&_>`
-/// the reference-slice API forces per call.
-pub fn stitch_into(frames: &[FrameResponse], out: &mut Timeline) -> Result<(), StitchError> {
-    stitch_core(frames, out)
-}
-
-fn stitch_core<T: std::borrow::Borrow<FrameResponse>>(
-    frames: &[T],
-    out: &mut Timeline,
-) -> Result<(), StitchError> {
-    let first = frames.first().ok_or(StitchError::NoFrames)?.borrow();
-    if frames.iter().any(|f| f.borrow().state != first.state) {
-        return Err(StitchError::MixedStates);
+    let mut new_hours = Vec::new();
+    for frame in frames {
+        stitcher.append(frame.borrow(), &mut new_hours)?;
+        out.values.extend_from_slice(&new_hours);
     }
-
-    let start = first.start;
-    out.state = first.state;
-    out.start = start;
-    let values = &mut out.values;
-    values.clear();
-    values.extend(first.values.iter().map(|v| f64::from(*v)));
-    // The scale applied to the previous frame, inherited when an overlap
-    // carries no signal.
-    let mut prev_scale = 1.0f64;
-
-    for frame in &frames[1..] {
-        let frame = frame.borrow();
-        let covered_until = start + to_i64(values.len());
-        if frame.start > covered_until {
-            return Err(StitchError::Gap {
-                covered_until,
-                next_start: frame.start,
-            });
-        }
-        let frame_end = frame.start + to_i64(frame.values.len());
-        if frame_end <= covered_until {
-            return Err(StitchError::NoProgress {
-                frame_start: frame.start,
-            });
-        }
-
-        // Overlap of the incoming frame with the series built so far
-        // (nonnegative: the gap check above guarantees
-        // `frame.start <= covered_until`).
-        let overlap_len = usize::try_from(covered_until - frame.start).unwrap_or(0);
-        let series_tail = &values[values.len() - overlap_len..];
-        let frame_head = &frame.values[..overlap_len];
-
-        let sum_series: f64 = series_tail.iter().sum();
-        let sum_frame: f64 = frame_head.iter().map(|f| f64::from(*f)).sum();
-        let scale = if sum_series > 0.0 && sum_frame > 0.0 {
-            sum_series / sum_frame
-        } else {
-            // No usable signal in the overlap: keep the previous scale.
-            prev_scale
-        };
-        prev_scale = scale;
-
-        for v in &frame.values[overlap_len..] {
-            values.push(f64::from(*v) * scale);
-        }
-    }
-
     out.renormalize();
     sift_obs::attr_add(
         "frames_stitched",
         u64::try_from(frames.len()).unwrap_or(u64::MAX),
     );
-    Ok(())
+    Ok(out)
 }
 
 /// Serializable state of a [`StreamStitcher`], for checkpointing.
@@ -272,11 +222,9 @@ impl StitcherSnapshot {
 /// that has not arrived yet; an online consumer that must never revise
 /// what it already emitted therefore works on the raw series (anchored
 /// to the first frame's scale) and renormalizes at read time if it needs
-/// the batch presentation. Because the stitcher performs the same
-/// floating-point operations in the same order as [`stitch`], the raw
-/// stream is byte-identical to the batch series divided by its final
-/// scale factor — multiplying the streamed values by `100 / max_raw()`
-/// at end of stream reproduces the batch output bit for bit.
+/// the batch presentation. [`stitch`] is this stitcher run to completion,
+/// so multiplying the streamed values by `100 / max_raw()` at end of
+/// stream reproduces the batch output bit for bit.
 ///
 /// Only the last `keep` raw hours are retained (the widest overlap any
 /// planned frame needs), so memory stays constant no matter how long the
@@ -357,9 +305,9 @@ impl StreamStitcher {
         out_new.clear();
         let overlap_len = self.check(frame)?;
 
-        // Same estimator, same operation order as `stitch_core`: the sum
-        // over the series tail ranges over raw values built by the very
-        // same multiplications, so the ratio comes out bit-identical.
+        // Ratio of sums over the overlap (see the module docs); an
+        // overlap that sums to zero on either side keeps the previous
+        // frame's scale.
         let series_tail = &self.tail[self.tail.len() - overlap_len..];
         let frame_head = &frame.values[..overlap_len];
         let sum_series: f64 = series_tail.iter().sum();
@@ -592,7 +540,7 @@ mod tests {
 
     #[test]
     fn empty_input_is_an_error() {
-        assert_eq!(stitch(&[]), Err(StitchError::NoFrames));
+        assert_eq!(stitch::<FrameResponse>(&[]), Err(StitchError::NoFrames));
     }
 
     #[test]
@@ -636,7 +584,7 @@ mod tests {
     }
 
     #[test]
-    fn stream_matches_batch_bit_for_bit() {
+    fn snapshot_restore_is_transparent_at_every_cut() {
         let mut truth = vec![10.0; 600];
         truth[50] = 200.0;
         truth[51] = 160.0;
@@ -644,23 +592,19 @@ mod tests {
         truth[301] = 80.0;
         truth[560] = 55.0;
         let frames = piecewise_frames(&truth, 168, 84);
-        let refs: Vec<&FrameResponse> = frames.iter().collect();
-        let batch = stitch(&refs).expect("stitch");
-
-        for cut in [0, 1, 3, frames.len()] {
+        // `stitch` is the stitcher run to completion, so this half only
+        // pins the restore; the values themselves are checked against
+        // `reference_stitch` in `tests/prop.rs`.
+        let uncut = stream(&frames, 168, frames.len());
+        assert_eq!(uncut.len(), truth.len());
+        for cut in 0..frames.len() {
             let raw = stream(&frames, 168, cut);
-            assert_eq!(raw.len(), batch.values.len());
-            // The raw stream is the batch series before renormalization:
-            // applying the same final scale reproduces it exactly.
-            let mut st = StreamStitcher::new(State::TX, Hour(0), 168);
-            let mut new = Vec::new();
-            for f in &frames {
-                st.append(f, &mut new).expect("append");
-            }
-            let factor = 100.0 / st.max_raw();
-            for (r, b) in raw.iter().zip(batch.values.iter()) {
-                assert_eq!(r * factor, *b, "cut={cut}");
-            }
+            assert!(
+                raw.iter()
+                    .map(|v| v.to_bits())
+                    .eq(uncut.iter().map(|v| v.to_bits())),
+                "cut={cut}"
+            );
         }
     }
 

@@ -4,7 +4,9 @@
 //!
 //! These are the equivalence proofs the serve daemon leans on: if they
 //! hold, a daemon that crashed and recovered mid-ingest answers exactly
-//! what a batch run over the same data would have answered.
+//! what a batch run over the same data would have answered. Batch and
+//! online are two drivers of one stitcher and one walk; what the values
+//! should *be* is pinned by the references in `prop.rs`.
 
 use proptest::prelude::*;
 use sift_core::detect::{detect_spikes, DetectParams};
@@ -111,13 +113,13 @@ proptest! {
         prop_assert_eq!(online, batch);
     }
 
-    /// The streaming stitcher, fed the same frames one at a time with a
+    /// The streaming stitcher, fed the frames one at a time with a
     /// serialized snapshot/restore after an arbitrary frame, reproduces
-    /// the batch stitcher bit-for-bit modulo the final global
+    /// the uninterrupted batch run bit-for-bit modulo the final global
     /// renormalization factor (which needs future data and is therefore
-    /// deferred by the daemon).
+    /// deferred by the daemon): a restore loses nothing.
     #[test]
-    fn stream_stitcher_equals_batch(
+    fn stream_stitcher_restored_mid_series_equals_batch(
         truth in values_strategy(),
         cut in 0usize..16,
     ) {
@@ -154,8 +156,8 @@ proptest! {
     /// positions as the batch pipeline run over the renormalized series
     /// whenever the first frame carries the global maximum (scale == 1
     /// up to renormalization). This is the regime the daemon's raw-scale
-    /// detection is exact in; `stream_stitcher_equals_batch` covers the
-    /// values themselves in every regime.
+    /// detection is exact in; `stitch_and_stream_match_the_reference` in
+    /// `prop.rs` covers the values themselves in every regime.
     #[test]
     fn online_pipeline_matches_batch_positions(
         truth in values_strategy(),

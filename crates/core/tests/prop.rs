@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use sift_core::detect::{detect_spikes, DetectParams, Spike};
-use sift_core::timeline::{stitch, Timeline};
+use sift_core::timeline::{stitch, StreamStitcher, Timeline};
 use sift_geo::State;
 use sift_simtime::Hour;
 use sift_trends::{FrameResponse, SearchTerm};
@@ -83,8 +83,74 @@ fn reference_spikes(v: &[f64], p: &DetectParams) -> Vec<Spike> {
     spikes
 }
 
+/// Overlap-ratio stitching written straight from §3.2, over the whole
+/// series indexed from the first frame's hour: "uses the intersecting
+/// regions to identify the scaling ratio" (ratio of sums, series over
+/// frame), "rescales the right-adjacent time frame by this ratio and
+/// appends it", then indexes the result to a maximum of 100. An
+/// intersection that sums to zero on either side has no ratio to give, so
+/// the frame keeps its predecessor's scale. The oracle `stitch` and
+/// `StreamStitcher` are checked against, bit for bit — hence one
+/// `100 / max` factor, the form `StreamStitcher::max_raw` promises.
+fn reference_stitch(frames: &[FrameResponse]) -> Vec<f64> {
+    let origin = frames[0].start;
+    let mut series: Vec<f64> = Vec::new();
+    let mut scale = 1.0;
+    for frame in frames {
+        let at = (frame.start - origin) as usize;
+        let overlap = series.len() - at;
+        let sum_series: f64 = series[at..].iter().sum();
+        let sum_frame: f64 = frame.values[..overlap].iter().map(|&v| f64::from(v)).sum();
+        if sum_series > 0.0 && sum_frame > 0.0 {
+            scale = sum_series / sum_frame;
+        }
+        series.extend(
+            frame.values[overlap..]
+                .iter()
+                .map(|&v| f64::from(v) * scale),
+        );
+    }
+    let max = series.iter().copied().fold(0.0f64, f64::max);
+    if max > 0.0 {
+        let factor = 100.0 / max;
+        series.iter_mut().for_each(|v| *v *= factor);
+    }
+    series
+}
+
 fn truth_strategy() -> impl Strategy<Value = Vec<f64>> {
     proptest::collection::vec(0.0f64..50.0, 200..500)
+}
+
+/// Frame sets for the stitch oracle: the usual piecewise frames (whose
+/// last frame is clipped to the series), the same with the leading or
+/// trailing half of some frames blanked — an overlap with no signal on
+/// one side or on both — and series short enough to be a single frame.
+fn stitch_frames_strategy() -> impl Strategy<Value = Vec<FrameResponse>> {
+    let blanked =
+        (truth_strategy(), proptest::collection::vec(0u8..6, 8..9)).prop_map(|(truth, blank)| {
+            let mut frames = piecewise_frames(&truth, 168, 84);
+            for (frame, code) in frames.iter_mut().zip(blank) {
+                let half = frame.values.len().min(84);
+                match code {
+                    0 => frame.values[..half].fill(0),
+                    1 => frame.values[half..].fill(0),
+                    2 => frame.values.fill(0),
+                    _ => {}
+                }
+            }
+            frames
+        });
+    prop_oneof![
+        truth_strategy().prop_map(|truth| piecewise_frames(&truth, 168, 84)),
+        blanked,
+        proptest::collection::vec(0.0f64..50.0, 1..169)
+            .prop_map(|truth| piecewise_frames(&truth, 168, 84)),
+    ]
+}
+
+fn bits(values: &[f64]) -> Vec<u64> {
+    values.iter().map(|v| v.to_bits()).collect()
 }
 
 proptest! {
@@ -190,6 +256,27 @@ proptest! {
 }
 
 proptest! {
+    /// `stitch`, and the raw stream of a `StreamStitcher` scaled by
+    /// `100 / max_raw()`, are the literal §3.2 chain, bit for bit.
+    #[test]
+    fn stitch_and_stream_match_the_reference(frames in stitch_frames_strategy()) {
+        let reference = bits(&reference_stitch(&frames));
+        let batch = stitch(&frames).expect("stitch");
+        prop_assert_eq!(batch.start, frames[0].start);
+        prop_assert_eq!(bits(&batch.values), reference.clone());
+
+        let mut stitcher = StreamStitcher::new(State::TX, frames[0].start, 168);
+        let (mut raw, mut new_hours) = (Vec::new(), Vec::new());
+        for frame in &frames {
+            stitcher.append(frame, &mut new_hours).expect("append");
+            raw.extend_from_slice(&new_hours);
+        }
+        let max_raw = stitcher.max_raw();
+        let factor = if max_raw > 0.0 { 100.0 / max_raw } else { 1.0 };
+        let streamed: Vec<f64> = raw.iter().map(|v| v * factor).collect();
+        prop_assert_eq!(bits(&streamed), reference);
+    }
+
     /// The sorted-visit detector finds exactly the spikes of the literal
     /// §3.3 walk, bounds and magnitudes included.
     #[test]

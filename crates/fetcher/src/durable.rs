@@ -3,25 +3,13 @@
 //! Every insert is journaled (as a JSON [`StoreRecord`] inside a
 //! CRC-framed `sift-journal` record) *before* it is applied in memory, so
 //! a process that dies mid-crawl loses at most the response in flight.
-//! [`DurableStore::checkpoint`] compacts: the whole store is snapshotted
-//! atomically (temp + fsync + rename) and the journal emptied, keeping
-//! recovery time bounded by work-since-last-checkpoint rather than the
-//! whole crawl.
-//!
-//! Layout inside the durability directory:
-//!
-//! ```text
-//! <dir>/store.ckpt   atomic snapshot (ResponseStore::to_json, CRC-framed)
-//! <dir>/store.wal    write-ahead journal of inserts since the snapshot
-//! ```
-//!
-//! Recovery = read the checkpoint (or start empty) + replay the journal
-//! on top. The composition property — checkpoint + journal ≡ pure
-//! replay — is proven in `crates/journal/tests/prop.rs`.
+//! The store is every response ever inserted, so there is nothing for a
+//! checkpoint to compact: the journal, `<dir>/store.wal`, is the whole
+//! on-disk state, and recovery replays it into an empty store.
 
 use crate::store::{ResponseSink, ResponseStore};
 use serde::{Deserialize, Serialize};
-use sift_journal::{read_checkpoint, write_checkpoint, CrashInjector, Journal};
+use sift_journal::{CrashInjector, Journal};
 use sift_trends::{FrameResponse, RisingResponse};
 use std::io;
 use std::path::{Path, PathBuf};
@@ -49,9 +37,7 @@ enum StoreRecord {
 /// What [`DurableStore::open`] recovered from disk.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ResumeReport {
-    /// Store entries restored from the checkpoint snapshot.
-    pub from_checkpoint: usize,
-    /// Journal records replayed on top of the checkpoint.
+    /// Journal records replayed into the store.
     pub replayed: usize,
     /// Whether the journal ended in a torn tail that was truncated.
     pub torn_tail: bool,
@@ -64,40 +50,28 @@ pub struct ResumeReport {
 pub struct DurableStore {
     store: ResponseStore,
     journal: Journal,
-    ckpt_path: PathBuf,
-    crash: Option<Arc<CrashInjector>>,
     io_error: Option<io::Error>,
 }
 
 impl DurableStore {
     /// Opens (creating if needed) the durability directory, recovering
-    /// checkpoint + journal into the in-memory store.
+    /// the journal into the in-memory store.
     pub fn open(dir: &Path) -> io::Result<(DurableStore, ResumeReport)> {
         DurableStore::open_with(dir, None)
     }
 
-    /// [`DurableStore::open`] with crash injection wired into the journal
-    /// and checkpoint paths.
+    /// [`DurableStore::open`] with crash injection wired into the journal.
     pub fn open_with(
         dir: &Path,
         crash: Option<Arc<CrashInjector>>,
     ) -> io::Result<(DurableStore, ResumeReport)> {
         std::fs::create_dir_all(dir)?;
-        let ckpt_path = dir.join("store.ckpt");
-        let mut report = ResumeReport::default();
-        let mut store = match read_checkpoint(&ckpt_path)? {
-            Some(bytes) => {
-                let json = String::from_utf8(bytes)
-                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-                ResponseStore::from_json(&json)
-                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?
-            }
-            None => ResponseStore::new(),
+        let mut store = ResponseStore::new();
+        let (journal, recovery) = Journal::open_with(&dir.join("store.wal"), crash)?;
+        let mut report = ResumeReport {
+            torn_tail: recovery.torn_tail,
+            ..ResumeReport::default()
         };
-        report.from_checkpoint = store.frame_count() + store.rising_count();
-
-        let (journal, recovery) = Journal::open_with(&dir.join("store.wal"), crash.clone())?;
-        report.torn_tail = recovery.torn_tail;
         for payload in &recovery.records {
             let parsed = std::str::from_utf8(payload)
                 .ok()
@@ -129,8 +103,6 @@ impl DurableStore {
             DurableStore {
                 store,
                 journal,
-                ckpt_path,
-                crash,
                 io_error: None,
             },
             report,
@@ -145,16 +117,6 @@ impl DurableStore {
     /// Consumes the wrapper, returning the in-memory store.
     pub fn into_store(self) -> ResponseStore {
         self.store
-    }
-
-    /// Snapshots the whole store atomically and empties the journal.
-    pub fn checkpoint(&mut self) -> io::Result<()> {
-        let json = self
-            .store
-            .to_json()
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-        write_checkpoint(&self.ckpt_path, json.as_bytes(), self.crash.as_deref())?;
-        self.journal.truncate_all()
     }
 
     /// Forces the journal's batched fsync now.
@@ -202,9 +164,7 @@ impl DurableStore {
 pub struct JournalMergeReport {
     /// Durability directories merged.
     pub sources: usize,
-    /// Store entries restored from checkpoint snapshots, across sources.
-    pub from_checkpoint: usize,
-    /// Journal records replayed on top of checkpoints, across sources.
+    /// Journal records replayed, across sources.
     pub replayed: usize,
     /// Sources whose journal ended in a torn tail (truncated on open).
     pub torn_tails: usize,
@@ -215,7 +175,7 @@ pub struct JournalMergeReport {
     pub conflicts: usize,
 }
 
-/// Recovers each per-worker durability directory (checkpoint + journal,
+/// Recovers each per-worker durability directory (journal replayed,
 /// torn tails repaired) and merges them into one in-memory
 /// [`ResponseStore`], as if a single process had journaled every fetch.
 ///
@@ -232,7 +192,6 @@ pub fn merge_journal_dirs(dirs: &[PathBuf]) -> io::Result<(ResponseStore, Journa
     };
     for dir in dirs {
         let (durable, resume) = DurableStore::open(dir)?;
-        report.from_checkpoint += resume.from_checkpoint;
         report.replayed += resume.replayed;
         report.torn_tails += usize::from(resume.torn_tail);
         let m = merged.merge(durable.into_store());
@@ -301,29 +260,11 @@ mod tests {
         }
         let (d, report) = DurableStore::open(&dir).expect("reopen");
         assert_eq!(report.replayed, 2);
-        assert_eq!(report.from_checkpoint, 0);
         assert!(!report.torn_tail);
         assert_eq!(d.store().frame_count(), 1);
         assert_eq!(d.store().rising_count(), 1);
         assert_eq!(d.store().frames_for(State::TX, 0)[0].values, vec![1, 2, 3]);
         assert_eq!(d.store().rising_for(State::TX)[0].1.rising[0].weight, 77);
-    }
-
-    #[test]
-    fn checkpoint_compacts_without_changing_recovery() {
-        let dir = scratch_dir("durable_ckpt");
-        {
-            let (mut d, _) = DurableStore::open(&dir).expect("open");
-            d.insert_frame(0, frame(State::TX, 100, vec![1]));
-            d.insert_frame(0, frame(State::TX, 200, vec![2]));
-            d.checkpoint().expect("checkpoint");
-            // Post-checkpoint inserts land in the (now empty) journal.
-            d.insert_frame(1, frame(State::TX, 100, vec![3]));
-        }
-        let (d, report) = DurableStore::open(&dir).expect("reopen");
-        assert_eq!(report.from_checkpoint, 2);
-        assert_eq!(report.replayed, 1);
-        assert_eq!(d.store().frame_count(), 3);
     }
 
     #[test]

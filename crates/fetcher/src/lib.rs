@@ -14,8 +14,8 @@
 //! * [`queue`] — maps the workload across units on worker threads and
 //!   gathers responses,
 //! * [`store`] — the unified response database, JSON-persistable,
-//! * [`durable`] — a crash-safe store wrapper (write-ahead journal +
-//!   atomic checkpoints) powering `CollectionRun::resume`.
+//! * [`durable`] — a crash-safe store wrapper (write-ahead journal)
+//!   powering `CollectionRun::resume`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

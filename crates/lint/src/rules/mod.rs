@@ -170,11 +170,13 @@ pub fn registry() -> Vec<Rule> {
             summary: "no per-iteration heap allocation (`Vec::new`, \
                       `.collect()`, `.clone()`, `.to_vec()`, `format!`, …) \
                       in strict perf paths",
-            rationale: "Stitching and spike detection run once per frame per \
-                        refetch round over two years of series; an allocation \
-                        inside that loop — or in any fn the loop calls — \
-                        multiplies by the whole campaign, so hot paths must \
-                        hoist or reuse scratch buffers.",
+            rationale: "The interest model runs once per hour of every frame \
+                        of every refetch round, and the embedding kernel once \
+                        per token and trigram of every distinct phrase; an \
+                        allocation inside those loops — or in any fn they \
+                        call — multiplies by the whole campaign, so the paths \
+                        the benchmark shows to be hot (`Lint.toml` lists them \
+                        and says why) must hoist or reuse their buffers.",
             default_severity: Severity::Deny,
             applies_in_tests: false,
             skips_bins: true,

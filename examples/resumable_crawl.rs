@@ -9,9 +9,10 @@
 //! `scripts/check.sh` diffs exactly that.
 //!
 //! Run with:
-//! `cargo run --release --example resumable_crawl -- --seed 7 --crash-at checkpoint_temp_written`
-//! (`--crash-at` takes a site label or index: mid_journal_record /
-//! after_journal_record / checkpoint_temp_written / after_checkpoint_rename)
+//! `cargo run --release --example resumable_crawl -- --seed 7 --crash-at after_journal_record`
+//! (`--crash-at` takes a site label or index: mid_journal_record, the
+//! default, or after_journal_record. A study's journals are never
+//! checkpointed, so the two checkpoint sites are refused.)
 
 use sift::core::{run_study_durable, StudyDurability, StudyParams, StudyResult};
 use sift::fetcher::{trends_router, HttpTrendsClient};
@@ -34,7 +35,7 @@ struct Args {
 fn parse_args() -> Args {
     let mut out = Args {
         seed: 7,
-        crash_at: CrashSite::CheckpointTempWritten,
+        crash_at: CrashSite::MidJournalRecord,
     };
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -53,6 +54,15 @@ fn parse_args() -> Args {
                     .find(|(i, s)| s.label() == v || i.to_string() == v)
                     .map(|(_, s)| s)
                     .expect("unknown crash site");
+                assert!(
+                    matches!(
+                        out.crash_at,
+                        CrashSite::MidJournalRecord | CrashSite::AfterJournalRecord
+                    ),
+                    "{} never fires here: a study's journal is its whole state, so it is \
+                     never checkpointed; use mid_journal_record or after_journal_record",
+                    out.crash_at
+                );
             }
             other => panic!("unknown flag {other}"),
         }

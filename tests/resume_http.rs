@@ -1,18 +1,21 @@
 //! Crash-consistency acceptance: a seeded HTTP crawl killed at each of
-//! three durability boundaries — mid-journal-record, between a
-//! checkpoint's temp write and its rename, and mid-refetch-round — must
-//! resume to the *identical* spike set, timelines and clusters an
-//! uninterrupted run produces, re-fetching at most the single response
-//! that was in flight when the process died. The in-process harness
-//! injects panics and recovers under `catch_unwind`; the out-of-process
-//! harness spawns this test binary as a child, aborts it at a journal
-//! boundary (no unwinding, no flushing — the closest stand-in for
-//! `kill -9`) and resumes from the orphaned journal files.
+//! its durability boundaries — mid-journal-record, at the `RoundDone`
+//! record that seals a re-fetch round (just after it lands, and half-way
+//! through writing it) and mid-refetch-round — must resume to the
+//! *identical* spike set, timelines and clusters an uninterrupted run
+//! produces, re-fetching at most the single response that was in flight
+//! when the process died. The in-process harness injects panics and
+//! recovers under `catch_unwind`; the out-of-process harness spawns this
+//! test binary as a child, aborts it at a journal boundary (no unwinding,
+//! no flushing — the closest stand-in for `kill -9`) and resumes from the
+//! orphaned journal files.
 
 mod common;
 
 use common::world;
-use sift::core::{run_study, run_study_durable, StudyDurability, StudyParams, StudyResult};
+use sift::core::{
+    plan_frames, run_study, run_study_durable, StudyDurability, StudyParams, StudyResult,
+};
 use sift::fetcher::{trends_router, HttpTrendsClient};
 use sift::journal::testutil::scratch_dir;
 use sift::journal::{CrashInjector, CrashMode, CrashPlan, CrashSite};
@@ -101,18 +104,48 @@ fn baseline() -> (StudyResult, u64) {
 fn crawl_killed_at_each_crash_point_resumes_to_the_identical_result() {
     let (reference, served_uninterrupted) = baseline();
 
-    // The three pinned crash points of the acceptance criteria.
+    // The pinned crash points of the acceptance criteria: `(site,
+    // occurrence, first-life threads, the round TX then resumes at)`.
+    // The two at the round seal run their first life on one worker, so
+    // that the occurrence is the same record every time: TX journals its
+    // study record, then per round one frame per slot and the `RoundDone`
+    // that seals it. Landed, round 1's seal resumes TX at round 2; torn,
+    // at round 1, which is recovered slot by slot and sealed again.
+    let params = study_params();
+    let slots = u64::try_from(plan_frames(params.range, params.plan).len()).unwrap();
+    let seal_of_round_1 = 2 * slots + 2;
     let crash_points = [
-        (CrashSite::MidJournalRecord, 5, "mid-journal-record"),
         (
-            CrashSite::CheckpointTempWritten,
+            CrashSite::MidJournalRecord,
+            5,
             2,
-            "checkpoint temp-vs-rename",
+            None,
+            "mid-journal-record",
         ),
-        (CrashSite::AfterJournalRecord, 13, "mid-refetch-round"),
+        (
+            CrashSite::AfterJournalRecord,
+            seal_of_round_1,
+            1,
+            Some(2),
+            "after the round seal",
+        ),
+        (
+            CrashSite::MidJournalRecord,
+            seal_of_round_1,
+            1,
+            Some(1),
+            "torn round seal",
+        ),
+        (
+            CrashSite::AfterJournalRecord,
+            13,
+            2,
+            None,
+            "mid-refetch-round",
+        ),
     ];
 
-    for (site, occurrence, what) in crash_points {
+    for (site, occurrence, threads, tx_resumes_at, what) in crash_points {
         // Crashed and resumed runs share one service instance, so its
         // counters accumulate the combined network cost of both lives.
         let (service, server, client) = http_stack("127.0.0.11");
@@ -121,9 +154,13 @@ fn crawl_killed_at_each_crash_point_resumes_to_the_identical_result() {
         let inj = Arc::new(CrashInjector::new(
             CrashPlan::nowhere().at(site, occurrence),
         ));
+        let first_life = StudyParams {
+            threads,
+            ..study_params()
+        };
         let crashed = catch_unwind(AssertUnwindSafe(|| {
             let durability = StudyDurability::new(&dir).with_crash(Arc::clone(&inj));
-            let _ = run_study_durable(&client, &study_params(), &durability);
+            let _ = run_study_durable(&client, &first_life, &durability);
         }))
         .is_err();
         assert!(crashed && inj.tripped(), "{what}: injected crash must fire");
@@ -134,6 +171,16 @@ fn crawl_killed_at_each_crash_point_resumes_to_the_identical_result() {
         server.shutdown();
 
         assert_same_result(&resumed, &reference, what);
+        if let Some(round) = tx_resumes_at {
+            assert!(
+                resumed
+                    .stats
+                    .resumed_from_round
+                    .contains(&(sift::geo::State::TX, round)),
+                "{what}: the crash must land on the seal, stats: {:?}",
+                resumed.stats
+            );
+        }
         assert!(
             resumed.stats.frames_replayed > 0,
             "{what}: resume must replay journaled work, stats: {:?}",

@@ -412,7 +412,10 @@ fn burst_sheds_while_parked_subscribers_survive() {
 
     // Two subscribers park. They hold worker threads but *no* admission
     // slots — so with max_inflight = 1 a fresh read still answers 200.
+    // One at a time: a subscriber holds the single admission slot until
+    // it parks, and one that arrives before that is shed, not parked.
     let sub_a = subscribe(cursor);
+    poll_until("one waiter parked", || parked_gauge.get() >= 1);
     let sub_b = subscribe(cursor);
     poll_until("two waiters parked", || parked_gauge.get() >= 2);
     let fresh = get(addr, "/spikes?region=TX");
