@@ -4,10 +4,12 @@
 
 use sift_core::{impact, run_study, StudyParams};
 use sift_geo::State;
+use sift_trends::{Scenario, ServiceConfig, TrendsService};
 
 fn main() {
     let world_span = sift_obs::span("world");
-    let service = sift_bench::full_service();
+    // The full two-year US world (the paper's study setting).
+    let service = TrendsService::new(Scenario::us_2020_2021(), ServiceConfig::default());
     eprintln!(
         "world built in {:?} ({} events)",
         world_span.elapsed(),
@@ -25,9 +27,12 @@ fn main() {
     let study_span = sift_obs::span("study");
     let result = run_study(&service, &params).expect("study");
     eprintln!(
-        "study ran in {:?}: {}",
+        "study ran in {:?}: {} spikes, {} clusters, {} frames requested, {} rising requested",
         study_span.elapsed(),
-        sift_bench::summarize(&result)
+        result.spikes.len(),
+        result.clusters.len(),
+        result.stats.frames_requested,
+        result.stats.rising_requested
     );
     drop(study_span);
     eprint!("stage timings:\n{}", result.stats.telemetry);

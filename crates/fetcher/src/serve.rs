@@ -44,7 +44,6 @@ pub fn trends_router(service: Arc<TrendsService>) -> Router {
                     )
                 }
             };
-            // sift-lint: allow(deadline-propagation) — server side of the wire: the client stamps the deadline into the request it sent; the in-process service behind this router never waits on a peer
             let result = match frame_service.fetch_frame(&parsed) {
                 Ok(resp) => ApiResult::Ok(resp),
                 Err(e) => ApiResult::Err(e),
@@ -63,7 +62,6 @@ pub fn trends_router(service: Arc<TrendsService>) -> Router {
                     )
                 }
             };
-            // sift-lint: allow(deadline-propagation) — server side of the wire: same contract as /api/frame above
             let result = match rising_service.fetch_rising(&parsed) {
                 Ok(resp) => ApiResult::Ok(resp),
                 Err(e) => ApiResult::Err(e),

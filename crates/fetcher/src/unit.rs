@@ -40,12 +40,10 @@ impl InProcessClient {
 
 impl TrendsClient for InProcessClient {
     fn fetch_frame(&self, req: &FrameRequest) -> Result<FrameResponse, FetchError> {
-        // sift-lint: allow(deadline-propagation) — in-process call into the local world model: no wire, nothing to time out on
         self.service.fetch_frame(req).map_err(FetchError::Service)
     }
 
     fn fetch_rising(&self, req: &RisingRequest) -> Result<RisingResponse, FetchError> {
-        // sift-lint: allow(deadline-propagation) — in-process call into the local world model: no wire, nothing to time out on
         self.service.fetch_rising(req).map_err(FetchError::Service)
     }
 
@@ -206,12 +204,10 @@ impl RoundRobin {
 
 impl TrendsClient for RoundRobin {
     fn fetch_frame(&self, req: &FrameRequest) -> Result<FrameResponse, FetchError> {
-        // sift-lint: allow(deadline-propagation) — pure delegation: the picked unit's own client owns the deadline for the wire call
         self.pick().fetch_frame(req)
     }
 
     fn fetch_rising(&self, req: &RisingRequest) -> Result<RisingResponse, FetchError> {
-        // sift-lint: allow(deadline-propagation) — pure delegation: the picked unit's own client owns the deadline for the wire call
         self.pick().fetch_rising(req)
     }
 

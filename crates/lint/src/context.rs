@@ -2,7 +2,6 @@
 
 use crate::config::Config;
 use crate::lexer::{lex, TokKind, Token};
-use crate::scope::FileScopes;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// One inline `// sift-lint: allow(rule)` / `allow-file(rule)` directive,
@@ -23,9 +22,6 @@ pub struct FileCtx {
     pub path: String,
     /// Code tokens (comments stripped).
     pub code: Vec<Token>,
-    /// The scope pass over `code`: token tree, fn items, impls, loops,
-    /// lock declarations.
-    pub scopes: FileScopes,
     /// Whole file is test context (under `tests/`, `benches/`, …).
     pub is_test_file: bool,
     /// Whole file is binary/tool context (under `src/bin/`, …).
@@ -66,12 +62,10 @@ impl FileCtx {
             );
         }
         let test_regions = find_test_regions(&code);
-        let scopes = FileScopes::analyze(&code);
 
         FileCtx {
             path: path.to_owned(),
             code,
-            scopes,
             is_test_file: cfg.is_test_path(path),
             is_bin_file: cfg.is_bin_path(path),
             directives,

@@ -1,11 +1,11 @@
 //! Walks the workspace, runs every rule, applies policy and suppressions.
 //!
-//! The engine is one serial path in three stages: per-file context
-//! construction (lex → token tree → scope pass), the per-file rules, and
-//! the workspace rules, which need every [`FileCtx`] at once. A full lint
-//! of this workspace takes about 0.14 s, so there is no cache and no
-//! thread fan-out to keep in agreement with it. Findings are sorted by
-//! position at the end.
+//! The engine is one serial path: per file, lex and classify test
+//! context ([`FileCtx`]) and run the per-file token rules; then the two
+//! workspace rules, which need every [`FileCtx`] at once. A full lint of
+//! this workspace takes about 0.04 s, so there is no cache and no thread
+//! fan-out to keep in agreement with it. Findings are sorted by position
+//! at the end.
 
 use crate::config::{Config, Severity};
 use crate::context::FileCtx;
@@ -57,8 +57,27 @@ impl std::ops::Deref for LintReport {
 /// Lints in-memory sources (used by fixture tests and by
 /// [`lint_workspace`] after reading files).
 pub fn lint_sources(sources: &[(String, String)], cfg: &Config) -> LintReport {
+    run_rules(sources, cfg, false).1
+}
+
+/// The one place the rule set runs: per-file rules as each context is
+/// built, then the workspace rules, which need every context at once.
+/// `blind` is the audit's view — every rule at its default severity
+/// whatever `Lint.toml` says, inline allows not honoured — so that what a
+/// rule *would* report can be counted.
+fn run_rules(
+    sources: &[(String, String)],
+    cfg: &Config,
+    blind: bool,
+) -> (Vec<FileCtx>, LintReport) {
     let started = Instant::now();
     let rules = registry();
+    let severity_of = |rule: &Rule| {
+        if blind {
+            return Some(rule.default_severity);
+        }
+        Some(cfg.severity(rule.id, rule.default_severity)).filter(|s| *s != Severity::Allow)
+    };
     let mut rule_time: BTreeMap<&'static str, Duration> = BTreeMap::new();
     let mut per_file = Vec::with_capacity(sources.len());
     let mut contexts = Vec::with_capacity(sources.len());
@@ -71,21 +90,39 @@ pub fn lint_sources(sources: &[(String, String)], cfg: &Config) -> LintReport {
             let RuleKind::PerFile(check) = &rule.kind else {
                 continue;
             };
-            let severity = cfg.severity(rule.id, rule.default_severity);
-            if severity == Severity::Allow || !rule_applies_to(rule, &ctx, cfg) {
+            let Some(severity) = severity_of(rule) else {
+                continue;
+            };
+            if !rule_applies_to(rule, &ctx, cfg) {
                 continue;
             }
             let rule_started = Instant::now();
             let mut raw = Vec::new();
             check(&ctx, cfg, &mut raw);
-            admit(rule, severity, &ctx, raw, true, &mut findings);
+            admit(rule, severity, &ctx, raw, !blind, &mut findings);
             *rule_time.entry(rule.id).or_default() += rule_started.elapsed();
         }
         per_file.push((path.clone(), file_started.elapsed()));
         contexts.push(ctx);
     }
 
-    findings.extend(workspace_pass(&contexts, cfg, &mut rule_time));
+    for rule in &rules {
+        let RuleKind::Workspace(check) = &rule.kind else {
+            continue;
+        };
+        let Some(severity) = severity_of(rule) else {
+            continue;
+        };
+        let rule_started = Instant::now();
+        for (path, f) in check(&contexts, cfg) {
+            let Some(ctx) = contexts.iter().find(|c| c.path == path) else {
+                continue;
+            };
+            admit(rule, severity, ctx, vec![f], !blind, &mut findings);
+        }
+        *rule_time.entry(rule.id).or_default() += rule_started.elapsed();
+    }
+
     findings.sort_by(|a, b| {
         (&a.path, a.line, a.col, a.rule, &a.message)
             .cmp(&(&b.path, b.line, b.col, b.rule, &b.message))
@@ -96,42 +133,15 @@ pub fn lint_sources(sources: &[(String, String)], cfg: &Config) -> LintReport {
         .iter()
         .filter_map(|r| rule_time.get(r.id).map(|d| (r.id, *d)))
         .collect();
-    LintReport {
+    let report = LintReport {
         findings,
         timing: TimingReport {
             per_rule,
             per_file,
             total: started.elapsed(),
         },
-    }
-}
-
-/// Runs the workspace rules, which need every context at once.
-fn workspace_pass(
-    contexts: &[FileCtx],
-    cfg: &Config,
-    rule_time: &mut BTreeMap<&'static str, Duration>,
-) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    for rule in registry() {
-        let RuleKind::Workspace(check) = &rule.kind else {
-            continue;
-        };
-        let check = *check;
-        let severity = cfg.severity(rule.id, rule.default_severity);
-        if severity == Severity::Allow {
-            continue;
-        }
-        let rule_started = Instant::now();
-        for (path, f) in check(contexts, cfg) {
-            let Some(ctx) = contexts.iter().find(|c| c.path == path) else {
-                continue;
-            };
-            admit(&rule, severity, ctx, vec![f], true, &mut findings);
-        }
-        *rule_time.entry(rule.id).or_default() += rule_started.elapsed();
-    }
-    findings
+    };
+    (contexts, report)
 }
 
 fn rule_applies_to(rule: &Rule, ctx: &FileCtx, cfg: &Config) -> bool {
@@ -196,91 +206,76 @@ pub enum StaleReason {
     NothingSuppressed,
 }
 
+/// What `--audit-allows` prints: the stale directives, and per rule what
+/// it would report with no suppression at all.
+#[derive(Clone, Debug, Default)]
+pub struct AuditReport {
+    pub stale: Vec<StaleAllow>,
+    /// Rule id → (would-be findings, of those covered by an inline
+    /// allow), registry order.
+    pub per_rule: Vec<(&'static str, usize, usize)>,
+}
+
 /// Audits every inline `sift-lint: allow(...)` in the sources: re-runs
 /// the rules with suppressions disabled (and configured severities
 /// ignored, so an allow documenting an exception under a currently
 /// `allow`-severity rule is not reported) and flags directives that no
 /// longer cover any would-be finding. Stale allows are how outdated
 /// exceptions outlive their justification — this keeps the set honest.
-pub fn audit_allows(sources: &[(String, String)], cfg: &Config) -> Vec<StaleAllow> {
-    let contexts: Vec<FileCtx> = sources
-        .iter()
-        .map(|(path, text)| FileCtx::new(path, text, cfg))
-        .collect();
+/// The same blind run gives the per-rule counts a review of the rule set
+/// starts from.
+pub fn audit_allows(sources: &[(String, String)], cfg: &Config) -> AuditReport {
+    let (contexts, blind) = run_rules(sources, cfg, true);
 
     // (path, rule) → lines a finding would land on without suppression.
-    let mut would: BTreeMap<(String, &'static str), BTreeSet<u32>> = BTreeMap::new();
-    let mut record = |f: &Finding| {
+    let mut would: BTreeMap<(&str, &str), BTreeSet<u32>> = BTreeMap::new();
+    let mut per_rule: Vec<(&'static str, usize, usize)> =
+        registry().iter().map(|r| (r.id, 0, 0)).collect();
+    for f in &blind.findings {
         would
-            .entry((f.path.clone(), f.rule))
+            .entry((f.path.as_str(), f.rule))
             .or_default()
             .insert(f.line);
-    };
-    for rule in registry() {
-        match rule.kind {
-            RuleKind::PerFile(check) => {
-                for ctx in &contexts {
-                    if !rule_applies_to(&rule, ctx, cfg) {
-                        continue;
-                    }
-                    let mut raw = Vec::new();
-                    check(ctx, cfg, &mut raw);
-                    let mut out = Vec::new();
-                    admit(&rule, rule.default_severity, ctx, raw, false, &mut out);
-                    out.iter().for_each(&mut record);
-                }
-            }
-            RuleKind::Workspace(check) => {
-                for (path, f) in check(&contexts, cfg) {
-                    let Some(ctx) = contexts.iter().find(|c| c.path == path) else {
-                        continue;
-                    };
-                    let mut out = Vec::new();
-                    admit(&rule, rule.default_severity, ctx, vec![f], false, &mut out);
-                    out.iter().for_each(&mut record);
-                }
-            }
+        let covered = contexts
+            .iter()
+            .find(|c| c.path == f.path)
+            .is_some_and(|c| c.is_suppressed(f.rule, f.line));
+        if let Some(tally) = per_rule.iter_mut().find(|t| t.0 == f.rule) {
+            tally.1 += 1;
+            tally.2 += usize::from(covered);
         }
     }
 
-    let known: Vec<&str> = registry().iter().map(|r| r.id).collect();
     let mut stale = Vec::new();
     for ctx in &contexts {
         for d in &ctx.directives {
-            if !known.contains(&d.rule.as_str()) {
-                stale.push(StaleAllow {
-                    path: ctx.path.clone(),
-                    line: d.line,
-                    rule: d.rule.clone(),
-                    reason: StaleReason::UnknownRule,
-                });
-                continue;
-            }
-            let lines = would
-                .iter()
-                .find(|((p, r), _)| *p == ctx.path && *r == d.rule)
-                .map(|(_, l)| l);
-            let earns = match lines {
-                Some(lines) if d.file_wide => !lines.is_empty(),
-                Some(lines) => d.covered.iter().any(|l| lines.contains(l)),
-                None => false,
+            let reason = if !per_rule.iter().any(|t| t.0 == d.rule) {
+                StaleReason::UnknownRule
+            } else {
+                let earns = match would.get(&(ctx.path.as_str(), d.rule.as_str())) {
+                    Some(lines) if d.file_wide => !lines.is_empty(),
+                    Some(lines) => d.covered.iter().any(|l| lines.contains(l)),
+                    None => false,
+                };
+                if earns {
+                    continue;
+                }
+                StaleReason::NothingSuppressed
             };
-            if !earns {
-                stale.push(StaleAllow {
-                    path: ctx.path.clone(),
-                    line: d.line,
-                    rule: d.rule.clone(),
-                    reason: StaleReason::NothingSuppressed,
-                });
-            }
+            stale.push(StaleAllow {
+                path: ctx.path.clone(),
+                line: d.line,
+                rule: d.rule.clone(),
+                reason,
+            });
         }
     }
     stale.sort_by(|a, b| (&a.path, a.line).cmp(&(&b.path, b.line)));
-    stale
+    AuditReport { stale, per_rule }
 }
 
 /// [`audit_allows`] over the files under `root`.
-pub fn audit_workspace(root: &Path, cfg: &Config) -> io::Result<Vec<StaleAllow>> {
+pub fn audit_workspace(root: &Path, cfg: &Config) -> io::Result<AuditReport> {
     Ok(audit_allows(&read_workspace(root, cfg)?, cfg))
 }
 
@@ -406,15 +401,18 @@ mod tests {
                    let x = 1; // sift-lint: allow(no-panic) — nothing here\n\
                    let y = 2; // sift-lint: allow(no-such-rule) — typo\n\
                    }\n";
-        let stale = audit_allows(
+        let audit = audit_allows(
             &[("crates/x/src/lib.rs".to_owned(), src.to_owned())],
             &Config::default(),
         );
+        let stale = &audit.stale;
         assert_eq!(stale.len(), 2, "{stale:?}");
         assert_eq!(stale[0].line, 3);
         assert_eq!(stale[0].reason, StaleReason::NothingSuppressed);
         assert_eq!(stale[1].line, 4);
         assert_eq!(stale[1].reason, StaleReason::UnknownRule);
+        // One would-be finding, and the first directive covers it.
+        assert!(audit.per_rule.contains(&("no-panic", 1, 1)), "{audit:?}");
     }
 
     #[test]
@@ -424,7 +422,7 @@ mod tests {
         let mut cfg = Config::default();
         cfg.rules.entry("no-panic".into()).or_default().severity = Some(Severity::Allow);
         let src = "fn f() {\n  a.unwrap(); // sift-lint: allow(no-panic) — documented\n}\n";
-        let stale = audit_allows(&[("crates/x/src/lib.rs".to_owned(), src.to_owned())], &cfg);
+        let stale = audit_allows(&[("crates/x/src/lib.rs".to_owned(), src.to_owned())], &cfg).stale;
         assert!(stale.is_empty(), "{stale:?}");
     }
 }

@@ -25,23 +25,20 @@
 //! reference. The process exits nonzero when any `deny` finding stands.
 //!
 //! Every run lints every file, serially, from scratch (see [`engine`]):
-//! that takes about 0.14 s on this workspace, which is less than a result
+//! that takes about 0.04 s on this workspace, which is less than a result
 //! cache or a thread pool costs to keep correct.
 
 pub mod config;
 pub mod context;
-pub mod dataflow;
 pub mod engine;
 pub mod lexer;
 pub mod report;
 pub mod rules;
-pub mod scope;
-pub mod tree;
 
 pub use config::{Config, ConfigError, Severity};
 pub use engine::{
-    audit_workspace, lint_sources, lint_workspace, Finding, LintReport, StaleAllow, StaleReason,
-    TimingReport,
+    audit_workspace, lint_sources, lint_workspace, AuditReport, Finding, LintReport, StaleAllow,
+    StaleReason, TimingReport,
 };
 pub use report::{render_json, render_text, rules_markdown};
 

@@ -17,7 +17,8 @@ OPTIONS:
     --root <dir>       workspace root (default: nearest ancestor with Lint.toml)
     --config <f>       config file (default: <root>/Lint.toml)
     --timing           per-rule and per-file wall time on stderr
-    --audit-allows     report stale inline `sift-lint: allow(...)` directives
+    --audit-allows     per-rule counts with suppressions off, then stale inline
+                       `sift-lint: allow(...)` directives
     --rules-md         print the generated rule-reference table and exit
     --help             this text
 
@@ -110,11 +111,19 @@ fn main() -> ExitCode {
 }
 
 fn run_audit(root: &std::path::Path, cfg: &sift_lint::Config) -> ExitCode {
-    let stale = match sift_lint::audit_workspace(root, cfg) {
-        Ok(s) => s,
+    let audit = match sift_lint::audit_workspace(root, cfg) {
+        Ok(a) => a,
         Err(e) => return config_error(&format!("walking {}: {e}", root.display())),
     };
-    for s in &stale {
+    // Rules by findings: what each rule would report with every inline
+    // allow and every configured severity ignored.
+    for &(rule, would_be, covered) in &audit.per_rule {
+        let stale = audit.stale.iter().filter(|s| s.rule == rule).count();
+        println!(
+            "rule {rule:<18} {would_be:>4} would-be findings, {covered:>4} covered by an inline allow, {stale:>3} stale"
+        );
+    }
+    for s in &audit.stale {
         let why = match s.reason {
             StaleReason::UnknownRule => "no such rule exists",
             StaleReason::NothingSuppressed => "it no longer covers any finding",
@@ -124,14 +133,14 @@ fn run_audit(root: &std::path::Path, cfg: &sift_lint::Config) -> ExitCode {
             s.path, s.line, s.rule
         );
     }
-    if stale.is_empty() {
+    if audit.stale.is_empty() {
         println!("sift-lint: every inline allow still earns its keep");
         ExitCode::SUCCESS
     } else {
         println!(
             "sift-lint: {} stale allow directive{}",
-            stale.len(),
-            if stale.len() == 1 { "" } else { "s" }
+            audit.stale.len(),
+            if audit.stale.len() == 1 { "" } else { "s" }
         );
         ExitCode::from(1)
     }

@@ -7,11 +7,8 @@
 use crate::config::{Config, Severity};
 use crate::context::FileCtx;
 
-pub mod deadline_propagation;
 pub mod durable_write;
 pub mod float_eq;
-pub mod hot_alloc;
-pub mod lock_order;
 pub mod lossy_cast;
 pub mod no_panic;
 pub mod no_print;
@@ -150,51 +147,6 @@ pub fn registry() -> Vec<Rule> {
             applies_in_tests: false,
             skips_bins: true,
             kind: RuleKind::PerFile(trace_span::check),
-        },
-        Rule {
-            id: "lock-order",
-            summary: "no pair of locks acquired in both orders anywhere in the \
-                      workspace (and no re-acquisition while held)",
-            rationale: "The fetch queue, obs registry, trace store and server \
-                        all hold locks across calls into each other; an ABBA \
-                        pair only deadlocks under contention, exactly when an \
-                        outage makes every thread busy — so the acquisition \
-                        DAG is checked globally at lint time.",
-            default_severity: Severity::Deny,
-            applies_in_tests: false,
-            skips_bins: true,
-            kind: RuleKind::Workspace(lock_order::check),
-        },
-        Rule {
-            id: "hot-alloc",
-            summary: "no per-iteration heap allocation (`Vec::new`, \
-                      `.collect()`, `.clone()`, `.to_vec()`, `format!`, …) \
-                      in strict perf paths",
-            rationale: "The interest model runs once per hour of every frame \
-                        of every refetch round, and the embedding kernel once \
-                        per token and trigram of every distinct phrase; an \
-                        allocation inside those loops — or in any fn they \
-                        call — multiplies by the whole campaign, so the paths \
-                        the benchmark shows to be hot (`Lint.toml` lists them \
-                        and says why) must hoist or reuse their buffers.",
-            default_severity: Severity::Deny,
-            applies_in_tests: false,
-            skips_bins: true,
-            kind: RuleKind::Workspace(hot_alloc::check),
-        },
-        Rule {
-            id: "deadline-propagation",
-            summary: "egress calls in net/fetcher (`strict_paths`) must have a \
-                      deadline in scope (fn or constructing impl)",
-            rationale: "Frame budgets come from the run deadline; an egress \
-                        call reached without one waits as long as the peer \
-                        lets it, and a single stuck fetch stalls the round — \
-                        every send/fetch chain must forward the deadline or \
-                        carry an inline allow saying why not.",
-            default_severity: Severity::Deny,
-            applies_in_tests: false,
-            skips_bins: true,
-            kind: RuleKind::PerFile(deadline_propagation::check),
         },
         Rule {
             id: "swallowed-result",

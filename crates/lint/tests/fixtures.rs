@@ -210,84 +210,6 @@ fn swallowed_result_fixture() {
 }
 
 #[test]
-fn lock_order_fixture() {
-    check(
-        "lock_order",
-        include_str!("fixtures/lock_order.rs"),
-        &Config::default(),
-        false,
-    );
-}
-
-#[test]
-fn lock_order_abba_fails_the_gate() {
-    // The ABBA pair must come out at deny severity — the exit-1 gate.
-    let src = include_str!("fixtures/lock_order.rs");
-    let path = "crates/fixture/src/lock_order.rs".to_owned();
-    let findings = lint_sources(&[(path, src.to_owned())], &Config::default());
-    assert!(
-        findings
-            .iter()
-            .any(|f| f.rule == "lock-order" && f.severity == sift_lint::Severity::Deny),
-        "an ABBA inversion must be a deny finding"
-    );
-}
-
-#[test]
-fn hot_alloc_fixture() {
-    // Default path: not a strict perf path, so the rule stays silent.
-    check(
-        "hot_alloc",
-        include_str!("fixtures/hot_alloc.rs"),
-        &Config::default(),
-        false,
-    );
-}
-
-#[test]
-fn hot_alloc_strict_fixture() {
-    // Same file on a strict perf path: per-iteration allocs are flagged.
-    let mut cfg = Config::default();
-    cfg.rules
-        .entry("hot-alloc".to_owned())
-        .or_default()
-        .strict_paths = vec!["crates/fixture/src/hot_alloc.rs".to_owned()];
-    check(
-        "hot_alloc",
-        include_str!("fixtures/hot_alloc.rs"),
-        &cfg,
-        true,
-    );
-}
-
-#[test]
-fn deadline_propagation_fixture() {
-    // Default path: not an egress path, so the rule stays silent.
-    check(
-        "deadline_propagation",
-        include_str!("fixtures/deadline_propagation.rs"),
-        &Config::default(),
-        false,
-    );
-}
-
-#[test]
-fn deadline_propagation_strict_fixture() {
-    // Same file on an egress path: undeadlined sends are flagged.
-    let mut cfg = Config::default();
-    cfg.rules
-        .entry("deadline-propagation".to_owned())
-        .or_default()
-        .strict_paths = vec!["crates/fixture/src/deadline_propagation.rs".to_owned()];
-    check(
-        "deadline_propagation",
-        include_str!("fixtures/deadline_propagation.rs"),
-        &cfg,
-        true,
-    );
-}
-
-#[test]
 fn fixtures_are_quiet_under_test_paths() {
     // The same violations under a `tests/` path: only rules that apply in
     // tests may fire. `no_panic.rs` seeds none of those, so it goes quiet.

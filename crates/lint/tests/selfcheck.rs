@@ -3,7 +3,8 @@
 //! match the registry.
 
 use sift_lint::{
-    lint_workspace, load_config, render_text, rules_markdown, validate_rule_ids, Severity,
+    audit_workspace, lint_workspace, load_config, render_text, rules_markdown, validate_rule_ids,
+    Severity,
 };
 use std::path::{Path, PathBuf};
 
@@ -40,6 +41,12 @@ fn workspace_is_lint_clean() {
         "workspace has deny findings:\n{}",
         render_text(&deny)
     );
+    // An inline allow that names a retired rule, or covers nothing any
+    // more, fails here and not only in `scripts/check.sh`.
+    let stale = audit_workspace(&root, &cfg)
+        .expect("workspace walk succeeds")
+        .stale;
+    assert!(stale.is_empty(), "stale inline allows: {stale:?}");
 }
 
 #[test]

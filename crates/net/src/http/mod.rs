@@ -151,10 +151,28 @@ impl Headers {
         self.entries.is_empty()
     }
 
-    /// Parsed `Content-Length`, if present and valid.
-    pub fn content_length(&self) -> Option<usize> {
-        self.get("content-length")
-            .and_then(|v| v.trim().parse().ok())
+    /// The message's `Content-Length`: `Ok(None)` when absent. A value
+    /// that is not a plain decimal `usize` (`5x`, `+5`, empty), or two
+    /// fields that disagree, is [`ParseError::BadHeader`] — a length the
+    /// parser guessed at leaves the rest of the body to be read as the
+    /// next message on a keep-alive connection (RFC 7230 §3.3.3).
+    /// Repeated equal values pass.
+    pub fn content_length(&self) -> Result<Option<usize>, ParseError> {
+        let mut length = None;
+        for (_, v) in self.iter().filter(|(n, _)| *n == "content-length") {
+            let v = v.trim();
+            // `str::parse` alone would take `+5`.
+            let n: Option<usize> = if v.bytes().all(|b| b.is_ascii_digit()) {
+                v.parse().ok()
+            } else {
+                None
+            };
+            match n {
+                Some(n) if !length.is_some_and(|first| first != n) => length = Some(n),
+                _ => return Err(ParseError::BadHeader(format!("content-length: {v}"))),
+            }
+        }
+        Ok(length)
     }
 
     /// True if the message asks for the connection to be closed.
@@ -279,7 +297,7 @@ mod tests {
         h.set("Content-Length", "42");
         assert_eq!(h.get("content-length"), Some("42"));
         assert_eq!(h.get("CONTENT-LENGTH"), Some("42"));
-        assert_eq!(h.content_length(), Some(42));
+        assert_eq!(h.content_length(), Ok(Some(42)));
     }
 
     #[test]

@@ -102,8 +102,8 @@ pub fn parse_request(buf: &mut BytesMut) -> Result<Option<Request>, ParseError> 
     }
 
     let body_len = match method {
-        Method::Get => headers.content_length().unwrap_or(0),
-        Method::Post => headers.content_length().ok_or(ParseError::MissingLength)?,
+        Method::Get => headers.content_length()?.unwrap_or(0),
+        Method::Post => headers.content_length()?.ok_or(ParseError::MissingLength)?,
     };
     if body_len > MAX_BODY_BYTES {
         return Err(ParseError::BodyTooLarge(body_len));
@@ -148,7 +148,7 @@ pub fn parse_response(buf: &mut BytesMut) -> Result<Option<Response>, ParseError
         .parse()
         .map_err(|_| ParseError::BadStartLine(start.clone()))?;
 
-    let body_len = headers.content_length().ok_or(ParseError::MissingLength)?;
+    let body_len = headers.content_length()?.ok_or(ParseError::MissingLength)?;
     if body_len > MAX_BODY_BYTES {
         return Err(ParseError::BodyTooLarge(body_len));
     }
@@ -208,6 +208,49 @@ mod tests {
     fn post_without_length_rejected() {
         let mut b = buf("POST /api HTTP/1.1\r\n\r\n");
         assert_eq!(parse_request(&mut b), Err(ParseError::MissingLength));
+    }
+
+    #[test]
+    fn unparseable_or_conflicting_length_rejected() {
+        // Guessing a length here would leave `hello` in the buffer to be
+        // parsed as the next request on the keep-alive connection.
+        for head in [
+            "GET /a HTTP/1.1\r\ncontent-length: 5x\r\n\r\nhello",
+            "POST /a HTTP/1.1\r\ncontent-length: 0\r\ncontent-length: 5\r\n\r\nhello",
+            "POST /a HTTP/1.1\r\ncontent-length: +5\r\n\r\nhello",
+            "POST /a HTTP/1.1\r\ncontent-length:\r\n\r\nhello",
+            "GET /a HTTP/1.1\r\ncontent-length: 99999999999999999999999\r\n\r\n",
+        ] {
+            let mut b = buf(head);
+            assert!(
+                matches!(parse_request(&mut b), Err(ParseError::BadHeader(_))),
+                "{head:?}"
+            );
+            assert_eq!(&b[..], head.as_bytes(), "nothing consumed");
+        }
+        for head in [
+            "HTTP/1.1 200 OK\r\ncontent-length: 5x\r\n\r\nhello",
+            "HTTP/1.1 200 OK\r\ncontent-length: 0\r\ncontent-length: 5\r\n\r\nhello",
+        ] {
+            assert!(
+                matches!(
+                    parse_response(&mut buf(head)),
+                    Err(ParseError::BadHeader(_))
+                ),
+                "{head:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn repeated_equal_lengths_pass() {
+        let mut b = buf("POST /a HTTP/1.1\r\ncontent-length: 5\r\nContent-Length: 5\r\n\r\nhello");
+        let req = parse_request(&mut b).expect("ok").expect("complete");
+        assert_eq!(&req.body[..], b"hello");
+        assert!(b.is_empty());
+        let mut b = buf("HTTP/1.1 200 OK\r\ncontent-length: 2\r\ncontent-length: 2\r\n\r\nok");
+        let resp = parse_response(&mut b).expect("ok").expect("complete");
+        assert_eq!(&resp.body[..], b"ok");
     }
 
     #[test]

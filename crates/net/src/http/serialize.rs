@@ -65,7 +65,7 @@ mod tests {
         assert_eq!(back.method, Method::Get);
         assert_eq!(back.path, "/api/x?y=1");
         assert_eq!(back.headers.get("x-fetcher-ip"), Some("127.0.0.9"));
-        assert_eq!(back.headers.content_length(), Some(0));
+        assert_eq!(back.headers.content_length(), Ok(Some(0)));
     }
 
     #[test]

@@ -12,7 +12,7 @@ cargo build --release --offline
 cargo test -q --offline --workspace
 
 # Static-analysis gate: one full lint of the workspace (every file, every
-# run — about 0.14 s), then the stale-suppression audit so inline allows
+# run — about 0.04 s), then the stale-suppression audit so inline allows
 # cannot outlive the findings they excuse.
 cargo run -p sift-lint --release --offline
 cargo run -p sift-lint --release --offline -- --audit-allows
