@@ -26,15 +26,12 @@ use crate::proto::{
     HeartbeatReply, HeartbeatRequest, JoinReply, JoinRequest, LeaseReply, LeaseRequest,
     ResultReply, ResultUpload, ShardJob, StatusReply,
 };
-use crate::recovery::{
-    outcome_digest, CoordCheckpoint, CoordDurability, CoordRecord, CoordRecovery, ShardSnapshot,
-};
+use crate::recovery::{outcome_digest, CoordDurability, CoordRecord, CoordRecovery, CoordTable};
 use crate::ring::HashRing;
 use parking_lot::Mutex;
 use sift_core::{assemble_study, RegionOutcome, StudyParams, StudyResult};
 use sift_geo::State;
 use sift_net::{Method, Request, Response, Router, StatusCode};
-use std::collections::BTreeSet;
 use std::io;
 use std::path::Path;
 use std::sync::Arc;
@@ -89,8 +86,6 @@ pub struct ClusterConfig {
     pub attempt_budget: u32,
     /// Virtual points per worker on the consistent-hash ring.
     pub vnodes: usize,
-    /// WAL records between periodic checkpoints (durable runs only).
-    pub checkpoint_every: u64,
 }
 
 impl ClusterConfig {
@@ -111,7 +106,6 @@ impl Default for ClusterConfig {
             poll_ms: 25,
             attempt_budget: 3,
             vnodes: 40,
-            checkpoint_every: 8,
         }
     }
 }
@@ -150,117 +144,88 @@ impl std::fmt::Display for ClusterError {
 
 impl std::error::Error for ClusterError {}
 
-enum ShardStatus {
-    Pending,
-    Leased {
-        worker: String,
-        epoch: u64,
-        hb_deadline_ms: u64,
-    },
-    Done {
-        outcome: Box<RegionOutcome>,
-    },
-    Failed,
+/// A live lease: a promise about one worker's heartbeat stream. Held
+/// beside the durable table, never in it — it does not survive the
+/// coordinator process.
+struct Lease {
+    worker: String,
+    epoch: u64,
+    hb_deadline_ms: u64,
 }
 
-struct Shard {
-    state: State,
-    /// Expiry-burned attempts (the budget the run fails on).
-    attempts: u32,
-    /// Total lease grants including re-grants — the per-shard attempt
-    /// count `/cluster/status` reports for recovery audits.
-    grants: u32,
-    status: ShardStatus,
-}
-
-#[derive(Default)]
 struct CoordState {
-    shards: Vec<Shard>,
-    workers: Vec<String>,
-    dead: BTreeSet<String>,
-    next_epoch: u64,
-    rerouted: u64,
-    /// Completed coordinator recoveries feeding this run.
-    recoveries: u64,
-    /// WAL + checkpoint driver; `None` for a purely in-memory run.
-    /// Living inside the state mutex means journal order provably equals
-    /// state-mutation order.
+    /// The durable state. Changed only through [`CoordState::commit`] and
+    /// [`CoordState::record`], i.e. only by [`CoordTable::apply`] (the one
+    /// exception is the epoch burned in [`Coordinator::lease_at`]).
+    table: CoordTable,
+    /// Live leases, one slot per shard in `table.shards` order.
+    leases: Vec<Option<Lease>>,
+    /// The WAL; `None` for a purely in-memory run. Living inside the
+    /// state mutex means journal order provably equals apply order.
     durability: Option<CoordDurability>,
 }
 
-/// The durable projection of the live state: leased shards snapshot as
-/// pending because a lease is a promise about a live heartbeat stream
-/// and deliberately does not survive the coordinator process.
-fn snapshot(s: &CoordState) -> CoordCheckpoint {
-    CoordCheckpoint {
-        next_epoch: s.next_epoch,
-        recoveries: s.recoveries,
-        rerouted: s.rerouted,
-        workers: s.workers.clone(),
-        dead: s.dead.iter().cloned().collect(),
-        shards: s
-            .shards
-            .iter()
-            .map(|sh| ShardSnapshot {
-                state: sh.state,
-                attempts: sh.attempts,
-                grants: sh.grants,
-                done: match &sh.status {
-                    ShardStatus::Done { outcome } => {
-                        Some((outcome_digest(outcome), outcome.clone()))
-                    }
-                    _ => None,
-                },
-                failed: matches!(sh.status, ShardStatus::Failed),
-            })
-            .collect(),
+impl CoordState {
+    /// WAL before acknowledgement: applies `rec` only once it is durable
+    /// (at once for an in-memory run). Returns `false`, with the table
+    /// untouched, when it could not be made durable — the caller must
+    /// then withhold the acknowledgement.
+    fn commit(&mut self, rec: CoordRecord) -> bool {
+        let durable = self.log(&rec);
+        if durable {
+            self.table.apply(rec);
+        }
+        durable
     }
-}
 
-/// Appends `rec` if this coordinator is durable. Returns `false` only
-/// when the record could not be made durable — a caller about to
-/// acknowledge the mutation must then withhold the acknowledgement
-/// (WAL before acknowledgement is the recovery invariant).
-fn wal_append(durability: &mut Option<CoordDurability>, rec: &CoordRecord) -> bool {
-    let Some(d) = durability.as_mut() else {
-        return true;
-    };
-    match d.append(rec) {
-        Ok(()) => true,
-        Err(e) => {
-            sift_obs::counter("sift_cluster_wal_errors_total", &[]).inc();
-            sift_obs::event(
-                sift_obs::Level::Error,
-                "cluster.coord",
-                "coordinator WAL append failed",
-                &[("error", serde_json::Value::Str(e.to_string()))],
-            );
-            false
+    /// For transitions that acknowledge nothing to a worker (`Joined`,
+    /// `Expired`): a failed append is survivable — a recovered
+    /// coordinator re-learns the worker from its first lease and the
+    /// death from a missed heartbeat deadline — so apply regardless.
+    fn record(&mut self, rec: CoordRecord) {
+        self.log(&rec);
+        self.table.apply(rec);
+    }
+
+    /// Appends `rec` if this coordinator is durable; `false` only when
+    /// the append failed.
+    fn log(&mut self, rec: &CoordRecord) -> bool {
+        let Some(d) = self.durability.as_mut() else {
+            return true;
+        };
+        match d.append(rec) {
+            Ok(()) => true,
+            Err(e) => {
+                sift_obs::counter("sift_cluster_wal_errors_total", &[]).inc();
+                sift_obs::event(
+                    sift_obs::Level::Error,
+                    "cluster.coord",
+                    "coordinator WAL append failed",
+                    &[("error", serde_json::Value::Str(e.to_string()))],
+                );
+                false
+            }
         }
     }
-}
 
-/// Compacts the WAL into a checkpoint when enough records accumulated.
-/// A failed compaction is survivable — the WAL keeps the run durable —
-/// so it is reported, not propagated.
-fn maybe_checkpoint(s: &mut CoordState) {
-    let due = s
-        .durability
-        .as_ref()
-        .is_some_and(CoordDurability::should_checkpoint);
-    if !due {
-        return;
+    /// Neither done, failed nor leased.
+    fn is_pending(&self, idx: usize) -> bool {
+        let sh = &self.table.shards[idx];
+        sh.done.is_none() && !sh.failed && self.leases[idx].is_none()
     }
-    let snap = snapshot(s);
-    if let Some(d) = s.durability.as_mut() {
-        if let Err(e) = d.install_checkpoint(&snap) {
-            sift_obs::counter("sift_cluster_wal_errors_total", &[]).inc();
-            sift_obs::event(
-                sift_obs::Level::Error,
-                "cluster.coord",
-                "coordinator checkpoint failed",
-                &[("error", serde_json::Value::Str(e.to_string()))],
-            );
+
+    /// The shard `worker` holds a live lease on under `epoch`, if any.
+    fn held_by(&self, state: State, worker: &str, epoch: u64) -> Option<usize> {
+        let idx = self.table.shards.iter().position(|sh| sh.state == state)?;
+        let lease = self.leases[idx].as_ref()?;
+        (lease.worker == worker && lease.epoch == epoch).then_some(idx)
+    }
+
+    fn admit(&mut self, worker: &str) {
+        if !self.table.workers.iter().any(|w| w == worker) {
+            self.record(CoordRecord::Joined {
+                worker: worker.to_owned(),
+            });
         }
     }
 }
@@ -270,7 +235,9 @@ pub struct Coordinator {
     params: StudyParams,
     config: ClusterConfig,
     /// Monotonic clock anchor; all protocol timing is milliseconds since
-    /// this instant, never wall-clock time-of-day.
+    /// this instant, never wall-clock time-of-day. Every decision takes
+    /// that number as an argument (the `*_at` methods), so only the thin
+    /// public wrappers read the clock.
     epoch: Instant,
     /// The trace context workers parent their spans onto.
     trace_root: Option<sift_obs::SpanContext>,
@@ -283,31 +250,31 @@ impl Coordinator {
     /// span active at construction time (if any) becomes the run's trace
     /// root, propagated to workers at join.
     pub fn new(params: StudyParams, config: ClusterConfig) -> Coordinator {
-        let snap = CoordCheckpoint::initial(&params.regions);
-        Coordinator::from_state(params, config, snap, None)
+        let table = CoordTable::initial(&params.regions);
+        Coordinator::from_table(params, config, table, None)
     }
 
     /// A crash-recoverable coordinator whose control state lives under
     /// `dir`. A fresh directory starts a fresh run; a directory holding a
-    /// prior coordinator's checkpoint + WAL *recovers* it: the shard
-    /// table is replayed, in-flight leases revert to pending, the fencing
-    /// epoch is bumped strictly past every epoch the previous incarnation
-    /// granted, and already-accepted outcomes are restored so their
-    /// shards are never re-crawled.
+    /// prior coordinator's WAL *recovers* it: the shard table is folded
+    /// back from the records, in-flight leases revert to pending, the
+    /// fencing epoch is bumped strictly past every epoch the previous
+    /// incarnation granted, and already-accepted outcomes are restored so
+    /// their shards are never re-crawled.
     pub fn durable(
         params: StudyParams,
         config: ClusterConfig,
         dir: &Path,
     ) -> io::Result<(Coordinator, CoordRecovery)> {
-        let (mut durability, mut snap, recovery) =
-            CoordDurability::open(dir, &params.regions, config.checkpoint_every)?;
+        let (mut durability, mut table, recovery) = CoordDurability::open(dir, &params.regions)?;
         if recovery.had_state {
-            snap.recoveries = snap.recoveries.saturating_add(1);
-            // Replay already fences above every *logged* epoch; the
-            // explicit bump additionally separates incarnations so the
-            // restart is observable in audits even when no grant raced
-            // the crash.
-            snap.next_epoch = snap.next_epoch.saturating_add(1);
+            // Durable before the first new acknowledgement, like any
+            // other transition: record, then apply.
+            let rec = CoordRecord::Recovered {
+                next_epoch: table.next_epoch.saturating_add(1),
+            };
+            durability.append(&rec)?;
+            table.apply(rec);
             sift_obs::counter("sift_cluster_coord_recoveries_total", &[]).inc();
             sift_obs::counter("sift_cluster_epoch_bumps_total", &[]).inc();
             sift_obs::event(
@@ -320,45 +287,26 @@ impl Coordinator {
                         serde_json::Value::UInt(recovery.records_replayed as u64),
                     ),
                     ("torn_tail", serde_json::Value::Bool(recovery.torn_tail)),
-                    ("next_epoch", serde_json::Value::UInt(snap.next_epoch)),
+                    ("next_epoch", serde_json::Value::UInt(table.next_epoch)),
                 ],
             );
         }
-        // Compact immediately: the bumped fence and recovery count are
-        // durable before the first new acknowledgement, and the replayed
-        // WAL is subsumed.
-        durability.install_checkpoint(&snap)?;
         Ok((
-            Coordinator::from_state(params, config, snap, Some(durability)),
+            Coordinator::from_table(params, config, table, Some(durability)),
             recovery,
         ))
     }
 
-    fn from_state(
+    fn from_table(
         params: StudyParams,
         config: ClusterConfig,
-        snap: CoordCheckpoint,
+        table: CoordTable,
         durability: Option<CoordDurability>,
     ) -> Coordinator {
-        let shards: Vec<Shard> = snap
+        let pending = table
             .shards
-            .into_iter()
-            .map(|sh| Shard {
-                state: sh.state,
-                attempts: sh.attempts,
-                grants: sh.grants,
-                status: if sh.failed {
-                    ShardStatus::Failed
-                } else if let Some((_, outcome)) = sh.done {
-                    ShardStatus::Done { outcome }
-                } else {
-                    ShardStatus::Pending
-                },
-            })
-            .collect();
-        let pending = shards
             .iter()
-            .filter(|sh| matches!(sh.status, ShardStatus::Pending))
+            .filter(|sh| sh.done.is_none() && !sh.failed)
             .count();
         sift_obs::gauge("sift_cluster_shards_pending", &[])
             .set(i64::try_from(pending).unwrap_or(i64::MAX));
@@ -369,12 +317,8 @@ impl Coordinator {
             trace_root: sift_obs::SpanContext::current(),
             baseline: sift_obs::SpanBaseline::capture(),
             inner: Mutex::new(CoordState {
-                shards,
-                workers: snap.workers,
-                dead: snap.dead.into_iter().collect(),
-                next_epoch: snap.next_epoch,
-                rerouted: snap.rerouted,
-                recoveries: snap.recoveries,
+                leases: table.shards.iter().map(|_| None).collect(),
+                table,
                 durability,
             }),
         }
@@ -420,250 +364,172 @@ impl Coordinator {
     /// from the wait loop, so detection does not depend on traffic from
     /// the dead worker itself.
     fn expire(&self, s: &mut CoordState, now_ms: u64) {
-        let budget = self.config.attempt_budget;
-        let mut newly_dead: Vec<String> = Vec::new();
-        let mut reroutes = 0u64;
-        let mut records: Vec<CoordRecord> = Vec::new();
-        for shard in &mut s.shards {
-            if let ShardStatus::Leased {
-                worker,
-                epoch,
-                hb_deadline_ms,
-            } = &shard.status
-            {
-                if now_ms > *hb_deadline_ms {
-                    let worker = worker.clone();
-                    let epoch = *epoch;
-                    newly_dead.push(worker.clone());
-                    shard.attempts += 1;
-                    let failed = shard.attempts >= budget;
-                    if failed {
-                        shard.status = ShardStatus::Failed;
-                        sift_obs::counter("sift_cluster_shards_failed_total", &[]).inc();
-                    } else {
-                        shard.status = ShardStatus::Pending;
-                        reroutes += 1;
-                    }
-                    records.push(CoordRecord::Expired {
-                        state: shard.state,
-                        worker: worker.clone(),
-                        epoch,
-                        failed,
-                    });
-                    self.count_reroute(RerouteReason::HeartbeatMissed, shard.state, &worker);
-                }
+        for idx in 0..s.leases.len() {
+            let Some(lease) = s.leases[idx].take_if(|l| now_ms > l.hb_deadline_ms) else {
+                continue;
+            };
+            let shard = &s.table.shards[idx];
+            let state = shard.state;
+            let failed = shard.attempts.saturating_add(1) >= self.config.attempt_budget;
+            if failed {
+                sift_obs::counter("sift_cluster_shards_failed_total", &[]).inc();
             }
-        }
-        s.rerouted += reroutes;
-        for w in newly_dead {
-            s.dead.insert(w);
-        }
-        // Expiry acknowledges nothing to a worker, so a failed append is
-        // survivable: a recovered coordinator simply re-learns the death
-        // the same way — via a missed heartbeat deadline.
-        for rec in records {
-            wal_append(&mut s.durability, &rec);
+            self.count_reroute(RerouteReason::HeartbeatMissed, state, &lease.worker);
+            s.record(CoordRecord::Expired {
+                state,
+                worker: lease.worker,
+                epoch: lease.epoch,
+                failed,
+            });
         }
     }
 
     fn join(&self, req: &JoinRequest) -> JoinReply {
         let mut s = self.inner.lock();
-        if !s.workers.iter().any(|w| w == &req.worker) {
-            s.workers.push(req.worker.clone());
-            // Membership is also re-established by the worker's first
-            // lease record, so a failed append degrades, not corrupts.
-            wal_append(
-                &mut s.durability,
-                &CoordRecord::Joined {
-                    worker: req.worker.clone(),
-                },
-            );
-        }
+        s.admit(&req.worker);
         sift_obs::gauge("sift_cluster_workers", &[])
-            .set(i64::try_from(s.workers.len()).unwrap_or(i64::MAX));
+            .set(i64::try_from(s.table.workers.len()).unwrap_or(i64::MAX));
         JoinReply {
-            accepted: !s.dead.contains(&req.worker),
+            accepted: !s.table.dead.contains(&req.worker),
             trace: self.trace_root.map(|c| c.to_header()),
-            shards: s.shards.len(),
+            shards: s.table.shards.len(),
             heartbeat_ms: u64::try_from(self.config.heartbeat_interval.as_millis())
                 .unwrap_or(u64::MAX),
         }
     }
 
+    fn lease(&self, req: &LeaseRequest) -> (LeaseReply, Option<u64>) {
+        self.lease_at(self.now_ms(), req)
+    }
+
     /// Grants a lease, or explains the wait. The second component is a
     /// `Retry-After` hint in seconds, set only when polling sooner cannot
     /// help: the requester is benched, or no shard is pending at all.
-    fn lease(&self, req: &LeaseRequest) -> (LeaseReply, Option<u64>) {
-        let now = self.now_ms();
+    fn lease_at(&self, now_ms: u64, req: &LeaseRequest) -> (LeaseReply, Option<u64>) {
         let mut s = self.inner.lock();
-        self.expire(&mut s, now);
+        self.expire(&mut s, now_ms);
         // Tolerate a lease before (or instead of) an explicit join.
-        if !s.workers.iter().any(|w| w == &req.worker) {
-            s.workers.push(req.worker.clone());
-            wal_append(
-                &mut s.durability,
-                &CoordRecord::Joined {
-                    worker: req.worker.clone(),
-                },
-            );
-        }
-        let finished = s
-            .shards
-            .iter()
-            .all(|sh| matches!(sh.status, ShardStatus::Done { .. } | ShardStatus::Failed));
-        if finished {
+        s.admit(&req.worker);
+        let shards = &s.table.shards;
+        if shards.iter().all(|sh| sh.done.is_some() || sh.failed) {
             return (LeaseReply::Done, None);
         }
         let wait = LeaseReply::Wait {
             poll_ms: self.config.poll_ms,
         };
-        if s.dead.contains(&req.worker) {
+        if s.table.dead.contains(&req.worker) {
             // Benched: a presumed-dead worker gets no new work; its old
             // epochs are already fenced off. Nothing will change for it
             // before the next death-detection window.
             return (wait, Some(self.retry_after_secs()));
         }
         let live: Vec<String> = s
+            .table
             .workers
             .iter()
-            .filter(|w| !s.dead.contains(*w))
+            .filter(|w| !s.table.dead.contains(*w))
             .cloned()
             .collect();
         let ring = HashRing::new(&live, self.config.vnodes);
-        let picked = s.shards.iter().position(|sh| {
-            matches!(sh.status, ShardStatus::Pending)
-                && ring.assign(sh.state.abbrev()) == Some(req.worker.as_str())
+        let picked = (0..shards.len()).find(|&i| {
+            s.is_pending(i) && ring.assign(shards[i].state.abbrev()) == Some(req.worker.as_str())
         });
         let Some(idx) = picked else {
-            let any_pending = s
-                .shards
-                .iter()
-                .any(|sh| matches!(sh.status, ShardStatus::Pending));
             // No pending shard anywhere → only a completion, expiry, or
             // release can create work; hint a long poll. Pending shards
             // owned by other workers → poll normally (reroutes can move
             // them here at any moment).
-            let hint = if any_pending {
-                None
-            } else {
-                Some(self.retry_after_secs())
-            };
+            let any_pending = (0..shards.len()).any(|i| s.is_pending(i));
+            let hint = (!any_pending).then(|| self.retry_after_secs());
             return (wait, hint);
         };
-        let epoch = s.next_epoch;
-        s.next_epoch += 1;
-        // WAL before acknowledgement: the epoch may reach the worker only
-        // once the grant is durable. On failure the shard stays pending
-        // (the epoch counter stays bumped — burning a number is safe,
-        // reusing one is not).
-        let rec = CoordRecord::Leased {
-            state: s.shards[idx].state,
-            worker: req.worker.clone(),
-            epoch,
+        let job = ShardJob {
+            state: shards[idx].state,
+            epoch: s.table.next_epoch,
         };
-        if !wal_append(&mut s.durability, &rec) {
+        // WAL before acknowledgement: the epoch may reach the worker only
+        // once the grant is durable.
+        let granted = s.commit(CoordRecord::Leased {
+            state: job.state,
+            worker: req.worker.clone(),
+            epoch: job.epoch,
+        });
+        if !granted {
+            // The shard stays pending, and the epoch is burned: the
+            // record may have reached the disk even though the append
+            // reported failure, and burning a number is safe where
+            // reusing one is not. The one durable-field write outside
+            // `CoordTable::apply`.
+            s.table.next_epoch = job.epoch.saturating_add(1);
             return (wait, None);
         }
-        let timeout = self.timeout_ms();
-        let shard = &mut s.shards[idx];
-        shard.grants = shard.grants.saturating_add(1);
-        shard.status = ShardStatus::Leased {
+        s.leases[idx] = Some(Lease {
             worker: req.worker.clone(),
-            epoch,
-            hb_deadline_ms: now.saturating_add(timeout),
-        };
-        let job = ShardJob {
-            state: shard.state,
-            epoch,
-        };
+            epoch: job.epoch,
+            hb_deadline_ms: now_ms.saturating_add(self.timeout_ms()),
+        });
         sift_obs::counter("sift_cluster_lease_total", &[]).inc();
-        maybe_checkpoint(&mut s);
         (LeaseReply::Job(job), None)
     }
 
     fn heartbeat(&self, req: &HeartbeatRequest) -> HeartbeatReply {
-        let now = self.now_ms();
+        self.heartbeat_at(self.now_ms(), req)
+    }
+
+    fn heartbeat_at(&self, now_ms: u64, req: &HeartbeatRequest) -> HeartbeatReply {
         let mut s = self.inner.lock();
-        self.expire(&mut s, now);
-        let timeout = self.timeout_ms();
-        let mut release: Option<(State, String)> = None;
-        let mut keep = false;
-        let CoordState {
-            shards, durability, ..
-        } = &mut *s;
-        if let Some(shard) = shards.iter_mut().find(|sh| sh.state == req.state) {
-            if let ShardStatus::Leased {
-                worker,
-                epoch,
-                hb_deadline_ms,
-            } = &mut shard.status
-            {
-                if *worker == req.worker && *epoch == req.epoch {
-                    if req.releasing {
-                        // Voluntary handback: reroute immediately, and —
-                        // unlike an expiry — without burning an attempt
-                        // or benching the worker. If the release cannot
-                        // be journaled the lease simply stands until its
-                        // heartbeat deadline expires it.
-                        let rec = CoordRecord::Released {
-                            state: shard.state,
-                            epoch: *epoch,
-                        };
-                        if wal_append(durability, &rec) {
-                            release = Some((shard.state, worker.clone()));
-                            shard.status = ShardStatus::Pending;
-                        }
-                    } else {
-                        *hb_deadline_ms = now.saturating_add(timeout);
-                        keep = true;
-                    }
-                }
-            }
-        }
+        self.expire(&mut s, now_ms);
         sift_obs::counter("sift_cluster_heartbeat_total", &[]).inc();
-        if let Some((state, worker)) = release {
-            s.rerouted += 1;
-            self.count_reroute(RerouteReason::WorkerLeft, state, &worker);
+        let Some(idx) = s.held_by(req.state, &req.worker, req.epoch) else {
+            return HeartbeatReply { keep: false };
+        };
+        if !req.releasing {
+            if let Some(lease) = s.leases[idx].as_mut() {
+                lease.hb_deadline_ms = now_ms.saturating_add(self.timeout_ms());
+            }
+            return HeartbeatReply { keep: true };
         }
-        HeartbeatReply { keep }
+        // Voluntary handback: reroute immediately, and — unlike an expiry
+        // — without burning an attempt or benching the worker. If the
+        // release cannot be journaled the lease simply stands until its
+        // heartbeat deadline expires it.
+        let released = s.commit(CoordRecord::Released {
+            state: req.state,
+            epoch: req.epoch,
+        });
+        if released {
+            s.leases[idx] = None;
+            self.count_reroute(RerouteReason::WorkerLeft, req.state, &req.worker);
+        }
+        HeartbeatReply { keep: false }
     }
 
     fn result(&self, up: ResultUpload) -> ResultReply {
-        let now = self.now_ms();
+        self.result_at(self.now_ms(), up)
+    }
+
+    fn result_at(&self, now_ms: u64, up: ResultUpload) -> ResultReply {
         let mut s = self.inner.lock();
-        self.expire(&mut s, now);
+        self.expire(&mut s, now_ms);
         let state = up.outcome.state;
         // Epoch fencing: only the current holder's upload counts. A
         // zombie that lost its lease (and whose shard was re-issued
         // under a newer epoch) is rejected here even if it finished.
-        let holder_ok = s.shards.iter().any(|sh| {
-            sh.state == state
-                && matches!(
-                    &sh.status,
-                    ShardStatus::Leased { worker, epoch, .. }
-                        if *worker == up.worker && *epoch == up.epoch
-                )
-        });
         let mut accepted = false;
-        if holder_ok {
-            let digest = outcome_digest(&up.outcome);
-            let outcome = Box::new(up.outcome);
+        if let Some(idx) = s.held_by(state, &up.worker, up.epoch) {
             // WAL before acknowledgement: the outcome (and its digest)
             // must be durable before the worker is told "accepted" and
             // stops heartbeating — otherwise a crash here would lose the
             // shard with nobody left responsible for it.
-            let rec = CoordRecord::Done {
+            accepted = s.commit(CoordRecord::Done {
                 state,
-                worker: up.worker.clone(),
+                worker: up.worker,
                 epoch: up.epoch,
-                digest,
-                outcome: outcome.clone(),
-            };
-            if wal_append(&mut s.durability, &rec) {
-                if let Some(shard) = s.shards.iter_mut().find(|sh| sh.state == state) {
-                    shard.status = ShardStatus::Done { outcome };
-                    accepted = true;
-                }
+                digest: outcome_digest(&up.outcome),
+                outcome: Box::new(up.outcome),
+            });
+            if accepted {
+                s.leases[idx] = None;
             }
         }
         sift_obs::counter(
@@ -671,43 +537,39 @@ impl Coordinator {
             &[("accepted", bool_label(accepted))],
         )
         .inc();
-        let done = s
-            .shards
-            .iter()
-            .filter(|sh| matches!(sh.status, ShardStatus::Done { .. }))
-            .count();
+        let done = s.table.shards.iter().filter(|sh| sh.done.is_some()).count();
         sift_obs::gauge("sift_cluster_shards_done", &[])
             .set(i64::try_from(done).unwrap_or(i64::MAX));
-        maybe_checkpoint(&mut s);
         ResultReply { accepted }
     }
 
     /// A progress snapshot (the `GET /cluster/status` payload).
     pub fn status(&self) -> StatusReply {
-        let now = self.now_ms();
+        self.status_at(self.now_ms())
+    }
+
+    fn status_at(&self, now_ms: u64) -> StatusReply {
         let mut s = self.inner.lock();
-        self.expire(&mut s, now);
+        self.expire(&mut s, now_ms);
+        let table = &s.table;
         let mut reply = StatusReply {
-            total: s.shards.len(),
-            rerouted: s.rerouted,
-            epoch: s.next_epoch,
-            recoveries: s.recoveries,
-            workers: s.workers.clone(),
-            dead: s.dead.iter().cloned().collect(),
+            total: table.shards.len(),
+            rerouted: table.rerouted,
+            epoch: table.next_epoch,
+            recoveries: table.recoveries,
+            workers: table.workers.clone(),
+            dead: table.dead.iter().cloned().collect(),
             ..StatusReply::default()
         };
-        for sh in &s.shards {
+        for (sh, lease) in table.shards.iter().zip(&s.leases) {
             reply.shard_attempts.push((sh.state, sh.grants));
-            match &sh.status {
-                ShardStatus::Done { .. } => {
-                    reply.done += 1;
-                    reply.done_states.push(sh.state);
-                }
-                ShardStatus::Failed => reply.failed += 1,
-                ShardStatus::Leased { worker, .. } => {
-                    reply.leases.push((worker.clone(), sh.state));
-                }
-                ShardStatus::Pending => {}
+            if sh.done.is_some() {
+                reply.done += 1;
+                reply.done_states.push(sh.state);
+            } else if sh.failed {
+                reply.failed += 1;
+            } else if let Some(lease) = lease {
+                reply.leases.push((lease.worker.clone(), sh.state));
             }
         }
         reply
@@ -719,55 +581,57 @@ impl Coordinator {
     /// expiry, so worker death is detected even with no surviving
     /// protocol traffic.
     pub fn wait_result(&self, timeout: Duration) -> Result<StudyResult, ClusterError> {
-        let deadline = Instant::now() + timeout;
+        let deadline_ms = self
+            .now_ms()
+            .saturating_add(u64::try_from(timeout.as_millis()).unwrap_or(u64::MAX));
         loop {
-            {
-                let now = self.now_ms();
-                let mut s = self.inner.lock();
-                self.expire(&mut s, now);
-                if let Some(sh) = s
-                    .shards
-                    .iter()
-                    .find(|sh| matches!(sh.status, ShardStatus::Failed))
-                {
-                    return Err(ClusterError::ShardFailed {
-                        state: sh.state,
-                        attempts: sh.attempts,
-                    });
-                }
-                let outcomes: Vec<RegionOutcome> = s
-                    .shards
-                    .iter()
-                    .filter_map(|sh| match &sh.status {
-                        ShardStatus::Done { outcome } => Some((**outcome).clone()),
-                        _ => None,
-                    })
-                    .collect();
-                if outcomes.len() == s.shards.len() {
-                    drop(s);
-                    let mut result = assemble_study(&self.params, outcomes, false);
-                    result.stats.telemetry = sift_obs::TelemetrySnapshot::since(&self.baseline);
-                    sift_obs::event(
-                        sift_obs::Level::Info,
-                        "cluster.coord",
-                        "sharded study assembled",
-                        &[(
-                            "frames_requested",
-                            serde_json::Value::UInt(result.stats.frames_requested),
-                        )],
-                    );
-                    return Ok(result);
-                }
-                let done = outcomes.len();
-                if Instant::now() >= deadline {
-                    return Err(ClusterError::Timeout {
-                        done,
-                        total: s.shards.len(),
-                    });
-                }
+            if let Some(outcomes) = self.poll_at(self.now_ms(), deadline_ms)? {
+                let mut result = assemble_study(&self.params, outcomes, false);
+                result.stats.telemetry = sift_obs::TelemetrySnapshot::since(&self.baseline);
+                sift_obs::event(
+                    sift_obs::Level::Info,
+                    "cluster.coord",
+                    "sharded study assembled",
+                    &[(
+                        "frames_requested",
+                        serde_json::Value::UInt(result.stats.frames_requested),
+                    )],
+                );
+                return Ok(result);
             }
             std::thread::sleep(Duration::from_millis(self.config.poll_ms.clamp(1, 100)));
         }
+    }
+
+    /// One turn of the wait loop: the accepted outcomes once every shard
+    /// has one (cloned out then, and only then), `None` while the run is
+    /// still going, an error once a shard failed or `deadline_ms` passed.
+    fn poll_at(
+        &self,
+        now_ms: u64,
+        deadline_ms: u64,
+    ) -> Result<Option<Vec<RegionOutcome>>, ClusterError> {
+        let mut s = self.inner.lock();
+        self.expire(&mut s, now_ms);
+        let shards = &s.table.shards;
+        if let Some(sh) = shards.iter().find(|sh| sh.failed) {
+            return Err(ClusterError::ShardFailed {
+                state: sh.state,
+                attempts: sh.attempts,
+            });
+        }
+        let done = shards.iter().filter(|sh| sh.done.is_some()).count();
+        if done == shards.len() {
+            let outcomes = shards.iter().filter_map(|sh| sh.done.as_ref());
+            return Ok(Some(outcomes.map(|(_, o)| (**o).clone()).collect()));
+        }
+        if now_ms >= deadline_ms {
+            return Err(ClusterError::Timeout {
+                done,
+                total: shards.len(),
+            });
+        }
+        Ok(None)
     }
 }
 
@@ -841,6 +705,7 @@ fn json_reply<T: serde::Serialize>(value: &T) -> Response {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sift_core::Timeline;
     use sift_journal::testutil::scratch_dir;
     use sift_simtime::{Hour, HourRange};
 
@@ -852,6 +717,9 @@ mod tests {
         }
     }
 
+    /// 25 ms beats × 2 misses: a lease granted or renewed at `t` stands
+    /// through `t + 50` and is expired by any call made after that. The
+    /// tests below pass `t` by hand; nothing here sleeps.
     fn config() -> ClusterConfig {
         ClusterConfig {
             heartbeat_interval: Duration::from_millis(25),
@@ -859,15 +727,61 @@ mod tests {
             poll_ms: 5,
             attempt_budget: 3,
             vnodes: 40,
-            checkpoint_every: 8,
         }
     }
 
-    fn lease(c: &Coordinator, worker: &str) -> LeaseReply {
-        c.lease(&LeaseRequest {
+    fn lease_at(c: &Coordinator, now_ms: u64, worker: &str) -> (LeaseReply, Option<u64>) {
+        c.lease_at(
+            now_ms,
+            &LeaseRequest {
+                worker: worker.into(),
+            },
+        )
+    }
+
+    fn job_at(c: &Coordinator, now_ms: u64, worker: &str) -> ShardJob {
+        match lease_at(c, now_ms, worker).0 {
+            LeaseReply::Job(job) => job,
+            other => panic!("expected a job for {worker} at {now_ms} ms, got {other:?}"),
+        }
+    }
+
+    fn beat_at(c: &Coordinator, now_ms: u64, worker: &str, job: ShardJob, releasing: bool) -> bool {
+        c.heartbeat_at(
+            now_ms,
+            &HeartbeatRequest {
+                worker: worker.into(),
+                state: job.state,
+                epoch: job.epoch,
+                releasing,
+            },
+        )
+        .keep
+    }
+
+    fn upload(worker: &str, job: ShardJob) -> ResultUpload {
+        ResultUpload {
             worker: worker.into(),
-        })
-        .0
+            epoch: job.epoch,
+            outcome: RegionOutcome {
+                state: job.state,
+                timeline: Timeline {
+                    state: job.state,
+                    start: Hour(0),
+                    values: vec![1.0, 2.0, 3.0],
+                },
+                rounds: 1,
+                converged: true,
+                frames_requested: 3,
+                frames_degraded: 0,
+                coverage: 1.0,
+                halted: false,
+                resumed_from_round: 0,
+                frames_replayed: 0,
+                rising_requested: 0,
+                spikes: Vec::new(),
+            },
+        }
     }
 
     #[test]
@@ -894,15 +808,9 @@ mod tests {
     #[test]
     fn leases_follow_the_ring_and_epochs_are_unique() {
         let c = Coordinator::new(params(vec![State::CA, State::TX, State::NY]), config());
-        let mut epochs = Vec::new();
         // One worker owns everything on a single-worker ring.
-        for _ in 0..3 {
-            match lease(&c, "w0") {
-                LeaseReply::Job(job) => epochs.push(job.epoch),
-                other => panic!("expected a job, got {other:?}"),
-            }
-        }
-        assert!(matches!(lease(&c, "w0"), LeaseReply::Wait { .. }));
+        let mut epochs: Vec<u64> = (0..3).map(|_| job_at(&c, 0, "w0").epoch).collect();
+        assert!(matches!(lease_at(&c, 0, "w0").0, LeaseReply::Wait { .. }));
         epochs.sort_unstable();
         epochs.dedup();
         assert_eq!(epochs.len(), 3, "every lease gets a fresh epoch");
@@ -918,119 +826,84 @@ mod tests {
             worker: "w1".into(),
         });
         // Whichever worker the ring prefers takes the shard.
-        let (holder, other, job) = match lease(&c, "w0") {
+        let (holder, other, job) = match lease_at(&c, 0, "w0").0 {
             LeaseReply::Job(job) => ("w0", "w1", job),
-            _ => match lease(&c, "w1") {
-                LeaseReply::Job(job) => ("w1", "w0", job),
-                reply => panic!("neither worker got the shard, got {reply:?}"),
-            },
+            _ => ("w1", "w0", job_at(&c, 0, "w1")),
         };
-        // Heartbeats renew the lease...
-        std::thread::sleep(Duration::from_millis(30));
-        assert!(
-            c.heartbeat(&HeartbeatRequest {
-                worker: holder.into(),
-                state: job.state,
-                epoch: job.epoch,
-                releasing: false,
-            })
-            .keep
-        );
+        // Heartbeats renew the lease: beaten at 30, it stands at 80 —
+        // past the original deadline of 50...
+        assert!(beat_at(&c, 30, holder, job, false));
+        assert_eq!(c.status_at(80).leases.len(), 1);
         // ...until the holder goes silent past the timeout.
-        std::thread::sleep(Duration::from_millis(80));
-        let status = c.status();
+        let status = c.status_at(81);
         assert_eq!(status.rerouted, 1, "{status:?}");
         assert_eq!(status.dead, vec![holder.to_string()]);
         // The survivor now owns the shard (ring excludes the dead).
-        let rejob = match lease(&c, other) {
-            LeaseReply::Job(job) => job,
-            other => panic!("expected reroute job, got {other:?}"),
-        };
+        let rejob = job_at(&c, 81, other);
         assert_eq!(rejob.state, job.state);
         assert!(rejob.epoch > job.epoch, "reroute issues a fresh epoch");
         // The dead worker is benched and its stale epoch fenced off.
-        assert!(matches!(lease(&c, holder), LeaseReply::Wait { .. }));
-        assert!(
-            !c.heartbeat(&HeartbeatRequest {
-                worker: holder.into(),
-                state: job.state,
-                epoch: job.epoch,
-                releasing: false,
-            })
-            .keep
-        );
+        assert!(matches!(
+            lease_at(&c, 81, holder).0,
+            LeaseReply::Wait { .. }
+        ));
+        assert!(!beat_at(&c, 81, holder, job, false));
+        assert!(!c.result_at(81, upload(holder, job)).accepted);
     }
 
     #[test]
     fn attempt_budget_fails_the_shard_eventually() {
         let mut cfg = config();
-        cfg.heartbeat_interval = Duration::from_millis(5);
         cfg.attempt_budget = 2;
         let c = Coordinator::new(params(vec![State::CA]), cfg);
-        for worker in ["w0", "w1", "w2"] {
-            if let LeaseReply::Job(_) = lease(&c, worker) {
-                std::thread::sleep(Duration::from_millis(25));
-            }
-        }
-        let err = c.wait_result(Duration::from_millis(200)).unwrap_err();
+        // Each holder goes silent; the next worker asks 51 ms later.
+        job_at(&c, 0, "w0");
+        job_at(&c, 51, "w1");
+        let (reply, _) = lease_at(&c, 102, "w2");
+        assert!(
+            matches!(reply, LeaseReply::Done),
+            "two expiries spend a budget of two; nothing is left to lease: {reply:?}"
+        );
+        let err = c.poll_at(102, u64::MAX).unwrap_err();
         assert!(
             matches!(
                 err,
                 ClusterError::ShardFailed {
                     state: State::CA,
-                    ..
+                    attempts: 2,
                 }
             ),
             "{err}"
         );
+        assert_eq!(c.status_at(102).failed, 1);
     }
 
     #[test]
     fn voluntary_release_reroutes_without_benching() {
         let c = Coordinator::new(params(vec![State::CA]), config());
-        let job = match lease(&c, "w0") {
-            LeaseReply::Job(job) => job,
-            other => panic!("expected a job, got {other:?}"),
-        };
-        let reply = c.heartbeat(&HeartbeatRequest {
-            worker: "w0".into(),
-            state: job.state,
-            epoch: job.epoch,
-            releasing: true,
-        });
-        assert!(!reply.keep);
-        let status = c.status();
+        let job = job_at(&c, 0, "w0");
+        assert!(!beat_at(&c, 0, "w0", job, true));
+        let status = c.status_at(0);
         assert_eq!(status.rerouted, 1);
         assert!(status.dead.is_empty(), "a graceful release is not a death");
         // The same worker may take the shard right back.
-        assert!(matches!(lease(&c, "w0"), LeaseReply::Job(_)));
+        job_at(&c, 0, "w0");
     }
 
     #[test]
     fn benched_worker_and_empty_table_get_a_retry_after_hint() {
         let c = Coordinator::new(params(vec![State::CA]), config());
-        let job = match lease(&c, "w0") {
-            LeaseReply::Job(job) => job,
-            other => panic!("expected a job, got {other:?}"),
-        };
+        job_at(&c, 0, "w0");
         // Another worker with nothing pending: long-poll hint.
-        let (reply, hint) = c.lease(&LeaseRequest {
-            worker: "w1".into(),
-        });
+        let (reply, hint) = lease_at(&c, 0, "w1");
         assert!(matches!(reply, LeaseReply::Wait { .. }));
         assert_eq!(hint, Some(1), "no pending shard anywhere");
         // Bench w0 by letting its lease expire.
-        std::thread::sleep(Duration::from_millis(80));
-        let (reply, hint) = c.lease(&LeaseRequest {
-            worker: "w0".into(),
-        });
+        let (reply, hint) = lease_at(&c, 51, "w0");
         assert!(matches!(reply, LeaseReply::Wait { .. }));
         assert_eq!(hint, Some(1), "benched workers are told to back off");
-        let _ = job;
         // The survivor's re-lease carries no hint: it got a job.
-        let (reply, hint) = c.lease(&LeaseRequest {
-            worker: "w1".into(),
-        });
+        let (reply, hint) = lease_at(&c, 51, "w1");
         assert!(matches!(reply, LeaseReply::Job(_)));
         assert_eq!(hint, None);
     }
@@ -1038,9 +911,9 @@ mod tests {
     #[test]
     fn status_reports_epoch_recoveries_and_per_shard_grants() {
         let c = Coordinator::new(params(vec![State::CA, State::TX]), config());
-        let _ = lease(&c, "w0");
-        let _ = lease(&c, "w0");
-        let status = c.status();
+        job_at(&c, 0, "w0");
+        job_at(&c, 0, "w0");
+        let status = c.status_at(0);
         assert_eq!(status.epoch, 2, "two grants consumed two epochs");
         assert_eq!(status.recoveries, 0);
         assert_eq!(
@@ -1052,25 +925,40 @@ mod tests {
     }
 
     #[test]
+    fn poll_yields_outcomes_once_complete_and_a_count_on_timeout() {
+        let c = Coordinator::new(params(vec![State::CA, State::TX]), config());
+        for _ in 0..2 {
+            assert!(matches!(c.poll_at(0, u64::MAX), Ok(None)));
+            let job = job_at(&c, 0, "w0");
+            assert!(c.result_at(0, upload("w0", job)).accepted);
+        }
+        let outcomes = c.poll_at(0, u64::MAX).expect("no failure").expect("done");
+        let states: Vec<State> = outcomes.iter().map(|o| o.state).collect();
+        assert_eq!(states, [State::CA, State::TX], "shard order");
+        // An incomplete run past its deadline reports how far it got.
+        let c = Coordinator::new(params(vec![State::CA, State::TX]), config());
+        let job = job_at(&c, 0, "w0");
+        assert!(c.result_at(0, upload("w0", job)).accepted);
+        let err = c.poll_at(10, 10).unwrap_err();
+        assert!(
+            matches!(err, ClusterError::Timeout { done: 1, total: 2 }),
+            "{err}"
+        );
+    }
+
+    #[test]
     fn durable_coordinator_recovers_epochs_and_benchings_across_a_crash() {
         let dir = scratch_dir("coord_durable_crash");
         let p = params(vec![State::CA, State::TX]);
         let first_epochs: Vec<u64> = {
             let (c, rec) = Coordinator::durable(p.clone(), config(), &dir).expect("fresh durable");
             assert!(!rec.had_state);
-            let mut epochs = Vec::new();
-            for _ in 0..2 {
-                if let LeaseReply::Job(job) = lease(&c, "w0") {
-                    epochs.push(job.epoch);
-                }
-            }
-            assert_eq!(epochs.len(), 2);
-            epochs
+            (0..2).map(|_| job_at(&c, 0, "w0").epoch).collect()
             // `c` dropped here with leases in flight — the crash.
         };
         let (c, rec) = Coordinator::durable(p, config(), &dir).expect("recovered durable");
         assert!(rec.had_state);
-        let status = c.status();
+        let status = c.status_at(0);
         assert_eq!(status.recoveries, 1);
         assert!(
             status.epoch > *first_epochs.iter().max().expect("epochs"),
@@ -1079,20 +967,88 @@ mod tests {
         assert!(status.leases.is_empty(), "leases do not survive a restart");
         assert_eq!(status.done, 0);
         // Old-incarnation epochs are fenced: a zombie heartbeat is refused.
-        assert!(
-            !c.heartbeat(&HeartbeatRequest {
-                worker: "w0".into(),
-                state: State::CA,
-                epoch: first_epochs[0],
-                releasing: false,
-            })
-            .keep
-        );
+        let zombie = ShardJob {
+            state: State::CA,
+            epoch: first_epochs[0],
+        };
+        assert!(!beat_at(&c, 0, "w0", zombie, false));
         // And fresh grants are strictly newer.
-        if let LeaseReply::Job(job) = lease(&c, "w0") {
-            assert!(job.epoch > first_epochs[1]);
-        } else {
-            panic!("recovered coordinator must lease pending shards");
+        assert!(job_at(&c, 0, "w0").epoch > first_epochs[1]);
+    }
+
+    #[test]
+    fn each_restart_is_one_durable_recovery_and_one_epoch_bump() {
+        let dir = scratch_dir("coord_restarts");
+        let p = params(vec![State::CA]);
+        for k in 0..4u64 {
+            let (c, rec) = Coordinator::durable(p.clone(), config(), &dir).expect("durable");
+            assert_eq!(rec.had_state, k > 0);
+            let status = c.status_at(0);
+            assert_eq!(status.recoveries, k, "restart {k}");
+            assert_eq!(
+                status.epoch, k,
+                "with no grants the fence still moves once a restart"
+            );
         }
+    }
+
+    /// The acknowledgement rule, record by record, on a WAL that refuses
+    /// every append: `Leased`, `Released` and `Done` take effect only once
+    /// durable and the reply is withheld otherwise; `Joined` and `Expired`
+    /// acknowledge nothing and apply in memory regardless.
+    #[test]
+    fn acknowledgements_wait_for_the_wal_and_the_rest_apply_anyway() {
+        let dir = scratch_dir("coord_wal_refuses");
+        let p = params(vec![State::CA, State::TX]);
+        let (c, _) = Coordinator::durable(p.clone(), config(), &dir).expect("durable");
+        let fail_appends = |on: bool| {
+            let mut s = c.inner.lock();
+            s.durability.as_mut().expect("durable").fail_appends = on;
+        };
+        let ca = job_at(&c, 0, "w0");
+        assert_eq!(ca.epoch, 0);
+
+        fail_appends(true);
+        // Leased: no job, no grant counted — and the epoch is burned.
+        let (reply, hint) = lease_at(&c, 0, "w0");
+        assert!(matches!(reply, LeaseReply::Wait { .. }), "{reply:?}");
+        assert_eq!(hint, None, "TX is still pending");
+        // Released: the lease stands (the worker is told to stop either way).
+        assert!(!beat_at(&c, 0, "w0", ca, true));
+        // Done: not accepted, the shard is not done, the lease stands.
+        assert!(!c.result_at(0, upload("w0", ca)).accepted);
+        // Joined: membership applies although the record was lost.
+        c.join(&JoinRequest {
+            worker: "w9".into(),
+        });
+        let status = c.status_at(0);
+        assert_eq!(status.leases, vec![("w0".to_string(), State::CA)]);
+        assert_eq!(status.shard_attempts, vec![(State::CA, 1), (State::TX, 0)]);
+        assert_eq!((status.done, status.rerouted), (0, 0));
+        assert_eq!(status.epoch, 2, "epoch 1 was burned by the refused grant");
+        assert_eq!(status.workers, ["w0", "w9"]);
+        // Expired: the holder is benched and the shard rerouted in memory.
+        let status = c.status_at(51);
+        assert_eq!(status.dead, ["w0"]);
+        assert_eq!(status.rerouted, 1);
+        assert!(status.leases.is_empty());
+
+        fail_appends(false);
+        let again = job_at(&c, 51, "w9");
+        assert_eq!(
+            (again.state, again.epoch),
+            (State::CA, 2),
+            "the rerouted shard, under an epoch above the burned one"
+        );
+        assert!(c.result_at(51, upload("w9", again)).accepted);
+        drop(c);
+        // The WAL holds exactly what was acknowledged.
+        let (c, _) = Coordinator::durable(p, config(), &dir).expect("recovered");
+        let status = c.status_at(0);
+        assert_eq!(status.done_states, [State::CA]);
+        assert_eq!(status.shard_attempts, vec![(State::CA, 2), (State::TX, 0)]);
+        assert_eq!(status.workers, ["w0", "w9"], "w9 re-learned from its lease");
+        assert!(status.dead.is_empty(), "the lost expiry was never durable");
+        assert_eq!(status.rerouted, 0);
     }
 }

@@ -13,8 +13,8 @@
 //!   with trace context riding the existing `X-Sift-Trace` header,
 //! * [`coord`] — the [`Coordinator`]: shard table, lease epochs,
 //!   heartbeat-based death detection, bounded reroutes,
-//! * [`recovery`] — the coordinator's WAL + checkpoint state machine
-//!   over `sift-journal`: control state is durable before it is
+//! * [`recovery`] — the coordinator's durable table as a fold over its
+//!   `sift-journal` WAL: control state is durable before it is
 //!   acknowledged, so a killed coordinator replays, re-fences, resumes,
 //! * [`worker`] — the worker thread: lease → crawl via
 //!   [`sift_core::run_region_study`] → upload, with optional per-worker
@@ -48,7 +48,7 @@ pub use proto::{
     ResultReply, ResultUpload, ShardJob, StatusReply,
 };
 pub use recovery::{
-    outcome_digest, CoordCheckpoint, CoordDurability, CoordRecord, CoordRecovery, ShardSnapshot,
+    outcome_digest, CoordDurability, CoordRecord, CoordRecovery, CoordTable, Shard,
 };
 pub use ring::HashRing;
 pub use worker::{spawn_worker, WorkerConfig, WorkerHandle, WorkerSummary};

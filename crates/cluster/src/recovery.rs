@@ -1,32 +1,54 @@
-//! Crash recovery for the coordinator: WAL records, checkpoints, replay.
+//! Crash recovery for the coordinator: WAL records and the one fold over them.
 //!
-//! The coordinator's control state — shard table, lease grants and
-//! epochs, worker membership, accepted-result digests — is journaled
-//! through `sift-journal` *before* any acknowledgement leaves the
-//! process, and periodically compacted into an atomic checkpoint. A
-//! killed coordinator therefore restarts by loading the checkpoint,
-//! replaying the WAL tail, reverting any lease that was live at the
-//! crash to pending, and resuming with a fencing epoch strictly above
-//! every epoch it ever granted.
+//! The coordinator's durable state — shard table, granted epochs, worker
+//! membership, accepted outcomes and their digests — *is* the fold of its
+//! WAL through [`CoordTable::apply`]. A live handler decides, appends the
+//! record through `sift-journal` (fsynced, *before* any acknowledgement
+//! leaves the process) and applies it; a restart applies the same records
+//! in the same order from [`CoordTable::initial`]. There is one
+//! transition function, so the recovered table cannot drift from the live
+//! one, and nothing to compact: a run's WAL is bounded by shards ×
+//! attempt budget records.
+//!
+//! Leases are not in the table. A lease is a promise about a live
+//! worker's heartbeat stream, which does not survive the coordinator
+//! process: a restart finds every in-flight shard pending again, and the
+//! epoch fence invalidates the old grants.
 //!
 //! The key ordering argument: a lease epoch reaches a worker only after
 //! its [`CoordRecord::Leased`] record is durably appended (WAL before
 //! acknowledgement), so a torn tail can only ever cut records whose
 //! replies were never sent. Replay consequently observes every epoch any
 //! worker observed, and `max(replayed epochs) + 1` is a safe restart
-//! fence — the explicit recovery bump on top is defence in depth.
+//! fence — the [`CoordRecord::Recovered`] bump on top is defence in depth.
 
 use serde::{Deserialize, Serialize};
 use sift_core::RegionOutcome;
 use sift_geo::State;
-use sift_journal::{read_checkpoint, write_checkpoint, Journal};
+use sift_journal::Journal;
+use std::collections::BTreeSet;
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 /// One durably-logged coordinator state transition. Appended (and
 /// fsynced) before the protocol reply that acknowledges it.
 #[derive(Clone, Debug, Serialize, Deserialize)]
 pub enum CoordRecord {
+    /// The first record of every WAL: the run it belongs to. Every later
+    /// record names a region, which means something only under this list.
+    Run {
+        /// The study's regions, in shard order.
+        regions: Vec<State>,
+    },
+    /// A coordinator restarted over this WAL. Appended before the new
+    /// incarnation acknowledges anything, so the fence bump and the
+    /// recovery count are themselves durable.
+    Recovered {
+        /// The new incarnation's fence: one past everything replayed, so
+        /// the restart is observable in audits even when no grant raced
+        /// the crash.
+        next_epoch: u64,
+    },
     /// A worker joined the run (membership feeds the consistent-hash
     /// ring, so it must survive restart).
     Joined {
@@ -79,9 +101,9 @@ pub enum CoordRecord {
     },
 }
 
-/// The durable projection of one shard.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct ShardSnapshot {
+/// The durable state of one shard.
+#[derive(Clone, Debug)]
+pub struct Shard {
     /// The region.
     pub state: State,
     /// Expiry-burned attempts (the budget the run fails on).
@@ -95,15 +117,11 @@ pub struct ShardSnapshot {
     pub failed: bool,
 }
 
-/// The coordinator's recoverable control state: the checkpoint payload,
-/// and equally the in-memory target WAL replay folds into.
-///
-/// Leases are deliberately *absent*: a lease is a promise about a live
-/// worker's heartbeat stream, which does not survive the coordinator
-/// process. On recovery every leased shard is pending again and the
-/// epoch fence invalidates the old grants.
-#[derive(Clone, Debug, Serialize, Deserialize)]
-pub struct CoordCheckpoint {
+/// The coordinator's durable control state: what the live coordinator
+/// holds and what a restart folds the WAL back into. Written only by
+/// [`CoordTable::apply`].
+#[derive(Clone, Debug)]
+pub struct CoordTable {
     /// The next epoch to grant (strictly above every granted epoch).
     pub next_epoch: u64,
     /// Completed coordinator recoveries for this run.
@@ -113,23 +131,23 @@ pub struct CoordCheckpoint {
     /// Worker membership, in join order.
     pub workers: Vec<String>,
     /// Benched (presumed dead) workers.
-    pub dead: Vec<String>,
+    pub dead: BTreeSet<String>,
     /// Per-shard durable state, in study-region order.
-    pub shards: Vec<ShardSnapshot>,
+    pub shards: Vec<Shard>,
 }
 
-impl CoordCheckpoint {
+impl CoordTable {
     /// The pristine state for a fresh run over `regions`.
-    pub fn initial(regions: &[State]) -> CoordCheckpoint {
-        CoordCheckpoint {
+    pub fn initial(regions: &[State]) -> CoordTable {
+        CoordTable {
             next_epoch: 0,
             recoveries: 0,
             rerouted: 0,
             workers: Vec::new(),
-            dead: Vec::new(),
+            dead: BTreeSet::new(),
             shards: regions
                 .iter()
-                .map(|&state| ShardSnapshot {
+                .map(|&state| Shard {
                     state,
                     attempts: 0,
                     grants: 0,
@@ -140,32 +158,33 @@ impl CoordCheckpoint {
         }
     }
 
-    /// Folds one WAL record into the state, mirroring the coordinator's
-    /// live mutations. Unknown regions are ignored (a record can never
-    /// reference one unless the study parameters changed under the
-    /// journal, which [`CoordDurability::open`] rejects up front).
+    /// The one transition function: live handlers and WAL replay both
+    /// change the table through here and nowhere else. Unknown regions
+    /// are ignored (a record can never reference one unless the study
+    /// parameters changed under the journal, which
+    /// [`CoordDurability::open`] rejects up front).
     pub fn apply(&mut self, rec: CoordRecord) {
         match rec {
-            CoordRecord::Joined { worker } => {
-                if !self.workers.iter().any(|w| w == &worker) {
-                    self.workers.push(worker);
-                }
+            // Identity: `open` checks it; it carries no transition.
+            CoordRecord::Run { .. } => {}
+            CoordRecord::Recovered { next_epoch } => {
+                self.next_epoch = self.next_epoch.max(next_epoch);
+                self.recoveries = self.recoveries.saturating_add(1);
             }
+            CoordRecord::Joined { worker } => self.admit(worker),
             CoordRecord::Leased {
                 state,
                 worker,
                 epoch,
             } => {
-                self.next_epoch = self.next_epoch.max(epoch.saturating_add(1));
-                if !self.workers.iter().any(|w| w == &worker) {
-                    self.workers.push(worker);
-                }
-                if let Some(sh) = self.shards.iter_mut().find(|sh| sh.state == state) {
+                self.fence_past(epoch);
+                self.admit(worker);
+                if let Some(sh) = self.shard_mut(state) {
                     sh.grants = sh.grants.saturating_add(1);
                 }
             }
             CoordRecord::Released { state: _, epoch } => {
-                self.next_epoch = self.next_epoch.max(epoch.saturating_add(1));
+                self.fence_past(epoch);
                 self.rerouted = self.rerouted.saturating_add(1);
             }
             CoordRecord::Expired {
@@ -174,11 +193,9 @@ impl CoordCheckpoint {
                 epoch,
                 failed,
             } => {
-                self.next_epoch = self.next_epoch.max(epoch.saturating_add(1));
-                if !self.dead.iter().any(|w| w == &worker) {
-                    self.dead.push(worker);
-                }
-                if let Some(sh) = self.shards.iter_mut().find(|sh| sh.state == state) {
+                self.fence_past(epoch);
+                self.dead.insert(worker);
+                if let Some(sh) = self.shard_mut(state) {
                     sh.attempts = sh.attempts.saturating_add(1);
                     sh.failed = failed;
                     if !failed {
@@ -193,127 +210,114 @@ impl CoordCheckpoint {
                 outcome,
                 ..
             } => {
-                self.next_epoch = self.next_epoch.max(epoch.saturating_add(1));
-                if let Some(sh) = self.shards.iter_mut().find(|sh| sh.state == state) {
+                self.fence_past(epoch);
+                if let Some(sh) = self.shard_mut(state) {
                     sh.done = Some((digest, outcome));
                     sh.failed = false;
                 }
             }
         }
     }
+
+    fn fence_past(&mut self, epoch: u64) {
+        self.next_epoch = self.next_epoch.max(epoch.saturating_add(1));
+    }
+
+    fn admit(&mut self, worker: String) {
+        if !self.workers.contains(&worker) {
+            self.workers.push(worker);
+        }
+    }
+
+    fn shard_mut(&mut self, state: State) -> Option<&mut Shard> {
+        self.shards.iter_mut().find(|sh| sh.state == state)
+    }
 }
 
 /// What [`CoordDurability::open`] found on disk.
 #[derive(Clone, Debug, Default)]
 pub struct CoordRecovery {
-    /// Whether any prior state existed (checkpoint or WAL records): the
-    /// condition under which the restart counts as a recovery and the
-    /// fencing epoch is bumped.
+    /// Whether a prior incarnation's WAL was found: the condition under
+    /// which the restart counts as a recovery and the fencing epoch is
+    /// bumped.
     pub had_state: bool,
-    /// Whether an intact checkpoint was loaded.
-    pub checkpoint_loaded: bool,
-    /// WAL records replayed on top of the checkpoint.
+    /// WAL records read back (the run's identity record included).
     pub records_replayed: usize,
     /// Whether the WAL ended in a torn record that was truncated.
     pub torn_tail: bool,
 }
 
-/// The coordinator's durability driver: one WAL plus one checkpoint file
-/// under a run directory. Always mutated under the coordinator's state
-/// lock, so the journal order equals the state mutation order.
+/// The coordinator's durability driver: one WAL under a run directory.
+/// Always mutated under the coordinator's state lock, so the journal
+/// order equals the state mutation order.
 pub struct CoordDurability {
     journal: Journal,
-    ckpt_path: PathBuf,
-    checkpoint_every: u64,
-    since_checkpoint: u64,
+    /// Test seam: every append fails the way a full disk would.
+    #[cfg(test)]
+    pub(crate) fail_appends: bool,
 }
 
 impl CoordDurability {
-    /// Opens (creating if needed) the durable state under `dir` and
-    /// recovers: checkpoint first, then the WAL tail folded on top.
-    /// `regions` must match the study parameters; a journal written for a
-    /// different region set is rejected rather than silently misapplied.
+    /// Opens (creating if needed) the WAL under `dir` and folds it from
+    /// [`CoordTable::initial`]. A fresh WAL is first named after the run
+    /// (`regions`); one whose first record names a different region list
+    /// is rejected as `InvalidData` rather than silently misapplied.
     pub fn open(
         dir: &Path,
         regions: &[State],
-        checkpoint_every: u64,
-    ) -> io::Result<(CoordDurability, CoordCheckpoint, CoordRecovery)> {
+    ) -> io::Result<(CoordDurability, CoordTable, CoordRecovery)> {
         std::fs::create_dir_all(dir)?;
-        let ckpt_path = dir.join("coord.ckpt");
         let (mut journal, wal) = Journal::open(&dir.join("coord.wal"))?;
         // Control records are acknowledgements-in-waiting: every append
         // must be durable before the reply goes out, so fsync per record.
         journal.set_sync_every(1);
-
-        let mut recovery = CoordRecovery {
-            torn_tail: wal.torn_tail,
-            records_replayed: wal.records.len(),
-            ..CoordRecovery::default()
+        let mut durability = CoordDurability {
+            journal,
+            #[cfg(test)]
+            fail_appends: false,
         };
-        let mut snap = match read_checkpoint(&ckpt_path)? {
-            Some(payload) => {
-                recovery.checkpoint_loaded = true;
-                serde_json::from_slice::<CoordCheckpoint>(&payload)
-                    .map_err(|e| invalid(format!("corrupt coordinator checkpoint: {e}")))?
+
+        let run = CoordRecord::Run {
+            regions: regions.to_vec(),
+        };
+        let mut records = wal.records.iter();
+        match records.next() {
+            // A fresh WAL (or one torn inside its first record).
+            None => durability.append(&run)?,
+            Some(first) if *first == encode(&run)? => {}
+            Some(_) => {
+                return Err(invalid(format!(
+                    "{} is the WAL of another run (its region list differs)",
+                    durability.journal.path().display()
+                )));
             }
-            None => CoordCheckpoint::initial(regions),
-        };
-        recovery.had_state = recovery.checkpoint_loaded || !wal.records.is_empty() || wal.torn_tail;
-
-        let want: Vec<State> = regions.to_vec();
-        let have: Vec<State> = snap.shards.iter().map(|sh| sh.state).collect();
-        if want != have {
-            return Err(invalid(
-                "coordinator journal does not match the study parameters' region set".to_owned(),
-            ));
         }
-        for bytes in &wal.records {
+        let mut table = CoordTable::initial(regions);
+        for bytes in records {
             let rec = serde_json::from_slice::<CoordRecord>(bytes)
                 .map_err(|e| invalid(format!("corrupt coordinator WAL record: {e}")))?;
-            snap.apply(rec);
+            table.apply(rec);
         }
-
-        Ok((
-            CoordDurability {
-                journal,
-                ckpt_path,
-                checkpoint_every: checkpoint_every.max(1),
-                since_checkpoint: 0,
-            },
-            snap,
-            recovery,
-        ))
+        let recovery = CoordRecovery {
+            had_state: !wal.records.is_empty(),
+            records_replayed: wal.records.len(),
+            torn_tail: wal.torn_tail,
+        };
+        Ok((durability, table, recovery))
     }
 
     /// Durably appends one record: on the OS *and* fsynced before return.
     pub fn append(&mut self, rec: &CoordRecord) -> io::Result<()> {
-        let payload = serde_json::to_vec(rec)
-            .map_err(|e| invalid(format!("unencodable coordinator record: {e}")))?;
-        self.journal.append(&payload)?;
-        self.since_checkpoint = self.since_checkpoint.saturating_add(1);
-        Ok(())
+        #[cfg(test)]
+        if self.fail_appends {
+            return Err(io::Error::other("injected append failure"));
+        }
+        self.journal.append(&encode(rec)?)
     }
+}
 
-    /// Whether enough records accumulated to warrant compaction.
-    pub fn should_checkpoint(&self) -> bool {
-        self.since_checkpoint >= self.checkpoint_every
-    }
-
-    /// Atomically installs `snap` as the checkpoint and empties the WAL
-    /// it subsumes. Crash-ordering: the checkpoint is durable (temp +
-    /// fsync + rename) before the journal is truncated, so a crash
-    /// between the two replays WAL records the checkpoint already
-    /// contains — [`CoordCheckpoint::apply`] is tolerant of that
-    /// (grants/attempts saturate; `done` overwrites with equal bytes).
-    pub fn install_checkpoint(&mut self, snap: &CoordCheckpoint) -> io::Result<()> {
-        let payload = serde_json::to_vec(snap)
-            .map_err(|e| invalid(format!("unencodable coordinator checkpoint: {e}")))?;
-        write_checkpoint(&self.ckpt_path, &payload, None)?;
-        self.journal.truncate_all()?;
-        self.since_checkpoint = 0;
-        sift_obs::counter("sift_cluster_coord_checkpoints_total", &[]).inc();
-        Ok(())
-    }
+fn encode(rec: &CoordRecord) -> io::Result<Vec<u8>> {
+    serde_json::to_vec(rec).map_err(|e| invalid(format!("unencodable coordinator record: {e}")))
 }
 
 /// FNV-1a over the serialized outcome: the digest WAL'd (and auditable)
@@ -341,18 +345,21 @@ mod tests {
         vec![State::CA, State::TX]
     }
 
-    fn open(dir: &Path) -> (CoordDurability, CoordCheckpoint, CoordRecovery) {
-        CoordDurability::open(dir, &regions(), 100).expect("open durability")
+    fn open(dir: &Path) -> (CoordDurability, CoordTable, CoordRecovery) {
+        CoordDurability::open(dir, &regions()).expect("open durability")
     }
 
     #[test]
     fn fresh_dir_recovers_to_initial_state() {
         let dir = scratch_dir("recovery_fresh");
-        let (_d, snap, rec) = open(&dir);
+        let (_d, table, rec) = open(&dir);
         assert!(!rec.had_state);
-        assert_eq!(snap.next_epoch, 0);
-        assert_eq!(snap.shards.len(), 2);
-        assert!(snap.shards.iter().all(|sh| sh.done.is_none() && !sh.failed));
+        assert_eq!(table.next_epoch, 0);
+        assert_eq!(table.shards.len(), 2);
+        assert!(table
+            .shards
+            .iter()
+            .all(|sh| sh.done.is_none() && !sh.failed));
     }
 
     #[test]
@@ -360,81 +367,60 @@ mod tests {
         let dir = scratch_dir("recovery_replay");
         {
             let (mut d, _, _) = open(&dir);
-            d.append(&CoordRecord::Joined {
-                worker: "w0".into(),
-            })
-            .expect("wal");
-            d.append(&CoordRecord::Leased {
-                state: State::CA,
-                worker: "w0".into(),
-                epoch: 0,
-            })
-            .expect("wal");
-            d.append(&CoordRecord::Expired {
-                state: State::CA,
-                worker: "w0".into(),
-                epoch: 0,
-                failed: false,
-            })
-            .expect("wal");
-            d.append(&CoordRecord::Leased {
-                state: State::CA,
-                worker: "w1".into(),
-                epoch: 1,
-            })
-            .expect("wal");
+            for rec in [
+                CoordRecord::Joined {
+                    worker: "w0".into(),
+                },
+                CoordRecord::Leased {
+                    state: State::CA,
+                    worker: "w0".into(),
+                    epoch: 0,
+                },
+                CoordRecord::Expired {
+                    state: State::CA,
+                    worker: "w0".into(),
+                    epoch: 0,
+                    failed: false,
+                },
+                CoordRecord::Leased {
+                    state: State::CA,
+                    worker: "w1".into(),
+                    epoch: 1,
+                },
+                CoordRecord::Released {
+                    state: State::CA,
+                    epoch: 1,
+                },
+                CoordRecord::Recovered { next_epoch: 3 },
+            ] {
+                d.append(&rec).expect("wal");
+            }
         }
-        let (_d, snap, rec) = open(&dir);
+        let (_d, table, rec) = open(&dir);
         assert!(rec.had_state);
-        assert_eq!(rec.records_replayed, 4);
-        assert_eq!(snap.next_epoch, 2, "fence sits above every granted epoch");
-        assert_eq!(snap.workers, vec!["w0".to_string(), "w1".to_string()]);
-        assert_eq!(snap.dead, vec!["w0".to_string()]);
-        let ca = &snap.shards[0];
+        assert_eq!(rec.records_replayed, 7, "the identity record and six more");
+        assert_eq!(table.next_epoch, 3, "the recovery bump clears every grant");
+        assert_eq!(table.recoveries, 1);
+        assert_eq!(table.workers, ["w0", "w1"]);
+        assert_eq!(table.dead.iter().collect::<Vec<_>>(), ["w0"]);
+        let ca = &table.shards[0];
         assert_eq!((ca.attempts, ca.grants), (1, 2));
-        assert_eq!(snap.rerouted, 1);
-    }
-
-    #[test]
-    fn checkpoint_compacts_and_composes_with_the_wal_tail() {
-        let dir = scratch_dir("recovery_compact");
-        {
-            let (mut d, mut snap, _) = open(&dir);
-            let rec = CoordRecord::Leased {
-                state: State::CA,
-                worker: "w0".into(),
-                epoch: 7,
-            };
-            d.append(&rec).expect("wal");
-            snap.apply(rec);
-            d.install_checkpoint(&snap).expect("checkpoint");
-            // Post-checkpoint tail.
-            d.append(&CoordRecord::Released {
-                state: State::CA,
-                epoch: 7,
-            })
-            .expect("wal");
-        }
-        let (_d, snap, rec) = open(&dir);
-        assert!(rec.checkpoint_loaded);
-        assert_eq!(rec.records_replayed, 1, "checkpoint subsumed the prefix");
-        assert_eq!(snap.next_epoch, 8);
-        assert_eq!(snap.shards[0].grants, 1);
-        assert_eq!(snap.rerouted, 1);
+        assert_eq!(table.rerouted, 2, "one expiry, one release");
     }
 
     #[test]
     fn mismatched_region_set_is_rejected() {
         let dir = scratch_dir("recovery_mismatch");
-        {
-            let (mut d, snap, _) = open(&dir);
-            d.install_checkpoint(&snap).expect("checkpoint");
-        }
-        let err = match CoordDurability::open(&dir, &[State::NY], 100) {
-            Ok(_) => panic!("a mismatched region set must be rejected"),
+        drop(open(&dir));
+        let err = match CoordDurability::open(&dir, &[State::NY]) {
+            Ok(_) => panic!("a foreign region list must be refused by the first record"),
             Err(e) => e,
         };
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        // Order is part of the identity: shard indices follow it.
+        let err = CoordDurability::open(&dir, &[State::TX, State::CA]).err();
+        assert_eq!(err.map(|e| e.kind()), Some(io::ErrorKind::InvalidData));
+        assert!(open(&dir).2.had_state, "the run's own list still opens");
     }
 
     #[test]
@@ -452,9 +438,9 @@ mod tests {
         let mut bytes = std::fs::read(&wal).expect("read wal");
         bytes.extend_from_slice(&[0xde, 0xad, 0xbe]);
         std::fs::write(&wal, &bytes).expect("stage torn tail");
-        let (_d, snap, rec) = open(&dir);
+        let (_d, table, rec) = open(&dir);
         assert!(rec.torn_tail);
-        assert_eq!(rec.records_replayed, 1);
-        assert_eq!(snap.workers, vec!["w0".to_string()]);
+        assert_eq!(rec.records_replayed, 2);
+        assert_eq!(table.workers, ["w0"]);
     }
 }

@@ -198,7 +198,6 @@ fn main() {
         poll_ms: 10,
         attempt_budget: 10,
         vnodes: 40,
-        checkpoint_every: 8,
     };
     let worker_config = WorkerConfig {
         coord_down_grace: Some(Duration::from_secs(20)),

@@ -6,6 +6,57 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Flake budget, not part of the default gate: `check.sh --soak N` runs the
+# control-plane suites (every sift-cluster test, plus the root cluster_http
+# and nemesis_http acceptance tests) N times at --test-threads 1 and N
+# times at the default, with one CPU hog per core — the condition both
+# flakes found so far needed. It counts: tests passed and failed, runs
+# that died without a verdict, and the slowest single test (timed between
+# result lines, so only in the one-thread runs, where tests do not
+# overlap). Any failure exits non-zero.
+soak() {
+  local n=$1 threads suite line now ms
+  local passed=0 failed=0 dead_runs=0 slowest_ms=0 slowest=none hogs=()
+  cargo test -q --offline -p sift-cluster --no-run
+  cargo test -q --offline --test cluster_http --test nemesis_http --no-run
+  for _ in $(seq "$(nproc)"); do
+    yes > /dev/null &
+    hogs+=($!)
+  done
+  trap "kill ${hogs[*]} 2> /dev/null" EXIT # expanded now: hogs is local
+  shopt -s lastpipe # the read loop below runs in this shell and keeps its counts
+  for threads in --test-threads=1 ""; do
+    for _ in $(seq "$n"); do
+      for suite in "-p sift-cluster" "--test cluster_http --test nemesis_http"; do
+        # shellcheck disable=SC2086 # $suite and $threads are argument lists
+        cargo test --offline $suite -- $threads 2>&1 | while IFS= read -r line; do
+          now=${EPOCHREALTIME/./}
+          if [[ $line =~ ^test\ (.+)\ \.\.\.\ (ok|FAILED)$ ]]; then
+            if [[ ${BASH_REMATCH[2]} == ok ]]; then
+              passed=$((passed + 1))
+            else
+              failed=$((failed + 1))
+              echo "FAILED (${threads:-default threads}): ${BASH_REMATCH[1]}"
+            fi
+            ms=$(((now - started) / 1000))
+            if [[ -n $threads && $ms -gt $slowest_ms ]]; then
+              slowest_ms=$ms slowest=${BASH_REMATCH[1]}
+            fi
+          fi
+          started=$now # a result line or "running N tests": the next test starts here
+        done || dead_runs=$((dead_runs + 1))
+      done
+    done
+  done
+  echo "soak x$n under $(nproc) CPU hogs: $passed passed, $failed failed," \
+    "$dead_runs runs exited non-zero; slowest test ${slowest_ms} ms ($slowest)"
+  [[ $failed -eq 0 && $dead_runs -eq 0 ]]
+}
+if [[ ${1:-} == --soak ]]; then
+  soak "${2:?usage: check.sh --soak N}"
+  exit
+fi
+
 cargo build --release --offline
 # The root package auto-discovers tests/*.rs, so this runs every
 # acceptance test (overload, resume, cluster, nemesis, serve, ...) too.

@@ -101,7 +101,6 @@ fn start_cluster(regions: &[State], n_workers: usize, tag: &str) -> Cluster {
             poll_ms: 10,
             attempt_budget: 3,
             vnodes: 40,
-            checkpoint_every: 8,
         },
     ));
     let coord_server = Server::new(cluster_router(&coord))

@@ -100,7 +100,6 @@ fn run_under_nemesis(seed: u64, regions: &[State], tag: &str) -> NemesisReportPa
         // holder counts); the budget bounds pathology, not chaos.
         attempt_budget: 10,
         vnodes: 40,
-        checkpoint_every: 8,
     };
     let worker_config = WorkerConfig {
         // Sized to span the schedule's kill→restart gap with margin.
@@ -208,7 +207,6 @@ fn asymmetric_partition_zombie_uploads_are_fenced_but_the_run_converges() {
         poll_ms: 10,
         attempt_budget: 10,
         vnodes: 40,
-        checkpoint_every: 8,
     };
     let cluster = NemesisCluster::start(
         params,
