@@ -1,12 +1,12 @@
 //! The crawl coordinator: shard table, leases, heartbeats, reroutes.
 //!
 //! One [`Coordinator`] owns one study: it partitions `params.regions`
-//! into shards, assigns each shard to a worker by consistent hashing over
-//! the live worker set, and tracks progress through lease epochs. A
-//! worker that misses its heartbeat deadline is declared dead; its shards
-//! go back to pending, the ring (now excluding the dead worker) routes
-//! them to survivors, and an attempt budget bounds how often a shard may
-//! bounce before the run is declared failed — the same
+//! into shards, hands the first pending shard to whichever live worker
+//! asks next (workers pull; see [`Coordinator::lease_at`]), and tracks
+//! progress through lease epochs. A worker that misses its heartbeat
+//! deadline is declared dead and benched; its shards go back to pending
+//! for the survivors to pull, and an attempt budget bounds how often a
+//! shard may bounce before the run is declared failed — the same
 //! bounce-then-shed shape the fetcher queue applies to individual
 //! requests.
 //!
@@ -27,7 +27,6 @@ use crate::proto::{
     ResultReply, ResultUpload, ShardJob, StatusReply,
 };
 use crate::recovery::{outcome_digest, CoordDurability, CoordRecord, CoordRecovery, CoordTable};
-use crate::ring::HashRing;
 use parking_lot::Mutex;
 use sift_core::{assemble_study, RegionOutcome, StudyParams, StudyResult};
 use sift_geo::State;
@@ -84,8 +83,6 @@ pub struct ClusterConfig {
     /// Times a shard may be (re)issued before the run fails. Mirrors the
     /// fetcher queue's per-item attempt budget.
     pub attempt_budget: u32,
-    /// Virtual points per worker on the consistent-hash ring.
-    pub vnodes: usize,
 }
 
 impl ClusterConfig {
@@ -105,7 +102,6 @@ impl Default for ClusterConfig {
             miss_threshold: 4,
             poll_ms: 25,
             attempt_budget: 3,
-            vnodes: 40,
         }
     }
 }
@@ -402,8 +398,10 @@ impl Coordinator {
         self.lease_at(self.now_ms(), req)
     }
 
-    /// Grants a lease, or explains the wait. The second component is a
-    /// `Retry-After` hint in seconds, set only when polling sooner cannot
+    /// Grants a lease, or explains the wait. Placement is pull: the first
+    /// pending shard goes to whichever live, un-benched worker asks, so a
+    /// requester waits only when nothing is pending. The second component
+    /// is a `Retry-After` hint in seconds, set when polling sooner cannot
     /// help: the requester is benched, or no shard is pending at all.
     fn lease_at(&self, now_ms: u64, req: &LeaseRequest) -> (LeaseReply, Option<u64>) {
         let mut s = self.inner.lock();
@@ -423,25 +421,10 @@ impl Coordinator {
             // before the next death-detection window.
             return (wait, Some(self.retry_after_secs()));
         }
-        let live: Vec<String> = s
-            .table
-            .workers
-            .iter()
-            .filter(|w| !s.table.dead.contains(*w))
-            .cloned()
-            .collect();
-        let ring = HashRing::new(&live, self.config.vnodes);
-        let picked = (0..shards.len()).find(|&i| {
-            s.is_pending(i) && ring.assign(shards[i].state.abbrev()) == Some(req.worker.as_str())
-        });
-        let Some(idx) = picked else {
-            // No pending shard anywhere → only a completion, expiry, or
-            // release can create work; hint a long poll. Pending shards
-            // owned by other workers → poll normally (reroutes can move
-            // them here at any moment).
-            let any_pending = (0..shards.len()).any(|i| s.is_pending(i));
-            let hint = (!any_pending).then(|| self.retry_after_secs());
-            return (wait, hint);
+        let Some(idx) = (0..shards.len()).find(|&i| s.is_pending(i)) else {
+            // Every unfinished shard is leased: only an expiry or a
+            // release can create work; hint a long poll.
+            return (wait, Some(self.retry_after_secs()));
         };
         let job = ShardJob {
             state: shards[idx].state,
@@ -708,6 +691,7 @@ mod tests {
     use sift_core::Timeline;
     use sift_journal::testutil::scratch_dir;
     use sift_simtime::{Hour, HourRange};
+    use std::collections::HashSet;
 
     fn params(regions: Vec<State>) -> StudyParams {
         StudyParams {
@@ -726,7 +710,6 @@ mod tests {
             miss_threshold: 2,
             poll_ms: 5,
             attempt_budget: 3,
-            vnodes: 40,
         }
     }
 
@@ -806,14 +789,56 @@ mod tests {
     }
 
     #[test]
-    fn leases_follow_the_ring_and_epochs_are_unique() {
+    fn epochs_are_unique_and_a_dead_workers_shard_goes_to_a_survivor() {
         let c = Coordinator::new(params(vec![State::CA, State::TX, State::NY]), config());
-        // One worker owns everything on a single-worker ring.
-        let mut epochs: Vec<u64> = (0..3).map(|_| job_at(&c, 0, "w0").epoch).collect();
+        let jobs: Vec<ShardJob> = (0..3).map(|_| job_at(&c, 0, "w0")).collect();
         assert!(matches!(lease_at(&c, 0, "w0").0, LeaseReply::Wait { .. }));
-        epochs.sort_unstable();
-        epochs.dedup();
-        assert_eq!(epochs.len(), 3, "every lease gets a fresh epoch");
+        // w0 goes silent; whoever asks next takes its shards over.
+        let rejobs: Vec<ShardJob> = (0..3).map(|_| job_at(&c, 51, "w1")).collect();
+        let states = |jobs: &[ShardJob]| jobs.iter().map(|j| j.state).collect::<Vec<_>>();
+        assert_eq!(states(&rejobs), states(&jobs));
+        let epochs: HashSet<u64> = jobs.iter().chain(&rejobs).map(|j| j.epoch).collect();
+        assert_eq!(epochs.len(), 6, "every lease gets a fresh epoch");
+    }
+
+    /// Placement is pull: with k shards pending and two live workers
+    /// asking in every one of the 2^k orders, each request is granted
+    /// until nothing is pending — no requester is told to wait while a
+    /// peer works through a tail reserved for it.
+    #[test]
+    fn every_lease_request_is_granted_until_nothing_is_pending() {
+        let regions = vec![State::CA, State::TX, State::NY, State::FL, State::WA];
+        let k = regions.len();
+        for order in 0u32..1 << k {
+            let c = Coordinator::new(params(regions.clone()), config());
+            for worker in ["w0", "w1"] {
+                c.join(&JoinRequest {
+                    worker: worker.into(),
+                });
+            }
+            let jobs: Vec<ShardJob> = (0..k)
+                .map(|i| job_at(&c, 0, if order >> i & 1 == 0 { "w0" } else { "w1" }))
+                .collect();
+            let states: HashSet<State> = jobs.iter().map(|j| j.state).collect();
+            assert_eq!(states.len(), k, "order {order:#b}: a shard granted twice");
+            let epochs: HashSet<u64> = jobs.iter().map(|j| j.epoch).collect();
+            assert_eq!(epochs.len(), k, "order {order:#b}: an epoch reused");
+            for worker in ["w0", "w1"] {
+                let (reply, hint) = lease_at(&c, 0, worker);
+                assert!(matches!(reply, LeaseReply::Wait { .. }), "{reply:?}");
+                assert_eq!(hint, Some(1), "nothing pending: long-poll hint");
+            }
+        }
+        // A benched worker is the one requester refused while shards are
+        // pending: w0 went silent on CA, so at 51 ms all k are pending.
+        let c = Coordinator::new(params(regions), config());
+        job_at(&c, 0, "w0");
+        let (reply, hint) = lease_at(&c, 51, "w0");
+        assert!(matches!(reply, LeaseReply::Wait { .. }), "{reply:?}");
+        assert_eq!(hint, Some(1));
+        for _ in 0..k {
+            job_at(&c, 51, "w1");
+        }
     }
 
     #[test]
@@ -825,11 +850,8 @@ mod tests {
         c.join(&JoinRequest {
             worker: "w1".into(),
         });
-        // Whichever worker the ring prefers takes the shard.
-        let (holder, other, job) = match lease_at(&c, 0, "w0").0 {
-            LeaseReply::Job(job) => ("w0", "w1", job),
-            _ => ("w1", "w0", job_at(&c, 0, "w1")),
-        };
+        let (holder, other) = ("w0", "w1");
+        let job = job_at(&c, 0, holder);
         // Heartbeats renew the lease: beaten at 30, it stands at 80 —
         // past the original deadline of 50...
         assert!(beat_at(&c, 30, holder, job, false));
@@ -838,7 +860,7 @@ mod tests {
         let status = c.status_at(81);
         assert_eq!(status.rerouted, 1, "{status:?}");
         assert_eq!(status.dead, vec![holder.to_string()]);
-        // The survivor now owns the shard (ring excludes the dead).
+        // The survivor takes the shard over.
         let rejob = job_at(&c, 81, other);
         assert_eq!(rejob.state, job.state);
         assert!(rejob.epoch > job.epoch, "reroute issues a fresh epoch");

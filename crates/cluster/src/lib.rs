@@ -6,22 +6,19 @@
 //! crate promotes the old `examples/distributed_crawl.rs` sketch into an
 //! architecture:
 //!
-//! * [`ring`] — deterministic consistent-hash assignment of shards to
-//!   workers, with minimal movement when a worker dies,
 //! * [`proto`] — the compact JSON job protocol (join / lease /
 //!   heartbeat / result / status) spoken over the `sift-net` HTTP stack,
 //!   with trace context riding the existing `X-Sift-Trace` header,
-//! * [`coord`] — the [`Coordinator`]: shard table, lease epochs,
-//!   heartbeat-based death detection, bounded reroutes,
+//! * [`coord`] — the [`Coordinator`]: shard table, pull placement,
+//!   lease epochs, heartbeat-based death detection, bounded reroutes,
 //! * [`recovery`] — the coordinator's durable table as a fold over its
 //!   `sift-journal` WAL: control state is durable before it is
 //!   acknowledged, so a killed coordinator replays, re-fences, resumes,
 //! * [`worker`] — the worker thread: lease → crawl via
-//!   [`sift_core::run_region_study`] → upload, with optional per-worker
-//!   response journaling,
+//!   [`sift_core::run_region_study`] → upload,
 //! * [`nemesis`] — the chaos harness: runs a full sharded study under a
 //!   seeded [`sift_net::NemesisPlan`] (coordinator kills, partitions,
-//!   heartbeat loss) and hands back the converged result for
+//!   heartbeat delay) and hands back the converged result for
 //!   baseline-equality audits.
 //!
 //! The design invariant is **bit-identical assembly**: workers run the
@@ -38,7 +35,6 @@ pub mod coord;
 pub mod nemesis;
 pub mod proto;
 pub mod recovery;
-pub mod ring;
 pub mod worker;
 
 pub use coord::{cluster_router, ClusterConfig, ClusterError, Coordinator, RerouteReason};
@@ -50,5 +46,4 @@ pub use proto::{
 pub use recovery::{
     outcome_digest, CoordDurability, CoordRecord, CoordRecovery, CoordTable, Shard,
 };
-pub use ring::HashRing;
 pub use worker::{spawn_worker, WorkerConfig, WorkerHandle, WorkerSummary};

@@ -7,12 +7,12 @@
 //! [`sift_net::NemesisPlan`] through [`NemesisCluster::run`] executes the
 //! schedule's two halves in one place:
 //!
-//! * **network operations** (partitions, heartbeat loss, slow links) are
+//! * **network operations** (partitions, heartbeat delay, heals) are
 //!   installed into the shared table by the [`sift_net::NemesisDriver`]
 //!   and take effect inside every nemesis-aware server, and
-//! * **process operations** (kill/restart the coordinator, kill a
-//!   worker) are handed back to the harness, which actually drops the
-//!   coordinator's in-memory state and reboots it from its journal via
+//! * **process operations** (kill/restart the coordinator) are handed
+//!   back to the harness, which actually drops the coordinator's
+//!   in-memory state and reboots it from its journal via
 //!   [`Coordinator::durable`].
 //!
 //! Workers reach the coordinator through a harness-owned TCP relay with
@@ -94,8 +94,6 @@ pub struct NemesisReport {
     pub coordinator_kills: u32,
     /// Coordinator restarts executed.
     pub coordinator_restarts: u32,
-    /// Workers killed by the schedule, in firing order.
-    pub workers_killed: Vec<String>,
     /// Requests dropped by link rules (request or reply side).
     pub link_dropped: u64,
     /// Requests delayed by link rules.
@@ -157,12 +155,6 @@ impl NemesisCluster {
         })
     }
 
-    /// The shared link-fault table (for installing extra rules or
-    /// reading drop/delay totals mid-run).
-    pub fn nemesis_state(&self) -> &Arc<NemesisState> {
-        &self.nemesis
-    }
-
     /// The stable coordinator address workers dial (the relay front).
     pub fn coord_addr(&self) -> SocketAddr {
         self.relay.addr()
@@ -170,9 +162,8 @@ impl NemesisCluster {
 
     /// Drives `plan` against the live cluster until the study converges
     /// or `timeout` passes, executing process operations (coordinator
-    /// kill/restart, worker kills) as they come due. Consumes the
-    /// cluster: workers are joined and every server shut down on the way
-    /// out, success or not.
+    /// kill/restart) as they come due. Consumes the cluster: workers are
+    /// joined and every server shut down on the way out, success or not.
     pub fn run(
         mut self,
         plan: NemesisPlan,
@@ -183,7 +174,6 @@ impl NemesisCluster {
         let mut pre_kill_status: Option<StatusReply> = None;
         let mut kills = 0u32;
         let mut restarts = 0u32;
-        let mut workers_killed: Vec<String> = Vec::new();
 
         let result = loop {
             for op in driver.due() {
@@ -220,12 +210,6 @@ impl NemesisCluster {
                         restarts += 1;
                         self.relay.set_backend(Some(server.addr()));
                         self.coord = Some((coord, server));
-                    }
-                    NemesisOp::KillWorker { worker } => {
-                        if let Some(w) = self.workers.iter().find(|w| w.id() == worker) {
-                            w.kill();
-                            workers_killed.push(worker);
-                        }
                     }
                     // Network operations were already installed into the
                     // shared table by the driver.
@@ -272,7 +256,6 @@ impl NemesisCluster {
             pre_kill_status,
             coordinator_kills: kills,
             coordinator_restarts: restarts,
-            workers_killed,
             link_dropped: self.nemesis.dropped_total(),
             link_delayed: self.nemesis.delayed_total(),
             plan_exhausted,

@@ -6,25 +6,17 @@
 //! through the public [`sift_core::run_region_study`] with a locally
 //! computed [`sift_core::plan_frames`] plan — both deterministic
 //! functions of the study parameters, which is the worker-side half of
-//! the bit-identical guarantee.
-//!
-//! Fetched responses are optionally journaled to a per-worker
-//! [`DurableStore`] directory, so a driver can later audit the union of
-//! worker journals with [`sift_fetcher::merge_journal_dirs`].
+//! the bit-identical guarantee. Nothing a worker fetches is kept past
+//! the upload: the coordinator's WAL holds every accepted outcome.
 
 use crate::proto::{
     HeartbeatReply, HeartbeatRequest, JoinReply, JoinRequest, LeaseReply, LeaseRequest,
     ResultReply, ResultUpload,
 };
-use parking_lot::Mutex;
 use sift_core::{plan_frames, run_region_study, StudyParams};
-use sift_fetcher::{DurableStore, HttpTrendsClient, ResponseSink};
-use sift_net::{ClientError, HttpClient, Request, RetryPolicy};
-use sift_trends::{
-    FetchError, FrameRequest, FrameResponse, RisingRequest, RisingResponse, TrendsClient,
-};
+use sift_fetcher::HttpTrendsClient;
+use sift_net::{ClientError, HttpClient, Request};
 use std::net::SocketAddr;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -32,9 +24,6 @@ use std::time::{Duration, Instant};
 /// Worker tuning.
 #[derive(Clone, Debug, Default)]
 pub struct WorkerConfig {
-    /// Override for the lease poll interval (the coordinator's `poll_ms`
-    /// hint is used when `None`).
-    pub poll: Option<Duration>,
     /// Override for the heartbeat cadence while a shard is leased. When
     /// `None` the cadence advertised by the coordinator at join is used,
     /// so both sides derive beat rate and death threshold from the same
@@ -44,15 +33,6 @@ pub struct WorkerConfig {
     /// when the coordinator is unreachable before giving up — sized to
     /// span a coordinator crash-and-restart. Defaults to 5 s.
     pub coord_down_grace: Option<Duration>,
-    /// Source identity the fetch client crawls under (defaults to the
-    /// worker id).
-    pub fetch_identity: Option<String>,
-    /// When set, fetched responses are journaled to
-    /// `<durability_root>/<worker id>` for post-run merge audits.
-    pub durability_root: Option<PathBuf>,
-    /// Retry policy for the crawl client (the `sift-net` default applies
-    /// when `None`).
-    pub retry: Option<RetryPolicy>,
 }
 
 /// What a worker thread did, reported by [`WorkerHandle::join`].
@@ -79,14 +59,14 @@ impl WorkerHandle {
     }
 
     /// Simulates abrupt worker death: the thread stops cold at its next
-    /// checkpoint — no release heartbeat, no result upload, no journal
-    /// sync. The coordinator only learns of it by missed heartbeats.
+    /// checkpoint — no release heartbeat, no result upload. The
+    /// coordinator only learns of it by missed heartbeats.
     pub fn kill(&self) {
         self.kill.store(true, Ordering::SeqCst);
     }
 
-    /// Requests a graceful stop: the current shard is handed back with a
-    /// `releasing` heartbeat and the journal is synced before exit.
+    /// Requests a graceful stop: the worker exits after the shard it is
+    /// crawling, leasing nothing further.
     pub fn stop(&self) {
         self.stop.store(true, Ordering::SeqCst);
     }
@@ -96,39 +76,6 @@ impl WorkerHandle {
         self.thread
             .join()
             .unwrap_or_else(|_| WorkerSummary::default())
-    }
-}
-
-/// A [`TrendsClient`] that tees every successful response into a
-/// per-worker [`DurableStore`] journal before returning it.
-struct JournalingClient {
-    inner: HttpTrendsClient,
-    store: Option<Mutex<DurableStore>>,
-}
-
-impl TrendsClient for JournalingClient {
-    fn fetch_frame(&self, req: &FrameRequest) -> Result<FrameResponse, FetchError> {
-        let resp = self.inner.fetch_frame(req)?;
-        if let Some(store) = &self.store {
-            store.lock().insert_frame(req.tag, resp.clone());
-        }
-        Ok(resp)
-    }
-
-    fn fetch_rising(&self, req: &RisingRequest) -> Result<RisingResponse, FetchError> {
-        let resp = self.inner.fetch_rising(req)?;
-        if let Some(store) = &self.store {
-            store.lock().insert_rising(req.len, resp.clone());
-        }
-        Ok(resp)
-    }
-
-    fn identity(&self) -> &str {
-        self.inner.identity()
-    }
-
-    fn healthy(&self) -> bool {
-        self.inner.healthy()
     }
 }
 
@@ -153,15 +100,7 @@ pub fn spawn_worker(
         let stop = Arc::clone(&stop);
         let kill = Arc::clone(&kill);
         std::thread::spawn(move || {
-            run_worker(
-                &id,
-                coord_addr,
-                trends_addr,
-                &params,
-                &config_or(config),
-                &stop,
-                &kill,
-            )
+            run_worker(&id, coord_addr, trends_addr, &params, &config, &stop, &kill)
         })
     };
     WorkerHandle {
@@ -172,32 +111,12 @@ pub fn spawn_worker(
     }
 }
 
-struct ResolvedConfig {
-    poll: Option<Duration>,
-    heartbeat_every: Option<Duration>,
-    coord_down_grace: Duration,
-    fetch_identity: Option<String>,
-    durability_root: Option<PathBuf>,
-    retry: Option<RetryPolicy>,
-}
-
-fn config_or(config: WorkerConfig) -> ResolvedConfig {
-    ResolvedConfig {
-        poll: config.poll,
-        heartbeat_every: config.heartbeat_every,
-        coord_down_grace: config.coord_down_grace.unwrap_or(Duration::from_secs(5)),
-        fetch_identity: config.fetch_identity,
-        durability_root: config.durability_root,
-        retry: config.retry,
-    }
-}
-
 fn run_worker(
     id: &str,
     coord_addr: SocketAddr,
     trends_addr: SocketAddr,
     params: &StudyParams,
-    config: &ResolvedConfig,
+    config: &WorkerConfig,
     stop: &AtomicBool,
     kill: &Arc<AtomicBool>,
 ) -> WorkerSummary {
@@ -232,33 +151,9 @@ fn run_worker(
         None => sift_obs::span_root("worker"),
     };
 
-    let identity = config
-        .fetch_identity
-        .clone()
-        .unwrap_or_else(|| id.to_string());
-    let mut fetch = HttpTrendsClient::new(trends_addr, identity);
-    if let Some(retry) = config.retry {
-        fetch = fetch.with_retry(retry);
-    }
-    let store = match &config.durability_root {
-        Some(root) => match DurableStore::open(&root.join(id)) {
-            Ok((store, _resume)) => Some(Mutex::new(store)),
-            Err(e) => {
-                sift_obs::event(
-                    sift_obs::Level::Warn,
-                    "cluster.worker",
-                    "worker journal unavailable; crawling without one",
-                    &[("error", serde_json::Value::Str(e.to_string()))],
-                );
-                None
-            }
-        },
-        None => None,
-    };
-    let client = JournalingClient {
-        inner: fetch,
-        store,
-    };
+    // The worker id doubles as the source identity the crawl runs under.
+    let client = HttpTrendsClient::new(trends_addr, id);
+    let coord_down_grace = config.coord_down_grace.unwrap_or(Duration::from_secs(5));
 
     // The frame plan is a pure function of the study parameters, so
     // every worker (and the single-process driver) computes the same one.
@@ -285,7 +180,7 @@ fn run_worker(
                     Some((since, attempt)) => (since, attempt.saturating_add(1)),
                     None => (Instant::now(), 1),
                 };
-                if since.elapsed() > config.coord_down_grace {
+                if since.elapsed() > coord_down_grace {
                     sift_obs::event(
                         sift_obs::Level::Warn,
                         "cluster.worker",
@@ -309,10 +204,7 @@ fn run_worker(
                     // polling sooner cannot help (benched, or nothing
                     // pending anywhere): honour it over local preference.
                     Some(hint) => hint.clamp(Duration::from_millis(1), Duration::from_secs(2)),
-                    None => config
-                        .poll
-                        .unwrap_or(Duration::from_millis(poll_ms))
-                        .clamp(Duration::from_millis(1), Duration::from_millis(250)),
+                    None => Duration::from_millis(poll_ms.clamp(1, 250)),
                 };
                 sleep_watching(wait, stop, kill);
             }
@@ -336,18 +228,6 @@ fn run_worker(
                     return summary;
                 }
             }
-        }
-    }
-
-    // Graceful exit: make the journal durable.
-    if let Some(store) = &client.store {
-        if let Err(e) = store.lock().sync() {
-            sift_obs::event(
-                sift_obs::Level::Warn,
-                "cluster.worker",
-                "worker journal sync failed on exit",
-                &[("error", serde_json::Value::Str(e.to_string()))],
-            );
         }
     }
     summary
@@ -416,7 +296,7 @@ fn run_shard(
     id: &str,
     coord: &HttpClient,
     coord_addr: SocketAddr,
-    client: &JournalingClient,
+    client: &HttpTrendsClient,
     params: &StudyParams,
     frames: &[sift_simtime::HourRange],
     job: crate::proto::ShardJob,

@@ -49,7 +49,6 @@ fn config() -> ClusterConfig {
         miss_threshold: 1,
         poll_ms: 1,
         attempt_budget: 3,
-        vnodes: 40,
     }
 }
 

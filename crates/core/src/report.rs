@@ -1,6 +1,5 @@
 //! Report formatting: the paper's table rows and figure series as text.
 
-use crate::area::OutageCluster;
 use crate::context::AnnotatedSpike;
 use sift_simtime::format_spike_time;
 
@@ -13,16 +12,6 @@ pub fn table1_row(spike: &AnnotatedSpike) -> String {
         spike.spike.state.abbrev(),
         spike.spike.duration_h(),
         spike.label()
-    )
-}
-
-/// Formats one Table 2 row: `22 Jul. 2021–14h  34  Akamai`.
-pub fn table2_row(cluster: &OutageCluster, label: &str) -> String {
-    format!(
-        "{:<18} {:>4}  {}",
-        format_spike_time(cluster.anchor().start),
-        cluster.state_count(),
-        label
     )
 }
 

@@ -13,9 +13,10 @@
 //! * [`unit`] — fetcher units: one identity each, in-process or HTTP,
 //! * [`queue`] — maps the workload across units on worker threads and
 //!   gathers responses,
-//! * [`store`] — the unified response database, JSON-persistable,
-//! * [`durable`] — a crash-safe store wrapper (write-ahead journal)
-//!   powering `CollectionRun::resume`.
+//! * [`store`] — the unified response database, JSON-persistable.
+//!
+//! The store is in memory: a crawl that must survive a crash journals
+//! through `sift_core::RegionJournal` (`run_study_durable`), not here.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -25,15 +26,13 @@ pub mod plan {
     //! it lives in `sift-core` and is re-exported here for crawl code).
     pub use sift_core::plan::*;
 }
-pub mod durable;
 pub mod queue;
 pub mod serve;
 pub mod store;
 pub mod unit;
 
-pub use durable::{merge_journal_dirs, DurableStore, JournalMergeReport, ResumeReport};
 pub use queue::{CollectionRun, FailedWork, RunReport, ShedCause, ShedWork, WorkItem};
 pub use serve::trends_router;
 pub use sift_core::plan::{plan_frames, FramePlan, PlanParams};
-pub use store::{MergeReport, ResponseSink, ResponseStore};
+pub use store::{MergeReport, ResponseStore};
 pub use unit::{FetchError, HttpTrendsClient, InProcessClient, RoundRobin, TrendsClient};

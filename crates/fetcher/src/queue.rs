@@ -24,8 +24,7 @@
 //! in the queue when the breaker opens is the lowest-priority tail: the
 //! queue sheds least-important frames first.
 
-use crate::durable::DurableStore;
-use crate::store::{FrameKey, ResponseSink, ResponseStore, RisingKey};
+use crate::store::ResponseStore;
 use crate::unit::{FetchError, TrendsClient};
 use crossbeam::channel;
 use sift_geo::State;
@@ -58,38 +57,6 @@ impl WorkItem {
         match self {
             WorkItem::Frame(r) => r.start,
             WorkItem::Rising(r) => r.start,
-        }
-    }
-
-    /// Whether `store` already holds the response this item would fetch —
-    /// the question resume asks to skip journaled work.
-    ///
-    /// A stored response satisfies the item only if it answers the *whole*
-    /// request, not just its store key. Frame keys carry `(state, start,
-    /// tag)` but not the requested length or term, so a journal written
-    /// under a different plan (say a 168-hour frame where this plan wants
-    /// 24 hours at the same start) would otherwise mark the item resumed —
-    /// it then appears in neither the served nor the requeued totals and
-    /// the response handed downstream has the wrong shape.
-    pub fn fulfilled_by(&self, store: &ResponseStore) -> bool {
-        match self {
-            WorkItem::Frame(r) => store
-                .frame(&FrameKey {
-                    state: r.state,
-                    start: r.start,
-                    tag: r.tag,
-                })
-                .is_some_and(|resp| {
-                    resp.term == r.term
-                        && usize::try_from(r.len).is_ok_and(|len| resp.values.len() == len)
-                }),
-            WorkItem::Rising(r) => store
-                .rising(&RisingKey {
-                    state: r.state,
-                    start: r.start,
-                    len: r.len,
-                })
-                .is_some(),
         }
     }
 }
@@ -157,9 +124,6 @@ pub struct RunReport {
     pub requeued: usize,
     /// Items shed by overload control (never counted in `failed`).
     pub shed: usize,
-    /// Planned items skipped because the durable store already held their
-    /// responses (only non-zero for [`CollectionRun::resume`]).
-    pub resumed: usize,
     /// `(unit identity, requests completed)` per unit.
     pub per_unit: Vec<(String, usize)>,
     /// Every permanently-failed item, with its coordinates and tag.
@@ -260,53 +224,17 @@ impl CollectionRun {
 
     /// Executes the workload at uniform priority, merging every response
     /// into `sink`. Returns the run report.
-    pub fn execute<S: ResponseSink>(&self, items: Vec<WorkItem>, sink: &mut S) -> RunReport {
+    pub fn execute(&self, items: Vec<WorkItem>, sink: &mut ResponseStore) -> RunReport {
         self.execute_prioritized(items.into_iter().map(|i| (i, 0)).collect(), sink)
-    }
-
-    /// Resumes an interrupted crawl: items the recovered durable store
-    /// already holds are skipped (counted in [`RunReport::resumed`] and
-    /// `sift_fetcher_resumed_items_total`), and only genuinely unfetched
-    /// work — with its priorities and the run's attempt budget, breaker
-    /// and deadline intact — goes back on the queue, journaled as it
-    /// lands. With a fresh durability directory this degrades to a plain
-    /// [`CollectionRun::execute_prioritized`].
-    pub fn resume(&self, items: Vec<(WorkItem, i32)>, durable: &mut DurableStore) -> RunReport {
-        let (have, need): (Vec<_>, Vec<_>) = items
-            .into_iter()
-            .partition(|(item, _)| item.fulfilled_by(durable.store()));
-        let resumed = have.len();
-        if resumed > 0 {
-            sift_obs::counter("sift_fetcher_resumed_items_total", &[])
-                .add(u64::try_from(resumed).unwrap_or(u64::MAX));
-            sift_obs::event(
-                sift_obs::Level::Info,
-                "fetcher.queue",
-                "resume skipped already-journaled items",
-                &[
-                    (
-                        "resumed",
-                        serde_json::Value::UInt(u64::try_from(resumed).unwrap_or(u64::MAX)),
-                    ),
-                    (
-                        "remaining",
-                        serde_json::Value::UInt(u64::try_from(need.len()).unwrap_or(u64::MAX)),
-                    ),
-                ],
-            );
-        }
-        let mut report = self.execute_prioritized(need, durable);
-        report.resumed = resumed;
-        report
     }
 
     /// Executes a prioritized workload: higher-priority items are queued
     /// (and therefore drained) first, so overload sheds the low-priority
     /// tail. Returns the run report.
-    pub fn execute_prioritized<S: ResponseSink>(
+    pub fn execute_prioritized(
         &self,
         mut items: Vec<(WorkItem, i32)>,
-        sink: &mut S,
+        sink: &mut ResponseStore,
     ) -> RunReport {
         // Stable sort: equal priorities keep their submission order.
         items.sort_by_key(|(_, priority)| std::cmp::Reverse(*priority));
@@ -944,103 +872,6 @@ mod tests {
             .shed_items
             .iter()
             .all(|s| s.reason == ShedCause::Deadline));
-    }
-
-    #[test]
-    fn resume_skips_journaled_work_and_fetches_the_rest() {
-        let _serial = RUN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let (units, service) = units(2);
-        let run = CollectionRun::new(units);
-        let items = prioritized_workload();
-        let n = items.len();
-        let dir = sift_journal::testutil::scratch_dir("queue_resume");
-
-        // First pass: crawl the first half of the plan durably.
-        let half = n / 2;
-        {
-            let (mut durable, _) = crate::durable::DurableStore::open(&dir).expect("open");
-            let report = run.resume(items[..half].to_vec(), &mut durable);
-            assert_eq!(report.completed, half);
-            assert_eq!(report.resumed, 0);
-        }
-        let fetched_before_resume = service.stats().frames_served;
-
-        // Second pass over the FULL plan: the journaled half is skipped,
-        // only the rest reaches the service.
-        let (mut durable, recovered) = crate::durable::DurableStore::open(&dir).expect("reopen");
-        assert_eq!(recovered.replayed, half);
-        let report = run.resume(items, &mut durable);
-        assert_eq!(report.resumed, half, "{report:?}");
-        assert_eq!(report.completed, n - half, "{report:?}");
-        assert_eq!(report.failed, 0);
-        assert_eq!(durable.store().frame_count(), n);
-        assert_eq!(
-            service.stats().frames_served - fetched_before_resume,
-            (n - half) as u64,
-            "already-journaled frames must not be re-fetched"
-        );
-    }
-
-    /// Regression (`fulfilled_by` re-partition): a journaled response at
-    /// the right `(state, start, tag)` key but answering a *different*
-    /// request (here: wrong frame length) must not count the planned item
-    /// as resumed. Before the fix such an item vanished from the totals —
-    /// neither served nor requeued — and the downstream pipeline saw a
-    /// frame of the wrong shape.
-    #[test]
-    fn resume_refetches_items_the_store_only_pretends_to_hold() {
-        let _serial = RUN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-        let (units, service) = units(1);
-        let run = CollectionRun::new(units);
-        let dir = sift_journal::testutil::scratch_dir("queue_resume_mismatch");
-        let term = SearchTerm::parse("topic:Internet outage");
-
-        // Journal a 24-hour frame at the coordinates the plan below will
-        // request as a 168-hour frame.
-        {
-            let (mut durable, _) = crate::durable::DurableStore::open(&dir).expect("open");
-            durable.insert_frame(
-                0,
-                FrameResponse {
-                    term: term.clone(),
-                    state: State::CA,
-                    start: Hour(0),
-                    values: vec![50; 24],
-                },
-            );
-        }
-
-        let (mut durable, recovered) = crate::durable::DurableStore::open(&dir).expect("reopen");
-        assert_eq!(recovered.replayed, 1);
-        let item = WorkItem::Frame(FrameRequest {
-            term,
-            state: State::CA,
-            start: Hour(0),
-            len: 168,
-            tag: 0,
-        });
-        let report = run.resume(vec![(item, 0)], &mut durable);
-        assert_eq!(report.resumed, 0, "mismatched entry is not a resume hit");
-        assert_eq!(report.completed, 1, "the item is genuinely fetched");
-        assert_eq!(
-            report.resumed + report.completed + report.failed + report.shed,
-            1,
-            "every planned item is accounted for exactly once: {report:?}"
-        );
-        assert_eq!(service.stats().frames_served, 1);
-        let resp = durable
-            .store()
-            .frame(&FrameKey {
-                state: State::CA,
-                start: Hour(0),
-                tag: 0,
-            })
-            .expect("refetched frame");
-        assert_eq!(
-            resp.values.len(),
-            168,
-            "the re-fetch replaces the mismatched journal entry"
-        );
     }
 
     #[test]

@@ -28,29 +28,6 @@ pub struct RisingKey {
     pub len: u32,
 }
 
-/// Anywhere a collection run can deliver responses: the plain in-memory
-/// [`ResponseStore`], or a durability wrapper that journals every insert
-/// before applying it (see `DurableStore`). Delivery is infallible by
-/// design — a durable sink that hits an I/O error keeps collecting in
-/// memory and surfaces the error after the run, so a disk hiccup never
-/// aborts a crawl that can still make progress.
-pub trait ResponseSink {
-    /// Delivers a frame response fetched under `tag`.
-    fn insert_frame(&mut self, tag: u64, resp: FrameResponse);
-    /// Delivers a rising response for a `len`-hour frame.
-    fn insert_rising(&mut self, len: u32, resp: RisingResponse);
-}
-
-impl ResponseSink for ResponseStore {
-    fn insert_frame(&mut self, tag: u64, resp: FrameResponse) {
-        ResponseStore::insert_frame(self, tag, resp);
-    }
-
-    fn insert_rising(&mut self, len: u32, resp: RisingResponse) {
-        ResponseStore::insert_rising(self, len, resp);
-    }
-}
-
 /// What [`ResponseStore::merge`] absorbed.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MergeReport {
@@ -119,16 +96,6 @@ impl ResponseStore {
         out
     }
 
-    /// One specific frame, if present.
-    pub fn frame(&self, key: &FrameKey) -> Option<&FrameResponse> {
-        self.frames.get(key)
-    }
-
-    /// One specific rising response, if present.
-    pub fn rising(&self, key: &RisingKey) -> Option<&RisingResponse> {
-        self.rising.get(key)
-    }
-
     /// All rising responses for a region, sorted by frame start.
     pub fn rising_for(&self, state: State) -> Vec<(&RisingKey, &RisingResponse)> {
         let mut out: Vec<(&RisingKey, &RisingResponse)> = self
@@ -163,8 +130,7 @@ impl ResponseStore {
     /// Absorbs another store (other's entries win on key collisions) and
     /// reports what happened. A *conflict* is a key present on both sides
     /// with **different** payloads — for deterministic same-seed crawls
-    /// (and for journal replay on resume) the expected conflict count is
-    /// zero, so conflicts are counted in
+    /// the expected conflict count is zero, so conflicts are counted in
     /// `sift_store_merge_conflicts_total` and surfaced as a debug event
     /// instead of being silently last-writer-wins.
     pub fn merge(&mut self, other: ResponseStore) -> MergeReport {

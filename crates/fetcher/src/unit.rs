@@ -5,7 +5,7 @@
 //! in-process (labelled) and HTTP.
 
 use sift_geo::State;
-use sift_net::{CircuitBreaker, HttpClient, RetryBudget};
+use sift_net::{CircuitBreaker, HttpClient};
 use sift_simtime::Hour;
 use sift_trends::{
     FrameRequest, FrameResponse, RisingRequest, RisingResponse, ServiceError, TrendsService,
@@ -63,8 +63,8 @@ pub(crate) enum ApiResult<T> {
 }
 
 /// Access to the service over HTTP, crawling under a declared fetcher
-/// identity. Retries, `Retry-After` handling, circuit breaking and
-/// deadline propagation come from the underlying [`HttpClient`] policy.
+/// identity. Retries, `Retry-After` handling and circuit breaking come
+/// from the underlying [`HttpClient`] policy.
 pub struct HttpTrendsClient {
     client: HttpClient,
     identity: String,
@@ -95,19 +95,6 @@ impl HttpTrendsClient {
     pub fn with_breaker(mut self, breaker: Arc<CircuitBreaker>) -> Self {
         self.client = self.client.with_breaker(Arc::clone(&breaker));
         self.breaker = Some(breaker);
-        self
-    }
-
-    /// Draws retries from a shared [`RetryBudget`] token bucket.
-    pub fn with_retry_budget(mut self, budget: Arc<RetryBudget>) -> Self {
-        self.client = self.client.with_retry_budget(budget);
-        self
-    }
-
-    /// Attaches a per-request deadline, propagated to the service as
-    /// `X-Sift-Deadline-Ms` and enforced across retries.
-    pub fn with_deadline(mut self, deadline: std::time::Duration) -> Self {
-        self.client = self.client.with_deadline(deadline);
         self
     }
 }

@@ -1,21 +1,16 @@
-//! Property test for the cluster-merge invariant: journals written by K
-//! independent workers — in any partition, merged in any order, with a
-//! torn tail on one of them — replay to exactly the same
-//! [`ResponseStore`] as one combined journal holding the same records.
-//! This is what makes the sharded crawl's per-worker journals auditable
-//! as if they were a single process's WAL.
+//! Property test for the cluster-merge invariant: responses gathered by K
+//! independent workers — in any partition, with rerouted work fetched
+//! twice, merged in any order — fold to exactly the same
+//! [`ResponseStore`] as one store holding every response once.
 
 use proptest::prelude::*;
-use sift_fetcher::{merge_journal_dirs, DurableStore, ResponseSink};
-use sift_journal::record::HEADER_LEN;
-use sift_journal::testutil::scratch_dir;
+use sift_fetcher::ResponseStore;
 use sift_simtime::Hour;
 use sift_trends::{FrameResponse, RisingResponse, RisingTerm, SearchTerm};
-use std::path::{Path, PathBuf};
 
 /// One synthetic crawl response. Every field (including the payload) is
 /// a pure function of `i`, so any two copies of record `i` are
-/// byte-identical — duplicates across journals can never conflict, which
+/// byte-identical — duplicates across shards can never conflict, which
 /// mirrors the deterministic trends service.
 #[derive(Clone, Copy)]
 enum Record {
@@ -27,9 +22,9 @@ fn state_for(i: usize) -> sift_geo::State {
     sift_geo::State::ALL[i % sift_geo::State::ALL.len()]
 }
 
-fn apply(record: Record, sink: &mut dyn ResponseSink) {
+fn apply(record: Record, store: &mut ResponseStore) {
     match record {
-        Record::Frame(i) => sink.insert_frame(
+        Record::Frame(i) => store.insert_frame(
             i as u64,
             FrameResponse {
                 term: SearchTerm::parse("internet outage"),
@@ -39,7 +34,7 @@ fn apply(record: Record, sink: &mut dyn ResponseSink) {
                 values: vec![(i % 251) as u8; 24],
             },
         ),
-        Record::Rising(i) => sink.insert_rising(
+        Record::Rising(i) => store.insert_rising(
             168,
             RisingResponse {
                 state: state_for(i),
@@ -53,98 +48,56 @@ fn apply(record: Record, sink: &mut dyn ResponseSink) {
     }
 }
 
-/// Writes `records` into a fresh durable journal at `dir` and returns
-/// the journal file's path.
-fn write_journal(dir: &Path, records: &[Record]) -> PathBuf {
-    let (mut store, resume) = DurableStore::open(dir).expect("open journal dir");
-    assert_eq!(resume.replayed, 0, "fresh dir must start empty");
-    for &r in records {
-        apply(r, &mut store);
-    }
-    store.sync().expect("sync journal");
-    dir.join("store.wal")
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// K shuffled per-worker journals — one of them with a torn tail that
-    /// loses exactly its in-flight record — merge to the same store as a
-    /// single combined journal of the surviving records, with zero
+    /// K per-worker stores — some records held by two workers, as after a
+    /// reroute — merge to the same store as one combined store, with zero
     /// conflicts, in every merge order.
     #[test]
-    fn sharded_journals_merge_like_one_combined_journal(
+    fn sharded_stores_merge_like_one_combined_store(
         // Which worker each record lands on (also fixes the record count).
         assignment in proptest::collection::vec(0..4usize, 1..60),
+        // A second worker that fetched the same record (equal to the
+        // first: no duplicate).
+        second in proptest::collection::vec(0..4usize, 60..61),
         // Mix of frame and rising records.
         kinds in proptest::collection::vec(any::<bool>(), 60..61),
-        // How many bytes to tear off the last worker's journal tail
-        // (1..=HEADER_LEN always cuts mid-record).
-        cut in 1..=HEADER_LEN,
-        seed in 0..1_000u64,
     ) {
-        let records: Vec<Record> = assignment
-            .iter()
-            .enumerate()
-            .map(|(i, _)| if kinds[i % kinds.len()] { Record::Frame(i) } else { Record::Rising(i) })
+        let records: Vec<Record> = (0..assignment.len())
+            .map(|i| if kinds[i] { Record::Frame(i) } else { Record::Rising(i) })
             .collect();
-        let workers = 1 + assignment.iter().copied().max().unwrap_or(0);
-        let root = scratch_dir(&format!("merge_prop_{seed}"));
 
-        // Partition the records across the worker journals. The torn
-        // worker gets one extra sacrificial record, then its journal file
-        // is cut mid-record — exactly that record is lost, as in a crash.
-        let torn_worker = workers - 1;
-        let mut dirs = Vec::new();
-        for w in 0..workers {
-            let mut mine: Vec<Record> = records
-                .iter()
-                .zip(&assignment)
-                .filter(|(_, &a)| a == w)
-                .map(|(&r, _)| r)
-                .collect();
-            if w == torn_worker {
-                // A sacrificial record past the live ones; `records.len()`
-                // is an index no surviving record uses.
-                mine.push(Record::Frame(records.len()));
+        let mut shards = vec![ResponseStore::new(); 4];
+        let mut duplicates = 0;
+        for (i, &r) in records.iter().enumerate() {
+            apply(r, &mut shards[assignment[i]]);
+            if second[i] != assignment[i] {
+                apply(r, &mut shards[second[i]]);
+                duplicates += 1;
             }
-            let dir = root.join(format!("worker-{w}"));
-            let wal = write_journal(&dir, &mine);
-            if w == torn_worker {
-                let bytes = std::fs::read(&wal).expect("read wal");
-                prop_assert!(bytes.len() > cut, "journal shorter than the cut");
-                std::fs::write(&wal, &bytes[..bytes.len() - cut]).expect("tear tail");
-            }
-            dirs.push(dir);
         }
 
-        // The reference: one combined journal of the surviving records.
-        let combined_dir = root.join("combined");
-        write_journal(&combined_dir, &records);
-        let (combined, resume) = DurableStore::open(&combined_dir).expect("reopen combined");
-        prop_assert_eq!(resume.replayed, records.len());
-        let expected = combined.into_store().to_json().expect("encode expected");
+        let mut combined = ResponseStore::new();
+        for &r in &records {
+            apply(r, &mut combined);
+        }
+        let expected = combined.to_json().expect("encode expected");
 
-        // Merge the worker journals in two different orders: the result
-        // must not depend on merge order.
-        let mut reversed = dirs.clone();
+        // Merge the shards in two different orders: the result must not
+        // depend on merge order.
+        let mut reversed = shards.clone();
         reversed.reverse();
-        for (pass, order) in [dirs, reversed].into_iter().enumerate() {
-            let (merged, report) = merge_journal_dirs(&order).expect("merge journals");
-            prop_assert_eq!(report.sources, workers);
-            prop_assert_eq!(report.conflicts, 0, "identical duplicates must not conflict");
-            // The first open heals the torn file (truncating the partial
-            // record), so only the first pass observes the tear.
-            prop_assert_eq!(
-                report.torn_tails,
-                usize::from(pass == 0),
-                "exactly one journal was torn, healed on first recovery"
-            );
-            prop_assert_eq!(
-                report.replayed,
-                records.len(),
-                "every surviving record replays exactly once across the shards"
-            );
+        for order in [shards, reversed] {
+            let mut merged = ResponseStore::new();
+            let (mut added, mut conflicts) = (0, 0);
+            for shard in order {
+                let report = merged.merge(shard);
+                added += report.frames_added + report.rising_added;
+                conflicts += report.conflicts;
+            }
+            prop_assert_eq!(conflicts, 0, "identical duplicates must not conflict");
+            prop_assert_eq!(added, records.len(), "{} duplicates add nothing", duplicates);
             prop_assert_eq!(&merged.to_json().expect("encode merged"), &expected);
         }
     }

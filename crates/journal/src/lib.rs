@@ -1,8 +1,10 @@
 //! sift-journal: crash-safe durability for long-running crawls.
 //!
 //! The paper's collection workload is weeks of HTTP fetches; losing the
-//! accumulated `ResponseStore` to a process crash means re-crawling from
-//! scratch. This crate provides the three primitives that make a crawl
+//! responses fetched so far to a process crash means re-crawling from
+//! scratch. Three state machines journal through it — a study's
+//! per-region response log (`sift_core::RegionJournal`), the cluster
+//! coordinator's table and the daemon's regions. This crate provides the three primitives that make a crawl
 //! resumable, and the harness that proves they work:
 //!
 //! * [`Journal`] — an append-only, CRC32-framed, fsync-batched

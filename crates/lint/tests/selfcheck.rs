@@ -20,7 +20,6 @@ fn workspace_is_lint_clean() {
     // Clean only means something for `durable-write` if every module
     // that owns on-disk state is on its strict list.
     for module in [
-        "crates/fetcher/src/durable.rs",
         "crates/core/src/durable.rs",
         "crates/cluster/src/recovery.rs",
         "crates/serve/src/region.rs",

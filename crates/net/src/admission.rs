@@ -29,9 +29,6 @@ pub enum ShedReason {
     QueueFull,
     /// The in-flight cap was reached.
     Overload,
-    /// The request's `X-Sift-Deadline-Ms` budget was already spent on
-    /// arrival; doing the work would only feed a waiter that gave up.
-    Deadline,
     /// The server is draining: in-flight work finishes, new work is
     /// refused.
     Draining,
@@ -39,10 +36,9 @@ pub enum ShedReason {
 
 impl ShedReason {
     /// Every reason, in declaration order.
-    pub const ALL: [ShedReason; 4] = [
+    pub const ALL: [ShedReason; 3] = [
         ShedReason::QueueFull,
         ShedReason::Overload,
-        ShedReason::Deadline,
         ShedReason::Draining,
     ];
 
@@ -52,7 +48,6 @@ impl ShedReason {
         match self {
             ShedReason::QueueFull => "queue_full",
             ShedReason::Overload => "overload",
-            ShedReason::Deadline => "deadline",
             ShedReason::Draining => "draining",
         }
     }
@@ -393,7 +388,7 @@ mod tests {
     #[test]
     fn labels_cover_every_reason() {
         let labels: Vec<_> = ShedReason::ALL.iter().map(|r| r.label()).collect();
-        assert_eq!(labels, ["queue_full", "overload", "deadline", "draining"]);
+        assert_eq!(labels, ["queue_full", "overload", "draining"]);
     }
 
     /// Regression (parked-waiter accounting): a long-poll subscriber

@@ -1,22 +1,15 @@
-//! Client-side overload protection: circuit breaker and retry budget.
+//! Client-side overload protection: the circuit breaker.
 //!
 //! The paper's premise is that search-interest spikes arrive exactly when
 //! everyone's Internet is broken — the crawler hammers the trends service
 //! hardest at the worst possible moment. Per-request retries (PR 3) make a
 //! single fetch robust; this module keeps the *fleet* from amplifying a
-//! degraded endpoint into a collapse:
-//!
-//! * [`CircuitBreaker`] — per-endpoint closed → open → half-open state
-//!   machine. After `failure_threshold` consecutive failures the breaker
-//!   opens and callers fail fast instead of queueing against a dead
-//!   endpoint; after `cooldown` a single probe is allowed through and a
-//!   success closes the circuit again.
-//! * [`RetryBudget`] — a deterministic deposit/withdraw token bucket
-//!   (after Finagle's retry budgets): every fresh call deposits a
-//!   fraction of a token, every retry withdraws a whole one, so retries
-//!   are bounded to a fixed percentage of live traffic no matter how many
-//!   clients flap at once. The budget deliberately has no wall-clock
-//!   refill: chaos replays stay byte-identical.
+//! degraded endpoint into a collapse. [`CircuitBreaker`] is a
+//! per-endpoint closed → open → half-open state machine: after
+//! `failure_threshold` consecutive failures the breaker opens and callers
+//! fail fast instead of queueing against a dead endpoint; after
+//! `cooldown` a single probe is allowed through and a success closes the
+//! circuit again.
 //!
 //! Like [`crate::ratelimit`], time is injected in milliseconds so the
 //! state machine is exactly testable; the public methods wire in a
@@ -290,77 +283,6 @@ fn duration_ms(d: Duration) -> u64 {
     u64::try_from(d.as_millis()).unwrap_or(u64::MAX)
 }
 
-/// Retry-budget parameters.
-#[derive(Clone, Copy, Debug)]
-pub struct RetryBudgetConfig {
-    /// Maximum banked retry tokens.
-    pub capacity: f64,
-    /// Tokens deposited by each fresh (first-attempt) call.
-    pub deposit_per_call: f64,
-    /// Tokens a single retry withdraws.
-    pub withdraw_per_retry: f64,
-}
-
-impl Default for RetryBudgetConfig {
-    fn default() -> Self {
-        RetryBudgetConfig {
-            capacity: 10.0,
-            deposit_per_call: 0.1,
-            withdraw_per_retry: 1.0,
-        }
-    }
-}
-
-/// A global retry budget shared by a fleet of clients.
-///
-/// Deposit-per-call / withdraw-per-retry keeps retries proportional to
-/// live traffic (~`deposit/withdraw` retry share at steady state), so a
-/// flapping endpoint cannot trigger a fleet-wide retry storm. The bucket
-/// starts full to allow normal startup bursts.
-#[derive(Debug)]
-pub struct RetryBudget {
-    config: RetryBudgetConfig,
-    tokens: Mutex<f64>,
-}
-
-impl RetryBudget {
-    /// A full budget under `config`.
-    pub fn new(config: RetryBudgetConfig) -> Self {
-        assert!(config.capacity >= 1.0, "capacity must admit one retry");
-        assert!(
-            config.withdraw_per_retry > 0.0,
-            "withdrawal must be positive"
-        );
-        RetryBudget {
-            config,
-            tokens: Mutex::new(config.capacity),
-        }
-    }
-
-    /// Credits one fresh call.
-    pub fn deposit(&self) {
-        let mut tokens = self.tokens.lock();
-        *tokens = (*tokens + self.config.deposit_per_call).min(self.config.capacity);
-    }
-
-    /// Tries to pay for one retry. `false` means the fleet is out of
-    /// retry budget and the caller must surface its error instead.
-    pub fn try_withdraw(&self) -> bool {
-        let mut tokens = self.tokens.lock();
-        if *tokens >= self.config.withdraw_per_retry {
-            *tokens -= self.config.withdraw_per_retry;
-            true
-        } else {
-            false
-        }
-    }
-
-    /// Currently banked tokens.
-    pub fn available(&self) -> f64 {
-        *self.tokens.lock()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -458,34 +380,5 @@ mod tests {
         b.fast_forward(Duration::from_secs(61));
         assert!(b.allow());
         assert_eq!(b.state(), BreakerState::HalfOpen);
-    }
-
-    #[test]
-    fn retry_budget_deposits_and_withdraws() {
-        let budget = RetryBudget::new(RetryBudgetConfig {
-            capacity: 2.0,
-            deposit_per_call: 0.5,
-            withdraw_per_retry: 1.0,
-        });
-        assert!(budget.try_withdraw());
-        assert!(budget.try_withdraw());
-        assert!(!budget.try_withdraw(), "bucket empty");
-        budget.deposit();
-        assert!(!budget.try_withdraw(), "half a token is not a retry");
-        budget.deposit();
-        assert!(budget.try_withdraw());
-    }
-
-    #[test]
-    fn retry_budget_caps_at_capacity() {
-        let budget = RetryBudget::new(RetryBudgetConfig {
-            capacity: 1.0,
-            deposit_per_call: 10.0,
-            withdraw_per_retry: 1.0,
-        });
-        budget.deposit();
-        budget.deposit();
-        assert!(budget.try_withdraw());
-        assert!(!budget.try_withdraw(), "deposits cannot bank past capacity");
     }
 }

@@ -3,17 +3,13 @@
 //! Beyond connection reuse and status-aware retries, the client carries
 //! the outbound half of the overload model (DESIGN.md, "Overload model"):
 //! an optional per-endpoint [`CircuitBreaker`] that fails fast while the
-//! server is melting down, an optional shared [`RetryBudget`] so a
-//! flapping endpoint cannot trigger a fleet-wide retry storm, and an
-//! optional per-request deadline that is both enforced locally (a retry
-//! never fires if it cannot fit in the remaining budget) and propagated
-//! to the server as [`crate::X_SIFT_DEADLINE_MS`] so expired work is shed
-//! there too. Retry backoff applies full jitter drawn from a per-request
-//! seeded RNG stream, keeping chaos replays deterministic.
+//! server is melting down. Retry backoff honours the server's
+//! `Retry-After` and otherwise applies full jitter drawn from a
+//! per-request seeded RNG stream, keeping chaos replays deterministic.
 
-use crate::breaker::{CircuitBreaker, RetryBudget};
+use crate::breaker::CircuitBreaker;
 use crate::http::{parse_response, serialize_request, ParseError, Request, Response, StatusCode};
-use crate::{FETCHER_IDENTITY_HEADER, X_SIFT_DEADLINE_MS, X_SIFT_TRACE};
+use crate::{FETCHER_IDENTITY_HEADER, X_SIFT_TRACE};
 use bytes::BytesMut;
 use parking_lot::Mutex;
 use rand::{RngCore, SeedableRng};
@@ -22,7 +18,7 @@ use std::fmt;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Client-side errors.
 #[derive(Debug)]
@@ -52,14 +48,6 @@ pub enum ClientError {
         /// The breaker's endpoint label.
         endpoint: String,
     },
-    /// The request's deadline budget ran out (or the next retry could not
-    /// fit in what remained).
-    DeadlineExceeded {
-        /// Time already spent, in milliseconds.
-        elapsed_ms: u64,
-        /// The configured budget, in milliseconds.
-        budget_ms: u64,
-    },
 }
 
 impl fmt::Display for ClientError {
@@ -75,13 +63,6 @@ impl fmt::Display for ClientError {
             ClientError::BreakerOpen { endpoint } => {
                 write!(f, "circuit breaker open for endpoint {endpoint}")
             }
-            ClientError::DeadlineExceeded {
-                elapsed_ms,
-                budget_ms,
-            } => write!(
-                f,
-                "deadline exceeded: {elapsed_ms}ms spent of {budget_ms}ms"
-            ),
         }
     }
 }
@@ -128,9 +109,6 @@ pub struct HttpClient {
     timeout: Duration,
     retry: RetryPolicy,
     breaker: Option<Arc<CircuitBreaker>>,
-    retry_budget: Option<Arc<RetryBudget>>,
-    deadline: Option<Duration>,
-    jitter_seed: u64,
 }
 
 impl HttpClient {
@@ -143,9 +121,6 @@ impl HttpClient {
             timeout: Duration::from_secs(30),
             retry: RetryPolicy::default(),
             breaker: None,
-            retry_budget: None,
-            deadline: None,
-            jitter_seed: 0,
         }
     }
 
@@ -174,31 +149,6 @@ impl HttpClient {
     /// break per endpoint rather than per connection.
     pub fn with_breaker(mut self, breaker: Arc<CircuitBreaker>) -> Self {
         self.breaker = Some(breaker);
-        self
-    }
-
-    /// Draws every retry from a shared [`RetryBudget`]; when the budget is
-    /// empty the underlying error surfaces instead of another retry
-    /// firing. Share one `Arc` fleet-wide to prevent retry storms.
-    pub fn with_retry_budget(mut self, budget: Arc<RetryBudget>) -> Self {
-        self.retry_budget = Some(budget);
-        self
-    }
-
-    /// Gives every retried send a total deadline: the remaining budget is
-    /// attached as [`crate::X_SIFT_DEADLINE_MS`] (so the server can shed
-    /// expired work) and a retry never fires if it cannot fit in what
-    /// remains.
-    pub fn with_deadline(mut self, deadline: Duration) -> Self {
-        self.deadline = Some(deadline);
-        self
-    }
-
-    /// Seeds the jitter RNG stream (full-jitter backoff is a pure function
-    /// of this seed, the request and the attempt number, so chaos replays
-    /// stay deterministic).
-    pub fn with_jitter_seed(mut self, seed: u64) -> Self {
-        self.jitter_seed = seed;
         self
     }
 
@@ -261,14 +211,8 @@ impl HttpClient {
     /// transport-level I/O failures (connection refused, reset
     /// mid-exchange, truncated response) with full-jitter exponential
     /// backoff per the client's [`RetryPolicy`] — gated by the circuit
-    /// breaker, retry budget and deadline when configured.
+    /// breaker when configured.
     pub fn send_with_retry(&self, req: &Request) -> Result<Response, ClientError> {
-        let started = Instant::now();
-        // One deposit per logical call funds roughly `deposit_per_call`
-        // retries: the Finagle-style budget shape.
-        if let Some(budget) = &self.retry_budget {
-            budget.deposit();
-        }
         let mut attempt = 0u32;
         loop {
             attempt += 1;
@@ -284,11 +228,6 @@ impl HttpClient {
                     });
                 }
             }
-            if let Some(deadline) = self.deadline {
-                if started.elapsed() >= deadline {
-                    return Err(self.deadline_error(started, deadline));
-                }
-            }
             // Each attempt is its own span: it is the context stamped
             // into X-Sift-Trace by `send`, so the server-side work for a
             // retried request parents onto the exact attempt that
@@ -296,7 +235,7 @@ impl HttpClient {
             // never as orphan roots.
             let _attempt_span = sift_obs::span("request");
             sift_obs::attr_set("attempt", u64::from(attempt));
-            let resp = match self.send(&self.stamped(req, started)) {
+            let resp = match self.send(req) {
                 Ok(resp) => resp,
                 // A transport failure consumed no retry budget before this
                 // fix: a single reset aborted the whole exchange even with
@@ -307,7 +246,6 @@ impl HttpClient {
                         return Err(ClientError::Io(e));
                     }
                     let wait = self.jittered_backoff(req, attempt);
-                    let wait = self.gate_retry(started, wait, ClientError::Io(e))?;
                     sift_obs::attr_add("retries", 1);
                     sift_obs::counter("sift_client_retries_total", &[("status", "io")]).inc();
                     sift_obs::histogram("sift_client_backoff_seconds", &[]).observe_duration(wait);
@@ -357,15 +295,6 @@ impl HttpClient {
                 None => self.jittered_backoff(req, attempt),
             };
             let status_label = resp.status.0.to_string();
-            let underlying = if resp.status == StatusCode::TOO_MANY_REQUESTS {
-                ClientError::RateLimited { attempts: attempt }
-            } else {
-                ClientError::Status {
-                    status: resp.status,
-                    body: body_excerpt(&resp),
-                }
-            };
-            let wait = self.gate_retry(started, wait, underlying)?;
             sift_obs::attr_add("retries", 1);
             sift_obs::counter("sift_client_retries_total", &[("status", &status_label)]).inc();
             sift_obs::histogram("sift_client_backoff_seconds", &[]).observe_duration(wait);
@@ -414,21 +343,6 @@ impl HttpClient {
         }
     }
 
-    /// The request as actually sent: with the remaining deadline budget
-    /// attached when one is configured.
-    fn stamped(&self, req: &Request, started: Instant) -> Request {
-        let Some(deadline) = self.deadline else {
-            return req.clone();
-        };
-        let remaining = deadline.saturating_sub(started.elapsed());
-        let mut req = req.clone();
-        req.headers.set(
-            X_SIFT_DEADLINE_MS,
-            (remaining.as_millis() as u64).to_string(),
-        );
-        req
-    }
-
     fn record_outcome(&self, success: bool) {
         if let Some(b) = &self.breaker {
             if success {
@@ -439,46 +353,9 @@ impl HttpClient {
         }
     }
 
-    /// Decides whether one more retry may fire after waiting `wait`:
-    /// refused when the wait cannot fit in the remaining deadline or the
-    /// shared retry budget is empty (the underlying error surfaces).
-    fn gate_retry(
-        &self,
-        started: Instant,
-        wait: Duration,
-        underlying: ClientError,
-    ) -> Result<Duration, ClientError> {
-        if let Some(deadline) = self.deadline {
-            let elapsed = started.elapsed();
-            if elapsed + wait >= deadline {
-                return Err(self.deadline_error(started, deadline));
-            }
-        }
-        if let Some(budget) = &self.retry_budget {
-            if !budget.try_withdraw() {
-                sift_obs::counter("sift_client_retry_budget_exhausted_total", &[]).inc();
-                sift_obs::event(
-                    sift_obs::Level::Warn,
-                    "net.client",
-                    "retry budget exhausted",
-                    &[("error", serde_json::Value::Str(underlying.to_string()))],
-                );
-                return Err(underlying);
-            }
-        }
-        Ok(wait)
-    }
-
-    fn deadline_error(&self, started: Instant, deadline: Duration) -> ClientError {
-        ClientError::DeadlineExceeded {
-            elapsed_ms: started.elapsed().as_millis() as u64,
-            budget_ms: deadline.as_millis() as u64,
-        }
-    }
-
     /// Full-jitter exponential backoff: a uniform draw in `[0, backoff]`
-    /// from a ChaCha8 stream keyed by (client jitter seed, request,
-    /// attempt) — deterministic per replay, decorrelated across requests.
+    /// from a ChaCha8 stream keyed by (request, attempt) — deterministic
+    /// per replay, decorrelated across requests.
     fn jittered_backoff(&self, req: &Request, attempt: u32) -> Duration {
         let exp = backoff_wait(&self.retry, attempt);
         if !self.retry.jitter {
@@ -487,7 +364,6 @@ impl HttpClient {
         let span_ms = exp.as_millis() as u64;
         let key = crate::fault::request_key(&req.path, &req.body);
         let mut seed = [0u8; 32];
-        seed[0..8].copy_from_slice(&self.jitter_seed.to_le_bytes());
         seed[8..16].copy_from_slice(&key.to_le_bytes());
         seed[16..20].copy_from_slice(&attempt.to_le_bytes());
         // Domain tag ("JITR") keeps this stream disjoint from the fault
@@ -560,7 +436,7 @@ fn body_excerpt(resp: &Response) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::breaker::{BreakerConfig, BreakerState, RetryBudgetConfig};
+    use crate::breaker::{BreakerConfig, BreakerState};
     use crate::http::Method;
     use crate::ratelimit::RateLimiterConfig;
     use crate::router::Router;
@@ -585,14 +461,6 @@ mod tests {
             })
             .route(Method::Get, "/fail", |_| {
                 Response::text(StatusCode::INTERNAL_SERVER_ERROR, "always broken")
-            })
-            .route(Method::Get, "/budget", |req| {
-                let budget = req
-                    .headers
-                    .get(X_SIFT_DEADLINE_MS)
-                    .unwrap_or("none")
-                    .to_owned();
-                Response::text(StatusCode::OK, budget)
             });
         Server::new(router).bind("127.0.0.1:0").expect("bind")
     }
@@ -819,24 +687,24 @@ mod tests {
     #[test]
     fn jittered_backoff_is_deterministic_and_bounded() {
         let h = spawn_server();
-        let a = HttpClient::new(h.addr()).with_jitter_seed(9);
-        let b = HttpClient::new(h.addr()).with_jitter_seed(9);
-        let other = HttpClient::new(h.addr()).with_jitter_seed(10);
+        let a = HttpClient::new(h.addr());
+        let b = HttpClient::new(h.addr());
         let req = Request::get("/ping");
-        let mut seeds_differ = false;
+        let other = Request::get("/whoami");
+        let mut requests_differ = false;
         for attempt in 1..=6 {
             let wa = a.jittered_backoff(&req, attempt);
             let wb = b.jittered_backoff(&req, attempt);
-            assert_eq!(wa, wb, "same seed, same request, same attempt");
+            assert_eq!(wa, wb, "same request, same attempt");
             assert!(
                 wa <= backoff_wait(&a.retry, attempt),
                 "full jitter stays in range"
             );
-            if other.jittered_backoff(&req, attempt) != wa {
-                seeds_differ = true;
+            if a.jittered_backoff(&other, attempt) != wa {
+                requests_differ = true;
             }
         }
-        assert!(seeds_differ, "different seeds decorrelate");
+        assert!(requests_differ, "different requests decorrelate");
         h.shutdown();
     }
 
@@ -910,52 +778,6 @@ mod tests {
     }
 
     #[test]
-    fn empty_retry_budget_surfaces_the_underlying_error() {
-        let h = spawn_server();
-        let budget = Arc::new(RetryBudget::new(RetryBudgetConfig {
-            capacity: 1.0,
-            deposit_per_call: 0.0,
-            withdraw_per_retry: 1.0,
-        }));
-        let c = HttpClient::new(h.addr())
-            .with_retry(fast_retry(10))
-            .with_retry_budget(Arc::clone(&budget));
-        let before = sift_obs::counter("sift_client_retry_budget_exhausted_total", &[]).get();
-        let err = c.send_with_retry(&Request::get("/fail")).unwrap_err();
-        // One funded retry, then the budget is dry and the 500 surfaces
-        // long before the 10-attempt policy would have given up.
-        match err {
-            ClientError::Status { status, .. } => {
-                assert_eq!(status, StatusCode::INTERNAL_SERVER_ERROR)
-            }
-            other => panic!("expected status error, got {other}"),
-        }
-        assert!(budget.available() < 1.0);
-        let after = sift_obs::counter("sift_client_retry_budget_exhausted_total", &[]).get();
-        assert!(after > before, "exhaustion counted: {before} -> {after}");
-        h.shutdown();
-    }
-
-    #[test]
-    fn retry_never_fires_when_it_cannot_fit_the_deadline() {
-        let h = spawn_server();
-        let c = HttpClient::new(h.addr())
-            .with_retry(RetryPolicy {
-                max_attempts: 10,
-                base_backoff: Duration::from_secs(2),
-                max_backoff: Duration::from_secs(2),
-                jitter: false, // a deterministic 2 s wait against a 100 ms budget
-            })
-            .with_deadline(Duration::from_millis(100));
-        let err = c.send_with_retry(&Request::get("/fail")).unwrap_err();
-        match err {
-            ClientError::DeadlineExceeded { budget_ms, .. } => assert_eq!(budget_ms, 100),
-            other => panic!("expected deadline error, got {other}"),
-        }
-        h.shutdown();
-    }
-
-    #[test]
     fn trace_context_joins_client_and_server_spans() {
         let h = spawn_server();
         let c = HttpClient::new(h.addr());
@@ -986,24 +808,6 @@ mod tests {
         );
         assert_eq!(serve.arg("status"), Some(200));
         assert!(trace.orphans().is_empty());
-        h.shutdown();
-    }
-
-    #[test]
-    fn deadline_budget_is_propagated_as_a_header() {
-        let h = spawn_server();
-        let c = HttpClient::new(h.addr()).with_deadline(Duration::from_secs(60));
-        let resp = c.send_with_retry(&Request::get("/budget")).expect("send");
-        let budget: u64 = String::from_utf8_lossy(&resp.body)
-            .parse()
-            .expect("numeric budget header");
-        assert!(budget > 0 && budget <= 60_000, "remaining budget: {budget}");
-        // Without a deadline the header is absent.
-        let bare = HttpClient::new(h.addr());
-        let resp = bare
-            .send_with_retry(&Request::get("/budget"))
-            .expect("send");
-        assert_eq!(&resp.body[..], b"none");
         h.shutdown();
     }
 }

@@ -240,33 +240,24 @@ pub enum NemesisFaultKind {
     /// Requests are delivered but the replies are lost — the receiver
     /// acts, the sender never learns (the classic zombie-lease shape).
     PartitionAsym,
-    /// Traffic between two endpoints is delayed, not dropped.
-    SlowLink,
-    /// One worker's heartbeats are silently dropped.
-    HeartbeatDrop,
     /// One worker's heartbeats are delayed.
     HeartbeatDelay,
     /// The coordinator process is killed.
     KillCoordinator,
     /// The coordinator process is restarted (recovers from its journal).
     RestartCoordinator,
-    /// One worker process is killed.
-    KillWorker,
     /// Installed link faults are removed.
     Heal,
 }
 
 impl NemesisFaultKind {
     /// Every kind, in declaration order.
-    pub const ALL: [NemesisFaultKind; 9] = [
+    pub const ALL: [NemesisFaultKind; 6] = [
         NemesisFaultKind::PartitionSym,
         NemesisFaultKind::PartitionAsym,
-        NemesisFaultKind::SlowLink,
-        NemesisFaultKind::HeartbeatDrop,
         NemesisFaultKind::HeartbeatDelay,
         NemesisFaultKind::KillCoordinator,
         NemesisFaultKind::RestartCoordinator,
-        NemesisFaultKind::KillWorker,
         NemesisFaultKind::Heal,
     ];
 
@@ -278,12 +269,9 @@ impl NemesisFaultKind {
         match self {
             NemesisFaultKind::PartitionSym => "partition_sym",
             NemesisFaultKind::PartitionAsym => "partition_asym",
-            NemesisFaultKind::SlowLink => "slow_link",
-            NemesisFaultKind::HeartbeatDrop => "heartbeat_drop",
             NemesisFaultKind::HeartbeatDelay => "heartbeat_delay",
             NemesisFaultKind::KillCoordinator => "kill_coordinator",
             NemesisFaultKind::RestartCoordinator => "restart_coordinator",
-            NemesisFaultKind::KillWorker => "kill_worker",
             NemesisFaultKind::Heal => "heal",
         }
     }
@@ -315,20 +303,6 @@ pub enum NemesisOp {
         /// The side whose replies are lost.
         to: String,
     },
-    /// Delay traffic between `a` and `b` by `delay_ms`.
-    SlowLink {
-        /// One endpoint.
-        a: String,
-        /// The other endpoint.
-        b: String,
-        /// Added one-way latency, milliseconds.
-        delay_ms: u64,
-    },
-    /// Silently drop `worker`'s heartbeats (other traffic unaffected).
-    HeartbeatDrop {
-        /// The affected worker identity.
-        worker: String,
-    },
     /// Delay `worker`'s heartbeats by `delay_ms`.
     HeartbeatDelay {
         /// The affected worker identity.
@@ -343,17 +317,10 @@ pub enum NemesisOp {
         /// The other endpoint.
         b: String,
     },
-    /// Remove every installed link fault.
-    HealAll,
     /// Kill the coordinator process (executed by the harness).
     KillCoordinator,
     /// Restart the coordinator process (executed by the harness).
     RestartCoordinator,
-    /// Kill `worker`'s process (executed by the harness).
-    KillWorker {
-        /// The victim worker identity.
-        worker: String,
-    },
 }
 
 impl NemesisOp {
@@ -362,13 +329,10 @@ impl NemesisOp {
         match self {
             NemesisOp::PartitionSym { .. } => NemesisFaultKind::PartitionSym,
             NemesisOp::PartitionAsym { .. } => NemesisFaultKind::PartitionAsym,
-            NemesisOp::SlowLink { .. } => NemesisFaultKind::SlowLink,
-            NemesisOp::HeartbeatDrop { .. } => NemesisFaultKind::HeartbeatDrop,
             NemesisOp::HeartbeatDelay { .. } => NemesisFaultKind::HeartbeatDelay,
-            NemesisOp::Heal { .. } | NemesisOp::HealAll => NemesisFaultKind::Heal,
+            NemesisOp::Heal { .. } => NemesisFaultKind::Heal,
             NemesisOp::KillCoordinator => NemesisFaultKind::KillCoordinator,
             NemesisOp::RestartCoordinator => NemesisFaultKind::RestartCoordinator,
-            NemesisOp::KillWorker { .. } => NemesisFaultKind::KillWorker,
         }
     }
 }
@@ -378,18 +342,12 @@ impl std::fmt::Display for NemesisOp {
         match self {
             NemesisOp::PartitionSym { a, b } => write!(f, "partition_sym {a} <-x-> {b}"),
             NemesisOp::PartitionAsym { from, to } => write!(f, "partition_asym {from} -> {to}"),
-            NemesisOp::SlowLink { a, b, delay_ms } => {
-                write!(f, "slow_link {a} <-> {b} +{delay_ms}ms")
-            }
-            NemesisOp::HeartbeatDrop { worker } => write!(f, "heartbeat_drop {worker}"),
             NemesisOp::HeartbeatDelay { worker, delay_ms } => {
                 write!(f, "heartbeat_delay {worker} +{delay_ms}ms")
             }
             NemesisOp::Heal { a, b } => write!(f, "heal {a} <-> {b}"),
-            NemesisOp::HealAll => f.write_str("heal *"),
             NemesisOp::KillCoordinator => f.write_str("kill_coordinator"),
             NemesisOp::RestartCoordinator => f.write_str("restart_coordinator"),
-            NemesisOp::KillWorker { worker } => write!(f, "kill_worker {worker}"),
         }
     }
 }
@@ -585,28 +543,6 @@ impl NemesisState {
                 });
                 true
             }
-            NemesisOp::SlowLink { a, b, delay_ms } => {
-                for (from, to) in [(a, b), (b, a)] {
-                    rules.push(LinkRule {
-                        from: from.clone(),
-                        to: to.clone(),
-                        kind,
-                        action: LinkAction::Delay(Duration::from_millis(*delay_ms)),
-                        route_prefix: None,
-                    });
-                }
-                true
-            }
-            NemesisOp::HeartbeatDrop { worker } => {
-                rules.push(LinkRule {
-                    from: worker.clone(),
-                    to: "*".to_owned(),
-                    kind,
-                    action: LinkAction::DropRequest,
-                    route_prefix: Some("/cluster/heartbeat".to_owned()),
-                });
-                true
-            }
             NemesisOp::HeartbeatDelay { worker, delay_ms } => {
                 rules.push(LinkRule {
                     from: worker.clone(),
@@ -621,13 +557,7 @@ impl NemesisState {
                 rules.retain(|r| !r.involves(a, b));
                 true
             }
-            NemesisOp::HealAll => {
-                rules.clear();
-                true
-            }
-            NemesisOp::KillCoordinator
-            | NemesisOp::RestartCoordinator
-            | NemesisOp::KillWorker { .. } => false,
+            NemesisOp::KillCoordinator | NemesisOp::RestartCoordinator => false,
         }
     }
 
@@ -917,12 +847,16 @@ mod tests {
     #[test]
     fn heartbeat_faults_are_route_scoped() {
         let state = NemesisState::new();
-        assert!(state.apply(&NemesisOp::HeartbeatDrop {
+        assert!(state.apply(&NemesisOp::HeartbeatDelay {
             worker: "w2".into(),
+            delay_ms: 7,
         }));
         assert_eq!(
             state.decide("w2", "coord", "/cluster/heartbeat"),
-            Some((NemesisFaultKind::HeartbeatDrop, LinkAction::DropRequest))
+            Some((
+                NemesisFaultKind::HeartbeatDelay,
+                LinkAction::Delay(Duration::from_millis(7))
+            ))
         );
         assert_eq!(
             state.decide("w2", "coord", "/cluster/lease"),
@@ -936,9 +870,6 @@ mod tests {
         let state = NemesisState::new();
         assert!(!state.apply(&NemesisOp::KillCoordinator));
         assert!(!state.apply(&NemesisOp::RestartCoordinator));
-        assert!(!state.apply(&NemesisOp::KillWorker {
-            worker: "w0".into(),
-        }));
         assert_eq!(state.active_rules(), 0);
     }
 

@@ -15,14 +15,12 @@
 //! * [`router`] — exact-match method/path routing with typed JSON helpers.
 //! * [`client`] — a pooling, retrying client with timeouts; honours
 //!   `Retry-After` on 429 responses, applies full-jitter backoff, and can
-//!   carry a circuit breaker, shared retry budget and per-request
-//!   deadline.
+//!   carry a circuit breaker.
 //! * [`admission`] — server-side admission control: bounded accept queue
 //!   and in-flight cap shedding excess load with `503 + Retry-After`,
-//!   deadline-aware rejection, graceful drain.
+//!   graceful drain.
 //! * [`breaker`] — the client-side circuit breaker
-//!   (closed → open → half-open) and the Finagle-style retry budget that
-//!   stops fleet-wide retry storms.
+//!   (closed → open → half-open).
 //! * [`ratelimit`] — the per-client token-bucket limiter the service runs,
 //!   which is exactly why the paper's fetcher spreads load across units
 //!   "hosted behind separate IP addresses".
@@ -49,7 +47,7 @@ pub mod router;
 pub mod server;
 
 pub use admission::{AdmissionConfig, AdmissionController, ParkedSlot, ShedReason};
-pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker, RetryBudget, RetryBudgetConfig};
+pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 pub use client::{ClientError, HttpClient, RetryPolicy};
 pub use fault::{
     FaultInjector, FaultKind, FaultPlan, LinkAction, LinkRule, NemesisDriver, NemesisFaultKind,
@@ -70,17 +68,6 @@ pub use server::{Server, ServerHandle};
 /// keys on it (falling back to the TCP peer address when absent) — the
 /// same mechanism, observable end-to-end over real sockets. See DESIGN.md.
 pub const FETCHER_IDENTITY_HEADER: &str = "x-fetcher-ip";
-
-/// The header carrying a request's remaining deadline budget in
-/// milliseconds.
-///
-/// Contract (see DESIGN.md, "Overload model"): the client sets it to the
-/// time left before its caller stops caring about the answer; the server
-/// compares it against how long the request waited before being picked up
-/// and sheds work whose budget is already spent with `503 + Retry-After`
-/// instead of computing an answer nobody will read. A missing header
-/// means "no deadline"; a value of `0` is by definition already spent.
-pub const X_SIFT_DEADLINE_MS: &str = "x-sift-deadline-ms";
 
 /// The header carrying a request's trace context across the HTTP
 /// boundary.

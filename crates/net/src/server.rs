@@ -10,17 +10,15 @@
 //! [`AdmissionController`] bounds the accept queue and the in-flight
 //! request count, shedding excess connections with a canned
 //! `503 + Retry-After` at the acceptor — before a single request byte is
-//! parsed. Requests carrying an [`crate::X_SIFT_DEADLINE_MS`] header whose
-//! budget is already spent are shed the same way, and
-//! [`ServerHandle::drain`] finishes in-flight work while refusing new
-//! connections instead of just flipping the shutdown flag.
+//! parsed, and [`ServerHandle::drain`] finishes in-flight work while
+//! refusing new connections instead of just flipping the shutdown flag.
 
 use crate::admission::{AdmissionConfig, AdmissionController, ShedReason};
 use crate::fault::{FaultInjector, FaultKind, FaultPlan, LinkAction, NemesisState};
 use crate::http::{parse_request, serialize_response, Request, Response, StatusCode};
 use crate::ratelimit::{RateLimitDecision, RateLimiter, RateLimiterConfig};
 use crate::router::Router;
-use crate::{FETCHER_IDENTITY_HEADER, X_SIFT_DEADLINE_MS, X_SIFT_TRACE};
+use crate::{FETCHER_IDENTITY_HEADER, X_SIFT_TRACE};
 use bytes::BytesMut;
 use crossbeam::channel;
 use std::io::{Read, Write};
@@ -56,7 +54,7 @@ impl Server {
             read_timeout: Duration::from_secs(30),
             write_timeout: Duration::from_secs(30),
             // No bounds unless asked for; the controller still powers
-            // deadline sheds and graceful drain.
+            // graceful drain.
             admission: AdmissionConfig::unlimited(),
             admission_shared: None,
         }
@@ -133,7 +131,7 @@ impl Server {
             .unwrap_or_else(|| Arc::new(AdmissionController::new(self.admission)));
         let started = Instant::now();
 
-        let (tx, rx) = channel::unbounded::<(TcpStream, Instant)>();
+        let (tx, rx) = channel::unbounded::<TcpStream>();
 
         let mut threads = Vec::with_capacity(self.workers + 1);
         for i in 0..self.workers {
@@ -153,10 +151,10 @@ impl Server {
                 std::thread::Builder::new()
                     .name(format!("sift-net-worker-{i}"))
                     .spawn(move || {
-                        while let Ok((stream, accepted_at)) = rx.recv() {
+                        while let Ok(stream) = rx.recv() {
                             ctx.admission.dequeued();
                             // sift-lint: allow(swallowed-result) — a torn connection must not kill the worker; the route/shed counters already account for the request
-                            let _ = serve_connection(stream, accepted_at, &ctx);
+                            let _ = serve_connection(stream, &ctx);
                         }
                     })?,
             );
@@ -187,7 +185,7 @@ impl Server {
                                     }
                                     match admission.try_enqueue() {
                                         Ok(()) => {
-                                            if tx.send((s, Instant::now())).is_err() {
+                                            if tx.send(s).is_err() {
                                                 break;
                                             }
                                         }
@@ -199,10 +197,18 @@ impl Server {
                                         }
                                     }
                                 }
-                                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                                Err(e) => {
+                                    // A persistent error (EMFILE/ENFILE
+                                    // under a connection flood) must pause
+                                    // like an empty backlog does, or the
+                                    // acceptor spins and starves the
+                                    // workers that would free descriptors.
+                                    if e.kind() != std::io::ErrorKind::WouldBlock {
+                                        sift_obs::counter("sift_http_accept_errors_total", &[])
+                                            .inc();
+                                    }
                                     std::thread::sleep(Duration::from_millis(10));
                                 }
-                                Err(_) => continue,
                             }
                         }
                         // Dropping `tx` closes the channel; workers drain
@@ -359,13 +365,6 @@ fn client_identity(req: &Request, peer: &SocketAddr) -> String {
         .unwrap_or_else(|| peer.ip().to_string())
 }
 
-/// The declared deadline budget of a request, if any.
-fn deadline_budget_ms(req: &Request) -> Option<u64> {
-    req.headers
-        .get(X_SIFT_DEADLINE_MS)
-        .and_then(|v| v.trim().parse::<u64>().ok())
-}
-
 /// The trace context a request carried over the wire, if any. A
 /// malformed header parses to `None` — the request is served in a
 /// detached trace, never failed.
@@ -375,11 +374,7 @@ fn trace_context(req: &Request) -> Option<sift_obs::SpanContext> {
         .and_then(sift_obs::SpanContext::from_header)
 }
 
-fn serve_connection(
-    mut stream: TcpStream,
-    accepted_at: Instant,
-    ctx: &ConnContext,
-) -> std::io::Result<()> {
+fn serve_connection(mut stream: TcpStream, ctx: &ConnContext) -> std::io::Result<()> {
     // Short socket timeout so idle keep-alive reads re-check the shutdown
     // flag frequently; the configured `read_timeout` bounds total idleness.
     let poll = Duration::from_millis(250).min(ctx.read_timeout);
@@ -391,10 +386,6 @@ fn serve_connection(
 
     let mut buf = BytesMut::with_capacity(8 * 1024);
     let mut chunk = [0u8; 16 * 1024];
-    // When the *current* request started waiting: accept time for the
-    // first request on the connection, end of the previous response for
-    // keep-alive successors. Deadline budgets are charged against this.
-    let mut wait_epoch = accepted_at;
 
     loop {
         if ctx.shutdown.load(Ordering::SeqCst) {
@@ -489,31 +480,13 @@ fn serve_connection(
             .as_deref()
             .and_then(|f| f.decide(&route, &req.body));
 
-        // Admission: a request that arrives on a draining server, with a
-        // spent deadline budget, or past the in-flight cap is shed with
-        // `503 + Retry-After` and the connection closes.
+        // Admission: a request that arrives on a draining server or past
+        // the in-flight cap is shed with `503 + Retry-After` and the
+        // connection closes.
         if ctx.admission.is_draining() {
             let resp = ctx.admission.shed_response(ShedReason::Draining);
             stream.write_all(&serialize_response(&resp))?;
             return Ok(());
-        }
-        if let Some(budget_ms) = deadline_budget_ms(&req) {
-            let waited_ms = wait_epoch.elapsed().as_millis() as u64;
-            if waited_ms >= budget_ms {
-                sift_obs::event(
-                    sift_obs::Level::Warn,
-                    "net.admission",
-                    "deadline spent on arrival",
-                    &[
-                        ("route", serde_json::Value::Str(route.clone())),
-                        ("budget_ms", serde_json::Value::UInt(budget_ms)),
-                        ("waited_ms", serde_json::Value::UInt(waited_ms)),
-                    ],
-                );
-                let resp = ctx.admission.shed_response(ShedReason::Deadline);
-                stream.write_all(&serialize_response(&resp))?;
-                return Ok(());
-            }
         }
         let admitted = match ctx.admission.try_admit() {
             Ok(guard) => guard,
@@ -629,7 +602,6 @@ fn serve_connection(
         }
         stream.write_all(&serialize_response(&resp))?;
         drop(admitted); // the in-flight slot covers dispatch and write
-        wait_epoch = Instant::now();
         if close_after {
             return Ok(());
         }
@@ -820,27 +792,6 @@ mod tests {
             .bind("127.0.0.1:0")
             .expect("bind");
         let text = raw_roundtrip(h.addr(), b"GET /ping HTTP/1.1\r\nconnection: close\r\n\r\n");
-        assert!(text.starts_with("HTTP/1.1 200"), "{text}");
-        h.shutdown();
-    }
-
-    #[test]
-    fn spent_deadline_is_shed_before_dispatch() {
-        let h = Server::new(test_router())
-            .bind("127.0.0.1:0")
-            .expect("bind");
-        // A zero budget is spent by definition: deterministic shed.
-        let text = raw_roundtrip(
-            h.addr(),
-            b"GET /ping HTTP/1.1\r\nx-sift-deadline-ms: 0\r\nconnection: close\r\n\r\n",
-        );
-        assert!(text.starts_with("HTTP/1.1 503"), "{text}");
-        assert!(text.to_lowercase().contains("retry-after:"), "{text}");
-        // A generous budget sails through.
-        let text = raw_roundtrip(
-            h.addr(),
-            b"GET /ping HTTP/1.1\r\nx-sift-deadline-ms: 60000\r\nconnection: close\r\n\r\n",
-        );
         assert!(text.starts_with("HTTP/1.1 200"), "{text}");
         h.shutdown();
     }

@@ -1,6 +1,6 @@
-//! Property tests: HTTP wire-format round trips, truncation torture,
-//! retry-loop termination under total fault rates, and rate-limiter
-//! conservation.
+//! Property tests: HTTP wire-format round trips, truncation and
+//! byte-mutation torture, retry-loop termination under total fault
+//! rates, and rate-limiter conservation.
 
 use bytes::{Bytes, BytesMut};
 use proptest::prelude::*;
@@ -42,6 +42,27 @@ fn request_strategy() -> impl Strategy<Value = Request> {
                 body: Bytes::from(body),
             }
         })
+}
+
+/// Applies each `(kind, position, byte)` edit in turn: flip the byte at
+/// the position (xor, never a no-op), delete it, or insert `byte` before
+/// it. Positions wrap around the current length.
+fn mutate(wire: &[u8], edits: &[(u8, u32, u8)]) -> Vec<u8> {
+    let mut out = wire.to_vec();
+    for &(kind, at, byte) in edits {
+        let at = at as usize;
+        match kind {
+            0 if !out.is_empty() => {
+                let i = at % out.len();
+                out[i] ^= byte | 1;
+            }
+            1 if !out.is_empty() => {
+                out.remove(at % out.len());
+            }
+            _ => out.insert(at % (out.len() + 1), byte),
+        }
+    }
+    out
 }
 
 proptest! {
@@ -104,6 +125,52 @@ proptest! {
         let _ = parse_request(&mut buf);
         let mut buf = BytesMut::from(&junk[..]);
         let _ = parse_response(&mut buf);
+    }
+
+    /// Byte-mutation torture: a valid serialized message with 1–4 bytes
+    /// flipped, deleted or inserted anywhere — request line, header names
+    /// and values, `Content-Length`, body — parses, waits or errors. It
+    /// never panics, an incomplete parse leaves the buffer alone, and a
+    /// complete one consumes at least a head and at most the buffer. The
+    /// same edits on an `X-Sift-Trace` value decode or are refused.
+    #[test]
+    fn mutated_messages_parse_wait_or_error(
+        req in request_strategy(),
+        code in 100u16..600,
+        edits in proptest::collection::vec((0u8..3, any::<u32>(), any::<u8>()), 1..5),
+    ) {
+        let trace = sift_obs::SpanContext { trace_id: 0x5eed, span_id: u64::from(code) };
+        let mut req = req;
+        req.headers.set(sift_net::X_SIFT_TRACE, trace.to_header());
+        let resp = Response {
+            status: StatusCode(code),
+            headers: req.headers.clone(),
+            body: req.body.clone(),
+        };
+
+        let wire = mutate(&serialize_request(&req), &edits);
+        let mut buf = BytesMut::from(&wire[..]);
+        match parse_request(&mut buf) {
+            Ok(Some(back)) => {
+                prop_assert!(buf.len() + 4 + back.body.len() <= wire.len());
+                if let Some(value) = back.headers.get(sift_net::X_SIFT_TRACE) {
+                    let _ = sift_obs::SpanContext::from_header(value);
+                }
+            }
+            Ok(None) => prop_assert_eq!(&buf[..], &wire[..]),
+            Err(_) => {}
+        }
+
+        let wire = mutate(&serialize_response(&resp), &edits);
+        let mut buf = BytesMut::from(&wire[..]);
+        match parse_response(&mut buf) {
+            Ok(Some(back)) => prop_assert!(buf.len() + 4 + back.body.len() <= wire.len()),
+            Ok(None) => prop_assert_eq!(&buf[..], &wire[..]),
+            Err(_) => {}
+        }
+
+        let header = mutate(trace.to_header().as_bytes(), &edits);
+        let _ = sift_obs::SpanContext::from_header(&String::from_utf8_lossy(&header));
     }
 
     /// Truncation torture: every byte-truncated prefix of a valid

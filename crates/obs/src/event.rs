@@ -1,11 +1,10 @@
 //! Leveled, structured JSON-lines event log.
 //!
 //! Events are one JSON object per line: sequence number, level, target,
-//! message, the current span path, and free-form fields. The default sink
-//! is a bounded in-memory ring buffer (drainable in tests and dumpable on
-//! demand); it can be switched to stderr for live runs. Event emission
-//! takes one short mutex on the sink — events are diagnostics, not the
-//! metrics hot path.
+//! message, the current span path, and free-form fields. The sink is a
+//! bounded in-memory ring buffer (drainable in tests and dumpable on
+//! demand). Event emission takes one short mutex on the sink — events
+//! are diagnostics, not the metrics hot path.
 
 use parking_lot::Mutex;
 use serde_json::Value;
@@ -51,10 +50,11 @@ impl Level {
     }
 }
 
+/// The bounded in-memory line buffer events land in.
 #[derive(Debug)]
-enum Sink {
-    Buffer { lines: VecDeque<String>, cap: usize },
-    Stderr,
+struct Sink {
+    lines: VecDeque<String>,
+    cap: usize,
 }
 
 /// The event log. One global instance exists (see [`crate::events`]).
@@ -72,7 +72,7 @@ impl Default for EventLog {
             min_level: AtomicU8::new(Level::Info.as_u8()),
             seq: AtomicU64::new(0),
             started: Instant::now(),
-            sink: Mutex::new(Sink::Buffer {
+            sink: Mutex::new(Sink {
                 lines: VecDeque::new(),
                 cap: 4096,
             }),
@@ -94,11 +94,6 @@ impl EventLog {
     /// The current minimum level.
     pub fn min_level(&self) -> Level {
         Level::from_u8(self.min_level.load(Ordering::Relaxed))
-    }
-
-    /// Switches the sink to stderr (for live runs).
-    pub fn log_to_stderr(&self) {
-        *self.sink.lock() = Sink::Stderr;
     }
 
     /// Emits one event. `fields` become additional JSON members.
@@ -125,31 +120,21 @@ impl EventLog {
         let line = serde_json::to_string(&Value::Object(members))
             // sift-lint: allow(no-panic) — serializing a serde_json::Value tree is infallible
             .expect("a Value tree always serializes");
-        match &mut *self.sink.lock() {
-            Sink::Buffer { lines, cap } => {
-                if lines.len() == *cap {
-                    lines.pop_front();
-                }
-                lines.push_back(line);
-            }
-            Sink::Stderr => eprintln!("{line}"),
+        let mut sink = self.sink.lock();
+        if sink.lines.len() == sink.cap {
+            sink.lines.pop_front();
         }
+        sink.lines.push_back(line);
     }
 
-    /// Removes and returns every buffered line (empty for a stderr sink).
+    /// Removes and returns every buffered line.
     pub fn drain(&self) -> Vec<String> {
-        match &mut *self.sink.lock() {
-            Sink::Buffer { lines, .. } => lines.drain(..).collect(),
-            Sink::Stderr => Vec::new(),
-        }
+        self.sink.lock().lines.drain(..).collect()
     }
 
     /// Copies the buffered lines without draining.
     pub fn lines(&self) -> Vec<String> {
-        match &*self.sink.lock() {
-            Sink::Buffer { lines, .. } => lines.iter().cloned().collect(),
-            Sink::Stderr => Vec::new(),
-        }
+        self.sink.lock().lines.iter().cloned().collect()
     }
 }
 

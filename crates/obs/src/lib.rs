@@ -21,8 +21,8 @@
 //!   trace-event JSON exporter ([`trace::chrome_trace_json`],
 //!   Perfetto-loadable) and a critical-path analyzer
 //!   ([`trace::critical_path`]).
-//! * [`event`] — a leveled, structured JSON-lines [`EventLog`] (bounded
-//!   ring buffer by default, switchable to stderr).
+//! * [`event`] — a leveled, structured JSON-lines [`EventLog`] (a bounded
+//!   ring buffer).
 //! * [`telemetry`] — serializable per-stage timing summaries
 //!   ([`TelemetrySnapshot`]) built by diffing span histograms, embedded in
 //!   study results and printed as tables by the bench binaries.

@@ -87,11 +87,6 @@ impl TelemetrySnapshot {
         });
         TelemetrySnapshot { stages }
     }
-
-    /// Summarizes all spans ever recorded (empty baseline).
-    pub fn capture_all() -> TelemetrySnapshot {
-        TelemetrySnapshot::since(&SpanBaseline::default())
-    }
 }
 
 impl fmt::Display for TelemetrySnapshot {

@@ -197,7 +197,6 @@ fn main() {
         miss_threshold: 4,
         poll_ms: 10,
         attempt_budget: 10,
-        vnodes: 40,
     };
     let worker_config = WorkerConfig {
         coord_down_grace: Some(Duration::from_secs(20)),
@@ -253,8 +252,7 @@ fn main() {
         );
     }
     eprintln!(
-        "workers killed by schedule: {:?}; lease retries {}",
-        report.workers_killed,
+        "lease retries {}",
         sift::obs::counter("sift_cluster_worker_lease_retry_total", &[]).get()
     );
 }

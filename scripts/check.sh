@@ -7,18 +7,24 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 # Flake budget, not part of the default gate: `check.sh --soak N` runs the
-# control-plane suites (every sift-cluster test, plus the root cluster_http
-# and nemesis_http acceptance tests) N times at --test-threads 1 and N
-# times at the default, with one CPU hog per core — the condition both
-# flakes found so far needed. It counts: tests passed and failed, runs
+# collection stack's suites (every sift-cluster, sift-net and sift-fetcher
+# test, plus the root cluster_http, nemesis_http, overload_http and
+# chaos_http acceptance tests) N times at --test-threads 1 and N times at
+# the default, with one CPU hog per core — the condition both flakes
+# found so far needed. It counts: tests passed and failed, runs
 # that died without a verdict, and the slowest single test (timed between
 # result lines, so only in the one-thread runs, where tests do not
 # overlap). Any failure exits non-zero.
 soak() {
   local n=$1 threads suite line now ms
   local passed=0 failed=0 dead_runs=0 slowest_ms=0 slowest=none hogs=()
-  cargo test -q --offline -p sift-cluster --no-run
-  cargo test -q --offline --test cluster_http --test nemesis_http --no-run
+  local suites=("-p sift-cluster" "-p sift-net" "-p sift-fetcher"
+    "--test cluster_http --test nemesis_http"
+    "--test overload_http --test chaos_http")
+  for suite in "${suites[@]}"; do
+    # shellcheck disable=SC2086 # $suite is an argument list
+    cargo test -q --offline $suite --no-run
+  done
   for _ in $(seq "$(nproc)"); do
     yes > /dev/null &
     hogs+=($!)
@@ -27,7 +33,7 @@ soak() {
   shopt -s lastpipe # the read loop below runs in this shell and keeps its counts
   for threads in --test-threads=1 ""; do
     for _ in $(seq "$n"); do
-      for suite in "-p sift-cluster" "--test cluster_http --test nemesis_http"; do
+      for suite in "${suites[@]}"; do
         # shellcheck disable=SC2086 # $suite and $threads are argument lists
         cargo test --offline $suite -- $threads 2>&1 | while IFS= read -r line; do
           now=${EPOCHREALTIME/./}

@@ -2,8 +2,7 @@
 //! over real sockets must produce a `StudyResult` bit-identical to the
 //! single-process `run_study` on the same parameters — including when one
 //! worker is killed mid-run, its heartbeats go silent, and its shards are
-//! rerouted to the survivors. The per-worker response journals must also
-//! merge into one conflict-free store.
+//! rerouted to the survivors.
 
 mod common;
 
@@ -13,13 +12,11 @@ use sift::cluster::{
     WorkerHandle,
 };
 use sift::core::{run_study, StudyParams, StudyResult};
-use sift::fetcher::{merge_journal_dirs, trends_router, HttpTrendsClient};
+use sift::fetcher::{trends_router, HttpTrendsClient};
 use sift::geo::State;
-use sift::journal::testutil::scratch_dir;
 use sift::net::{HttpClient, Server, ServerHandle};
 use sift::simtime::{Hour, HourRange};
 use sift::trends::TrendsService;
-use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -88,10 +85,9 @@ struct Cluster {
     coord_server: ServerHandle,
     trends_server: ServerHandle,
     workers: Vec<WorkerHandle>,
-    journal_root: PathBuf,
 }
 
-fn start_cluster(regions: &[State], n_workers: usize, tag: &str) -> Cluster {
+fn start_cluster(regions: &[State], n_workers: usize) -> Cluster {
     let params = study_params(regions);
     let coord = Arc::new(Coordinator::new(
         params.clone(),
@@ -100,7 +96,6 @@ fn start_cluster(regions: &[State], n_workers: usize, tag: &str) -> Cluster {
             miss_threshold: 4,
             poll_ms: 10,
             attempt_budget: 3,
-            vnodes: 40,
         },
     ));
     let coord_server = Server::new(cluster_router(&coord))
@@ -108,7 +103,6 @@ fn start_cluster(regions: &[State], n_workers: usize, tag: &str) -> Cluster {
         .bind("127.0.0.1:0")
         .expect("bind coordinator");
     let trends_server = serve_trends(regions);
-    let journal_root = scratch_dir(&format!("cluster_http_{tag}"));
     let workers = (0..n_workers)
         .map(|i| {
             spawn_worker(
@@ -118,7 +112,6 @@ fn start_cluster(regions: &[State], n_workers: usize, tag: &str) -> Cluster {
                 params.clone(),
                 WorkerConfig {
                     heartbeat_every: Some(Duration::from_millis(50)),
-                    durability_root: Some(journal_root.clone()),
                     ..WorkerConfig::default()
                 },
             )
@@ -129,7 +122,6 @@ fn start_cluster(regions: &[State], n_workers: usize, tag: &str) -> Cluster {
         coord_server,
         trends_server,
         workers,
-        journal_root,
     }
 }
 
@@ -147,7 +139,7 @@ fn sharded_crawl_matches_single_process_run_study() {
     let regions = [State::TX, State::CA];
     let reference = baseline(&regions);
 
-    let cluster = start_cluster(&regions, 2, "smoke");
+    let cluster = start_cluster(&regions, 2);
     let result = cluster
         .coord
         .wait_result(Duration::from_secs(120))
@@ -167,14 +159,12 @@ fn killing_a_worker_mid_run_still_converges_to_the_identical_result() {
     let regions = [State::TX, State::CA, State::NY, State::FL];
     let reference = baseline(&regions);
 
-    let cluster = start_cluster(&regions, 3, "kill");
+    let cluster = start_cluster(&regions, 3);
     let status_client = HttpClient::new(cluster.coord_server.addr());
 
     // Wait (over the wire, like any external driver would) until some
     // worker holds a lease; that one is the victim. Killing it mid-crawl
-    // stops its heartbeats cold: no result upload, no journal sync. The
-    // victim is picked dynamically because the ring decides which workers
-    // own shards — a fixed pick might never lease anything.
+    // stops its heartbeats cold: no result upload.
     let hunt_deadline = Instant::now() + Duration::from_secs(30);
     let victim = loop {
         let status: StatusReply = status_client
@@ -207,7 +197,6 @@ fn killing_a_worker_mid_run_still_converges_to_the_identical_result() {
     let status: StatusReply = status_client
         .get_json("/cluster/status")
         .expect("final status");
-    let journal_root = cluster.journal_root.clone();
     let summaries = cluster.shutdown();
 
     assert_same_result(&result, &reference, "worker-kill");
@@ -226,22 +215,4 @@ fn killing_a_worker_mid_run_still_converges_to_the_identical_result() {
     );
     assert_eq!(status.done, regions.len());
     assert_eq!(status.failed, 0);
-
-    // The survivors' journals (plus whatever the victim managed to write
-    // before dying) must merge into one conflict-free response store: the
-    // service is deterministic, so overlapping fetches are identical.
-    let dirs: Vec<PathBuf> = (0..3)
-        .map(|i| journal_root.join(format!("worker-{i}")))
-        .collect();
-    let existing: Vec<PathBuf> = dirs.into_iter().filter(|d| d.exists()).collect();
-    assert!(existing.len() >= 2, "worker journals missing: {existing:?}");
-    let (merged, report) = merge_journal_dirs(&existing).expect("merge worker journals");
-    assert_eq!(
-        report.conflicts, 0,
-        "deterministic workers must never conflict: {report:?}"
-    );
-    assert!(
-        merged.frame_count() > 0,
-        "the merged store must hold the crawl's frames"
-    );
 }

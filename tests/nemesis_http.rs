@@ -99,7 +99,6 @@ fn run_under_nemesis(seed: u64, regions: &[State], tag: &str) -> NemesisReportPa
         // Nemesis burns attempts freely (every expiry of a partitioned
         // holder counts); the budget bounds pathology, not chaos.
         attempt_budget: 10,
-        vnodes: 40,
     };
     let worker_config = WorkerConfig {
         // Sized to span the schedule's kill→restart gap with margin.
@@ -206,7 +205,6 @@ fn asymmetric_partition_zombie_uploads_are_fenced_but_the_run_converges() {
         miss_threshold: 4,
         poll_ms: 10,
         attempt_budget: 10,
-        vnodes: 40,
     };
     let cluster = NemesisCluster::start(
         params,
