@@ -13,7 +13,7 @@ use crate::durable::RegionJournal;
 use crate::timeline::{stitch, StitchError, Timeline};
 use serde::{Deserialize, Serialize};
 use sift_geo::State;
-use sift_simtime::{Hour, HourRange};
+use sift_simtime::HourRange;
 use sift_trends::client::{FetchError, TrendsClient};
 use sift_trends::{FrameRequest, FrameResponse, SearchTerm};
 
@@ -222,15 +222,18 @@ fn averaged_timeline_impl(
     let mut mean: Option<Timeline> = None;
     let mut spikes: Vec<Spike> = Vec::new();
     let mut prev_strong: Option<Vec<Spike>> = None;
-    // One request, re-stamped per frame: `SearchTerm` owns heap, so
-    // cloning it per fetch would allocate once per frame per round.
-    let mut request = FrameRequest {
-        term: term.clone(),
-        state,
-        start: Hour(0),
-        len: 0,
-        tag: 0,
-    };
+    // One request per slot, re-tagged per round: `SearchTerm` owns heap,
+    // so building them per fetch would allocate once per frame per round.
+    let mut requests: Vec<FrameRequest> = frames
+        .iter()
+        .map(|r| FrameRequest {
+            term: term.clone(),
+            state,
+            start: r.start,
+            len: u32::try_from(r.len()).unwrap_or(u32::MAX),
+            tag: 0,
+        })
+        .collect();
 
     for round in 0..params.max_rounds {
         // A round the journal can serve whole needs no network at all, so
@@ -260,8 +263,12 @@ fn averaged_timeline_impl(
         {
             let _span = sift_obs::span("fetch");
             responses.clear();
-            for (i, r) in frames.iter().enumerate() {
-                let idx = u32::try_from(i).unwrap_or(u32::MAX);
+            for request in &mut requests {
+                request.tag = u64::from(round);
+            }
+            let mut next = 0;
+            while next < frames.len() {
+                let idx = u32::try_from(next).unwrap_or(u32::MAX);
                 // A slot the journal holds was fetched in a previous life
                 // of this process — replay it; fetching again would break
                 // the zero-refetch resume contract.
@@ -269,54 +276,66 @@ fn averaged_timeline_impl(
                     frames_fetched += 1;
                     frames_replayed += 1;
                     responses.push(resp);
+                    next += 1;
                     continue;
                 }
-                request.start = r.start;
-                request.len = u32::try_from(r.len()).unwrap_or(u32::MAX);
-                request.tag = u64::from(round);
-                match client.fetch_frame(&request) {
-                    Ok(resp) => {
-                        if let Some(j) = journal.as_mut() {
-                            j.record_frame(round, idx, &resp)
-                                .map_err(RefetchError::Durability)?;
+                // A round's frames are independent of one another, so the
+                // client gets the rest of the round in one call — except
+                // under a journal, whose contract is that each response
+                // is recorded before the next is requested (a crash then
+                // costs at most the one in flight).
+                let end = if journal.is_some() {
+                    next + 1
+                } else {
+                    frames.len()
+                };
+                for (i, fetched) in (next..end).zip(client.fetch_frames(&requests[next..end])) {
+                    let idx = u32::try_from(i).unwrap_or(u32::MAX);
+                    match fetched {
+                        Ok(resp) => {
+                            if let Some(j) = journal.as_mut() {
+                                j.record_frame(round, idx, &resp)
+                                    .map_err(RefetchError::Durability)?;
+                            }
+                            frames_fetched += 1;
+                            responses.push(resp);
                         }
-                        frames_fetched += 1;
-                        responses.push(resp);
-                    }
-                    Err(e) => {
-                        // Round 1 has no previous sample to degrade to;
-                        // later rounds reuse the same frame slot from the
-                        // round before and carry on.
-                        if prev_responses.is_empty() {
-                            return Err(RefetchError::Fetch(e));
+                        Err(e) => {
+                            // Round 1 has no previous sample to degrade to;
+                            // later rounds reuse the same frame slot from the
+                            // round before and carry on.
+                            if prev_responses.is_empty() {
+                                return Err(RefetchError::Fetch(e));
+                            }
+                            frames_degraded += 1;
+                            sift_obs::counter(
+                                "sift_refetch_frames_degraded_total",
+                                &[("state", &state_label)],
+                            )
+                            .inc();
+                            sift_obs::event(
+                                sift_obs::Level::Warn,
+                                "core.refetch",
+                                "frame fetch failed; reusing previous round's sample",
+                                &[
+                                    ("state", serde_json::Value::Str(state_label.clone())),
+                                    ("frame_start", serde_json::Value::Int(frames[i].start.0)),
+                                    ("round", serde_json::Value::UInt(u64::from(rounds))),
+                                    ("error", serde_json::Value::Str(e.to_string())),
+                                ],
+                            );
+                            // Journal the degraded slot too: replay must
+                            // reproduce the run exactly, including the slots
+                            // that fell back to the previous round's sample.
+                            if let Some(j) = journal.as_mut() {
+                                j.record_frame(round, idx, &prev_responses[i])
+                                    .map_err(RefetchError::Durability)?;
+                            }
+                            responses.push(prev_responses[i].clone());
                         }
-                        frames_degraded += 1;
-                        sift_obs::counter(
-                            "sift_refetch_frames_degraded_total",
-                            &[("state", &state_label)],
-                        )
-                        .inc();
-                        sift_obs::event(
-                            sift_obs::Level::Warn,
-                            "core.refetch",
-                            "frame fetch failed; reusing previous round's sample",
-                            &[
-                                ("state", serde_json::Value::Str(state_label.clone())),
-                                ("frame_start", serde_json::Value::Int(r.start.0)),
-                                ("round", serde_json::Value::UInt(u64::from(rounds))),
-                                ("error", serde_json::Value::Str(e.to_string())),
-                            ],
-                        );
-                        // Journal the degraded slot too: replay must
-                        // reproduce the run exactly, including the slots
-                        // that fell back to the previous round's sample.
-                        if let Some(j) = journal.as_mut() {
-                            j.record_frame(round, idx, &prev_responses[i])
-                                .map_err(RefetchError::Durability)?;
-                        }
-                        responses.push(prev_responses[i].clone());
                     }
                 }
+                next = end;
             }
             sift_obs::attr_add("frames", u64::try_from(responses.len()).unwrap_or(u64::MAX));
         }
@@ -818,6 +837,137 @@ mod tests {
             resumed.frames_fetched, clean.frames_fetched,
             "replayed slots count toward the same logical workload"
         );
+    }
+
+    /// A client the round loop may only reach through the batch entry.
+    /// It records each call's size, answers `swap.0` as if it were
+    /// `swap.1` (same slot, another round's sample), and fails `fail`.
+    struct Batched {
+        inner: TrendsService,
+        calls: std::sync::Mutex<Vec<usize>>,
+        fail: Option<(u64, Hour)>,
+        swap: Option<((u64, Hour), u64)>,
+    }
+
+    impl Batched {
+        fn new() -> Self {
+            Batched {
+                inner: service_with_events(),
+                calls: std::sync::Mutex::new(Vec::new()),
+                fail: None,
+                swap: None,
+            }
+        }
+    }
+
+    impl sift_trends::client::TrendsClient for Batched {
+        fn fetch_frame(&self, _: &FrameRequest) -> Result<FrameResponse, FetchError> {
+            unreachable!("the round loop asks through fetch_frames")
+        }
+
+        fn fetch_rising(
+            &self,
+            req: &sift_trends::RisingRequest,
+        ) -> Result<sift_trends::RisingResponse, FetchError> {
+            self.inner.fetch_rising(req).map_err(FetchError::Service)
+        }
+
+        fn fetch_frames(&self, reqs: &[FrameRequest]) -> Vec<Result<FrameResponse, FetchError>> {
+            self.calls.lock().expect("calls lock").push(reqs.len());
+            reqs.iter()
+                .map(|req| {
+                    let at = (req.tag, req.start);
+                    if self.fail == Some(at) {
+                        return Err(FetchError::Transport("injected reset".into()));
+                    }
+                    let mut req = req.clone();
+                    if let Some((from, tag)) = self.swap {
+                        if from == at {
+                            req.tag = tag;
+                        }
+                    }
+                    self.inner.fetch_frame(&req).map_err(FetchError::Service)
+                })
+                .collect()
+        }
+    }
+
+    fn run(client: &Batched, frames: &[HourRange]) -> RefetchOutcome {
+        averaged_timeline(
+            client,
+            &SearchTerm::parse("topic:Internet outage"),
+            State::TX,
+            frames,
+            &RefetchParams::default(),
+            &DetectParams::default(),
+        )
+        .expect("averaging succeeds")
+    }
+
+    #[test]
+    fn a_failed_item_of_a_batch_degrades_exactly_its_slot() {
+        let frames = weekly_frames(900);
+        let slot = (1, frames[2].start);
+        let failing = Batched {
+            fail: Some(slot),
+            ..Batched::new()
+        };
+        // Degrading a slot means averaging in the previous round's
+        // response for it: a client that answers the round-2 request with
+        // the round-1 sample must produce the same run, minus the count.
+        let substituting = Batched {
+            swap: Some((slot, 0)),
+            ..Batched::new()
+        };
+        let degraded = run(&failing, &frames);
+        let reference = run(&substituting, &frames);
+        assert_eq!(degraded.frames_degraded, 1);
+        assert_eq!(degraded.frames_fetched + 1, reference.frames_fetched);
+        assert_eq!(reference.frames_degraded, 0);
+        assert_eq!(degraded.timeline, reference.timeline);
+        assert_eq!(degraded.spikes, reference.spikes);
+        assert_eq!(degraded.rounds, reference.rounds);
+        assert_ne!(
+            degraded.timeline,
+            run(&Batched::new(), &frames).timeline,
+            "the lost sample must matter, or this test shows nothing"
+        );
+    }
+
+    #[test]
+    fn a_round_is_one_call_unless_a_journal_wants_each_response_first() {
+        use crate::durable::StudyDurability;
+        use sift_journal::testutil::scratch_dir;
+
+        let term = SearchTerm::parse("topic:Internet outage");
+        let frames = weekly_frames(900);
+        let plain = Batched::new();
+        let outcome = run(&plain, &frames);
+        let calls = plain.calls.lock().expect("calls lock").clone();
+        assert_eq!(calls, vec![frames.len(); outcome.rounds as usize]);
+
+        let journaled = Batched::new();
+        let mut j = StudyDurability::new(scratch_dir("refetch_batch_of_one"))
+            .region(&term, State::TX, &frames)
+            .expect("open");
+        let durable = averaged_timeline_durable(
+            &journaled,
+            &term,
+            State::TX,
+            &frames,
+            &RefetchParams::default(),
+            &DetectParams::default(),
+            &mut j,
+        )
+        .expect("durable run");
+        // Each response is journaled before the next is requested, so a
+        // crash costs at most the one in flight.
+        let calls = journaled.calls.lock().expect("calls lock").clone();
+        assert_eq!(calls, vec![1; frames.len() * durable.rounds as usize]);
+        assert_eq!(durable.timeline, outcome.timeline);
+        assert_eq!(durable.spikes, outcome.spikes);
+        assert_eq!(durable.rounds, outcome.rounds);
+        assert_eq!(durable.frames_fetched, outcome.frames_fetched);
     }
 
     #[test]

@@ -517,48 +517,57 @@ pub fn run_region_study(
     }
     .map_err(|source| StudyError::Region { state, source })?;
 
-    // Rising suggestions: weekly responses are shared between spikes in
-    // the same frame, so memoize per frame start.
+    // Rising suggestions: a weekly response is shared by every spike in
+    // its frame, so each frame any spike overlaps is asked for once, and
+    // — like a re-fetch round's frames — all in one call unless a journal
+    // must record each response before the next is requested.
     let _rising_span = sift_obs::span("rising");
-    let mut weekly_memo: HashMap<i64, Vec<RisingTerm>> = HashMap::new();
-    let mut rising_requested = 0u64;
-    let mut spikes = Vec::with_capacity(outcome.spikes.len());
+    let weekly_requests: Vec<RisingRequest> = frames
+        .iter()
+        .filter(|f| outcome.spikes.iter().any(|s| f.overlaps(&s.window())))
+        .map(|f| RisingRequest {
+            term: params.term.clone(),
+            state,
+            start: f.start,
+            len: u32::try_from(f.len()).unwrap_or(u32::MAX),
+            tag: 0,
+        })
+        .collect();
+    let mut rising_requested = u64::try_from(weekly_requests.len()).unwrap_or(u64::MAX);
+    let mut weekly: HashMap<i64, Vec<RisingTerm>> = HashMap::with_capacity(weekly_requests.len());
+    let mut next = 0;
+    while next < weekly_requests.len() {
+        let req = &weekly_requests[next];
+        if let Some(resp) = journal
+            .as_mut()
+            .and_then(|j| j.replayed_rising(req.start.0, req.len))
+        {
+            weekly.insert(req.start.0, resp.rising);
+            next += 1;
+            continue;
+        }
+        let end = if journal.is_some() {
+            next + 1
+        } else {
+            weekly_requests.len()
+        };
+        let asked = &weekly_requests[next..end];
+        for (req, fetched) in asked.iter().zip(client.fetch_risings(asked)) {
+            let resp = fetched.map_err(|source| StudyError::Rising { state, source })?;
+            if let Some(j) = journal.as_mut() {
+                j.record_rising(req.start.0, req.len, &resp)
+                    .map_err(|source| StudyError::Durability { state, source })?;
+            }
+            weekly.insert(req.start.0, resp.rising);
+        }
+        next = end;
+    }
 
+    let mut spikes = Vec::with_capacity(outcome.spikes.len());
     for spike in &outcome.spikes {
         let mut suggestions: Vec<RisingTerm> = Vec::new();
-
         for frame in frames.iter().filter(|f| f.overlaps(&spike.window())) {
-            let entry = match weekly_memo.entry(frame.start.0) {
-                std::collections::hash_map::Entry::Occupied(e) => e.into_mut(),
-                std::collections::hash_map::Entry::Vacant(e) => {
-                    rising_requested += 1;
-                    let len = u32::try_from(frame.len()).unwrap_or(u32::MAX);
-                    let replayed = journal
-                        .as_mut()
-                        .and_then(|j| j.replayed_rising(frame.start.0, len));
-                    let rising = match replayed {
-                        Some(resp) => resp.rising,
-                        None => {
-                            let resp = client
-                                .fetch_rising(&RisingRequest {
-                                    term: params.term.clone(),
-                                    state,
-                                    start: frame.start,
-                                    len,
-                                    tag: 0,
-                                })
-                                .map_err(|source| StudyError::Rising { state, source })?;
-                            if let Some(j) = journal.as_mut() {
-                                j.record_rising(frame.start.0, len, &resp)
-                                    .map_err(|source| StudyError::Durability { state, source })?;
-                            }
-                            resp.rising
-                        }
-                    };
-                    e.insert(rising)
-                }
-            };
-            suggestions.extend(entry.iter().cloned());
+            suggestions.extend(weekly.get(&frame.start.0).into_iter().flatten().cloned());
         }
 
         if params.daily_rising {
@@ -925,25 +934,41 @@ mod tests {
             .find(|s| s.name == "stitch")
             .expect("stitch span");
         assert!(stitch.arg("frames_stitched").is_some_and(|n| n > 0));
+        // The walk telescopes: every microsecond of the root is charged
+        // to exactly one span name, the time-consuming stages are on the
+        // path, and nothing but the roots and the pipeline's own stage
+        // spans is. (What *share* of a 3 ms study the stages cover is the
+        // scheduler's to decide, not this test's: asserting ">= 90 %"
+        // failed one release run in sixty.)
         let cp = sift_obs::critical_path(&trace).expect("critical path");
-        // The walk telescopes: critical-path time sums to the root's
-        // duration, and the pipeline's stage spans (stitch, re-fetch
-        // averaging inclusive of frame fetches, prominence walk,
-        // annotation) account for nearly all of the study span's wall
-        // time.
-        let study = trace
-            .spans
-            .iter()
-            .find(|s| s.name == "study")
-            .expect("study span");
-        let staged = cp.named_us(&[
-            "stitch", "fetch", "frame", "request", "serve", "region", "plan", "detect", "annotate",
-            "context", "cluster", "rising",
-        ]);
+        let root = trace.root().expect("root span");
+        assert_eq!(cp.total_us, root.dur_us);
+        assert_eq!(
+            cp.by_name.iter().map(|(_, us)| us).sum::<u64>(),
+            cp.total_us
+        );
+        for name in ["study", "region", "fetch"] {
+            assert!(
+                cp.by_name.iter().any(|(n, _)| n == name),
+                "{name} must be on the critical path: {cp}"
+            );
+        }
+        let known = [
+            "study-trace-test",
+            "study",
+            "stitch",
+            "fetch",
+            "region",
+            "plan",
+            "detect",
+            "annotate",
+            "context",
+            "cluster",
+            "rising",
+        ];
         assert!(
-            staged * 10 >= study.dur_us * 9,
-            "stages cover >=90% of the study: {staged}us of {}us",
-            study.dur_us
+            cp.by_name.iter().all(|(n, _)| known.contains(&n.as_str())),
+            "only pipeline stages on the critical path: {cp}"
         );
     }
 

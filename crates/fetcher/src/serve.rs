@@ -132,6 +132,63 @@ mod tests {
         h.shutdown();
     }
 
+    /// The batch entries are the single ones, item for item: payloads,
+    /// service rejections and their places in the batch.
+    #[test]
+    fn batches_answer_item_for_item_like_single_fetches() {
+        let (h, _service) = spawn();
+        let client = HttpTrendsClient::new(h.addr(), "127.0.0.9");
+        let term = SearchTerm::parse("topic:Internet outage");
+        let frames: Vec<FrameRequest> = [(0, 168), (100, 168), (0, 999), (300, 24), (400, 168)]
+            .into_iter()
+            .map(|(start, len)| FrameRequest {
+                term: term.clone(),
+                state: State::TX,
+                start: Hour(start),
+                len,
+                tag: 3,
+            })
+            .collect();
+        let risings: Vec<RisingRequest> = [(0, 168), (0, 999), (168, 168)]
+            .into_iter()
+            .map(|(start, len)| RisingRequest {
+                term: term.clone(),
+                state: State::TX,
+                start: Hour(start),
+                len,
+                tag: 0,
+            })
+            .collect();
+        let show = |r: &dyn std::fmt::Debug| format!("{r:?}");
+        let batch: Vec<_> = client
+            .fetch_frames(&frames)
+            .iter()
+            .map(|r| show(r))
+            .collect();
+        let single: Vec<_> = frames
+            .iter()
+            .map(|r| show(&client.fetch_frame(r)))
+            .collect();
+        assert_eq!(batch, single);
+        assert!(batch[2].contains("FrameTooLong"), "{}", batch[2]);
+        assert!(
+            batch[4].starts_with("Ok("),
+            "a rejection spoils only its item"
+        );
+        let batch: Vec<_> = client
+            .fetch_risings(&risings)
+            .iter()
+            .map(|r| show(r))
+            .collect();
+        let single: Vec<_> = risings
+            .iter()
+            .map(|r| show(&client.fetch_rising(r)))
+            .collect();
+        assert_eq!(batch, single);
+        assert!(batch[1].starts_with("Err(Service("), "{}", batch[1]);
+        h.shutdown();
+    }
+
     #[test]
     fn rising_and_stats_endpoints() {
         let (h, _service) = spawn();
@@ -191,13 +248,26 @@ mod tests {
         client
             .fetch_frame(&ask(State::CA, 0, 168))
             .expect("the matching request is served");
-        for req in [
+        let mismatched = [
             ask(State::TX, 0, 168),
             ask(State::CA, 24, 168),
             ask(State::CA, 0, 24),
-        ] {
-            let err = client.fetch_frame(&req).expect_err("mismatched frame");
+        ];
+        for req in &mismatched {
+            let err = client.fetch_frame(req).expect_err("mismatched frame");
             assert!(matches!(err, FetchError::Transport(_)), "{err}");
+        }
+        // A batch refuses the same replies, each in its own place.
+        let mut batch = mismatched.to_vec();
+        batch.insert(1, ask(State::CA, 0, 168));
+        let answers = client.fetch_frames(&batch);
+        assert!(answers[1].is_ok(), "{:?}", answers[1]);
+        for i in [0, 2, 3] {
+            assert!(
+                matches!(answers[i], Err(FetchError::Transport(_))),
+                "{:?}",
+                answers[i]
+            );
         }
         let err = client
             .fetch_rising(&RisingRequest {

@@ -5,7 +5,7 @@
 //! in-process (labelled) and HTTP.
 
 use sift_geo::State;
-use sift_net::{CircuitBreaker, HttpClient};
+use sift_net::{CircuitBreaker, ClientError, HttpClient};
 use sift_simtime::Hour;
 use sift_trends::{
     FrameRequest, FrameResponse, RisingRequest, RisingResponse, ServiceError, TrendsService,
@@ -109,42 +109,72 @@ fn answers_another_request(path: &str, state: State, start: Hour) -> FetchError 
     ))
 }
 
+/// What the `/api/frame` reply to `req` amounts to.
+fn frame_of(
+    req: &FrameRequest,
+    reply: Result<ApiResult<FrameResponse>, ClientError>,
+) -> Result<FrameResponse, FetchError> {
+    match reply.map_err(|e| FetchError::Transport(e.to_string()))? {
+        ApiResult::Ok(resp)
+            if (resp.state, resp.start) != (req.state, req.start)
+                || u32::try_from(resp.values.len()) != Ok(req.len) =>
+        {
+            Err(answers_another_request("/api/frame", req.state, req.start))
+        }
+        ApiResult::Ok(resp) => {
+            sift_obs::attr_add("frames", 1);
+            Ok(resp)
+        }
+        ApiResult::Err(e) => Err(FetchError::Service(e)),
+    }
+}
+
+/// What the `/api/rising` reply to `req` amounts to.
+fn rising_of(
+    req: &RisingRequest,
+    reply: Result<ApiResult<RisingResponse>, ClientError>,
+) -> Result<RisingResponse, FetchError> {
+    match reply.map_err(|e| FetchError::Transport(e.to_string()))? {
+        ApiResult::Ok(resp) if (resp.state, resp.start) != (req.state, req.start) => {
+            Err(answers_another_request("/api/rising", req.state, req.start))
+        }
+        ApiResult::Ok(resp) => Ok(resp),
+        ApiResult::Err(e) => Err(FetchError::Service(e)),
+    }
+}
+
 impl TrendsClient for HttpTrendsClient {
     fn fetch_frame(&self, req: &FrameRequest) -> Result<FrameResponse, FetchError> {
         // Child of the queue worker's restored fetch span (same thread),
         // so each frame's HTTP attempts hang off the run's trace.
         let _span = sift_obs::span("frame");
-        let result: ApiResult<FrameResponse> = self
-            .client
-            .post_json("/api/frame", req)
-            .map_err(|e| FetchError::Transport(e.to_string()))?;
-        match result {
-            ApiResult::Ok(resp) => {
-                if (resp.state, resp.start) != (req.state, req.start)
-                    || u32::try_from(resp.values.len()) != Ok(req.len)
-                {
-                    return Err(answers_another_request("/api/frame", req.state, req.start));
-                }
-                sift_obs::attr_add("frames", 1);
-                Ok(resp)
-            }
-            ApiResult::Err(e) => Err(FetchError::Service(e)),
-        }
+        frame_of(req, self.client.post_json("/api/frame", req))
     }
 
     fn fetch_rising(&self, req: &RisingRequest) -> Result<RisingResponse, FetchError> {
         let _span = sift_obs::span("rising");
-        let result: ApiResult<RisingResponse> = self
-            .client
-            .post_json("/api/rising", req)
-            .map_err(|e| FetchError::Transport(e.to_string()))?;
-        match result {
-            ApiResult::Ok(resp) if (resp.state, resp.start) != (req.state, req.start) => {
-                Err(answers_another_request("/api/rising", req.state, req.start))
-            }
-            ApiResult::Ok(resp) => Ok(resp),
-            ApiResult::Err(e) => Err(FetchError::Service(e)),
-        }
+        rising_of(req, self.client.post_json("/api/rising", req))
+    }
+
+    /// One pipelined exchange on the keep-alive connection (see
+    /// [`HttpClient::send_pipelined`]); every reply goes through the same
+    /// checks as a lone [`Self::fetch_frame`]'s.
+    fn fetch_frames(&self, reqs: &[FrameRequest]) -> Vec<Result<FrameResponse, FetchError>> {
+        let _span = sift_obs::span("frame");
+        let replies = self.client.post_json_pipelined("/api/frame", reqs);
+        reqs.iter()
+            .zip(replies)
+            .map(|(req, reply)| frame_of(req, reply))
+            .collect()
+    }
+
+    fn fetch_risings(&self, reqs: &[RisingRequest]) -> Vec<Result<RisingResponse, FetchError>> {
+        let _span = sift_obs::span("rising");
+        let replies = self.client.post_json_pipelined("/api/rising", reqs);
+        reqs.iter()
+            .zip(replies)
+            .map(|(req, reply)| rising_of(req, reply))
+            .collect()
     }
 
     fn identity(&self) -> &str {
@@ -196,6 +226,16 @@ impl TrendsClient for RoundRobin {
 
     fn fetch_rising(&self, req: &RisingRequest) -> Result<RisingResponse, FetchError> {
         self.pick().fetch_rising(req)
+    }
+
+    // A batch goes to one unit whole: splitting it would trade its single
+    // exchange for one per unit.
+    fn fetch_frames(&self, reqs: &[FrameRequest]) -> Vec<Result<FrameResponse, FetchError>> {
+        self.pick().fetch_frames(reqs)
+    }
+
+    fn fetch_risings(&self, reqs: &[RisingRequest]) -> Vec<Result<RisingResponse, FetchError>> {
+        self.pick().fetch_risings(reqs)
     }
 
     fn identity(&self) -> &str {
@@ -260,6 +300,67 @@ mod tests {
         let b = rr.fetch_frame(&req).expect("frame");
         assert_eq!(a, b, "unit choice must not change the sample");
         assert_eq!(service.stats().frames_served, 2);
+    }
+
+    #[test]
+    fn round_robin_hands_a_batch_to_one_unit_whole() {
+        /// Counts what reaches it through each entry.
+        struct Counting {
+            inner: Arc<TrendsService>,
+            single: std::sync::atomic::AtomicUsize,
+            batches: std::sync::Mutex<Vec<usize>>,
+        }
+        impl TrendsClient for Counting {
+            fn fetch_frame(&self, req: &FrameRequest) -> Result<FrameResponse, FetchError> {
+                self.single
+                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                self.inner.fetch_frame(req).map_err(FetchError::Service)
+            }
+            fn fetch_rising(&self, req: &RisingRequest) -> Result<RisingResponse, FetchError> {
+                self.inner.fetch_rising(req).map_err(FetchError::Service)
+            }
+            fn fetch_frames(
+                &self,
+                reqs: &[FrameRequest],
+            ) -> Vec<Result<FrameResponse, FetchError>> {
+                self.batches.lock().expect("lock").push(reqs.len());
+                reqs.iter()
+                    .map(|r| self.inner.fetch_frame(r).map_err(FetchError::Service))
+                    .collect()
+            }
+        }
+        let service = service();
+        let units: Vec<Arc<Counting>> = (0..2)
+            .map(|_| {
+                Arc::new(Counting {
+                    inner: Arc::clone(&service),
+                    single: std::sync::atomic::AtomicUsize::new(0),
+                    batches: std::sync::Mutex::new(Vec::new()),
+                })
+            })
+            .collect();
+        let rr = RoundRobin::new(
+            units
+                .iter()
+                .map(|u| Arc::clone(u) as Arc<dyn TrendsClient>)
+                .collect(),
+        );
+        let reqs: Vec<FrameRequest> = (0..5)
+            .map(|i| FrameRequest {
+                term: SearchTerm::parse("topic:Internet outage"),
+                state: State::CA,
+                start: Hour(i * 100),
+                len: 168,
+                tag: 0,
+            })
+            .collect();
+        let first = rr.fetch_frames(&reqs);
+        let second = rr.fetch_frames(&reqs[..2]);
+        assert!(first.iter().chain(&second).all(Result::is_ok));
+        for (unit, batches) in units.iter().zip([vec![5], vec![2]]) {
+            assert_eq!(*unit.batches.lock().expect("lock"), batches);
+            assert_eq!(unit.single.load(std::sync::atomic::Ordering::Relaxed), 0);
+        }
     }
 
     #[test]

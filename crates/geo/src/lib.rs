@@ -25,4 +25,4 @@ mod timezone;
 pub use ipgeo::{AddressPlan, GeoDb, Prefix24};
 pub use population::{population, total_population};
 pub use state::{Division, State};
-pub use timezone::utc_offset;
+pub use timezone::{utc_offset, utc_offset_until};

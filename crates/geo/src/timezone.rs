@@ -1,7 +1,7 @@
 //! Timezone offsets with US daylight-saving rules.
 
 use crate::state::State;
-use sift_simtime::{Hour, Weekday};
+use sift_simtime::Hour;
 
 /// UTC offset in hours of a region's primary timezone at instant `at`,
 /// accounting for US daylight saving time (second Sunday of March 02:00
@@ -12,17 +12,18 @@ use sift_simtime::{Hour, Weekday};
 /// majority of their population, matching how the paper reasons about
 /// per-state spike lags (§4.2).
 pub fn utc_offset(state: State, at: Hour) -> i32 {
-    let std = state.std_utc_offset();
-    if state.observes_dst() && in_dst(at, std) {
-        std + 1
-    } else {
-        std
-    }
+    utc_offset_until(state, at).0
 }
 
-/// True if UTC instant `at` falls within the DST period of a zone with
-/// standard offset `std` hours.
-fn in_dst(at: Hour, std: i32) -> bool {
+/// [`utc_offset`] at `at`, with the hour up to which it holds: every hour
+/// in `at..until` has the same offset. `until` is the next DST boundary
+/// or, after November's, the next New Year, so a caller walking a range
+/// of hours resolves the calendar once per run instead of once per hour.
+pub fn utc_offset_until(state: State, at: Hour) -> (i32, Hour) {
+    let std = state.std_utc_offset();
+    if !state.observes_dst() {
+        return (std, Hour(i64::MAX));
+    }
     let year = at.year();
     // DST can only change at the March/November boundaries of the civil
     // year containing `at` in UTC; local/UTC year mismatches around New
@@ -33,27 +34,70 @@ fn in_dst(at: Hour, std: i32) -> bool {
     // boundary is expressed in daylight time (std + 1).
     let start_utc = start_local - i64::from(std);
     let end_utc = end_local - i64::from(std + 1);
-    at >= start_utc && at < end_utc
+    if at < start_utc {
+        (std, start_utc)
+    } else if at < end_utc {
+        (std + 1, end_utc)
+    } else {
+        (std, Hour::from_ymdh(year + 1, 1, 1, 0))
+    }
 }
 
 /// Day of month of the `n`-th Sunday of `month` in `year`.
 fn nth_sunday(year: i32, month: u8, n: u8) -> u8 {
-    let mut count = 0;
-    for day in 1..=31 {
-        let h = Hour::from_ymdh(year, month, day, 0);
-        if h.weekday() == Weekday::Sun {
-            count += 1;
-            if count == n {
-                return day;
-            }
-        }
-    }
-    unreachable!("every month has at least four Sundays")
+    // Monday = 0 … Sunday = 6: the first Sunday is `7 - index` days in.
+    let first = Hour::from_ymdh(year, month, 1, 0).weekday().index();
+    7 * n - u8::try_from(first).unwrap_or(0)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sift_simtime::{Weekday, STUDY_RANGE};
+
+    /// The per-hour resolution this module shipped with, kept as the
+    /// oracle: the year's DST Sundays found by walking the calendar, and
+    /// each hour compared against both boundaries on its own.
+    fn reference_offset(state: State, at: Hour) -> i32 {
+        fn walked_sunday(year: i32, month: u8, n: u8) -> u8 {
+            (1..=31)
+                .filter(|&day| Hour::from_ymdh(year, month, day, 0).weekday() == Weekday::Sun)
+                .nth(usize::from(n) - 1)
+                .expect("every month has at least four Sundays")
+        }
+        let std = state.std_utc_offset();
+        let year = at.year();
+        let start_utc = Hour::from_ymdh(year, 3, walked_sunday(year, 3, 2), 2) - i64::from(std);
+        let end_utc = Hour::from_ymdh(year, 11, walked_sunday(year, 11, 1), 2) - i64::from(std + 1);
+        if state.observes_dst() && at >= start_utc && at < end_utc {
+            std + 1
+        } else {
+            std
+        }
+    }
+
+    #[test]
+    fn run_resolution_matches_the_per_hour_reference_everywhere() {
+        let year = 366 * 24;
+        let hours = (STUDY_RANGE.start.0 - year)..(STUDY_RANGE.end.0 + year);
+        for state in State::ALL {
+            // Walk the way the frame builder does: re-resolve only when
+            // the current run ends.
+            let (mut offset, mut until) = (0, Hour(hours.start));
+            let mut runs = 0;
+            for at in hours.clone().map(Hour) {
+                if at >= until {
+                    (offset, until) = utc_offset_until(state, at);
+                    assert!(until > at, "{state} {at:?}: empty run");
+                    runs += 1;
+                }
+                assert_eq!(offset, reference_offset(state, at), "{state} at {at:?}");
+                assert_eq!(utc_offset(state, at), offset, "{state} at {at:?}");
+            }
+            // Three runs a year at most (winter, summer, winter again).
+            assert!(runs <= 3 * 5, "{state}: {runs} runs");
+        }
+    }
 
     #[test]
     fn dst_boundaries_2021() {

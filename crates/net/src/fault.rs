@@ -190,6 +190,14 @@ impl FaultInjector {
         None
     }
 
+    /// Arrivals seen so far per request key, sorted by key.
+    #[cfg(test)]
+    pub(crate) fn arrivals(&self) -> Vec<(u64, u32)> {
+        let mut arrivals: Vec<_> = self.arrivals.lock().iter().map(|(k, n)| (*k, *n)).collect();
+        arrivals.sort_unstable();
+        arrivals
+    }
+
     /// Total faults injected so far.
     pub fn injected_total(&self) -> u64 {
         self.injected.load(Ordering::Relaxed)

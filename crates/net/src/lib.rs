@@ -14,8 +14,9 @@
 //!   shutdown.
 //! * [`router`] — exact-match method/path routing with typed JSON helpers.
 //! * [`client`] — a pooling, retrying client with timeouts; honours
-//!   `Retry-After` on 429 responses, applies full-jitter backoff, and can
-//!   carry a circuit breaker.
+//!   `Retry-After` on 429 responses, applies full-jitter backoff, can
+//!   carry a circuit breaker, and pipelines independent requests over one
+//!   keep-alive connection.
 //! * [`admission`] — server-side admission control: bounded accept queue
 //!   and in-flight cap shedding excess load with `503 + Retry-After`,
 //!   graceful drain.

@@ -1,7 +1,9 @@
 //! Threaded HTTP server.
 //!
 //! One acceptor thread hands connections to a fixed worker pool over a
-//! crossbeam channel; each worker runs a keep-alive loop per connection.
+//! crossbeam channel; each worker runs a keep-alive loop per connection,
+//! answering pipelined requests in order and coalescing their replies
+//! into one write (see `REPLY_FLUSH_BYTES` for when it flushes).
 //! An optional per-client token-bucket limiter answers 429 with a
 //! `Retry-After` before the request ever reaches a handler, mirroring how
 //! the real aggregation service throttles crawlers.
@@ -70,6 +72,13 @@ impl Server {
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
         self.faults = Some(Arc::new(FaultInjector::new(plan)));
         self
+    }
+
+    /// The injector behind [`Self::with_fault_plan`], for tests that
+    /// compare what two runs made the server decide.
+    #[cfg(test)]
+    pub(crate) fn fault_injector(&self) -> Option<Arc<FaultInjector>> {
+        self.faults.clone()
     }
 
     /// Joins the cluster's shared nemesis link-fault table under the
@@ -374,6 +383,19 @@ fn trace_context(req: &Request) -> Option<sift_obs::SpanContext> {
         .and_then(sift_obs::SpanContext::from_header)
 }
 
+/// Replies are coalesced: a pipelined batch that arrived together is
+/// answered with one write. Buffered replies go out before the connection
+/// blocks on a read, before anything that delays or ends it (a stall, a
+/// link delay, every close), and whenever this many bytes are waiting.
+const REPLY_FLUSH_BYTES: usize = 64 * 1024;
+
+fn flush(stream: &mut TcpStream, out: &mut Vec<u8>) -> std::io::Result<()> {
+    // Cleared either way: a write that failed part-way cannot be retried.
+    let written = stream.write_all(out);
+    out.clear();
+    written
+}
+
 fn serve_connection(mut stream: TcpStream, ctx: &ConnContext) -> std::io::Result<()> {
     // Short socket timeout so idle keep-alive reads re-check the shutdown
     // flag frequently; the configured `read_timeout` bounds total idleness.
@@ -384,6 +406,22 @@ fn serve_connection(mut stream: TcpStream, ctx: &ConnContext) -> std::io::Result
     let peer = stream.peer_addr()?;
     let _active = sift_obs::gauge("sift_http_active_connections", &[]).track();
 
+    // However the connection ends, the replies already produced are owed.
+    let mut out = Vec::new();
+    let served = serve_requests(&mut stream, &peer, poll, ctx, &mut out);
+    let flushed = flush(&mut stream, &mut out);
+    served.and(flushed)
+}
+
+/// The keep-alive loop of one connection. Replies are appended to `out`;
+/// the caller flushes what is left when the loop returns.
+fn serve_requests(
+    stream: &mut TcpStream,
+    peer: &SocketAddr,
+    poll: Duration,
+    ctx: &ConnContext,
+    out: &mut Vec<u8>,
+) -> std::io::Result<()> {
     let mut buf = BytesMut::with_capacity(8 * 1024);
     let mut chunk = [0u8; 16 * 1024];
 
@@ -397,36 +435,39 @@ fn serve_connection(mut stream: TcpStream, ctx: &ConnContext) -> std::io::Result
         let req = loop {
             match parse_request(&mut buf) {
                 Ok(Some(req)) => break req,
-                Ok(None) => match stream.read(&mut chunk) {
-                    Ok(0) => return Ok(()), // clean close
-                    Ok(n) => {
-                        idle = Duration::ZERO;
-                        buf.extend_from_slice(&chunk[..n]);
+                Ok(None) => {
+                    flush(stream, out)?;
+                    match stream.read(&mut chunk) {
+                        Ok(0) => return Ok(()), // clean close
+                        Ok(n) => {
+                            idle = Duration::ZERO;
+                            buf.extend_from_slice(&chunk[..n]);
+                        }
+                        Err(e)
+                            if e.kind() == std::io::ErrorKind::WouldBlock
+                                || e.kind() == std::io::ErrorKind::TimedOut =>
+                        {
+                            if ctx.shutdown.load(Ordering::SeqCst) {
+                                return Ok(());
+                            }
+                            // A draining server closes idle keep-alive
+                            // connections; nothing is owed to a client with
+                            // no request in flight.
+                            if ctx.admission.is_draining() && buf.is_empty() {
+                                return Ok(());
+                            }
+                            idle += poll;
+                            if idle >= ctx.read_timeout {
+                                return Ok(()); // idle keep-alive expired
+                            }
+                        }
+                        Err(e) => return Err(e),
                     }
-                    Err(e)
-                        if e.kind() == std::io::ErrorKind::WouldBlock
-                            || e.kind() == std::io::ErrorKind::TimedOut =>
-                    {
-                        if ctx.shutdown.load(Ordering::SeqCst) {
-                            return Ok(());
-                        }
-                        // A draining server closes idle keep-alive
-                        // connections; nothing is owed to a client with
-                        // no request in flight.
-                        if ctx.admission.is_draining() && buf.is_empty() {
-                            return Ok(());
-                        }
-                        idle += poll;
-                        if idle >= ctx.read_timeout {
-                            return Ok(()); // idle keep-alive expired
-                        }
-                    }
-                    Err(e) => return Err(e),
-                },
+                }
                 Err(err) => {
                     let resp =
                         Response::text(StatusCode::BAD_REQUEST, format!("bad request: {err}"));
-                    stream.write_all(&serialize_response(&resp))?;
+                    out.extend_from_slice(&serialize_response(&resp));
                     return Ok(()); // framing is lost; close
                 }
             }
@@ -446,7 +487,7 @@ fn serve_connection(mut stream: TcpStream, ctx: &ConnContext) -> std::io::Result
         // response bytes, the shape of an asymmetric partition.
         let mut drop_reply = false;
         if let Some((nemesis, name)) = &ctx.nemesis {
-            let from = client_identity(&req, &peer);
+            let from = client_identity(&req, peer);
             if let Some((kind, action)) = nemesis.decide(&from, name, &route) {
                 sift_obs::counter(
                     "sift_cluster_nemesis_faults_total",
@@ -465,7 +506,10 @@ fn serve_connection(mut stream: TcpStream, ctx: &ConnContext) -> std::io::Result
                 );
                 match action {
                     LinkAction::DropRequest => return Ok(()),
-                    LinkAction::Delay(d) => std::thread::sleep(d),
+                    LinkAction::Delay(d) => {
+                        flush(stream, out)?;
+                        std::thread::sleep(d);
+                    }
                     LinkAction::DropReply => drop_reply = true,
                 }
             }
@@ -485,14 +529,14 @@ fn serve_connection(mut stream: TcpStream, ctx: &ConnContext) -> std::io::Result
         // connection closes.
         if ctx.admission.is_draining() {
             let resp = ctx.admission.shed_response(ShedReason::Draining);
-            stream.write_all(&serialize_response(&resp))?;
+            out.extend_from_slice(&serialize_response(&resp));
             return Ok(());
         }
         let admitted = match ctx.admission.try_admit() {
             Ok(guard) => guard,
             Err(reason) => {
                 let resp = ctx.admission.shed_response(reason);
-                stream.write_all(&serialize_response(&resp))?;
+                out.extend_from_slice(&serialize_response(&resp));
                 return Ok(());
             }
         };
@@ -534,11 +578,12 @@ fn serve_connection(mut stream: TcpStream, ctx: &ConnContext) -> std::io::Result
                     // head, then starves waiting for the rest.
                     wire.len() - resp.body.len() + resp.body.len() / 2
                 };
-                stream.write_all(&wire[..keep])?;
+                out.extend_from_slice(&wire[..keep]);
                 return Ok(());
             }
             // Hold the response back, then serve normally.
             Some(FaultKind::Stall) => {
+                flush(stream, out)?;
                 std::thread::sleep(
                     ctx.faults
                         .as_deref()
@@ -568,7 +613,7 @@ fn serve_connection(mut stream: TcpStream, ctx: &ConnContext) -> std::io::Result
                     ctx.limiter.as_deref(),
                     &req,
                     &route,
-                    &peer,
+                    peer,
                     ctx.epoch,
                 ),
             }
@@ -578,7 +623,7 @@ fn serve_connection(mut stream: TcpStream, ctx: &ConnContext) -> std::io::Result
                 ctx.limiter.as_deref(),
                 &req,
                 &route,
-                &peer,
+                peer,
                 ctx.epoch,
             )
         };
@@ -600,10 +645,13 @@ fn serve_connection(mut stream: TcpStream, ctx: &ConnContext) -> std::io::Result
             drop(admitted);
             return Ok(());
         }
-        stream.write_all(&serialize_response(&resp))?;
-        drop(admitted); // the in-flight slot covers dispatch and write
+        out.extend_from_slice(&serialize_response(&resp));
+        drop(admitted); // the in-flight slot covers dispatch, not the coalesced write
         if close_after {
             return Ok(());
+        }
+        if out.len() >= REPLY_FLUSH_BYTES {
+            flush(stream, out)?;
         }
     }
 }
@@ -711,6 +759,47 @@ mod tests {
             let text = String::from_utf8_lossy(&buf[..n]);
             assert!(text.contains("pong"), "{text}");
         }
+        h.shutdown();
+    }
+
+    #[test]
+    fn pipelined_requests_are_answered_in_order_and_a_lone_one_at_once() {
+        let h = Server::new(test_router())
+            .bind("127.0.0.1:0")
+            .expect("bind");
+        let mut s = TcpStream::connect(h.addr()).expect("connect");
+        s.set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("timeout");
+        let read_replies = |s: &mut TcpStream, n: usize| -> Vec<String> {
+            let mut buf = BytesMut::new();
+            let mut chunk = [0u8; 4096];
+            let mut bodies = Vec::new();
+            while bodies.len() < n {
+                match crate::http::parse_response(&mut buf).expect("parse") {
+                    Some(resp) => bodies.push(String::from_utf8_lossy(&resp.body).into_owned()),
+                    None => {
+                        // Blocks only while a reply is owed: a reply held
+                        // back in the server's buffer would time this out.
+                        let got = s.read(&mut chunk).expect("reply before the timeout");
+                        assert!(got > 0, "server closed early");
+                        buf.extend_from_slice(&chunk[..got]);
+                    }
+                }
+            }
+            assert!(buf.is_empty(), "nothing unasked for");
+            bodies
+        };
+        // Three requests in one write, the last split across two.
+        s.write_all(
+            b"POST /echo HTTP/1.1\r\ncontent-length: 3\r\n\r\noneGET /ping HTTP/1.1\r\n\r\nPOST /echo HTTP/1.1\r\ncontent-length: 5\r\n\r\nth",
+        )
+        .expect("write");
+        s.write_all(b"ree").expect("write");
+        assert_eq!(read_replies(&mut s, 3), ["one", "pong", "three"]);
+        // The connection is still good, and a lone request does not wait
+        // for company.
+        s.write_all(b"GET /ping HTTP/1.1\r\n\r\n").expect("write");
+        assert_eq!(read_replies(&mut s, 1), ["pong"]);
         h.shutdown();
     }
 

@@ -97,24 +97,61 @@ proptest! {
         prop_assert_eq!(&back.body, &resp.body);
     }
 
-    /// Feeding the wire bytes one chunk at a time parses the same message
-    /// (incremental parsing never depends on chunk boundaries).
+    /// A pipelined byte stream — several messages back to back — parses
+    /// to the same message sequence however the socket splits it: the
+    /// parsers never depend on read boundaries, and a parse never eats
+    /// into the message behind it.
     #[test]
-    fn incremental_parse_chunking(req in request_strategy(), chunk in 1usize..40) {
-        let wire = serialize_request(&req);
+    fn incremental_parse_chunking(
+        reqs in proptest::collection::vec(request_strategy(), 1..5),
+        cuts in proptest::collection::vec(1usize..60, 1..8),
+    ) {
+        let mut requests = Vec::new();
+        let mut responses = Vec::new();
+        for req in &reqs {
+            requests.extend_from_slice(&serialize_request(req));
+            responses.extend_from_slice(&serialize_response(&Response {
+                status: StatusCode::OK,
+                headers: req.headers.clone(),
+                body: req.body.clone(),
+            }));
+        }
+        // Pieces of the given sizes, cycled until the stream is spent.
+        fn split<'a>(wire: &'a [u8], cuts: &'a [usize]) -> impl Iterator<Item = &'a [u8]> {
+            let mut at = 0;
+            cuts.iter().cycle().map_while(move |&cut| {
+                let piece = &wire[at..wire.len().min(at + cut)];
+                at += piece.len();
+                (!piece.is_empty()).then_some(piece)
+            })
+        }
+
         let mut buf = BytesMut::new();
-        let mut parsed = None;
-        for piece in wire.chunks(chunk) {
+        let mut parsed = Vec::new();
+        for piece in split(&requests, &cuts) {
             buf.extend_from_slice(piece);
-            if let Some(msg) = parse_request(&mut buf).expect("parse ok") {
-                parsed = Some(msg);
-                break;
+            while let Some(msg) = parse_request(&mut buf).expect("parse ok") {
+                parsed.push(msg);
             }
         }
-        let back = parsed.expect("message completes");
-        prop_assert_eq!(back.method, req.method);
-        prop_assert_eq!(back.path, req.path);
-        prop_assert_eq!(back.body, req.body);
+        prop_assert!(buf.is_empty());
+        prop_assert_eq!(parsed.len(), reqs.len());
+        for (back, req) in parsed.iter().zip(&reqs) {
+            prop_assert_eq!(back.method, req.method);
+            prop_assert_eq!(&back.path, &req.path);
+            prop_assert_eq!(&back.body, &req.body);
+        }
+
+        let mut buf = BytesMut::new();
+        let mut bodies = Vec::new();
+        for piece in split(&responses, &cuts) {
+            buf.extend_from_slice(piece);
+            while let Some(msg) = parse_response(&mut buf).expect("parse ok") {
+                bodies.push(msg.body);
+            }
+        }
+        prop_assert!(buf.is_empty());
+        prop_assert_eq!(bodies, reqs.iter().map(|r| r.body.clone()).collect::<Vec<_>>());
     }
 
     /// The parser never panics on arbitrary junk: it returns an error or

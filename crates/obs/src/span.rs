@@ -80,6 +80,15 @@ struct Frame {
     args: Vec<(&'static str, u64)>,
 }
 
+impl Frame {
+    fn add(&mut self, key: &'static str, n: u64) {
+        match self.args.iter_mut().find(|(k, _)| *k == key) {
+            Some(slot) => slot.1 = slot.1.saturating_add(n),
+            None => self.args.push((key, n)),
+        }
+    }
+}
+
 thread_local! {
     static STACK: RefCell<Vec<Frame>> = const { RefCell::new(Vec::new()) };
 }
@@ -151,6 +160,18 @@ impl Span {
             span_id: self.span_id,
         }
     }
+
+    /// [`attr_add`] on this span wherever it sits in the thread's stack,
+    /// for a caller holding several sibling spans open at once (pipelined
+    /// requests), where "innermost" is whichever was opened last.
+    pub fn attr_add(&self, key: &'static str, n: u64) {
+        STACK.with(|s| {
+            let mut stack = s.borrow_mut();
+            if let Some(frame) = stack.iter_mut().rfind(|f| f.span_id == self.span_id) {
+                frame.add(key, n);
+            }
+        });
+    }
 }
 
 impl Drop for Span {
@@ -204,10 +225,7 @@ pub fn current_path() -> String {
 pub fn attr_add(key: &'static str, n: u64) {
     STACK.with(|s| {
         if let Some(frame) = s.borrow_mut().last_mut() {
-            match frame.args.iter_mut().find(|(k, _)| *k == key) {
-                Some(slot) => slot.1 = slot.1.saturating_add(n),
-                None => frame.args.push((key, n)),
-            }
+            frame.add(key, n);
         }
     });
 }
@@ -317,6 +335,26 @@ mod tests {
         assert_eq!(SpanContext::from_header("zz-11"), None);
         assert_eq!(SpanContext::from_header("0-0"), None);
         assert_eq!(SpanContext::from_header("123"), None);
+    }
+
+    #[test]
+    fn span_attr_add_reaches_a_sibling_that_is_not_innermost() {
+        let root = crate::span_root("attr-sibling-root-test");
+        let ctx = root.context();
+        let first = crate::span_in(ctx, "attr-sibling-first-test");
+        let second = crate::span_in(ctx, "attr-sibling-second-test");
+        first.attr_add("bytes", 7);
+        drop(first); // out of stack order, as replies arrive
+        drop(second);
+        drop(root);
+        let trace = crate::trace::completed(ctx.trace_id).expect("trace completed");
+        let arg = |name: &str| {
+            let span = trace.spans.iter().find(|s| s.name == name).expect(name);
+            assert_eq!(span.parent_id, Some(ctx.span_id), "{name} is a sibling");
+            span.arg("bytes")
+        };
+        assert_eq!(arg("attr-sibling-first-test"), Some(7));
+        assert_eq!(arg("attr-sibling-second-test"), None);
     }
 
     #[test]

@@ -35,6 +35,17 @@ pub trait TrendsClient: Send + Sync {
     fn fetch_frame(&self, req: &FrameRequest) -> Result<FrameResponse, FetchError>;
     /// Fetches the rising suggestions of a frame.
     fn fetch_rising(&self, req: &RisingRequest) -> Result<RisingResponse, FetchError>;
+    /// Fetches mutually independent frames — a re-fetch round's — in one
+    /// call; entry `i` answers `reqs[i]` exactly as [`Self::fetch_frame`]
+    /// would have. A client whose transport can overlap requests
+    /// overrides this; the default asks one at a time.
+    fn fetch_frames(&self, reqs: &[FrameRequest]) -> Vec<Result<FrameResponse, FetchError>> {
+        reqs.iter().map(|req| self.fetch_frame(req)).collect()
+    }
+    /// [`Self::fetch_frames`] for rising suggestions.
+    fn fetch_risings(&self, reqs: &[RisingRequest]) -> Vec<Result<RisingResponse, FetchError>> {
+        reqs.iter().map(|req| self.fetch_rising(req)).collect()
+    }
     /// The identity this client crawls under (diagnostics, rate-limit
     /// keying on the HTTP path).
     fn identity(&self) -> &str {

@@ -27,8 +27,8 @@ pub fn build_frame(
     let mut zeroed = 0u64;
     let proportions: Vec<f64> = range
         .iter()
-        .map(|h| {
-            let volume = model.search_volume(state, h);
+        .zip(model.search_volumes(state, range))
+        .map(|(h, volume)| {
             let p = model.proportion(term, state, h);
             let (sampled, hits) = sampling::sample_hour(rng, cfg, volume, p);
             let anon = sampling::anonymize(cfg, hits);

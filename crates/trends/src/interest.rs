@@ -10,8 +10,8 @@ use crate::events::Cause;
 use crate::scenario::Scenario;
 use crate::terms::{SearchTerm, Topic};
 use serde::{Deserialize, Serialize};
-use sift_geo::{population, utc_offset, State};
-use sift_simtime::{Hour, STUDY_RANGE};
+use sift_geo::{population, utc_offset, utc_offset_until, State};
+use sift_simtime::{Hour, HourRange, STUDY_RANGE};
 
 /// Tuning knobs of the interest model.
 #[derive(Clone, Copy, Debug, Serialize, Deserialize)]
@@ -121,8 +121,24 @@ impl InterestModel {
 
     /// Total searches (all topics) in `state` during hour `at`.
     pub fn search_volume(&self, state: State, at: Hour) -> f64 {
-        let local = at.to_local(utc_offset(state, at));
-        let diurnal = SEARCH_DIURNAL[usize::from(local.hour_of_day())];
+        self.volume_at_offset(state, at, utc_offset(state, at))
+    }
+
+    /// [`Self::search_volume`] for every hour of `range`, in order. The
+    /// UTC offset is resolved once per run of hours that share it (a
+    /// frame crosses a DST boundary at most once), not once per hour.
+    pub fn search_volumes(&self, state: State, range: HourRange) -> impl Iterator<Item = f64> + '_ {
+        let (mut offset, mut until) = (0, range.start);
+        (range.start.0..range.end.0).map(Hour).map(move |at| {
+            if at >= until {
+                (offset, until) = utc_offset_until(state, at);
+            }
+            self.volume_at_offset(state, at, offset)
+        })
+    }
+
+    fn volume_at_offset(&self, state: State, at: Hour, utc_offset: i32) -> f64 {
+        let diurnal = SEARCH_DIURNAL[usize::from(at.to_local(utc_offset).hour_of_day())];
         // sift-lint: allow(lossy-cast) — populations ≪ 2⁵³, exact in f64
         population(state) as f64 * self.params.per_capita_hourly_searches * diurnal
     }
@@ -301,6 +317,25 @@ mod tests {
         let night = Hour::from_ymdh(2020, 6, 1, 11); // 4am local in CA
         assert!(m.search_volume(State::CA, noon) > m.search_volume(State::CA, night) * 2.0);
         assert!(m.search_volume(State::CA, noon) > m.search_volume(State::WY, noon) * 20.0);
+    }
+
+    #[test]
+    fn per_run_volumes_are_bit_identical_to_per_hour_volumes() {
+        let s = Scenario::single_region(State::CA, vec![]);
+        let m = InterestModel::new(&s);
+        // Weekly frames stepping through a year and a half: both DST
+        // boundaries fall inside some frame, at every offset into it.
+        for state in [State::CA, State::NY, State::AZ, State::AK] {
+            for start in (0..13_000).step_by(131) {
+                let range = HourRange::with_len(Hour(start), 168);
+                let per_run: Vec<u64> = m.search_volumes(state, range).map(f64::to_bits).collect();
+                let per_hour: Vec<u64> = range
+                    .iter()
+                    .map(|h| m.search_volume(state, h).to_bits())
+                    .collect();
+                assert_eq!(per_run, per_hour, "{state} frame at {start}");
+            }
+        }
     }
 
     #[test]

@@ -118,6 +118,68 @@ fn http_study_matches_in_process_study() {
 }
 
 #[test]
+fn batches_over_two_units_match_single_fetches_and_the_service() {
+    use sift::trends::{FrameRequest, SearchTerm};
+    let service = Arc::new(TrendsService::with_defaults(world()));
+    let server = Server::new(trends_router(Arc::clone(&service)))
+        .bind("127.0.0.1:0")
+        .expect("bind");
+    let units: Vec<Arc<dyn TrendsClient>> = (1..=2)
+        .map(|i| {
+            Arc::new(HttpTrendsClient::new(
+                server.addr(),
+                format!("127.0.0.4{i}"),
+            )) as Arc<dyn TrendsClient>
+        })
+        .collect();
+    let fleet = RoundRobin::new(units);
+    // Three rounds' worth of requests, with one the service rejects.
+    let requests: Vec<FrameRequest> = (0..3u64)
+        .flat_map(|tag| {
+            [
+                (State::TX, 0, 168),
+                (State::CA, 150, 168),
+                (State::TX, 300, 999),
+            ]
+            .into_iter()
+            .map(move |(state, start, len)| FrameRequest {
+                term: SearchTerm::parse("topic:Internet outage"),
+                state,
+                start: Hour(start),
+                len,
+                tag,
+            })
+        })
+        .collect();
+    let show = |r: &dyn std::fmt::Debug| format!("{r:?}");
+    let direct: Vec<String> = requests
+        .iter()
+        .map(|r| {
+            show(
+                &service
+                    .as_ref()
+                    .fetch_frame(r)
+                    .map_err(sift::trends::FetchError::Service),
+            )
+        })
+        .collect();
+    let single: Vec<String> = requests
+        .iter()
+        .map(|r| show(&fleet.fetch_frame(r)))
+        .collect();
+    // Batches of three alternate between the two units.
+    let batched: Vec<String> = requests
+        .chunks(3)
+        .flat_map(|round| fleet.fetch_frames(round))
+        .map(|r| show(&r))
+        .collect();
+    assert_eq!(single, direct);
+    assert_eq!(batched, direct);
+    assert!(direct[2].contains("FrameTooLong"), "{}", direct[2]);
+    server.shutdown();
+}
+
+#[test]
 fn rate_limited_single_identity_still_completes() {
     // One unit behind a tight limiter: the crawl must finish (slowly)
     // thanks to Retry-After handling, and the results stay correct. The
