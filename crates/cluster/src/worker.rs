@@ -248,13 +248,8 @@ fn lease_once(
     )
     .map_err(ClientError::Json)?;
     let resp = coord.send_with_retry(&req)?;
-    let retry_after = resp
-        .headers
-        .get("retry-after")
-        .and_then(|v| v.trim().parse::<u64>().ok())
-        .map(Duration::from_secs);
     let reply = resp.parse_json().map_err(ClientError::Json)?;
-    Ok((reply, retry_after))
+    Ok((reply, resp.retry_after()))
 }
 
 /// Full-jitter backoff for coordinator outages: uniform over

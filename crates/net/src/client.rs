@@ -6,9 +6,13 @@
 //! server is melting down. Retry backoff honours the server's
 //! `Retry-After` and otherwise applies full jitter drawn from a
 //! per-request seeded RNG stream, keeping chaos replays deterministic.
-//! Independent requests can share one exchange
-//! ([`HttpClient::send_pipelined`]): first attempts are pipelined on one
-//! connection, and every outcome is judged by the same retry rules.
+//!
+//! Every attempt goes out through one exchange, whether it is a lone
+//! [`HttpClient::send`], one try of [`HttpClient::send_with_retry`] or a
+//! batch of first attempts pipelined on one connection by
+//! [`HttpClient::send_pipelined`]. Each attempt opens its own
+//! attempt-numbered `request` span and stamps it into its own
+//! `X-Sift-Trace`, and every retried outcome is judged by the same rules.
 
 use crate::breaker::{BreakerState, CircuitBreaker};
 use crate::http::{parse_response, serialize_request, ParseError, Request, Response, StatusCode};
@@ -77,15 +81,12 @@ impl std::error::Error for ClientError {}
 pub struct RetryPolicy {
     /// Total attempts, including the first (≥ 1).
     pub max_attempts: u32,
-    /// Base backoff; attempt `n` waits up to `base * 2^(n-1)` unless the
-    /// server sent a `Retry-After`.
+    /// Base backoff; unless the server sent a `Retry-After`, attempt `n`
+    /// waits a full-jitter draw in `[0, base * 2^(n-1)]` from a
+    /// per-request seeded RNG stream. Server hints are never jittered.
     pub base_backoff: Duration,
     /// Ceiling on any single wait.
     pub max_backoff: Duration,
-    /// Apply full jitter to backoff waits (a uniform draw in
-    /// `[0, backoff]` from a per-request seeded RNG stream). Server
-    /// `Retry-After` hints are never jittered.
-    pub jitter: bool,
 }
 
 impl Default for RetryPolicy {
@@ -94,7 +95,6 @@ impl Default for RetryPolicy {
             max_attempts: 5,
             base_backoff: Duration::from_millis(100),
             max_backoff: Duration::from_secs(5),
-            jitter: true,
         }
     }
 }
@@ -124,9 +124,9 @@ enum Verdict {
 /// A blocking HTTP/1.1 client with connection reuse.
 ///
 /// Connections are pooled per client instance; a request taken over a
-/// pooled connection that turns out to be dead is retried once on a fresh
-/// connection before the failure is surfaced (the standard keep-alive
-/// race).
+/// pooled connection that turns out to be dead is re-sent, on another
+/// pooled or a fresh connection, without spending an attempt (the
+/// standard keep-alive race).
 pub struct HttpClient {
     addr: SocketAddr,
     identity: Option<String>,
@@ -182,31 +182,10 @@ impl HttpClient {
         self.addr
     }
 
-    /// Sends one request (no status-based retries; transport-level
-    /// keep-alive races are retried once).
+    /// Sends one request as one attempt: no status-based retries, and a
+    /// keep-alive race is re-sent without counting as the attempt.
     pub fn send(&self, req: &Request) -> Result<Response, ClientError> {
-        // Carry the caller's trace across the wire: the span active at
-        // send time (under retries, the attempt span) becomes the parent
-        // of the server-side work.
-        let wire = self.wire(req, sift_obs::SpanContext::current());
-
-        // First try a pooled connection, if any. Pop in its own statement:
-        // an `if let` scrutinee's temporary MutexGuard would otherwise
-        // live for the whole block and deadlock against `checkin`.
-        let pooled = self.pool.lock().pop();
-        if let Some(mut conn) = pooled {
-            // An error here may just be a stale connection: fall through
-            // to a fresh one.
-            if let Ok(resp) = round_trip(&mut conn, &wire) {
-                sift_obs::counter("sift_client_pool_total", &[("outcome", "hit")]).inc();
-                self.checkin(conn, &resp);
-                return Ok(resp);
-            }
-        }
-        let mut conn = self.connect()?;
-        let resp = round_trip(&mut conn, &wire)?;
-        self.checkin(conn, &resp);
-        Ok(resp)
+        self.attempt(req, 1)
     }
 
     /// Sends a request, retrying 429 (honouring `Retry-After`), 5xx and
@@ -224,10 +203,10 @@ impl HttpClient {
     /// one exchange, not one round trip per request. Every outcome then
     /// takes the per-request path: it feeds the breaker, a retryable one
     /// waits out its backoff or `Retry-After` and resumes at attempt 2,
-    /// and a request the server closed the connection ahead of starts over
-    /// on its own at attempt 1, so the server sees each request arrive as
-    /// often as it would have one at a time. Batches go out only while
-    /// the breaker (if any) is closed.
+    /// and a request the server closed the connection ahead of goes out
+    /// again, with the rest of the batch, at attempt 1, so the server sees
+    /// each request arrive as often as it would have one at a time.
+    /// Batches go out only while the breaker (if any) is closed.
     pub fn send_pipelined(&self, reqs: &[Request]) -> Vec<Result<Response, ClientError>> {
         let mut results = Vec::with_capacity(reqs.len());
         while results.len() < reqs.len() {
@@ -236,18 +215,15 @@ impl HttpClient {
                 .breaker
                 .as_ref()
                 .is_some_and(|b| b.state() != BreakerState::Closed);
-            if rest.len() == 1 || probing {
+            if probing {
                 results.push(self.send_with_retry(&rest[0]));
                 continue;
             }
-            let firsts = self.exchange(rest);
+            let firsts = self.exchange(rest, 1);
             let answered = Instant::now();
             for (req, first) in rest.iter().zip(firsts) {
-                let Some(outcome) = first else {
-                    // Never attempted; what follows it is pipelined anew.
-                    results.push(self.send_with_retry(req));
-                    break;
-                };
+                // Never attempted: it and what follows go out on the next pass.
+                let Some(outcome) = first else { break };
                 results.push(match self.judge(req, 1, outcome) {
                     Verdict::Done(result) => result,
                     Verdict::Retry(wait) => {
@@ -261,11 +237,26 @@ impl HttpClient {
         results
     }
 
-    /// Attempt 1 of as many leading `reqs` as fit the pipeline window (at
-    /// least one), on one connection. `Some(outcome)` for each request
-    /// that was attempted, in order; a `None` marks where the exchange
-    /// stopped short: that request and any after it were not attempted.
-    fn exchange(&self, reqs: &[Request]) -> Vec<Option<Result<Response, ClientError>>> {
+    /// Attempt `attempt` of `req`, exchanged until it is attempted.
+    fn attempt(&self, req: &Request, attempt: u32) -> Result<Response, ClientError> {
+        loop {
+            let first = self.exchange(std::slice::from_ref(req), attempt).pop();
+            if let Some(Some(outcome)) = first {
+                return outcome;
+            }
+        }
+    }
+
+    /// Attempt `attempt` of as many leading `reqs` as fit the pipeline
+    /// window (at least one), on one connection. `Some(outcome)` for each
+    /// request that was attempted, in order; a `None` marks where the
+    /// exchange stopped short: that request and any after it were not
+    /// attempted.
+    fn exchange(
+        &self,
+        reqs: &[Request],
+        attempt: u32,
+    ) -> Vec<Option<Result<Response, ClientError>>> {
         // What `wire` adds to a request — request line, content-length,
         // identity and trace headers — stays under 128 bytes plus the
         // identity itself.
@@ -281,16 +272,9 @@ impl HttpClient {
             .count()
             .max(1);
 
-        let pooled = self.pool.lock().pop();
-        let reused = pooled.is_some();
-        let mut conn = match pooled.map_or_else(|| self.connect(), Ok) {
-            Ok(conn) => conn,
-            Err(e) => return vec![Some(Err(e))],
-        };
-
-        // One `request` span per request, as `retry_from` opens them, but
-        // all open at once: siblings under the caller's span, each stamped
-        // into its own request so the server-side work parents onto it.
+        // One `request` span per request, all open at once: siblings under
+        // the caller's span, each stamped into its own request so the
+        // server-side work parents onto the exact attempt that carried it.
         let parent = sift_obs::SpanContext::current();
         let mut wire = Vec::with_capacity(bytes.min(2 * PIPELINE_WINDOW_BYTES));
         let spans: Vec<sift_obs::Span> = reqs[..window]
@@ -300,11 +284,18 @@ impl HttpClient {
                     Some(ctx) => sift_obs::span_in(ctx, "request"),
                     None => sift_obs::span_root("request"),
                 };
-                sift_obs::attr_set("attempt", 1);
-                wire.extend_from_slice(&self.wire(req, Some(span.context())));
+                sift_obs::attr_set("attempt", u64::from(attempt));
+                wire.extend_from_slice(&self.wire(req, span.context()));
                 span
             })
             .collect();
+
+        let pooled = self.pool.lock().pop();
+        let reused = pooled.is_some();
+        let mut conn = match pooled.map_or_else(|| self.connect(), Ok) {
+            Ok(conn) => conn,
+            Err(e) => return vec![Some(Err(e))],
+        };
 
         let mut firsts = Vec::with_capacity(window);
         let mut failure = conn.stream.write_all(&wire).err().map(ClientError::Io);
@@ -318,7 +309,10 @@ impl HttpClient {
                     if reused && firsts.is_empty() {
                         sift_obs::counter("sift_client_pool_total", &[("outcome", "hit")]).inc();
                     }
-                    attribute_bytes(&span, &resp);
+                    if resp.status.is_success() {
+                        let len = u64::try_from(resp.body.len()).unwrap_or(u64::MAX);
+                        span.attr_add("bytes", len);
+                    }
                     // The server answers nothing past a `Connection: close`.
                     open = !resp.headers.wants_close();
                     firsts.push(Some(Ok(resp)));
@@ -330,10 +324,16 @@ impl HttpClient {
             }
         }
         match failure {
-            None if open => self.pool_conn(conn),
-            // On a reused connection any error may be the keep-alive race
-            // `send` answers by re-sending without charging the attempt;
-            // leaving the request unattempted sends it down that path.
+            // Bytes nobody asked for would be parsed as the next reply.
+            None if open && conn.buf.is_empty() => {
+                let mut pool = self.pool.lock();
+                if pool.len() < 8 {
+                    pool.push(conn);
+                }
+            }
+            // On a reused connection any error may be the keep-alive race:
+            // the request is left unattempted, to be re-sent without
+            // spending an attempt.
             Some(e) if !reused => firsts.push(Some(Err(e))),
             _ => {}
         }
@@ -342,7 +342,7 @@ impl HttpClient {
     }
 
     /// The retry loop, entered at `attempt` (1, or 2 after a pipelined
-    /// first attempt).
+    /// first attempt): breaker gate, one attempt, judgement.
     fn retry_from(&self, req: &Request, mut attempt: u32) -> Result<Response, ClientError> {
         loop {
             if let Some(b) = &self.breaker {
@@ -357,18 +357,7 @@ impl HttpClient {
                     });
                 }
             }
-            // Each attempt is its own span: it is the context stamped
-            // into X-Sift-Trace by `send`, so the server-side work for a
-            // retried request parents onto the exact attempt that
-            // carried it — retries show up as attempt-numbered siblings,
-            // never as orphan roots.
-            let attempt_span = sift_obs::span("request");
-            sift_obs::attr_set("attempt", u64::from(attempt));
-            let outcome = self.send(req);
-            if let Ok(resp) = &outcome {
-                attribute_bytes(&attempt_span, resp);
-            }
-            match self.judge(req, attempt, outcome) {
+            match self.judge(req, attempt, self.attempt(req, attempt)) {
                 Verdict::Done(result) => return result,
                 Verdict::Retry(wait) => std::thread::sleep(wait),
             }
@@ -425,7 +414,7 @@ impl HttpClient {
         }
         // An explicit server hint is an instruction, not a guess: it
         // is honoured as-is (capped), never jittered.
-        let wait = match server_hint(&resp) {
+        let wait = match resp.retry_after() {
             Some(hint) => hint.min(self.retry.max_backoff),
             None => self.jittered_backoff(req, attempt),
         };
@@ -483,15 +472,13 @@ impl HttpClient {
 
     /// `req` as it goes on the wire: under this client's identity and,
     /// unless the caller set its own, with `trace` as its trace context.
-    fn wire(&self, req: &Request, trace: Option<sift_obs::SpanContext>) -> Bytes {
+    fn wire(&self, req: &Request, trace: sift_obs::SpanContext) -> Bytes {
         let mut req = req.clone();
         if let Some(id) = &self.identity {
             req.headers.set(FETCHER_IDENTITY_HEADER, id.clone());
         }
         if req.headers.get(X_SIFT_TRACE).is_none() {
-            if let Some(ctx) = trace {
-                req.headers.set(X_SIFT_TRACE, ctx.to_header());
-            }
+            req.headers.set(X_SIFT_TRACE, trace.to_header());
         }
         serialize_request(&req)
     }
@@ -512,22 +499,6 @@ impl HttpClient {
         })
     }
 
-    fn checkin(&self, conn: Conn, resp: &Response) {
-        if !resp.headers.wants_close() {
-            self.pool_conn(conn);
-        }
-    }
-
-    fn pool_conn(&self, conn: Conn) {
-        // Bytes nobody asked for would be parsed as the next reply.
-        if conn.buf.is_empty() {
-            let mut pool = self.pool.lock();
-            if pool.len() < 8 {
-                pool.push(conn);
-            }
-        }
-    }
-
     fn record_outcome(&self, success: bool) {
         if let Some(b) = &self.breaker {
             if success {
@@ -542,11 +513,7 @@ impl HttpClient {
     /// from a ChaCha8 stream keyed by (request, attempt) — deterministic
     /// per replay, decorrelated across requests.
     fn jittered_backoff(&self, req: &Request, attempt: u32) -> Duration {
-        let exp = backoff_wait(&self.retry, attempt);
-        if !self.retry.jitter {
-            return exp;
-        }
-        let span_ms = exp.as_millis() as u64;
+        let span_ms = backoff_wait(&self.retry, attempt).as_millis() as u64;
         let key = crate::fault::request_key(&req.path, &req.body);
         let mut seed = [0u8; 32];
         seed[8..16].copy_from_slice(&key.to_le_bytes());
@@ -559,28 +526,6 @@ impl HttpClient {
     }
 }
 
-/// Hard ceiling on any server-supplied `Retry-After` hint. A server (or a
-/// middlebox mangling the header) telling a crawler to come back in a
-/// week must not stall the retry loop; anything past this cap degrades to
-/// the cap, and the policy's own `max_backoff` still applies on top at
-/// the call site.
-const MAX_SERVER_HINT: Duration = Duration::from_secs(60);
-
-/// The server's explicit `Retry-After` hint, if the response carries a
-/// usable one. Defensive by design: an empty value, non-numeric garbage
-/// (`"soon"`, HTTP-dates, `"2.5"`), or a number too large for `u64` all
-/// parse as *absent*, sending the caller to the jittered-backoff path
-/// instead of trusting the wire verbatim. Values that do parse are capped
-/// at [`MAX_SERVER_HINT`].
-fn server_hint(resp: &Response) -> Option<Duration> {
-    let raw = resp.headers.get("retry-after")?.trim();
-    if raw.is_empty() {
-        return None;
-    }
-    let secs: u64 = raw.parse().ok()?;
-    Some(Duration::from_secs(secs).min(MAX_SERVER_HINT))
-}
-
 /// Pure exponential backoff ceiling for `attempt` (the jitter draw spans
 /// `[0, this]`; transport errors and `Retry-After`-less 429 storms land
 /// here too).
@@ -591,15 +536,9 @@ fn backoff_wait(policy: &RetryPolicy, attempt: u32) -> Duration {
     exp.min(policy.max_backoff)
 }
 
-/// Credits a successful reply's size to the attempt span that fetched it.
-fn attribute_bytes(attempt: &sift_obs::Span, resp: &Response) {
-    if resp.status.is_success() {
-        attempt.attr_add("bytes", u64::try_from(resp.body.len()).unwrap_or(u64::MAX));
-    }
-}
-
-/// Counts and logs one retry decision, on the attempt span when one is
-/// open.
+/// Counts and logs one retry decision. The attempt's span has closed by
+/// now, so `retries` lands on the caller's span, whether the attempt went
+/// out alone or pipelined.
 fn note_retry(status: &str, attempt: u32, wait: Duration, msg: &str) {
     sift_obs::attr_add("retries", 1);
     sift_obs::counter("sift_client_retries_total", &[("status", status)]).inc();
@@ -614,11 +553,6 @@ fn note_retry(status: &str, attempt: u32, wait: Duration, msg: &str) {
             ("wait_ms", serde_json::Value::UInt(wait.as_millis() as u64)),
         ],
     );
-}
-
-fn round_trip(conn: &mut Conn, wire: &[u8]) -> Result<Response, ClientError> {
-    conn.stream.write_all(wire).map_err(ClientError::Io)?;
-    read_response(conn)
 }
 
 /// Reads until one whole response sits at the front of the connection's
@@ -654,7 +588,7 @@ fn body_excerpt(resp: &Response) -> String {
 mod tests {
     use super::*;
     use crate::breaker::{BreakerConfig, BreakerState};
-    use crate::http::Method;
+    use crate::http::{Method, MAX_SERVER_HINT};
     use crate::ratelimit::RateLimiterConfig;
     use crate::router::Router;
     use crate::server::Server;
@@ -687,8 +621,17 @@ mod tests {
             max_attempts,
             base_backoff: Duration::from_millis(1),
             max_backoff: Duration::from_millis(5),
-            jitter: true,
         }
+    }
+
+    /// Held by every test that can move `sift_client_retries_total{status="io"}`
+    /// in this process, so that one of them can assert it did not move.
+    static IO_RETRIES: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
+    fn io_retries_held() -> std::sync::MutexGuard<'static, ()> {
+        IO_RETRIES
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     #[test]
@@ -757,7 +700,6 @@ mod tests {
                 max_attempts: 10,
                 base_backoff: Duration::from_millis(20),
                 max_backoff: Duration::from_millis(100),
-                jitter: true,
             });
         // Hammer past the burst capacity; retries absorb the 429s.
         for _ in 0..6 {
@@ -769,9 +711,14 @@ mod tests {
 
     #[test]
     fn stale_pooled_connection_recovers() {
+        let _io_retries = io_retries_held();
         let h = spawn_server();
         let c = HttpClient::new(h.addr());
+        let retried = HttpClient::new(h.addr());
         let _ = c.send(&Request::get("/ping")).expect("first");
+        let _ = retried
+            .send_with_retry(&Request::get("/ping"))
+            .expect("first");
         assert_eq!(c.pooled_connections(), 1);
         // Kill the server; the pooled connection goes stale.
         let addr = h.addr();
@@ -785,11 +732,21 @@ mod tests {
             .expect("rebind same port");
         let resp = c.send(&Request::get("/ping")).expect("recovered send");
         assert_eq!(&resp.body[..], b"pong2");
+        // Under retries the re-send on a fresh connection is still attempt
+        // 1: the keep-alive race spends no attempt.
+        let io = || sift_obs::counter("sift_client_retries_total", &[("status", "io")]).get();
+        let before = io();
+        let resp = retried
+            .send_with_retry(&Request::get("/ping"))
+            .expect("recovered retried send");
+        assert_eq!(&resp.body[..], b"pong2");
+        assert_eq!(io(), before, "the re-send spent no attempt");
         h2.shutdown();
     }
 
     #[test]
     fn transport_errors_consume_retry_budget_then_surface() {
+        let _io_retries = io_retries_held();
         use crate::fault::{FaultKind, FaultPlan};
         let router = Router::new().route(Method::Get, "/ping", |_| {
             Response::text(StatusCode::OK, "pong")
@@ -814,6 +771,7 @@ mod tests {
 
     #[test]
     fn mixed_transport_and_status_faults_are_absorbed() {
+        let _io_retries = io_retries_held();
         use crate::fault::{FaultKind, FaultPlan};
         let router = Router::new().route(Method::Get, "/ping", |_| {
             Response::text(StatusCode::OK, "pong")
@@ -859,9 +817,9 @@ mod tests {
     fn server_hint_is_honoured_unjittered() {
         let mut resp = Response::text(StatusCode::TOO_MANY_REQUESTS, "slow down");
         resp.headers.set("retry-after", "2");
-        assert_eq!(server_hint(&resp), Some(Duration::from_secs(2)));
+        assert_eq!(resp.retry_after(), Some(Duration::from_secs(2)));
         let resp = Response::text(StatusCode::INTERNAL_SERVER_ERROR, "oops");
-        assert_eq!(server_hint(&resp), None);
+        assert_eq!(resp.retry_after(), None);
         // The hintless ceiling is still the exponential curve.
         let policy = RetryPolicy::default();
         assert_eq!(backoff_wait(&policy, 1), policy.base_backoff);
@@ -877,7 +835,7 @@ mod tests {
         let hint = |value: &str| {
             let mut resp = Response::text(StatusCode::TOO_MANY_REQUESTS, "slow down");
             resp.headers.set("retry-after", value);
-            server_hint(&resp)
+            resp.retry_after()
         };
         // Garbage of every flavour parses as absent.
         assert_eq!(hint(""), None);
@@ -1050,6 +1008,7 @@ mod tests {
     }
 
     fn chaos_run(send: &Sender) -> ServerSide {
+        let _io_retries = io_retries_held();
         use crate::fault::{FaultKind, FaultPlan};
         let served = Arc::new(Mutex::new(std::collections::BTreeMap::<u64, u32>::new()));
         let counted = Arc::clone(&served);
@@ -1094,6 +1053,7 @@ mod tests {
     fn dropped_replies_mid_batch_cost_the_server_what_one_at_a_time_would() {
         use crate::fault::{NemesisOp, NemesisState};
         let run = |send: &Sender| {
+            let _io_retries = io_retries_held();
             let served = Arc::new(Mutex::new(Vec::<u64>::new()));
             let counted = Arc::clone(&served);
             let router = Router::new().route(Method::Post, "/double", move |req| {
@@ -1263,6 +1223,73 @@ mod tests {
         );
         assert_eq!(serve.arg("status"), Some(200));
         assert!(trace.orphans().is_empty());
+        h.shutdown();
+    }
+
+    #[test]
+    fn a_bare_send_opens_its_own_request_span() {
+        // The handler answers with the trace context its request carried.
+        let router = Router::new().route(Method::Get, "/trace", |req| {
+            let carried = req.headers.get(X_SIFT_TRACE).unwrap_or("").to_owned();
+            Response::text(StatusCode::OK, carried)
+        });
+        let h = Server::new(router).bind("127.0.0.1:0").expect("bind");
+        let c = HttpClient::new(h.addr());
+        assert_eq!(sift_obs::SpanContext::current(), None, "no span is open");
+        let resp = c.send(&Request::get("/trace")).expect("send");
+        let carried = sift_obs::SpanContext::from_header(&String::from_utf8_lossy(&resp.body))
+            .expect("the request carried a trace context");
+        let trace = sift_obs::trace::wait_completed(carried.trace_id, Duration::from_secs(5))
+            .expect("trace completed");
+        let requests: Vec<_> = trace.spans.iter().filter(|s| s.name == "request").collect();
+        assert_eq!(requests.len(), 1, "exactly one request span");
+        let request = requests[0];
+        assert_eq!(request.span_id, carried.span_id);
+        assert_eq!(request.parent_id, None, "the attempt roots the trace");
+        assert_eq!(request.arg("attempt"), Some(1));
+        assert!(request.arg("bytes").is_some(), "response bytes attributed");
+        let serve = trace
+            .spans
+            .iter()
+            .find(|s| s.name == "serve")
+            .expect("server span joined the client trace");
+        assert_eq!(serve.parent_id, Some(request.span_id));
+        h.shutdown();
+    }
+
+    #[test]
+    fn retries_are_counted_on_the_callers_span_whether_lone_or_pipelined() {
+        let h = spawn_server();
+        let c = HttpClient::new(h.addr()).with_retry(fast_retry(3));
+        let traced = |send: &dyn Fn()| {
+            let root = sift_obs::span_root("retries-test");
+            let tid = root.context().trace_id;
+            send();
+            drop(root);
+            sift_obs::trace::wait_completed(tid, Duration::from_secs(5)).expect("trace completed")
+        };
+        let lone = traced(&|| {
+            let failed = c.send_with_retry(&Request::get("/fail"));
+            assert!(matches!(failed, Err(ClientError::Status { .. })));
+        });
+        let pipelined = traced(&|| {
+            let failed = c.send_pipelined(&[Request::get("/fail"), Request::get("/fail")]);
+            assert!(failed
+                .iter()
+                .all(|r| matches!(r, Err(ClientError::Status { .. }))));
+        });
+        // Two retries per request, each noted after its attempt's span
+        // closed: on the caller's span, never on a `request` span.
+        for (trace, retries) in [(lone, 2), (pipelined, 4)] {
+            let root = trace.root().expect("rooted");
+            assert_eq!(root.name, "retries-test");
+            assert_eq!(root.arg("retries"), Some(retries));
+            assert!(trace
+                .spans
+                .iter()
+                .filter(|s| s.name == "request")
+                .all(|s| s.arg("retries").is_none()));
+        }
         h.shutdown();
     }
 }

@@ -29,8 +29,6 @@ use std::time::{Duration, Instant};
 pub enum FaultKind {
     /// Answer `500 Internal Server Error` without running the handler.
     InternalError,
-    /// Answer `503 Service Unavailable` without running the handler.
-    Unavailable,
     /// Answer `429 Too Many Requests` *without* a `Retry-After` header
     /// (the client must fall back to its own exponential backoff).
     RateStorm,
@@ -47,9 +45,8 @@ pub enum FaultKind {
 
 impl FaultKind {
     /// Every kind, in declaration order.
-    pub const ALL: [FaultKind; 6] = [
+    pub const ALL: [FaultKind; 5] = [
         FaultKind::InternalError,
-        FaultKind::Unavailable,
         FaultKind::RateStorm,
         FaultKind::Reset,
         FaultKind::Truncate,
@@ -63,7 +60,6 @@ impl FaultKind {
     pub fn label(self) -> &'static str {
         match self {
             FaultKind::InternalError => "internal_error",
-            FaultKind::Unavailable => "unavailable",
             FaultKind::RateStorm => "rate_storm",
             FaultKind::Reset => "reset",
             FaultKind::Truncate => "truncate",

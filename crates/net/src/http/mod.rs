@@ -8,12 +8,19 @@ pub use serialize::{serialize_request, serialize_response};
 
 use bytes::Bytes;
 use std::fmt;
+use std::time::Duration;
 
 /// Maximum accepted size of a message head (request line + headers).
 pub const MAX_HEAD_BYTES: usize = 16 * 1024;
 
 /// Maximum accepted body size.
 pub const MAX_BODY_BYTES: usize = 16 * 1024 * 1024;
+
+/// Hard ceiling on any server-supplied `Retry-After` hint. A server (or a
+/// middlebox mangling the header) telling a crawler to come back in a
+/// week must not stall a retry loop; anything past this cap degrades to
+/// the cap, and a caller's own ceiling still applies on top.
+pub(crate) const MAX_SERVER_HINT: Duration = Duration::from_secs(60);
 
 /// The request methods the stack supports.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -284,6 +291,16 @@ impl Response {
     /// Deserializes the body as JSON.
     pub fn parse_json<T: serde::de::DeserializeOwned>(&self) -> Result<T, serde_json::Error> {
         serde_json::from_slice(&self.body)
+    }
+
+    /// The server's explicit `Retry-After` hint, if the response carries a
+    /// usable one. Defensive by design: an empty value, non-numeric garbage
+    /// (`"soon"`, HTTP-dates, `"2.5"`), or a number too large for `u64` all
+    /// parse as *absent*, sending the caller to its own backoff instead of
+    /// trusting the wire verbatim. Values that do parse are capped at 60 s.
+    pub fn retry_after(&self) -> Option<Duration> {
+        let secs: u64 = self.headers.get("retry-after")?.trim().parse().ok()?;
+        Some(Duration::from_secs(secs).min(MAX_SERVER_HINT))
     }
 }
 

@@ -74,11 +74,13 @@ pub const FETCHER_IDENTITY_HEADER: &str = "x-fetcher-ip";
 /// boundary.
 ///
 /// Value format: `<trace_id hex16>-<span_id hex16>`
-/// ([`sift_obs::SpanContext::to_header`]). The client stamps it from the
-/// span active at send time — under retries that is the attempt span, so
-/// each attempt's server-side work parents onto that very attempt — and
-/// the server reopens the context around dispatch, joining fetcher →
-/// HTTP → trends spans into one trace tree even across retries, breaker
-/// probes and fault-injected replays. A missing or malformed header
-/// starts a detached server-side trace; it never fails the request.
+/// ([`sift_obs::SpanContext::to_header`]). Every attempt the client makes,
+/// lone, retried or pipelined, opens its own attempt-numbered `request`
+/// span (a child of the caller's span, or a trace root when none is open)
+/// and stamps that span here, so each attempt's server-side work parents
+/// onto that very attempt. The server reopens the context around
+/// dispatch, joining fetcher → HTTP → trends spans into one trace tree
+/// even across retries, breaker probes and fault-injected replays. A
+/// missing or malformed header starts a detached server-side trace; it
+/// never fails the request.
 pub const X_SIFT_TRACE: &str = "x-sift-trace";

@@ -562,7 +562,8 @@ fn serve_requests(
                 ],
             );
         }
-        match injected {
+        let resp = match injected {
+            None => dispatch_with_limiter(ctx, &req, &route, peer),
             // Close without writing a byte: the client sees the connection
             // reset mid-exchange.
             Some(FaultKind::Reset) => return Ok(()),
@@ -590,42 +591,16 @@ fn serve_requests(
                         .map(FaultInjector::stall)
                         .unwrap_or_default(),
                 );
+                dispatch_with_limiter(ctx, &req, &route, peer)
             }
-            _ => {}
-        }
-
-        let resp = if let Some(kind) = injected {
-            match kind {
-                FaultKind::InternalError => {
-                    Response::text(StatusCode::INTERNAL_SERVER_ERROR, "injected fault")
-                }
-                FaultKind::Unavailable => {
-                    Response::text(StatusCode::SERVICE_UNAVAILABLE, "injected fault")
-                }
-                // A 429 storm deliberately omits `Retry-After`: the client
-                // must fall back to its own exponential backoff.
-                FaultKind::RateStorm => {
-                    Response::text(StatusCode::TOO_MANY_REQUESTS, "injected fault")
-                }
-                // Reset/Truncate returned above; Stall serves normally.
-                FaultKind::Reset | FaultKind::Truncate | FaultKind::Stall => dispatch_with_limiter(
-                    &ctx.router,
-                    ctx.limiter.as_deref(),
-                    &req,
-                    &route,
-                    peer,
-                    ctx.epoch,
-                ),
+            Some(FaultKind::InternalError) => {
+                Response::text(StatusCode::INTERNAL_SERVER_ERROR, "injected fault")
             }
-        } else {
-            dispatch_with_limiter(
-                &ctx.router,
-                ctx.limiter.as_deref(),
-                &req,
-                &route,
-                peer,
-                ctx.epoch,
-            )
+            // A 429 storm deliberately omits `Retry-After`: the client
+            // must fall back to its own exponential backoff.
+            Some(FaultKind::RateStorm) => {
+                Response::text(StatusCode::TOO_MANY_REQUESTS, "injected fault")
+            }
         };
 
         sift_obs::attr_set("status", u64::from(resp.status.0));
@@ -658,20 +633,18 @@ fn serve_requests(
 
 /// Runs the request through the rate limiter (if any) and the router.
 fn dispatch_with_limiter(
-    router: &Router,
-    limiter: Option<&RateLimiter>,
+    ctx: &ConnContext,
     req: &Request,
     route: &str,
     peer: &SocketAddr,
-    epoch: Instant,
 ) -> Response {
-    let Some(limiter) = limiter else {
-        return dispatch_protected(router, req);
+    let Some(limiter) = ctx.limiter.as_deref() else {
+        return dispatch_protected(&ctx.router, req);
     };
     let identity = client_identity(req, peer);
-    let now_ms = epoch.elapsed().as_millis() as u64;
+    let now_ms = ctx.epoch.elapsed().as_millis() as u64;
     match limiter.check(&identity, now_ms) {
-        RateLimitDecision::Allowed => dispatch_protected(router, req),
+        RateLimitDecision::Allowed => dispatch_protected(&ctx.router, req),
         RateLimitDecision::Limited { retry_after_secs } => {
             // The rejection path is already the slow path; a metric
             // update and an event here cost nothing that matters.

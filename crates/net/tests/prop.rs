@@ -372,7 +372,6 @@ proptest! {
             max_attempts,
             base_backoff: Duration::from_millis(1),
             max_backoff: Duration::from_millis(2),
-            jitter: true,
         });
         let io_retries = sift_obs::counter("sift_client_retries_total", &[("status", "io")]);
         let before = io_retries.get();

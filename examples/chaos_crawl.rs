@@ -103,7 +103,6 @@ fn main() {
         max_attempts: 12,
         base_backoff: Duration::from_millis(2),
         max_backoff: Duration::from_millis(40),
-        jitter: true,
     });
     let params = StudyParams {
         range,
@@ -136,7 +135,6 @@ fn main() {
                         max_attempts: 1,
                         base_backoff: Duration::from_millis(1),
                         max_backoff: Duration::from_millis(1),
-                        jitter: true,
                     },
                 ),
             ) as Arc<dyn TrendsClient>

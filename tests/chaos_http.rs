@@ -99,7 +99,6 @@ fn study_over(server: &ServerHandle, identity: &str) -> StudyResult {
         max_attempts: 12,
         base_backoff: Duration::from_millis(2),
         max_backoff: Duration::from_millis(40),
-        jitter: true,
     });
     run_study(&unit, &params()).expect("chaos study completes")
 }
@@ -241,7 +240,6 @@ fn collection_run_over_chaos_http_recovers_every_frame() {
                         max_attempts: 1,
                         base_backoff: Duration::from_millis(1),
                         max_backoff: Duration::from_millis(1),
-                        jitter: true,
                     },
                 ),
             ) as Arc<dyn TrendsClient>

@@ -217,7 +217,6 @@ fn overload_run(service: &Arc<TrendsService>) -> (RunReport, Vec<String>) {
                 max_attempts: 1,
                 base_backoff: Duration::from_millis(1),
                 max_backoff: Duration::from_millis(1),
-                jitter: true,
             })
             .with_breaker(Arc::clone(&breaker)),
     );
@@ -330,7 +329,6 @@ fn post_burst_study_matches_the_unloaded_one() {
         max_attempts: 5,
         base_backoff: Duration::from_millis(2),
         max_backoff: Duration::from_millis(50),
-        jitter: true,
     });
     let params = StudyParams {
         range: HourRange::new(Hour(0), Hour(760)),

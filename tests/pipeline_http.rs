@@ -80,7 +80,6 @@ fn http_study_matches_in_process_study() {
                         max_attempts: 20,
                         base_backoff: Duration::from_millis(5),
                         max_backoff: Duration::from_millis(200),
-                        jitter: true,
                     },
                 ),
             ) as Arc<dyn TrendsClient>
@@ -201,7 +200,6 @@ fn rate_limited_single_identity_still_completes() {
         max_attempts: 50,
         base_backoff: Duration::from_millis(5),
         max_backoff: Duration::from_millis(100),
-        jitter: true,
     });
     let params = StudyParams {
         range: HourRange::new(Hour(0), Hour(400)),
