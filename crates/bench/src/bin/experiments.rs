@@ -13,13 +13,14 @@
 
 use sift_core::context::AnnotatedSpike;
 use sift_core::detect::Spike;
+use sift_core::study::drill_down_days;
 use sift_core::{area, impact, report, run_study, StudyParams, StudyResult};
 use sift_geo::{AddressPlan, GeoDb, State};
 use sift_probe::address::PopulationMix;
 use sift_probe::{cross_validate, AddressPopulation, ProbeConfig, Prober};
 use sift_simtime::{format_day, format_spike_time, Hour, HourRange, Month, Weekday, STUDY_RANGE};
 use sift_trends::{Scenario, ScenarioParams, ServiceConfig, TrendsService};
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 use std::time::Duration;
 
 struct Args {
@@ -121,7 +122,7 @@ fn main() {
     let spikes = result.bare_spikes();
 
     if wants("stats") {
-        exp_stats(&service, &result, &spikes);
+        exp_stats(&service, &params, &result, &spikes);
     }
     if wants("fig1") {
         exp_fig1(&result);
@@ -170,7 +171,12 @@ fn section(id: &str, title: &str) {
 }
 
 /// §1/§4 headline numbers.
-fn exp_stats(service: &TrendsService, result: &StudyResult, spikes: &[Spike]) {
+fn exp_stats(
+    service: &TrendsService,
+    params: &StudyParams,
+    result: &StudyResult,
+    spikes: &[Spike],
+) {
     section("stats", "headline statistics (paper §1, §4)");
     println!("total spikes: {} (paper: 49 189)", spikes.len());
     for (year, n) in impact::count_by_year(spikes) {
@@ -198,6 +204,22 @@ fn exp_stats(service: &TrendsService, result: &StudyResult, spikes: &[Spike]) {
     println!(
         "time frames requested: {} (+ {} rising) (paper: 160 238 frames)",
         stats.frames_served, stats.rising_served
+    );
+    // A region asks for each drill-down day once, however many spikes
+    // share it; a day is weak when every spike it serves is under the
+    // magnitude floor `truth` scores precision at.
+    let mut strong_by_day: HashMap<(State, Hour), bool> = HashMap::new();
+    for s in spikes {
+        for day in drill_down_days(s, params) {
+            *strong_by_day.entry((s.state, day)).or_default() |= s.magnitude >= 1.0;
+        }
+    }
+    let weak = strong_by_day.values().filter(|strong| !**strong).count();
+    println!(
+        "daily drill-down requests: {} ; serving only spikes of magnitude < 1: {} ({:.3})",
+        strong_by_day.len(),
+        weak,
+        weak as f64 / strong_by_day.len().max(1) as f64
     );
     println!(
         "distinct suggested terms: {} ; heavy hitters covering half the mass: {} (paper: 33 of 6655)",

@@ -4,6 +4,12 @@
 //! regions: plan frames → collect with re-fetch averaging → detect spikes
 //! → gather rising suggestions (weekly crawl + daily drill-downs on spike
 //! days) → heavy hitters → annotate → cluster across states.
+//!
+//! A region's rising suggestions are one set of requests: the weekly
+//! frames its spikes overlap, then each spike's drill-down days, every
+//! `(start, len)` once however many spikes share it. The set is fetched
+//! in one call (one request at a time when the study is durable), and
+//! each spike's suggestion list is then read back out of the responses.
 
 use crate::area::{cluster_spikes, OutageCluster};
 use crate::context::{
@@ -16,11 +22,11 @@ use crate::refetch::{averaged_timeline, averaged_timeline_durable, RefetchError,
 use crate::timeline::Timeline;
 use serde::{Deserialize, Serialize};
 use sift_geo::State;
-use sift_simtime::{HourRange, STUDY_RANGE};
+use sift_simtime::{Hour, HourRange, STUDY_RANGE};
 use sift_trends::api::RisingTerm;
 use sift_trends::client::{FetchError, TrendsClient};
 use sift_trends::{RisingRequest, SearchTerm};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 /// Parameters of one study.
@@ -43,7 +49,8 @@ pub struct StudyParams {
     /// Slack when matching concurrent spikes across regions, in hours.
     pub cluster_slack_h: i64,
     /// Fetch daily rising drill-downs on spike days (the paper does; turn
-    /// off to halve request volume in quick runs).
+    /// off to skip about a quarter of a full study's requests in quick
+    /// runs).
     pub daily_rising: bool,
     /// Cap on daily drill-downs per spike (long spikes span many days).
     pub max_daily_per_spike: usize,
@@ -80,7 +87,8 @@ impl Default for StudyParams {
 pub struct StudyStats {
     /// Time frames requested (the paper reports 160 238 over its study).
     pub frames_requested: u64,
-    /// Rising-suggestion requests.
+    /// Distinct rising-suggestion requests, summed over regions: each
+    /// `(region, start, len)` once, whether fetched or replayed.
     pub rising_requested: u64,
     /// Re-fetch rounds used per region.
     pub rounds_by_state: Vec<(State, u32)>,
@@ -218,7 +226,8 @@ pub struct RegionOutcome {
     pub resumed_from_round: u32,
     /// Frame slots served from a recovered journal instead of the network.
     pub frames_replayed: u64,
-    /// Rising-suggestion requests issued for this region.
+    /// Distinct rising-suggestion requests of this region: each
+    /// `(start, len)` once, whether fetched or replayed.
     pub rising_requested: u64,
     /// `(spike, its gathered suggestions)`.
     pub spikes: Vec<(crate::detect::Spike, Vec<RisingTerm>)>,
@@ -517,48 +526,63 @@ pub fn run_region_study(
     }
     .map_err(|source| StudyError::Region { state, source })?;
 
-    // Rising suggestions: a weekly response is shared by every spike in
-    // its frame, so each frame any spike overlaps is asked for once, and
-    // — like a re-fetch round's frames — all in one call unless a journal
-    // must record each response before the next is requested.
+    // Rising suggestions: the weekly frames any spike overlaps, then every
+    // spike's drill-down days. A response is a pure function of its frame
+    // and is shared by every spike that frame covers, so the region asks
+    // for each `(start, len)` once, in first-seen order — and, like a
+    // re-fetch round's frames, all in one call unless a journal must
+    // record each response before the next is requested.
     let _rising_span = sift_obs::span("rising");
-    let weekly_requests: Vec<RisingRequest> = frames
+    let mut requests: Vec<RisingRequest> = Vec::new();
+    let mut asked: HashSet<(Hour, u32)> = HashSet::new();
+    let frame_key = |f: &HourRange| (f.start, u32::try_from(f.len()).unwrap_or(u32::MAX));
+    let weekly = frames
         .iter()
         .filter(|f| outcome.spikes.iter().any(|s| f.overlaps(&s.window())))
-        .map(|f| RisingRequest {
-            term: params.term.clone(),
-            state,
-            start: f.start,
-            len: u32::try_from(f.len()).unwrap_or(u32::MAX),
-            tag: 0,
-        })
-        .collect();
-    let mut rising_requested = u64::try_from(weekly_requests.len()).unwrap_or(u64::MAX);
-    let mut weekly: HashMap<i64, Vec<RisingTerm>> = HashMap::with_capacity(weekly_requests.len());
+        .map(frame_key);
+    let daily = outcome
+        .spikes
+        .iter()
+        .flat_map(|s| drill_down_days(s, params))
+        .map(|day| (day, 24));
+    for (start, len) in weekly.chain(daily) {
+        if asked.insert((start, len)) {
+            requests.push(RisingRequest {
+                term: params.term.clone(),
+                state,
+                start,
+                len,
+                tag: 0,
+            });
+        }
+    }
+    let rising_requested = u64::try_from(requests.len()).unwrap_or(u64::MAX);
+    let mut responses: HashMap<(Hour, u32), Vec<RisingTerm>> =
+        HashMap::with_capacity(requests.len());
     let mut next = 0;
-    while next < weekly_requests.len() {
-        let req = &weekly_requests[next];
+    while next < requests.len() {
+        let req = &requests[next];
         if let Some(resp) = journal
             .as_mut()
             .and_then(|j| j.replayed_rising(req.start.0, req.len))
         {
-            weekly.insert(req.start.0, resp.rising);
+            responses.insert((req.start, req.len), resp.rising);
             next += 1;
             continue;
         }
         let end = if journal.is_some() {
             next + 1
         } else {
-            weekly_requests.len()
+            requests.len()
         };
-        let asked = &weekly_requests[next..end];
-        for (req, fetched) in asked.iter().zip(client.fetch_risings(asked)) {
+        let batch = &requests[next..end];
+        for (req, fetched) in batch.iter().zip(client.fetch_risings(batch)) {
             let resp = fetched.map_err(|source| StudyError::Rising { state, source })?;
             if let Some(j) = journal.as_mut() {
                 j.record_rising(req.start.0, req.len, &resp)
                     .map_err(|source| StudyError::Durability { state, source })?;
             }
-            weekly.insert(req.start.0, resp.rising);
+            responses.insert((req.start, req.len), resp.rising);
         }
         next = end;
     }
@@ -567,47 +591,18 @@ pub fn run_region_study(
     for spike in &outcome.spikes {
         let mut suggestions: Vec<RisingTerm> = Vec::new();
         for frame in frames.iter().filter(|f| f.overlaps(&spike.window())) {
-            suggestions.extend(weekly.get(&frame.start.0).into_iter().flatten().cloned());
+            let weekly = responses.get(&frame_key(frame)).into_iter().flatten();
+            suggestions.extend(weekly.cloned());
         }
-
-        if params.daily_rising {
-            // "SIFT repeats this process for daily time frames on spike
-            // days to capture more targeted and fine-grained rising terms"
-            // (§3.1).
-            let mut day = spike.start.day_start();
-            let mut fetched = 0usize;
-            while day < spike.end && fetched < params.max_daily_per_spike {
-                rising_requested += 1;
-                let replayed = journal.as_mut().and_then(|j| j.replayed_rising(day.0, 24));
-                let resp = match replayed {
-                    Some(resp) => resp,
-                    None => {
-                        let resp = client
-                            .fetch_rising(&RisingRequest {
-                                term: params.term.clone(),
-                                state,
-                                start: day,
-                                len: 24,
-                                tag: 0,
-                            })
-                            .map_err(|source| StudyError::Rising { state, source })?;
-                        if let Some(j) = journal.as_mut() {
-                            j.record_rising(day.0, 24, &resp)
-                                .map_err(|source| StudyError::Durability { state, source })?;
-                        }
-                        resp
-                    }
-                };
-                suggestions.extend(resp.rising.into_iter().map(|mut t| {
-                    // sift-lint: allow(lossy-cast) — float `as u32` saturates; rounding the boosted weight down is intended
-                    t.weight = (f64::from(t.weight) * params.daily_weight_boost) as u32;
-                    t
-                }));
-                day += 24;
-                fetched += 1;
-            }
+        for day in drill_down_days(spike, params) {
+            let daily = responses.get(&(day, 24)).into_iter().flatten();
+            suggestions.extend(daily.map(|t| {
+                let mut t = t.clone();
+                // sift-lint: allow(lossy-cast) — float `as u32` saturates; rounding the boosted weight down is intended
+                t.weight = (f64::from(t.weight) * params.daily_weight_boost) as u32;
+                t
+            }));
         }
-
         spikes.push((*spike, suggestions));
     }
 
@@ -633,10 +628,26 @@ pub fn run_region_study(
     })
 }
 
+/// The days a spike's daily rising drill-down covers: "SIFT repeats this
+/// process for daily time frames on spike days to capture more targeted
+/// and fine-grained rising terms" (§3.1). Each day from the one the spike
+/// starts in while it is before the spike's end, at most
+/// `max_daily_per_spike` of them; none when `daily_rising` is off.
+pub fn drill_down_days(spike: &Spike, params: &StudyParams) -> impl Iterator<Item = Hour> {
+    let cap = if params.daily_rising {
+        params.max_daily_per_spike
+    } else {
+        0
+    };
+    let end = spike.end;
+    std::iter::successors(Some(spike.start.day_start()), |day| Some(*day + 24))
+        .take_while(move |day| *day < end)
+        .take(cap)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sift_simtime::Hour;
     use sift_trends::events::{Cause, OutageEvent, PowerTrigger};
     use sift_trends::terms::Provider;
     use sift_trends::{Scenario, ScenarioParams, TrendsService};
@@ -792,6 +803,152 @@ mod tests {
         params.daily_rising = true;
         let with = run_study(&service, &params).expect("study runs");
         assert!(with.stats.rising_requested > without.stats.rising_requested);
+    }
+
+    /// The per-spike rising gather as it stood before a region's rising
+    /// set was deduplicated, kept as the statement the set must reproduce:
+    /// one `fetch_rising` per weekly frame the spike overlaps, in plan
+    /// order, then one per drill-down day with its weights boosted.
+    fn reference_suggestions(
+        client: &dyn TrendsClient,
+        params: &StudyParams,
+        frames: &[HourRange],
+        spike: &Spike,
+    ) -> Vec<RisingTerm> {
+        let ask = |start: Hour, len: u32| {
+            let req = RisingRequest {
+                term: params.term.clone(),
+                state: spike.state,
+                start,
+                len,
+                tag: 0,
+            };
+            client.fetch_rising(&req).expect("rising").rising
+        };
+        let mut suggestions = Vec::new();
+        for frame in frames.iter().filter(|f| f.overlaps(&spike.window())) {
+            suggestions.extend(ask(frame.start, u32::try_from(frame.len()).unwrap()));
+        }
+        if params.daily_rising {
+            let mut day = spike.start.day_start();
+            let mut fetched = 0usize;
+            while day < spike.end && fetched < params.max_daily_per_spike {
+                suggestions.extend(ask(day, 24).into_iter().map(|mut t| {
+                    t.weight = (f64::from(t.weight) * params.daily_weight_boost) as u32;
+                    t
+                }));
+                day += 24;
+                fetched += 1;
+            }
+        }
+        suggestions
+    }
+
+    /// `(region, day)` pairs that more than one spike drills down into.
+    fn shared_days(spikes: &[Spike], params: &StudyParams) -> usize {
+        let mut seen = HashMap::new();
+        for s in spikes {
+            for day in drill_down_days(s, params) {
+                *seen.entry((s.state, day)).or_insert(0usize) += 1;
+            }
+        }
+        seen.values().filter(|&&n| n > 1).count()
+    }
+
+    #[test]
+    fn every_spike_gathers_what_the_per_spike_reference_gathers() {
+        let service = two_region_service();
+        let params = small_params();
+        let plan = plan_frames(params.range, params.plan);
+        let mut spikes = Vec::new();
+        for &state in &params.regions {
+            let region = run_region_study(&service, &params, &plan.frames, state, None)
+                .expect("region runs");
+            for (spike, got) in &region.spikes {
+                let want = reference_suggestions(&service, &params, &plan.frames, spike);
+                assert_eq!(got, &want, "{spike:?}");
+                spikes.push(*spike);
+            }
+        }
+        assert!(
+            shared_days(&spikes, &params) > 0,
+            "the fixture must have spikes of one region sharing a day"
+        );
+    }
+
+    /// A client the rising gather may only reach through the batch entry;
+    /// it records the `(region, start, len)` of every request per call.
+    struct CountingRisings {
+        inner: TrendsService,
+        calls: std::sync::Mutex<Vec<Vec<(State, Hour, u32)>>>,
+    }
+
+    impl TrendsClient for CountingRisings {
+        fn fetch_frame(
+            &self,
+            req: &sift_trends::FrameRequest,
+        ) -> Result<sift_trends::FrameResponse, FetchError> {
+            TrendsClient::fetch_frame(&self.inner, req)
+        }
+
+        fn fetch_rising(
+            &self,
+            _: &RisingRequest,
+        ) -> Result<sift_trends::RisingResponse, FetchError> {
+            unreachable!("the rising gather asks through fetch_risings")
+        }
+
+        fn fetch_risings(
+            &self,
+            reqs: &[RisingRequest],
+        ) -> Vec<Result<sift_trends::RisingResponse, FetchError>> {
+            let asked = reqs.iter().map(|r| (r.state, r.start, r.len)).collect();
+            self.calls.lock().expect("calls lock").push(asked);
+            self.inner.fetch_risings(reqs)
+        }
+    }
+
+    #[test]
+    fn a_region_asks_for_each_rising_frame_once() {
+        use sift_journal::testutil::scratch_dir;
+
+        let params = small_params();
+        let counting = || CountingRisings {
+            inner: two_region_service(),
+            calls: std::sync::Mutex::new(Vec::new()),
+        };
+
+        let plain = counting();
+        let result = run_study(&plain, &params).expect("plain study");
+        let plain_calls = plain.calls.lock().expect("calls lock").clone();
+        assert!(shared_days(&result.bare_spikes(), &params) > 0);
+        // One call per region, and no request asked twice.
+        assert_eq!(plain_calls.len(), params.regions.len());
+        for call in &plain_calls {
+            assert!(call.iter().all(|(state, _, _)| *state == call[0].0));
+        }
+        let distinct: HashSet<_> = plain_calls.iter().flatten().collect();
+        let distinct = distinct.len() as u64;
+        assert_eq!(result.stats.rising_requested, distinct);
+        assert_eq!(plain.inner.stats().rising_served, distinct);
+
+        // A journal wants each response before the next is asked: the
+        // same requests, one per call.
+        let journaled = counting();
+        let durability = StudyDurability::new(scratch_dir("study_rising_once"));
+        let durable = run_study_durable(&journaled, &params, &durability).expect("durable");
+        let durable_calls = journaled.calls.lock().expect("calls lock").clone();
+        assert!(durable_calls.iter().all(|call| call.len() == 1));
+        let mut want: Vec<_> = plain_calls.into_iter().flatten().collect();
+        let mut got: Vec<_> = durable_calls.into_iter().flatten().collect();
+        want.sort_unstable();
+        got.sort_unstable();
+        assert_eq!(got, want);
+        assert_eq!(
+            durable.stats.rising_requested,
+            result.stats.rising_requested
+        );
+        assert_eq!(outputs(&durable), outputs(&result));
     }
 
     #[test]

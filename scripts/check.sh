@@ -7,10 +7,11 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 # Flake budget, not part of the default gate: `check.sh --soak N` runs the
-# collection stack's suites (every sift-cluster, sift-net and sift-fetcher
-# test, plus the root cluster_http, nemesis_http, overload_http,
-# chaos_http, resume_http, pipeline_http, serve_http and metrics_http
-# acceptance tests) N times at --test-threads 1 and N times at the
+# suites that start threads or sockets (every sift-core, sift-cluster,
+# sift-net, sift-fetcher and sift-serve test, plus the root cluster_http,
+# nemesis_http, overload_http, chaos_http, resume_http, pipeline_http,
+# serve_http and metrics_http acceptance tests) N times at
+# --test-threads 1 and N times at the
 # default, with one CPU hog per core — the condition both flakes found so
 # far needed. It counts: tests passed and failed, runs that died without
 # a verdict, and the slowest single test (timed between result lines, so
@@ -19,7 +20,8 @@ cd "$(dirname "$0")/.."
 soak() {
   local n=$1 threads suite line now ms
   local passed=0 failed=0 dead_runs=0 slowest_ms=0 slowest=none hogs=()
-  local suites=("-p sift-cluster" "-p sift-net" "-p sift-fetcher"
+  local suites=("-p sift-core" "-p sift-cluster" "-p sift-net" "-p sift-fetcher"
+    "-p sift-serve"
     "--test cluster_http --test nemesis_http"
     "--test overload_http --test chaos_http"
     "--test resume_http --test pipeline_http"
