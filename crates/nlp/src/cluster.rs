@@ -57,7 +57,7 @@ pub fn cluster_embedded(items: &[(&Normed, f64)], threshold: f32) -> Vec<Cluster
     let mut clusters: Vec<Working> = Vec::new();
     for idx in order {
         let (vector, weight) = items[idx];
-        let joinable = !vector.embedding().is_zero();
+        let joinable = !vector.is_zero();
         let joined = if joinable {
             clusters
                 .iter_mut()
@@ -100,7 +100,7 @@ pub fn cluster_embedded(items: &[(&Normed, f64)], threshold: f32) -> Vec<Cluster
                         .unwrap_or(std::cmp::Ordering::Equal)
                         .then(b.cmp(&a))
                 })
-                // sift-lint: allow(no-panic) — union-find groups always hold at least one member
+                // sift-lint: allow(no-panic) — a cluster is founded with one member and only grows
                 .expect("clusters are never empty");
             c.members.sort_unstable();
             Cluster {

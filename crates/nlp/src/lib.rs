@@ -14,7 +14,10 @@
 //! * [`Embedding`] — fixed-dimension phrase vectors built from hashed word
 //!   and character-n-gram features (n-grams give robustness to
 //!   misspellings, which Google's search *topics* also absorb),
-//! * [`cosine`] similarity and greedy agglomerative [`cluster`]ing.
+//! * [`cosine`] similarity, dense over every slot, and [`Normed`] — an
+//!   embedding carried with its norm and occupied slots, whose similarity
+//!   and centroid updates touch only those slots with bit-equal results,
+//! * greedy agglomerative [`cluster`]ing over [`Normed`] vectors.
 //!
 //! The interface is what a pre-trained-vector backend would expose, so the
 //! substitution is contained here.

@@ -1,4 +1,6 @@
-//! Hashed word/character-n-gram phrase embeddings.
+//! Hashed word/character-n-gram phrase embeddings: [`Embedding`] and the
+//! dense [`cosine`], plus [`Normed`], which carries a vector's norm and
+//! occupied slots so that repeated comparisons skip the zeros.
 
 use crate::lexicon;
 use crate::token::tokenize;
@@ -14,7 +16,7 @@ pub const EMBEDDING_DIM: usize = 256;
 /// while distinct entities (few shared trigrams) stay apart.
 const WORD_FEATURE_SHARE: f32 = 0.2;
 
-/// A dense, L2-normalized phrase vector.
+/// An L2-normalized phrase vector, stored dense.
 ///
 /// Built feature-hashing style: each token contributes a whole-word feature
 /// plus character-trigram features, scaled by its lexicon weight; the
@@ -109,20 +111,20 @@ impl Embedding {
 }
 
 /// Cosine similarity of two embeddings, in `[-1, 1]` (0 if either is zero).
+/// The dense reference: every slot, in index order.
 pub fn cosine(a: &Embedding, b: &Embedding) -> f32 {
-    similarity(a, a.norm(), b, b.norm())
-}
-
-/// [`cosine`] given both norms: the one place the arithmetic lives, so a
-/// similarity computed from carried norms is bit-equal to one that
-/// recomputes them.
-fn similarity(a: &Embedding, norm_a: f32, b: &Embedding, norm_b: f32) -> f32 {
     let dot: f32 = a
         .values
         .iter()
         .zip(b.values.iter())
         .map(|(x, y)| x * y)
         .sum();
+    ratio(dot, a.norm(), b.norm())
+}
+
+/// `dot` over the two norms, clamped to `[-1, 1]` (0 if either norm is
+/// zero): the step [`cosine`] and [`Normed::similarity`] share.
+fn ratio(dot: f32, norm_a: f32, norm_b: f32) -> f32 {
     if norm_a <= 0.0 || norm_b <= 0.0 {
         0.0
     } else {
@@ -130,21 +132,75 @@ fn similarity(a: &Embedding, norm_a: f32, b: &Embedding, norm_b: f32) -> f32 {
     }
 }
 
-/// An [`Embedding`] carried with its L2 norm, for vectors that are
-/// compared many times: [`cosine`] recomputes both norms on every call,
-/// [`Normed::similarity`] reads them. The fields are private so the norm
-/// is always the embedding's own.
+/// Slot occupancy, one bit per slot: bit `i % 64` of word `i / 64` is
+/// slot `i`.
+type Mask = [u64; EMBEDDING_DIM / 64];
+
+/// The set slots of `mask`, ascending.
+fn slots(mask: Mask) -> impl Iterator<Item = usize> {
+    mask.into_iter().enumerate().flat_map(|(w, mut bits)| {
+        std::iter::from_fn(move || {
+            let bit = bits.trailing_zeros() as usize; // 64 once empty
+            bits &= bits.wrapping_sub(1);
+            (bit < 64).then_some(w * 64 + bit)
+        })
+    })
+}
+
+/// The nonzero slots of `values` among `candidates`.
+fn occupied(values: &[f32; EMBEDDING_DIM], candidates: impl Iterator<Item = usize>) -> Mask {
+    let mut mask = [0; EMBEDDING_DIM / 64];
+    for i in candidates {
+        // sift-lint: allow(float-eq) — occupancy means not exactly zero, as in `Embedding::is_zero`
+        if values[i] != 0.0 {
+            mask[i / 64] |= 1 << (i % 64);
+        }
+    }
+    mask
+}
+
+/// [`Embedding::norm`] over the slots of `mask`: squares summed in index
+/// order from `+0.0`, then `sqrt`.
+fn norm_over(values: &[f32; EMBEDDING_DIM], mask: Mask) -> f32 {
+    slots(mask)
+        .fold(0.0, |s, i| s + values[i] * values[i])
+        .sqrt()
+}
+
+/// An [`Embedding`] carried with its L2 norm and the mask of its nonzero
+/// slots, for vectors that are compared many times: [`cosine`] recomputes
+/// both norms and multiplies all [`EMBEDDING_DIM`] slots on every call,
+/// [`Normed::similarity`] reads the norms and multiplies only the slots
+/// occupied in both vectors (a phrase occupies a few dozen). The fields
+/// are private so the norm and mask are always the embedding's own.
+///
+/// Results are bit-equal to the dense arithmetic. The dense sums add in
+/// index order, and a slot outside the mask is zero, so its product or
+/// square is a zero; adding a zero leaves a nonzero partial sum
+/// unchanged, so skipping it changes no nonzero sum. The sparse sums
+/// start from `+0.0`. When every term is a zero the dense sum is `+0.0`
+/// too, as long as some slot is occupied by neither vector (a phrase
+/// occupies a few dozen of the 256): that slot's term is `+0.0`, and a
+/// `+0.0` partial sum stays `+0.0` under zeros of either sign. Otherwise
+/// the two differ at most in the sign of a zero, which compares equal.
 #[derive(Clone, Debug)]
 pub struct Normed {
     embedding: Embedding,
     norm: f32,
+    /// Bit `i` set exactly when slot `i` is nonzero.
+    mask: Mask,
 }
 
 impl Normed {
-    /// Pairs an embedding with its norm.
+    /// Pairs an embedding with its norm and occupancy.
     pub fn new(embedding: Embedding) -> Self {
         let norm = embedding.norm();
-        Normed { embedding, norm }
+        let mask = occupied(&embedding.values, 0..EMBEDDING_DIM);
+        Normed {
+            embedding,
+            norm,
+            mask,
+        }
     }
 
     /// Embeds a raw search phrase ([`Embedding::of_phrase`]).
@@ -157,17 +213,39 @@ impl Normed {
         &self.embedding
     }
 
-    /// Cosine similarity, bit-equal to [`cosine`] of the two embeddings.
+    /// [`Embedding::is_zero`], read from the mask.
+    pub(crate) fn is_zero(&self) -> bool {
+        self.mask == [0; EMBEDDING_DIM / 64]
+    }
+
+    /// Cosine similarity, bit-equal to [`cosine`] of the two embeddings:
+    /// the dot product over the slots both vectors occupy, in index order
+    /// from `+0.0`, over the carried norms.
     pub fn similarity(&self, other: &Normed) -> f32 {
-        similarity(&self.embedding, self.norm, &other.embedding, other.norm)
+        let (a, b) = (&self.embedding.values, &other.embedding.values);
+        let both = std::array::from_fn(|w| self.mask[w] & other.mask[w]);
+        let dot = slots(both).fold(0.0, |s, i| s + a[i] * b[i]);
+        ratio(dot, self.norm, other.norm)
     }
 
     /// Folds `other` into this vector as a cluster centroid: added at
-    /// scale 1, then renormalized.
+    /// scale 1, then renormalized — [`Embedding::accumulate`] then
+    /// [`Embedding::normalize`], bit for bit, over the occupied slots
+    /// only. Slots that cancel to zero leave the mask.
     pub fn absorb(&mut self, other: &Normed) {
-        self.embedding.accumulate(&other.embedding, 1.0);
-        self.embedding.normalize();
-        self.norm = self.embedding.norm();
+        let values = &mut self.embedding.values;
+        for i in slots(other.mask) {
+            values[i] += other.embedding.values[i];
+        }
+        let union = std::array::from_fn(|w| self.mask[w] | other.mask[w]);
+        let norm = norm_over(values, union);
+        if norm > 0.0 {
+            for i in slots(union) {
+                values[i] /= norm;
+            }
+        }
+        self.mask = occupied(values, slots(union));
+        self.norm = norm_over(values, self.mask);
     }
 }
 
@@ -315,6 +393,55 @@ mod tests {
         assert_eq!(trigrams("tx"), vec!["^tx", "tx$"]);
         assert!(trigrams("a").len() == 1);
         assert!(trigrams("").is_empty());
+    }
+
+    /// The mask holds exactly the nonzero slots.
+    fn assert_mask_is_occupancy(v: &Normed) {
+        for (i, value) in v.embedding.values.iter().enumerate() {
+            let bit = v.mask[i / 64] >> (i % 64) & 1 == 1;
+            // sift-lint: allow(float-eq) — occupancy means not exactly zero
+            assert_eq!(bit, *value != 0.0, "slot {i}: {value}");
+        }
+    }
+
+    #[test]
+    fn mask_is_the_occupancy_after_new_and_after_each_absorb() {
+        let mut centroid = Normed::of_phrase("verizon outage");
+        assert_mask_is_occupancy(&centroid);
+        for joiner in [
+            "is verizon down",
+            "verzion not working",
+            "",
+            "comcast outage",
+        ] {
+            let joiner = Normed::of_phrase(joiner);
+            assert_mask_is_occupancy(&joiner);
+            centroid.absorb(&joiner);
+            assert_mask_is_occupancy(&centroid);
+        }
+        // A member cancelled by its negation leaves nothing occupied.
+        let v = Normed::of_phrase("xfinity");
+        let mut negated = v.embedding.clone();
+        negated.values.iter_mut().for_each(|x| *x = -*x);
+        let mut cancelled = v.clone();
+        cancelled.absorb(&Normed::new(negated));
+        assert_mask_is_occupancy(&cancelled);
+        assert!(cancelled.is_zero() && cancelled.embedding.is_zero());
+    }
+
+    #[test]
+    fn disjoint_supports_give_positive_zero() {
+        let a = Normed::of_phrase("verizon");
+        let b = (0..64)
+            .map(|n| Normed::of_phrase(&format!("q{n}")))
+            .find(|b| (0..a.mask.len()).all(|w| a.mask[w] & b.mask[w] == 0))
+            .expect("some one-word phrase shares no slot with `verizon`");
+        assert_eq!(a.similarity(&b).to_bits(), 0.0f32.to_bits());
+        assert_eq!(b.similarity(&a).to_bits(), 0.0f32.to_bits());
+        assert_eq!(
+            cosine(&a.embedding, &b.embedding).to_bits(),
+            0.0f32.to_bits()
+        );
     }
 
     #[test]

@@ -2,13 +2,124 @@
 
 use proptest::prelude::*;
 use sift_nlp::{
-    cluster_embedded, cluster_phrases, cosine, normalize, Embedding, Normed,
+    cluster_embedded, cluster_phrases, cosine, normalize, Cluster, Embedding, Normed,
     DEFAULT_SIMILARITY_THRESHOLD,
 };
 use std::collections::BTreeMap;
 
 fn phrase_strategy() -> impl Strategy<Value = String> {
     proptest::collection::vec("[a-z]{1,8}", 1..5).prop_map(|ws| ws.join(" "))
+}
+
+/// Words that share slots: lexicon words (which canonicalise to one
+/// token), entities next to their misspellings, and stop words, which
+/// embed to nothing.
+const OVERLAP_VOCAB: &[&str] = &[
+    "down",
+    "outage",
+    "outages",
+    "not working",
+    "offline",
+    "issues",
+    "internet",
+    "service",
+    "wifi",
+    "today",
+    "near me",
+    "status",
+    "verizon",
+    "verzion",
+    "verison",
+    "comcast",
+    "comcats",
+    "xfinity",
+    "xfinty",
+    "spectrum",
+    "spectrun",
+    "att",
+    "at&t",
+    "t-mobile",
+    "tmobile",
+    "san jose",
+    "houston",
+    "youtube",
+    "is",
+    "my",
+    "the",
+    "is it",
+];
+
+/// Phrases drawn from [`OVERLAP_VOCAB`]: two of them usually share
+/// trigrams, so a dot product over shared slots is rarely empty; some are
+/// stop words only.
+fn overlap_phrase() -> impl Strategy<Value = String> {
+    proptest::collection::vec(0..OVERLAP_VOCAB.len(), 1..4).prop_map(|ix| {
+        ix.iter()
+            .map(|&i| OVERLAP_VOCAB[i])
+            .collect::<Vec<_>>()
+            .join(" ")
+    })
+}
+
+/// Either kind of phrase, overlap-heavy two times in three.
+fn mixed_phrase() -> impl Strategy<Value = String> {
+    prop_oneof![phrase_strategy(), overlap_phrase(), overlap_phrase()]
+}
+
+/// `cluster_embedded` as it was first written, over the public dense API
+/// only: `cosine` against each centroid, a centroid kept as
+/// `accumulate` at scale 1 then `normalize`, and `Embedding::is_zero` for
+/// the phrases nothing joins. Every slot takes part in every operation.
+fn dense_cluster(items: &[(Embedding, f64)], threshold: f32) -> Vec<Cluster> {
+    struct Working {
+        members: Vec<usize>,
+        centroid: Embedding,
+        joinable: bool,
+        total_weight: f64,
+    }
+    let by_weight = |a: f64, b: f64| a.partial_cmp(&b).unwrap_or(std::cmp::Ordering::Equal);
+    let mut order: Vec<usize> = (0..items.len()).collect();
+    order.sort_by(|&a, &b| by_weight(items[b].1, items[a].1).then(a.cmp(&b)));
+    let mut clusters: Vec<Working> = Vec::new();
+    for idx in order {
+        let (vector, weight) = &items[idx];
+        let joinable = !vector.is_zero();
+        let joined = clusters
+            .iter_mut()
+            .find(|c| joinable && c.joinable && cosine(&c.centroid, vector) >= threshold);
+        match joined {
+            Some(c) => {
+                c.members.push(idx);
+                c.total_weight += weight;
+                c.centroid.accumulate(vector, 1.0);
+                c.centroid.normalize();
+            }
+            None => clusters.push(Working {
+                members: vec![idx],
+                centroid: vector.clone(),
+                joinable,
+                total_weight: *weight,
+            }),
+        }
+    }
+    clusters.sort_by(|a, b| {
+        by_weight(b.total_weight, a.total_weight).then(a.members[0].cmp(&b.members[0]))
+    });
+    clusters
+        .into_iter()
+        .map(|mut c| {
+            let representative = *c
+                .members
+                .iter()
+                .max_by(|&&a, &&b| by_weight(items[a].1, items[b].1).then(b.cmp(&a)))
+                .expect("clusters are never empty");
+            c.members.sort_unstable();
+            Cluster {
+                members: c.members,
+                representative,
+            }
+        })
+        .collect()
 }
 
 proptest! {
@@ -94,14 +205,32 @@ proptest! {
         prop_assert_eq!(cluster_embedded(&items, threshold), cluster_phrases(&phrases, threshold));
     }
 
+    /// The sparse clustering returns exactly what the dense reference
+    /// returns — members, representative, order — on overlap-heavy
+    /// phrases with tied weights, where centroids absorb many members.
+    #[test]
+    fn clustering_matches_the_dense_reference(
+        picks in proptest::collection::vec((0usize..12, 0u32..4), 0..40),
+        pool in proptest::collection::vec(mixed_phrase(), 12..13),
+        threshold in 0.3f32..0.9,
+    ) {
+        let dense: Vec<(Embedding, f64)> = picks
+            .iter()
+            .map(|&(p, w)| (Embedding::of_phrase(&pool[p]), f64::from(w) * 25.0))
+            .collect();
+        let normed: Vec<Normed> = dense.iter().map(|(e, _)| Normed::new(e.clone())).collect();
+        let items: Vec<(&Normed, f64)> = normed.iter().zip(&dense).map(|(v, (_, w))| (v, *w)).collect();
+        prop_assert_eq!(cluster_embedded(&items, threshold), dense_cluster(&dense, threshold));
+    }
+
     /// A similarity read from carried norms is the same f32, bit for
     /// bit, as `cosine` recomputing them — for phrase vectors, the zero
     /// vector and centroids that have absorbed members.
     #[test]
     fn carried_norm_similarity_is_bit_equal_to_cosine(
-        a in phrase_strategy(),
-        b in phrase_strategy(),
-        joiners in proptest::collection::vec(phrase_strategy(), 0..4),
+        a in mixed_phrase(),
+        b in mixed_phrase(),
+        joiners in proptest::collection::vec(mixed_phrase(), 0..4),
     ) {
         let zero = Normed::new(Embedding::zero());
         let other = Normed::of_phrase(&b);

@@ -124,4 +124,16 @@ same_seed_gate nemesis "nemesis replay" nemesis_crawl --seed 42 --quick
 # observations like staleness go to stderr.
 same_seed_gate serve "online daemon" online_daemon --seed 7
 
+# Thread-count gate: annotations, clusters and every table built from them
+# are a function of the study, not of how many workers computed them
+# (DESIGN.md decision 8), so one thread and four print the same report.
+# Stage timings go to standard error.
+cargo build --release --offline -p sift-bench --bin experiments
+for threads in 1 4; do
+  ./target/release/experiments --quick --only stats,fig2,tab1,tab3 --threads "$threads" \
+    > "target/threads-$threads.txt" 2> /dev/null
+done
+diff target/threads-1.txt target/threads-4.txt \
+  || { echo "experiments report diverged between 1 and 4 threads" >&2; exit 1; }
+
 echo "all checks passed"
