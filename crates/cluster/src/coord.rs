@@ -293,6 +293,7 @@ impl Coordinator {
         ))
     }
 
+    #[expect(clippy::disallowed_methods, reason = "leases time real processes")]
     fn from_table(
         params: StudyParams,
         config: ClusterConfig,
@@ -563,6 +564,7 @@ impl Coordinator {
     /// [`sift_core::run_study`] would. The wait loop also drives lease
     /// expiry, so worker death is detected even with no surviving
     /// protocol traffic.
+    #[expect(clippy::disallowed_methods, reason = "polls real worker processes")]
     pub fn wait_result(&self, timeout: Duration) -> Result<StudyResult, ClusterError> {
         let deadline_ms = self
             .now_ms()

@@ -164,6 +164,7 @@ impl NemesisCluster {
     /// or `timeout` passes, executing process operations (coordinator
     /// kill/restart) as they come due. Consumes the cluster: workers are
     /// joined and every server shut down on the way out, success or not.
+    #[expect(clippy::disallowed_methods, reason = "the nemesis runs on host time")]
     pub fn run(
         mut self,
         plan: NemesisPlan,
@@ -338,7 +339,7 @@ impl Relay {
     fn stop(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
         if let Some(thread) = self.thread.take() {
-            // sift-lint: allow(swallowed-result) — a panicked accept loop cannot forward anything anyway; teardown proceeds regardless
+            #[expect(clippy::let_underscore_must_use, reason = "teardown proceeds anyway")]
             let _ = thread.join();
         }
     }
@@ -350,6 +351,7 @@ impl Drop for Relay {
     }
 }
 
+#[expect(clippy::disallowed_methods, reason = "accept backoff is host time")]
 fn accept_loop(listener: &TcpListener, backend: &Mutex<Option<SocketAddr>>, stop: &AtomicBool) {
     while !stop.load(Ordering::SeqCst) {
         match listener.accept() {
@@ -381,10 +383,9 @@ fn accept_loop(listener: &TcpListener, backend: &Mutex<Option<SocketAddr>>, stop
 /// Shuttles bytes both ways between `client` and `upstream` on two
 /// detached threads; each direction propagates EOF as a write shutdown
 /// so connection-close semantics survive the hop.
+#[expect(clippy::let_underscore_must_use, reason = "nodelay is best-effort")]
 fn pump_pair(client: TcpStream, upstream: TcpStream) {
-    // sift-lint: allow(swallowed-result) — nodelay is best-effort; the relay still forwards without it
     let _ = client.set_nodelay(true);
-    // sift-lint: allow(swallowed-result) — nodelay is best-effort; the relay still forwards without it
     let _ = upstream.set_nodelay(true);
     let (Ok(client_r), Ok(upstream_r)) = (client.try_clone(), upstream.try_clone()) else {
         return; // both halves close on drop; the client retries
@@ -393,11 +394,10 @@ fn pump_pair(client: TcpStream, upstream: TcpStream) {
     pump_one_way(upstream_r, client);
 }
 
+#[expect(clippy::let_underscore_must_use, reason = "the connection is closing")]
 fn pump_one_way(mut from: TcpStream, mut to: TcpStream) {
     std::thread::spawn(move || {
-        // sift-lint: allow(swallowed-result) — a failed copy is a closed connection; the shutdown below tells the peer either way
         let _ = io::copy(&mut from, &mut to);
-        // sift-lint: allow(swallowed-result) — the peer may already be gone, which is the outcome shutdown was after
         let _ = to.shutdown(Shutdown::Write);
     });
 }

@@ -111,6 +111,7 @@ pub fn spawn_worker(
     }
 }
 
+#[expect(clippy::disallowed_methods, reason = "the outage grace is host time")]
 fn run_worker(
     id: &str,
     coord_addr: SocketAddr,
@@ -271,6 +272,7 @@ fn full_jitter_backoff(worker: &str, attempt: u32) -> Duration {
 
 /// Sleeps up to `total`, waking early on stop or kill so a backing-off
 /// worker still dies (or exits) promptly.
+#[expect(clippy::disallowed_methods, reason = "backoff is host time")]
 fn sleep_watching(total: Duration, stop: &AtomicBool, kill: &AtomicBool) {
     let deadline = Instant::now() + total;
     loop {
@@ -287,6 +289,7 @@ fn sleep_watching(total: Duration, stop: &AtomicBool, kill: &AtomicBool) {
 
 /// Crawls one leased shard; returns whether its result was accepted.
 #[allow(clippy::too_many_arguments)]
+#[expect(clippy::disallowed_methods, reason = "heartbeats are host time")]
 fn run_shard(
     id: &str,
     coord: &HttpClient,
@@ -344,7 +347,7 @@ fn run_shard(
     };
 
     hb_stop.store(true, Ordering::SeqCst);
-    // sift-lint: allow(swallowed-result) — a panicked heartbeat thread only stops renewals; lease expiry then reroutes the shard, which is the designed fallback
+    #[expect(clippy::let_underscore_must_use, reason = "lease expiry reroutes")]
     let _ = hb_thread.join();
 
     if kill.load(Ordering::SeqCst) {
@@ -381,6 +384,7 @@ fn run_shard(
             );
             // Hand the shard back so another attempt can start now
             // rather than after the heartbeat timeout.
+            #[expect(clippy::let_underscore_must_use, reason = "expiry reroutes it anyway")]
             let _: Result<HeartbeatReply, _> = coord.post_json(
                 "/cluster/heartbeat",
                 &HeartbeatRequest {

@@ -40,15 +40,17 @@ impl OutageCluster {
     }
 
     /// Hour of the earliest member peak.
+    #[expect(clippy::expect_used, reason = "`spikes` is non-empty by construction")]
     pub fn first_peak(&self) -> Hour {
         self.spikes
             .iter()
             .map(|s| s.peak)
             .min()
-            .expect("clusters are never empty") // sift-lint: allow(no-panic) — `spikes` is non-empty by construction
+            .expect("clusters are never empty")
     }
 
     /// The anchor spike: the member with the greatest magnitude.
+    #[expect(clippy::expect_used, reason = "`spikes` is non-empty by construction")]
     pub fn anchor(&self) -> &Spike {
         self.spikes
             .iter()
@@ -57,16 +59,17 @@ impl OutageCluster {
                     .partial_cmp(&b.magnitude)
                     .unwrap_or(std::cmp::Ordering::Equal)
             })
-            .expect("clusters are never empty") // sift-lint: allow(no-panic) — `spikes` is non-empty by construction
+            .expect("clusters are never empty")
     }
 
     /// Longest member duration in hours.
+    #[expect(clippy::expect_used, reason = "`spikes` is non-empty by construction")]
     pub fn max_duration_h(&self) -> i64 {
         self.spikes
             .iter()
             .map(|s| s.duration_h())
             .max()
-            .expect("clusters are never empty") // sift-lint: allow(no-panic) — `spikes` is non-empty by construction
+            .expect("clusters are never empty")
     }
 
     /// Per-state lag of the earliest peak in that state behind the
@@ -159,11 +162,11 @@ pub fn cluster_spikes(spikes: &[Spike], slack_h: i64) -> Vec<OutageCluster> {
             let anchor_window = HourRange::new(a.window.start + slack_h, a.window.end - slack_h);
             let mut members: Vec<Spike> = a.members.iter().map(|&i| spikes[i]).collect();
             members.sort_by_key(|s| (s.start, s.state.index()));
+            #[expect(clippy::expect_used, reason = "every anchor starts with one member")]
             let window = members
                 .iter()
                 .map(|s| s.window())
                 .reduce(|x, y| x.hull(&y))
-                // sift-lint: allow(no-panic) — every anchor starts with one member
                 .expect("non-empty");
             let mut states: Vec<State> = members.iter().map(|s| s.state).collect();
             states.sort_by_key(|s| s.index());

@@ -124,6 +124,11 @@ pub(crate) fn heavy_from_counts(
     let mut ranked: Vec<(String, u64)> = freq.into_iter().collect();
     ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
 
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "a non-negative share of a u64 total; float `as` saturates"
+    )]
     let target = (total as f64 * mass).ceil() as u64;
     let mut acc = 0u64;
     let mut keep = 0usize;
@@ -223,7 +228,7 @@ impl<'a> PhraseTable<'a> {
         let mut merged: Vec<(usize, f64)> = suggestions
             .iter()
             .map(|s| {
-                // sift-lint: allow(no-panic) — both callers build the table from the suggestions they annotate
+                #[expect(clippy::expect_used, reason = "callers intern every suggestion")]
                 let id = self.ids.get(s.term.as_str()).expect("phrase was interned");
                 (*id, f64::from(s.weight))
             })

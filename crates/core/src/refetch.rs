@@ -8,6 +8,8 @@
 //! detect converge" (§3.2). The paper observes convergence after six
 //! rounds.
 
+#![cfg_attr(not(test), deny(clippy::as_conversions))]
+
 use crate::detect::{detect_spikes, DetectParams, Spike};
 use crate::durable::RegionJournal;
 use crate::timeline::{stitch, StitchError, Timeline};
@@ -394,14 +396,14 @@ fn averaged_timeline_impl(
     // `spikes` and `mean` hold the last completed round's detection and
     // running mean: round 1 always runs to completion or returns `Err`
     // above, and the halt/convergence breaks leave both intact.
-    // sift-lint: allow(no-panic) — `max_rounds >= 1` is asserted on entry and round 1 never halts
+    #[expect(clippy::expect_used, reason = "round 1 always completes")]
     let mut timeline = mean.expect("round 1 completed");
     timeline.renormalize();
     let slots = frames_fetched + frames_degraded;
+    #[expect(clippy::as_conversions, reason = "slot counts ≪ 2⁵³ are exact in f64")]
     let coverage = if slots == 0 {
         1.0
     } else {
-        // sift-lint: allow(lossy-cast) — slot counts are far below 2^52; the ratio is diagnostic
         frames_fetched as f64 / slots as f64
     };
     Ok(RefetchOutcome {
@@ -469,8 +471,8 @@ mod tests {
         let a = [spike(10), spike(40), spike(90)];
         let b = [spike(11), spike(41)];
         assert_eq!(
-            spike_set_similarity(&a, &b, 3),
-            spike_set_similarity(&b, &a, 3)
+            spike_set_similarity(&a, &b, 3).to_bits(),
+            spike_set_similarity(&b, &a, 3).to_bits()
         );
     }
 

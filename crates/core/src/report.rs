@@ -26,6 +26,11 @@ pub fn sparkline(values: &[f64]) -> String {
     values
         .iter()
         .map(|v| {
+            #[expect(
+                clippy::cast_possible_truncation,
+                clippy::cast_sign_loss,
+                reason = "values are non-negative; float `as` saturates and `min(7)` clamps"
+            )]
             let idx = ((v / max) * 7.0).round() as usize;
             LEVELS[idx.min(7)]
         })

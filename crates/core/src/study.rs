@@ -293,6 +293,7 @@ fn run_study_impl(
         })
         .collect();
 
+    #[expect(clippy::expect_used, reason = "re-raise a worker panic on join")]
     let outcomes: Vec<Result<RegionOutcome, StudyError>> = std::thread::scope(|scope| {
         let handles: Vec<_> = chunks
             .into_iter()
@@ -314,7 +315,6 @@ fn run_study_impl(
             .collect();
         handles
             .into_iter()
-            // sift-lint: allow(no-panic) — re-raising a worker panic on join is the only sane option
             .flat_map(|h| h.join().expect("region worker panicked"))
             .collect()
     });
@@ -472,7 +472,7 @@ fn annotate_spikes(
         let mut annotated = Vec::with_capacity(gathered.len());
         annotated.extend(annotate_chunk(first));
         for worker in workers {
-            // sift-lint: allow(no-panic) — re-raising a worker panic on join is the only sane option
+            #[expect(clippy::expect_used, reason = "re-raise a worker panic on join")]
             let chunk = worker.join().expect("annotate worker panicked");
             // Copied, not moved: a worker's labels sit in its malloc arena
             // on top of the region phase's suggestion lists, and left
@@ -596,9 +596,13 @@ pub fn run_region_study(
         }
         for day in drill_down_days(spike, params) {
             let daily = responses.get(&(day, 24)).into_iter().flatten();
+            #[expect(
+                clippy::cast_possible_truncation,
+                clippy::cast_sign_loss,
+                reason = "float `as u32` saturates; rounding the boosted weight down is intended"
+            )]
             suggestions.extend(daily.map(|t| {
                 let mut t = t.clone();
-                // sift-lint: allow(lossy-cast) — float `as u32` saturates; rounding the boosted weight down is intended
                 t.weight = (f64::from(t.weight) * params.daily_weight_boost) as u32;
                 t
             }));

@@ -19,6 +19,8 @@
 //! sides at zero, any ratio is consistent with the data and continuity is
 //! the best prior.
 
+#![cfg_attr(not(test), deny(clippy::as_conversions))]
+
 use serde::{Deserialize, Serialize};
 use sift_geo::State;
 use sift_simtime::{Hour, HourRange};

@@ -146,7 +146,7 @@ proptest! {
             let scale = 100.0 / max_raw;
             for (r, b) in raw.iter().zip(batch.values.iter()) {
                 // Exact equality: same f64 ops in the same order.
-                prop_assert_eq!(r * scale, *b);
+                prop_assert_eq!((r * scale).to_bits(), b.to_bits());
             }
         }
     }

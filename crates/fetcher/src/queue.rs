@@ -84,6 +84,9 @@ pub enum ShedCause {
 }
 
 impl ShedCause {
+    /// Every cause.
+    pub const ALL: [ShedCause; 2] = [ShedCause::BreakerOpen, ShedCause::Deadline];
+
     /// Stable snake_case label, used as the `reason` metric label.
     pub fn label(self) -> &'static str {
         match self {
@@ -238,7 +241,7 @@ impl CollectionRun {
     ) -> RunReport {
         // Stable sort: equal priorities keep their submission order.
         items.sort_by_key(|(_, priority)| std::cmp::Reverse(*priority));
-        // sift-lint: allow(wall-clock) — the run deadline bounds the host crawl, not simulated time
+        #[expect(clippy::disallowed_methods, reason = "the run deadline is host time")]
         let deadline_at = self.deadline.map(|d| std::time::Instant::now() + d);
         // Captured once on the enqueuing thread; workers reopen it so
         // their fetch spans join the caller's trace.
@@ -254,7 +257,7 @@ impl CollectionRun {
                 bounced: false,
                 ctx: run_ctx,
             };
-            // sift-lint: allow(no-panic) — send to an unbounded channel with a live receiver cannot fail
+            #[expect(clippy::expect_used, reason = "unbounded channel, live receiver")]
             work_tx.send(queued).expect("unbounded channel accepts");
             outstanding += 1;
         }
@@ -262,7 +265,7 @@ impl CollectionRun {
         // readings cannot race across workers, and it is zeroed when the
         // run drains.
         let depth = sift_obs::gauge("sift_fetcher_queue_depth", &[]);
-        depth.set(work_rx.len() as i64);
+        depth.set(i64::try_from(work_rx.len()).unwrap_or(i64::MAX));
 
         let (out_tx, out_rx) = channel::unbounded::<(usize, Outcome)>();
 
@@ -279,7 +282,7 @@ impl CollectionRun {
                         // whose deadline has passed, or that would hit an
                         // open breaker, is shed — the item is reported,
                         // not silently dropped and not retried.
-                        // sift-lint: allow(wall-clock) — comparing against the run deadline
+                        #[expect(clippy::disallowed_methods, reason = "run deadline is host time")]
                         let spent = deadline_at.is_some_and(|at| std::time::Instant::now() >= at);
                         let shed_cause = if spent {
                             Some(ShedCause::Deadline)
@@ -483,7 +486,7 @@ impl CollectionRun {
                         }
                     }
                 }
-                depth.set(work_rx.len() as i64);
+                depth.set(i64::try_from(work_rx.len()).unwrap_or(i64::MAX));
                 if outstanding == 0 {
                     work_tx = None; // close the channel; workers exit
                 }
@@ -892,5 +895,11 @@ mod tests {
         assert_eq!(report.completed, n, "{report:?}");
         assert_eq!(report.shed, 0);
         assert_eq!(store.frame_count(), n);
+    }
+
+    #[test]
+    fn labels_cover_every_cause() {
+        let labels: Vec<_> = ShedCause::ALL.iter().map(|c| c.label()).collect();
+        assert_eq!(labels, ["breaker_open", "deadline"]);
     }
 }

@@ -25,7 +25,7 @@ use std::path::Path;
 pub fn write_atomic(path: &Path, bytes: &[u8], crash: Option<&CrashInjector>) -> io::Result<()> {
     let tmp = tmp_path(path);
     {
-        // sift-lint: allow(durable-write) — this IS the atomic helper
+        #[expect(clippy::disallowed_methods, reason = "this is the atomic helper")]
         let mut f = File::create(&tmp)?;
         f.write_all(bytes)?;
         f.sync_all()?;

@@ -65,6 +65,7 @@ pub fn read_checkpoint(path: &Path) -> io::Result<Option<Vec<u8>>> {
 /// Publishes how stale the checkpoint on disk is, from its mtime. Uses
 /// the wall clock by necessity: staleness across process restarts is a
 /// wall-clock quantity.
+#[expect(clippy::disallowed_methods, reason = "checkpoint age is host time")]
 fn record_age(path: &Path) {
     let age = std::fs::metadata(path)
         .and_then(|m| m.modified())

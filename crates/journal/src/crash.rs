@@ -202,6 +202,7 @@ impl CrashInjector {
             ],
         );
         match self.plan.mode {
+            #[expect(clippy::panic, reason = "panic mode unwinds by design")]
             CrashMode::Panic => std::panic::panic_any(CrashPoint { site, occurrence }),
             CrashMode::Abort => std::process::abort(),
         }

@@ -34,7 +34,7 @@ pub fn crc32(bytes: &[u8]) -> u32 {
     let t = table();
     let mut crc = 0xFFFF_FFFFu32;
     for &b in bytes {
-        // sift-lint: allow(lossy-cast) — extracting the low byte is the algorithm
+        #[expect(clippy::cast_possible_truncation, reason = "the low byte is the point")]
         let idx = usize::from((crc as u8) ^ b);
         crc = (crc >> 8) ^ t[idx];
     }

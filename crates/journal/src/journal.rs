@@ -137,8 +137,10 @@ impl Journal {
                 // Stage the wreckage the crash would leave: a torn
                 // half-record at the tail, then die.
                 let torn = frame.len() / 2;
-                let _ = self.file.write_all(&frame[..torn]); // sift-lint: allow(swallowed-result) — crash staging: the process dies on the next line either way
-                let _ = self.file.sync_all(); // sift-lint: allow(swallowed-result) — crash staging: the process dies on the next line either way
+                #[expect(clippy::let_underscore_must_use, reason = "crash staging")]
+                let _ = self.file.write_all(&frame[..torn]);
+                #[expect(clippy::let_underscore_must_use, reason = "crash staging")]
+                let _ = self.file.sync_all();
                 inj.crash(CrashSite::MidJournalRecord);
             }
         }

@@ -55,9 +55,9 @@ pub fn decode(buf: &[u8], offset: usize) -> Decoded<'_> {
     let Some(header) = buf.get(offset..offset + HEADER_LEN) else {
         return Decoded::Invalid; // partial header at the tail
     };
-    // sift-lint: allow(no-panic) — the slice is exactly HEADER_LEN bytes
+    #[expect(clippy::expect_used, reason = "the slice is exactly 4 bytes")]
     let len = u32::from_le_bytes(header[0..4].try_into().expect("4-byte slice"));
-    // sift-lint: allow(no-panic) — the slice is exactly HEADER_LEN bytes
+    #[expect(clippy::expect_used, reason = "the slice is exactly 4 bytes")]
     let crc = u32::from_le_bytes(header[4..8].try_into().expect("4-byte slice"));
     let len = len as usize;
     if len > MAX_PAYLOAD {

@@ -207,6 +207,7 @@ impl HttpClient {
     /// again, with the rest of the batch, at attempt 1, so the server sees
     /// each request arrive as often as it would have one at a time.
     /// Batches go out only while the breaker (if any) is closed.
+    #[expect(clippy::disallowed_methods, reason = "backoff waits on the host")]
     pub fn send_pipelined(&self, reqs: &[Request]) -> Vec<Result<Response, ClientError>> {
         let mut results = Vec::with_capacity(reqs.len());
         while results.len() < reqs.len() {
@@ -343,6 +344,7 @@ impl HttpClient {
 
     /// The retry loop, entered at `attempt` (1, or 2 after a pipelined
     /// first attempt): breaker gate, one attempt, judgement.
+    #[expect(clippy::disallowed_methods, reason = "backoff waits on the host")]
     fn retry_from(&self, req: &Request, mut attempt: u32) -> Result<Response, ClientError> {
         loop {
             if let Some(b) = &self.breaker {
@@ -513,6 +515,7 @@ impl HttpClient {
     /// from a ChaCha8 stream keyed by (request, attempt) — deterministic
     /// per replay, decorrelated across requests.
     fn jittered_backoff(&self, req: &Request, attempt: u32) -> Duration {
+        #[expect(clippy::cast_possible_truncation, reason = "backoff ms fit u64")]
         let span_ms = backoff_wait(&self.retry, attempt).as_millis() as u64;
         let key = crate::fault::request_key(&req.path, &req.body);
         let mut seed = [0u8; 32];
@@ -539,6 +542,7 @@ fn backoff_wait(policy: &RetryPolicy, attempt: u32) -> Duration {
 /// Counts and logs one retry decision. The attempt's span has closed by
 /// now, so `retries` lands on the caller's span, whether the attempt went
 /// out alone or pipelined.
+#[expect(clippy::cast_possible_truncation, reason = "wait ms fit u64")]
 fn note_retry(status: &str, attempt: u32, wait: Duration, msg: &str) {
     sift_obs::attr_add("retries", 1);
     sift_obs::counter("sift_client_retries_total", &[("status", status)]).inc();

@@ -55,8 +55,7 @@ impl FaultKind {
 
     /// The metric label this kind is counted under in
     /// `sift_net_faults_injected_total{kind=…}` (snake_case of the
-    /// variant name; the `variant-label` lint rule checks the mapping stays
-    /// complete).
+    /// variant name).
     pub fn label(self) -> &'static str {
         match self {
             FaultKind::InternalError => "internal_error",
@@ -267,8 +266,7 @@ impl NemesisFaultKind {
 
     /// The metric label this kind is counted under in
     /// `sift_cluster_nemesis_faults_total{kind=…}` (snake_case of the
-    /// variant name; the `variant-label` lint rule checks the mapping
-    /// stays complete).
+    /// variant name).
     pub fn label(self) -> &'static str {
         match self {
             NemesisFaultKind::PartitionSym => "partition_sym",
@@ -407,6 +405,11 @@ impl NemesisPlan {
     ) -> NemesisPlan {
         let mut rng = ChaCha8Rng::from_seed(nemesis_seed(seed));
         let h = horizon_ms.max(100);
+        #[expect(
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss,
+            reason = "a fraction in [0, 1) of a u64 horizon; float `as` saturates"
+        )]
         let frac = |rng: &mut ChaCha8Rng, lo: f64, hi: f64| -> u64 {
             let draw = f64::from(rng.next_u32()) / (f64::from(u32::MAX) + 1.0);
             let f = lo + draw * (hi - lo);
@@ -623,6 +626,7 @@ pub struct NemesisDriver {
 impl NemesisDriver {
     /// A driver for `plan` over the cluster-shared `state`. The clock
     /// starts now.
+    #[expect(clippy::disallowed_methods, reason = "nemesis steps fire on host time")]
     pub fn new(plan: NemesisPlan, state: Arc<NemesisState>) -> NemesisDriver {
         NemesisDriver {
             plan,

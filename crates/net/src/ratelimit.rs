@@ -89,6 +89,11 @@ impl RateLimiter {
 
     /// Checks (and on success, charges) one request for `key` at time
     /// `now_ms`.
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "`retry_after_secs` is at least 1.0; float `as` saturates"
+    )]
     pub fn check(&self, key: &str, now_ms: u64) -> RateLimitDecision {
         let mut buckets = self.buckets.lock();
         self.maybe_sweep(&mut buckets, now_ms);

@@ -15,6 +15,11 @@
 //! parsed, and [`ServerHandle::drain`] finishes in-flight work while
 //! refusing new connections instead of just flipping the shutdown flag.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "socket timeouts, drain grace and the limiter's clock measure the host by design"
+)]
+
 use crate::admission::{AdmissionConfig, AdmissionController, ShedReason};
 use crate::fault::{FaultInjector, FaultKind, FaultPlan, LinkAction, NemesisState};
 use crate::http::{parse_request, serialize_response, Request, Response, StatusCode};
@@ -162,7 +167,10 @@ impl Server {
                     .spawn(move || {
                         while let Ok(stream) = rx.recv() {
                             ctx.admission.dequeued();
-                            // sift-lint: allow(swallowed-result) — a torn connection must not kill the worker; the route/shed counters already account for the request
+                            #[expect(
+                                clippy::let_underscore_must_use,
+                                reason = "the route counters already saw the request"
+                            )]
                             let _ = serve_connection(stream, &ctx);
                         }
                     })?,
@@ -303,7 +311,7 @@ impl ServerHandle {
         // The acceptor polls the flag every few milliseconds; workers
         // exit once it drops the channel sender.
         for t in self.threads.drain(..) {
-            // sift-lint: allow(swallowed-result) — shutdown must reap every worker even if one panicked; the panic itself was already reported on its thread
+            #[expect(clippy::let_underscore_must_use, reason = "reap even panicked workers")]
             let _ = t.join();
         }
     }
@@ -338,6 +346,7 @@ struct ConnContext {
 /// reads it. Half-closing and discarding input until the peer hangs up
 /// (bounded by a short timeout) delivers the response reliably.
 /// Best-effort throughout: a client that vanished mid-shed loses nothing.
+#[expect(clippy::let_underscore_must_use, reason = "best-effort shed")]
 fn shed_at_accept(
     mut stream: TcpStream,
     admission: &AdmissionController,
@@ -346,12 +355,12 @@ fn shed_at_accept(
 ) {
     let wire = serialize_response(&admission.shed_response(reason));
     let lingering_close = move || {
-        let _ = stream.set_write_timeout(Some(write_timeout)); // sift-lint: allow(swallowed-result) — best-effort shed: a vanished client loses nothing (see fn docs)
+        let _ = stream.set_write_timeout(Some(write_timeout));
         if stream.write_all(&wire).is_err() {
             return;
         }
-        let _ = stream.shutdown(std::net::Shutdown::Write); // sift-lint: allow(swallowed-result) — best-effort shed: a vanished client loses nothing (see fn docs)
-        let _ = stream.set_read_timeout(Some(Duration::from_millis(500))); // sift-lint: allow(swallowed-result) — best-effort shed: a vanished client loses nothing (see fn docs)
+        let _ = stream.shutdown(std::net::Shutdown::Write);
+        let _ = stream.set_read_timeout(Some(Duration::from_millis(500)));
         let mut sink = [0u8; 4096];
         while matches!(stream.read(&mut sink), Ok(n) if n > 0) {}
     };
@@ -642,6 +651,7 @@ fn dispatch_with_limiter(
         return dispatch_protected(&ctx.router, req);
     };
     let identity = client_identity(req, peer);
+    #[expect(clippy::cast_possible_truncation, reason = "uptime ms fit u64")]
     let now_ms = ctx.epoch.elapsed().as_millis() as u64;
     match limiter.check(&identity, now_ms) {
         RateLimitDecision::Allowed => dispatch_protected(&ctx.router, req),

@@ -90,6 +90,7 @@ pub fn cluster_embedded(items: &[(&Normed, f64)], threshold: f32) -> Vec<Cluster
     clusters
         .into_iter()
         .map(|mut c| {
+            #[expect(clippy::expect_used, reason = "clusters are founded with a member")]
             let representative = *c
                 .members
                 .iter()
@@ -100,7 +101,6 @@ pub fn cluster_embedded(items: &[(&Normed, f64)], threshold: f32) -> Vec<Cluster
                         .unwrap_or(std::cmp::Ordering::Equal)
                         .then(b.cmp(&a))
                 })
-                // sift-lint: allow(no-panic) — a cluster is founded with one member and only grows
                 .expect("clusters are never empty");
             c.members.sort_unstable();
             Cluster {

@@ -99,9 +99,9 @@ mod tests {
 
     #[test]
     fn entities_outweigh_generics() {
-        assert_eq!(weight("verizon"), ENTITY_WEIGHT);
-        assert_eq!(weight("outage"), GENERIC_WEIGHT);
-        assert_eq!(weight("internet"), GENERIC_WEIGHT);
+        assert_eq!(weight("verizon").to_bits(), ENTITY_WEIGHT.to_bits());
+        assert_eq!(weight("outage").to_bits(), GENERIC_WEIGHT.to_bits());
+        assert_eq!(weight("internet").to_bits(), GENERIC_WEIGHT.to_bits());
         assert!(weight(canonical("down")) < ENTITY_WEIGHT);
     }
 }

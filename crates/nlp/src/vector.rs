@@ -56,7 +56,7 @@ impl Embedding {
             padded.push('$');
             let grams = padded.len().saturating_sub(2);
             if grams > 0 {
-                // sift-lint: allow(lossy-cast) — trigram counts are tiny; f32 holds them exactly
+                // Trigram counts are tiny; f32 holds them exactly.
                 let per = w * (1.0 - WORD_FEATURE_SHARE) / grams as f32;
                 for gram in padded.windows(3) {
                     let mut h = fnv1a(FNV_OFFSET, b"g:");
@@ -73,7 +73,7 @@ impl Embedding {
 
     /// True if the embedding has no mass (empty or all-stop-word phrase).
     pub fn is_zero(&self) -> bool {
-        // sift-lint: allow(float-eq) — an untouched embedding is exactly zero; no arithmetic error to tolerate
+        // An untouched embedding is exactly zero: no arithmetic error to tolerate.
         self.values.iter().all(|v| *v == 0.0)
     }
 
@@ -102,6 +102,7 @@ impl Embedding {
     /// Adds `weight` to the slot, and with the sign, that the feature's
     /// FNV-1a hash selects.
     fn add_feature(&mut self, hash: u64, weight: f32) {
+        #[expect(clippy::cast_possible_truncation, reason = "below EMBEDDING_DIM")]
         let idx = (hash % EMBEDDING_DIM as u64) as usize;
         // A second hash bit gives features signs, which keeps unrelated
         // collisions from systematically inflating similarity.
@@ -151,7 +152,7 @@ fn slots(mask: Mask) -> impl Iterator<Item = usize> {
 fn occupied(values: &[f32; EMBEDDING_DIM], candidates: impl Iterator<Item = usize>) -> Mask {
     let mut mask = [0; EMBEDDING_DIM / 64];
     for i in candidates {
-        // sift-lint: allow(float-eq) — occupancy means not exactly zero, as in `Embedding::is_zero`
+        // Occupancy means not exactly zero, as in `Embedding::is_zero`.
         if values[i] != 0.0 {
             mask[i / 64] |= 1 << (i % 64);
         }
@@ -399,7 +400,6 @@ mod tests {
     fn assert_mask_is_occupancy(v: &Normed) {
         for (i, value) in v.embedding.values.iter().enumerate() {
             let bit = v.mask[i / 64] >> (i % 64) & 1 == 1;
-            // sift-lint: allow(float-eq) — occupancy means not exactly zero
             assert_eq!(bit, *value != 0.0, "slot {i}: {value}");
         }
     }

@@ -27,7 +27,7 @@ pub enum Level {
 
 impl Level {
     fn as_u8(self) -> u8 {
-        // sift-lint: allow(lossy-cast) — discriminants are 0..=3 by definition
+        // Discriminants are 0..=3 by definition.
         self as u8
     }
 
@@ -67,6 +67,7 @@ pub struct EventLog {
 }
 
 impl Default for EventLog {
+    #[expect(clippy::disallowed_methods, reason = "event uptime is host time")]
     fn default() -> EventLog {
         EventLog {
             min_level: AtomicU8::new(Level::Info.as_u8()),
@@ -102,6 +103,7 @@ impl EventLog {
             return;
         }
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
+        #[expect(clippy::cast_possible_truncation, reason = "uptime ms fit u64")]
         let uptime_ms = self.started.elapsed().as_millis() as u64;
         let mut members: Vec<(String, Value)> = vec![
             ("seq".into(), Value::UInt(seq)),
@@ -117,9 +119,9 @@ impl EventLog {
         for (k, v) in fields {
             members.push(((*k).to_owned(), v.clone()));
         }
-        let line = serde_json::to_string(&Value::Object(members))
-            // sift-lint: allow(no-panic) — serializing a serde_json::Value tree is infallible
-            .expect("a Value tree always serializes");
+        #[expect(clippy::expect_used, reason = "a Value tree always serializes")]
+        let line =
+            serde_json::to_string(&Value::Object(members)).expect("a Value tree always serializes");
         let mut sink = self.sink.lock();
         if sink.lines.len() == sink.cap {
             sink.lines.pop_front();

@@ -121,6 +121,7 @@ pub fn histogram_with_spec(name: &str, labels: &[(&str, &str)], spec: &Histogram
 /// records its duration into the global
 /// `sift_span_seconds{span="<name>"}` histogram and its record into the
 /// trace store.
+#[expect(clippy::disallowed_methods, reason = "the sanctioned span entry point")]
 pub fn span(name: &str) -> Span {
     Span::enter(name)
 }

@@ -269,12 +269,18 @@ impl HistogramState {
     }
 
     /// See [`Histogram::quantile`].
+    #[expect(clippy::expect_used, reason = "specs guarantee at least one bound")]
     pub fn quantile(&self, q: f64) -> f64 {
         assert!((0.0..=1.0).contains(&q), "quantile out of range");
         if self.count == 0 {
             return 0.0;
         }
         // 1-based rank of the order statistic we are after.
+        #[expect(
+            clippy::cast_possible_truncation,
+            clippy::cast_sign_loss,
+            reason = "q is in [0, 1], so the product is in [0, count]; float `as` saturates"
+        )]
         let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
         let mut cumulative = 0u64;
         for (i, n) in self.buckets.iter().enumerate() {
@@ -287,7 +293,6 @@ impl HistogramState {
                     Some(b) => *b,
                     // Overflow bucket is unbounded; the last bound is the
                     // best defensible answer.
-                    // sift-lint: allow(no-panic) — spec construction guarantees at least one bound
                     None => return *self.bounds.last().expect("non-empty bounds"),
                 };
                 let into = (rank - cumulative) as f64 / *n as f64;
@@ -298,7 +303,6 @@ impl HistogramState {
             }
             cumulative += n;
         }
-        // sift-lint: allow(no-panic) — spec construction guarantees at least one bound
         *self.bounds.last().expect("non-empty bounds")
     }
 
@@ -365,7 +369,7 @@ mod tests {
         }
         let q = h.quantile(0.5);
         assert!((1.0..=2.0).contains(&q), "{q}");
-        assert_eq!(h.quantile(0.0), h.quantile(1e-9));
+        assert_eq!(h.quantile(0.0).to_bits(), h.quantile(1e-9).to_bits());
     }
 
     #[test]

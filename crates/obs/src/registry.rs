@@ -134,12 +134,13 @@ impl Registry {
     /// The counter for `name` + `labels`, registering it on first use.
     ///
     /// Panics if the series is already registered as a different kind.
+    #[expect(clippy::panic, reason = "documented: a kind mismatch is a caller bug")]
     pub fn counter(&self, name: &str, labels: &[(&str, &str)]) -> Counter {
         let key = MetricKey::new(name, labels);
         if let Some(i) = self.series.read().get(&key) {
             return match i {
                 Instrument::Counter(c) => c.clone(),
-                other => panic!("{name} already registered as a {}", other.kind()), // sift-lint: allow(no-panic) — documented: kind mismatch is a caller bug // sift-lint: allow(no-panic) — documented: kind mismatch is a caller bug
+                other => panic!("{name} already registered as a {}", other.kind()),
             };
         }
         let mut series = self.series.write();
@@ -151,17 +152,18 @@ impl Registry {
             .or_insert_with(|| Instrument::Counter(Counter::new()))
         {
             Instrument::Counter(c) => c.clone(),
-            other => panic!("{name} already registered as a {}", other.kind()), // sift-lint: allow(no-panic) — documented: kind mismatch is a caller bug
+            other => panic!("{name} already registered as a {}", other.kind()),
         }
     }
 
     /// The gauge for `name` + `labels`, registering it on first use.
+    #[expect(clippy::panic, reason = "documented: a kind mismatch is a caller bug")]
     pub fn gauge(&self, name: &str, labels: &[(&str, &str)]) -> Gauge {
         let key = MetricKey::new(name, labels);
         if let Some(i) = self.series.read().get(&key) {
             return match i {
                 Instrument::Gauge(g) => g.clone(),
-                other => panic!("{name} already registered as a {}", other.kind()), // sift-lint: allow(no-panic) — documented: kind mismatch is a caller bug // sift-lint: allow(no-panic) — documented: kind mismatch is a caller bug
+                other => panic!("{name} already registered as a {}", other.kind()),
             };
         }
         let mut series = self.series.write();
@@ -173,12 +175,13 @@ impl Registry {
             .or_insert_with(|| Instrument::Gauge(Gauge::new()))
         {
             Instrument::Gauge(g) => g.clone(),
-            other => panic!("{name} already registered as a {}", other.kind()), // sift-lint: allow(no-panic) — documented: kind mismatch is a caller bug
+            other => panic!("{name} already registered as a {}", other.kind()),
         }
     }
 
     /// The histogram for `name` + `labels`, registering it with `spec` on
     /// first use (later calls keep the original layout).
+    #[expect(clippy::panic, reason = "documented: a kind mismatch is a caller bug")]
     pub fn histogram(
         &self,
         name: &str,
@@ -189,7 +192,7 @@ impl Registry {
         if let Some(i) = self.series.read().get(&key) {
             return match i {
                 Instrument::Histogram(h) => h.clone(),
-                other => panic!("{name} already registered as a {}", other.kind()), // sift-lint: allow(no-panic) — documented: kind mismatch is a caller bug // sift-lint: allow(no-panic) — documented: kind mismatch is a caller bug
+                other => panic!("{name} already registered as a {}", other.kind()),
             };
         }
         let mut series = self.series.write();
@@ -201,7 +204,7 @@ impl Registry {
             .or_insert_with(|| Instrument::Histogram(Histogram::with_spec(spec)))
         {
             Instrument::Histogram(h) => h.clone(),
-            other => panic!("{name} already registered as a {}", other.kind()), // sift-lint: allow(no-panic) — documented: kind mismatch is a caller bug
+            other => panic!("{name} already registered as a {}", other.kind()),
         }
     }
 
@@ -232,6 +235,7 @@ impl Registry {
     /// Renders every series in the Prometheus text exposition format
     /// (`# TYPE` comments, `_bucket{le=…}`/`_sum`/`_count` for
     /// histograms), deterministically ordered.
+    #[expect(clippy::let_underscore_must_use, reason = "String writes cannot fail")]
     pub fn render_prometheus(&self) -> String {
         let series = self.series.read();
         let mut out = String::new();
@@ -302,6 +306,7 @@ impl Registry {
 }
 
 /// Renders `{k="v",…}` (empty string when no labels and no `le`).
+#[expect(clippy::let_underscore_must_use, reason = "String writes cannot fail")]
 fn label_block(labels: &[(String, String)], le: Option<&str>) -> String {
     if labels.is_empty() && le.is_none() {
         return String::new();

@@ -118,6 +118,7 @@ impl Span {
         Span::open(name, SpanContext::current())
     }
 
+    #[expect(clippy::disallowed_methods, reason = "span durations measure the host")]
     pub(crate) fn open(name: &str, parent: Option<SpanContext>) -> Span {
         let span_id = next_id();
         let (trace_id, parent_id) = match parent {

@@ -121,6 +121,7 @@ fn store() -> &'static Store {
 /// Microseconds since the process-wide trace epoch (first use). All
 /// spans in a process share this timebase, so client and server spans
 /// of an in-process round-trip align on one Perfetto timeline.
+#[expect(clippy::disallowed_methods, reason = "trace timestamps are host time")]
 pub fn epoch_micros() -> u64 {
     static EPOCH: OnceLock<Instant> = OnceLock::new();
     let epoch = EPOCH.get_or_init(Instant::now);
@@ -224,6 +225,7 @@ pub fn completed(trace_id: u64) -> Option<Trace> {
 
 /// Waits (polling) until `trace_id` completes — spans on other threads
 /// may close a beat after the root guard drops — up to `timeout`.
+#[expect(clippy::disallowed_methods, reason = "waits on host threads' spans")]
 pub fn wait_completed(trace_id: u64, timeout: Duration) -> Option<Trace> {
     let deadline = Instant::now() + timeout;
     loop {
@@ -252,6 +254,7 @@ fn esc(s: &str) -> String {
 /// with a `traceEvents` array of `ph:"X"` complete events), loadable in
 /// Perfetto / `chrome://tracing`. Trace, span and parent ids travel in
 /// each event's `args` alongside the attributed counters.
+#[expect(clippy::let_underscore_must_use, reason = "String writes cannot fail")]
 pub fn chrome_trace_json(trace: &Trace) -> String {
     let mut out = String::from("{\"traceEvents\":[");
     for (i, s) in trace.spans.iter().enumerate() {
@@ -286,6 +289,7 @@ pub fn chrome_trace_json(trace: &Trace) -> String {
 /// Renders completed traces as a JSON array of trace objects (the
 /// `GET /trace/recent` body): span-id fields are hex strings, counters
 /// nest under `args`.
+#[expect(clippy::let_underscore_must_use, reason = "String writes cannot fail")]
 pub fn traces_json(traces: &[Trace]) -> String {
     let mut out = String::from("[");
     for (ti, t) in traces.iter().enumerate() {

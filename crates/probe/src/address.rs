@@ -170,7 +170,7 @@ mod tests {
         let b = AddressPopulation::new(&plan, PopulationMix::default(), 7);
         for (x, y) in a.blocks().iter().zip(b.blocks().iter()) {
             assert_eq!(x.kind, y.kind);
-            assert_eq!(x.response_rate, y.response_rate);
+            assert_eq!(x.response_rate.to_bits(), y.response_rate.to_bits());
         }
     }
 }

@@ -91,6 +91,13 @@ impl<'a> Prober<'a> {
     ///
     /// Exact but O(blocks × rounds); use [`Prober::synthesize`] for
     /// multi-month windows.
+    #[expect(clippy::expect_used, reason = "geo db and population share a plan")]
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        clippy::cast_possible_wrap,
+        reason = "round numbers count the rounds of one window: small and non-negative"
+    )]
     pub fn run(&self, scenario: &Scenario, window: HourRange) -> ProbeDataset {
         let vps = vantage_points();
         let rounds = (window.len() * 60 / i64::from(self.config.round_minutes)) as u64;
@@ -129,7 +136,6 @@ impl<'a> Prober<'a> {
             let located = self
                 .geodb
                 .locate(block.prefix)
-                // sift-lint: allow(no-panic) — the geo db is built from the same plan as the population
                 .expect("population prefixes are in the plan");
             for (start_round, end_round) in &inference.outages {
                 let start_minute = window.start.0 * 60
@@ -179,10 +185,10 @@ impl<'a> Prober<'a> {
                     if !Self::block_affected(self.config.seed, block, e, *intensity) {
                         continue;
                     }
+                    #[expect(clippy::expect_used, reason = "geo db and population share a plan")]
                     let located = self
                         .geodb
                         .locate(block.prefix)
-                        // sift-lint: allow(no-panic) — the geo db is built from the same plan as the population
                         .expect("population prefixes are in the plan");
                     let mut rng = ChaCha8Rng::seed_from_u64(
                         self.config.seed

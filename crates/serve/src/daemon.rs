@@ -252,6 +252,7 @@ impl Daemon {
 
     /// [`Daemon::start`] with a crash injector wired into every journal
     /// append and checkpoint (tests of the crash-recovery invariant).
+    #[expect(clippy::disallowed_methods, reason = "staleness is host time")]
     pub fn start_with_crash(
         cfg: ServeConfig,
         client: Arc<dyn TrendsClient>,
@@ -335,6 +336,7 @@ impl Daemon {
     /// Blocks until every region has ingested all frames the simulated
     /// clock currently allows, or `timeout` elapses, or ingest dies.
     /// Returns whether the daemon is fully caught up.
+    #[expect(clippy::disallowed_methods, reason = "the timeout is host time")]
     pub fn wait_caught_up(&self, timeout: std::time::Duration) -> bool {
         let started = Instant::now();
         loop {
@@ -384,7 +386,7 @@ impl Daemon {
         if let Some(ingest) = self.ingest.take() {
             // A crashed ingest thread already unwound; joining it then
             // just collects the panic, which is expected in crash tests.
-            // sift-lint: allow(swallowed-result) — the ingest_dead flag already records the only failure a join can report
+            #[expect(clippy::let_underscore_must_use, reason = "the panic is expected")]
             let _ = ingest.join();
         }
         if let Some(server) = self.server.take() {
@@ -397,6 +399,7 @@ impl Daemon {
 /// when idle. A panic (crash injector in panic mode, or a bug) marks
 /// ingest dead and leaves the HTTP front serving last-good data —
 /// graceful degradation, not collapse.
+#[expect(clippy::disallowed_methods, reason = "the idle wait is host time")]
 fn ingest_loop(shared: &Shared) {
     loop {
         if shared.shutdown.load(Ordering::SeqCst) {
@@ -499,6 +502,7 @@ fn ingest_tick(shared: &Shared) -> bool {
     progressed
 }
 
+#[expect(clippy::disallowed_methods, reason = "long-poll budgets are host time")]
 fn build_router(shared: &Arc<Shared>) -> Router {
     let router = Router::new();
 

@@ -246,7 +246,9 @@ impl RegionCore {
         self.stitcher.append(resp, &mut self.new_values)?;
         let sealed = self.detector.append(&self.new_values, &mut self.spikes);
         self.next_frame += 1;
-        self.last_advance = Some(Instant::now());
+        #[expect(clippy::disallowed_methods, reason = "staleness is host time")]
+        let now = Instant::now();
+        self.last_advance = Some(now);
         sift_obs::attr_add(
             "hours",
             u64::try_from(self.new_values.len()).unwrap_or(u64::MAX),

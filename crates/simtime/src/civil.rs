@@ -58,6 +58,7 @@ impl fmt::Debug for Civil {
 }
 
 /// Number of days in `month` of `year`.
+#[expect(clippy::unreachable, reason = "callers pass a validated month")]
 pub(crate) fn days_in_month(year: i32, month: u8) -> u8 {
     match month {
         1 | 3 | 5 | 7 | 8 | 10 | 12 => 31,
@@ -98,8 +99,18 @@ pub(crate) fn civil_from_days(z: i64) -> (i32, u8, u8) {
     let y = yoe + era * 400;
     let doy = doe - (365 * yoe + yoe / 4 - yoe / 100); // [0, 365]
     let mp = (5 * doy + 2) / 153; // [0, 11]
-    let d = (doy - (153 * mp + 2) / 5 + 1) as u8; // [1, 31] — sift-lint: allow(lossy-cast)
-    let m = (if mp < 10 { mp + 3 } else { mp - 9 }) as u8; // [1, 12] — sift-lint: allow(lossy-cast)
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "Hinnant's algorithm bounds the day to [1, 31]"
+    )]
+    let d = (doy - (153 * mp + 2) / 5 + 1) as u8;
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "Hinnant's algorithm bounds the month to [1, 12]"
+    )]
+    let m = (if mp < 10 { mp + 3 } else { mp - 9 }) as u8;
     (
         i32::try_from(y + i64::from(m <= 2)).unwrap_or(i32::MAX),
         m,
@@ -228,7 +239,7 @@ impl Month {
 
     /// Calendar month number, `1..=12`.
     pub fn number(self) -> u8 {
-        self as u8 + 1 // sift-lint: allow(lossy-cast) — discriminants are 0..=11
+        self as u8 + 1 // discriminants are 0..=11
     }
 
     /// Zero-based index, `0..=11`.

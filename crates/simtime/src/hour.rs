@@ -53,15 +53,17 @@ impl Hour {
     /// Converts back to a broken-down civil date/time (UTC).
     pub fn civil(self) -> Civil {
         let days = self.0.div_euclid(HOURS_PER_DAY);
-        let hour = self.0.rem_euclid(HOURS_PER_DAY) as u8; // [0, 23] — sift-lint: allow(lossy-cast)
+        #[expect(clippy::cast_possible_truncation, reason = "rem_euclid(24) < 24")]
+        let hour = self.0.rem_euclid(HOURS_PER_DAY) as u8;
         Civil::from_days(days + EPOCH_OFFSET_DAYS, hour)
     }
 
     /// Day of the week of this hour (UTC).
+    #[expect(clippy::cast_possible_truncation, reason = "rem_euclid(7) < 7")]
     pub fn weekday(self) -> Weekday {
         let days = self.0.div_euclid(HOURS_PER_DAY) + EPOCH_OFFSET_DAYS;
         // 1970-01-01 was a Thursday (ISO index 3 with Monday = 0).
-        Weekday::from_index(((days + 3).rem_euclid(7)) as u8) // [0, 6] — sift-lint: allow(lossy-cast)
+        Weekday::from_index(((days + 3).rem_euclid(7)) as u8)
     }
 
     /// Calendar month of this hour (UTC).
@@ -75,8 +77,9 @@ impl Hour {
     }
 
     /// Hour of day, `0..=23` (UTC).
+    #[expect(clippy::cast_possible_truncation, reason = "rem_euclid(24) < 24")]
     pub fn hour_of_day(self) -> u8 {
-        self.0.rem_euclid(HOURS_PER_DAY) as u8 // [0, 23] — sift-lint: allow(lossy-cast)
+        self.0.rem_euclid(HOURS_PER_DAY) as u8
     }
 
     /// The first hour (00:00) of the UTC day containing `self`.
@@ -86,6 +89,11 @@ impl Hour {
 
     /// Saturating conversion to `usize` for indexing a series that starts
     /// at the study epoch. Negative hours clamp to 0.
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "clamped non-negative; study hours fit any usize"
+    )]
     pub fn index_from_epoch(self) -> usize {
         self.0.max(0) as usize
     }

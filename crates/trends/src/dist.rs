@@ -6,6 +6,8 @@
 //! normal-approximation — which are exact enough for a workload generator
 //! and keep the dependency set at the sanctioned crates.
 
+#![cfg_attr(not(test), deny(clippy::as_conversions))]
+
 use rand::Rng;
 
 /// A standard normal draw via the Box–Muller transform.
@@ -35,6 +37,12 @@ pub fn lognormal_clamped<R: Rng + ?Sized>(
 /// Knuth's product method below a mean of 30; above it the normal
 /// approximation (with continuity correction) is indistinguishable for our
 /// purposes and O(1).
+#[expect(
+    clippy::as_conversions,
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    reason = "a non-negative draw; float-to-int `as` saturates and truncating is the draw"
+)]
 pub fn poisson<R: Rng + ?Sized>(rng: &mut R, lambda: f64) -> u64 {
     debug_assert!(lambda >= 0.0);
     if lambda <= 0.0 {
@@ -58,7 +66,7 @@ pub fn poisson<R: Rng + ?Sized>(rng: &mut R, lambda: f64) -> u64 {
         if x < 0.0 {
             0
         } else {
-            x as u64 // sift-lint: allow(lossy-cast) — float→int `as` saturates; truncating is the draw
+            x as u64
         }
     }
 }
@@ -69,6 +77,7 @@ pub fn poisson<R: Rng + ?Sized>(rng: &mut R, lambda: f64) -> u64 {
 /// large and `p` tiny, so Poisson(np) is used beyond small `n` — the same
 /// regime approximation the normal-approximation argument in §3.2 rests
 /// on.
+#[expect(clippy::as_conversions, reason = "n ≪ 2⁵³, so f64 holds it exactly")]
 pub fn binomial<R: Rng + ?Sized>(rng: &mut R, n: u64, p: f64) -> u64 {
     debug_assert!((0.0..=1.0).contains(&p));
     if p <= 0.0 || n == 0 {
@@ -86,7 +95,7 @@ pub fn binomial<R: Rng + ?Sized>(rng: &mut R, n: u64, p: f64) -> u64 {
         }
         k
     } else {
-        poisson(rng, n as f64 * p).min(n) // sift-lint: allow(lossy-cast) — n ≪ 2⁵³, so f64 holds it exactly
+        poisson(rng, n as f64 * p).min(n)
     }
 }
 

@@ -98,12 +98,12 @@ impl Cause {
     }
 
     /// Short label for reports: the provider name, or the power trigger.
+    #[expect(clippy::expect_used, reason = "only Power has no provider")]
     pub fn label(self) -> String {
         match self {
             Cause::Power(t) => t.description().to_owned(),
             other => other
                 .provider()
-                // sift-lint: allow(no-panic) — the match arm above peels off the only provider-less cause
                 .expect("non-power causes carry a provider")
                 .name()
                 .to_owned(),

@@ -1,5 +1,7 @@
 //! Time-frame construction: sampling, anonymising and piecewise indexing.
 
+#![cfg_attr(not(test), deny(clippy::as_conversions))]
+
 use crate::interest::InterestModel;
 use crate::sampling::{self, SamplerConfig};
 use crate::terms::SearchTerm;
@@ -16,6 +18,7 @@ use sift_simtime::HourRange;
 /// maximum** on a 0–100 scale. This *piecewise* normalization is exactly
 /// the property that prevents a client from comparing frames directly,
 /// forcing SIFT's stitching step.
+#[expect(clippy::as_conversions, reason = "hit counts ≪ 2⁵³ are exact in f64")]
 pub fn build_frame(
     rng: &mut ChaCha8Rng,
     cfg: &SamplerConfig,
@@ -38,7 +41,6 @@ pub fn build_frame(
             if sampled == 0 {
                 0.0
             } else {
-                // sift-lint: allow(lossy-cast) — hit counts are ≪ 2⁵³, so f64 holds them exactly
                 anon as f64 / sampled as f64
             }
         })
@@ -53,6 +55,12 @@ pub fn build_frame(
 /// maximum value in the slice. All-zero input stays all zero; values
 /// under half an index unit round to 0, exactly as integer indexing does
 /// on the real service.
+#[expect(
+    clippy::as_conversions,
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    reason = "[0, 100] after scaling; float `as` saturates"
+)]
 pub fn index_values(values: &[f64]) -> Vec<u8> {
     let max = values.iter().copied().fold(0.0f64, f64::max);
     if max <= 0.0 {
@@ -60,7 +68,7 @@ pub fn index_values(values: &[f64]) -> Vec<u8> {
     }
     values
         .iter()
-        .map(|&v| (v * 100.0 / max).round() as u8) // sift-lint: allow(lossy-cast) — [0, 100] after scaling; `as` saturates
+        .map(|&v| (v * 100.0 / max).round() as u8)
         .collect()
 }
 

@@ -6,6 +6,8 @@
 //! service estimates and indexes). Both are ground truth — the service
 //! adds sampling noise on top, per request.
 
+#![cfg_attr(not(test), deny(clippy::as_conversions))]
+
 use crate::events::Cause;
 use crate::scenario::Scenario;
 use crate::terms::{SearchTerm, Topic};
@@ -95,7 +97,11 @@ impl InterestModel {
                     }
                     // Nonnegative: `contains` was checked just above.
                     let idx = usize::try_from(h - STUDY_RANGE.start).unwrap_or(0);
-                    // sift-lint: allow(lossy-cast) — f32 storage halves the table; lift precision is modeling noise
+                    #[expect(
+                        clippy::as_conversions,
+                        clippy::cast_possible_truncation,
+                        reason = "f32 storage halves the table; lift precision is modeling noise"
+                    )]
                     let l = e.lift_at(i, h) as f32;
                     lift[state.index()][idx] += l;
                     if is_power {
@@ -137,9 +143,9 @@ impl InterestModel {
         })
     }
 
+    #[expect(clippy::as_conversions, reason = "populations ≪ 2⁵³, exact in f64")]
     fn volume_at_offset(&self, state: State, at: Hour, utc_offset: i32) -> f64 {
         let diurnal = SEARCH_DIURNAL[usize::from(at.to_local(utc_offset).hour_of_day())];
-        // sift-lint: allow(lossy-cast) — populations ≪ 2⁵³, exact in f64
         population(state) as f64 * self.params.per_capita_hourly_searches * diurnal
     }
 
@@ -189,11 +195,14 @@ impl InterestModel {
     /// Deterministic multiplicative wobble on the baseline, log-normal
     /// with sigma [`ModelParams::baseline_noise_sigma`], mean ≈ 1.
     fn baseline_noise(&self, state: State, at: Hour, stream: u64) -> f64 {
+        #[expect(
+            clippy::as_conversions,
+            clippy::cast_sign_loss,
+            reason = "hash mixing wraps on purpose"
+        )]
         let h = mix64(
             self.noise_seed
-                // sift-lint: allow(lossy-cast) — hash mixing; two's-complement wrap is the point
                 ^ (state.index() as u64).wrapping_mul(0x100_0000_01b3)
-                // sift-lint: allow(lossy-cast) — hash mixing; two's-complement wrap is the point
                 ^ (at.0 as u64).wrapping_mul(0x9e37_79b9)
                 ^ stream.wrapping_mul(0xdead_beef_cafe),
         );
@@ -208,9 +217,10 @@ impl InterestModel {
 
 /// The deterministic share of its parent topic's traffic a raw query
 /// phrase carries, in `[0.04, 0.30]`.
+#[expect(clippy::as_conversions, reason = "53-bit values, exact in f64")]
 pub(crate) fn query_share(q: &str) -> f64 {
     let h = mix64(fnv(q.to_ascii_lowercase().as_bytes()));
-    0.04 + 0.26 * (h >> 11) as f64 / (1u64 << 53) as f64 // sift-lint: allow(lossy-cast) — 53-bit values, exact in f64
+    0.04 + 0.26 * (h >> 11) as f64 / (1u64 << 53) as f64
 }
 
 fn fnv(bytes: &[u8]) -> u64 {
@@ -344,7 +354,7 @@ mod tests {
         let m = InterestModel::new(&s);
         let a = m.baseline_noise(State::TX, Hour(77), 0);
         let b = m.baseline_noise(State::TX, Hour(77), 0);
-        assert_eq!(a, b);
+        assert_eq!(a.to_bits(), b.to_bits());
         let mean: f64 = (0..2000)
             .map(|i| m.baseline_noise(State::TX, Hour(i), 0))
             .sum::<f64>()
@@ -358,6 +368,10 @@ mod tests {
             let s = query_share(q);
             assert!((0.04..=0.30).contains(&s), "{q}: {s}");
         }
-        assert_eq!(query_share("X"), query_share("x"), "case-insensitive");
+        assert_eq!(
+            query_share("X").to_bits(),
+            query_share("x").to_bits(),
+            "case-insensitive"
+        );
     }
 }

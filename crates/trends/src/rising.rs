@@ -82,11 +82,16 @@ pub fn rising_terms(
         }
     }
 
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        reason = "float-to-int `as` saturates; weights are small and at least 1"
+    )]
     let mut out: Vec<RisingTerm> = weights
         .into_iter()
         .map(|(term, w)| RisingTerm {
             term,
-            weight: w.round().max(1.0) as u32, // sift-lint: allow(lossy-cast) — float→int `as` saturates; weights are small
+            weight: w.round().max(1.0) as u32,
         })
         .collect();
     out.sort_by(|a, b| b.weight.cmp(&a.weight).then(a.term.cmp(&b.term)));

@@ -43,6 +43,7 @@ impl Default for SamplerConfig {
 /// sample (making distributed fetching reproducible regardless of arrival
 /// order); changing the tag — as the fetcher does per re-fetch round —
 /// draws an independent sample.
+#[expect(clippy::cast_sign_loss, reason = "hash mixing wraps on purpose")]
 pub fn request_seed(
     service_seed: u64,
     state: State,

@@ -94,6 +94,11 @@ impl EventIndex {
                 let lo = w.start.0.div_euclid(EVENT_INDEX_BUCKET_H) - origin;
                 let hi = (w.end.0 - 1).div_euclid(EVENT_INDEX_BUCKET_H) - origin;
                 for b in lo..=hi {
+                    #[expect(
+                        clippy::cast_possible_truncation,
+                        clippy::cast_sign_loss,
+                        reason = "a clamped non-negative bucket number"
+                    )]
                     let b = b.max(0) as usize;
                     if buckets.len() <= b {
                         buckets.resize(b + 1, Vec::new());
@@ -112,6 +117,12 @@ impl EventIndex {
     /// Indices (into `scenario.events`) of events whose window in some
     /// region may intersect `window`. May contain a few false positives
     /// (bucket granularity); never misses an event.
+    #[expect(
+        clippy::cast_possible_truncation,
+        clippy::cast_sign_loss,
+        clippy::cast_possible_wrap,
+        reason = "bucket numbers are clamped to [0, last]"
+    )]
     pub fn candidates(&self, window: HourRange) -> Vec<u32> {
         if self.buckets.is_empty() || window.is_empty() {
             return Vec::new();
@@ -537,6 +548,11 @@ fn named_events(rng: &mut ChaCha8Rng) -> Vec<OutageEvent> {
 /// southern winter storms. Each cluster member is a distinct local outage
 /// (a different neighbourhood, town or utility), so each yields its own
 /// spike.
+#[expect(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    reason = "small positive counts and clamped durations; float `as` saturates"
+)]
 fn climate_clusters(rng: &mut ChaCha8Rng, scale: f64) -> Vec<OutageEvent> {
     let mut out = Vec::new();
 
@@ -619,14 +635,15 @@ fn climate_clusters(rng: &mut ChaCha8Rng, scale: f64) -> Vec<OutageEvent> {
         let n = (c.count * scale).round() as usize;
         for _ in 0..n {
             let state = pick_weighted(rng, c.states);
-            let trigger = *c.triggers.choose(rng).expect("non-empty triggers"); // sift-lint: allow(no-panic) — const cluster tables are non-empty
-                                                                                // Winter storm Uri concentrated in a single week; wildfire
-                                                                                // outages spread over their month.
+            #[expect(clippy::expect_used, reason = "const cluster tables are non-empty")]
+            let trigger = *c.triggers.choose(rng).expect("non-empty triggers");
+            // Winter storm Uri concentrated in a single week; wildfire
+            // outages spread over their month.
             let day_range = if c.month == 2 { 18..27 } else { 1..28 };
             let day = rng.gen_range(day_range);
             let hour = rng.gen_range(6..23);
-            let duration = dist::lognormal_clamped(rng, 7.0, 0.55, 3.0, 22.0) as u32; // sift-lint: allow(lossy-cast) — clamped to [3, 22]; `as` saturates
-                                                                                      // Climate-cluster outages hit harder than background ones.
+            let duration = dist::lognormal_clamped(rng, 7.0, 0.55, 3.0, 22.0) as u32;
+            // Climate-cluster outages hit harder than background ones.
             let reach = dist::lognormal_clamped(rng, 650_000.0, 0.9, 80_000.0, 5_000_000.0);
             let (severity, intensity) = reach_to_lift(rng, reach, state);
             out.push(OutageEvent {
@@ -660,6 +677,7 @@ fn reach_to_lift(rng: &mut ChaCha8Rng, reach: f64, state: State) -> (f64, f64) {
     (severity, intensity)
 }
 
+#[expect(clippy::expect_used, reason = "callers pass const weight tables")]
 fn pick_weighted(rng: &mut ChaCha8Rng, weights: &[(State, f64)]) -> State {
     let total: f64 = weights.iter().map(|(_, w)| w).sum();
     let mut x = rng.gen_range(0.0..total);
@@ -669,7 +687,7 @@ fn pick_weighted(rng: &mut ChaCha8Rng, weights: &[(State, f64)]) -> State {
             return *s;
         }
     }
-    weights.last().expect("non-empty weights").0 // sift-lint: allow(no-panic) — callers pass const weight tables
+    weights.last().expect("non-empty weights").0
 }
 
 /// Hour-of-day weighting of outage *onsets* (local time): failures are
@@ -701,6 +719,11 @@ fn power_month_weight(m: Month) -> f64 {
 }
 
 /// The ~54 000 ordinary outages of the study period.
+#[expect(
+    clippy::cast_possible_truncation,
+    clippy::cast_sign_loss,
+    reason = "small positive counts and clamped durations; float `as` saturates"
+)]
 fn background_events(rng: &mut ChaCha8Rng, scale: f64) -> Vec<OutageEvent> {
     let mut out = Vec::new();
     if scale <= 0.0 {
@@ -748,7 +771,7 @@ fn background_events(rng: &mut ChaCha8Rng, scale: f64) -> Vec<OutageEvent> {
                 _ => dist::lognormal_clamped(rng, 0.9, 0.45, 1.0, 12.0),
             }
             .round()
-            .max(1.0) as u32; // sift-lint: allow(lossy-cast) — clamped small positive; `as` saturates
+            .max(1.0) as u32;
 
             // Reach: how many users the outage affects. Interest lift
             // follows from reach as a fraction of the state's population,
@@ -792,6 +815,7 @@ fn background_events(rng: &mut ChaCha8Rng, scale: f64) -> Vec<OutageEvent> {
     out
 }
 
+#[expect(clippy::expect_used, reason = "const provider tables are non-empty")]
 fn sample_cause(rng: &mut ChaCha8Rng, power_frac: f64) -> Cause {
     let x: f64 = rng.gen();
     if x < power_frac {
@@ -805,16 +829,16 @@ fn sample_cause(rng: &mut ChaCha8Rng, power_frac: f64) -> Cause {
             PowerTrigger::WinterStorm,
         ]
         .choose(rng)
-        .expect("non-empty"); // sift-lint: allow(no-panic) — const provider tables are non-empty
+        .expect("non-empty");
         Cause::Power(trigger)
     } else if x < power_frac + MOBILE_FRAC {
-        Cause::MobileCarrier(*Provider::MOBILE.choose(rng).expect("non-empty")) // sift-lint: allow(no-panic) — const provider tables are non-empty
+        Cause::MobileCarrier(*Provider::MOBILE.choose(rng).expect("non-empty"))
     } else if x < power_frac + MOBILE_FRAC + APP_FRAC {
-        Cause::Application(*Provider::APPS.choose(rng).expect("non-empty")) // sift-lint: allow(no-panic) — const provider tables are non-empty
+        Cause::Application(*Provider::APPS.choose(rng).expect("non-empty"))
     } else if x < power_frac + MOBILE_FRAC + APP_FRAC + CDN_FRAC {
-        Cause::CdnOrCloud(*Provider::CDN_CLOUD.choose(rng).expect("non-empty")) // sift-lint: allow(no-panic) — const provider tables are non-empty
+        Cause::CdnOrCloud(*Provider::CDN_CLOUD.choose(rng).expect("non-empty"))
     } else {
-        Cause::IspNetwork(*Provider::ISPS.choose(rng).expect("non-empty")) // sift-lint: allow(no-panic) — const provider tables are non-empty
+        Cause::IspNetwork(*Provider::ISPS.choose(rng).expect("non-empty"))
     }
 }
 

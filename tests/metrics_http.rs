@@ -17,7 +17,8 @@ use std::sync::Arc;
 
 /// The value of the first sample whose series line starts with `prefix`
 /// (metric name plus any leading label block), or `None` if absent.
-fn sample_value(exposition: &str, prefix: &str) -> Option<f64> {
+/// Counters and histogram counts parse as `u64`, sums as `f64`.
+fn sample_value<T: std::str::FromStr>(exposition: &str, prefix: &str) -> Option<T> {
     exposition
         .lines()
         .find(|l| l.starts_with(prefix))
@@ -52,10 +53,19 @@ fn metrics_endpoint_agrees_with_study_stats() {
         ..StudyParams::default()
     };
     let result = run_study(&unit, &params).expect("study over http");
-    let frames = result.stats.frames_requested as f64;
-    assert!(frames > 0.0);
+    let frames = result.stats.frames_requested;
+    assert!(frames > 0);
 
-    let resp = HttpClient::new(server.addr())
+    // The observability routes, hit once each: every dispatched route is
+    // counted under its own label, so none can go unobserved.
+    let client = HttpClient::new(server.addr());
+    let routes = ["/healthz", "/trace/recent"];
+    for route in routes {
+        let resp = client.send(&Request::get(route)).expect("send");
+        assert_eq!(resp.status.0, 200, "{route}");
+    }
+
+    let resp = client
         .send(&Request::get("/metrics"))
         .expect("fetch /metrics");
     assert_eq!(resp.status.0, 200);
@@ -82,32 +92,42 @@ fn metrics_endpoint_agrees_with_study_stats() {
         text.contains("# TYPE sift_http_request_seconds histogram"),
         "missing latency TYPE line:\n{text}"
     );
-    let frame_count = sample_value(
+    let frame_count: u64 = sample_value(
         &text,
         "sift_http_request_seconds_count{route=\"/api/frame\"}",
     )
     .expect("frame-route latency count present");
     assert_eq!(frame_count, frames);
-    let inf_bucket = sample_value(
+    let inf_bucket: u64 = sample_value(
         &text,
         "sift_http_request_seconds_bucket{route=\"/api/frame\",le=\"+Inf\"}",
     )
     .expect("+Inf bucket present");
     assert_eq!(inf_bucket, frames);
-    let latency_sum = sample_value(&text, "sift_http_request_seconds_sum{route=\"/api/frame\"}")
-        .expect("latency sum present");
+    let latency_sum: f64 =
+        sample_value(&text, "sift_http_request_seconds_sum{route=\"/api/frame\"}")
+            .expect("latency sum present");
     assert!(
         latency_sum > 0.0,
         "latencies must accumulate: {latency_sum}"
     );
 
     // Request totals cover the frame posts (status 200) as well.
-    let ok_frames = sample_value(
+    let ok_frames: u64 = sample_value(
         &text,
         "sift_http_requests_total{route=\"/api/frame\",status=\"200\"}",
     )
     .expect("per-status request counter present");
     assert_eq!(ok_frames, frames);
+    for route in routes {
+        for series in [
+            format!("sift_http_requests_total{{route=\"{route}\",status=\"200\"}}"),
+            format!("sift_http_request_seconds_count{{route=\"{route}\"}}"),
+        ] {
+            let n: Option<u64> = sample_value(&text, &series);
+            assert!(n.is_some_and(|n| n >= 1), "{series} missing:\n{text}");
+        }
+    }
 
     // Study-stage spans recorded while the study ran over HTTP.
     assert!(
@@ -153,12 +173,12 @@ fn metrics_expose_rate_limit_rejections() {
         .expect("fetch /metrics");
     assert_eq!(resp.status.0, 200);
     let text = String::from_utf8(resp.body.to_vec()).expect("utf-8 exposition");
-    let rejected = sample_value(
+    let rejected: u64 = sample_value(
         &text,
         "sift_ratelimit_rejected_total{identity=\"unit-hammer\"}",
     )
     .expect("rejection counter present in exposition");
-    assert_eq!(rejected, limited as f64);
+    assert_eq!(rejected, limited);
 
     server.shutdown();
 }
