@@ -67,6 +67,10 @@ impl std::fmt::Display for RerouteReason {
     }
 }
 
+fn count_reroute(reason: RerouteReason) {
+    sift_obs::counter("sift_cluster_reroute_total", &[("reason", reason.label())]).inc();
+}
+
 /// Coordinator tuning.
 #[derive(Clone, Copy, Debug)]
 pub struct ClusterConfig {
@@ -191,14 +195,8 @@ impl CoordState {
         };
         match d.append(rec) {
             Ok(()) => true,
-            Err(e) => {
+            Err(_) => {
                 sift_obs::counter("sift_cluster_wal_errors_total", &[]).inc();
-                sift_obs::event(
-                    sift_obs::Level::Error,
-                    "cluster.coord",
-                    "coordinator WAL append failed",
-                    &[("error", serde_json::Value::Str(e.to_string()))],
-                );
                 false
             }
         }
@@ -273,19 +271,6 @@ impl Coordinator {
             table.apply(rec);
             sift_obs::counter("sift_cluster_coord_recoveries_total", &[]).inc();
             sift_obs::counter("sift_cluster_epoch_bumps_total", &[]).inc();
-            sift_obs::event(
-                sift_obs::Level::Warn,
-                "cluster.coord",
-                "coordinator recovered",
-                &[
-                    (
-                        "records_replayed",
-                        serde_json::Value::UInt(recovery.records_replayed as u64),
-                    ),
-                    ("torn_tail", serde_json::Value::Bool(recovery.torn_tail)),
-                    ("next_epoch", serde_json::Value::UInt(table.next_epoch)),
-                ],
-            );
         }
         Ok((
             Coordinator::from_table(params, config, table, Some(durability)),
@@ -341,20 +326,6 @@ impl Coordinator {
         self.timeout_ms().div_ceil(1000).clamp(1, 5)
     }
 
-    fn count_reroute(&self, reason: RerouteReason, state: State, worker: &str) {
-        sift_obs::counter("sift_cluster_reroute_total", &[("reason", reason.label())]).inc();
-        sift_obs::event(
-            sift_obs::Level::Warn,
-            "cluster.coord",
-            "shard rerouted",
-            &[
-                ("reason", serde_json::Value::Str(reason.label().into())),
-                ("state", serde_json::Value::Str(state.abbrev().into())),
-                ("worker", serde_json::Value::Str(worker.into())),
-            ],
-        );
-    }
-
     /// Expires stale leases: holders past their heartbeat deadline are
     /// declared dead and their shards rerouted (or failed once the
     /// attempt budget is spent). Called from every protocol handler and
@@ -371,7 +342,7 @@ impl Coordinator {
             if failed {
                 sift_obs::counter("sift_cluster_shards_failed_total", &[]).inc();
             }
-            self.count_reroute(RerouteReason::HeartbeatMissed, state, &lease.worker);
+            count_reroute(RerouteReason::HeartbeatMissed);
             s.record(CoordRecord::Expired {
                 state,
                 worker: lease.worker,
@@ -483,7 +454,7 @@ impl Coordinator {
         });
         if released {
             s.leases[idx] = None;
-            self.count_reroute(RerouteReason::WorkerLeft, req.state, &req.worker);
+            count_reroute(RerouteReason::WorkerLeft);
         }
         HeartbeatReply { keep: false }
     }
@@ -573,15 +544,6 @@ impl Coordinator {
             if let Some(outcomes) = self.poll_at(self.now_ms(), deadline_ms)? {
                 let mut result = assemble_study(&self.params, outcomes, false);
                 result.stats.telemetry = sift_obs::TelemetrySnapshot::since(&self.baseline);
-                sift_obs::event(
-                    sift_obs::Level::Info,
-                    "cluster.coord",
-                    "sharded study assembled",
-                    &[(
-                        "frames_requested",
-                        serde_json::Value::UInt(result.stats.frames_requested),
-                    )],
-                );
                 return Ok(result);
             }
             std::thread::sleep(Duration::from_millis(self.config.poll_ms.clamp(1, 100)));
@@ -845,6 +807,12 @@ mod tests {
 
     #[test]
     fn missed_heartbeats_reroute_to_survivors_with_fencing() {
+        // Process-global: compare deltas, other tests reroute too.
+        let reroutes = || {
+            let reason = RerouteReason::HeartbeatMissed.label();
+            sift_obs::counter("sift_cluster_reroute_total", &[("reason", reason)]).get()
+        };
+        let reroutes_before = reroutes();
         let c = Coordinator::new(params(vec![State::CA]), config());
         c.join(&JoinRequest {
             worker: "w0".into(),
@@ -861,6 +829,7 @@ mod tests {
         // ...until the holder goes silent past the timeout.
         let status = c.status_at(81);
         assert_eq!(status.rerouted, 1, "{status:?}");
+        assert!(reroutes() > reroutes_before);
         assert_eq!(status.dead, vec![holder.to_string()]);
         // The survivor takes the shard over.
         let rejob = job_at(&c, 81, other);
@@ -980,8 +949,11 @@ mod tests {
             (0..2).map(|_| job_at(&c, 0, "w0").epoch).collect()
             // `c` dropped here with leases in flight — the crash.
         };
+        let recoveries = || sift_obs::counter("sift_cluster_coord_recoveries_total", &[]).get();
+        let recoveries_before = recoveries();
         let (c, rec) = Coordinator::durable(p, config(), &dir).expect("recovered durable");
         assert!(rec.had_state);
+        assert!(recoveries() > recoveries_before);
         let status = c.status_at(0);
         assert_eq!(status.recoveries, 1);
         assert!(

@@ -24,11 +24,6 @@ use std::time::{Duration, Instant};
 /// Worker tuning.
 #[derive(Clone, Debug, Default)]
 pub struct WorkerConfig {
-    /// Override for the heartbeat cadence while a shard is leased. When
-    /// `None` the cadence advertised by the coordinator at join is used,
-    /// so both sides derive beat rate and death threshold from the same
-    /// configured interval.
-    pub heartbeat_every: Option<Duration>,
     /// How long the worker keeps retrying (with full-jitter backoff)
     /// when the coordinator is unreachable before giving up — sized to
     /// span a coordinator crash-and-restart. Defaults to 5 s.
@@ -133,17 +128,12 @@ fn run_worker(
         },
     );
     let joined = join.ok();
-    // Heartbeat cadence: explicit override first, then the cadence the
-    // coordinator advertised at join (derived from the same interval its
-    // death threshold is), then a conservative default.
-    let heartbeat_every = config
-        .heartbeat_every
-        .or_else(|| {
-            joined
-                .as_ref()
-                .map(|j| Duration::from_millis(j.heartbeat_ms.max(1)))
-        })
-        .unwrap_or(Duration::from_millis(100));
+    // Heartbeat cadence: the one the coordinator advertised at join
+    // (derived from the same interval its death threshold is), else a
+    // conservative default.
+    let heartbeat_every = joined.as_ref().map_or(Duration::from_millis(100), |j| {
+        Duration::from_millis(j.heartbeat_ms.max(1))
+    });
     let trace = joined
         .and_then(|j| j.trace)
         .and_then(|h| sift_obs::SpanContext::from_header(&h));
@@ -172,7 +162,7 @@ fn run_worker(
         }
         let (reply, retry_after) = match lease_once(&coord, id) {
             Ok(ok) => ok,
-            Err(e) => {
+            Err(_) => {
                 // Coordinator unreachable — quite possibly restarting.
                 // Back off with full jitter instead of hammering it the
                 // moment it comes back, and only give up once the grace
@@ -182,12 +172,6 @@ fn run_worker(
                     None => (Instant::now(), 1),
                 };
                 if since.elapsed() > coord_down_grace {
-                    sift_obs::event(
-                        sift_obs::Level::Warn,
-                        "cluster.worker",
-                        "coordinator unreachable past grace window; worker exiting",
-                        &[("error", serde_json::Value::Str(e.to_string()))],
-                    );
                     break;
                 }
                 outage = Some((since, attempt));
@@ -369,19 +353,7 @@ fn run_shard(
             matches!(reply, Ok(ResultReply { accepted: true }))
         }
         Ok(_) => false,
-        Err(e) => {
-            sift_obs::event(
-                sift_obs::Level::Warn,
-                "cluster.worker",
-                "shard crawl failed; releasing lease",
-                &[
-                    (
-                        "state",
-                        serde_json::Value::Str(job.state.abbrev().to_string()),
-                    ),
-                    ("error", serde_json::Value::Str(e.to_string())),
-                ],
-            );
+        Err(_) => {
             // Hand the shard back so another attempt can start now
             // rather than after the heartbeat timeout.
             #[expect(clippy::let_underscore_must_use, reason = "expiry reroutes it anyway")]

@@ -65,7 +65,8 @@ impl StudyDurability {
 
     /// Opens (recovering) the journal of one region of the study that
     /// tracks `term` over the frame plan `frames`. Fails with
-    /// `InvalidData` when the directory holds another study's journal.
+    /// `InvalidData` when the directory holds another study's journal, or
+    /// a whole record that does not decode.
     pub fn region(
         &self,
         term: &SearchTerm,
@@ -166,10 +167,7 @@ impl RegionJournal {
             }
         }
         for payload in records {
-            let parsed = std::str::from_utf8(payload)
-                .ok()
-                .and_then(|json| serde_json::from_str::<RegionRecord>(json).ok());
-            match parsed {
+            match serde_json::from_slice::<RegionRecord>(payload).ok() {
                 Some(RegionRecord::Frame { round, idx, resp }) => {
                     region.frames.insert((round, idx), resp);
                 }
@@ -179,13 +177,16 @@ impl RegionJournal {
                 Some(RegionRecord::Rising { start, len, resp }) => {
                     region.rising.insert((start, len), resp);
                 }
+                // Its CRC checks, so it is no torn write: it comes from
+                // another format or program, like a foreign study record.
                 Some(RegionRecord::Study { .. }) | None => {
-                    sift_obs::event(
-                        sift_obs::Level::Warn,
-                        "core.durable",
-                        "journal record with valid CRC is not a response or round boundary; skipped",
-                        &[],
-                    );
+                    return Err(io::Error::new(
+                        io::ErrorKind::InvalidData,
+                        format!(
+                            "{} holds a record that is not a response or round boundary",
+                            region.journal.path().display()
+                        ),
+                    ));
                 }
             }
         }
@@ -422,5 +423,22 @@ mod tests {
         assert!(durability.region(&other_term, State::TX, &plan(0)).is_err());
         // The study the journal belongs to still opens, data intact.
         assert!(open(&durability).replayed_frame(0, 0).is_some());
+    }
+
+    #[test]
+    fn undecodable_record_is_refused_not_skipped() {
+        let dir = scratch_dir("region_undecodable");
+        let durability = StudyDurability::new(&dir);
+        open(&durability)
+            .record_frame(0, 0, &frame(0, vec![1]))
+            .expect("record");
+        let (mut wal, _) = Journal::open(&dir.join("TX").join("region.wal")).expect("wal");
+        wal.append(b"not a region record").expect("append");
+        drop(wal);
+        let err = durability
+            .region(&term(), State::TX, &plan(0))
+            .err()
+            .expect("a whole record that does not decode is refused");
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
     }
 }

@@ -250,15 +250,6 @@ fn averaged_timeline_impl(
         if round > 0 && !round_recovered && !client.healthy() {
             halted = true;
             sift_obs::counter("sift_refetch_halted_total", &[("state", &state_label)]).inc();
-            sift_obs::event(
-                sift_obs::Level::Warn,
-                "core.refetch",
-                "refetch halted: client unhealthy (breaker open)",
-                &[
-                    ("state", serde_json::Value::Str(state_label.clone())),
-                    ("rounds_run", serde_json::Value::UInt(u64::from(rounds))),
-                ],
-            );
             break;
         }
         rounds = round + 1;
@@ -315,17 +306,6 @@ fn averaged_timeline_impl(
                                 &[("state", &state_label)],
                             )
                             .inc();
-                            sift_obs::event(
-                                sift_obs::Level::Warn,
-                                "core.refetch",
-                                "frame fetch failed; reusing previous round's sample",
-                                &[
-                                    ("state", serde_json::Value::Str(state_label.clone())),
-                                    ("frame_start", serde_json::Value::Int(frames[i].start.0)),
-                                    ("round", serde_json::Value::UInt(u64::from(rounds))),
-                                    ("error", serde_json::Value::Str(e.to_string())),
-                                ],
-                            );
                             // Journal the degraded slot too: replay must
                             // reproduce the run exactly, including the slots
                             // that fell back to the previous round's sample.
@@ -592,8 +572,14 @@ mod tests {
         }
     }
 
+    /// `name{state="TX"}`: process-global, so tests compare deltas.
+    fn tx_counter(name: &str) -> u64 {
+        sift_obs::counter(name, &[("state", &State::TX.to_string())]).get()
+    }
+
     #[test]
     fn fetch_failures_after_round_one_degrade_instead_of_aborting() {
+        let degraded_before = tx_counter("sift_refetch_frames_degraded_total");
         let frames = weekly_frames(900);
         let client = FlakyAfterFirstRound {
             inner: service_with_events(),
@@ -611,6 +597,7 @@ mod tests {
         )
         .expect("degraded averaging still succeeds");
         assert!(outcome.frames_degraded > 0, "{outcome:?}");
+        assert!(tx_counter("sift_refetch_frames_degraded_total") > degraded_before);
         assert!(
             outcome.coverage < 1.0 && outcome.coverage > 0.5,
             "{outcome:?}"
@@ -656,6 +643,7 @@ mod tests {
 
     #[test]
     fn unhealthy_client_halts_after_round_one_keeping_the_result() {
+        let halted_before = tx_counter("sift_refetch_halted_total");
         let frames = weekly_frames(900);
         let client = UnhealthyAfterFirstRound {
             inner: service_with_events(),
@@ -672,6 +660,7 @@ mod tests {
         )
         .expect("halting is not an error");
         assert!(outcome.halted, "{outcome:?}");
+        assert!(tx_counter("sift_refetch_halted_total") > halted_before);
         assert_eq!(outcome.rounds, 1, "only round one may run");
         assert!(!outcome.converged);
         // Round one's estimate survives the halt.

@@ -402,31 +402,6 @@ pub fn assemble_study(
         )
     };
 
-    sift_obs::event(
-        sift_obs::Level::Info,
-        "core.study",
-        "study complete",
-        &[
-            (
-                "frames_requested",
-                serde_json::Value::UInt(stats.frames_requested),
-            ),
-            (
-                "rising_requested",
-                serde_json::Value::UInt(stats.rising_requested),
-            ),
-            (
-                "converged_regions",
-                serde_json::Value::UInt(stats.converged_regions as u64),
-            ),
-            (
-                "frames_degraded",
-                serde_json::Value::UInt(stats.frames_degraded),
-            ),
-            ("spikes", serde_json::Value::UInt(spikes.len() as u64)),
-        ],
-    );
-
     StudyResult {
         spikes,
         timelines,

@@ -400,15 +400,6 @@ impl CollectionRun {
                         outstanding -= 1;
                         sift_obs::counter("sift_fetcher_shed_total", &[("reason", cause.label())])
                             .inc();
-                        sift_obs::event(
-                            sift_obs::Level::Warn,
-                            "fetcher.queue",
-                            "item shed by overload control",
-                            &[
-                                ("reason", serde_json::Value::Str(cause.label().to_owned())),
-                                ("priority", serde_json::Value::Int(i64::from(priority))),
-                            ],
-                        );
                         report.shed_items.push(ShedWork {
                             item,
                             priority,
@@ -468,16 +459,6 @@ impl CollectionRun {
                                 &[("unit", &unit_identity)],
                             )
                             .inc();
-                            sift_obs::event(
-                                sift_obs::Level::Warn,
-                                "fetcher.queue",
-                                "item failed permanently",
-                                &[
-                                    ("unit", serde_json::Value::Str(unit_identity.clone())),
-                                    ("attempts", serde_json::Value::UInt(u64::from(attempts))),
-                                    ("error", serde_json::Value::Str(error.clone())),
-                                ],
-                            );
                             report.failed_items.push(FailedWork {
                                 item,
                                 attempts,

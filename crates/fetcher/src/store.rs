@@ -143,19 +143,6 @@ impl ResponseStore {
                         report.conflicts += 1;
                         sift_obs::counter("sift_store_merge_conflicts_total", &[("kind", "frame")])
                             .inc();
-                        sift_obs::event(
-                            sift_obs::Level::Debug,
-                            "fetcher.store",
-                            "merge overwrote a frame with different data",
-                            &[
-                                (
-                                    "state",
-                                    serde_json::Value::Str(key.state.abbrev().to_owned()),
-                                ),
-                                ("start", serde_json::Value::Int(key.start.0)),
-                                ("tag", serde_json::Value::UInt(key.tag)),
-                            ],
-                        );
                     }
                 }
             }
@@ -171,19 +158,6 @@ impl ResponseStore {
                             &[("kind", "rising")],
                         )
                         .inc();
-                        sift_obs::event(
-                            sift_obs::Level::Debug,
-                            "fetcher.store",
-                            "merge overwrote a rising response with different data",
-                            &[
-                                (
-                                    "state",
-                                    serde_json::Value::Str(key.state.abbrev().to_owned()),
-                                ),
-                                ("start", serde_json::Value::Int(key.start.0)),
-                                ("len", serde_json::Value::UInt(u64::from(key.len))),
-                            ],
-                        );
                     }
                 }
             }

@@ -43,7 +43,7 @@ pub fn read_checkpoint(path: &Path) -> io::Result<Option<Vec<u8>>> {
         Err(e) => return Err(e),
     };
     if bytes.len() < MAGIC.len() || &bytes[..MAGIC.len()] != MAGIC {
-        report_corrupt(path, "bad magic");
+        report_corrupt();
         return Ok(None);
     }
     match record::decode(&bytes, MAGIC.len()) {
@@ -52,11 +52,11 @@ pub fn read_checkpoint(path: &Path) -> io::Result<Option<Vec<u8>>> {
             Ok(Some(payload.to_vec()))
         }
         Decoded::Record { .. } => {
-            report_corrupt(path, "trailing bytes");
+            report_corrupt();
             Ok(None)
         }
         Decoded::Invalid | Decoded::End => {
-            report_corrupt(path, "bad frame");
+            report_corrupt();
             Ok(None)
         }
     }
@@ -77,17 +77,8 @@ fn record_age(path: &Path) {
         .set(i64::try_from(age).unwrap_or(i64::MAX));
 }
 
-fn report_corrupt(path: &Path, why: &str) {
+fn report_corrupt() {
     sift_obs::counter("sift_journal_checkpoint_corrupt_total", &[]).inc();
-    sift_obs::event(
-        sift_obs::Level::Warn,
-        "journal.checkpoint",
-        "checkpoint failed validation, treating as absent",
-        &[
-            ("path", serde_json::Value::Str(path.display().to_string())),
-            ("why", serde_json::Value::Str(why.to_owned())),
-        ],
-    );
 }
 
 #[cfg(test)]

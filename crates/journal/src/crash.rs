@@ -192,15 +192,6 @@ impl CrashInjector {
         let occurrence = self.counters[site.index()]
             .load(Ordering::SeqCst)
             .saturating_sub(1);
-        sift_obs::event(
-            sift_obs::Level::Warn,
-            "journal.crash",
-            "injected crash",
-            &[
-                ("site", serde_json::Value::Str(site.label().to_owned())),
-                ("occurrence", serde_json::Value::UInt(occurrence)),
-            ],
-        );
         match self.plan.mode {
             #[expect(clippy::panic, reason = "panic mode unwinds by design")]
             CrashMode::Panic => std::panic::panic_any(CrashPoint { site, occurrence }),

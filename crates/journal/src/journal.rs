@@ -86,24 +86,6 @@ impl Journal {
             file.set_len(u64::try_from(offset).unwrap_or(0))?;
             file.sync_all()?;
             sift_obs::counter("sift_journal_torn_tail_truncated_total", &[]).inc();
-            sift_obs::event(
-                sift_obs::Level::Warn,
-                "journal.recovery",
-                "truncated torn tail",
-                &[
-                    ("path", serde_json::Value::Str(path.display().to_string())),
-                    (
-                        "truncated_bytes",
-                        serde_json::Value::UInt(recovery.truncated_bytes),
-                    ),
-                    (
-                        "records_kept",
-                        serde_json::Value::UInt(
-                            u64::try_from(recovery.records.len()).unwrap_or(u64::MAX),
-                        ),
-                    ),
-                ],
-            );
         }
         sift_obs::counter("sift_journal_records_replayed_total", &[])
             .add(u64::try_from(recovery.records.len()).unwrap_or(0));

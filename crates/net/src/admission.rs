@@ -220,14 +220,7 @@ impl AdmissionController {
     /// Flips the server into drain mode: in-flight requests finish, new
     /// connections and requests are refused with `503 + Retry-After`.
     pub fn begin_drain(&self) {
-        if !self.draining.swap(true, Ordering::SeqCst) {
-            sift_obs::event(
-                sift_obs::Level::Info,
-                "net.admission",
-                "drain started",
-                &[("inflight", serde_json::Value::UInt(self.inflight() as u64))],
-            );
-        }
+        self.draining.store(true, Ordering::SeqCst);
     }
 
     /// Whether the server is draining.

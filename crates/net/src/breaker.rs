@@ -266,16 +266,6 @@ impl CircuitBreaker {
         inner.transitions.push((from, to));
         sift_obs::gauge("sift_client_breaker_state", &[("endpoint", &self.endpoint)])
             .set(to.gauge_value());
-        sift_obs::event(
-            sift_obs::Level::Warn,
-            "net.breaker",
-            "breaker transition",
-            &[
-                ("endpoint", serde_json::Value::Str(self.endpoint.clone())),
-                ("from", serde_json::Value::Str(from.label().to_owned())),
-                ("to", serde_json::Value::Str(to.label().to_owned())),
-            ],
-        );
     }
 }
 

@@ -385,7 +385,7 @@ impl HttpClient {
                     return Verdict::Done(Err(ClientError::Io(e)));
                 }
                 let wait = self.jittered_backoff(req, attempt);
-                note_retry("io", attempt, wait, "transport error, backing off");
+                note_retry("io", wait);
                 return Verdict::Retry(wait);
             }
             Err(other) => return Verdict::Done(Err(other)),
@@ -420,7 +420,7 @@ impl HttpClient {
             Some(hint) => hint.min(self.retry.max_backoff),
             None => self.jittered_backoff(req, attempt),
         };
-        note_retry(&resp.status.0.to_string(), attempt, wait, "backing off");
+        note_retry(&resp.status.0.to_string(), wait);
         Verdict::Retry(wait)
     }
 
@@ -539,24 +539,13 @@ fn backoff_wait(policy: &RetryPolicy, attempt: u32) -> Duration {
     exp.min(policy.max_backoff)
 }
 
-/// Counts and logs one retry decision. The attempt's span has closed by
-/// now, so `retries` lands on the caller's span, whether the attempt went
-/// out alone or pipelined.
-#[expect(clippy::cast_possible_truncation, reason = "wait ms fit u64")]
-fn note_retry(status: &str, attempt: u32, wait: Duration, msg: &str) {
+/// Counts one retry decision. The attempt's span has closed by now, so
+/// `retries` lands on the caller's span, whether the attempt went out
+/// alone or pipelined.
+fn note_retry(status: &str, wait: Duration) {
     sift_obs::attr_add("retries", 1);
     sift_obs::counter("sift_client_retries_total", &[("status", status)]).inc();
     sift_obs::histogram("sift_client_backoff_seconds", &[]).observe_duration(wait);
-    sift_obs::event(
-        sift_obs::Level::Warn,
-        "net.client",
-        msg,
-        &[
-            ("status", serde_json::Value::Str(status.to_owned())),
-            ("attempt", serde_json::Value::UInt(u64::from(attempt))),
-            ("wait_ms", serde_json::Value::UInt(wait.as_millis() as u64)),
-        ],
-    );
 }
 
 /// Reads until one whole response sits at the front of the connection's

@@ -652,15 +652,6 @@ impl NemesisDriver {
                 &[("kind", op.kind().label())],
             )
             .inc();
-            sift_obs::event(
-                sift_obs::Level::Warn,
-                "net.nemesis",
-                "nemesis step fired",
-                &[
-                    ("op", serde_json::Value::Str(op.to_string())),
-                    ("at_ms", serde_json::Value::UInt(step.at_ms)),
-                ],
-            );
             if !self.state.apply(&op) {
                 process.push(op);
             }

@@ -185,23 +185,6 @@ impl RateLimiter {
             buckets.evicted_rejections += evicted_rejections;
             sift_obs::counter("sift_ratelimit_evicted_total", &[])
                 .add(u64::try_from(evicted).unwrap_or(u64::MAX));
-            sift_obs::event(
-                sift_obs::Level::Debug,
-                "net.ratelimit",
-                "evicted stale identities",
-                &[
-                    (
-                        "evicted",
-                        serde_json::Value::UInt(u64::try_from(evicted).unwrap_or(u64::MAX)),
-                    ),
-                    (
-                        "remaining",
-                        serde_json::Value::UInt(
-                            u64::try_from(buckets.map.len()).unwrap_or(u64::MAX),
-                        ),
-                    ),
-                ],
-            );
         }
     }
 }
@@ -318,6 +301,9 @@ mod tests {
 
     #[test]
     fn stale_identities_are_evicted_after_ttl() {
+        // Process-global: compare deltas, other tests evict too.
+        let evicted = || sift_obs::counter("sift_ratelimit_evicted_total", &[]).get();
+        let evicted_before = evicted();
         let l = limiter_with_ttl(2.0, 1.0, 1_000);
         // A scan of many one-shot identities...
         for i in 0..100 {
@@ -327,6 +313,7 @@ mod tests {
         // ...is gone once they have been idle past the TTL.
         l.check("fresh", 10_000);
         assert_eq!(l.tracked_clients(), 1);
+        assert!(evicted() >= evicted_before + 100);
     }
 
     #[test]

@@ -36,6 +36,13 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+/// Idle keep-alive connections are dropped after this long.
+const READ_TIMEOUT: Duration = Duration::from_secs(30);
+/// A reply write that stalls this long fails the connection.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(30);
+/// Idle keep-alive reads wake this often to re-check the shutdown flag.
+const IDLE_POLL: Duration = Duration::from_millis(250);
+
 /// Server configuration and construction.
 pub struct Server {
     router: Arc<Router>,
@@ -43,8 +50,6 @@ pub struct Server {
     faults: Option<Arc<FaultInjector>>,
     nemesis: Option<(Arc<NemesisState>, String)>,
     workers: usize,
-    read_timeout: Duration,
-    write_timeout: Duration,
     admission: AdmissionConfig,
     admission_shared: Option<Arc<AdmissionController>>,
 }
@@ -58,8 +63,6 @@ impl Server {
             faults: None,
             nemesis: None,
             workers: 4,
-            read_timeout: Duration::from_secs(30),
-            write_timeout: Duration::from_secs(30),
             // No bounds unless asked for; the controller still powers
             // graceful drain.
             admission: AdmissionConfig::unlimited(),
@@ -120,20 +123,6 @@ impl Server {
         self
     }
 
-    /// Sets the per-connection read timeout (idle keep-alive connections
-    /// are dropped after this long).
-    pub fn with_read_timeout(mut self, t: Duration) -> Self {
-        self.read_timeout = t;
-        self
-    }
-
-    /// Sets the per-connection write timeout, mirroring
-    /// [`Self::with_read_timeout`] (previously hardcoded to 30 s).
-    pub fn with_write_timeout(mut self, t: Duration) -> Self {
-        self.write_timeout = t;
-        self
-    }
-
     /// Binds and starts serving. `addr` is typically `127.0.0.1:0` (pick a
     /// free port; read it back from [`ServerHandle::addr`]).
     pub fn bind(self, addr: &str) -> std::io::Result<ServerHandle> {
@@ -156,8 +145,6 @@ impl Server {
                 faults: self.faults.clone(),
                 nemesis: self.nemesis.clone(),
                 admission: Arc::clone(&admission),
-                read_timeout: self.read_timeout,
-                write_timeout: self.write_timeout,
                 epoch: started,
                 shutdown: Arc::clone(&shutdown),
             };
@@ -184,7 +171,6 @@ impl Server {
             listener.set_nonblocking(true)?;
             let shutdown = Arc::clone(&shutdown);
             let admission = Arc::clone(&admission);
-            let write_timeout = self.write_timeout;
             threads.push(
                 std::thread::Builder::new()
                     .name("sift-net-acceptor".into())
@@ -210,7 +196,7 @@ impl Server {
                                         // goes out before any request byte
                                         // is read, let alone parsed.
                                         Err(reason) => {
-                                            shed_at_accept(s, &admission, reason, write_timeout);
+                                            shed_at_accept(s, &admission, reason);
                                         }
                                     }
                                 }
@@ -294,12 +280,6 @@ impl ServerHandle {
             std::thread::sleep(Duration::from_millis(2));
         }
         let drained = self.admission.inflight() == 0;
-        sift_obs::event(
-            sift_obs::Level::Info,
-            "net.server",
-            "drain finished",
-            &[("drained", serde_json::Value::Str(drained.to_string()))],
-        );
         self.shutdown_inner();
         drained
     }
@@ -330,8 +310,6 @@ struct ConnContext {
     faults: Option<Arc<FaultInjector>>,
     nemesis: Option<(Arc<NemesisState>, String)>,
     admission: Arc<AdmissionController>,
-    read_timeout: Duration,
-    write_timeout: Duration,
     epoch: Instant,
     shutdown: Arc<AtomicBool>,
 }
@@ -347,15 +325,10 @@ struct ConnContext {
 /// (bounded by a short timeout) delivers the response reliably.
 /// Best-effort throughout: a client that vanished mid-shed loses nothing.
 #[expect(clippy::let_underscore_must_use, reason = "best-effort shed")]
-fn shed_at_accept(
-    mut stream: TcpStream,
-    admission: &AdmissionController,
-    reason: ShedReason,
-    write_timeout: Duration,
-) {
+fn shed_at_accept(mut stream: TcpStream, admission: &AdmissionController, reason: ShedReason) {
     let wire = serialize_response(&admission.shed_response(reason));
     let lingering_close = move || {
-        let _ = stream.set_write_timeout(Some(write_timeout));
+        let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
         if stream.write_all(&wire).is_err() {
             return;
         }
@@ -407,17 +380,16 @@ fn flush(stream: &mut TcpStream, out: &mut Vec<u8>) -> std::io::Result<()> {
 
 fn serve_connection(mut stream: TcpStream, ctx: &ConnContext) -> std::io::Result<()> {
     // Short socket timeout so idle keep-alive reads re-check the shutdown
-    // flag frequently; the configured `read_timeout` bounds total idleness.
-    let poll = Duration::from_millis(250).min(ctx.read_timeout);
-    stream.set_read_timeout(Some(poll))?;
-    stream.set_write_timeout(Some(ctx.write_timeout))?;
+    // flag frequently; `READ_TIMEOUT` bounds total idleness.
+    stream.set_read_timeout(Some(IDLE_POLL))?;
+    stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
     stream.set_nodelay(true)?;
     let peer = stream.peer_addr()?;
     let _active = sift_obs::gauge("sift_http_active_connections", &[]).track();
 
     // However the connection ends, the replies already produced are owed.
     let mut out = Vec::new();
-    let served = serve_requests(&mut stream, &peer, poll, ctx, &mut out);
+    let served = serve_requests(&mut stream, &peer, ctx, &mut out);
     let flushed = flush(&mut stream, &mut out);
     served.and(flushed)
 }
@@ -427,7 +399,6 @@ fn serve_connection(mut stream: TcpStream, ctx: &ConnContext) -> std::io::Result
 fn serve_requests(
     stream: &mut TcpStream,
     peer: &SocketAddr,
-    poll: Duration,
     ctx: &ConnContext,
     out: &mut Vec<u8>,
 ) -> std::io::Result<()> {
@@ -465,8 +436,8 @@ fn serve_requests(
                             if ctx.admission.is_draining() && buf.is_empty() {
                                 return Ok(());
                             }
-                            idle += poll;
-                            if idle >= ctx.read_timeout {
+                            idle += IDLE_POLL;
+                            if idle >= READ_TIMEOUT {
                                 return Ok(()); // idle keep-alive expired
                             }
                         }
@@ -503,16 +474,6 @@ fn serve_requests(
                     &[("kind", kind.label())],
                 )
                 .inc();
-                sift_obs::event(
-                    sift_obs::Level::Warn,
-                    "net.nemesis",
-                    "link fault hit",
-                    &[
-                        ("kind", serde_json::Value::Str(kind.label().to_owned())),
-                        ("from", serde_json::Value::Str(from)),
-                        ("route", serde_json::Value::Str(route.clone())),
-                    ],
-                );
                 match action {
                     LinkAction::DropRequest => return Ok(()),
                     LinkAction::Delay(d) => {
@@ -561,18 +522,9 @@ fn serve_requests(
 
         if let Some(kind) = injected {
             sift_obs::counter("sift_net_faults_injected_total", &[("kind", kind.label())]).inc();
-            sift_obs::event(
-                sift_obs::Level::Warn,
-                "net.fault",
-                "injecting fault",
-                &[
-                    ("kind", serde_json::Value::Str(kind.label().to_owned())),
-                    ("route", serde_json::Value::Str(route.clone())),
-                ],
-            );
         }
         let resp = match injected {
-            None => dispatch_with_limiter(ctx, &req, &route, peer),
+            None => dispatch_with_limiter(ctx, &req, peer),
             // Close without writing a byte: the client sees the connection
             // reset mid-exchange.
             Some(FaultKind::Reset) => return Ok(()),
@@ -600,7 +552,7 @@ fn serve_requests(
                         .map(FaultInjector::stall)
                         .unwrap_or_default(),
                 );
-                dispatch_with_limiter(ctx, &req, &route, peer)
+                dispatch_with_limiter(ctx, &req, peer)
             }
             Some(FaultKind::InternalError) => {
                 Response::text(StatusCode::INTERNAL_SERVER_ERROR, "injected fault")
@@ -641,12 +593,7 @@ fn serve_requests(
 }
 
 /// Runs the request through the rate limiter (if any) and the router.
-fn dispatch_with_limiter(
-    ctx: &ConnContext,
-    req: &Request,
-    route: &str,
-    peer: &SocketAddr,
-) -> Response {
+fn dispatch_with_limiter(ctx: &ConnContext, req: &Request, peer: &SocketAddr) -> Response {
     let Some(limiter) = ctx.limiter.as_deref() else {
         return dispatch_protected(&ctx.router, req);
     };
@@ -657,21 +604,8 @@ fn dispatch_with_limiter(
         RateLimitDecision::Allowed => dispatch_protected(&ctx.router, req),
         RateLimitDecision::Limited { retry_after_secs } => {
             // The rejection path is already the slow path; a metric
-            // update and an event here cost nothing that matters.
+            // update here costs nothing that matters.
             sift_obs::counter("sift_ratelimit_rejected_total", &[("identity", &identity)]).inc();
-            sift_obs::event(
-                sift_obs::Level::Warn,
-                "net.server",
-                "rate limited",
-                &[
-                    ("identity", serde_json::Value::Str(identity.clone())),
-                    ("route", serde_json::Value::Str(route.to_owned())),
-                    (
-                        "retry_after_secs",
-                        serde_json::Value::UInt(retry_after_secs),
-                    ),
-                ],
-            );
             let mut resp = Response::text(StatusCode::TOO_MANY_REQUESTS, "rate limited");
             resp.headers
                 .set("retry-after", retry_after_secs.to_string());
@@ -852,18 +786,6 @@ mod tests {
         let mut buf = [0u8; 1024];
         let n = s.read(&mut buf).expect("read");
         let text = String::from_utf8_lossy(&buf[..n]);
-        assert!(text.starts_with("HTTP/1.1 200"), "{text}");
-        h.shutdown();
-    }
-
-    #[test]
-    fn write_timeout_is_configurable() {
-        let h = Server::new(test_router())
-            .with_write_timeout(Duration::from_secs(2))
-            .with_read_timeout(Duration::from_secs(2))
-            .bind("127.0.0.1:0")
-            .expect("bind");
-        let text = raw_roundtrip(h.addr(), b"GET /ping HTTP/1.1\r\nconnection: close\r\n\r\n");
         assert!(text.starts_with("HTTP/1.1 200"), "{text}");
         h.shutdown();
     }

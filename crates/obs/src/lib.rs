@@ -1,4 +1,4 @@
-//! Observability substrate: metrics, span timers and structured events.
+//! Observability substrate: metrics and span timers.
 //!
 //! SIFT's pipeline spans a live HTTP service, a rate-limited fetcher fleet
 //! and a multi-round detection study; understanding where a run spends its
@@ -21,34 +21,31 @@
 //!   trace-event JSON exporter ([`trace::chrome_trace_json`],
 //!   Perfetto-loadable) and a critical-path analyzer
 //!   ([`trace::critical_path`]).
-//! * [`event`] — a leveled, structured JSON-lines [`EventLog`] (a bounded
-//!   ring buffer).
 //! * [`telemetry`] — serializable per-stage timing summaries
 //!   ([`TelemetrySnapshot`]) built by diffing span histograms, embedded in
 //!   study results and printed as tables by the bench binaries.
 //!
 //! The usual entry points are the crate-level helpers: [`counter`],
 //! [`gauge`], [`histogram`] (global registry, thread-locally cached
-//! handles), [`span`], [`span_in`], [`attr_add`] and [`event`].
+//! handles), [`span`], [`span_in`] and [`attr_add`]. There is no log:
+//! a diagnostic is a counter, a gauge or a span attribute, readable at
+//! `GET /metrics` and in exported traces.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod event;
 pub mod metrics;
 pub mod registry;
 pub mod span;
 pub mod telemetry;
 pub mod trace;
 
-pub use event::{EventLog, Level};
 pub use metrics::{Counter, Gauge, GaugeGuard, Histogram, HistogramSpec, HistogramState};
 pub use registry::{MetricKey, Registry};
-pub use span::{attr_add, attr_set, current_path, Span, SpanContext, SPAN_METRIC};
+pub use span::{attr_add, attr_set, Span, SpanContext, SPAN_METRIC};
 pub use telemetry::{SpanBaseline, StageTiming, TelemetrySnapshot};
 pub use trace::{chrome_trace_json, critical_path, CriticalPath, SpanRecord, Trace};
 
-use serde_json::Value;
 use std::cell::RefCell;
 use std::collections::HashMap;
 use std::sync::OnceLock;
@@ -57,12 +54,6 @@ use std::sync::OnceLock;
 pub fn global() -> &'static Registry {
     static GLOBAL: OnceLock<Registry> = OnceLock::new();
     GLOBAL.get_or_init(Registry::new)
-}
-
-/// The process-wide event log.
-pub fn events() -> &'static EventLog {
-    static EVENTS: OnceLock<EventLog> = OnceLock::new();
-    EVENTS.get_or_init(EventLog::new)
 }
 
 // Per-thread handle cache: long-lived worker threads hit the registry
@@ -139,11 +130,6 @@ pub fn span_root(name: &str) -> Span {
     Span::open(name, None)
 }
 
-/// Emits one structured event to the global log.
-pub fn event(level: Level, target: &str, msg: &str, fields: &[(&str, Value)]) {
-    events().emit(level, target, msg, fields);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -168,13 +154,5 @@ mod tests {
             }
         });
         assert_eq!(counter("lib_thread_total", &[]).get(), n * 1000);
-    }
-
-    #[test]
-    fn event_helper_reaches_global_log() {
-        events().set_min_level(Level::Debug);
-        event(Level::Info, "obs.test", "hello", &[("x", Value::Int(1))]);
-        let lines = events().drain();
-        assert!(lines.iter().any(|l| l.contains("obs.test")), "{lines:?}");
     }
 }

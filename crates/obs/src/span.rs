@@ -2,8 +2,8 @@
 //!
 //! A span measures one stage of work *and* places it in a causal trace
 //! tree: every span carries a trace id, its own span id and its parent's
-//! id. Entering pushes the span onto a thread-local stack (so events,
-//! nested spans and attributed counters know their context); dropping
+//! id. Entering pushes the span onto a thread-local stack (so nested
+//! spans and attributed counters know their context); dropping
 //! the guard records the elapsed time into the global histogram
 //! `sift_span_seconds{span="<name>"}` and deposits a
 //! [`crate::trace::SpanRecord`] into the trace store.
@@ -74,7 +74,6 @@ impl SpanContext {
 }
 
 struct Frame {
-    name: String,
     trace_id: u64,
     span_id: u64,
     args: Vec<(&'static str, u64)>,
@@ -128,7 +127,6 @@ impl Span {
         trace::span_opened(trace_id);
         STACK.with(|s| {
             s.borrow_mut().push(Frame {
-                name: name.to_owned(),
                 trace_id,
                 span_id,
                 args: Vec::new(),
@@ -207,18 +205,6 @@ impl Drop for Span {
     }
 }
 
-/// The `/`-joined path of spans currently open on this thread (empty
-/// string outside any span).
-pub fn current_path() -> String {
-    STACK.with(|s| {
-        s.borrow()
-            .iter()
-            .map(|f| f.name.as_str())
-            .collect::<Vec<_>>()
-            .join("/")
-    })
-}
-
 /// Adds `n` to the counter `key` on this thread's innermost open span
 /// (no-op outside any span). Keys are static, low-cardinality names —
 /// `"bytes"`, `"frames_stitched"`, `"retries"` — surfaced in the
@@ -258,15 +244,16 @@ mod tests {
             .map(|(_, s)| s.count)
             .unwrap_or(0);
         {
-            let _outer = crate::span("outer-test");
-            assert_eq!(current_path(), "outer-test");
+            let outer = crate::span("outer-test");
+            assert_eq!(SpanContext::current(), Some(outer.context()));
             {
-                let _inner = crate::span("inner-test");
-                assert_eq!(current_path(), "outer-test/inner-test");
+                let inner = crate::span("inner-test");
+                assert_eq!(SpanContext::current(), Some(inner.context()));
+                assert_eq!(inner.parent_id, Some(outer.context().span_id));
             }
-            assert_eq!(current_path(), "outer-test");
+            assert_eq!(SpanContext::current(), Some(outer.context()));
         }
-        assert_eq!(current_path(), "");
+        assert_eq!(SpanContext::current(), None);
         let after = crate::global()
             .histogram_states(SPAN_METRIC)
             .into_iter()
@@ -311,7 +298,8 @@ mod tests {
             s.spawn(move || {
                 let worker = crate::span_in(ctx, "handoff-worker-test");
                 assert_eq!(worker.context().trace_id, ctx.trace_id);
-                assert_eq!(current_path(), "handoff-worker-test");
+                assert_eq!(worker.parent_id, Some(ctx.span_id));
+                assert_eq!(SpanContext::current(), Some(worker.context()));
             });
         });
         drop(root);

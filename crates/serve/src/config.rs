@@ -7,6 +7,14 @@ use sift_simtime::HourRange;
 use sift_trends::SearchTerm;
 use std::time::Duration;
 
+/// Reads degrade (`MissingFrames`) when the region's watermark trails
+/// the fetchable present by more than this many hours, and
+/// (`DetectorLagging`) when the detector's open segment grows past it.
+pub(crate) const LAG_BUDGET_HOURS: i64 = 14 * 24;
+
+/// Host-time sleep between ingest polls of the simulated clock.
+pub(crate) const POLL_INTERVAL: Duration = Duration::from_millis(2);
+
 /// Everything the daemon needs to run: what to ingest, how to detect,
 /// how durable to be, and how to behave under load.
 #[derive(Clone, Debug)]
@@ -28,11 +36,6 @@ pub struct ServeConfig {
     /// WAL records between checkpoints: a crash replays at most this
     /// many frames per region.
     pub checkpoint_every: u64,
-    /// Reads degrade (`MissingFrames`) when the region's watermark
-    /// trails the fetchable present by more than this many hours, and
-    /// (`DetectorLagging`) when the detector's open segment grows past
-    /// it.
-    pub lag_budget_hours: i64,
     /// Reads degrade (`WalBacklog`) when the un-checkpointed WAL tail
     /// exceeds this many records (checkpoints are failing).
     pub max_wal_backlog: u64,
@@ -45,8 +48,6 @@ pub struct ServeConfig {
     /// slot but still occupy a worker, so size this above the expected
     /// subscriber count.
     pub workers: usize,
-    /// Host-time sleep between ingest polls of the simulated clock.
-    pub poll_interval: Duration,
 }
 
 impl ServeConfig {
@@ -59,12 +60,10 @@ impl ServeConfig {
             plan: PlanParams::default(),
             detect: DetectParams::default(),
             checkpoint_every: 4,
-            lag_budget_hours: 14 * 24,
             max_wal_backlog: 16,
             long_poll_max: Duration::from_secs(10),
             admission: AdmissionConfig::default(),
             workers: 8,
-            poll_interval: Duration::from_millis(2),
         }
     }
 }

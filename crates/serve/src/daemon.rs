@@ -19,7 +19,7 @@
 //! `X-Sift-Degraded` header naming the [`DegradeReason`] — the read
 //! still serves last-good data.
 
-use crate::config::ServeConfig;
+use crate::config::{ServeConfig, LAG_BUDGET_HOURS, POLL_INTERVAL};
 use crate::degrade::DegradeReason;
 use crate::region::RegionCore;
 use parking_lot::Mutex;
@@ -132,7 +132,7 @@ impl Shared {
         let degraded = core.degrade(
             self.fetchable_until(),
             self.client.healthy(),
-            self.cfg.lag_budget_hours,
+            LAG_BUDGET_HOURS,
             self.cfg.max_wal_backlog,
         );
         let spikes: Vec<Spike> = match since {
@@ -161,7 +161,7 @@ impl Shared {
             let degraded = core.degrade(
                 self.fetchable_until(),
                 self.client.healthy(),
-                self.cfg.lag_budget_hours,
+                LAG_BUDGET_HOURS,
                 self.cfg.max_wal_backlog,
             );
             regions.push(RegionStatus {
@@ -359,7 +359,7 @@ impl Daemon {
             if self.ingest_dead() || started.elapsed() >= timeout {
                 return false;
             }
-            std::thread::sleep(self.shared.cfg.poll_interval);
+            std::thread::sleep(POLL_INTERVAL);
         }
     }
 
@@ -407,16 +407,12 @@ fn ingest_loop(shared: &Shared) {
         }
         match catch_unwind(AssertUnwindSafe(|| ingest_tick(shared))) {
             Ok(true) => {}
-            Ok(false) => std::thread::sleep(shared.cfg.poll_interval),
+            Ok(false) => std::thread::sleep(POLL_INTERVAL),
             Err(_) => {
-                shared.ingest_dead.store(true, Ordering::SeqCst);
+                // Counted before it is published: whoever sees the flag
+                // sees the count.
                 sift_obs::counter("sift_serve_ingest_deaths_total", &[]).inc();
-                sift_obs::event(
-                    sift_obs::Level::Error,
-                    "serve.ingest",
-                    "ingest thread died; serving last-good data",
-                    &[],
-                );
+                shared.ingest_dead.store(true, Ordering::SeqCst);
                 break;
             }
         }
@@ -470,30 +466,16 @@ fn ingest_tick(shared: &Shared) -> bool {
                                 rt.cv.notify_all();
                             }
                         }
-                        Err(e) => {
-                            sift_obs::event(
-                                sift_obs::Level::Warn,
-                                "serve.ingest",
-                                "frame ingest failed; will retry",
-                                &[("error", serde_json::Value::Str(e.to_string()))],
-                            );
-                            break;
-                        }
+                        Err(_) => break,
                     }
                 }
-                Err(e) => {
+                Err(_) => {
                     rt.core.lock().fetch_failing = true;
                     sift_obs::counter(
                         "sift_serve_fetch_errors_total",
                         &[("region", rt.state.abbrev())],
                     )
                     .inc();
-                    sift_obs::event(
-                        sift_obs::Level::Warn,
-                        "serve.ingest",
-                        "frame fetch failed; will retry",
-                        &[("error", serde_json::Value::Str(e.to_string()))],
-                    );
                     break;
                 }
             }

@@ -81,7 +81,7 @@ impl RegionCore {
     /// live apply path. A checkpoint taken for another region or another
     /// origin hour is `InvalidData`: restoring it would serve that
     /// series' spikes under this region's name until the first ingest
-    /// failed.
+    /// failed. So is a whole WAL record that does not decode.
     pub fn open(
         dir: &Path,
         state: State,
@@ -152,29 +152,25 @@ impl RegionCore {
         // between checkpoint install and journal truncation) are skipped
         // by index.
         for payload in &recovery.records {
-            let parsed = std::str::from_utf8(payload)
-                .ok()
-                .and_then(|json| serde_json::from_str::<ServeRecord>(json).ok());
-            match parsed {
-                Some(rec) => {
-                    let idx = usize::try_from(rec.idx).unwrap_or(usize::MAX);
-                    if idx != core.next_frame {
-                        continue; // already in the checkpoint
-                    }
-                    core.wal_tail += 1;
-                    core.replayed += 1;
-                    if let Err(e) = core.apply(&rec.resp) {
-                        return Err(io::Error::new(io::ErrorKind::InvalidData, e));
-                    }
-                }
-                None => {
-                    sift_obs::event(
-                        sift_obs::Level::Warn,
-                        "serve.region",
-                        "WAL record with valid CRC failed to decode; skipped",
-                        &[],
-                    );
-                }
+            // Its CRC checks, so an undecodable record is no torn write:
+            // it comes from another format or program.
+            let rec = serde_json::from_slice::<ServeRecord>(payload).map_err(|e| {
+                io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!(
+                        "{} holds an undecodable record: {e}",
+                        core.journal.path().display()
+                    ),
+                )
+            })?;
+            let idx = usize::try_from(rec.idx).unwrap_or(usize::MAX);
+            if idx != core.next_frame {
+                continue; // already in the checkpoint
+            }
+            core.wal_tail += 1;
+            core.replayed += 1;
+            if let Err(e) = core.apply(&rec.resp) {
+                return Err(io::Error::new(io::ErrorKind::InvalidData, e));
             }
         }
         if core.replayed > 0 {
@@ -225,14 +221,8 @@ impl RegionCore {
             // A failed checkpoint is degradation, not death: the WAL tail
             // keeps every accepted frame, reads keep flowing, and the
             // growing tail surfaces as `WalBacklog`.
-            if let Err(e) = self.checkpoint() {
+            if self.checkpoint().is_err() {
                 sift_obs::counter("sift_serve_checkpoint_failures_total", &[]).inc();
-                sift_obs::event(
-                    sift_obs::Level::Warn,
-                    "serve.region",
-                    "checkpoint failed; WAL tail keeps growing",
-                    &[("error", serde_json::Value::Str(e.to_string()))],
-                );
             }
         }
         Ok(sealed)
@@ -433,6 +423,21 @@ mod tests {
         }
         let core = open_in(&dir, State::TX, Hour(0)).expect("its own region reopens");
         assert_eq!(core.watermark(), Hour(168));
+    }
+
+    /// A WAL record whose CRC checks but whose payload does not decode
+    /// is refused at open, not skipped.
+    #[test]
+    fn undecodable_wal_record_is_refused_at_open() {
+        let dir = scratch_dir("serve_region_undecodable");
+        open_in(&dir, State::TX, Hour(0)).expect("open region");
+        let (mut wal, _) = Journal::open(&dir.join("region.wal")).expect("wal");
+        wal.append(b"not a serve record").expect("append");
+        drop(wal);
+        match open_in(&dir, State::TX, Hour(0)) {
+            Ok(_) => panic!("an undecodable WAL record was skipped"),
+            Err(e) => assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{e}"),
+        }
     }
 
     /// A frame the stitcher refuses never reaches the WAL: the region is

@@ -200,7 +200,6 @@ fn main() {
     };
     let worker_config = WorkerConfig {
         coord_down_grace: Some(Duration::from_secs(20)),
-        ..WorkerConfig::default()
     };
     let cluster = NemesisCluster::start(
         params,

@@ -4,7 +4,9 @@
 # package's smoke tests, and the determinism gates (same-seed example
 # diffs, a 1-vs-4-thread report diff). The build environment has no
 # crates.io access (external deps resolve to the vendored shims), hence
-# --offline.
+# --offline. Every cargo build, test and clippy also passes --locked: a
+# manifest edit that would rewrite Cargo.lock or benchmark/Cargo.lock
+# fails the gate instead of silently editing the lock file.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -30,7 +32,7 @@ soak() {
     "--test serve_http --test metrics_http")
   for suite in "${suites[@]}"; do
     # shellcheck disable=SC2086 # $suite is an argument list
-    cargo test -q --offline $suite --no-run
+    cargo test -q --offline --locked $suite --no-run
   done
   for _ in $(seq "$(nproc)"); do
     yes > /dev/null &
@@ -42,7 +44,7 @@ soak() {
     for _ in $(seq "$n"); do
       for suite in "${suites[@]}"; do
         # shellcheck disable=SC2086 # $suite and $threads are argument lists
-        cargo test --offline $suite -- $threads 2>&1 | while IFS= read -r line; do
+        cargo test --offline --locked $suite -- $threads 2>&1 | while IFS= read -r line; do
           now=${EPOCHREALTIME/./}
           if [[ $line =~ ^test\ (.+)\ \.\.\.\ (ok|FAILED)$ ]]; then
             if [[ ${BASH_REMATCH[2]} == ok ]]; then
@@ -70,10 +72,10 @@ if [[ ${1:-} == --soak ]]; then
   exit
 fi
 
-cargo build --release --offline
+cargo build --release --offline --locked
 # The root package auto-discovers tests/*.rs, so this runs every
 # acceptance test (overload, resume, cluster, nemesis, serve, ...) too.
-cargo test -q --offline --workspace
+cargo test -q --offline --locked --workspace
 
 # Static analysis. Each scope's lints are listed once, here; the calls
 # library code may not make are in clippy.toml. A site that needs an
@@ -82,7 +84,7 @@ cargo test -q --offline --workspace
 # waivers cannot outlive what they excuse. The vendored shims keep the
 # stock lints only (--no-deps lints just the packages named).
 vendor=(bytes crossbeam parking_lot proptest rand rand_chacha serde serde_derive serde_json)
-clippy() { cargo clippy --offline --no-deps "$@"; }
+clippy() { cargo clippy --offline --locked --no-deps "$@"; }
 clippy "${vendor[@]/#/--package=}" --all-targets -- -D warnings -A clippy::disallowed_methods
 # Every target, tests and examples included: no exact float comparison.
 # Tests and examples may read the clock and print.
@@ -103,7 +105,7 @@ cargo fmt --check
 # workspace commands above never compile. Its tests build it against the
 # workspace's public API and run all four workloads at --smoke size, so
 # an API change that would break the benchmark fails here, not later.
-cargo test --offline --manifest-path benchmark/Cargo.toml
+cargo test --offline --locked --manifest-path benchmark/Cargo.toml
 
 # Same-seed determinism gate: builds an example, runs it twice with the
 # same arguments and fails when the two reports differ. Standard output
@@ -113,7 +115,7 @@ cargo test --offline --manifest-path benchmark/Cargo.toml
 same_seed_gate() {
   local name=$1 what=$2 example=$3
   shift 3
-  cargo build --release --offline --example "$example"
+  cargo build --release --offline --locked --example "$example"
   "./target/release/examples/$example" "$@" > "target/$name-a.txt" 2> /dev/null
   "./target/release/examples/$example" "$@" > "target/$name-b.txt" 2> /dev/null
   diff "target/$name-a.txt" "target/$name-b.txt" \
@@ -145,7 +147,7 @@ same_seed_gate serve "online daemon" online_daemon --seed 7
 # are a function of the study, not of how many workers computed them
 # (DESIGN.md decision 8), so one thread and four print the same report.
 # Stage timings go to standard error.
-cargo build --release --offline -p sift-bench --bin experiments
+cargo build --release --offline --locked -p sift-bench --bin experiments
 for threads in 1 4; do
   ./target/release/experiments --quick --only stats,fig2,tab1,tab3 --threads "$threads" \
     > "target/threads-$threads.txt" 2> /dev/null

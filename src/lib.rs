@@ -17,8 +17,8 @@
 //!   across workers by consistent hashing, with lease/heartbeat/reroute
 //!   fault tolerance and per-worker journal merging.
 //! * [`probe`] — the active-probing baseline (ANT/Trinocular-style).
-//! * [`obs`] — zero-dependency metrics, span timing and structured
-//!   event logging, exposed live at `GET /metrics`.
+//! * [`obs`] — zero-dependency metrics, span timing and causal traces,
+//!   exposed live at `GET /metrics`.
 //! * [`journal`] — crash-safe durability: write-ahead journal, atomic
 //!   checkpoints, deterministic crash injection for resumable crawls.
 //! * [`serve`] — SIFT-as-a-service: a crash-recoverable online detector

@@ -110,10 +110,7 @@ fn start_cluster(regions: &[State], n_workers: usize) -> Cluster {
                 coord_server.addr(),
                 trends_server.addr(),
                 params.clone(),
-                WorkerConfig {
-                    heartbeat_every: Some(Duration::from_millis(50)),
-                    ..WorkerConfig::default()
-                },
+                WorkerConfig::default(),
             )
         })
         .collect();

@@ -103,7 +103,6 @@ fn run_under_nemesis(seed: u64, regions: &[State], tag: &str) -> NemesisReportPa
     let worker_config = WorkerConfig {
         // Sized to span the schedule's kill→restart gap with margin.
         coord_down_grace: Some(Duration::from_secs(20)),
-        ..WorkerConfig::default()
     };
     let cluster = NemesisCluster::start(
         params,

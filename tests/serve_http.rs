@@ -192,8 +192,10 @@ fn daemon_killed_at_each_crash_point_resumes_to_identical_spikes() {
         ),
     ];
 
+    let ingest_deaths = || sift::obs::counter("sift_serve_ingest_deaths_total", &[]).get();
     for (site, occurrence, what) in crash_points {
         let before = upstream.fetches.load(Ordering::SeqCst);
+        let deaths_before = ingest_deaths();
         let dir = scratch_dir(&format!("serve_http_{}", site.label()));
         let clock = Arc::new(SimClock::new(Hour(RANGE_END)));
         let inj = Arc::new(CrashInjector::new(
@@ -210,6 +212,10 @@ fn daemon_killed_at_each_crash_point_resumes_to_identical_spikes() {
         .expect("start crashing daemon");
         poll_until(&format!("{what}: ingest death"), || crashed.ingest_dead());
         assert!(inj.tripped(), "{what}: injected crash must fire");
+        assert!(
+            ingest_deaths() > deaths_before,
+            "{what}: ingest death counted"
+        );
 
         // The front survives its ingest thread: reads still answer 200
         // from last-good state.
