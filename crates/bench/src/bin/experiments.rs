@@ -708,7 +708,6 @@ fn exp_ablation(service: &TrendsService) {
         &RefetchParams {
             max_rounds: 8,
             convergence: 2.0, // unattainable: run every round
-            ..RefetchParams::default()
         },
         &DetectParams::default(),
     )

@@ -30,9 +30,6 @@ pub struct DetectParams {
     /// noise rejection comes mostly from the anonymity-rounded zeros
     /// between spikes.
     pub min_peak: f64,
-    /// The forward walk stops when the next block falls below this
-    /// fraction of the current block (the paper uses one half).
-    pub half_ratio: f64,
     /// Values at or below this are treated as zero by the walks. After
     /// re-fetch averaging, hours where only one round's sample survived
     /// anonymity carry tiny nonzero residue; without a floor those
@@ -47,12 +44,16 @@ impl Default for DetectParams {
     fn default() -> Self {
         DetectParams {
             min_peak: 0.5,
-            half_ratio: 0.5,
             walk_floor: 0.25,
             max_spikes: 20_000,
         }
     }
 }
+
+/// The forward walk stops when the next block falls below this fraction
+/// of the current block: "less than half of the value in the previous
+/// block" (§3.3).
+pub const HALF_RATIO: f64 = 0.5;
 
 /// A detected spike of user interest.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
@@ -149,13 +150,13 @@ fn detect_values_into(
         let peak_val = v[peak];
 
         // Forward walk: advance while the next block holds at least
-        // `half_ratio` of the current one (and is above the floor and
+        // `HALF_RATIO` of the current one (and is above the floor and
         // free).
         let mut end = peak;
         while end + 1 < n
             && !consumed[end + 1]
             && v[end + 1] > params.walk_floor
-            && v[end + 1] >= v[end] * params.half_ratio
+            && v[end + 1] >= v[end] * HALF_RATIO
         {
             end += 1;
         }

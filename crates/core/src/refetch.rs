@@ -26,27 +26,27 @@ pub struct RefetchParams {
     pub max_rounds: u32,
     /// Spike-set similarity at which the loop declares convergence.
     pub convergence: f64,
-    /// Minimum rounds before convergence may be declared.
-    pub min_rounds: u32,
-    /// Two spikes "match" across rounds when their peaks are within this
-    /// many hours.
-    pub peak_tolerance_h: i64,
-    /// Spikes below this magnitude are ignored by the convergence
-    /// criterion (they still appear in the final spike set). Near the
-    /// detection floor, sampling noise makes marginal spikes flicker
-    /// between rounds; requiring them to stabilise would keep the loop
-    /// fetching long after the meaningful spikes have settled.
-    pub convergence_floor: f64,
 }
+
+/// Minimum rounds before the averaging loop may declare convergence.
+pub const MIN_ROUNDS: u32 = 2;
+
+/// Two spikes "match" across rounds when their peaks are within this many
+/// hours.
+pub const PEAK_TOLERANCE_H: i64 = 3;
+
+/// Spikes below this magnitude are ignored by the convergence criterion
+/// (they still appear in the final spike set). Near the detection floor,
+/// sampling noise makes marginal spikes flicker between rounds; requiring
+/// them to stabilise would keep the loop fetching long after the
+/// meaningful spikes have settled.
+pub const CONVERGENCE_FLOOR: f64 = 1.0;
 
 impl Default for RefetchParams {
     fn default() -> Self {
         RefetchParams {
             max_rounds: 8,
             convergence: 0.95,
-            min_rounds: 2,
-            peak_tolerance_h: 3,
-            convergence_floor: 1.0,
         }
     }
 }
@@ -352,12 +352,12 @@ fn averaged_timeline_impl(
         let strong: Vec<Spike> = spikes
             .iter()
             .copied()
-            .filter(|s| s.magnitude >= params.convergence_floor)
+            .filter(|s| s.magnitude >= CONVERGENCE_FLOOR)
             .collect();
         if let Some(prev_strong) = &prev_strong {
-            let sim = spike_set_similarity(prev_strong, &strong, params.peak_tolerance_h);
+            let sim = spike_set_similarity(prev_strong, &strong, PEAK_TOLERANCE_H);
             similarity_trace.push(sim);
-            if rounds >= params.min_rounds && sim >= params.convergence {
+            if rounds >= MIN_ROUNDS && sim >= params.convergence {
                 converged = true;
                 break;
             }

@@ -52,13 +52,6 @@ pub struct StudyParams {
     /// off to skip about a quarter of a full study's requests in quick
     /// runs).
     pub daily_rising: bool,
-    /// Cap on daily drill-downs per spike (long spikes span many days).
-    pub max_daily_per_spike: usize,
-    /// Weight multiplier applied to daily drill-down suggestions when
-    /// merging with the weekly crawl's: the daily frames are "more
-    /// targeted and fine-grained" (§3.1), so they should dominate the
-    /// annotation ranking for their spike.
-    pub daily_weight_boost: f64,
     /// Worker threads across regions.
     pub threads: usize,
 }
@@ -75,12 +68,19 @@ impl Default for StudyParams {
             context: ContextParams::default(),
             cluster_slack_h: 1,
             daily_rising: true,
-            max_daily_per_spike: 3,
-            daily_weight_boost: 3.0,
             threads: 8,
         }
     }
 }
+
+/// Cap on daily drill-downs per spike (long spikes span many days).
+pub const MAX_DAILY_PER_SPIKE: usize = 3;
+
+/// Weight multiplier applied to daily drill-down suggestions when merging
+/// them with the weekly crawl's: the daily frames are "more targeted and
+/// fine-grained" (§3.1), so they should dominate the annotation ranking
+/// for their spike.
+pub const DAILY_WEIGHT_BOOST: f64 = 3.0;
 
 /// Request accounting and convergence summary.
 #[derive(Clone, Debug, Default, Serialize, Deserialize)]
@@ -578,7 +578,7 @@ pub fn run_region_study(
             )]
             suggestions.extend(daily.map(|t| {
                 let mut t = t.clone();
-                t.weight = (f64::from(t.weight) * params.daily_weight_boost) as u32;
+                t.weight = (f64::from(t.weight) * DAILY_WEIGHT_BOOST) as u32;
                 t
             }));
         }
@@ -611,10 +611,10 @@ pub fn run_region_study(
 /// process for daily time frames on spike days to capture more targeted
 /// and fine-grained rising terms" (§3.1). Each day from the one the spike
 /// starts in while it is before the spike's end, at most
-/// `max_daily_per_spike` of them; none when `daily_rising` is off.
+/// [`MAX_DAILY_PER_SPIKE`] of them; none when `daily_rising` is off.
 pub fn drill_down_days(spike: &Spike, params: &StudyParams) -> impl Iterator<Item = Hour> {
     let cap = if params.daily_rising {
-        params.max_daily_per_spike
+        MAX_DAILY_PER_SPIKE
     } else {
         0
     };
@@ -811,9 +811,9 @@ mod tests {
         if params.daily_rising {
             let mut day = spike.start.day_start();
             let mut fetched = 0usize;
-            while day < spike.end && fetched < params.max_daily_per_spike {
+            while day < spike.end && fetched < MAX_DAILY_PER_SPIKE {
                 suggestions.extend(ask(day, 24).into_iter().map(|mut t| {
-                    t.weight = (f64::from(t.weight) * params.daily_weight_boost) as u32;
+                    t.weight = (f64::from(t.weight) * DAILY_WEIGHT_BOOST) as u32;
                     t
                 }));
                 day += 24;

@@ -1,7 +1,7 @@
 //! Property tests: stitching and detection invariants.
 
 use proptest::prelude::*;
-use sift_core::detect::{detect_spikes, DetectParams, Spike};
+use sift_core::detect::{detect_spikes, DetectParams, Spike, HALF_RATIO};
 use sift_core::timeline::{stitch, StreamStitcher, Timeline};
 use sift_geo::State;
 use sift_simtime::Hour;
@@ -60,7 +60,7 @@ fn reference_spikes(v: &[f64], p: &DetectParams) -> Vec<Spike> {
         while end < v.len()
             && !consumed[end]
             && v[end] > p.walk_floor
-            && v[end] >= v[end - 1] * p.half_ratio
+            && v[end] >= v[end - 1] * HALF_RATIO
         {
             end += 1;
         }

@@ -11,8 +11,8 @@
 //! * [`serve`] — hosts a [`sift_trends::TrendsService`] behind a
 //!   `sift-net` HTTP router (the service side of the crawl),
 //! * [`unit`] — fetcher units: one identity each, in-process or HTTP,
-//! * [`queue`] — maps the workload across units on worker threads and
-//!   gathers responses,
+//! * [`queue`] — cuts the workload into one chunk per unit, fetches each
+//!   chunk in one batched exchange and gathers the responses,
 //! * [`store`] — the unified response database, JSON-persistable.
 //!
 //! The store is in memory: a crawl that must survive a crash journals
@@ -31,7 +31,7 @@ pub mod serve;
 pub mod store;
 pub mod unit;
 
-pub use queue::{CollectionRun, FailedWork, RunReport, ShedCause, ShedWork, WorkItem};
+pub use queue::{CollectionRun, RunReport, WorkItem};
 pub use serve::trends_router;
 pub use sift_core::plan::{plan_frames, FramePlan, PlanParams};
 pub use store::{MergeReport, ResponseStore};

@@ -96,17 +96,6 @@ impl ResponseStore {
         out
     }
 
-    /// All rising responses for a region, sorted by frame start.
-    pub fn rising_for(&self, state: State) -> Vec<(&RisingKey, &RisingResponse)> {
-        let mut out: Vec<(&RisingKey, &RisingResponse)> = self
-            .rising
-            .iter()
-            .filter(|(k, _)| k.state == state)
-            .collect();
-        out.sort_by_key(|(k, _)| (k.start, k.len));
-        out
-    }
-
     /// Of `planned` frame starts for one region and tag, the ones the
     /// store does *not* hold — the re-plan input after a lossy run.
     pub fn missing_frames(&self, state: State, tag: u64, planned: &[Hour]) -> Vec<Hour> {
@@ -244,7 +233,7 @@ mod tests {
         assert_eq!(back.frame_count(), 1);
         assert_eq!(back.rising_count(), 1);
         assert_eq!(back.frames_for(State::TX, 0)[0].values, vec![0, 50, 100]);
-        assert_eq!(back.rising_for(State::TX)[0].1.rising[0].weight, 242);
+        assert_eq!(back.to_json().expect("re-encode"), json);
     }
 
     #[test]

@@ -90,8 +90,7 @@ impl HttpTrendsClient {
 
     /// Routes every request through `breaker` and reflects its state in
     /// [`TrendsClient::healthy`]. Share one breaker across a unit fleet
-    /// (and the collection queue) so an outage observed by any unit
-    /// pauses them all.
+    /// so an outage observed by any unit pauses them all.
     pub fn with_breaker(mut self, breaker: Arc<CircuitBreaker>) -> Self {
         self.client = self.client.with_breaker(Arc::clone(&breaker));
         self.breaker = Some(breaker);
@@ -145,8 +144,8 @@ fn rising_of(
 
 impl TrendsClient for HttpTrendsClient {
     fn fetch_frame(&self, req: &FrameRequest) -> Result<FrameResponse, FetchError> {
-        // Child of the queue worker's restored fetch span (same thread),
-        // so each frame's HTTP attempts hang off the run's trace.
+        // Child of the caller's fetch span (same thread), so each frame's
+        // HTTP attempts hang off the run's trace.
         let _span = sift_obs::span("frame");
         frame_of(req, self.client.post_json("/api/frame", req))
     }
@@ -213,9 +212,15 @@ impl RoundRobin {
         }
     }
 
+    /// The next unit in rotation whose breaker would let a request out;
+    /// plain rotation when every unit is down.
     fn pick(&self) -> &dyn TrendsClient {
         let i = self.next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        self.units[i % self.units.len()].as_ref()
+        let n = self.units.len();
+        (0..n)
+            .map(|k| self.units[(i + k) % n].as_ref())
+            .find(|unit| unit.healthy())
+            .unwrap_or(self.units[i % n].as_ref())
     }
 }
 
@@ -249,15 +254,64 @@ impl TrendsClient for RoundRobin {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use sift_trends::{Scenario, SearchTerm};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Mutex;
 
     fn service() -> Arc<TrendsService> {
         Arc::new(TrendsService::with_defaults(Scenario::single_region(
             State::CA,
             vec![],
         )))
+    }
+
+    /// An in-process unit that counts what reaches it through each entry.
+    pub(crate) struct Counting {
+        inner: Arc<TrendsService>,
+        /// Single-frame calls.
+        pub(crate) single: AtomicUsize,
+        /// The size of each `fetch_frames` batch, in call order.
+        pub(crate) batches: Mutex<Vec<usize>>,
+    }
+
+    impl Counting {
+        pub(crate) fn new(inner: Arc<TrendsService>) -> Self {
+            Counting {
+                inner,
+                single: AtomicUsize::new(0),
+                batches: Mutex::new(Vec::new()),
+            }
+        }
+    }
+
+    impl TrendsClient for Counting {
+        fn fetch_frame(&self, req: &FrameRequest) -> Result<FrameResponse, FetchError> {
+            self.single.fetch_add(1, Ordering::Relaxed);
+            self.inner.fetch_frame(req).map_err(FetchError::Service)
+        }
+        fn fetch_rising(&self, req: &RisingRequest) -> Result<RisingResponse, FetchError> {
+            self.inner.fetch_rising(req).map_err(FetchError::Service)
+        }
+        fn fetch_frames(&self, reqs: &[FrameRequest]) -> Vec<Result<FrameResponse, FetchError>> {
+            self.batches.lock().expect("lock").push(reqs.len());
+            reqs.iter()
+                .map(|r| self.inner.fetch_frame(r).map_err(FetchError::Service))
+                .collect()
+        }
+    }
+
+    fn frame_requests(n: i64) -> Vec<FrameRequest> {
+        (0..n)
+            .map(|i| FrameRequest {
+                term: SearchTerm::parse("topic:Internet outage"),
+                state: State::CA,
+                start: Hour(i * 100),
+                len: 168,
+                tag: 0,
+            })
+            .collect()
     }
 
     #[test]
@@ -304,40 +358,9 @@ mod tests {
 
     #[test]
     fn round_robin_hands_a_batch_to_one_unit_whole() {
-        /// Counts what reaches it through each entry.
-        struct Counting {
-            inner: Arc<TrendsService>,
-            single: std::sync::atomic::AtomicUsize,
-            batches: std::sync::Mutex<Vec<usize>>,
-        }
-        impl TrendsClient for Counting {
-            fn fetch_frame(&self, req: &FrameRequest) -> Result<FrameResponse, FetchError> {
-                self.single
-                    .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                self.inner.fetch_frame(req).map_err(FetchError::Service)
-            }
-            fn fetch_rising(&self, req: &RisingRequest) -> Result<RisingResponse, FetchError> {
-                self.inner.fetch_rising(req).map_err(FetchError::Service)
-            }
-            fn fetch_frames(
-                &self,
-                reqs: &[FrameRequest],
-            ) -> Vec<Result<FrameResponse, FetchError>> {
-                self.batches.lock().expect("lock").push(reqs.len());
-                reqs.iter()
-                    .map(|r| self.inner.fetch_frame(r).map_err(FetchError::Service))
-                    .collect()
-            }
-        }
         let service = service();
         let units: Vec<Arc<Counting>> = (0..2)
-            .map(|_| {
-                Arc::new(Counting {
-                    inner: Arc::clone(&service),
-                    single: std::sync::atomic::AtomicUsize::new(0),
-                    batches: std::sync::Mutex::new(Vec::new()),
-                })
-            })
+            .map(|_| Arc::new(Counting::new(Arc::clone(&service))))
             .collect();
         let rr = RoundRobin::new(
             units
@@ -345,21 +368,45 @@ mod tests {
                 .map(|u| Arc::clone(u) as Arc<dyn TrendsClient>)
                 .collect(),
         );
-        let reqs: Vec<FrameRequest> = (0..5)
-            .map(|i| FrameRequest {
-                term: SearchTerm::parse("topic:Internet outage"),
-                state: State::CA,
-                start: Hour(i * 100),
-                len: 168,
-                tag: 0,
-            })
-            .collect();
+        let reqs = frame_requests(5);
         let first = rr.fetch_frames(&reqs);
         let second = rr.fetch_frames(&reqs[..2]);
         assert!(first.iter().chain(&second).all(Result::is_ok));
         for (unit, batches) in units.iter().zip([vec![5], vec![2]]) {
             assert_eq!(*unit.batches.lock().expect("lock"), batches);
-            assert_eq!(unit.single.load(std::sync::atomic::Ordering::Relaxed), 0);
+            assert_eq!(unit.single.load(Ordering::Relaxed), 0);
+        }
+    }
+
+    /// A unit whose every fetch fails at the transport, after whatever
+    /// retries its client made; `healthy` is what it reports, false for
+    /// a unit whose breaker is open.
+    pub(crate) struct Failing {
+        pub(crate) healthy: bool,
+    }
+
+    impl TrendsClient for Failing {
+        fn fetch_frame(&self, _: &FrameRequest) -> Result<FrameResponse, FetchError> {
+            Err(FetchError::Transport("injected reset".into()))
+        }
+        fn fetch_rising(&self, _: &RisingRequest) -> Result<RisingResponse, FetchError> {
+            Err(FetchError::Transport("injected reset".into()))
+        }
+        fn healthy(&self) -> bool {
+            self.healthy
+        }
+    }
+
+    #[test]
+    fn round_robin_skips_a_unit_whose_breaker_is_open() {
+        let rr = RoundRobin::new(vec![
+            Arc::new(Failing { healthy: false }) as Arc<dyn TrendsClient>,
+            Arc::new(InProcessClient::new(service())),
+        ]);
+        assert!(rr.healthy());
+        let reqs = frame_requests(3);
+        for _ in 0..2 {
+            assert!(rr.fetch_frames(&reqs).iter().all(Result::is_ok));
         }
     }
 

@@ -40,7 +40,6 @@ macro_rules! states {
         /// (see [`State::index`] and [`State::ALL`]).
         #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug,
                  Serialize, Deserialize)]
-        #[allow(clippy::upper_case_acronyms)]
         pub enum State {
             $(
                 #[doc = $name]

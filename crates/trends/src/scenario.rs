@@ -276,8 +276,10 @@ fn national_event(
 
 /// The paper's headline events: every row of Tables 1–3 plus the Fig. 1
 /// and Fig. 2 walkthrough spikes.
-// Sequential pushes keep each table row next to its source comment.
-#[allow(clippy::vec_init_then_push)]
+#[expect(
+    clippy::vec_init_then_push,
+    reason = "sequential pushes keep each table row next to its source comment"
+)]
 fn named_events(rng: &mut ChaCha8Rng) -> Vec<OutageEvent> {
     let h = Hour::from_ymdh;
     let mut out = Vec::new();

@@ -86,7 +86,10 @@ impl Topic {
 /// The list mirrors the providers appearing in the paper's tables and
 /// heavy-hitter analysis.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, Serialize, Deserialize)]
-#[allow(missing_docs)]
+#[expect(
+    missing_docs,
+    reason = "a variant is named for the provider it stands for"
+)]
 pub enum Provider {
     // Fixed-line ISPs.
     Comcast,

@@ -1,6 +1,6 @@
 //! A seeded chaos run end-to-end: the trends service behind deterministic
 //! fault injection (resets, error bursts, truncated bodies), crawled by
-//! retrying clients and the requeueing collection run. Every fault
+//! retrying clients, alone and as a three-unit collection run. Every fault
 //! decision is a pure function of (seed, request, arrival count), so two
 //! executions with the same `--seed` print byte-identical reports —
 //! `scripts/check.sh` diffs exactly that.
@@ -99,11 +99,14 @@ fn main() {
     // --- The full study through a retrying client: faults are absorbed
     // below the pipeline, which sees a clean service.
     let range = HourRange::new(Hour(0), Hour(900));
-    let unit = HttpTrendsClient::new(server.addr(), "127.0.0.41").with_retry(RetryPolicy {
-        max_attempts: 12,
-        base_backoff: Duration::from_millis(2),
-        max_backoff: Duration::from_millis(40),
-    });
+    let retrying = |identity: String| {
+        HttpTrendsClient::new(server.addr(), identity).with_retry(RetryPolicy {
+            max_attempts: 12,
+            base_backoff: Duration::from_millis(2),
+            max_backoff: Duration::from_millis(40),
+        })
+    };
+    let unit = retrying("127.0.0.41".into());
     let params = StudyParams {
         range,
         regions: vec![State::TX],
@@ -124,21 +127,11 @@ fn main() {
     }
     println!("  frames degraded: {}", result.stats.frames_degraded);
 
-    // --- The raw collection run with client retries OFF: the same faults
-    // now surface as transport failures and the queue's requeue machinery
-    // recovers them instead.
+    // --- The raw collection run: three units, each answering its chunk
+    // of the workload in one pipelined exchange, recover the same faults
+    // with the same client retries.
     let units: Vec<Arc<dyn TrendsClient>> = (1..=3)
-        .map(|i| {
-            Arc::new(
-                HttpTrendsClient::new(server.addr(), format!("127.0.0.5{i}")).with_retry(
-                    RetryPolicy {
-                        max_attempts: 1,
-                        base_backoff: Duration::from_millis(1),
-                        max_backoff: Duration::from_millis(1),
-                    },
-                ),
-            ) as Arc<dyn TrendsClient>
-        })
+        .map(|i| Arc::new(retrying(format!("127.0.0.5{i}"))) as Arc<dyn TrendsClient>)
         .collect();
     let plan = plan_frames(range, PlanParams::default());
     let items: Vec<WorkItem> = plan
@@ -155,14 +148,17 @@ fn main() {
         })
         .collect();
     let total = items.len();
-    let run = CollectionRun::new(units).with_attempt_budget(12);
+    let run = CollectionRun::new(units);
     let mut store = ResponseStore::new();
     let report = run.execute(items, &mut store);
-    println!("\ncollection run without client retries:");
+    println!("\ncollection run over three units:");
     println!(
-        "  completed {}/{total}, requeued {}, permanently failed {}",
-        report.completed, report.requeued, report.failed
+        "  completed {}/{total}, failed {}",
+        report.completed, report.failed
     );
+    for (identity, served) in &report.per_unit {
+        println!("  unit {identity}: {served} responses");
+    }
 
     // --- What the injector actually did, straight from the registry the
     // server exposes at GET /metrics.

@@ -4,9 +4,10 @@
 //! rate limiting (§4, Implementation).
 //!
 //! This example is the *single-process* fleet: every unit lives in this
-//! process and shares one queue. The multi-process promotion of the same
-//! idea — a coordinator leasing region shards to workers over a job
-//! protocol, with heartbeat failover and bit-identical assembly — is the
+//! process and takes one contiguous chunk of the workload. The
+//! multi-process promotion of the same idea — a coordinator leasing
+//! region shards to workers over a job protocol, with heartbeat failover
+//! and bit-identical assembly — is the
 //! `sift-cluster` crate (see DESIGN.md, *Cluster model*, and the
 //! "Sharded crawl" section of the README).
 //!
@@ -71,7 +72,7 @@ fn main() {
         })
         .collect();
     println!(
-        "\nqueueing {} frame requests across 4 units ...",
+        "\nsplitting {} frame requests across 4 units ...",
         workload.len()
     );
     let run = CollectionRun::new(units.clone());

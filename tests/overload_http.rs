@@ -5,19 +5,19 @@
 //! queued connections, then hit with a 4× burst: every burst request must
 //! be *shed* (instant `503 + Retry-After`, written before the request is
 //! even parsed) rather than timed out. A collection run against the
-//! overloaded server drives the shared circuit breaker open after exactly
-//! `failure_threshold` failures, after which the queue sheds its
-//! lowest-priority tail — surfaced in [`RunReport::shed_items`], distinct
-//! from `failed_items`. Once the overload clears and the cooldown passes,
-//! a half-open probe re-closes the breaker, and a post-burst study over
-//! the same server matches the unloaded in-process study exactly. The
-//! whole choreography is deterministic: two runs produce identical
-//! reports and breaker transition logs.
+//! overloaded server drives the unit's circuit breaker open after exactly
+//! `failure_threshold` failures, and the rest of its batch fails fast; a
+//! second run while the breaker is open sheds its whole workload unsent.
+//! Once the overload clears and the cooldown passes, a half-open probe
+//! re-closes the breaker, and a post-burst study over the same server
+//! matches the unloaded in-process study exactly. The whole choreography
+//! is deterministic: two runs produce identical reports and breaker
+//! transition logs.
 
 use sift::core::{run_study, StudyParams};
 use sift::fetcher::{
-    trends_router, CollectionRun, HttpTrendsClient, ResponseStore, RunReport, ShedCause,
-    TrendsClient, WorkItem,
+    trends_router, CollectionRun, HttpTrendsClient, ResponseStore, RunReport, TrendsClient,
+    WorkItem,
 };
 use sift::geo::State;
 use sift::net::{
@@ -109,21 +109,16 @@ fn world() -> Scenario {
     scenario
 }
 
-fn frame_items() -> Vec<(WorkItem, i32)> {
+fn frame_items() -> Vec<WorkItem> {
     (0..6)
         .map(|i| {
-            (
-                WorkItem::Frame(FrameRequest {
-                    term: SearchTerm::parse("topic:Internet outage"),
-                    state: State::CA,
-                    start: Hour(i64::from(i) * 168),
-                    len: 168,
-                    tag: 0,
-                }),
-                // Descending priority in submission order: the shed tail
-                // is the low-priority end.
-                5 - i,
-            )
+            WorkItem::Frame(FrameRequest {
+                term: SearchTerm::parse("topic:Internet outage"),
+                state: State::CA,
+                start: Hour(i * 168),
+                len: 168,
+                tag: 0,
+            })
         })
         .collect()
 }
@@ -136,10 +131,10 @@ fn poll_until(what: &str, mut done: impl FnMut() -> bool) {
     }
 }
 
-/// One full overload → shed → recover choreography. Returns the
-/// collection report and the breaker's transition log for the replay
+/// One full overload → shed → recover choreography. Returns the two
+/// collection reports and the breaker's transition log for the replay
 /// comparison.
-fn overload_run(service: &Arc<TrendsService>) -> (RunReport, Vec<String>) {
+fn overload_run(service: &Arc<TrendsService>) -> ([RunReport; 2], Vec<String>) {
     let gate = Gate::new();
     let hold_gate = Arc::clone(&gate);
     let router = trends_router(Arc::clone(service)).route(Method::Get, "/hold", move |_| {
@@ -198,11 +193,9 @@ fn overload_run(service: &Arc<TrendsService>) -> (RunReport, Vec<String>) {
         );
     }
 
-    // A collection run against the overloaded server, sharing one breaker
-    // between the unit's HTTP client (which records outcomes) and the
-    // queue (which sheds on open). Three failures open it; the run then
-    // sheds everything still queued, lowest priority last to be reported
-    // first.
+    // A collection run against the overloaded server. The unit's client
+    // records every outcome in its breaker: three shed 503s open it, and
+    // the rest of the batch then fails fast without touching the network.
     let breaker = Arc::new(CircuitBreaker::new(
         "trends",
         BreakerConfig {
@@ -220,29 +213,43 @@ fn overload_run(service: &Arc<TrendsService>) -> (RunReport, Vec<String>) {
             })
             .with_breaker(Arc::clone(&breaker)),
     );
-    let run = CollectionRun::new(vec![Arc::clone(&unit) as Arc<dyn TrendsClient>])
-        .with_attempt_budget(2)
-        .with_breaker(Arc::clone(&breaker));
+    let run = CollectionRun::new(vec![Arc::clone(&unit) as Arc<dyn TrendsClient>]);
+    let refused = sift::obs::counter("sift_net_admission_shed_total", &[("reason", "queue_full")]);
+    let fastfails = sift::obs::counter(
+        "sift_client_breaker_fastfail_total",
+        &[("endpoint", "trends")],
+    );
+    let (refused_before, fastfails_before) = (refused.get(), fastfails.get());
     let mut store = ResponseStore::new();
-    let report = run.execute_prioritized(frame_items(), &mut store);
+    let report = run.execute(frame_items(), &mut store);
 
     assert_eq!(report.completed, 0, "{report:?}");
-    assert_eq!(report.failed, 0, "overload must shed, not fail: {report:?}");
-    assert_eq!(report.requeued, 2, "{report:?}");
-    assert_eq!(report.shed, 6, "{report:?}");
-    assert_eq!(report.shed_items.len(), 6);
-    assert!(report.failed_items.is_empty());
-    // Lowest priority first in the shed report.
-    let shed_priorities: Vec<i32> = report.shed_items.iter().map(|s| s.priority).collect();
-    assert_eq!(shed_priorities, vec![0, 1, 2, 3, 4, 5]);
-    assert!(report
-        .shed_items
-        .iter()
-        .any(|s| s.reason == ShedCause::BreakerOpen));
+    assert_eq!(report.failed, 6, "{report:?}");
+    assert_eq!(report.shed, 0, "{report:?}");
     assert_eq!(store.frame_count(), 0);
     assert_eq!(breaker.state(), BreakerState::Open);
     assert_eq!(breaker.transition_log(), vec!["closed->open".to_owned()]);
+    assert_eq!(
+        refused.get() - refused_before,
+        3,
+        "three requests reach the server"
+    );
+    assert_eq!(
+        fastfails.get() - fastfails_before,
+        3,
+        "the other three fail fast"
+    );
     assert!(!unit.healthy(), "open breaker must surface in healthy()");
+
+    // A second run while the breaker is open sends nothing: the unit's
+    // whole chunk is shed.
+    let shed = run.execute(frame_items(), &mut store);
+    assert_eq!(shed.shed, 6, "{shed:?}");
+    assert_eq!((shed.completed, shed.failed), (0, 0), "{shed:?}");
+    assert_eq!(refused.get() - refused_before, 3, "{shed:?}");
+    assert_eq!(fastfails.get() - fastfails_before, 3, "{shed:?}");
+    assert_eq!(store.frame_count(), 0);
+    assert_eq!(breaker.transition_log(), vec!["closed->open".to_owned()]);
 
     // Clear the overload: open the gate, let the holders finish, release
     // the parked connections.
@@ -292,7 +299,7 @@ fn overload_run(service: &Arc<TrendsService>) -> (RunReport, Vec<String>) {
     );
 
     server.shutdown();
-    (report, log)
+    ([report, shed], log)
 }
 
 #[test]
