@@ -7,7 +7,7 @@
 //! the `sift-probe` crate). SIFT never sees events directly; it must
 //! recover them from the trends service.
 
-use crate::terms::{power_phrases, provider_phrases, Provider};
+use crate::terms::{PhraseKey, Provider};
 use serde::{Deserialize, Serialize};
 use sift_geo::State;
 use sift_simtime::{Hour, HourRange};
@@ -172,40 +172,24 @@ impl OutageEvent {
     /// The search phrases this event drives upward in region `state`,
     /// beyond the `<Internet outage>` topic itself.
     pub fn rising_phrases(&self, state: State) -> Vec<String> {
+        self.phrase_key(state).phrases()
+    }
+
+    /// What [`OutageEvent::rising_phrases`] depends on in region `state`.
+    pub(crate) fn phrase_key(&self, state: State) -> PhraseKey {
         match self.cause {
-            Cause::Power(_) => {
-                let mut out = power_phrases(state);
-                // Power outages take providers down with them, so provider
-                // queries rise too ("multiple ISP names for the winter
-                // storm", §1; the Fig. 2 example suggests <spectrum
-                // internet outage> and <metro pcs outage> alongside
-                // <san jose power outage>). Which providers depends on
-                // who serves the affected area — modelled as a
-                // deterministic per-event choice.
-                let isp =
-                    Provider::ISPS[(self.id as usize * 7 + state.index()) % Provider::ISPS.len()];
-                let mobile = Provider::MOBILE[(self.id as usize * 13) % Provider::MOBILE.len()];
-                out.push(format!("{} internet outage", isp.name()));
-                out.push(format!("{} outage", mobile.name()));
-                out
-            }
-            Cause::IspNetwork(p)
-            | Cause::MobileCarrier(p)
-            | Cause::CdnOrCloud(p)
-            | Cause::Application(p) => {
-                let mut out = provider_phrases(p);
-                // Localized phrasings give the suggestion vocabulary its
-                // long tail (the paper observes 6655 distinct terms).
-                out.push(format!(
-                    "{} outage {}",
-                    p.name(),
-                    state.name().to_lowercase()
-                ));
-                let [a, b] = crate::terms::major_cities(state);
-                out.push(format!("{} outage {}", p.name(), a.to_lowercase()));
-                out.push(format!("is {} down in {}", p.name(), b.to_lowercase()));
-                out
-            }
+            // Which providers a power outage takes down depends on who
+            // serves the affected area, modelled as a deterministic
+            // per-event choice.
+            Cause::Power(_) => PhraseKey::Power {
+                state,
+                isp: (self.id as usize * 7 + state.index()) % Provider::ISPS.len(),
+                mobile: (self.id as usize * 13) % Provider::MOBILE.len(),
+            },
+            Cause::IspNetwork(provider)
+            | Cause::MobileCarrier(provider)
+            | Cause::CdnOrCloud(provider)
+            | Cause::Application(provider) => PhraseKey::Provider { provider, state },
         }
     }
 }

@@ -65,14 +65,20 @@ const MOBILE_FRAC: f64 = 0.09;
 const APP_FRAC: f64 = 0.07;
 const CDN_FRAC: f64 = 0.04;
 
-/// Time-bucketed index over a scenario's events.
+/// (State, bucket)-keyed index over a scenario's events.
 ///
-/// Buckets are [`EVENT_INDEX_BUCKET_H`]-hour wide; an event is listed in
-/// every bucket its (lag-extended) window touches, so a window query only
-/// scans the events of its own buckets.
+/// Buckets are [`EVENT_INDEX_BUCKET_H`]-hour wide. Each (bucket, state)
+/// cell lists, in event order, the `(event, region position)` pairs whose
+/// (lag-extended) window in that state touches the bucket, so a window
+/// query scans only the pairs of its own buckets, and a per-state query
+/// only those of its own state.
 #[derive(Clone, Debug, Default)]
 pub struct EventIndex {
-    buckets: Vec<Vec<u32>>,
+    /// Every filed pair, cell by cell.
+    pairs: Vec<(u32, u32)>,
+    /// Cell `bucket * State::COUNT + state.index()` is
+    /// `pairs[starts[cell]..starts[cell + 1]]`.
+    starts: Vec<usize>,
     origin: i64,
 }
 
@@ -87,9 +93,14 @@ impl EventIndex {
             .map(|e| e.start.0)
             .unwrap_or(0)
             .div_euclid(EVENT_INDEX_BUCKET_H);
-        let mut buckets: Vec<Vec<u32>> = Vec::new();
+        // One pass over the events files each pair under its cells; a
+        // counting sort then groups them by cell, keeping event order.
+        let mut filed: Vec<(usize, (u32, u32))> = Vec::new();
+        let mut cells = 0;
         for (idx, e) in scenario.events.iter().enumerate() {
-            for i in 0..e.states.len() {
+            let idx32 = u32::try_from(idx).unwrap_or(u32::MAX);
+            for (i, (state, _)) in e.states.iter().enumerate() {
+                let pos = u32::try_from(i).unwrap_or(u32::MAX);
                 let w = e.window_in(i);
                 let lo = w.start.0.div_euclid(EVENT_INDEX_BUCKET_H) - origin;
                 let hi = (w.end.0 - 1).div_euclid(EVENT_INDEX_BUCKET_H) - origin;
@@ -100,42 +111,80 @@ impl EventIndex {
                         reason = "a clamped non-negative bucket number"
                     )]
                     let b = b.max(0) as usize;
-                    if buckets.len() <= b {
-                        buckets.resize(b + 1, Vec::new());
-                    }
-                    let bucket = &mut buckets[b];
-                    let idx32 = u32::try_from(idx).unwrap_or(u32::MAX);
-                    if bucket.last() != Some(&idx32) {
-                        bucket.push(idx32);
-                    }
+                    cells = cells.max((b + 1) * State::COUNT);
+                    filed.push((b * State::COUNT + state.index(), (idx32, pos)));
                 }
             }
         }
-        EventIndex { buckets, origin }
+        let mut starts = vec![0; cells + 1];
+        for (cell, _) in &filed {
+            starts[cell + 1] += 1;
+        }
+        for cell in 0..cells {
+            starts[cell + 1] += starts[cell];
+        }
+        let mut next = starts.clone();
+        let mut pairs = vec![(0, 0); filed.len()];
+        for (cell, pair) in filed {
+            pairs[next[cell]] = pair;
+            next[cell] += 1;
+        }
+        EventIndex {
+            pairs,
+            starts,
+            origin,
+        }
     }
 
-    /// Indices (into `scenario.events`) of events whose window in some
-    /// region may intersect `window`. May contain a few false positives
-    /// (bucket granularity); never misses an event.
+    /// The pairs of cell `cell`.
+    fn cell(&self, cell: usize) -> &[(u32, u32)] {
+        &self.pairs[self.starts[cell]..self.starts[cell + 1]]
+    }
+
+    /// The buckets `window` touches, clamped to the indexed span; `None`
+    /// for an empty index or window.
     #[expect(
         clippy::cast_possible_truncation,
         clippy::cast_sign_loss,
         clippy::cast_possible_wrap,
         reason = "bucket numbers are clamped to [0, last]"
     )]
+    fn buckets(&self, window: HourRange) -> Option<std::ops::RangeInclusive<usize>> {
+        if self.pairs.is_empty() || window.is_empty() {
+            return None;
+        }
+        let last = ((self.starts.len() - 1) / State::COUNT - 1) as i64;
+        let bucket = |h: i64| (h.div_euclid(EVENT_INDEX_BUCKET_H) - self.origin).clamp(0, last);
+        Some(bucket(window.start.0) as usize..=bucket(window.end.0 - 1) as usize)
+    }
+
+    /// Indices (into `scenario.events`) of events whose window in some
+    /// region may intersect `window`. May contain a few false positives
+    /// (bucket granularity); never misses an event.
     pub fn candidates(&self, window: HourRange) -> Vec<u32> {
-        if self.buckets.is_empty() || window.is_empty() {
+        let Some(buckets) = self.buckets(window) else {
             return Vec::new();
-        }
-        let last = self.buckets.len() - 1;
-        let lo = (window.start.0.div_euclid(EVENT_INDEX_BUCKET_H) - self.origin)
-            .clamp(0, last as i64) as usize;
-        let hi = ((window.end.0 - 1).div_euclid(EVENT_INDEX_BUCKET_H) - self.origin)
-            .clamp(0, last as i64) as usize;
-        let mut out: Vec<u32> = Vec::new();
-        for b in lo..=hi {
-            out.extend_from_slice(&self.buckets[b]);
-        }
+        };
+        let pairs = &self.pairs[self.starts[buckets.start() * State::COUNT]
+            ..self.starts[(buckets.end() + 1) * State::COUNT]];
+        let mut out: Vec<u32> = pairs.iter().map(|(e, _)| *e).collect();
+        out.sort_unstable();
+        out.dedup();
+        out
+    }
+
+    /// The `(event, region position)` pairs of `state` whose window may
+    /// intersect `window`, ascending and without repeats: every pair of
+    /// the buckets `window` touches, so a pair that meets `window` is
+    /// never missed.
+    pub fn in_state(&self, state: State, window: HourRange) -> Vec<(u32, u32)> {
+        let Some(buckets) = self.buckets(window) else {
+            return Vec::new();
+        };
+        let mut out: Vec<(u32, u32)> = buckets
+            .flat_map(|b| self.cell(b * State::COUNT + state.index()))
+            .copied()
+            .collect();
         out.sort_unstable();
         out.dedup();
         out
@@ -229,9 +278,11 @@ impl Scenario {
             .filter(move |e| (0..e.states.len()).any(|i| e.window_in(i).overlaps(&window)))
     }
 
-    /// Builds a time index over the events for repeated window queries
-    /// (the service answers tens of thousands of rising-term requests per
-    /// study; a linear scan per request would dominate the run time).
+    /// Builds the (state, bucket) index in one pass over the events. The
+    /// service answers tens of thousands of rising-term requests per
+    /// study, each for one state and at most a week: through the index a
+    /// request visits the few `(event, region)` pairs of its own state and
+    /// buckets, not every event of those buckets in every state.
     pub fn build_index(&self) -> EventIndex {
         EventIndex::new(self)
     }
@@ -1028,6 +1079,67 @@ mod tests {
         let far = idx.candidates(HourRange::new(Hour(1_000_000), Hour(1_000_100)));
         assert!(far.len() <= 1);
         assert!(idx.candidates(HourRange::new(Hour(0), Hour(0))).is_empty());
+    }
+
+    /// Brute force over random windows: `candidates` never misses an
+    /// event that meets the window and is the union of the per-state
+    /// queries, and `in_state` returns exactly its state's pairs filed
+    /// under the window's (clamped) buckets, ascending.
+    #[test]
+    fn event_index_matches_brute_force() {
+        let s = full();
+        let idx = s.build_index();
+        let bucket = |h: i64| h.div_euclid(EVENT_INDEX_BUCKET_H);
+        // Every (event, position) pair with its state and bucket span, in
+        // event order.
+        let spans: Vec<((u32, u32), State, i64, i64)> = s
+            .events
+            .iter()
+            .enumerate()
+            .flat_map(|(k, e)| {
+                e.states.iter().enumerate().map(move |(i, (state, _))| {
+                    let w = e.window_in(i);
+                    let pair = (k as u32, i as u32);
+                    (pair, *state, bucket(w.start.0), bucket(w.end.0 - 1))
+                })
+            })
+            .collect();
+        let first = bucket(s.events[0].start.0);
+        let last = spans.iter().map(|span| span.3).max().expect("events");
+        let mut rng = ChaCha8Rng::seed_from_u64(11);
+        for _ in 0..200 {
+            let len = rng.gen_range(1..=168i64);
+            let from = first * EVENT_INDEX_BUCKET_H - 400;
+            let to = (last + 1) * EVENT_INDEX_BUCKET_H + 400;
+            let w = HourRange::with_len(Hour(rng.gen_range(from..to)), len);
+
+            let candidates = idx.candidates(w);
+            for (k, e) in s.events.iter().enumerate() {
+                if (0..e.states.len()).any(|i| e.window_in(i).overlaps(&w)) {
+                    assert!(candidates.contains(&(k as u32)), "{w:?} misses {}", e.name);
+                }
+            }
+
+            let (lo, hi) = (
+                bucket(w.start.0).clamp(first, last),
+                bucket(w.end.0 - 1).clamp(first, last),
+            );
+            let mut expected = vec![Vec::new(); State::COUNT];
+            for (pair, state, from, to) in &spans {
+                if *from <= hi && *to >= lo {
+                    expected[state.index()].push(*pair);
+                }
+            }
+            let mut union = Vec::new();
+            for state in State::ALL {
+                let pairs = idx.in_state(state, w);
+                assert_eq!(pairs, expected[state.index()], "{state:?} {w:?}");
+                union.extend(pairs.iter().map(|(k, _)| *k));
+            }
+            union.sort_unstable();
+            union.dedup();
+            assert_eq!(candidates, union, "{w:?}");
+        }
     }
 
     #[test]

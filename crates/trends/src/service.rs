@@ -157,7 +157,6 @@ impl TrendsService {
             &mut rng,
             &self.scenario,
             &self.index,
-            &self.model,
             req.state,
             req.range(),
         );

@@ -6,9 +6,12 @@
 //! topic and receives raw queries back as rising suggestions; this module
 //! owns both vocabularies.
 
+use crate::interest::query_share;
 use serde::{Deserialize, Serialize};
 use sift_geo::State;
+use std::collections::HashMap;
 use std::fmt;
+use std::sync::OnceLock;
 
 /// A term the service can be asked about: either a curated topic or a raw
 /// query string.
@@ -244,6 +247,160 @@ pub fn generic_outage_phrases(state: State) -> Vec<String> {
     ]
 }
 
+/// What an event's rising phrases depend on: the phrasing is a function of
+/// this key alone, never of the world the event lives in.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum PhraseKey {
+    /// A power outage in `state` that takes down the ISP at slot `isp` of
+    /// [`Provider::ISPS`] and the carrier at slot `mobile` of
+    /// [`Provider::MOBILE`].
+    Power {
+        state: State,
+        isp: usize,
+        mobile: usize,
+    },
+    /// An outage of `provider`, localised to `state`.
+    Provider { provider: Provider, state: State },
+}
+
+/// Number of distinct [`PhraseKey::Power`] keys.
+const POWER_KEYS: usize = State::COUNT * Provider::ISPS.len() * Provider::MOBILE.len();
+
+impl PhraseKey {
+    /// The phrases, in the order the service draws their jitter. A list
+    /// may repeat a phrase (New York is both a state and a city).
+    pub(crate) fn phrases(self) -> Vec<String> {
+        match self {
+            PhraseKey::Power { state, isp, mobile } => {
+                let mut out = power_phrases(state);
+                // Power outages take providers down with them, so provider
+                // queries rise too ("multiple ISP names for the winter
+                // storm", §1; the Fig. 2 example suggests <spectrum
+                // internet outage> and <metro pcs outage> alongside
+                // <san jose power outage>).
+                out.push(format!("{} internet outage", Provider::ISPS[isp].name()));
+                out.push(format!("{} outage", Provider::MOBILE[mobile].name()));
+                out
+            }
+            PhraseKey::Provider { provider, state } => {
+                let n = provider.name();
+                let mut out = provider_phrases(provider);
+                // Localized phrasings give the suggestion vocabulary its
+                // long tail (the paper observes 6655 distinct terms).
+                out.push(format!("{n} outage {}", state.name().to_lowercase()));
+                let [a, b] = major_cities(state);
+                out.push(format!("{n} outage {}", a.to_lowercase()));
+                out.push(format!("is {n} down in {}", b.to_lowercase()));
+                out
+            }
+        }
+    }
+
+    /// Dense position of the key among all keys: power keys first, then
+    /// provider keys.
+    fn slot(self) -> usize {
+        match self {
+            PhraseKey::Power { state, isp, mobile } => {
+                (state.index() * Provider::ISPS.len() + isp) * Provider::MOBILE.len() + mobile
+            }
+            PhraseKey::Provider { provider, state } => {
+                POWER_KEYS + provider as usize * State::COUNT + state.index()
+            }
+        }
+    }
+
+    /// Every key, in slot order.
+    fn all() -> impl Iterator<Item = PhraseKey> {
+        let power = State::ALL.into_iter().flat_map(|state| {
+            (0..Provider::ISPS.len()).flat_map(move |isp| {
+                (0..Provider::MOBILE.len()).map(move |mobile| PhraseKey::Power {
+                    state,
+                    isp,
+                    mobile,
+                })
+            })
+        });
+        let provider = Provider::ALL.into_iter().flat_map(|provider| {
+            State::ALL
+                .into_iter()
+                .map(move |state| PhraseKey::Provider { provider, state })
+        });
+        power.chain(provider)
+    }
+}
+
+/// Every phrase a rising response can carry, interned once per process.
+///
+/// Holds one id list per [`PhraseKey`] and one generic list per state,
+/// each resolving to the strings [`PhraseKey::phrases`] and
+/// [`generic_outage_phrases`] build, plus each phrase's [`query_share`].
+/// The table depends on no world, so every service in a process shares it.
+pub(crate) struct PhraseTable {
+    text: Vec<String>,
+    share: Vec<f64>,
+    /// List `k` is `ids[starts[k]..starts[k + 1]]`: the key lists in slot
+    /// order, then the generic list of each state in index order.
+    ids: Vec<u32>,
+    starts: Vec<usize>,
+}
+
+impl PhraseTable {
+    /// The process-wide table, built on first use.
+    pub(crate) fn get() -> &'static PhraseTable {
+        static TABLE: OnceLock<PhraseTable> = OnceLock::new();
+        TABLE.get_or_init(PhraseTable::build)
+    }
+
+    fn build() -> PhraseTable {
+        let mut table = PhraseTable {
+            text: Vec::new(),
+            share: Vec::new(),
+            ids: Vec::new(),
+            starts: vec![0],
+        };
+        let mut interned: HashMap<String, u32> = HashMap::new();
+        let lists = PhraseKey::all()
+            .map(PhraseKey::phrases)
+            .chain(State::ALL.into_iter().map(generic_outage_phrases));
+        for list in lists {
+            for phrase in list {
+                let id = *interned.entry(phrase).or_insert_with_key(|phrase| {
+                    table.share.push(query_share(phrase));
+                    table.text.push(phrase.clone());
+                    u32::try_from(table.text.len() - 1).unwrap_or(u32::MAX)
+                });
+                table.ids.push(id);
+            }
+            table.starts.push(table.ids.len());
+        }
+        table
+    }
+
+    fn list(&self, k: usize) -> &[u32] {
+        &self.ids[self.starts[k]..self.starts[k + 1]]
+    }
+
+    /// The phrase ids of `key`, in [`PhraseKey::phrases`] order.
+    pub(crate) fn phrases(&self, key: PhraseKey) -> &[u32] {
+        self.list(key.slot())
+    }
+
+    /// The phrase ids of [`generic_outage_phrases`]`(state)`, in order.
+    pub(crate) fn generic(&self, state: State) -> &[u32] {
+        self.list(POWER_KEYS + Provider::ALL.len() * State::COUNT + state.index())
+    }
+
+    /// The text of phrase `id`.
+    pub(crate) fn text(&self, id: u32) -> &str {
+        &self.text[id as usize]
+    }
+
+    /// [`query_share`] of phrase `id`.
+    pub(crate) fn share(&self, id: u32) -> f64 {
+        self.share[id as usize]
+    }
+}
+
 /// The two largest cities of each region, for localized phrasings like the
 /// paper's `<san jose power outage>` example.
 pub fn major_cities(state: State) -> [&'static str; 2] {
@@ -355,6 +512,34 @@ mod tests {
         let phrases = power_phrases(sift_geo::State::CA);
         assert!(phrases.contains(&"san jose power outage".to_string()));
         assert!(phrases.contains(&"power outage".to_string()));
+    }
+
+    /// The interned table resolves, for every (event, region) of the
+    /// default world, to exactly the strings `rising_phrases` builds, and
+    /// each state's generic list to `generic_outage_phrases`; every
+    /// interned share is `query_share` of its text, bit for bit.
+    #[test]
+    fn phrase_table_covers_the_default_world() {
+        let table = PhraseTable::get();
+        let resolve = |ids: &[u32]| -> Vec<String> {
+            ids.iter().map(|id| table.text(*id).to_owned()).collect()
+        };
+        for e in &crate::Scenario::us_2020_2021().events {
+            for (state, _) in &e.states {
+                assert_eq!(
+                    resolve(table.phrases(e.phrase_key(*state))),
+                    e.rising_phrases(*state),
+                    "{} in {state:?}",
+                    e.name
+                );
+            }
+        }
+        for state in State::ALL {
+            assert_eq!(resolve(table.generic(state)), generic_outage_phrases(state));
+        }
+        for (text, share) in table.text.iter().zip(&table.share) {
+            assert_eq!(share.to_bits(), query_share(text).to_bits(), "{text}");
+        }
     }
 
     #[test]

@@ -156,4 +156,11 @@ done
 diff target/threads-1.txt target/threads-4.txt \
   || { echo "experiments report diverged between 1 and 4 threads" >&2; exit 1; }
 
+# Output pin: the same report, byte for byte, as the committed golden
+# file. A change that claims identical output (a speed-up, a refactor)
+# must pass this unedited; a change to the algorithm or the world
+# regenerates the file on purpose, with the command above at --threads 1.
+diff tests/golden/experiments-quick.txt target/threads-1.txt \
+  || { echo "experiments report differs from tests/golden/experiments-quick.txt" >&2; exit 1; }
+
 echo "all checks passed"
