@@ -62,16 +62,6 @@ impl OutageCluster {
             .expect("clusters are never empty")
     }
 
-    /// Longest member duration in hours.
-    #[expect(clippy::expect_used, reason = "`spikes` is non-empty by construction")]
-    pub fn max_duration_h(&self) -> i64 {
-        self.spikes
-            .iter()
-            .map(|s| s.duration_h())
-            .max()
-            .expect("clusters are never empty")
-    }
-
     /// Per-state lag of the earliest peak in that state behind the
     /// cluster's first peak, in hours — the §4.2 lag analysis of the
     /// Facebook outage.
@@ -302,7 +292,6 @@ mod tests {
         assert_eq!(clusters.len(), 1);
         assert_eq!(clusters[0].state_count(), 2, "distinct states only");
         assert_eq!(clusters[0].spikes.len(), 3);
-        assert_eq!(clusters[0].max_duration_h(), 6);
     }
 
     #[test]

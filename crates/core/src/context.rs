@@ -92,37 +92,64 @@ pub fn heavy_hitters(
     mass: f64,
 ) -> (Vec<(String, u64)>, usize) {
     let sets: Vec<Vec<String>> = suggestion_sets.into_iter().collect();
-    let counts = count_phrases(sets.iter().flatten().map(String::as_str));
-    heavy_from_counts(&counts, mass)
-}
-
-/// Occurrences of each distinct raw phrase. Rising terms are massively
-/// repetitive (a few thousand distinct phrases under a hundred thousand
-/// occurrences), so everything after this pass — normalizing, embedding —
-/// runs once per distinct phrase.
-pub(crate) fn count_phrases<'a>(terms: impl Iterator<Item = &'a str>) -> HashMap<&'a str, u64> {
-    let mut counts: HashMap<&str, u64> = HashMap::new();
-    for term in terms {
-        *counts.entry(term).or_insert(0) += 1;
+    let mut phrases = Interner::default();
+    for term in sets.iter().flatten() {
+        phrases.intern(term);
     }
-    counts
+    heavy_from_counts(&phrases.normalized(), &phrases.counts, mass)
 }
 
-/// [`heavy_hitters`] over raw-phrase counts: folds them by normalized
+/// The distinct raw phrases of a set of suggestion lists, numbered in
+/// first-seen order, with their occurrence counts. Rising terms are
+/// massively repetitive (a few thousand distinct phrases under a hundred
+/// thousand occurrences), so everything after interning — normalizing,
+/// embedding, the heavy-hitter test — runs once per distinct phrase.
+#[derive(Default)]
+pub(crate) struct Interner<'a> {
+    ids: HashMap<&'a str, usize>,
+    /// Indexed by id.
+    raws: Vec<&'a str>,
+    /// Occurrences of each id.
+    pub(crate) counts: Vec<u64>,
+}
+
+impl<'a> Interner<'a> {
+    /// The id of `raw`, counting one more occurrence of it.
+    pub(crate) fn intern(&mut self, raw: &'a str) -> usize {
+        let next = self.raws.len();
+        let id = *self.ids.entry(raw).or_insert(next);
+        if id == next {
+            self.raws.push(raw);
+            self.counts.push(0);
+        }
+        self.counts[id] += 1;
+        id
+    }
+
+    /// Each distinct phrase normalized once, indexed by id.
+    pub(crate) fn normalized(&self) -> Vec<String> {
+        self.raws
+            .iter()
+            .map(|raw| sift_nlp::normalize(raw))
+            .collect()
+    }
+}
+
+/// [`heavy_hitters`] over per-phrase counts: folds them by normalized
 /// term, then keeps the most frequent terms up to `mass`.
 pub(crate) fn heavy_from_counts(
-    counts: &HashMap<&str, u64>,
+    normalized: &[String],
+    counts: &[u64],
     mass: f64,
 ) -> (Vec<(String, u64)>, usize) {
-    let mut freq: HashMap<String, u64> = HashMap::new();
-    let mut total: u64 = 0;
-    for (raw, n) in counts {
-        *freq.entry(normalize_term(raw)).or_insert(0) += n;
-        total += n;
+    let mut freq: HashMap<&str, u64> = HashMap::new();
+    for (term, n) in normalized.iter().zip(counts) {
+        *freq.entry(term).or_insert(0) += n;
     }
+    let total: u64 = counts.iter().sum();
     let distinct = freq.len();
-    let mut ranked: Vec<(String, u64)> = freq.into_iter().collect();
-    ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+    let mut ranked: Vec<(&str, u64)> = freq.into_iter().collect();
+    ranked.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(b.0)));
 
     #[expect(
         clippy::cast_possible_truncation,
@@ -139,31 +166,67 @@ pub(crate) fn heavy_from_counts(
         acc += c;
         keep += 1;
     }
-    ranked.truncate(keep);
-    (ranked, distinct)
-}
-
-fn normalize_term(t: &str) -> String {
-    sift_nlp::normalize(t)
+    let heavy = ranked
+        .into_iter()
+        .take(keep)
+        .map(|(term, n)| (term.to_owned(), n))
+        .collect();
+    (heavy, distinct)
 }
 
 /// Ranks and clusters one spike's gathered suggestions into annotations.
 ///
 /// The transformations of §3.4, in order: weight ranking, heavy-hitter
-/// prioritisation, semantic clustering. A study annotates every spike
-/// against one shared [`PhraseTable`]; this entry builds a table of just
-/// this spike's phrases.
+/// prioritisation, semantic clustering. A study annotates every distinct
+/// suggestion list against one shared [`PhraseTable`]; this entry builds
+/// a table of just this spike's phrases.
 pub fn annotate(
     spike: Spike,
     suggestions: &[RisingTerm],
     heavy: &[(String, u64)],
     params: &ContextParams,
 ) -> AnnotatedSpike {
-    PhraseTable::new(suggestions.iter().map(|s| s.term.as_str()), heavy).annotate(
+    let mut phrases = Interner::default();
+    for s in suggestions {
+        phrases.intern(&s.term);
+    }
+    let normalized = phrases.normalized();
+    AnnotatedSpike {
         spike,
-        suggestions,
-        params,
-    )
+        annotations: PhraseTable::new(phrases, &normalized, heavy).annotate(suggestions, params),
+    }
+}
+
+/// The distinct suggestion lists of a study. Neighbouring spikes are
+/// covered by the same weekly frames and drill-down days, so many carry
+/// the same list; a list's annotations are a function of its content, so
+/// equal lists share one computation.
+#[derive(Default)]
+pub(crate) struct SuggestionLists<'a> {
+    /// Each distinct list once, in first-seen order.
+    pub(crate) distinct: Vec<&'a [RisingTerm]>,
+    /// Fingerprint → the distinct lists that have it.
+    candidates: HashMap<u64, Vec<usize>>,
+}
+
+impl<'a> SuggestionLists<'a> {
+    /// The index of the distinct list equal to `list`, which is added if
+    /// it is new. `fingerprint` may be any function of `list`: it only
+    /// proposes candidates, and equality decides, so two different lists
+    /// that share a fingerprint are never merged.
+    pub(crate) fn insert(&mut self, fingerprint: u64, list: &'a [RisingTerm]) -> usize {
+        let candidates = self.candidates.entry(fingerprint).or_default();
+        if let Some(&known) = candidates
+            .iter()
+            .find(|&&known| self.distinct[known] == list)
+        {
+            return known;
+        }
+        let index = self.distinct.len();
+        candidates.push(index);
+        self.distinct.push(list);
+        index
+    }
 }
 
 /// One distinct raw phrase with everything annotation needs of it.
@@ -186,40 +249,45 @@ pub(crate) struct PhraseTable<'a> {
 }
 
 impl<'a> PhraseTable<'a> {
-    /// Interns `phrases` (duplicates welcome) and flags the ones whose
-    /// normalized form is among `heavy`.
-    pub(crate) fn new(phrases: impl Iterator<Item = &'a str>, heavy: &[(String, u64)]) -> Self {
-        let mut raws: Vec<&str> = phrases.collect();
-        raws.sort_unstable();
-        raws.dedup();
+    /// Embeds the interned phrases and flags the ones whose normalized
+    /// form (`normalized`, by interned id) is among `heavy`.
+    pub(crate) fn new(
+        interned: Interner<'a>,
+        normalized: &[String],
+        heavy: &[(String, u64)],
+    ) -> Self {
         let heavy: HashSet<&str> = heavy.iter().map(|(h, _)| h.as_str()).collect();
-        let ids = raws
-            .iter()
-            .enumerate()
-            .map(|(id, raw)| (*raw, id))
-            .collect();
+        let Interner { mut ids, raws, .. } = interned;
+        let mut by_raw: Vec<usize> = (0..raws.len()).collect();
+        by_raw.sort_unstable_by_key(|&id| raws[id]);
+        let mut rank = vec![0; raws.len()];
+        for (r, &id) in by_raw.iter().enumerate() {
+            rank[id] = r;
+        }
+        for id in ids.values_mut() {
+            *id = rank[*id];
+        }
         // The length is known here, so the kilobyte-sized vectors go into
         // a buffer of exactly the final size; embedding while interning
         // would grow it by doubling and peak at twice that.
-        let phrases = raws
+        let phrases = by_raw
             .into_iter()
-            .map(|raw| Phrase {
-                raw,
-                vector: Normed::of_phrase(raw),
-                heavy: heavy.contains(normalize_term(raw).as_str()),
+            .map(|id| Phrase {
+                raw: raws[id],
+                vector: Normed::of_phrase(raws[id]),
+                heavy: heavy.contains(normalized[id].as_str()),
             })
             .collect();
         PhraseTable { ids, phrases }
     }
 
-    /// [`annotate`] for a spike whose suggested phrases are all in the
+    /// [`annotate`] for a suggestion list whose phrases are all in the
     /// table.
     pub(crate) fn annotate(
         &self,
-        spike: Spike,
         suggestions: &[RisingTerm],
         params: &ContextParams,
-    ) -> AnnotatedSpike {
+    ) -> Vec<Annotation> {
         // Merge duplicate phrasings' weights first (the same term often
         // rises in both the weekly and the daily frame). The stable sort
         // groups a phrase's occurrences in suggestion order and leaves
@@ -271,8 +339,7 @@ impl<'a> PhraseTable<'a> {
                 .then(a.label.cmp(&b.label))
         });
         annotations.truncate(params.max_annotations);
-
-        AnnotatedSpike { spike, annotations }
+        annotations
     }
 }
 
@@ -299,7 +366,7 @@ pub(crate) mod tests {
         }
         let mut phrases: Vec<(String, f64)> = merged.into_iter().collect();
         phrases.sort_by(|a, b| a.0.cmp(&b.0));
-        let is_heavy = |term: &str| heavy.iter().any(|(h, _)| *h == normalize_term(term));
+        let is_heavy = |term: &str| heavy.iter().any(|(h, _)| *h == sift_nlp::normalize(term));
         let mut annotations: Vec<Annotation> =
             cluster_phrases(&phrases, params.similarity_threshold)
                 .into_iter()
@@ -326,7 +393,7 @@ pub(crate) mod tests {
     ) -> (Vec<(String, u64)>, usize) {
         let mut freq: HashMap<String, u64> = HashMap::new();
         for term in suggestion_sets.iter().flatten() {
-            *freq.entry(normalize_term(term)).or_insert(0) += 1;
+            *freq.entry(sift_nlp::normalize(term)).or_insert(0) += 1;
         }
         let total: u64 = freq.values().sum();
         let distinct = freq.len();
@@ -357,7 +424,7 @@ pub(crate) mod tests {
     /// Suggestion lists drawn from a small pool so that duplicates, case
     /// and punctuation variants of one term, all-stop-word phrases and
     /// tied weights are the common case; empty lists included.
-    fn suggestions_strategy() -> impl Strategy<Value = Vec<RisingTerm>> {
+    pub(crate) fn suggestions_strategy() -> impl Strategy<Value = Vec<RisingTerm>> {
         const POOL: &[&str] = &[
             "verizon outage",
             "Verizon Outage",
@@ -400,15 +467,39 @@ pub(crate) mod tests {
             let heavy = heavy_hitters(sets.clone(), mass);
             prop_assert_eq!(&heavy, &reference_heavy_hitters(&sets, mass));
 
-            let shared = PhraseTable::new(
-                lists.iter().flatten().map(|t| t.term.as_str()),
-                &heavy.0,
-            );
+            let mut phrases = Interner::default();
+            for t in lists.iter().flatten() {
+                phrases.intern(&t.term);
+            }
+            let normalized = phrases.normalized();
+            let shared = PhraseTable::new(phrases, &normalized, &heavy.0);
             for list in &lists {
                 let want = reference_annotate(spike(), list, &heavy.0, &params);
                 assert_same_annotations(&annotate(spike(), list, &heavy.0, &params), &want);
-                assert_same_annotations(&shared.annotate(spike(), list, &params), &want);
+                let got = AnnotatedSpike { spike: spike(), annotations: shared.annotate(list, &params) };
+                assert_same_annotations(&got, &want);
             }
+        }
+    }
+
+    #[test]
+    fn lists_that_share_a_fingerprint_stay_apart() {
+        // Every list under one fingerprint: only equality may merge them.
+        // Against the first list, the second differs in one weight, the
+        // third is equal and the fourth has the same terms in another
+        // order.
+        let lists = [
+            vec![term("verizon outage", 100), term("power outage", 50)],
+            vec![term("verizon outage", 300), term("power outage", 50)],
+            vec![term("verizon outage", 100), term("power outage", 50)],
+            vec![term("power outage", 50), term("verizon outage", 100)],
+            Vec::new(),
+        ];
+        let mut memo = SuggestionLists::default();
+        let got: Vec<usize> = lists.iter().map(|l| memo.insert(0, l)).collect();
+        assert_eq!(got, [0, 1, 0, 2, 3]);
+        for (list, &index) in lists.iter().zip(&got) {
+            assert_eq!(memo.distinct[index], list.as_slice());
         }
     }
 
@@ -422,7 +513,7 @@ pub(crate) mod tests {
         }
     }
 
-    fn term(t: &str, w: u32) -> RisingTerm {
+    pub(crate) fn term(t: &str, w: u32) -> RisingTerm {
         RisingTerm {
             term: t.into(),
             weight: w,

@@ -54,15 +54,6 @@ pub fn state_ranking(spikes: &[Spike]) -> Vec<StateShare> {
         .collect()
 }
 
-/// Share of all spikes hosted by the top `k` states.
-pub fn top_k_share(spikes: &[Spike], k: usize) -> f64 {
-    let ranking = state_ranking(spikes);
-    ranking
-        .get(k.saturating_sub(1))
-        .map(|s| s.cumulative_share)
-        .unwrap_or_else(|| ranking.last().map(|s| s.cumulative_share).unwrap_or(0.0))
-}
-
 /// Empirical CDF of spike durations evaluated at each hour `1..=max_h` —
 /// the Fig. 3 (right) curve. `cdf[h-1]` is the fraction of spikes with
 /// duration ≤ `h`.
@@ -187,7 +178,6 @@ mod tests {
         assert!((ranking[0].cumulative_share - 0.6).abs() < 1e-12);
         assert!((ranking.last().unwrap().cumulative_share - 1.0).abs() < 1e-12);
         assert_eq!(ranking.len(), State::COUNT);
-        assert!((top_k_share(&spikes, 2) - 0.8).abs() < 1e-12);
     }
 
     #[test]
@@ -251,7 +241,6 @@ mod tests {
         assert_eq!(duration_cdf(&[], 5), vec![0.0; 5]);
         assert!(share_at_least(&[], 3).abs() < 1e-12);
         assert!(weekday_distribution(&[]).iter().all(|&share| share == 0.0));
-        assert!(top_k_share(&[], 10).abs() < 1e-12);
         assert!(top_by_duration(&[], 5).is_empty());
         assert!(count_by_year(&[]).is_empty());
     }

@@ -1,19 +1,4 @@
-//! Report formatting: the paper's table rows and figure series as text.
-
-use crate::context::AnnotatedSpike;
-use sift_simtime::format_spike_time;
-
-/// Formats one Table 1 / Table 3 row:
-/// `15 Feb. 2021–10h  TX  45  Winter storm`.
-pub fn table1_row(spike: &AnnotatedSpike) -> String {
-    format!(
-        "{:<18} {:<5} {:>4}  {}",
-        format_spike_time(spike.spike.start),
-        spike.spike.state.abbrev(),
-        spike.spike.duration_h(),
-        spike.label()
-    )
-}
+//! Report formatting: the paper's figure series as text.
 
 /// Renders a numeric series as a compact ASCII sparkline (one char per
 /// bucket), handy for eyeballing timelines in terminal reports.
@@ -53,33 +38,6 @@ pub fn downsample_max(values: &[f64], buckets: usize) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::context::Annotation;
-    use crate::detect::Spike;
-    use sift_geo::State;
-    use sift_simtime::Hour;
-
-    #[test]
-    fn table1_row_matches_paper_style() {
-        let spike = AnnotatedSpike {
-            spike: Spike {
-                state: State::TX,
-                start: Hour::from_ymdh(2021, 2, 15, 10),
-                peak: Hour::from_ymdh(2021, 2, 15, 20),
-                end: Hour::from_ymdh(2021, 2, 17, 7),
-                magnitude: 100.0,
-            },
-            annotations: vec![Annotation {
-                label: "power outage".into(),
-                weight: 500.0,
-                heavy_hitter: true,
-            }],
-        };
-        let row = table1_row(&spike);
-        assert!(row.contains("15 Feb. 2021\u{2013}10h"), "{row}");
-        assert!(row.contains("TX"), "{row}");
-        assert!(row.contains("45"), "{row}");
-        assert!(row.contains("power outage"), "{row}");
-    }
 
     #[test]
     fn sparkline_shapes() {

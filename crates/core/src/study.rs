@@ -13,7 +13,8 @@
 
 use crate::area::{cluster_spikes, OutageCluster};
 use crate::context::{
-    count_phrases, heavy_from_counts, AnnotatedSpike, ContextParams, PhraseTable,
+    heavy_from_counts, AnnotatedSpike, Annotation, ContextParams, Interner, PhraseTable,
+    SuggestionLists,
 };
 use crate::detect::{DetectParams, Spike};
 use crate::durable::{RegionJournal, StudyDurability};
@@ -26,8 +27,10 @@ use sift_simtime::{Hour, HourRange, STUDY_RANGE};
 use sift_trends::api::RisingTerm;
 use sift_trends::client::{FetchError, TrendsClient};
 use sift_trends::{RisingRequest, SearchTerm};
+use std::collections::hash_map::DefaultHasher;
 use std::collections::{HashMap, HashSet};
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// Parameters of one study.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -349,20 +352,58 @@ pub fn assemble_study(
     regions.sort_by_key(|r| r.state.index());
 
     // ---- Global phase: heavy hitters over every spike's suggestion set,
-    // then annotation. Every distinct phrase is counted, normalized and
-    // embedded once, in the table all spikes are annotated against.
+    // then annotation. One pass interns every suggestion occurrence,
+    // counting it for the heavy hitters, and files each spike's list
+    // under the distinct list it equals. Every distinct phrase is then
+    // normalized and embedded once, and every distinct list annotated
+    // once, against the table.
     let context_span = sift_obs::span("context");
     let (heavy, distinct_terms, mut spikes) = {
         let gathered: Vec<&(Spike, Vec<RisingTerm>)> =
             regions.iter().flat_map(|r| r.spikes.iter()).collect();
-        let counts = count_phrases(
-            gathered
-                .iter()
-                .flat_map(|(_, suggestions)| suggestions.iter().map(|t| t.term.as_str())),
+        let mut phrases = Interner::default();
+        let mut lists = SuggestionLists::default();
+        let list_of: Vec<usize> = gathered
+            .iter()
+            .map(|(_, suggestions)| {
+                let mut fingerprint = DefaultHasher::new();
+                for t in suggestions {
+                    (phrases.intern(&t.term), t.weight).hash(&mut fingerprint);
+                }
+                lists.insert(fingerprint.finish(), suggestions)
+            })
+            .collect();
+        context_span.attr_add(
+            "suggestion_lists",
+            u64::try_from(gathered.len()).unwrap_or(u64::MAX),
         );
-        let (heavy, distinct_terms) = heavy_from_counts(&counts, params.context.heavy_hitter_mass);
-        let table = PhraseTable::new(counts.into_keys(), &heavy);
-        let spikes = annotate_spikes(&table, &gathered, params, context_span.context());
+        context_span.attr_add(
+            "distinct_lists",
+            u64::try_from(lists.distinct.len()).unwrap_or(u64::MAX),
+        );
+
+        let normalized = phrases.normalized();
+        let (heavy, distinct_terms) = heavy_from_counts(
+            &normalized,
+            &phrases.counts,
+            params.context.heavy_hitter_mass,
+        );
+        let table = PhraseTable::new(phrases, &normalized, &heavy);
+        let annotated = annotate_lists(&table, &lists.distinct, params, context_span.context());
+        // Each spike gets its own copy, made on this thread, and the
+        // workers' results are dropped with this block, before the region
+        // outcomes: a worker's labels left in its malloc arena on top of
+        // the region phase's suggestion lists keep that arena from
+        // shrinking when the lists are freed (peak RSS 66 MB instead of
+        // 62 on `study_full`).
+        let spikes: Vec<AnnotatedSpike> = gathered
+            .iter()
+            .zip(list_of)
+            .map(|((spike, _), list)| AnnotatedSpike {
+                spike: *spike,
+                annotations: annotated[list].clone(),
+            })
+            .collect();
         (heavy, distinct_terms, spikes)
     };
 
@@ -412,48 +453,43 @@ pub fn assemble_study(
     }
 }
 
-/// Annotates every gathered spike against the study's phrase table, on
-/// `params.threads` threads.
+/// Annotates each distinct suggestion list against the study's phrase
+/// table, on `params.threads` threads.
 ///
-/// The spike list is cut into contiguous chunks; the calling thread takes
-/// the first instead of idling, scoped workers the rest, each under its
-/// own `annotate` span parented on `context`. A spike's annotations
-/// depend on that spike and the read-only table alone, and the chunks are
-/// concatenated in order, so the thread count cannot reach the result.
-fn annotate_spikes(
+/// The lists are cut into contiguous chunks; the calling thread takes the
+/// first instead of idling, scoped workers the rest, each under its own
+/// `annotate` span parented on `context`. A list's annotations are a
+/// function of its content and the read-only table alone, and the chunks
+/// are concatenated in order, so the thread count cannot reach the
+/// result.
+fn annotate_lists(
     table: &PhraseTable<'_>,
-    gathered: &[&(Spike, Vec<RisingTerm>)],
+    lists: &[&[RisingTerm]],
     params: &StudyParams,
     context: sift_obs::SpanContext,
-) -> Vec<AnnotatedSpike> {
-    let annotate_chunk = |chunk: &[&(Spike, Vec<RisingTerm>)]| -> Vec<AnnotatedSpike> {
+) -> Vec<Vec<Annotation>> {
+    let annotate_chunk = |chunk: &[&[RisingTerm]]| -> Vec<Vec<Annotation>> {
         let _span = sift_obs::span_in(context, "annotate");
         sift_obs::attr_add(
-            "spikes_annotated",
+            "lists_annotated",
             u64::try_from(chunk.len()).unwrap_or(u64::MAX),
         );
         chunk
             .iter()
-            .map(|(spike, suggestions)| table.annotate(*spike, suggestions, &params.context))
+            .map(|list| table.annotate(list, &params.context))
             .collect()
     };
-    let per_thread = gathered.len().div_ceil(params.threads.max(1)).max(1);
-    let mut chunks = gathered.chunks(per_thread);
+    let per_thread = lists.len().div_ceil(params.threads.max(1)).max(1);
+    let mut chunks = lists.chunks(per_thread);
     let first = chunks.next().unwrap_or_default();
     std::thread::scope(|scope| {
         let workers: Vec<_> = chunks
             .map(|chunk| scope.spawn(move || annotate_chunk(chunk)))
             .collect();
-        let mut annotated = Vec::with_capacity(gathered.len());
-        annotated.extend(annotate_chunk(first));
+        let mut annotated = annotate_chunk(first);
         for worker in workers {
             #[expect(clippy::expect_used, reason = "re-raise a worker panic on join")]
-            let chunk = worker.join().expect("annotate worker panicked");
-            // Copied, not moved: a worker's labels sit in its malloc arena
-            // on top of the region phase's suggestion lists, and left
-            // there they keep that arena from shrinking when the lists
-            // are freed (peak RSS 66 MB instead of 62 on `study_full`).
-            annotated.extend(chunk.iter().cloned());
+            annotated.extend(worker.join().expect("annotate worker panicked"));
         }
         annotated
     })
@@ -1070,6 +1106,14 @@ mod tests {
             .find(|s| s.name == "stitch")
             .expect("stitch span");
         assert!(stitch.arg("frames_stitched").is_some_and(|n| n > 0));
+        let context = trace
+            .spans
+            .iter()
+            .find(|s| s.name == "context")
+            .expect("context span");
+        let lists = context.arg("suggestion_lists").expect("suggestion_lists");
+        let distinct = context.arg("distinct_lists").expect("distinct_lists");
+        assert!(0 < distinct && distinct <= lists, "{distinct} of {lists}");
         // The walk telescopes: every microsecond of the root is charged
         // to exactly one span name, the time-consuming stages are on the
         // path, and nothing but the roots and the pipeline's own stage
@@ -1155,13 +1199,16 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn study_annotations_match_the_string_keyed_reference() {
+    /// Assembles `regions` and checks the heavy hitters, the distinct
+    /// term count and every spike's annotations against the string-keyed
+    /// references, each spike against its own suggestion list.
+    fn assert_assembly_matches_the_reference(
+        params: &StudyParams,
+        regions: Vec<RegionOutcome>,
+    ) -> StudyResult {
         use crate::context::tests::{
             assert_same_annotations, reference_annotate, reference_heavy_hitters,
         };
-        let params = small_params();
-        let regions = region_outcomes(&params);
         let gathered: Vec<(Spike, Vec<RisingTerm>)> =
             regions.iter().flat_map(|r| r.spikes.clone()).collect();
         let sets: Vec<Vec<String>> = gathered
@@ -1170,11 +1217,10 @@ mod tests {
             .collect();
         let (heavy, distinct) = reference_heavy_hitters(&sets, params.context.heavy_hitter_mass);
 
-        let result = assemble_study(&params, regions, false);
+        let result = assemble_study(params, regions, false);
         assert_eq!(result.heavy_hitters, heavy);
         assert_eq!(result.distinct_terms, distinct);
         assert_eq!(result.spikes.len(), gathered.len());
-        assert!(result.spikes.iter().any(|a| a.annotations.len() > 1));
         for got in &result.spikes {
             let (spike, suggestions) = gathered
                 .iter()
@@ -1182,6 +1228,122 @@ mod tests {
                 .expect("annotated spike was gathered");
             let want = reference_annotate(*spike, suggestions, &heavy, &params.context);
             assert_same_annotations(got, &want);
+        }
+        result
+    }
+
+    #[test]
+    fn study_annotations_match_the_string_keyed_reference() {
+        let params = small_params();
+        let result = assert_assembly_matches_the_reference(&params, region_outcomes(&params));
+        assert!(result.spikes.iter().any(|a| a.annotations.len() > 1));
+    }
+
+    /// A region whose spikes, one every 50 hours, carry `lists`.
+    fn hand_built_outcome(state: State, lists: Vec<Vec<RisingTerm>>) -> RegionOutcome {
+        let spikes = (0i64..)
+            .zip(lists)
+            .map(|(i, list)| {
+                let start = Hour(50 * i);
+                let spike = Spike {
+                    state,
+                    start,
+                    peak: start + 2,
+                    end: start + 6,
+                    magnitude: 40.0,
+                };
+                (spike, list)
+            })
+            .collect();
+        RegionOutcome {
+            state,
+            timeline: Timeline {
+                state,
+                start: Hour(0),
+                values: Vec::new(),
+            },
+            rounds: 1,
+            converged: true,
+            frames_requested: 0,
+            frames_degraded: 0,
+            coverage: 1.0,
+            halted: false,
+            resumed_from_round: 0,
+            frames_replayed: 0,
+            rising_requested: 0,
+            spikes,
+        }
+    }
+
+    #[test]
+    fn spikes_with_equal_lists_share_annotations_and_near_misses_do_not() {
+        use crate::context::tests::term;
+        let base = vec![
+            term("verizon outage", 100),
+            term("is verizon down", 60),
+            term("power outage", 90),
+            term("weird meme query", 80),
+        ];
+        // The daily drill-down's ×3 boost on one term.
+        let mut boosted = base.clone();
+        boosted[0].weight *= 3;
+        let mut reordered = base.clone();
+        reordered.reverse();
+        let regions = vec![
+            hand_built_outcome(
+                State::TX,
+                vec![base.clone(), boosted.clone(), base.clone(), Vec::new()],
+            ),
+            hand_built_outcome(
+                State::CA,
+                vec![boosted, reordered, Vec::new(), base.clone(), base],
+            ),
+        ];
+        for threads in [1, 3] {
+            let params = StudyParams {
+                threads,
+                ..small_params()
+            };
+            assert_assembly_matches_the_reference(&params, regions.clone());
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+        /// Random regions whose spikes draw their lists from a small pool,
+        /// as is, with one weight tripled, or reversed: the memoised
+        /// assembly is the reference at every thread count.
+        #[test]
+        fn assembly_with_repeated_lists_matches_the_reference(
+            pool in proptest::collection::vec(crate::context::tests::suggestions_strategy(), 1..5),
+            picks in proptest::collection::vec(
+                proptest::collection::vec((0usize..8, 0u8..3), 0..8),
+                1..4,
+            ),
+        ) {
+            let regions: Vec<RegionOutcome> = [State::TX, State::CA, State::NY]
+                .into_iter()
+                .zip(&picks)
+                .map(|(state, region)| {
+                    let lists = region
+                        .iter()
+                        .map(|&(pick, variant)| {
+                            let mut list = pool[pick % pool.len()].clone();
+                            match (variant, list.first_mut()) {
+                                (1, Some(first)) => first.weight *= 3,
+                                (2, _) => list.reverse(),
+                                _ => {}
+                            }
+                            list
+                        })
+                        .collect();
+                    hand_built_outcome(state, lists)
+                })
+                .collect();
+            for threads in [1, 2, 3, 8] {
+                let params = StudyParams { threads, ..small_params() };
+                assert_assembly_matches_the_reference(&params, regions.clone());
+            }
         }
     }
 

@@ -63,20 +63,6 @@ impl Timeline {
             .copied()
     }
 
-    /// Index of an hour within `values`, or `None` outside the range.
-    pub fn index_of(&self, at: Hour) -> Option<usize> {
-        if at < self.start || at >= self.start + to_i64(self.values.len()) {
-            None
-        } else {
-            usize::try_from(at - self.start).ok()
-        }
-    }
-
-    /// The hour of `values[idx]`.
-    pub fn hour_of(&self, idx: usize) -> Hour {
-        self.start + to_i64(idx)
-    }
-
     /// Renormalizes the series so its maximum is 100 (no-op if all zero).
     pub fn renormalize(&mut self) {
         let max = self.values.iter().copied().fold(0.0f64, f64::max);
@@ -554,8 +540,6 @@ mod tests {
         assert_eq!(tl.value_at(Hour(11)), Some(50.0));
         assert_eq!(tl.value_at(Hour(9)), None);
         assert_eq!(tl.value_at(Hour(13)), None);
-        assert_eq!(tl.index_of(Hour(12)), Some(2));
-        assert_eq!(tl.hour_of(2), Hour(12));
     }
 
     #[test]

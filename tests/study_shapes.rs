@@ -2,17 +2,23 @@
 //! full two-year world. These are the coarse "who wins, which way does it
 //! lean" checks; exact paper-vs-measured numbers live in EXPERIMENTS.md.
 
-use sift::core::{impact, run_study, StudyParams};
+use sift::core::{
+    assemble_study, context, impact, plan_frames, run_region_study, run_study, StudyParams,
+};
 use sift::geo::State;
 use sift::simtime::Hour;
 use sift::trends::{Scenario, ScenarioParams, TrendsService};
 
-fn thinned_study() -> sift::core::StudyResult {
+fn thinned_service() -> TrendsService {
     let scenario = Scenario::generate(ScenarioParams {
         background_scale: 0.15,
         ..ScenarioParams::default()
     });
-    let service = TrendsService::with_defaults(scenario);
+    TrendsService::with_defaults(scenario)
+}
+
+fn thinned_study() -> sift::core::StudyResult {
+    let service = thinned_service();
     let params = StudyParams {
         regions: vec![
             State::TX,
@@ -80,4 +86,48 @@ fn headline_shapes_hold() {
         "heavy hitters: {:?}",
         result.heavy_hitters
     );
+}
+
+/// The global phase annotates each distinct suggestion list once and
+/// hands every spike a copy; each copy must be what annotating that
+/// spike alone gives, at any thread count.
+#[test]
+fn assembled_annotations_are_each_spikes_own() {
+    let service = thinned_service();
+    let mut params = StudyParams {
+        regions: vec![State::TX, State::CA],
+        ..StudyParams::default()
+    };
+    let plan = plan_frames(params.range, params.plan);
+    let regions: Vec<_> = params
+        .regions
+        .iter()
+        .map(|&state| {
+            run_region_study(&service, &params, &plan.frames, state, None).expect("region runs")
+        })
+        .collect();
+    let gathered: Vec<_> = regions.iter().flat_map(|r| r.spikes.clone()).collect();
+    let repeats = gathered
+        .iter()
+        .enumerate()
+        .filter(|(i, (_, list))| gathered[..*i].iter().any(|(_, earlier)| earlier == list))
+        .count();
+    assert!(repeats > 0, "some spikes share a suggestion list");
+
+    for threads in [1, 3] {
+        params.threads = threads;
+        let result = assemble_study(&params, regions.clone(), false);
+        assert_eq!(result.spikes.len(), gathered.len());
+        for got in &result.spikes {
+            let (spike, list) = gathered
+                .iter()
+                .find(|(s, _)| *s == got.spike)
+                .expect("annotated spike was gathered");
+            let want = context::annotate(*spike, list, &result.heavy_hitters, &params.context);
+            assert_eq!(
+                got.annotations, want.annotations,
+                "threads {threads}: {spike:?}"
+            );
+        }
+    }
 }
