@@ -15,11 +15,7 @@
 //!   `sift-journal` WAL: control state is durable before it is
 //!   acknowledged, so a killed coordinator replays, re-fences, resumes,
 //! * [`worker`] — the worker thread: lease → crawl via
-//!   [`sift_core::run_region_study`] → upload,
-//! * [`nemesis`] — the chaos harness: runs a full sharded study under a
-//!   seeded [`sift_net::NemesisPlan`] (coordinator kills, partitions,
-//!   heartbeat delay) and hands back the converged result for
-//!   baseline-equality audits.
+//!   [`sift_core::run_region_study`] → upload.
 //!
 //! The design invariant is **bit-identical assembly**: workers run the
 //! same deterministic per-region pipeline the in-process driver runs,
@@ -32,13 +28,11 @@
 #![warn(missing_docs)]
 
 pub mod coord;
-pub mod nemesis;
 pub mod proto;
 pub mod recovery;
 pub mod worker;
 
 pub use coord::{cluster_router, ClusterConfig, ClusterError, Coordinator, RerouteReason};
-pub use nemesis::{NemesisCluster, NemesisError, NemesisReport, COORDINATOR};
 pub use proto::{
     HeartbeatReply, HeartbeatRequest, JoinReply, JoinRequest, LeaseReply, LeaseRequest,
     ResultReply, ResultUpload, ShardJob, StatusReply,

@@ -1,10 +1,10 @@
 //! Deterministic crash injection at durability boundaries.
 //!
-//! PR 3's [`FaultPlan`] proved the pipeline against *network* failure by
-//! making every injected fault a pure function of a seed; this module is
-//! its sibling for *process* failure. A [`CrashPlan`] names the exact
-//! durability boundary at which the process dies — mid-way through a
-//! journal record, after a record lands, between a checkpoint's temp
+//! `sift-chaos`'s `FaultPlan` proves the pipeline against *network*
+//! failure by making every injected fault a pure function of a seed; this
+//! module is its sibling for *process* failure. A [`CrashPlan`] names the
+//! exact durability boundary at which the process dies — mid-way through
+//! a journal record, after a record lands, between a checkpoint's temp
 //! write and its rename — and the occurrence count at which it fires, so
 //! a crash test replays bit-identically. The plan can be written out
 //! explicitly (acceptance tests pin their three crash points) or drawn
@@ -15,8 +15,6 @@
 //! [`CrashMode::Abort`] kills the process without cleanup (the
 //! out-of-process harness spawns a child and watches it die, the closest
 //! a test can get to `kill -9`).
-//!
-//! [`FaultPlan`]: https://docs.rs/sift-net
 
 use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;

@@ -17,7 +17,7 @@
 //!   complete new one, never a mix. A checkpoint subsumes and empties the
 //!   journal.
 //! * [`CrashPlan`] / [`CrashInjector`] — deterministic crash injection at
-//!   the durability boundaries ([`CrashSite`]), mirroring `sift-net`'s
+//!   the durability boundaries ([`CrashSite`]), mirroring `sift-chaos`'s
 //!   `FaultPlan`: the same seed dies at the same byte, so
 //!   crash-and-resume tests replay exactly.
 //!

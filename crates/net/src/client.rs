@@ -517,16 +517,35 @@ impl HttpClient {
     fn jittered_backoff(&self, req: &Request, attempt: u32) -> Duration {
         #[expect(clippy::cast_possible_truncation, reason = "backoff ms fit u64")]
         let span_ms = backoff_wait(&self.retry, attempt).as_millis() as u64;
-        let key = crate::fault::request_key(&req.path, &req.body);
+        let key = request_key(&req.path, &req.body);
         let mut seed = [0u8; 32];
         seed[8..16].copy_from_slice(&key.to_le_bytes());
         seed[16..20].copy_from_slice(&attempt.to_le_bytes());
-        // Domain tag ("JITR") keeps this stream disjoint from the fault
-        // injector's, which seeds from the same request key.
+        // Domain tag ("JITR") keeps this stream disjoint from any other
+        // stream seeded from the same request key.
         seed[24..28].copy_from_slice(&0x4a49_5452u32.to_le_bytes());
         let mut rng = ChaCha8Rng::from_seed(seed);
         Duration::from_millis(rng.next_u64() % (span_ms + 1))
     }
+}
+
+/// FNV-1a over route and body, with a separator so `("/a", b"b")` and
+/// `("/ab", b"")` hash apart: the identity of a request across its
+/// retries, which seeds its backoff jitter.
+pub fn request_key(route: &str, body: &[u8]) -> u64 {
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    let mut step = |byte: u8| {
+        hash ^= u64::from(byte);
+        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+    };
+    for b in route.bytes() {
+        step(b);
+    }
+    step(0xff);
+    for &b in body {
+        step(b);
+    }
+    hash
 }
 
 /// Pure exponential backoff ceiling for `attempt` (the jitter draw spans
@@ -617,16 +636,6 @@ mod tests {
         }
     }
 
-    /// Held by every test that can move `sift_client_retries_total{status="io"}`
-    /// in this process, so that one of them can assert it did not move.
-    static IO_RETRIES: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-    fn io_retries_held() -> std::sync::MutexGuard<'static, ()> {
-        IO_RETRIES
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-    }
-
     #[test]
     fn get_and_pooling() {
         let h = spawn_server();
@@ -704,7 +713,6 @@ mod tests {
 
     #[test]
     fn stale_pooled_connection_recovers() {
-        let _io_retries = io_retries_held();
         let h = spawn_server();
         let c = HttpClient::new(h.addr());
         let retried = HttpClient::new(h.addr());
@@ -735,75 +743,6 @@ mod tests {
         assert_eq!(&resp.body[..], b"pong2");
         assert_eq!(io(), before, "the re-send spent no attempt");
         h2.shutdown();
-    }
-
-    #[test]
-    fn transport_errors_consume_retry_budget_then_surface() {
-        let _io_retries = io_retries_held();
-        use crate::fault::{FaultKind, FaultPlan};
-        let router = Router::new().route(Method::Get, "/ping", |_| {
-            Response::text(StatusCode::OK, "pong")
-        });
-        let h = Server::new(router)
-            .with_fault_plan(FaultPlan::new(3).everywhere(&[(FaultKind::Reset, 1.0)]))
-            .bind("127.0.0.1:0")
-            .expect("bind");
-        let c = HttpClient::new(h.addr()).with_retry(fast_retry(3));
-        let before = sift_obs::counter("sift_client_retries_total", &[("status", "io")]).get();
-        let err = c.send_with_retry(&Request::get("/ping")).unwrap_err();
-        assert!(matches!(err, ClientError::Io(_)), "{err}");
-        // Other tests share the global registry, so only a lower bound is
-        // safe: attempts 1 and 2 retried, the 3rd surfaced.
-        let after = sift_obs::counter("sift_client_retries_total", &[("status", "io")]).get();
-        assert!(
-            after - before >= 2,
-            "io retries counted: {before} -> {after}"
-        );
-        h.shutdown();
-    }
-
-    #[test]
-    fn mixed_transport_and_status_faults_are_absorbed() {
-        let _io_retries = io_retries_held();
-        use crate::fault::{FaultKind, FaultPlan};
-        let router = Router::new().route(Method::Get, "/ping", |_| {
-            Response::text(StatusCode::OK, "pong")
-        });
-        let h = Server::new(router)
-            .with_fault_plan(FaultPlan::new(11).everywhere(&[
-                (FaultKind::Reset, 0.25),
-                (FaultKind::Truncate, 0.15),
-                (FaultKind::InternalError, 0.15),
-                (FaultKind::RateStorm, 0.15),
-            ]))
-            .bind("127.0.0.1:0")
-            .expect("bind");
-        let c = HttpClient::new(h.addr()).with_retry(fast_retry(25));
-        for _ in 0..10 {
-            let resp = c.send_with_retry(&Request::get("/ping")).expect("absorbed");
-            assert_eq!(&resp.body[..], b"pong");
-        }
-        h.shutdown();
-    }
-
-    #[test]
-    fn stalls_are_latency_not_errors() {
-        use crate::fault::{FaultKind, FaultPlan};
-        let router = Router::new().route(Method::Get, "/ping", |_| {
-            Response::text(StatusCode::OK, "pong")
-        });
-        let h = Server::new(router)
-            .with_fault_plan(
-                FaultPlan::new(5)
-                    .everywhere(&[(FaultKind::Stall, 1.0)])
-                    .with_stall(Duration::from_millis(5)),
-            )
-            .bind("127.0.0.1:0")
-            .expect("bind");
-        let c = HttpClient::new(h.addr());
-        let resp = c.send(&Request::get("/ping")).expect("stalled but served");
-        assert_eq!(&resp.body[..], b"pong");
-        h.shutdown();
     }
 
     #[test]
@@ -874,39 +813,6 @@ mod tests {
         }
         assert!(requests_differ, "different requests decorrelate");
         h.shutdown();
-    }
-
-    #[test]
-    fn breaker_opens_and_fails_fast_without_touching_the_network() {
-        use crate::fault::{FaultKind, FaultPlan};
-        let router = Router::new().route(Method::Get, "/ping", |_| {
-            Response::text(StatusCode::OK, "pong")
-        });
-        let h = Server::new(router)
-            .with_fault_plan(FaultPlan::new(3).everywhere(&[(FaultKind::Reset, 1.0)]))
-            .bind("127.0.0.1:0")
-            .expect("bind");
-        let breaker = Arc::new(CircuitBreaker::new(
-            "unit-test",
-            BreakerConfig {
-                failure_threshold: 2,
-                cooldown: Duration::from_secs(60),
-                success_threshold: 1,
-            },
-        ));
-        let c = HttpClient::new(h.addr())
-            .with_retry(fast_retry(1))
-            .with_breaker(Arc::clone(&breaker));
-        for _ in 0..2 {
-            let err = c.send_with_retry(&Request::get("/ping")).unwrap_err();
-            assert!(matches!(err, ClientError::Io(_)), "{err}");
-        }
-        assert_eq!(breaker.state(), BreakerState::Open);
-        // Kill the server: a fast-failing client never notices.
-        h.shutdown();
-        let err = c.send_with_retry(&Request::get("/ping")).unwrap_err();
-        assert!(matches!(err, ClientError::BreakerOpen { .. }), "{err}");
-        assert_eq!(breaker.transition_log(), vec!["closed->open".to_owned()]);
     }
 
     #[test]
@@ -987,103 +893,6 @@ mod tests {
         h.shutdown();
     }
 
-    /// How a test run sends its batch: one at a time, or pipelined.
-    type Sender = dyn Fn(&HttpClient, &[Request]) -> Vec<Result<Response, ClientError>>;
-
-    /// What a chaos server decided and served, for comparing a pipelined
-    /// run against the same requests sent one at a time.
-    #[derive(Debug, PartialEq)]
-    struct ServerSide {
-        answers: Vec<u64>,
-        injected: u64,
-        arrivals: Vec<(u64, u32)>,
-        served: Vec<(u64, u32)>,
-    }
-
-    fn chaos_run(send: &Sender) -> ServerSide {
-        let _io_retries = io_retries_held();
-        use crate::fault::{FaultKind, FaultPlan};
-        let served = Arc::new(Mutex::new(std::collections::BTreeMap::<u64, u32>::new()));
-        let counted = Arc::clone(&served);
-        let router = Router::new().route(Method::Post, "/double", move |req| {
-            let n: u64 = req.json().expect("json body");
-            *counted.lock().entry(n).or_default() += 1;
-            Response::json(&(n * 2)).expect("encode")
-        });
-        let server = Server::new(router).with_fault_plan(FaultPlan::new(17).everywhere(&[
-            (FaultKind::Reset, 0.12),
-            (FaultKind::Truncate, 0.08),
-            (FaultKind::InternalError, 0.08),
-        ]));
-        let injector = server.fault_injector().expect("plan installed");
-        let h = server.bind("127.0.0.1:0").expect("bind");
-        let c = HttpClient::new(h.addr()).with_retry(fast_retry(25));
-        let results = send(&c, &doubles(0..60));
-        let side = ServerSide {
-            answers: results.iter().map(doubled).collect(),
-            injected: injector.injected_total(),
-            arrivals: injector.arrivals(),
-            served: served.lock().iter().map(|(n, k)| (*n, *k)).collect(),
-        };
-        h.shutdown();
-        side
-    }
-
-    #[test]
-    fn a_close_mid_batch_costs_the_server_what_one_at_a_time_would() {
-        let serial = chaos_run(&|c, reqs| reqs.iter().map(|r| c.send_with_retry(r)).collect());
-        let pipelined = chaos_run(&|c, reqs| c.send_pipelined(reqs));
-        assert!(serial.injected >= 10, "the seed must bite: {serial:?}");
-        assert_eq!(serial.answers, (0..60).map(|n| n * 2).collect::<Vec<_>>());
-        // Replies that made it out before a reset or a truncation were
-        // delivered, not asked for again; what followed the close was
-        // re-sent: every request arrived, and was served, exactly as
-        // often as it would have been on its own.
-        assert_eq!(pipelined, serial);
-    }
-
-    #[test]
-    fn dropped_replies_mid_batch_cost_the_server_what_one_at_a_time_would() {
-        use crate::fault::{NemesisOp, NemesisState};
-        let run = |send: &Sender| {
-            let _io_retries = io_retries_held();
-            let served = Arc::new(Mutex::new(Vec::<u64>::new()));
-            let counted = Arc::clone(&served);
-            let router = Router::new().route(Method::Post, "/double", move |req| {
-                let n: u64 = req.json().expect("json body");
-                counted.lock().push(n);
-                Response::json(&(n * 2)).expect("encode")
-            });
-            let nemesis = Arc::new(NemesisState::new());
-            nemesis.apply(&NemesisOp::PartitionAsym {
-                from: "unit-x".into(),
-                to: "srv".into(),
-            });
-            let h = Server::new(router)
-                .with_nemesis(Arc::clone(&nemesis), "srv")
-                .bind("127.0.0.1:0")
-                .expect("bind");
-            let c = HttpClient::new(h.addr())
-                .with_identity("unit-x")
-                .with_retry(fast_retry(2));
-            let results = send(&c, &doubles(0..3));
-            assert!(
-                results.iter().all(|r| matches!(r, Err(ClientError::Io(_)))),
-                "every reply is lost: {results:?}"
-            );
-            h.shutdown();
-            let mut served = served.lock().clone();
-            served.sort_unstable();
-            (served, nemesis.dropped_total())
-        };
-        let serial = run(&|c, reqs| reqs.iter().map(|r| c.send_with_retry(r)).collect());
-        let pipelined = run(&|c, reqs| c.send_pipelined(reqs));
-        // The handler ran (the receiver acted) twice per request, once
-        // per attempt, either way.
-        assert_eq!(serial, (vec![0, 0, 1, 1, 2, 2], 6));
-        assert_eq!(pipelined, serial);
-    }
-
     #[test]
     fn full_windows_against_large_replies_do_not_deadlock() {
         // Each reply is far larger than any socket buffer, and each
@@ -1113,75 +922,6 @@ mod tests {
             assert_eq!(resp.body.len(), 2 * 1024 * 1024);
             assert_eq!(usize::from(resp.body[0]), i, "replies in request order");
         }
-        h.shutdown();
-    }
-
-    #[test]
-    fn pipelined_failures_resume_at_attempt_two_and_honour_the_breaker() {
-        use crate::fault::{FaultKind, FaultPlan};
-        let router = Router::new().route(Method::Get, "/ping", |_| {
-            Response::text(StatusCode::OK, "pong")
-        });
-        let h = Server::new(router)
-            .with_fault_plan(FaultPlan::new(3).everywhere(&[(FaultKind::InternalError, 1.0)]))
-            .bind("127.0.0.1:0")
-            .expect("bind");
-        let breaker = Arc::new(CircuitBreaker::new(
-            "pipeline-test",
-            BreakerConfig {
-                failure_threshold: 4,
-                cooldown: Duration::from_secs(60),
-                success_threshold: 1,
-            },
-        ));
-        let c = HttpClient::new(h.addr())
-            .with_retry(fast_retry(2))
-            .with_breaker(Arc::clone(&breaker));
-        let pings = [
-            Request::get("/ping"),
-            Request::get("/ping"),
-            Request::get("/ping"),
-        ];
-        let tid = {
-            let root = sift_obs::span_root("pipelined-trace-test");
-            let results = c.send_pipelined(&pings);
-            // Two attempts each for the first two requests trip the
-            // breaker; the third request's pipelined 500 is judged after
-            // that, and its second attempt fails fast.
-            assert!(matches!(results[0], Err(ClientError::Status { .. })));
-            assert!(matches!(results[1], Err(ClientError::Status { .. })));
-            assert!(matches!(results[2], Err(ClientError::BreakerOpen { .. })));
-            assert_eq!(breaker.state(), BreakerState::Open);
-            // An open breaker admits no batch: each request fails fast.
-            let results = c.send_pipelined(&pings);
-            assert!(results
-                .iter()
-                .all(|r| matches!(r, Err(ClientError::BreakerOpen { .. }))));
-            root.context().trace_id
-        };
-        let trace =
-            sift_obs::trace::wait_completed(tid, Duration::from_secs(5)).expect("trace completed");
-        let attempts = |n: u64| {
-            trace
-                .spans
-                .iter()
-                .filter(|s| s.name == "request" && s.arg("attempt") == Some(n))
-                .count()
-        };
-        assert_eq!(attempts(1), 3, "one pipelined first attempt per request");
-        assert_eq!(attempts(2), 2, "the retries resume at attempt 2");
-        let request_ids: Vec<u64> = trace
-            .spans
-            .iter()
-            .filter(|s| s.name == "request")
-            .map(|s| s.span_id)
-            .collect();
-        let serves: Vec<_> = trace.spans.iter().filter(|s| s.name == "serve").collect();
-        assert_eq!(serves.len(), 5);
-        assert!(serves
-            .iter()
-            .all(|s| s.parent_id.is_some_and(|p| request_ids.contains(&p))));
-        assert!(trace.orphans().is_empty());
         h.shutdown();
     }
 

@@ -25,9 +25,6 @@
 //! * [`ratelimit`] — the per-client token-bucket limiter the service runs,
 //!   which is exactly why the paper's fetcher spreads load across units
 //!   "hosted behind separate IP addresses".
-//! * [`fault`] — deterministic, seedable fault injection (error bursts,
-//!   `Retry-After`-less 429 storms, connection resets, truncated bodies,
-//!   read stalls) so the whole pipeline can be chaos-tested reproducibly.
 //!
 //! Threads rather than an async runtime: the workload is a few dozen
 //! long-lived connections moving small JSON bodies, squarely in the regime
@@ -40,7 +37,6 @@
 pub mod admission;
 pub mod breaker;
 pub mod client;
-pub mod fault;
 pub mod http;
 pub mod obs;
 pub mod ratelimit;
@@ -50,10 +46,6 @@ pub mod server;
 pub use admission::{AdmissionConfig, AdmissionController, ParkedSlot, ShedReason};
 pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 pub use client::{ClientError, HttpClient, RetryPolicy};
-pub use fault::{
-    FaultInjector, FaultKind, FaultPlan, LinkAction, LinkRule, NemesisDriver, NemesisFaultKind,
-    NemesisOp, NemesisPlan, NemesisState, NemesisStep, RouteFaults,
-};
 pub use http::{Headers, Method, ParseError, Request, Response, StatusCode};
 pub use obs::{mount_observability, METRICS_CONTENT_TYPE};
 pub use ratelimit::{RateLimitDecision, RateLimiter, RateLimiterConfig};

@@ -21,7 +21,6 @@
 )]
 
 use crate::admission::{AdmissionConfig, AdmissionController, ShedReason};
-use crate::fault::{FaultInjector, FaultKind, FaultPlan, LinkAction, NemesisState};
 use crate::http::{parse_request, serialize_response, Request, Response, StatusCode};
 use crate::ratelimit::{RateLimitDecision, RateLimiter, RateLimiterConfig};
 use crate::router::Router;
@@ -47,8 +46,6 @@ const IDLE_POLL: Duration = Duration::from_millis(250);
 pub struct Server {
     router: Arc<Router>,
     limiter: Option<Arc<RateLimiter>>,
-    faults: Option<Arc<FaultInjector>>,
-    nemesis: Option<(Arc<NemesisState>, String)>,
     workers: usize,
     admission: AdmissionConfig,
     admission_shared: Option<Arc<AdmissionController>>,
@@ -60,8 +57,6 @@ impl Server {
         Server {
             router: Arc::new(router),
             limiter: None,
-            faults: None,
-            nemesis: None,
             workers: 4,
             // No bounds unless asked for; the controller still powers
             // graceful drain.
@@ -73,29 +68,6 @@ impl Server {
     /// Enables per-client rate limiting.
     pub fn with_rate_limiter(mut self, config: RateLimiterConfig) -> Self {
         self.limiter = Some(Arc::new(RateLimiter::new(config)));
-        self
-    }
-
-    /// Enables deterministic fault injection (see [`crate::fault`]).
-    pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
-        self.faults = Some(Arc::new(FaultInjector::new(plan)));
-        self
-    }
-
-    /// The injector behind [`Self::with_fault_plan`], for tests that
-    /// compare what two runs made the server decide.
-    #[cfg(test)]
-    pub(crate) fn fault_injector(&self) -> Option<Arc<FaultInjector>> {
-        self.faults.clone()
-    }
-
-    /// Joins the cluster's shared nemesis link-fault table under the
-    /// endpoint name `name`: requests whose sender/receiver pair matches
-    /// an installed [`crate::LinkRule`] are dropped, delayed, or served
-    /// with their reply withheld — the network-level half of a nemesis
-    /// schedule (see [`crate::NemesisPlan`]).
-    pub fn with_nemesis(mut self, state: Arc<NemesisState>, name: impl Into<String>) -> Self {
-        self.nemesis = Some((state, name.into()));
         self
     }
 
@@ -142,8 +114,6 @@ impl Server {
             let ctx = ConnContext {
                 router: Arc::clone(&self.router),
                 limiter: self.limiter.clone(),
-                faults: self.faults.clone(),
-                nemesis: self.nemesis.clone(),
                 admission: Arc::clone(&admission),
                 epoch: started,
                 shutdown: Arc::clone(&shutdown),
@@ -307,8 +277,6 @@ impl Drop for ServerHandle {
 struct ConnContext {
     router: Arc<Router>,
     limiter: Option<Arc<RateLimiter>>,
-    faults: Option<Arc<FaultInjector>>,
-    nemesis: Option<(Arc<NemesisState>, String)>,
     admission: Arc<AdmissionController>,
     epoch: Instant,
     shutdown: Arc<AtomicBool>,
@@ -367,8 +335,8 @@ fn trace_context(req: &Request) -> Option<sift_obs::SpanContext> {
 
 /// Replies are coalesced: a pipelined batch that arrived together is
 /// answered with one write. Buffered replies go out before the connection
-/// blocks on a read, before anything that delays or ends it (a stall, a
-/// link delay, every close), and whenever this many bytes are waiting.
+/// blocks on a read, when it closes, and whenever this many bytes are
+/// waiting.
 const REPLY_FLUSH_BYTES: usize = 64 * 1024;
 
 fn flush(stream: &mut TcpStream, out: &mut Vec<u8>) -> std::io::Result<()> {
@@ -459,41 +427,6 @@ fn serve_requests(
         let route = req.path.split('?').next().unwrap_or("").to_owned();
         let started_at = Instant::now();
 
-        // Nemesis link faults model the *network* between named
-        // endpoints, so they act before any server-side machinery —
-        // fault plans, admission, the limiter — ever sees the request.
-        // A dropped request simply never arrived; a dropped reply runs
-        // the full pipeline (handler effects stand) and loses only the
-        // response bytes, the shape of an asymmetric partition.
-        let mut drop_reply = false;
-        if let Some((nemesis, name)) = &ctx.nemesis {
-            let from = client_identity(&req, peer);
-            if let Some((kind, action)) = nemesis.decide(&from, name, &route) {
-                sift_obs::counter(
-                    "sift_cluster_nemesis_faults_total",
-                    &[("kind", kind.label())],
-                )
-                .inc();
-                match action {
-                    LinkAction::DropRequest => return Ok(()),
-                    LinkAction::Delay(d) => {
-                        flush(stream, out)?;
-                        std::thread::sleep(d);
-                    }
-                    LinkAction::DropReply => drop_reply = true,
-                }
-            }
-        }
-
-        // Fault injection decides before admission and the limiter run, so
-        // a plan's fault sequence depends only on the request traffic
-        // (replayable), never on shed or limiter timing. The decision is
-        // only *executed* if the request is admitted.
-        let injected = ctx
-            .faults
-            .as_deref()
-            .and_then(|f| f.decide(&route, &req.body));
-
         // Admission: a request that arrives on a draining server or past
         // the in-flight cap is shed with `503 + Retry-After` and the
         // connection closes.
@@ -513,56 +446,14 @@ fn serve_requests(
 
         // Rejoin the caller's trace once the request is admitted: the
         // serve span parents onto the exact client attempt that carried
-        // the X-Sift-Trace header, covering fault execution, dispatch
-        // and the response write. No (or bad) header: a detached root.
+        // the X-Sift-Trace header, covering dispatch and the response
+        // write. No (or bad) header: a detached root.
         let _serve_span = match trace_context(&req) {
             Some(tc) => sift_obs::span_in(tc, "serve"),
             None => sift_obs::span_root("serve"),
         };
 
-        if let Some(kind) = injected {
-            sift_obs::counter("sift_net_faults_injected_total", &[("kind", kind.label())]).inc();
-        }
-        let resp = match injected {
-            None => dispatch_with_limiter(ctx, &req, peer),
-            // Close without writing a byte: the client sees the connection
-            // reset mid-exchange.
-            Some(FaultKind::Reset) => return Ok(()),
-            // Serve the real response, but only a prefix of it: the head's
-            // `Content-Length` promises bytes that never arrive.
-            Some(FaultKind::Truncate) => {
-                let resp = dispatch_protected(&ctx.router, &req);
-                let wire = serialize_response(&resp);
-                let keep = if resp.body.is_empty() {
-                    wire.len() / 2
-                } else {
-                    // Head plus half the body: the parser reads a complete
-                    // head, then starves waiting for the rest.
-                    wire.len() - resp.body.len() + resp.body.len() / 2
-                };
-                out.extend_from_slice(&wire[..keep]);
-                return Ok(());
-            }
-            // Hold the response back, then serve normally.
-            Some(FaultKind::Stall) => {
-                flush(stream, out)?;
-                std::thread::sleep(
-                    ctx.faults
-                        .as_deref()
-                        .map(FaultInjector::stall)
-                        .unwrap_or_default(),
-                );
-                dispatch_with_limiter(ctx, &req, peer)
-            }
-            Some(FaultKind::InternalError) => {
-                Response::text(StatusCode::INTERNAL_SERVER_ERROR, "injected fault")
-            }
-            // A 429 storm deliberately omits `Retry-After`: the client
-            // must fall back to its own exponential backoff.
-            Some(FaultKind::RateStorm) => {
-                Response::text(StatusCode::TOO_MANY_REQUESTS, "injected fault")
-            }
-        };
+        let resp = dispatch_with_limiter(ctx, &req, peer);
 
         sift_obs::attr_set("status", u64::from(resp.status.0));
         sift_obs::attr_add("bytes", u64::try_from(resp.body.len()).unwrap_or(u64::MAX));
@@ -574,13 +465,6 @@ fn serve_requests(
         sift_obs::histogram("sift_http_request_seconds", &[("route", &route)])
             .observe_duration(started_at.elapsed());
 
-        if drop_reply {
-            // The work happened; the reply is lost on the wire. Closing
-            // without writing surfaces as a reset at the sender — the
-            // zombie-lease shape the cluster's fencing epochs must absorb.
-            drop(admitted);
-            return Ok(());
-        }
         out.extend_from_slice(&serialize_response(&resp));
         drop(admitted); // the in-flight slot covers dispatch, not the coalesced write
         if close_after {

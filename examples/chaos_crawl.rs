@@ -1,6 +1,7 @@
-//! A seeded chaos run end-to-end: the trends service behind deterministic
-//! fault injection (resets, error bursts, truncated bodies), crawled by
-//! retrying clients, alone and as a three-unit collection run. Every fault
+//! A seeded chaos run end-to-end: the trends service behind a fault proxy
+//! that injects deterministic faults (resets, error bursts, truncated
+//! bodies), crawled by retrying clients, alone and as a three-unit
+//! collection run. Every fault
 //! decision is a pure function of (seed, request, arrival count), so two
 //! executions with the same `--seed` print byte-identical reports —
 //! `scripts/check.sh` diffs exactly that.
@@ -12,11 +13,12 @@ use sift::fetcher::{
     trends_router, CollectionRun, HttpTrendsClient, ResponseStore, TrendsClient, WorkItem,
 };
 use sift::geo::State;
-use sift::net::{FaultKind, FaultPlan, RetryPolicy, Server};
+use sift::net::{RetryPolicy, Server};
 use sift::simtime::{Hour, HourRange};
 use sift::trends::events::{Cause, OutageEvent, PowerTrigger};
 use sift::trends::terms::Provider;
 use sift::trends::{FrameRequest, Scenario, SearchTerm, TrendsService};
+use sift_chaos::{FaultKind, FaultPlan, FaultProxy};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -84,17 +86,21 @@ fn main() {
     // demonstrates.
     let service = Arc::new(TrendsService::with_defaults(world()));
     let server = Server::new(trends_router(Arc::clone(&service)))
-        .with_fault_plan(FaultPlan::new(seed).route(
+        .with_workers(4)
+        .bind("127.0.0.1:0")
+        .expect("bind server");
+    let server = FaultProxy::front(
+        server,
+        FaultPlan::new(seed).route(
             "/api",
             &[
                 (FaultKind::Reset, 0.05),
                 (FaultKind::InternalError, 0.05),
                 (FaultKind::Truncate, 0.02),
             ],
-        ))
-        .with_workers(4)
-        .bind("127.0.0.1:0")
-        .expect("bind server");
+        ),
+    )
+    .expect("start fault proxy");
 
     // --- The full study through a retrying client: faults are absorbed
     // below the pipeline, which sees a clean service.
@@ -160,8 +166,8 @@ fn main() {
         println!("  unit {identity}: {served} responses");
     }
 
-    // --- What the injector actually did, straight from the registry the
-    // server exposes at GET /metrics.
+    // --- What the proxy actually injected, straight from the registry
+    // the server exposes at GET /metrics.
     println!("\ninjected faults by kind:");
     for kind in FaultKind::ALL {
         let n =

@@ -14,15 +14,16 @@
 //! Run with: `cargo run --release --example nemesis_crawl -- --seed 42`
 //! (add `--quick` for the reduced-scale variant the gate uses).
 
-use sift::cluster::{ClusterConfig, NemesisCluster, WorkerConfig, COORDINATOR};
+use sift::cluster::{ClusterConfig, WorkerConfig};
 use sift::core::{run_study, StudyParams, StudyResult};
 use sift::fetcher::{trends_router, HttpTrendsClient};
 use sift::geo::State;
-use sift::net::{FaultKind, FaultPlan, NemesisPlan, Server, ServerHandle};
+use sift::net::Server;
 use sift::simtime::{Hour, HourRange};
 use sift::trends::events::{Cause, OutageEvent, PowerTrigger};
 use sift::trends::terms::Provider;
 use sift::trends::{Scenario, TrendsService};
+use sift_chaos::{FaultKind, FaultPlan, FaultProxy, NemesisCluster, NemesisPlan, COORDINATOR};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -100,21 +101,22 @@ fn world(regions: &[State], horizon: Hour) -> Scenario {
     scenario
 }
 
-fn serve_trends(regions: &[State], horizon: Hour, stall: Option<Duration>) -> ServerHandle {
-    let mut server = Server::new(trends_router(Arc::new(TrendsService::with_defaults(
+fn serve_trends(regions: &[State], horizon: Hour, stall: Option<Duration>) -> FaultProxy {
+    let server = Server::new(trends_router(Arc::new(TrendsService::with_defaults(
         world(regions, horizon),
     ))))
-    .with_workers(8);
+    .with_workers(8)
+    .bind("127.0.0.1:0")
+    .expect("bind trends service");
+    let mut plan = FaultPlan::new(0);
     if let Some(stall) = stall {
         // A deterministic per-request stall floors the crawl duration so
         // the schedule's fixed offsets land mid-run.
-        server = server.with_fault_plan(
-            FaultPlan::new(0)
-                .route("/api", &[(FaultKind::Stall, 1.0)])
-                .with_stall(stall),
-        );
+        plan = plan
+            .route("/api", &[(FaultKind::Stall, 1.0)])
+            .with_stall(stall);
     }
-    server.bind("127.0.0.1:0").expect("bind trends service")
+    FaultProxy::front(server, plan).expect("start fault proxy")
 }
 
 fn same_result(a: &StudyResult, b: &StudyResult) -> bool {

@@ -12,9 +12,9 @@ cd "$(dirname "$0")/.."
 
 # Flake budget, not part of the default gate: `check.sh --soak N` runs the
 # suites that start threads or sockets (every sift-core, sift-cluster,
-# sift-net, sift-fetcher and sift-serve test, plus the root cluster_http,
-# nemesis_http, overload_http, chaos_http, resume_http, pipeline_http,
-# serve_http and metrics_http acceptance tests) N times at
+# sift-net, sift-fetcher, sift-serve and sift-chaos test, plus the root
+# cluster_http, nemesis_http, overload_http, chaos_http, resume_http,
+# pipeline_http, serve_http and metrics_http acceptance tests) N times at
 # --test-threads 1 and N times at the
 # default, with one CPU hog per core — the condition both flakes found so
 # far needed. It counts: tests passed and failed, runs that died without
@@ -25,7 +25,7 @@ soak() {
   local n=$1 threads suite line now ms
   local passed=0 failed=0 dead_runs=0 slowest_ms=0 slowest=none hogs=()
   local suites=("-p sift-core" "-p sift-cluster" "-p sift-net" "-p sift-fetcher"
-    "-p sift-serve"
+    "-p sift-serve" "-p sift-chaos"
     "--test cluster_http --test nemesis_http"
     "--test overload_http --test chaos_http"
     "--test resume_http --test pipeline_http"
@@ -73,6 +73,13 @@ if [[ ${1:-} == --soak ]]; then
 fi
 
 cargo build --release --offline --locked
+# sift-chaos is test support: the root package and its own tests may
+# depend on it (as a dev-dependency), no product package may.
+normal_deps=$(cargo tree -e normal --offline --locked --workspace --exclude sift-chaos --prefix none)
+if grep -q '^sift-chaos ' <<< "$normal_deps"; then
+  echo "sift-chaos is a normal dependency of a product package" >&2
+  exit 1
+fi
 # The root package auto-discovers tests/*.rs, so this runs every
 # acceptance test (overload, resume, cluster, nemesis, serve, ...) too.
 cargo test -q --offline --locked --workspace
@@ -124,8 +131,11 @@ same_seed_gate() {
 }
 
 # Chaos: fault decisions are a pure function of seed + request + arrival,
-# never of timing.
+# never of timing — and a seed yields the same faults as it always has:
+# the report is pinned byte for byte.
 same_seed_gate chaos "chaos replay" chaos_crawl --seed 7
+diff tests/golden/chaos-crawl-seed7.txt target/chaos-a.txt \
+  || { echo "chaos report differs from tests/golden/chaos-crawl-seed7.txt" >&2; exit 1; }
 
 # Resume: the injected crash lands at the same fetch, recovery replays
 # the same journal, and the resumed result diffs clean against the
@@ -137,8 +147,10 @@ same_seed_gate resume-after "resumed replay" resumable_crawl \
   --seed 7 --crash-at after_journal_record
 
 # Nemesis: stdout is a pure function of the seed — the schedule, the
-# converged spikes, and the kill/restart/recovery audit.
+# converged spikes, and the kill/restart/recovery audit — pinned too.
 same_seed_gate nemesis "nemesis replay" nemesis_crawl --seed 42 --quick
+diff tests/golden/nemesis-crawl-seed42-quick.txt target/nemesis-a.txt \
+  || { echo "nemesis report differs from tests/golden/nemesis-crawl-seed42-quick.txt" >&2; exit 1; }
 
 # Serving: spike tables are a pure function of the seed; host-timing
 # observations like staleness go to stderr.

@@ -14,12 +14,13 @@ use sift::fetcher::{
     TrendsClient, WorkItem,
 };
 use sift::geo::State;
-use sift::net::{FaultKind, FaultPlan, HttpClient, Request, RetryPolicy, Server, ServerHandle};
+use sift::net::{HttpClient, Request, RetryPolicy, Server};
 use sift::simtime::{Hour, HourRange};
 use sift::trends::terms::Provider;
 use sift::trends::{
     Cause, FrameRequest, OutageEvent, PowerTrigger, Scenario, SearchTerm, TrendsService,
 };
+use sift_chaos::{FaultKind, FaultPlan, FaultProxy};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -77,12 +78,13 @@ fn chaos_plan(seed: u64) -> FaultPlan {
     )
 }
 
-fn chaos_server(service: &Arc<TrendsService>, seed: u64) -> ServerHandle {
-    Server::new(trends_router(Arc::clone(service)))
-        .with_fault_plan(chaos_plan(seed))
+/// The trends service behind a fault proxy executing `chaos_plan(seed)`.
+fn chaos_server(service: &Arc<TrendsService>, seed: u64) -> FaultProxy {
+    let server = Server::new(trends_router(Arc::clone(service)))
         .with_workers(4)
         .bind("127.0.0.1:0")
-        .expect("bind")
+        .expect("bind");
+    FaultProxy::front(server, chaos_plan(seed)).expect("start proxy")
 }
 
 fn params() -> StudyParams {
@@ -95,7 +97,7 @@ fn params() -> StudyParams {
 }
 
 /// A unit whose client retries absorb the injected faults.
-fn retrying_unit(server: &ServerHandle, identity: &str) -> HttpTrendsClient {
+fn retrying_unit(server: &FaultProxy, identity: &str) -> HttpTrendsClient {
     HttpTrendsClient::new(server.addr(), identity).with_retry(RetryPolicy {
         max_attempts: 12,
         base_backoff: Duration::from_millis(2),
@@ -103,7 +105,7 @@ fn retrying_unit(server: &ServerHandle, identity: &str) -> HttpTrendsClient {
     })
 }
 
-fn study_over(server: &ServerHandle, identity: &str) -> StudyResult {
+fn study_over(server: &FaultProxy, identity: &str) -> StudyResult {
     run_study(&retrying_unit(server, identity), &params()).expect("chaos study completes")
 }
 

@@ -10,16 +10,17 @@
 mod common;
 
 use common::world;
-use sift::cluster::{
-    ClusterConfig, NemesisCluster, NemesisReport, StatusReply, WorkerConfig, COORDINATOR,
-};
+use sift::cluster::{ClusterConfig, StatusReply, WorkerConfig};
 use sift::core::{run_study, StudyParams, StudyResult};
 use sift::fetcher::{trends_router, HttpTrendsClient};
 use sift::geo::State;
 use sift::journal::testutil::scratch_dir;
-use sift::net::{FaultKind, FaultPlan, NemesisPlan, Server, ServerHandle};
+use sift::net::Server;
 use sift::simtime::{Hour, HourRange};
 use sift::trends::TrendsService;
+use sift_chaos::{
+    FaultKind, FaultPlan, FaultProxy, NemesisCluster, NemesisPlan, NemesisReport, COORDINATOR,
+};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -37,19 +38,20 @@ fn study_params(regions: &[State]) -> StudyParams {
 /// nemesis operations land mid-run instead of after convergence. A
 /// stall changes timing only — response bytes stay a pure function of
 /// the request — so the stalled run must still equal the clean baseline.
-fn serve_trends(regions: &[State], stall: Option<Duration>) -> ServerHandle {
-    let mut server = Server::new(trends_router(Arc::new(TrendsService::with_defaults(
+fn serve_trends(regions: &[State], stall: Option<Duration>) -> FaultProxy {
+    let server = Server::new(trends_router(Arc::new(TrendsService::with_defaults(
         world(regions),
     ))))
-    .with_workers(8);
+    .with_workers(8)
+    .bind("127.0.0.1:0")
+    .expect("bind trends service");
+    let mut plan = FaultPlan::new(0);
     if let Some(stall) = stall {
-        server = server.with_fault_plan(
-            FaultPlan::new(0)
-                .route("/api", &[(FaultKind::Stall, 1.0)])
-                .with_stall(stall),
-        );
+        plan = plan
+            .route("/api", &[(FaultKind::Stall, 1.0)])
+            .with_stall(stall);
     }
-    server.bind("127.0.0.1:0").expect("bind trends service")
+    FaultProxy::front(server, plan).expect("start proxy")
 }
 
 fn assert_same_result(sharded: &StudyResult, baseline: &StudyResult, what: &str) {
@@ -191,7 +193,7 @@ fn seeded_nemesis_schedule_converges_to_the_clean_baseline() {
 
 #[test]
 fn asymmetric_partition_zombie_uploads_are_fenced_but_the_run_converges() {
-    use sift::net::NemesisOp;
+    use sift_chaos::NemesisOp;
     let regions = [State::TX, State::CA];
     let reference = baseline(&regions);
 
