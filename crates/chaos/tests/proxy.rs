@@ -1,12 +1,11 @@
-//! The client's retry, breaker and pipelining paths against faults
+//! The client's retry and pipelining paths against faults
 //! injected by the proxy, and the wire shape of every fault the proxy
 //! produces.
 
 use parking_lot::Mutex;
 use sift_chaos::{FaultKind, FaultPlan, FaultProxy, NemesisOp, COORDINATOR};
 use sift_net::{
-    BreakerConfig, BreakerState, CircuitBreaker, ClientError, HttpClient, Method, Request,
-    Response, RetryPolicy, Router, Server, StatusCode,
+    ClientError, HttpClient, Method, Request, Response, RetryPolicy, Router, Server, StatusCode,
 };
 use std::io::{Read, Write};
 use std::net::TcpStream;
@@ -98,35 +97,6 @@ fn stalls_are_latency_not_errors() {
     let resp = c.send(&Request::get("/ping")).expect("stalled but served");
     assert_eq!(&resp.body[..], b"pong");
     h.shutdown();
-}
-
-#[test]
-fn breaker_opens_and_fails_fast_without_touching_the_network() {
-    let h = behind_proxy(
-        ping_router(),
-        FaultPlan::new(3).everywhere(&[(FaultKind::Reset, 1.0)]),
-    );
-    let breaker = Arc::new(CircuitBreaker::new(
-        "unit-test",
-        BreakerConfig {
-            failure_threshold: 2,
-            cooldown: Duration::from_secs(60),
-            success_threshold: 1,
-        },
-    ));
-    let c = HttpClient::new(h.addr())
-        .with_retry(fast_retry(1))
-        .with_breaker(Arc::clone(&breaker));
-    for _ in 0..2 {
-        let err = c.send_with_retry(&Request::get("/ping")).unwrap_err();
-        assert!(matches!(err, ClientError::Io(_)), "{err}");
-    }
-    assert_eq!(breaker.state(), BreakerState::Open);
-    // Kill the server: a fast-failing client never notices.
-    h.shutdown();
-    let err = c.send_with_retry(&Request::get("/ping")).unwrap_err();
-    assert!(matches!(err, ClientError::BreakerOpen { .. }), "{err}");
-    assert_eq!(breaker.transition_log(), vec!["closed->open".to_owned()]);
 }
 
 /// How a test run sends its batch: one at a time, or pipelined.
@@ -221,22 +191,12 @@ fn dropped_replies_mid_batch_cost_the_server_what_one_at_a_time_would() {
 }
 
 #[test]
-fn pipelined_failures_resume_at_attempt_two_and_honour_the_breaker() {
+fn pipelined_failures_resume_at_attempt_two() {
     let h = behind_proxy(
         ping_router(),
         FaultPlan::new(3).everywhere(&[(FaultKind::InternalError, 1.0)]),
     );
-    let breaker = Arc::new(CircuitBreaker::new(
-        "pipeline-test",
-        BreakerConfig {
-            failure_threshold: 4,
-            cooldown: Duration::from_secs(60),
-            success_threshold: 1,
-        },
-    ));
-    let c = HttpClient::new(h.addr())
-        .with_retry(fast_retry(2))
-        .with_breaker(Arc::clone(&breaker));
+    let c = HttpClient::new(h.addr()).with_retry(fast_retry(2));
     let pings = [
         Request::get("/ping"),
         Request::get("/ping"),
@@ -245,18 +205,10 @@ fn pipelined_failures_resume_at_attempt_two_and_honour_the_breaker() {
     let tid = {
         let root = sift_obs::span_root("pipelined-trace-test");
         let results = c.send_pipelined(&pings);
-        // Two attempts each for the first two requests trip the
-        // breaker; the third request's pipelined 500 is judged after
-        // that, and its second attempt fails fast.
-        assert!(matches!(results[0], Err(ClientError::Status { .. })));
-        assert!(matches!(results[1], Err(ClientError::Status { .. })));
-        assert!(matches!(results[2], Err(ClientError::BreakerOpen { .. })));
-        assert_eq!(breaker.state(), BreakerState::Open);
-        // An open breaker admits no batch: each request fails fast.
-        let results = c.send_pipelined(&pings);
+        // Each request spends both attempts on a 500.
         assert!(results
             .iter()
-            .all(|r| matches!(r, Err(ClientError::BreakerOpen { .. }))));
+            .all(|r| matches!(r, Err(ClientError::Status { .. }))));
         root.context().trace_id
     };
     let trace =
@@ -269,7 +221,7 @@ fn pipelined_failures_resume_at_attempt_two_and_honour_the_breaker() {
             .count()
     };
     assert_eq!(attempts(1), 3, "one pipelined first attempt per request");
-    assert_eq!(attempts(2), 2, "the retries resume at attempt 2");
+    assert_eq!(attempts(2), 3, "each retry resumes at attempt 2");
     // The proxy synthesizes the 500s: no attempt reaches the server.
     assert!(trace.spans.iter().all(|s| s.name != "serve"));
     assert!(trace.orphans().is_empty());

@@ -73,7 +73,6 @@ fn outcome(state: State) -> RegionOutcome {
         frames_requested: 3,
         frames_degraded: 0,
         coverage: 1.0,
-        halted: false,
         resumed_from_round: 0,
         frames_replayed: 0,
         rising_requested: 0,

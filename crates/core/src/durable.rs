@@ -216,17 +216,6 @@ impl RegionJournal {
         hit
     }
 
-    /// Whether every slot of `round` (of `slots` planned frames) is
-    /// recoverable without touching the network.
-    pub fn round_recovered(&self, round: u32, slots: usize) -> bool {
-        round < self.rounds_done
-            || (0..slots).all(|i| {
-                u32::try_from(i)
-                    .map(|idx| self.frames.contains_key(&(round, idx)))
-                    .unwrap_or(false)
-            })
-    }
-
     /// Journals a freshly filled frame slot (write-ahead: call before the
     /// response is folded into any result).
     pub fn record_frame(&mut self, round: u32, idx: u32, resp: &FrameResponse) -> io::Result<()> {
@@ -331,8 +320,6 @@ mod tests {
         }
         let mut j = open(&durability);
         assert_eq!(j.resumed_from_round(), 1, "round 0 sealed, round 1 open");
-        assert!(j.round_recovered(0, 2));
-        assert!(!j.round_recovered(1, 2), "round 1 is missing slot 1");
         assert_eq!(j.replayed_frame(0, 0).expect("slot").values, vec![1]);
         assert_eq!(
             j.replayed_frame(1, 0).expect("partial round slot").values,
@@ -375,7 +362,6 @@ mod tests {
             // recovered slot by slot, without the network.
             let mut j = open(&clean);
             assert_eq!(j.resumed_from_round(), 0);
-            assert!(j.round_recovered(0, 1));
             assert_eq!(j.replayed_frame(0, 0).expect("slot").values, vec![7]);
             j.round_done(0).expect("seal again");
         }

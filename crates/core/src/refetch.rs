@@ -84,11 +84,6 @@ pub struct RefetchOutcome {
     /// `frames_fetched / (frames_fetched + frames_degraded)`. 1.0 means
     /// every frame of every round came from a live fetch.
     pub coverage: f64,
-    /// Whether the loop stopped early because the client reported itself
-    /// unhealthy (its circuit breaker open). The timeline and spikes of
-    /// the rounds already run are still returned; `converged` stays
-    /// `false` unless convergence was declared before the halt.
-    pub halted: bool,
 }
 
 /// Errors of the averaging loop.
@@ -214,7 +209,6 @@ fn averaged_timeline_impl(
     let mut frames_degraded = 0u64;
     let mut rounds = 0u32;
     let mut converged = false;
-    let mut halted = false;
 
     let mut responses: Vec<FrameResponse> = Vec::with_capacity(frames.len());
     // Empty until the first round completes: the degradation fallback
@@ -238,20 +232,6 @@ fn averaged_timeline_impl(
         .collect();
 
     for round in 0..params.max_rounds {
-        // A round the journal can serve whole needs no network at all, so
-        // the breaker-health gate below must not halt it.
-        let round_recovered = journal
-            .as_ref()
-            .is_some_and(|j| j.round_recovered(round, frames.len()));
-        // Round 1 must run — there is no result without it, and a fresh
-        // breaker has seen no traffic yet. Later rounds only refine the
-        // estimate, so when the client's breaker has opened the loop
-        // keeps what it has instead of queueing doomed fetches.
-        if round > 0 && !round_recovered && !client.healthy() {
-            halted = true;
-            sift_obs::counter("sift_refetch_halted_total", &[("state", &state_label)]).inc();
-            break;
-        }
         rounds = round + 1;
         {
             let _span = sift_obs::span("fetch");
@@ -375,7 +355,7 @@ fn averaged_timeline_impl(
 
     // `spikes` and `mean` hold the last completed round's detection and
     // running mean: round 1 always runs to completion or returns `Err`
-    // above, and the halt/convergence breaks leave both intact.
+    // above, and the convergence break leaves both intact.
     #[expect(clippy::expect_used, reason = "round 1 always completes")]
     let mut timeline = mean.expect("round 1 completed");
     timeline.renormalize();
@@ -397,7 +377,6 @@ fn averaged_timeline_impl(
         resumed_from_round,
         frames_degraded,
         coverage,
-        halted,
     })
 }
 
@@ -606,82 +585,6 @@ mod tests {
         let has_peak_near = |h: i64| outcome.spikes.iter().any(|s| (s.peak - Hour(h)).abs() <= 6);
         assert!(has_peak_near(205), "spikes: {:?}", outcome.spikes);
         assert_eq!(outcome.timeline.range().len(), 900);
-    }
-
-    /// A client that reports itself unhealthy (breaker open) once the
-    /// first round's fetches have gone out.
-    struct UnhealthyAfterFirstRound {
-        inner: TrendsService,
-        round_len: usize,
-        calls: std::sync::atomic::AtomicUsize,
-    }
-
-    impl sift_trends::client::TrendsClient for UnhealthyAfterFirstRound {
-        fn fetch_frame(
-            &self,
-            req: &sift_trends::FrameRequest,
-        ) -> Result<sift_trends::FrameResponse, sift_trends::client::FetchError> {
-            self.calls.fetch_add(1, std::sync::atomic::Ordering::SeqCst);
-            self.inner
-                .fetch_frame(req)
-                .map_err(sift_trends::client::FetchError::Service)
-        }
-
-        fn fetch_rising(
-            &self,
-            req: &sift_trends::RisingRequest,
-        ) -> Result<sift_trends::RisingResponse, sift_trends::client::FetchError> {
-            self.inner
-                .fetch_rising(req)
-                .map_err(sift_trends::client::FetchError::Service)
-        }
-
-        fn healthy(&self) -> bool {
-            self.calls.load(std::sync::atomic::Ordering::SeqCst) < self.round_len
-        }
-    }
-
-    #[test]
-    fn unhealthy_client_halts_after_round_one_keeping_the_result() {
-        let halted_before = tx_counter("sift_refetch_halted_total");
-        let frames = weekly_frames(900);
-        let client = UnhealthyAfterFirstRound {
-            inner: service_with_events(),
-            round_len: frames.len(),
-            calls: std::sync::atomic::AtomicUsize::new(0),
-        };
-        let outcome = averaged_timeline(
-            &client,
-            &SearchTerm::parse("topic:Internet outage"),
-            State::TX,
-            &frames,
-            &RefetchParams::default(),
-            &DetectParams::default(),
-        )
-        .expect("halting is not an error");
-        assert!(outcome.halted, "{outcome:?}");
-        assert!(tx_counter("sift_refetch_halted_total") > halted_before);
-        assert_eq!(outcome.rounds, 1, "only round one may run");
-        assert!(!outcome.converged);
-        // Round one's estimate survives the halt.
-        assert_eq!(outcome.timeline.range().len(), 900);
-        let has_peak_near = |h: i64| outcome.spikes.iter().any(|s| (s.peak - Hour(h)).abs() <= 6);
-        assert!(has_peak_near(205), "spikes: {:?}", outcome.spikes);
-    }
-
-    #[test]
-    fn healthy_client_never_halts() {
-        let service = service_with_events();
-        let outcome = averaged_timeline(
-            &service,
-            &SearchTerm::parse("topic:Internet outage"),
-            State::TX,
-            &weekly_frames(900),
-            &RefetchParams::default(),
-            &DetectParams::default(),
-        )
-        .expect("averaging succeeds");
-        assert!(!outcome.halted);
     }
 
     #[test]

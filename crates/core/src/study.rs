@@ -105,10 +105,6 @@ pub struct StudyStats {
     /// across all regions.
     #[serde(default)]
     pub frames_degraded: u64,
-    /// Regions whose re-fetch loop halted early because the client's
-    /// circuit breaker opened (see `RefetchOutcome::halted`).
-    #[serde(default)]
-    pub halted_regions: usize,
     /// Per region, the re-fetch round the loop resumed at — nonzero only
     /// when a durable study picked up work a previous (crashed) run had
     /// already sealed. All zeros on a fresh or non-durable run.
@@ -223,8 +219,6 @@ pub struct RegionOutcome {
     pub frames_degraded: u64,
     /// Fresh-fetch share of frame slots (1.0 = nothing degraded).
     pub coverage: f64,
-    /// Whether the re-fetch loop halted early on an open circuit breaker.
-    pub halted: bool,
     /// The re-fetch round a durable resume picked up at (0 = fresh run).
     pub resumed_from_round: u32,
     /// Frame slots served from a recovered journal instead of the network.
@@ -424,9 +418,6 @@ pub fn assemble_study(
         }
         if r.converged {
             stats.converged_regions += 1;
-        }
-        if r.halted {
-            stats.halted_regions += 1;
         }
     }
     for r in regions {
@@ -635,7 +626,6 @@ pub fn run_region_study(
         frames_requested: outcome.frames_fetched,
         frames_degraded: outcome.frames_degraded,
         coverage: outcome.coverage,
-        halted: outcome.halted,
         resumed_from_round: outcome.resumed_from_round,
         frames_replayed: outcome.frames_replayed,
         rising_requested,
@@ -1267,7 +1257,6 @@ mod tests {
             frames_requested: 0,
             frames_degraded: 0,
             coverage: 1.0,
-            halted: false,
             resumed_from_round: 0,
             frames_replayed: 0,
             rising_requested: 0,

@@ -7,10 +7,10 @@
 //! identity, so the service's per-IP rate limiting throttles units
 //! independently — the design the paper describes.
 //!
-//! Retries, `Retry-After` and the circuit breaker are the unit's client's.
-//! A request that still fails counts in [`RunReport::failed`]. A unit
-//! whose [`TrendsClient::healthy`] is false when its chunk is due sheds
-//! the chunk unsent, the rule the re-fetch loop halts on.
+//! Retries and `Retry-After` are the unit's client's. A request that
+//! still fails counts in [`RunReport::failed`]. A unit whose
+//! [`TrendsClient::healthy`] is false when its chunk is due sheds the
+//! chunk unsent.
 
 use crate::store::ResponseStore;
 use crate::unit::{FetchError, TrendsClient};
@@ -179,7 +179,6 @@ mod tests {
     use crate::unit::tests::{Counting, Failing};
     use crate::unit::InProcessClient;
     use sift_geo::State;
-    use sift_net::{BreakerConfig, BreakerState, CircuitBreaker};
     use sift_simtime::{Hour, HourRange};
     use sift_trends::{Scenario, SearchTerm, TrendsService};
     use std::sync::atomic::Ordering;
@@ -347,71 +346,19 @@ mod tests {
         let _ = CollectionRun::new(vec![]);
     }
 
-    /// An in-process unit behind a breaker, reporting its state the way
-    /// `HttpTrendsClient::healthy` does.
-    struct Guarded {
-        inner: InProcessClient,
-        breaker: CircuitBreaker,
-    }
-
-    impl TrendsClient for Guarded {
-        fn fetch_frame(&self, req: &FrameRequest) -> Result<FrameResponse, FetchError> {
-            self.inner.fetch_frame(req)
-        }
-
-        fn fetch_rising(&self, req: &RisingRequest) -> Result<RisingResponse, FetchError> {
-            self.inner.fetch_rising(req)
-        }
-
-        fn healthy(&self) -> bool {
-            self.breaker.would_allow()
-        }
-    }
-
-    fn guarded(service: &Arc<TrendsService>, breaker: CircuitBreaker) -> Arc<dyn TrendsClient> {
-        Arc::new(Guarded {
-            inner: InProcessClient::new(Arc::clone(service)),
-            breaker,
-        })
-    }
-
     #[test]
-    fn closed_breaker_does_not_disturb_collection() {
+    fn an_unhealthy_unit_sheds_its_chunk_unsent() {
         let service = service();
-        let breaker = CircuitBreaker::new("queue-test-closed", BreakerConfig::default());
         let run = CollectionRun::new(vec![
-            guarded(&service, breaker),
+            Arc::new(Failing { healthy: false }),
             Arc::new(InProcessClient::new(Arc::clone(&service))),
         ]);
         let items = frame_workload(0);
         let n = items.len();
         let mut store = ResponseStore::new();
         let report = run.execute(items, &mut store);
-        assert_eq!((report.completed, report.shed), (n, 0), "{report:?}");
-        assert_eq!(store.frame_count(), n);
-    }
-
-    #[test]
-    fn open_breaker_sheds_instead_of_fetching() {
-        let service = service();
-        let breaker = CircuitBreaker::new(
-            "queue-test",
-            BreakerConfig {
-                failure_threshold: 1,
-                cooldown: Duration::from_secs(3600),
-                success_threshold: 1,
-            },
-        );
-        breaker.record_failure();
-        assert_eq!(breaker.state(), BreakerState::Open);
-        let down = guarded(&service, breaker);
-        let up: Arc<dyn TrendsClient> = Arc::new(InProcessClient::new(Arc::clone(&service)));
-        let run = CollectionRun::new(vec![down, up]);
-        let items = frame_workload(0);
-        let n = items.len();
-        let mut store = ResponseStore::new();
-        let report = run.execute(items, &mut store);
-        // The open unit's chunk is shed unsent; the healthy unit's lands.
+        // The unhealthy unit's chunk is shed, not sent and failed; the
+        // healthy unit's lands.
         assert_eq!(report.shed, n / 2, "{report:?}");
         assert_eq!(report.completed, n - n / 2);
         assert_eq!(report.failed, 0);

@@ -5,7 +5,7 @@
 //! in-process (labelled) and HTTP.
 
 use sift_geo::State;
-use sift_net::{CircuitBreaker, ClientError, HttpClient};
+use sift_net::{ClientError, HttpClient};
 use sift_simtime::Hour;
 use sift_trends::{
     FrameRequest, FrameResponse, RisingRequest, RisingResponse, ServiceError, TrendsService,
@@ -63,12 +63,11 @@ pub(crate) enum ApiResult<T> {
 }
 
 /// Access to the service over HTTP, crawling under a declared fetcher
-/// identity. Retries, `Retry-After` handling and circuit breaking come
-/// from the underlying [`HttpClient`] policy.
+/// identity. Retries and `Retry-After` handling come from the underlying
+/// [`HttpClient`] policy.
 pub struct HttpTrendsClient {
     client: HttpClient,
     identity: String,
-    breaker: Option<Arc<CircuitBreaker>>,
 }
 
 impl HttpTrendsClient {
@@ -78,22 +77,12 @@ impl HttpTrendsClient {
         HttpTrendsClient {
             client: HttpClient::new(addr).with_identity(identity.clone()),
             identity,
-            breaker: None,
         }
     }
 
     /// Replaces the underlying client's retry policy.
     pub fn with_retry(mut self, retry: sift_net::RetryPolicy) -> Self {
         self.client = self.client.with_retry(retry);
-        self
-    }
-
-    /// Routes every request through `breaker` and reflects its state in
-    /// [`TrendsClient::healthy`]. Share one breaker across a unit fleet
-    /// so an outage observed by any unit pauses them all.
-    pub fn with_breaker(mut self, breaker: Arc<CircuitBreaker>) -> Self {
-        self.client = self.client.with_breaker(Arc::clone(&breaker));
-        self.breaker = Some(breaker);
         self
     }
 }
@@ -179,12 +168,6 @@ impl TrendsClient for HttpTrendsClient {
     fn identity(&self) -> &str {
         &self.identity
     }
-
-    fn healthy(&self) -> bool {
-        // A peek, not an admission: half-open probe slots stay available
-        // for the request that actually goes out.
-        self.breaker.as_ref().map_or(true, |b| b.would_allow())
-    }
 }
 
 /// Spreads requests across several fetcher units round-robin.
@@ -212,15 +195,10 @@ impl RoundRobin {
         }
     }
 
-    /// The next unit in rotation whose breaker would let a request out;
-    /// plain rotation when every unit is down.
+    /// The next unit in rotation.
     fn pick(&self) -> &dyn TrendsClient {
         let i = self.next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-        let n = self.units.len();
-        (0..n)
-            .map(|k| self.units[(i + k) % n].as_ref())
-            .find(|unit| unit.healthy())
-            .unwrap_or(self.units[i % n].as_ref())
+        self.units[i % self.units.len()].as_ref()
     }
 }
 
@@ -245,11 +223,6 @@ impl TrendsClient for RoundRobin {
 
     fn identity(&self) -> &str {
         &self.identity
-    }
-
-    fn healthy(&self) -> bool {
-        // The fleet is healthy while any unit would still attempt work.
-        self.units.iter().any(|u| u.healthy())
     }
 }
 
@@ -379,8 +352,7 @@ pub(crate) mod tests {
     }
 
     /// A unit whose every fetch fails at the transport, after whatever
-    /// retries its client made; `healthy` is what it reports, false for
-    /// a unit whose breaker is open.
+    /// retries its client made; `healthy` is what it reports.
     pub(crate) struct Failing {
         pub(crate) healthy: bool,
     }
@@ -398,16 +370,17 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn round_robin_skips_a_unit_whose_breaker_is_open() {
+    fn round_robin_takes_turns_even_past_an_unhealthy_unit() {
+        let up = Arc::new(Counting::new(service()));
         let rr = RoundRobin::new(vec![
             Arc::new(Failing { healthy: false }) as Arc<dyn TrendsClient>,
-            Arc::new(InProcessClient::new(service())),
+            Arc::clone(&up) as Arc<dyn TrendsClient>,
         ]);
-        assert!(rr.healthy());
         let reqs = frame_requests(3);
-        for _ in 0..2 {
-            assert!(rr.fetch_frames(&reqs).iter().all(Result::is_ok));
-        }
+        assert!(rr.fetch_frames(&reqs).iter().all(Result::is_err));
+        assert!(rr.fetch_frames(&reqs[..2]).iter().all(Result::is_ok));
+        assert!(rr.fetch_frames(&reqs).iter().all(Result::is_err));
+        assert_eq!(*up.batches.lock().expect("lock"), vec![2]);
     }
 
     #[test]

@@ -102,20 +102,6 @@ impl AddressPlan {
         hi - lo
     }
 
-    /// The true region of a block, or `None` for unallocated prefixes.
-    pub fn true_state(&self, prefix: Prefix24) -> Option<State> {
-        if prefix.0 >= self.total {
-            return None;
-        }
-        // Ranges are contiguous and sorted; binary search by start.
-        let idx = self
-            .ranges
-            .partition_point(|(lo, _)| *lo <= prefix.0)
-            .saturating_sub(1);
-        let (lo, hi) = self.ranges[idx];
-        (prefix.0 >= lo && prefix.0 < hi).then(|| State::from_index(idx))
-    }
-
     /// Iterates over every allocated block with its true region.
     pub fn iter(&self) -> impl Iterator<Item = (Prefix24, State)> + '_ {
         State::ALL
@@ -182,12 +168,10 @@ mod tests {
         for s in State::ALL {
             for b in p.blocks_of(s) {
                 assert_eq!(b.0, seen, "blocks must be contiguous");
-                assert_eq!(p.true_state(b), Some(s));
                 seen += 1;
             }
         }
         assert_eq!(seen, p.total_blocks());
-        assert_eq!(p.true_state(Prefix24(p.total_blocks())), None);
     }
 
     #[test]

@@ -41,7 +41,6 @@ pub struct Journal {
     crash: Option<Arc<CrashInjector>>,
     sync_every: u64,
     unsynced: u64,
-    appended: u64,
 }
 
 impl Journal {
@@ -90,7 +89,6 @@ impl Journal {
         sift_obs::counter("sift_journal_records_replayed_total", &[])
             .add(u64::try_from(recovery.records.len()).unwrap_or(0));
 
-        let appended = u64::try_from(recovery.records.len()).unwrap_or(0);
         Ok((
             Journal {
                 file,
@@ -98,7 +96,6 @@ impl Journal {
                 crash,
                 sync_every: DEFAULT_SYNC_EVERY,
                 unsynced: 0,
-                appended,
             },
             recovery,
         ))
@@ -127,7 +124,6 @@ impl Journal {
             }
         }
         self.file.write_all(&frame)?;
-        self.appended += 1;
         self.unsynced += 1;
         if self.unsynced >= self.sync_every {
             self.sync()?;
@@ -153,13 +149,7 @@ impl Journal {
         self.file.set_len(0)?;
         self.file.sync_all()?;
         self.unsynced = 0;
-        self.appended = 0;
         Ok(())
-    }
-
-    /// Records appended so far (recovered + new).
-    pub fn records_appended(&self) -> u64 {
-        self.appended
     }
 
     /// The journal's on-disk path.
@@ -188,7 +178,6 @@ mod tests {
             j.append(b"one").expect("append");
             j.append(b"two").expect("append");
             j.append(b"three").expect("append");
-            assert_eq!(j.records_appended(), 3);
         }
         let rec = reopen(&path);
         assert_eq!(
@@ -267,7 +256,6 @@ mod tests {
         let (mut j, _) = Journal::open(&path).expect("open");
         j.append(b"ephemeral").expect("append");
         j.truncate_all().expect("truncate");
-        assert_eq!(j.records_appended(), 0);
         j.append(b"fresh").expect("append");
         drop(j);
         let rec = reopen(&path);

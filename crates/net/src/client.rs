@@ -1,11 +1,9 @@
 //! Pooling, retrying HTTP client.
 //!
-//! Beyond connection reuse and status-aware retries, the client carries
-//! the outbound half of the overload model (DESIGN.md, "Overload model"):
-//! an optional per-endpoint [`CircuitBreaker`] that fails fast while the
-//! server is melting down. Retry backoff honours the server's
-//! `Retry-After` and otherwise applies full jitter drawn from a
-//! per-request seeded RNG stream, keeping chaos replays deterministic.
+//! Connections are reused and retries are status-aware. Retry backoff
+//! honours the server's `Retry-After` and otherwise applies full jitter
+//! drawn from a per-request seeded RNG stream, keeping chaos replays
+//! deterministic.
 //!
 //! Every attempt goes out through one exchange, whether it is a lone
 //! [`HttpClient::send`], one try of [`HttpClient::send_with_retry`] or a
@@ -14,7 +12,6 @@
 //! attempt-numbered `request` span and stamps it into its own
 //! `X-Sift-Trace`, and every retried outcome is judged by the same rules.
 
-use crate::breaker::{BreakerState, CircuitBreaker};
 use crate::http::{parse_response, serialize_request, ParseError, Request, Response, StatusCode};
 use crate::{FETCHER_IDENTITY_HEADER, X_SIFT_TRACE};
 use bytes::{Bytes, BytesMut};
@@ -24,7 +21,6 @@ use rand_chacha::ChaCha8Rng;
 use std::fmt;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Client-side errors.
@@ -49,12 +45,6 @@ pub enum ClientError {
     },
     /// The response body was not the expected JSON document.
     Json(serde_json::Error),
-    /// The endpoint's circuit breaker is open: the request failed fast
-    /// without touching the network.
-    BreakerOpen {
-        /// The breaker's endpoint label.
-        endpoint: String,
-    },
 }
 
 impl fmt::Display for ClientError {
@@ -67,9 +57,6 @@ impl fmt::Display for ClientError {
             }
             ClientError::Status { status, body } => write!(f, "server said {status}: {body}"),
             ClientError::Json(e) => write!(f, "bad JSON payload: {e}"),
-            ClientError::BreakerOpen { endpoint } => {
-                write!(f, "circuit breaker open for endpoint {endpoint}")
-            }
         }
     }
 }
@@ -133,7 +120,6 @@ pub struct HttpClient {
     pool: Mutex<Vec<Conn>>,
     timeout: Duration,
     retry: RetryPolicy,
-    breaker: Option<Arc<CircuitBreaker>>,
 }
 
 impl HttpClient {
@@ -145,7 +131,6 @@ impl HttpClient {
             pool: Mutex::new(Vec::new()),
             timeout: Duration::from_secs(30),
             retry: RetryPolicy::default(),
-            breaker: None,
         }
     }
 
@@ -168,15 +153,6 @@ impl HttpClient {
         self
     }
 
-    /// Routes every retried send through a circuit breaker: requests fail
-    /// fast with [`ClientError::BreakerOpen`] while it is open, and
-    /// outcomes feed its state machine. Share one `Arc` across clients to
-    /// break per endpoint rather than per connection.
-    pub fn with_breaker(mut self, breaker: Arc<CircuitBreaker>) -> Self {
-        self.breaker = Some(breaker);
-        self
-    }
-
     /// The server address this client talks to.
     pub fn addr(&self) -> SocketAddr {
         self.addr
@@ -191,8 +167,7 @@ impl HttpClient {
     /// Sends a request, retrying 429 (honouring `Retry-After`), 5xx and
     /// transport-level I/O failures (connection refused, reset
     /// mid-exchange, truncated response) with full-jitter exponential
-    /// backoff per the client's [`RetryPolicy`] — gated by the circuit
-    /// breaker when configured.
+    /// backoff per the client's [`RetryPolicy`].
     pub fn send_with_retry(&self, req: &Request) -> Result<Response, ClientError> {
         self.retry_from(req, 1)
     }
@@ -201,25 +176,16 @@ impl HttpClient {
     /// `i` settles `reqs[i]`. First attempts are pipelined — written back
     /// to back on one connection and answered in order — so a batch costs
     /// one exchange, not one round trip per request. Every outcome then
-    /// takes the per-request path: it feeds the breaker, a retryable one
-    /// waits out its backoff or `Retry-After` and resumes at attempt 2,
-    /// and a request the server closed the connection ahead of goes out
-    /// again, with the rest of the batch, at attempt 1, so the server sees
-    /// each request arrive as often as it would have one at a time.
-    /// Batches go out only while the breaker (if any) is closed.
+    /// takes the per-request path: a retryable one waits out its backoff
+    /// or `Retry-After` and resumes at attempt 2, and a request the server
+    /// closed the connection ahead of goes out again, with the rest of the
+    /// batch, at attempt 1, so the server sees each request arrive as
+    /// often as it would have one at a time.
     #[expect(clippy::disallowed_methods, reason = "backoff waits on the host")]
     pub fn send_pipelined(&self, reqs: &[Request]) -> Vec<Result<Response, ClientError>> {
         let mut results = Vec::with_capacity(reqs.len());
         while results.len() < reqs.len() {
             let rest = &reqs[results.len()..];
-            let probing = self
-                .breaker
-                .as_ref()
-                .is_some_and(|b| b.state() != BreakerState::Closed);
-            if probing {
-                results.push(self.send_with_retry(&rest[0]));
-                continue;
-            }
             let firsts = self.exchange(rest, 1);
             let answered = Instant::now();
             for (req, first) in rest.iter().zip(firsts) {
@@ -343,22 +309,10 @@ impl HttpClient {
     }
 
     /// The retry loop, entered at `attempt` (1, or 2 after a pipelined
-    /// first attempt): breaker gate, one attempt, judgement.
+    /// first attempt): one attempt, then its judgement.
     #[expect(clippy::disallowed_methods, reason = "backoff waits on the host")]
     fn retry_from(&self, req: &Request, mut attempt: u32) -> Result<Response, ClientError> {
         loop {
-            if let Some(b) = &self.breaker {
-                if !b.allow() {
-                    sift_obs::counter(
-                        "sift_client_breaker_fastfail_total",
-                        &[("endpoint", b.endpoint())],
-                    )
-                    .inc();
-                    return Err(ClientError::BreakerOpen {
-                        endpoint: b.endpoint().to_owned(),
-                    });
-                }
-            }
             match self.judge(req, attempt, self.attempt(req, attempt)) {
                 Verdict::Done(result) => return result,
                 Verdict::Retry(wait) => std::thread::sleep(wait),
@@ -367,8 +321,8 @@ impl HttpClient {
         }
     }
 
-    /// Feeds one attempt's outcome to the breaker and decides whether the
-    /// request is settled or waits for another attempt.
+    /// Decides whether one attempt's outcome settles the request or waits
+    /// for another attempt.
     fn judge(
         &self,
         req: &Request,
@@ -380,7 +334,6 @@ impl HttpClient {
             // A transport failure consumes an attempt like a 5xx does,
             // minus `Retry-After`.
             Err(ClientError::Io(e)) => {
-                self.record_outcome(false);
                 if attempt >= self.retry.max_attempts {
                     return Verdict::Done(Err(ClientError::Io(e)));
                 }
@@ -390,10 +343,6 @@ impl HttpClient {
             }
             Err(other) => return Verdict::Done(Err(other)),
         };
-        // Any parsed response below 500 means the server is up and
-        // making decisions — 4xx and 429 included. Only 5xx (and
-        // transport failures above) count against the breaker.
-        self.record_outcome(resp.status.0 < 500);
         if resp.status.is_success() {
             return Verdict::Done(Ok(resp));
         }
@@ -501,16 +450,6 @@ impl HttpClient {
         })
     }
 
-    fn record_outcome(&self, success: bool) {
-        if let Some(b) = &self.breaker {
-            if success {
-                b.record_success();
-            } else {
-                b.record_failure();
-            }
-        }
-    }
-
     /// Full-jitter exponential backoff: a uniform draw in `[0, backoff]`
     /// from a ChaCha8 stream keyed by (request, attempt) — deterministic
     /// per replay, decorrelated across requests.
@@ -599,7 +538,6 @@ fn body_excerpt(resp: &Response) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::breaker::{BreakerConfig, BreakerState};
     use crate::http::{Method, MAX_SERVER_HINT};
     use crate::ratelimit::RateLimiterConfig;
     use crate::router::Router;
@@ -812,42 +750,6 @@ mod tests {
             }
         }
         assert!(requests_differ, "different requests decorrelate");
-        h.shutdown();
-    }
-
-    #[test]
-    fn breaker_recovers_through_half_open_probe() {
-        let h = spawn_server();
-        let breaker = Arc::new(CircuitBreaker::new(
-            "recovery-test",
-            BreakerConfig {
-                failure_threshold: 1,
-                cooldown: Duration::from_secs(60),
-                success_threshold: 1,
-            },
-        ));
-        breaker.record_failure();
-        assert_eq!(breaker.state(), BreakerState::Open);
-        let c = HttpClient::new(h.addr()).with_breaker(Arc::clone(&breaker));
-        // Still inside the cooldown: fail fast.
-        assert!(matches!(
-            c.send_with_retry(&Request::get("/ping")).unwrap_err(),
-            ClientError::BreakerOpen { .. }
-        ));
-        // After the cooldown the next send is the half-open probe; its
-        // success closes the breaker.
-        breaker.fast_forward(Duration::from_secs(61));
-        let resp = c.send_with_retry(&Request::get("/ping")).expect("probe");
-        assert_eq!(resp.status, StatusCode::OK);
-        assert_eq!(breaker.state(), BreakerState::Closed);
-        assert_eq!(
-            breaker.transition_log(),
-            vec![
-                "closed->open".to_owned(),
-                "open->half_open".to_owned(),
-                "half_open->closed".to_owned(),
-            ]
-        );
         h.shutdown();
     }
 

@@ -14,14 +14,11 @@
 //!   shutdown.
 //! * [`router`] — exact-match method/path routing with typed JSON helpers.
 //! * [`client`] — a pooling, retrying client with timeouts; honours
-//!   `Retry-After` on 429 responses, applies full-jitter backoff, can
-//!   carry a circuit breaker, and pipelines independent requests over one
-//!   keep-alive connection.
+//!   `Retry-After` on 429 responses, applies full-jitter backoff, and
+//!   pipelines independent requests over one keep-alive connection.
 //! * [`admission`] — server-side admission control: bounded accept queue
 //!   and in-flight cap shedding excess load with `503 + Retry-After`,
 //!   graceful drain.
-//! * [`breaker`] — the client-side circuit breaker
-//!   (closed → open → half-open).
 //! * [`ratelimit`] — the per-client token-bucket limiter the service runs,
 //!   which is exactly why the paper's fetcher spreads load across units
 //!   "hosted behind separate IP addresses".
@@ -35,7 +32,6 @@
 #![warn(missing_docs)]
 
 pub mod admission;
-pub mod breaker;
 pub mod client;
 pub mod http;
 pub mod obs;
@@ -44,7 +40,6 @@ pub mod router;
 pub mod server;
 
 pub use admission::{AdmissionConfig, AdmissionController, ParkedSlot, ShedReason};
-pub use breaker::{BreakerConfig, BreakerState, CircuitBreaker};
 pub use client::{ClientError, HttpClient, RetryPolicy};
 pub use http::{Headers, Method, ParseError, Request, Response, StatusCode};
 pub use obs::{mount_observability, METRICS_CONTENT_TYPE};
@@ -72,7 +67,7 @@ pub const FETCHER_IDENTITY_HEADER: &str = "x-fetcher-ip";
 /// and stamps that span here, so each attempt's server-side work parents
 /// onto that very attempt. The server reopens the context around
 /// dispatch, joining fetcher → HTTP → trends spans into one trace tree
-/// even across retries, breaker probes and fault-injected replays. A
+/// even across retries and fault-injected replays. A
 /// missing or malformed header starts a detached server-side trace; it
 /// never fails the request.
 pub const X_SIFT_TRACE: &str = "x-sift-trace";

@@ -5,10 +5,9 @@ use bytes::{Bytes, BytesMut};
 use proptest::prelude::*;
 use sift_net::http::{parse_request, parse_response, serialize_request, serialize_response};
 use sift_net::{
-    BreakerConfig, BreakerState, CircuitBreaker, Headers, Method, RateLimitDecision, RateLimiter,
-    RateLimiterConfig, Request, Response, StatusCode,
+    Headers, Method, RateLimitDecision, RateLimiter, RateLimiterConfig, Request, Response,
+    StatusCode,
 };
-use std::time::Duration;
 
 fn token() -> impl Strategy<Value = String> {
     "[a-zA-Z][a-zA-Z0-9-]{0,15}".prop_map(|s| s)
@@ -253,67 +252,6 @@ proptest! {
                 parsed.map(|r| r.map(|m| m.path))
             );
         }
-    }
-
-    /// Circuit-breaker liveness: whatever sequence of successes, failures,
-    /// admission checks and clock skips is thrown at it, the breaker never
-    /// wedges — recovery (cooldown, probe admission, enough successes)
-    /// always reaches `Closed`, and every transition is between distinct
-    /// adjacent states.
-    #[test]
-    fn breaker_transitions_never_deadlock(
-        ops in proptest::collection::vec(
-            prop_oneof![
-                Just(0u8), // record_success
-                Just(1u8), // record_failure
-                Just(2u8), // allow (may flip open -> half-open)
-                Just(3u8), // fast_forward past the cooldown
-                Just(4u8), // fast_forward a sliver of the cooldown
-            ],
-            0..80,
-        ),
-        failure_threshold in 1u32..6,
-        success_threshold in 1u32..4,
-        cooldown_ms in 1u64..5_000,
-    ) {
-        let cooldown = Duration::from_millis(cooldown_ms);
-        let breaker = CircuitBreaker::new(
-            "prop",
-            BreakerConfig {
-                failure_threshold,
-                cooldown,
-                success_threshold,
-            },
-        );
-        for op in ops {
-            match op {
-                0 => breaker.record_success(),
-                1 => breaker.record_failure(),
-                2 => {
-                    let _ = breaker.allow();
-                }
-                3 => breaker.fast_forward(cooldown + Duration::from_millis(1)),
-                _ => breaker.fast_forward(Duration::from_millis(cooldown_ms / 2)),
-            }
-        }
-        // No transition is a self-loop, and none skips half-open on the
-        // way back from open.
-        for (from, to) in breaker.transitions() {
-            prop_assert!(from != to, "self-loop transition {from:?}");
-            prop_assert!(
-                !(from == BreakerState::Open && to == BreakerState::Closed),
-                "open must recover via half-open"
-            );
-        }
-        // Liveness: from any reachable state, cooldown + probe +
-        // successes always reaches Closed.
-        breaker.fast_forward(cooldown + Duration::from_millis(1));
-        prop_assert!(breaker.allow(), "post-cooldown probe must be admitted");
-        for _ in 0..success_threshold {
-            breaker.record_success();
-        }
-        prop_assert_eq!(breaker.state(), BreakerState::Closed);
-        prop_assert!(breaker.allow(), "closed breaker admits traffic");
     }
 
     /// Token-bucket conservation: over any request pattern, the number of

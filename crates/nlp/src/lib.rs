@@ -39,24 +39,25 @@ pub use vector::{cosine, Embedding, Normed, EMBEDDING_DIM};
 /// `verizon outage` while `verizon outage` ≉ `comcast outage`.
 pub const DEFAULT_SIMILARITY_THRESHOLD: f32 = 0.60;
 
-/// Convenience: cosine similarity of two raw phrases.
-pub fn phrase_similarity(a: &str, b: &str) -> f32 {
-    cosine(&Embedding::of_phrase(a), &Embedding::of_phrase(b))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn paper_example_clusters_together() {
-        let sim = phrase_similarity("is Verizon down", "Verizon outage");
+        let sim = cosine(
+            &Embedding::of_phrase("is Verizon down"),
+            &Embedding::of_phrase("Verizon outage"),
+        );
         assert!(sim > DEFAULT_SIMILARITY_THRESHOLD, "similarity {sim}");
     }
 
     #[test]
     fn different_entities_stay_apart() {
-        let sim = phrase_similarity("Verizon outage", "Comcast outage");
+        let sim = cosine(
+            &Embedding::of_phrase("Verizon outage"),
+            &Embedding::of_phrase("Comcast outage"),
+        );
         assert!(sim < DEFAULT_SIMILARITY_THRESHOLD, "similarity {sim}");
     }
 }

@@ -9,12 +9,11 @@ use crate::metrics::{Counter, Gauge, Histogram, HistogramSpec, HistogramState};
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Default bound on the number of series (distinct label sets) one
-/// metric name may register. Per-identity and per-endpoint labels grow
-/// with traffic; past the cap new label sets get detached instruments
-/// and are tallied in `sift_obs_labels_dropped_total{metric=…}`.
+/// Bound on the number of series (distinct label sets) one metric name
+/// may register. Per-identity and per-endpoint labels grow with traffic;
+/// past the cap new label sets get detached instruments and are tallied
+/// in `sift_obs_labels_dropped_total{metric=…}`.
 pub const DEFAULT_SERIES_CAP_PER_NAME: usize = 512;
 
 /// The overflow counter label-capped registrations are tallied in.
@@ -72,26 +71,15 @@ impl Instrument {
 /// A collection of metric series, rendered together as Prometheus text.
 ///
 /// Cardinality is bounded: each metric name may register at most
-/// [`DEFAULT_SERIES_CAP_PER_NAME`] label sets (configurable via
-/// [`Registry::set_series_cap`]). Registrations past the cap return a
-/// working but *detached* instrument — callers never crash, the series
-/// just stays out of the exposition — and increment
+/// [`DEFAULT_SERIES_CAP_PER_NAME`] label sets. Registrations past the cap
+/// return a working but *detached* instrument — callers never crash, the
+/// series just stays out of the exposition — and increment
 /// `sift_obs_labels_dropped_total{metric=…}`.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct Registry {
     // BTreeMap keeps exposition deterministic and groups a metric's series
     // (same name, different labels) together.
     series: RwLock<BTreeMap<MetricKey, Instrument>>,
-    per_name_cap: AtomicUsize,
-}
-
-impl Default for Registry {
-    fn default() -> Registry {
-        Registry {
-            series: RwLock::new(BTreeMap::new()),
-            per_name_cap: AtomicUsize::new(DEFAULT_SERIES_CAP_PER_NAME),
-        }
-    }
 }
 
 impl Registry {
@@ -100,25 +88,19 @@ impl Registry {
         Registry::default()
     }
 
-    /// Sets the per-metric-name series cap (`0` disables the bound).
-    pub fn set_series_cap(&self, cap: usize) {
-        self.per_name_cap.store(cap, Ordering::Relaxed);
-    }
-
     /// True when registering `key` must be refused: its metric name is
     /// at the cap and `key` is not among the existing series. Tallies
     /// the refusal in `sift_obs_labels_dropped_total{metric=…}`
     /// (inserted directly, itself exempt from the cap).
     fn over_cap(&self, series: &mut BTreeMap<MetricKey, Instrument>, key: &MetricKey) -> bool {
-        let cap = self.per_name_cap.load(Ordering::Relaxed);
-        if cap == 0 || series.contains_key(key) {
+        if series.contains_key(key) {
             return false;
         }
         let count = series
             .range(MetricKey::new(key.name(), &[])..)
             .take_while(|(k, _)| k.name() == key.name())
             .count();
-        if count < cap {
+        if count < DEFAULT_SERIES_CAP_PER_NAME {
             return false;
         }
         let dropped = MetricKey::new(LABELS_DROPPED_METRIC, &[("metric", key.name())]);
@@ -400,28 +382,31 @@ mod tests {
     #[test]
     fn series_cap_bounds_cardinality_and_counts_drops() {
         let r = Registry::new();
-        r.set_series_cap(2);
-        let a = r.counter("capped_total", &[("id", "1")]);
-        let b = r.counter("capped_total", &[("id", "2")]);
-        // Third label set: refused, detached, tallied.
-        let c = r.counter("capped_total", &[("id", "3")]);
-        a.inc();
-        b.inc();
-        c.add(7); // must not crash, must not render
-                  // Existing series resolve normally even at the cap.
-        let a2 = r.counter("capped_total", &[("id", "1")]);
-        a2.inc();
-        assert_eq!(a.get(), 2);
+        let cap = DEFAULT_SERIES_CAP_PER_NAME;
+        let id = |i: usize| i.to_string();
+        let series: Vec<Counter> = (0..cap)
+            .map(|i| r.counter("capped_total", &[("id", &id(i))]))
+            .collect();
+        // One label set past the cap: refused, detached, tallied.
+        let over = r.counter("capped_total", &[("id", &id(cap))]);
+        series[0].inc();
+        series[1].inc();
+        over.add(7); // must not crash, must not render
+
+        // Existing series resolve normally even at the cap.
+        let again = r.counter("capped_total", &[("id", "0")]);
+        again.inc();
+        assert_eq!(series[0].get(), 2);
         let text = r.render_prometheus();
-        assert!(text.contains("capped_total{id=\"1\"} 2"), "{text}");
-        assert!(text.contains("capped_total{id=\"2\"} 1"), "{text}");
-        assert!(!text.contains("id=\"3\""), "{text}");
+        assert!(text.contains("capped_total{id=\"0\"} 2"), "{text}");
+        assert!(text.contains("capped_total{id=\"1\"} 1"), "{text}");
+        assert!(!text.contains(&format!("id=\"{cap}\"")), "{text}");
         assert!(
             text.contains("sift_obs_labels_dropped_total{metric=\"capped_total\"} 1"),
             "{text}"
         );
         // Repeated refusals keep counting.
-        let _ = r.counter("capped_total", &[("id", "4")]);
+        let _ = r.counter("capped_total", &[("id", &id(cap + 1))]);
         assert_eq!(
             r.counter(LABELS_DROPPED_METRIC, &[("metric", "capped_total")])
                 .get(),
@@ -432,16 +417,18 @@ mod tests {
     #[test]
     fn series_cap_applies_to_gauges_and_histograms() {
         let r = Registry::new();
-        r.set_series_cap(1);
-        let _ = r.gauge("g_active", &[("e", "a")]);
-        let detached = r.gauge("g_active", &[("e", "b")]);
-        detached.set(9);
         let spec = HistogramSpec::explicit(vec![1.0]);
-        let _ = r.histogram("h_seconds", &[("e", "a")], &spec);
-        let dropped_h = r.histogram("h_seconds", &[("e", "b")], &spec);
-        dropped_h.observe(0.5);
+        let cap = DEFAULT_SERIES_CAP_PER_NAME;
+        for i in 0..cap {
+            let _ = r.gauge("g_active", &[("e", &i.to_string())]);
+            let _ = r.histogram("h_seconds", &[("e", &i.to_string())], &spec);
+        }
+        let over = cap.to_string();
+        r.gauge("g_active", &[("e", &over)]).set(9);
+        r.histogram("h_seconds", &[("e", &over)], &spec)
+            .observe(0.5);
         let text = r.render_prometheus();
-        assert!(!text.contains("e=\"b\""), "{text}");
+        assert!(!text.contains(&format!("e=\"{over}\"")), "{text}");
         assert!(
             text.contains("sift_obs_labels_dropped_total{metric=\"g_active\"} 1"),
             "{text}"
@@ -450,16 +437,6 @@ mod tests {
             text.contains("sift_obs_labels_dropped_total{metric=\"h_seconds\"} 1"),
             "{text}"
         );
-    }
-
-    #[test]
-    fn zero_cap_disables_the_bound() {
-        let r = Registry::new();
-        r.set_series_cap(0);
-        for i in 0..600 {
-            r.counter("unbounded_total", &[("i", &i.to_string())]).inc();
-        }
-        assert_eq!(r.len(), 600);
     }
 
     #[test]

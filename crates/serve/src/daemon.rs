@@ -131,7 +131,6 @@ impl Shared {
     ) -> (SpikesReply, Option<DegradeReason>) {
         let degraded = core.degrade(
             self.fetchable_until(),
-            self.client.healthy(),
             LAG_BUDGET_HOURS,
             self.cfg.max_wal_backlog,
         );
@@ -160,7 +159,6 @@ impl Shared {
             let core = rt.core.lock();
             let degraded = core.degrade(
                 self.fetchable_until(),
-                self.client.healthy(),
                 LAG_BUDGET_HOURS,
                 self.cfg.max_wal_backlog,
             );

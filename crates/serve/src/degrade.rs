@@ -15,9 +15,6 @@ use serde::{Deserialize, Serialize};
 /// an operator sees is the thing to fix first.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub enum DegradeReason {
-    /// The trends client's circuit breaker is open: no frame can be
-    /// fetched at all until the probe succeeds.
-    BreakerOpen,
     /// Ingest is missing frames: the region's watermark trails the
     /// simulated present by more than the configured lag budget.
     MissingFrames,
@@ -32,8 +29,7 @@ pub enum DegradeReason {
 
 impl DegradeReason {
     /// Every reason, most severe first.
-    pub const ALL: [DegradeReason; 4] = [
-        DegradeReason::BreakerOpen,
+    pub const ALL: [DegradeReason; 3] = [
         DegradeReason::MissingFrames,
         DegradeReason::WalBacklog,
         DegradeReason::DetectorLagging,
@@ -43,7 +39,6 @@ impl DegradeReason {
     /// `sift_serve_degraded_reads_total{reason=…}`.
     pub fn label(self) -> &'static str {
         match self {
-            DegradeReason::BreakerOpen => "breaker_open",
             DegradeReason::MissingFrames => "missing_frames",
             DegradeReason::WalBacklog => "wal_backlog",
             DegradeReason::DetectorLagging => "detector_lagging",
@@ -75,12 +70,7 @@ mod tests {
         let labels: Vec<_> = DegradeReason::ALL.iter().map(|r| r.label()).collect();
         assert_eq!(
             labels,
-            [
-                "breaker_open",
-                "missing_frames",
-                "wal_backlog",
-                "detector_lagging"
-            ]
+            ["missing_frames", "wal_backlog", "detector_lagging"]
         );
     }
 }

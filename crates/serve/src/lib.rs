@@ -18,8 +18,8 @@
 //! * **Bounded staleness** — every response carries
 //!   `X-Sift-Staleness-Ms`, the host time since the region last
 //!   advanced, so clients always know how fresh their answer is.
-//! * **Graceful degradation** — when ingest falls behind (breaker open,
-//!   missing frames, failing checkpoints, lagging detector) reads keep
+//! * **Graceful degradation** — when ingest falls behind (missing
+//!   frames, failing checkpoints, lagging detector) reads keep
 //!   serving last-good data, tagged with a [`DegradeReason`] and counted
 //!   in `sift_serve_degraded_reads_total{reason=…}`, instead of turning
 //!   into errors.

@@ -82,7 +82,7 @@ impl RegionCore {
     /// origin hour is `InvalidData`: restoring it would serve that
     /// series' spikes under this region's name until the first ingest
     /// failed. So is a whole WAL record that does not decode.
-    pub fn open(
+    pub(crate) fn open(
         dir: &Path,
         state: State,
         start: Hour,
@@ -195,7 +195,7 @@ impl RegionCore {
     /// A frame the stitcher would refuse is refused before the journal
     /// sees it: replay applies every record, so a journaled frame that
     /// cannot apply would fail every later `open`.
-    pub fn ingest(
+    pub(crate) fn ingest(
         &mut self,
         idx: usize,
         resp: &FrameResponse,
@@ -273,35 +273,31 @@ impl RegionCore {
     }
 
     /// One past the last hour the region's series covers.
-    pub fn watermark(&self) -> Hour {
+    pub(crate) fn watermark(&self) -> Hour {
         self.stitcher.covered_until()
     }
 
     /// Hours buffered in the detector's open segment (current detection
     /// lag).
-    pub fn open_hours(&self) -> usize {
+    pub(crate) fn open_hours(&self) -> usize {
         self.detector.open_hours()
     }
 
     /// Host milliseconds since the region last advanced, or since
     /// `epoch` if it never has.
-    pub fn staleness_ms(&self, epoch: Instant) -> u128 {
+    pub(crate) fn staleness_ms(&self, epoch: Instant) -> u128 {
         self.last_advance.unwrap_or(epoch).elapsed().as_millis()
     }
 
     /// The most severe degrade condition currently holding, if any.
     /// `fetchable_until` is how far the simulated present allows ingest
     /// to have progressed (clamped to the plan's end).
-    pub fn degrade(
+    pub(crate) fn degrade(
         &self,
         fetchable_until: Hour,
-        client_healthy: bool,
         lag_budget_hours: i64,
         max_wal_backlog: u64,
     ) -> Option<DegradeReason> {
-        if !client_healthy {
-            return Some(DegradeReason::BreakerOpen);
-        }
         if fetchable_until - self.watermark() > lag_budget_hours {
             return Some(DegradeReason::MissingFrames);
         }
@@ -356,35 +352,29 @@ mod tests {
         }
     }
 
-    /// The lattice reports the most severe condition first: an open
-    /// breaker outranks missing frames, which outrank a WAL backlog,
-    /// which outranks a lagging detector.
+    /// The lattice reports the most severe condition first: missing
+    /// frames outrank a WAL backlog, which outranks a lagging detector.
     #[test]
     fn degrade_lattice_orders_by_severity() {
         let mut core = fresh_core("lattice");
 
-        // Fresh region, simulated present far ahead: missing frames —
-        // unless the breaker is open, which outranks it.
+        // Fresh region, simulated present far ahead: missing frames.
         assert_eq!(
-            core.degrade(Hour(800), true, 336, 16),
+            core.degrade(Hour(800), 336, 16),
             Some(DegradeReason::MissingFrames)
         );
-        assert_eq!(
-            core.degrade(Hour(800), false, 336, 16),
-            Some(DegradeReason::BreakerOpen)
-        );
 
-        // Caught up and healthy: no degradation.
-        assert_eq!(core.degrade(Hour(0), true, 336, 16), None);
+        // Caught up: no degradation.
+        assert_eq!(core.degrade(Hour(0), 336, 16), None);
 
         // A WAL tail past its budget degrades even when caught up.
         core.wal_tail = 5;
         assert_eq!(
-            core.degrade(Hour(0), true, 336, 4),
+            core.degrade(Hour(0), 336, 4),
             Some(DegradeReason::WalBacklog)
         );
         assert_eq!(
-            core.degrade(Hour(800), true, 336, 4),
+            core.degrade(Hour(800), 336, 4),
             Some(DegradeReason::MissingFrames),
             "missing frames outranks the WAL backlog"
         );
@@ -395,11 +385,11 @@ mod tests {
         core.ingest(0, &flat_frame(50), 1_000).expect("ingest");
         assert_eq!(core.open_hours(), 168);
         assert_eq!(
-            core.degrade(core.watermark(), true, 100, 16),
+            core.degrade(core.watermark(), 100, 16),
             Some(DegradeReason::DetectorLagging)
         );
         assert_eq!(
-            core.degrade(core.watermark(), true, 336, 16),
+            core.degrade(core.watermark(), 336, 16),
             None,
             "within the lag budget an open segment is not degradation"
         );

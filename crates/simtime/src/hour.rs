@@ -87,17 +87,6 @@ impl Hour {
         Hour(self.0.div_euclid(HOURS_PER_DAY) * HOURS_PER_DAY)
     }
 
-    /// Saturating conversion to `usize` for indexing a series that starts
-    /// at the study epoch. Negative hours clamp to 0.
-    #[expect(
-        clippy::cast_possible_truncation,
-        clippy::cast_sign_loss,
-        reason = "clamped non-negative; study hours fit any usize"
-    )]
-    pub fn index_from_epoch(self) -> usize {
-        self.0.max(0) as usize
-    }
-
     /// Applies a whole-hour timezone offset, yielding the *local* wall
     /// clock `Hour` for a region. Used by the area analysis to reason about
     /// lagged spikes in leisure-application outages (§4.2).
@@ -208,7 +197,6 @@ mod tests {
     fn negative_hours_are_before_epoch() {
         let h = Hour(-1);
         assert_eq!(h.civil(), Civil::new(2019, 12, 31, 23));
-        assert_eq!(h.index_from_epoch(), 0);
         assert_eq!(h.hour_of_day(), 23);
     }
 

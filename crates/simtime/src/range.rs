@@ -78,14 +78,6 @@ impl HourRange {
     pub fn iter(&self) -> impl Iterator<Item = Hour> + '_ {
         (self.start.0..self.end.0).map(Hour)
     }
-
-    /// Clamps the range to `bounds`, possibly yielding an empty range.
-    pub fn clamp_to(&self, bounds: &HourRange) -> HourRange {
-        self.intersect(bounds).unwrap_or(HourRange {
-            start: bounds.start,
-            end: bounds.start,
-        })
-    }
 }
 
 impl fmt::Debug for HourRange {
@@ -137,14 +129,6 @@ mod tests {
         assert_eq!(hours.len() as i64, w.len());
         assert_eq!(hours[0], Hour(3));
         assert_eq!(*hours.last().unwrap(), Hour(7));
-    }
-
-    #[test]
-    fn clamp_to_bounds() {
-        let bounds = r(0, 100);
-        assert_eq!(r(-10, 10).clamp_to(&bounds), r(0, 10));
-        assert_eq!(r(90, 200).clamp_to(&bounds), r(90, 100));
-        assert!(r(200, 300).clamp_to(&bounds).is_empty());
     }
 
     #[test]

@@ -53,11 +53,9 @@ pub trait TrendsClient: Send + Sync {
     }
     /// Whether the client believes a request would currently be attempted.
     ///
-    /// The HTTP path overrides this with its circuit-breaker state so
-    /// orchestration layers (the fetcher queue, the re-fetch loop) can
-    /// shed or pause optional work instead of queueing doomed requests
-    /// behind an open breaker. Must not mutate breaker state: it is a
-    /// peek, not an admission.
+    /// A collection run sheds the chunk of a unit that reports `false`
+    /// instead of sending it. A peek, not an admission: it must not
+    /// change the client's state.
     fn healthy(&self) -> bool {
         true
     }

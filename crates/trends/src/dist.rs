@@ -11,7 +11,7 @@
 use rand::Rng;
 
 /// A standard normal draw via the Box–Muller transform.
-pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
+pub(crate) fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
     // Avoid ln(0) by sampling the half-open interval away from zero.
     let u1: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
     let u2: f64 = rng.gen::<f64>();
@@ -20,7 +20,7 @@ pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {
 
 /// A log-normal draw with the given median and shape `sigma`, clamped to
 /// `[lo, hi]`.
-pub fn lognormal_clamped<R: Rng + ?Sized>(
+pub(crate) fn lognormal_clamped<R: Rng + ?Sized>(
     rng: &mut R,
     median: f64,
     sigma: f64,
@@ -43,7 +43,7 @@ pub fn lognormal_clamped<R: Rng + ?Sized>(
     clippy::cast_sign_loss,
     reason = "a non-negative draw; float-to-int `as` saturates and truncating is the draw"
 )]
-pub fn poisson<R: Rng + ?Sized>(rng: &mut R, lambda: f64) -> u64 {
+pub(crate) fn poisson<R: Rng + ?Sized>(rng: &mut R, lambda: f64) -> u64 {
     debug_assert!(lambda >= 0.0);
     if lambda <= 0.0 {
         return 0;
@@ -78,7 +78,7 @@ pub fn poisson<R: Rng + ?Sized>(rng: &mut R, lambda: f64) -> u64 {
 /// regime approximation the normal-approximation argument in §3.2 rests
 /// on.
 #[expect(clippy::as_conversions, reason = "n ≪ 2⁵³, so f64 holds it exactly")]
-pub fn binomial<R: Rng + ?Sized>(rng: &mut R, n: u64, p: f64) -> u64 {
+pub(crate) fn binomial<R: Rng + ?Sized>(rng: &mut R, n: u64, p: f64) -> u64 {
     debug_assert!((0.0..=1.0).contains(&p));
     if p <= 0.0 || n == 0 {
         return 0;

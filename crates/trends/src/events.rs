@@ -48,12 +48,6 @@ impl PowerTrigger {
             PowerTrigger::GridFailure => "Grid failure",
         }
     }
-
-    /// True if the trigger is a climate/weather phenomenon (the paper's
-    /// "climate disasters dictate the outliers" observation).
-    pub fn is_climate(self) -> bool {
-        !matches!(self, PowerTrigger::SeveredLine | PowerTrigger::GridFailure)
-    }
 }
 
 /// The root cause of an outage event, determining which search phrases
@@ -300,7 +294,5 @@ mod tests {
     fn cause_labels() {
         assert_eq!(Cause::Power(PowerTrigger::HeatWave).label(), "Heat wave");
         assert_eq!(Cause::CdnOrCloud(Provider::Akamai).label(), "Akamai");
-        assert!(PowerTrigger::Wildfire.is_climate());
-        assert!(!PowerTrigger::SeveredLine.is_climate());
     }
 }

@@ -79,16 +79,6 @@ pub fn sample_hour(
     (sampled, hits)
 }
 
-/// Convenience: just the hit count of [`sample_hour`].
-pub fn sample_count(
-    rng: &mut ChaCha8Rng,
-    cfg: &SamplerConfig,
-    volume: f64,
-    proportion: f64,
-) -> u64 {
-    sample_hour(rng, cfg, volume, proportion).1
-}
-
 /// Applies the anonymity rounding: counts below the threshold become zero.
 pub fn anonymize(cfg: &SamplerConfig, count: u64) -> u64 {
     if count < cfg.anonymity_threshold {
@@ -133,7 +123,7 @@ mod tests {
         let p = 2.0e-4;
         let n = 3000;
         let total: u64 = (0..n)
-            .map(|_| sample_count(&mut rng, &cfg, volume, p))
+            .map(|_| sample_hour(&mut rng, &cfg, volume, p).1)
             .sum();
         let mean = total as f64 / n as f64;
         let expected = volume * cfg.sample_rate * p; // 4.0
@@ -151,7 +141,7 @@ mod tests {
             let p = 1.0e-3;
             let n = 2000;
             let samples: Vec<f64> = (0..n)
-                .map(|_| sample_count(&mut rng, &cfg, volume, p) as f64)
+                .map(|_| sample_hour(&mut rng, &cfg, volume, p).1 as f64)
                 .collect();
             let mean = samples.iter().sum::<f64>() / n as f64;
             let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / (n - 1) as f64;

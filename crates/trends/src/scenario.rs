@@ -270,14 +270,6 @@ impl Scenario {
         Scenario { params, events }
     }
 
-    /// Events whose (possibly lagged) interest window in some region
-    /// intersects `window`.
-    pub fn events_in(&self, window: HourRange) -> impl Iterator<Item = &OutageEvent> {
-        self.events
-            .iter()
-            .filter(move |e| (0..e.states.len()).any(|i| e.window_in(i).overlaps(&window)))
-    }
-
     /// Builds the (state, bucket) index in one pass over the events. The
     /// service answers tens of thousands of rising-term requests per
     /// study, each for one state and at most a week: through the index a
@@ -285,12 +277,6 @@ impl Scenario {
     /// buckets, not every event of those buckets in every state.
     pub fn build_index(&self) -> EventIndex {
         EventIndex::new(self)
-    }
-
-    /// Convenience: a named event by (unique prefix of) name, for tests
-    /// and the experiments harness.
-    pub fn find_named(&self, prefix: &str) -> Option<&OutageEvent> {
-        self.events.iter().find(|e| e.name.starts_with(prefix))
     }
 }
 
@@ -959,16 +945,17 @@ mod tests {
     #[test]
     fn named_events_present() {
         let s = full();
-        let storm = s.find_named("Texas winter storm").expect("storm exists");
+        let named = |prefix: &str| s.events.iter().find(|e| e.name.starts_with(prefix));
+        let storm = named("Texas winter storm").expect("storm exists");
         assert_eq!(storm.duration_h, 45);
         assert_eq!(storm.start, Hour::from_ymdh(2021, 2, 15, 10));
         assert!(storm.is_power());
 
-        let akamai = s.find_named("Akamai").expect("akamai exists");
+        let akamai = named("Akamai").expect("akamai exists");
         assert_eq!(akamai.states.len(), 34);
         assert!(!akamai.cause.affects_reachability());
 
-        let fb = s.find_named("Facebook").expect("facebook exists");
+        let fb = named("Facebook").expect("facebook exists");
         assert_eq!(fb.states.len(), State::COUNT);
         let lagged = fb.lags_h.iter().filter(|l| **l > 0).count();
         assert_eq!(lagged, 22, "22 regions lag (paper §4.2)");
@@ -1045,7 +1032,10 @@ mod tests {
             assert_eq!(e.states.len(), 1);
             assert_eq!(e.states[0].0, State::TX);
         }
-        assert!(s.find_named("Texas winter storm").is_some());
+        assert!(s
+            .events
+            .iter()
+            .any(|e| e.name.starts_with("Texas winter storm")));
     }
 
     #[test]
@@ -1156,7 +1146,5 @@ mod tests {
         };
         let s = Scenario::single_region(State::CA, vec![e]);
         assert_eq!(s.events.len(), 1);
-        assert_eq!(s.events_in(HourRange::new(Hour(52), Hour(53))).count(), 1);
-        assert_eq!(s.events_in(HourRange::new(Hour(60), Hour(61))).count(), 0);
     }
 }

@@ -100,8 +100,9 @@ clippy --workspace "${vendor[@]/#/--exclude=}" --all-targets -- -D warnings \
   -D clippy::float_cmp -D clippy::allow_attributes -A clippy::disallowed_methods
 # Library code: no panics, no lossy casts, no prints, no swallowed
 # results, no call clippy.toml disallows (host clock, bare spans, in-place
-# file writes).
-clippy --workspace "${vendor[@]/#/--exclude=}" --lib -- -D warnings \
+# file writes), and no `pub` item a crate's public API cannot reach
+# (`unreachable_pub`: such an item is `pub(crate)`).
+clippy --workspace "${vendor[@]/#/--exclude=}" --lib -- -D warnings -D unreachable_pub \
   -D clippy::unwrap_used -D clippy::expect_used -D clippy::panic \
   -D clippy::unreachable -D clippy::todo \
   -D clippy::cast_possible_truncation -D clippy::cast_sign_loss -D clippy::cast_possible_wrap \
