@@ -13,6 +13,7 @@ use crate::crash::CrashInjector;
 use crate::record::{self, Decoded};
 use std::io;
 use std::path::Path;
+use std::time::Duration;
 
 /// Leading magic identifying (and versioning) a checkpoint file.
 pub const MAGIC: &[u8; 8] = b"SIFTCKP1";
@@ -35,9 +36,10 @@ pub fn write_checkpoint(
 /// checkpoint": the file is absent, or it fails validation — which the
 /// atomic install protocol makes possible only through disk-level
 /// corruption, so it is reported and treated as absence rather than
-/// trusted or fatal.
+/// trusted or fatal. The payload is the buffer read, with its frame
+/// trimmed off the front: no second copy.
 pub fn read_checkpoint(path: &Path) -> io::Result<Option<Vec<u8>>> {
-    let bytes = match std::fs::read(path) {
+    let mut bytes = match std::fs::read(path) {
         Ok(b) => b,
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(e),
@@ -48,33 +50,31 @@ pub fn read_checkpoint(path: &Path) -> io::Result<Option<Vec<u8>>> {
     }
     match record::decode(&bytes, MAGIC.len()) {
         Decoded::Record { payload, next } if next == bytes.len() => {
-            record_age(path);
-            Ok(Some(payload.to_vec()))
+            let frame = next - payload.len();
+            bytes.drain(..frame);
+            Ok(Some(bytes))
         }
-        Decoded::Record { .. } => {
-            report_corrupt();
-            Ok(None)
-        }
-        Decoded::Invalid | Decoded::End => {
+        Decoded::Record { .. } | Decoded::Invalid | Decoded::End => {
             report_corrupt();
             Ok(None)
         }
     }
 }
 
-/// Publishes how stale the checkpoint on disk is, from its mtime. Uses
-/// the wall clock by necessity: staleness across process restarts is a
-/// wall-clock quantity.
+/// How long ago the checkpoint at `path` was installed, from its mtime;
+/// `None` when the file or its mtime cannot be read. Uses the wall clock
+/// by necessity: staleness across process restarts is a wall-clock
+/// quantity. A reader that recovers state from checkpoints publishes
+/// the result as `sift_journal_checkpoint_age_seconds` (the daemon: the
+/// oldest of the checkpoints it recovered).
 #[expect(clippy::disallowed_methods, reason = "checkpoint age is host time")]
-fn record_age(path: &Path) {
-    let age = std::fs::metadata(path)
-        .and_then(|m| m.modified())
-        .ok()
-        .and_then(|mtime| std::time::SystemTime::now().duration_since(mtime).ok())
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    sift_obs::gauge("sift_journal_checkpoint_age_seconds", &[])
-        .set(i64::try_from(age).unwrap_or(i64::MAX));
+pub fn checkpoint_age(path: &Path) -> Option<Duration> {
+    let mtime = std::fs::metadata(path).and_then(|m| m.modified()).ok()?;
+    Some(
+        std::time::SystemTime::now()
+            .duration_since(mtime)
+            .unwrap_or(Duration::ZERO),
+    )
 }
 
 fn report_corrupt() {
@@ -85,10 +85,10 @@ fn report_corrupt() {
 mod tests {
     use super::*;
     use crate::crash::{CrashPlan, CrashSite};
-    use crate::testutil::scratch_dir;
+    use crate::testutil::{backdate, scratch_dir};
 
     #[test]
-    fn round_trips_and_reports_age() {
+    fn round_trips() {
         let dir = scratch_dir("ckpt_roundtrip");
         let path = dir.join("ckpt.bin");
         assert_eq!(read_checkpoint(&path).expect("absent ok"), None);
@@ -97,6 +97,22 @@ mod tests {
             read_checkpoint(&path).expect("read"),
             Some(b"snapshot-bytes".to_vec())
         );
+    }
+
+    /// Ages follow each file's own mtime, so the older of two
+    /// checkpoints reads older whichever is asked about first.
+    #[test]
+    fn age_follows_each_checkpoints_mtime() {
+        let dir = scratch_dir("ckpt_age");
+        let (young, old) = (dir.join("young.ckpt"), dir.join("old.ckpt"));
+        assert_eq!(checkpoint_age(&young), None, "no file, no age");
+        for (path, secs) in [(&young, 100), (&old, 1_000)] {
+            write_checkpoint(path, b"snapshot", None).expect("write");
+            backdate(path, Duration::from_secs(secs));
+        }
+        let age = |path| checkpoint_age(path).expect("age").as_secs();
+        assert!((1_000..1_060).contains(&age(&old)), "{}", age(&old));
+        assert!((100..160).contains(&age(&young)), "{}", age(&young));
     }
 
     #[test]

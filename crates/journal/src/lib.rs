@@ -29,7 +29,10 @@
 //! Recovery telemetry flows through `sift-obs`:
 //! `sift_journal_records_replayed_total`,
 //! `sift_journal_torn_tail_truncated_total`,
-//! `sift_journal_checkpoint_age_seconds`,
+//! `sift_journal_checkpoint_age_seconds` (0 after each
+//! [`write_checkpoint`]; a daemon start sets it from [`checkpoint_age`]
+//! to the age of the oldest checkpoint it recovered, whatever order its
+//! regions finished opening in),
 //! `sift_journal_checkpoint_corrupt_total`.
 
 pub mod atomic;
@@ -41,7 +44,7 @@ pub mod record;
 pub mod testutil;
 
 pub use atomic::{tmp_path, write_atomic};
-pub use checkpoint::{read_checkpoint, write_checkpoint};
+pub use checkpoint::{checkpoint_age, read_checkpoint, write_checkpoint};
 pub use crash::{CrashInjector, CrashMode, CrashPlan, CrashPoint, CrashSite};
 pub use crc::crc32;
 pub use journal::{Journal, Recovery};

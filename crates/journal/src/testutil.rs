@@ -1,8 +1,9 @@
 //! Scratch directories for durability tests, unique without wall-clock
-//! reads: process id plus a process-wide counter. Shared with the
-//! workspace's acceptance tests, hence `pub` rather than `cfg(test)`.
+//! reads: process id plus a process-wide counter; and file backdating
+//! for tests of mtime-derived ages. Shared with the workspace's
+//! acceptance tests, hence `pub` rather than `cfg(test)`.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// A fresh, empty directory under the system temp dir. The `tag` keeps
@@ -21,4 +22,15 @@ pub fn scratch_dir(tag: &str) -> PathBuf {
     }
     std::fs::create_dir_all(&dir).expect("create scratch dir");
     dir
+}
+
+/// Sets the mtime of the file at `path` to `age` before now.
+#[expect(clippy::expect_used, reason = "test scaffolding")]
+#[expect(clippy::disallowed_methods, reason = "an mtime is host time")]
+pub fn backdate(path: &Path, age: std::time::Duration) {
+    std::fs::File::options()
+        .write(true)
+        .open(path)
+        .and_then(|file| file.set_modified(std::time::SystemTime::now() - age))
+        .expect("backdate file");
 }

@@ -35,12 +35,13 @@ use sift_simtime::{Hour, SimClock};
 use sift_trends::{FrameRequest, TrendsClient};
 use std::io;
 use std::net::SocketAddr;
+use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, PoisonError};
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Reply body of `/spikes` and `/spikes/subscribe`.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -259,22 +260,18 @@ impl Daemon {
         crash: Option<Arc<CrashInjector>>,
     ) -> io::Result<Daemon> {
         let plan = plan_frames(cfg.range, cfg.plan);
-        let mut regions = Vec::with_capacity(cfg.regions.len());
-        for &state in &cfg.regions {
-            let core = RegionCore::open(
-                &dir.join(state.abbrev()),
-                state,
-                cfg.range.start,
-                cfg.plan,
-                cfg.detect,
-                crash.clone(),
-            )?;
-            regions.push(Arc::new(RegionRuntime {
-                state,
-                core: Mutex::new(core),
-                cv: Condvar::new(),
-            }));
-        }
+        let cores = open_regions(&cfg, dir, crash.as_ref())?;
+        publish_checkpoint_age(&cores);
+        let regions = cores
+            .into_iter()
+            .map(|core| {
+                Arc::new(RegionRuntime {
+                    state: core.state,
+                    core: Mutex::new(core),
+                    cv: Condvar::new(),
+                })
+            })
+            .collect();
 
         let admission = Arc::new(AdmissionController::new(cfg.admission));
         let workers = cfg.workers;
@@ -391,6 +388,66 @@ impl Daemon {
             server.drain(std::time::Duration::from_secs(2));
         }
     }
+}
+
+/// Recovers every region of `cfg.regions` from `dir` (checkpoint + WAL
+/// tail), on up to one thread per available core. Each thread takes the
+/// next region index from a shared counter rather than a contiguous
+/// chunk: the leading regions hold the largest checkpoints, so chunks
+/// would leave one thread with most of the work. Neither the result nor
+/// the error depends on which thread opened what: the cores come back in
+/// `cfg.regions` order, and the error is that of the first failing
+/// region in that order.
+fn open_regions(
+    cfg: &ServeConfig,
+    dir: &Path,
+    crash: Option<&Arc<CrashInjector>>,
+) -> io::Result<Vec<RegionCore>> {
+    let next = AtomicUsize::new(0);
+    let open = || {
+        let mut opened = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(&state) = cfg.regions.get(i) else {
+                return opened;
+            };
+            let core = RegionCore::open(
+                &dir.join(state.abbrev()),
+                state,
+                cfg.range.start,
+                cfg.plan,
+                cfg.detect,
+                crash.cloned(),
+            );
+            opened.push((i, core));
+        }
+    };
+    let threads = std::thread::available_parallelism()
+        .map_or(1, NonZeroUsize::get)
+        .min(cfg.regions.len());
+    let mut opened = std::thread::scope(|s| {
+        let helpers: Vec<_> = (1..threads).map(|_| s.spawn(open)).collect();
+        let mut opened = open();
+        for helper in helpers {
+            match helper.join() {
+                Ok(part) => opened.extend(part),
+                Err(panic) => std::panic::resume_unwind(panic),
+            }
+        }
+        opened
+    });
+    opened.sort_unstable_by_key(|(i, _)| *i);
+    opened.into_iter().map(|(_, core)| core).collect()
+}
+
+/// Publishes the age of the oldest checkpoint `cores` recovered from as
+/// `sift_journal_checkpoint_age_seconds` (untouched when none did), and
+/// returns it.
+fn publish_checkpoint_age(cores: &[RegionCore]) -> Option<Duration> {
+    let oldest = cores.iter().filter_map(|c| c.checkpoint_age).max()?;
+    sift_obs::gauge("sift_journal_checkpoint_age_seconds", &[])
+        .set(i64::try_from(oldest.as_secs()).unwrap_or(i64::MAX));
+    Some(oldest)
 }
 
 /// The ingest thread: poll the clock, fetch every closed frame, sleep
@@ -568,4 +625,148 @@ fn build_router(shared: &Arc<Shared>) -> Router {
     });
 
     mount_observability(router)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use sift_journal::testutil::{backdate, scratch_dir};
+    use sift_journal::Journal;
+    use sift_simtime::HourRange;
+    use sift_trends::{Scenario, ScenarioParams, SearchTerm, TrendsService};
+    use std::path::PathBuf;
+
+    /// Eight regions, the four largest first, as in the full region order.
+    const REGIONS: [State; 8] = [
+        State::TX,
+        State::CA,
+        State::FL,
+        State::NY,
+        State::IL,
+        State::PA,
+        State::OH,
+        State::WA,
+    ];
+    const RANGE_END: i64 = 800;
+
+    /// Nine frames at the default plan over `RANGE_END` hours, one
+    /// checkpoint every four: each region ends on two checkpoints and a
+    /// one-record WAL tail.
+    fn config(regions: &[State]) -> ServeConfig {
+        ServeConfig::new(
+            SearchTerm::parse("topic:Internet outage"),
+            regions.to_vec(),
+            HourRange::new(Hour(0), Hour(RANGE_END)),
+        )
+    }
+
+    fn upstream() -> Arc<dyn TrendsClient> {
+        Arc::new(TrendsService::with_defaults(Scenario::generate(
+            ScenarioParams {
+                regions: REGIONS.to_vec(),
+                ..ScenarioParams::default()
+            },
+        )))
+    }
+
+    /// The clock stands at the end of the range, so a daemon catches up
+    /// at once and a restart has nothing left to fetch.
+    fn start(cfg: ServeConfig, client: &Arc<dyn TrendsClient>, dir: &Path) -> io::Result<Daemon> {
+        let clock = Arc::new(SimClock::new(Hour(RANGE_END)));
+        Daemon::start(cfg, Arc::clone(client), clock, dir)
+    }
+
+    /// What `/regions` and `/spikes` serve, region for region.
+    type Served = Vec<(State, i64, u64, Vec<Spike>)>;
+
+    fn served(daemon: &Daemon) -> Served {
+        daemon
+            .status()
+            .regions
+            .into_iter()
+            .map(|s| {
+                let spikes = daemon.spikes(s.region).expect("served").spikes;
+                (s.region, s.watermark, s.frames_ingested, spikes)
+            })
+            .collect()
+    }
+
+    /// Ingests the whole plan for `regions` into a fresh directory and
+    /// shuts down, leaving a checkpoint and a WAL tail per region.
+    /// Returns the directory and what the daemon served at shutdown.
+    fn ingested_dir(
+        tag: &str,
+        regions: &[State],
+        client: &Arc<dyn TrendsClient>,
+    ) -> (PathBuf, Served) {
+        let dir = scratch_dir(tag);
+        let daemon = start(config(regions), client, &dir).expect("start");
+        assert!(daemon.wait_caught_up(Duration::from_secs(60)), "caught up");
+        let served = served(&daemon);
+        daemon.shutdown();
+        for r in regions {
+            let region = dir.join(r.abbrev());
+            assert!(region.join("region.ckpt").exists(), "{r} checkpointed");
+            let (_, recovery) = Journal::open(&region.join("region.wal")).expect("wal");
+            assert!(!recovery.records.is_empty(), "{r} left a WAL tail");
+        }
+        (dir, served)
+    }
+
+    /// Recovery opens regions on several threads; ten restarts in a row
+    /// each serve, region for region, the spikes and watermarks the
+    /// daemon held before shutdown.
+    #[test]
+    fn every_restart_recovers_the_same_regions() {
+        let client = upstream();
+        let (dir, before) = ingested_dir("serve_daemon_restarts", &REGIONS, &client);
+        assert!(before.iter().any(|(.., spikes)| !spikes.is_empty()));
+        for restart in 0..10 {
+            let daemon = start(config(&REGIONS), &client, &dir).expect("restart");
+            assert_eq!(served(&daemon), before, "restart {restart}");
+            daemon.shutdown();
+        }
+    }
+
+    /// With two regions holding another region's checkpoint, the error is
+    /// the earlier one's in `cfg.regions` order, whichever thread failed
+    /// first.
+    #[test]
+    fn the_first_foreign_checkpoint_in_region_order_is_reported() {
+        let client = upstream();
+        let (dir, _) = ingested_dir("serve_daemon_foreign", &REGIONS, &client);
+        let ckpt = |r: State| dir.join(r.abbrev()).join("region.ckpt");
+        std::fs::copy(ckpt(State::TX), ckpt(State::FL)).expect("copy");
+        std::fs::copy(ckpt(State::CA), ckpt(State::WA)).expect("copy");
+        let expected = ckpt(State::FL).display().to_string();
+        for attempt in 0..20 {
+            match start(config(&REGIONS), &client, &dir) {
+                Ok(_) => panic!("a foreign checkpoint was accepted"),
+                Err(e) => {
+                    assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{e}");
+                    assert!(e.to_string().contains(&expected), "attempt {attempt}: {e}");
+                }
+            }
+        }
+    }
+
+    /// The published checkpoint age is the oldest recovered, not the
+    /// last region's in order nor the last thread's to finish.
+    #[test]
+    fn the_published_checkpoint_age_is_the_oldest() {
+        let client = upstream();
+        let pair = [State::TX, State::CA];
+        let (dir, _) = ingested_dir("serve_daemon_ckpt_age", &pair, &client);
+        for (r, secs) in [(State::TX, 100), (State::CA, 1_000)] {
+            backdate(
+                &dir.join(r.abbrev()).join("region.ckpt"),
+                Duration::from_secs(secs),
+            );
+        }
+        for order in [pair, [State::CA, State::TX]] {
+            let cores = open_regions(&config(&order), &dir, None).expect("open");
+            let oldest = publish_checkpoint_age(&cores).expect("recovered");
+            assert!((1_000..1_060).contains(&oldest.as_secs()), "{oldest:?}");
+        }
+    }
 }

@@ -19,13 +19,13 @@ use sift_core::{
     StitcherSnapshot, StreamStitcher,
 };
 use sift_geo::State;
-use sift_journal::{read_checkpoint, write_checkpoint, CrashInjector, Journal};
+use sift_journal::{checkpoint_age, read_checkpoint, write_checkpoint, CrashInjector, Journal};
 use sift_simtime::Hour;
 use sift_trends::FrameResponse;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// One WAL record: a frame accepted for ingest, tagged with its plan
 /// index so replay can discard duplicates from a crash between append
@@ -67,6 +67,9 @@ pub(crate) struct RegionCore {
     pub wal_tail: u64,
     /// Frames recovered from checkpoint+WAL instead of the network.
     pub replayed: u64,
+    /// Age of the checkpoint `open` recovered from (its mtime); `None`
+    /// when the region started without one.
+    pub checkpoint_age: Option<Duration>,
     /// The most recent fetch attempt failed (cleared by any success).
     pub fetch_failing: bool,
     /// Host time of the last applied frame; `None` until the first.
@@ -111,6 +114,7 @@ impl RegionCore {
                 }
             }
         }
+        let checkpoint_age = recovered.as_ref().and_then(|_| checkpoint_age(&ckpt_path));
         let (journal, recovery) = Journal::open_with(&dir.join("region.wal"), crash.clone())?;
 
         let keep = usize::try_from(plan.frame_len).unwrap_or(usize::MAX);
@@ -126,6 +130,7 @@ impl RegionCore {
                 crash,
                 wal_tail: 0,
                 replayed: 0,
+                checkpoint_age,
                 fetch_failing: false,
                 last_advance: None,
                 new_values: Vec::new(),
@@ -141,6 +146,7 @@ impl RegionCore {
                 crash,
                 wal_tail: 0,
                 replayed: 0,
+                checkpoint_age: None,
                 fetch_failing: false,
                 last_advance: None,
                 new_values: Vec::new(),

@@ -153,9 +153,12 @@ same_seed_gate nemesis "nemesis replay" nemesis_crawl --seed 42 --quick
 diff tests/golden/nemesis-crawl-seed42-quick.txt target/nemesis-a.txt \
   || { echo "nemesis report differs from tests/golden/nemesis-crawl-seed42-quick.txt" >&2; exit 1; }
 
-# Serving: spike tables are a pure function of the seed; host-timing
+# Serving: spike tables are a pure function of the seed, pinned byte
+# for byte — however many threads recovery opens regions on; host-timing
 # observations like staleness go to stderr.
 same_seed_gate serve "online daemon" online_daemon --seed 7
+diff tests/golden/online-daemon-seed7.txt target/serve-a.txt \
+  || { echo "online daemon report differs from tests/golden/online-daemon-seed7.txt" >&2; exit 1; }
 
 # Thread-count gate: annotations, clusters and every table built from them
 # are a function of the study, not of how many workers computed them
