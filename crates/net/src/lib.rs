@@ -10,8 +10,8 @@
 //!   keep-alive and `Connection: close`, hard limits on head and body
 //!   sizes.
 //! * [`server`] — a threaded TCP server: acceptor thread + worker pool fed
-//!   over a crossbeam channel, per-connection keep-alive loops, graceful
-//!   shutdown.
+//!   over a crossbeam channel, per-connection keep-alive loops that
+//!   dispatch each pipelined batch on every core, graceful shutdown.
 //! * [`router`] — exact-match method/path routing with typed JSON helpers.
 //! * [`client`] — a pooling, retrying client with timeouts; honours
 //!   `Retry-After` on 429 responses, applies full-jitter backoff, and

@@ -1,9 +1,13 @@
 //! Threaded HTTP server.
 //!
 //! One acceptor thread hands connections to a fixed worker pool over a
-//! crossbeam channel; each worker runs a keep-alive loop per connection,
-//! answering pipelined requests in order and coalescing their replies
-//! into one write (see `REPLY_FLUSH_BYTES` for when it flushes).
+//! crossbeam channel (the pool size bounds the connections served at
+//! once); each worker runs a keep-alive loop per connection. The
+//! complete requests a connection has buffered form a batch: the worker
+//! decides each one's fate in arrival order (admission, then the
+//! limiter), dispatches the admitted ones concurrently on itself plus up
+//! to one helper per further core, and coalesces the replies, in request
+//! order, into one write (see `REPLY_FLUSH_BYTES` for when it flushes).
 //! An optional per-client token-bucket limiter answers 429 with a
 //! `Retry-After` before the request ever reaches a handler, mirroring how
 //! the real aggregation service throttles crawlers.
@@ -20,17 +24,18 @@
     reason = "socket timeouts, drain grace and the limiter's clock measure the host by design"
 )]
 
-use crate::admission::{AdmissionConfig, AdmissionController, ShedReason};
-use crate::http::{parse_request, serialize_response, Request, Response, StatusCode};
+use crate::admission::{AdmissionConfig, AdmissionController, InflightGuard, ShedReason};
+use crate::http::{parse_request, serialize_response, ParseError, Request, Response, StatusCode};
 use crate::ratelimit::{RateLimitDecision, RateLimiter, RateLimiterConfig};
-use crate::router::Router;
+use crate::router::{Router, UNMATCHED_ROUTE};
 use crate::{FETCHER_IDENTITY_HEADER, X_SIFT_TRACE};
-use bytes::BytesMut;
+use bytes::{Bytes, BytesMut};
 use crossbeam::channel;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -88,7 +93,8 @@ impl Server {
         self
     }
 
-    /// Sets the worker-pool size.
+    /// Sets the worker-pool size: how many connections are served at
+    /// once. A worker may add helper threads for a pipelined batch.
     pub fn with_workers(mut self, n: usize) -> Self {
         assert!(n >= 1, "at least one worker required");
         self.workers = n;
@@ -105,6 +111,11 @@ impl Server {
             .admission_shared
             .unwrap_or_else(|| Arc::new(AdmissionController::new(self.admission)));
         let started = Instant::now();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "read once per server: each call re-reads the cgroup limits"
+        )]
+        let cores = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
 
         let (tx, rx) = channel::unbounded::<TcpStream>();
 
@@ -117,6 +128,7 @@ impl Server {
                 admission: Arc::clone(&admission),
                 epoch: started,
                 shutdown: Arc::clone(&shutdown),
+                cores,
             };
             threads.push(
                 std::thread::Builder::new()
@@ -280,6 +292,8 @@ struct ConnContext {
     admission: Arc<AdmissionController>,
     epoch: Instant,
     shutdown: Arc<AtomicBool>,
+    /// The threads a pipelined batch is dispatched on, at most.
+    cores: usize,
 }
 
 /// Writes the canned shed response to a just-accepted connection and
@@ -372,137 +386,223 @@ fn serve_requests(
 ) -> std::io::Result<()> {
     let mut buf = BytesMut::with_capacity(8 * 1024);
     let mut chunk = [0u8; 16 * 1024];
+    let mut idle = Duration::ZERO;
 
     loop {
         if ctx.shutdown.load(Ordering::SeqCst) {
             return Ok(());
         }
-        // Parse any complete pipelined request already buffered before
-        // reading more.
-        let mut idle = Duration::ZERO;
-        let req = loop {
-            match parse_request(&mut buf) {
-                Ok(Some(req)) => break req,
-                Ok(None) => {
-                    flush(stream, out)?;
-                    match stream.read(&mut chunk) {
-                        Ok(0) => return Ok(()), // clean close
-                        Ok(n) => {
-                            idle = Duration::ZERO;
-                            buf.extend_from_slice(&chunk[..n]);
-                        }
-                        Err(e)
-                            if e.kind() == std::io::ErrorKind::WouldBlock
-                                || e.kind() == std::io::ErrorKind::TimedOut =>
-                        {
-                            if ctx.shutdown.load(Ordering::SeqCst) {
-                                return Ok(());
-                            }
-                            // A draining server closes idle keep-alive
-                            // connections; nothing is owed to a client with
-                            // no request in flight.
-                            if ctx.admission.is_draining() && buf.is_empty() {
-                                return Ok(());
-                            }
-                            idle += IDLE_POLL;
-                            if idle >= READ_TIMEOUT {
-                                return Ok(()); // idle keep-alive expired
-                            }
-                        }
-                        Err(e) => return Err(e),
-                    }
-                }
-                Err(err) => {
-                    let resp =
-                        Response::text(StatusCode::BAD_REQUEST, format!("bad request: {err}"));
-                    out.extend_from_slice(&serialize_response(&resp));
-                    return Ok(()); // framing is lost; close
-                }
+        let batch = match take_batch(&mut buf) {
+            Ok(batch) => batch,
+            Err(err) => {
+                let resp = Response::text(StatusCode::BAD_REQUEST, format!("bad request: {err}"));
+                out.extend_from_slice(&serialize_response(&resp));
+                return Ok(()); // framing is lost; close
             }
         };
-
-        let close_after = req.headers.wants_close();
-        // Routing is exact-match on the pre-query path, so the route label
-        // has the same (bounded) cardinality as the route table.
-        let route = req.path.split('?').next().unwrap_or("").to_owned();
-        let started_at = Instant::now();
-
-        // Admission: a request that arrives on a draining server or past
-        // the in-flight cap is shed with `503 + Retry-After` and the
-        // connection closes.
-        if ctx.admission.is_draining() {
-            let resp = ctx.admission.shed_response(ShedReason::Draining);
-            out.extend_from_slice(&serialize_response(&resp));
-            return Ok(());
-        }
-        let admitted = match ctx.admission.try_admit() {
-            Ok(guard) => guard,
-            Err(reason) => {
-                let resp = ctx.admission.shed_response(reason);
-                out.extend_from_slice(&serialize_response(&resp));
+        if !batch.is_empty() {
+            if !serve_batch(&batch, peer, ctx, out) {
                 return Ok(());
             }
-        };
-
-        // Rejoin the caller's trace once the request is admitted: the
-        // serve span parents onto the exact client attempt that carried
-        // the X-Sift-Trace header, covering dispatch and the response
-        // write. No (or bad) header: a detached root.
-        let _serve_span = match trace_context(&req) {
-            Some(tc) => sift_obs::span_in(tc, "serve"),
-            None => sift_obs::span_root("serve"),
-        };
-
-        let resp = dispatch_with_limiter(ctx, &req, peer);
-
-        sift_obs::attr_set("status", u64::from(resp.status.0));
-        sift_obs::attr_add("bytes", u64::try_from(resp.body.len()).unwrap_or(u64::MAX));
-        sift_obs::counter(
-            "sift_http_requests_total",
-            &[("route", &route), ("status", &resp.status.0.to_string())],
-        )
-        .inc();
-        sift_obs::histogram("sift_http_request_seconds", &[("route", &route)])
-            .observe_duration(started_at.elapsed());
-
-        out.extend_from_slice(&serialize_response(&resp));
-        drop(admitted); // the in-flight slot covers dispatch, not the coalesced write
-        if close_after {
-            return Ok(());
+            if out.len() >= REPLY_FLUSH_BYTES {
+                flush(stream, out)?;
+            }
+            continue;
         }
-        if out.len() >= REPLY_FLUSH_BYTES {
-            flush(stream, out)?;
+        flush(stream, out)?;
+        match stream.read(&mut chunk) {
+            Ok(0) => return Ok(()), // clean close
+            Ok(n) => {
+                idle = Duration::ZERO;
+                buf.extend_from_slice(&chunk[..n]);
+            }
+            Err(e)
+                if e.kind() == std::io::ErrorKind::WouldBlock
+                    || e.kind() == std::io::ErrorKind::TimedOut =>
+            {
+                // A draining server closes idle keep-alive connections;
+                // nothing is owed to a client with no request in flight.
+                if ctx.admission.is_draining() && buf.is_empty() {
+                    return Ok(());
+                }
+                idle += IDLE_POLL;
+                if idle >= READ_TIMEOUT {
+                    return Ok(()); // idle keep-alive expired
+                }
+            }
+            Err(e) => return Err(e),
         }
     }
 }
 
-/// Runs the request through the rate limiter (if any) and the router.
-fn dispatch_with_limiter(ctx: &ConnContext, req: &Request, peer: &SocketAddr) -> Response {
-    let Some(limiter) = ctx.limiter.as_deref() else {
-        return dispatch_protected(&ctx.router, req);
-    };
+/// Parses every complete request at the front of `buf`: the batch the
+/// connection answers together, without reading more. The batch ends
+/// after a request that asks to close, and before a request that does
+/// not parse; that error is returned once it is first in the buffer.
+fn take_batch(buf: &mut BytesMut) -> Result<Vec<Request>, ParseError> {
+    let mut batch = Vec::new();
+    loop {
+        match parse_request(buf) {
+            Ok(Some(req)) => {
+                let close = req.headers.wants_close();
+                batch.push(req);
+                if close {
+                    return Ok(batch);
+                }
+            }
+            Ok(None) => return Ok(batch),
+            Err(err) if batch.is_empty() => return Err(err),
+            // Left in the buffer: answered with a 400 after this batch.
+            Err(_) => return Ok(batch),
+        }
+    }
+}
+
+/// A request whose fate is decided: it holds an in-flight slot, and the
+/// limiter has let it through or named the identity it limited.
+struct Decided<'a> {
+    req: &'a Request,
+    limited: Option<(String, u64)>,
+    _slot: InflightGuard<'a>,
+}
+
+/// Answers a batch, appending its replies to `out` in arrival order.
+/// Returns whether the connection stays open.
+///
+/// Each request's fate is decided on this thread in arrival order
+/// (`try_admit`, which refuses a draining server first, then the
+/// limiter), so sheds and 429s fall where serial processing puts them.
+/// Admission runs in waves: a wave is every request admitted in a row,
+/// and a request refused while this connection holds slots waits for the
+/// wave to finish and is asked again; it is shed only when refused with
+/// no slot held, as one-at-a-time serving would have it. A wave's
+/// requests are then dispatched concurrently (RFC 9112 §9.3.2: a client
+/// pipelines only requests that do not depend on each other).
+fn serve_batch(batch: &[Request], peer: &SocketAddr, ctx: &ConnContext, out: &mut Vec<u8>) -> bool {
+    let mut next = 0;
+    while next < batch.len() {
+        let mut wave = Vec::new();
+        for req in &batch[next..] {
+            match ctx.admission.try_admit() {
+                Ok(slot) => wave.push(Decided {
+                    req,
+                    limited: rate_limit(ctx, req, peer),
+                    _slot: slot,
+                }),
+                Err(reason) if wave.is_empty() => {
+                    out.extend_from_slice(&serialize_response(
+                        &ctx.admission.shed_response(reason),
+                    ));
+                    return false;
+                }
+                Err(_) => break,
+            }
+        }
+        next += wave.len();
+        for reply in dispatch_wave(&wave, ctx) {
+            out.extend_from_slice(&reply);
+        }
+        // Dropping the wave frees its slots; the write is not covered.
+    }
+    !batch.last().is_some_and(|req| req.headers.wants_close())
+}
+
+/// The limiter's verdict on `req`: `None` lets it through, `Some` names
+/// the identity it limited and the `Retry-After` seconds.
+fn rate_limit(ctx: &ConnContext, req: &Request, peer: &SocketAddr) -> Option<(String, u64)> {
+    let limiter = ctx.limiter.as_deref()?;
     let identity = client_identity(req, peer);
     #[expect(clippy::cast_possible_truncation, reason = "uptime ms fit u64")]
     let now_ms = ctx.epoch.elapsed().as_millis() as u64;
     match limiter.check(&identity, now_ms) {
-        RateLimitDecision::Allowed => dispatch_protected(&ctx.router, req),
-        RateLimitDecision::Limited { retry_after_secs } => {
-            // The rejection path is already the slow path; a metric
-            // update here costs nothing that matters.
-            sift_obs::counter("sift_ratelimit_rejected_total", &[("identity", &identity)]).inc();
+        RateLimitDecision::Allowed => None,
+        RateLimitDecision::Limited { retry_after_secs } => Some((identity, retry_after_secs)),
+    }
+}
+
+/// Serves a wave on this thread plus up to `cores - 1` helpers, each
+/// taking the next request by index; the replies come back in wave order.
+fn dispatch_wave(wave: &[Decided<'_>], ctx: &ConnContext) -> Vec<Bytes> {
+    let next = AtomicUsize::new(0);
+    let serve = || {
+        let mut served = Vec::new();
+        loop {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            let Some(decided) = wave.get(i) else {
+                return served;
+            };
+            served.push((i, serve_one(decided, ctx)));
+        }
+    };
+    let threads = wave.len().min(ctx.cores);
+    let mut served = std::thread::scope(|s| {
+        // A helper the OS will not start leaves its share to the others.
+        let helpers: Vec<_> = (1..threads)
+            .filter_map(|_| {
+                std::thread::Builder::new()
+                    .name("sift-net-dispatch".into())
+                    .spawn_scoped(s, serve)
+                    .ok()
+            })
+            .collect();
+        let mut served = serve();
+        for helper in helpers {
+            match helper.join() {
+                Ok(part) => served.extend(part),
+                Err(panic) => std::panic::resume_unwind(panic),
+            }
+        }
+        served
+    });
+    served.sort_unstable_by_key(|(i, _)| *i);
+    served.into_iter().map(|(_, reply)| reply).collect()
+}
+
+/// Serves one decided request on the calling thread and returns its
+/// reply's bytes.
+fn serve_one(decided: &Decided<'_>, ctx: &ConnContext) -> Bytes {
+    let req = decided.req;
+    // Rejoin the caller's trace: the serve span parents onto the exact
+    // client attempt that carried the X-Sift-Trace header, covering
+    // dispatch and serialization. No (or bad) header: a detached root.
+    let _serve_span = match trace_context(req) {
+        Some(tc) => sift_obs::span_in(tc, "serve"),
+        None => sift_obs::span_root("serve"),
+    };
+    let started_at = Instant::now();
+    let resolved = ctx.router.resolve(req);
+    // Labelled with the registered path or `UNMATCHED_ROUTE`, so the
+    // series are bounded by the route table whatever paths clients send.
+    let route = resolved
+        .as_ref()
+        .map_or(UNMATCHED_ROUTE, |(route, _)| route);
+    let resp = match (&decided.limited, resolved) {
+        (Some((identity, retry_after_secs)), _) => {
+            sift_obs::counter("sift_ratelimit_rejected_total", &[("identity", identity)]).inc();
             let mut resp = Response::text(StatusCode::TOO_MANY_REQUESTS, "rate limited");
             resp.headers
                 .set("retry-after", retry_after_secs.to_string());
             resp
         }
-    }
-}
+        // One bad request cannot take a worker thread down.
+        (None, Ok((_, handler))) => {
+            catch_unwind(AssertUnwindSafe(|| handler(req))).unwrap_or_else(|_| {
+                Response::text(StatusCode::INTERNAL_SERVER_ERROR, "handler panicked")
+            })
+        }
+        (None, Err(refusal)) => refusal,
+    };
 
-/// Dispatches through the router, converting handler panics into 500s so
-/// one bad request cannot take a worker thread down.
-fn dispatch_protected(router: &Router, req: &Request) -> Response {
-    catch_unwind(AssertUnwindSafe(|| router.dispatch(req)))
-        .unwrap_or_else(|_| Response::text(StatusCode::INTERNAL_SERVER_ERROR, "handler panicked"))
+    sift_obs::attr_set("status", u64::from(resp.status.0));
+    sift_obs::attr_add("bytes", u64::try_from(resp.body.len()).unwrap_or(u64::MAX));
+    sift_obs::counter(
+        "sift_http_requests_total",
+        &[("route", route), ("status", &resp.status.0.to_string())],
+    )
+    .inc();
+    sift_obs::histogram("sift_http_request_seconds", &[("route", route)])
+        .observe_duration(started_at.elapsed());
+    serialize_response(&resp)
 }
 
 #[cfg(test)]
@@ -569,38 +669,18 @@ mod tests {
             .bind("127.0.0.1:0")
             .expect("bind");
         let mut s = TcpStream::connect(h.addr()).expect("connect");
-        s.set_read_timeout(Some(Duration::from_secs(5)))
-            .expect("timeout");
-        let read_replies = |s: &mut TcpStream, n: usize| -> Vec<String> {
-            let mut buf = BytesMut::new();
-            let mut chunk = [0u8; 4096];
-            let mut bodies = Vec::new();
-            while bodies.len() < n {
-                match crate::http::parse_response(&mut buf).expect("parse") {
-                    Some(resp) => bodies.push(String::from_utf8_lossy(&resp.body).into_owned()),
-                    None => {
-                        // Blocks only while a reply is owed: a reply held
-                        // back in the server's buffer would time this out.
-                        let got = s.read(&mut chunk).expect("reply before the timeout");
-                        assert!(got > 0, "server closed early");
-                        buf.extend_from_slice(&chunk[..got]);
-                    }
-                }
-            }
-            assert!(buf.is_empty(), "nothing unasked for");
-            bodies
-        };
         // Three requests in one write, the last split across two.
         s.write_all(
             b"POST /echo HTTP/1.1\r\ncontent-length: 3\r\n\r\noneGET /ping HTTP/1.1\r\n\r\nPOST /echo HTTP/1.1\r\ncontent-length: 5\r\n\r\nth",
         )
         .expect("write");
         s.write_all(b"ree").expect("write");
-        assert_eq!(read_replies(&mut s, 3), ["one", "pong", "three"]);
+        // A reply held back in the server's buffer would time `read_n` out.
+        assert_eq!(bodies(&read_n(&mut s, 3).1), ["one", "pong", "three"]);
         // The connection is still good, and a lone request does not wait
         // for company.
         s.write_all(b"GET /ping HTTP/1.1\r\n\r\n").expect("write");
-        assert_eq!(read_replies(&mut s, 1), ["pong"]);
+        assert_eq!(bodies(&read_n(&mut s, 1).1), ["pong"]);
         h.shutdown();
     }
 
@@ -793,6 +873,321 @@ mod tests {
         gate.open();
         let resp = inflight.join().expect("client thread");
         assert_eq!(resp.status, StatusCode::OK);
+        h.shutdown();
+    }
+
+    /// Reads exactly `n` replies: the raw bytes and the parsed responses.
+    fn read_n(s: &mut TcpStream, n: usize) -> (Vec<u8>, Vec<Response>) {
+        s.set_read_timeout(Some(Duration::from_secs(20)))
+            .expect("timeout");
+        let mut raw = Vec::new();
+        let mut chunk = [0u8; 4096];
+        loop {
+            let mut buf = BytesMut::from(&raw[..]);
+            let mut replies = Vec::new();
+            while let Some(resp) = crate::http::parse_response(&mut buf).expect("parse") {
+                replies.push(resp);
+            }
+            if replies.len() >= n {
+                assert_eq!(replies.len(), n, "nothing unasked for");
+                return (raw, replies);
+            }
+            let got = s.read(&mut chunk).expect("reply before the timeout");
+            assert!(got > 0, "server closed after {} replies", replies.len());
+            raw.extend_from_slice(&chunk[..got]);
+        }
+    }
+
+    /// Every reply until the server closes the connection.
+    fn read_to_close(s: &mut TcpStream) -> Vec<Response> {
+        s.set_read_timeout(Some(Duration::from_secs(20)))
+            .expect("timeout");
+        let mut raw = Vec::new();
+        s.read_to_end(&mut raw).expect("read to close");
+        let mut buf = BytesMut::from(&raw[..]);
+        let mut replies = Vec::new();
+        while let Some(resp) = crate::http::parse_response(&mut buf).expect("parse") {
+            replies.push(resp);
+        }
+        assert!(buf.is_empty(), "a partial reply");
+        replies
+    }
+
+    fn post(path: &str, body: &str) -> Vec<u8> {
+        format!(
+            "POST {path} HTTP/1.1\r\ncontent-length: {}\r\n\r\n{body}",
+            body.len()
+        )
+        .into_bytes()
+    }
+
+    fn bodies(replies: &[Response]) -> Vec<String> {
+        replies
+            .iter()
+            .map(|r| String::from_utf8_lossy(&r.body).into_owned())
+            .collect()
+    }
+
+    fn host_cores() -> usize {
+        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
+    }
+
+    /// Handlers that wait until `meet` of them are running at once, or
+    /// 5 s, and answer their body plus whether they met.
+    fn meeting_router(meet: usize) -> Router {
+        let arrived = Arc::new((StdMutex::new(0usize), Condvar::new()));
+        test_router().route(Method::Post, "/meet", move |req| {
+            let (count, cv) = &*arrived;
+            let mut n = count.lock().expect("meet lock");
+            *n += 1;
+            cv.notify_all();
+            let (n, _) = cv
+                .wait_timeout_while(n, Duration::from_secs(5), |n| *n < meet)
+                .expect("meet wait");
+            let met = if *n >= meet { "met" } else { "alone" };
+            let body = String::from_utf8_lossy(&req.body);
+            Response::text(StatusCode::OK, format!("{body}:{met}"))
+        })
+    }
+
+    #[test]
+    fn a_pipelined_batch_runs_its_handlers_at_once_and_replies_in_order() {
+        let k = 6;
+        let meet = k.min(host_cores());
+        let h = Server::new(meeting_router(meet))
+            .bind("127.0.0.1:0")
+            .expect("bind");
+        let mut s = TcpStream::connect(h.addr()).expect("connect");
+        let wire: Vec<u8> = (0..k).flat_map(|i| post("/meet", &i.to_string())).collect();
+        s.write_all(&wire).expect("write");
+        let (_, replies) = read_n(&mut s, k);
+        let expected: Vec<String> = (0..k).map(|i| format!("{i}:met")).collect();
+        if meet > 1 {
+            assert_eq!(bodies(&replies), expected);
+        } else {
+            // One core: nothing overlaps, so only the order is checked.
+            let order: Vec<String> = bodies(&replies)
+                .iter()
+                .map(|b| b.split(':').next().unwrap_or("").to_owned())
+                .collect();
+            assert_eq!(order, (0..k).map(|i| i.to_string()).collect::<Vec<_>>());
+        }
+        h.shutdown();
+    }
+
+    #[test]
+    fn replies_keep_request_order_and_bytes_whatever_finishes_first() {
+        let k = 5usize;
+        let router = test_router().route(Method::Post, "/nap", move |req| {
+            let i: u64 = String::from_utf8_lossy(&req.body).parse().expect("index");
+            std::thread::sleep(Duration::from_millis(10 * (k as u64 - i)));
+            Response::text(StatusCode::OK, format!("napped {i}"))
+        });
+        let h = Server::new(router).bind("127.0.0.1:0").expect("bind");
+        let requests: Vec<Vec<u8>> = (0..k).map(|i| post("/nap", &i.to_string())).collect();
+
+        let mut one_at_a_time = Vec::new();
+        let mut s = TcpStream::connect(h.addr()).expect("connect");
+        for req in &requests {
+            s.write_all(req).expect("write");
+            one_at_a_time.extend(read_n(&mut s, 1).0);
+        }
+
+        let mut s = TcpStream::connect(h.addr()).expect("connect");
+        s.write_all(&requests.concat()).expect("write");
+        let (raw, replies) = read_n(&mut s, k);
+        let expected: Vec<String> = (0..k).map(|i| format!("napped {i}")).collect();
+        assert_eq!(bodies(&replies), expected);
+        assert_eq!(raw, one_at_a_time);
+        h.shutdown();
+    }
+
+    #[test]
+    fn a_batch_never_sheds_itself_under_an_inflight_cap_of_one() {
+        let h = Server::new(test_router())
+            .with_admission(AdmissionConfig {
+                max_inflight: 1,
+                max_queue: 0,
+                retry_after_secs: 3,
+            })
+            .bind("127.0.0.1:0")
+            .expect("bind");
+        let mut s = TcpStream::connect(h.addr()).expect("connect");
+        let wire: Vec<u8> = (0..3)
+            .flat_map(|i| post("/echo", &format!("e{i}")))
+            .collect();
+        s.write_all(&wire).expect("write");
+        let (_, replies) = read_n(&mut s, 3);
+        assert!(replies.iter().all(|r| r.status == StatusCode::OK));
+        assert_eq!(bodies(&replies), ["e0", "e1", "e2"]);
+        h.shutdown();
+    }
+
+    #[test]
+    fn the_limiter_decides_a_batch_in_arrival_order() {
+        // A token comes back every 50 ms and a handler naps 60 ms, so a
+        // decision deferred until a handler's turn would find a token.
+        let router = test_router().route(Method::Get, "/nap", |_| {
+            std::thread::sleep(Duration::from_millis(60));
+            Response::text(StatusCode::OK, "napped")
+        });
+        let h = Server::new(router)
+            .with_rate_limiter(RateLimiterConfig {
+                capacity: 2.0,
+                refill_per_sec: 20.0,
+                ..RateLimiterConfig::default()
+            })
+            .bind("127.0.0.1:0")
+            .expect("bind");
+        let mut s = TcpStream::connect(h.addr()).expect("connect");
+        for run in 0..50 {
+            let one = format!("GET /nap HTTP/1.1\r\nx-fetcher-ip: 10.0.0.{run}\r\n\r\n");
+            s.write_all(one.repeat(5).as_bytes()).expect("write");
+            let (_, replies) = read_n(&mut s, 5);
+            let statuses: Vec<u16> = replies.iter().map(|r| r.status.0).collect();
+            assert_eq!(statuses, [200, 200, 429, 429, 429], "run {run}");
+        }
+        h.shutdown();
+    }
+
+    #[test]
+    fn a_batch_ends_at_a_close_and_before_a_parse_error() {
+        let calls = Arc::new(AtomicUsize::new(0));
+        let counted = Arc::clone(&calls);
+        let router = test_router().route(Method::Get, "/count", move |_| {
+            counted.fetch_add(1, Ordering::SeqCst);
+            Response::text(StatusCode::OK, "counted")
+        });
+        let h = Server::new(router).bind("127.0.0.1:0").expect("bind");
+
+        let mut s = TcpStream::connect(h.addr()).expect("connect");
+        let mut wire = post("/echo", "a");
+        wire.extend_from_slice(
+            b"POST /echo HTTP/1.1\r\ncontent-length: 1\r\nconnection: close\r\n\r\nb",
+        );
+        wire.extend_from_slice(b"GET /count HTTP/1.1\r\n\r\n");
+        s.write_all(&wire).expect("write");
+        assert_eq!(bodies(&read_to_close(&mut s)), ["a", "b"]);
+        assert_eq!(
+            calls.load(Ordering::SeqCst),
+            0,
+            "nothing after the close runs"
+        );
+
+        let mut s = TcpStream::connect(h.addr()).expect("connect");
+        let mut wire = post("/echo", "a");
+        wire.extend_from_slice(b"NONSENSE\r\n\r\n");
+        s.write_all(&wire).expect("write");
+        let replies = read_to_close(&mut s);
+        let statuses: Vec<u16> = replies.iter().map(|r| r.status.0).collect();
+        assert_eq!(statuses, [200, 400]);
+        h.shutdown();
+    }
+
+    #[test]
+    fn a_panicking_handler_costs_only_its_own_reply() {
+        let h = Server::new(test_router())
+            .bind("127.0.0.1:0")
+            .expect("bind");
+        let mut s = TcpStream::connect(h.addr()).expect("connect");
+        let ping = b"GET /ping HTTP/1.1\r\n\r\n".to_vec();
+        let boom = b"GET /boom HTTP/1.1\r\n\r\n".to_vec();
+        s.write_all(&[ping.clone(), boom, ping.clone()].concat())
+            .expect("write");
+        let (_, replies) = read_n(&mut s, 3);
+        let statuses: Vec<u16> = replies.iter().map(|r| r.status.0).collect();
+        assert_eq!(statuses, [200, 500, 200]);
+        // The connection and the server both keep serving.
+        s.write_all(&ping).expect("write");
+        assert_eq!(bodies(&read_n(&mut s, 1).1), ["pong"]);
+        let text = raw_roundtrip(h.addr(), b"GET /ping HTTP/1.1\r\nconnection: close\r\n\r\n");
+        assert!(text.contains("pong"), "{text}");
+        h.shutdown();
+    }
+
+    #[test]
+    fn each_serve_span_of_a_batch_parents_onto_its_own_request_span() {
+        let h = Server::new(test_router())
+            .bind("127.0.0.1:0")
+            .expect("bind");
+        let client = crate::client::HttpClient::new(h.addr());
+        // Body i is i + 1 bytes long, so each serve span's `bytes` names
+        // the request it answered.
+        let reqs: Vec<Request> = (0..6)
+            .map(|i| Request {
+                method: Method::Post,
+                body: Bytes::from(vec![b'x'; i + 1]),
+                ..Request::get("/echo")
+            })
+            .collect();
+        let root = sift_obs::span_root("pipelined-batch");
+        let trace_id = root.context().trace_id;
+        for reply in client.send_pipelined(&reqs) {
+            assert_eq!(reply.expect("reply").status, StatusCode::OK);
+        }
+        drop(root);
+        let trace =
+            sift_obs::trace::wait_completed(trace_id, Duration::from_secs(5)).expect("trace");
+        // Request spans open in request order, so span ids rank them.
+        let mut requests: Vec<&sift_obs::trace::SpanRecord> =
+            trace.spans.iter().filter(|s| s.name == "request").collect();
+        requests.sort_by_key(|s| s.span_id);
+        let serves: Vec<_> = trace.spans.iter().filter(|s| s.name == "serve").collect();
+        assert_eq!((requests.len(), serves.len()), (6, 6));
+        for serve in serves {
+            let i = serve.arg("bytes").expect("bytes") - 1;
+            let own = requests[usize::try_from(i).expect("index")].span_id;
+            assert_eq!(serve.parent_id, Some(own), "serve span of request {i}");
+        }
+        h.shutdown();
+    }
+
+    #[test]
+    fn unmatched_paths_share_one_route_label() {
+        let router = test_router().route(Method::Post, "/api/frame", |_| {
+            Response::text(StatusCode::SERVICE_UNAVAILABLE, "busy")
+        });
+        let h = Server::new(router).bind("127.0.0.1:0").expect("bind");
+        let dropped = |metric: &str| {
+            sift_obs::counter("sift_obs_labels_dropped_total", &[("metric", metric)]).get()
+        };
+        let dropped_before = (
+            dropped("sift_http_requests_total"),
+            dropped("sift_http_request_seconds"),
+        );
+        let mut s = TcpStream::connect(h.addr()).expect("connect");
+        for chunk in (0..600).collect::<Vec<_>>().chunks(50) {
+            let wire: String = chunk
+                .iter()
+                .map(|i| format!("GET /no/such/path/{i} HTTP/1.1\r\n\r\n"))
+                .collect();
+            s.write_all(wire.as_bytes()).expect("write");
+            let (_, replies) = read_n(&mut s, chunk.len());
+            assert!(replies.iter().all(|r| r.status == StatusCode::NOT_FOUND));
+        }
+        s.write_all(&post("/api/frame", "{}")).expect("write");
+        assert_eq!(
+            read_n(&mut s, 1).1[0].status,
+            StatusCode::SERVICE_UNAVAILABLE
+        );
+
+        let frame_503 = sift_obs::counter(
+            "sift_http_requests_total",
+            &[("route", "/api/frame"), ("status", "503")],
+        );
+        assert_eq!(frame_503.get(), 1, "the real route kept its own series");
+        assert_eq!(
+            (
+                dropped("sift_http_requests_total"),
+                dropped("sift_http_request_seconds")
+            ),
+            dropped_before
+        );
+        let unmatched = sift_obs::counter(
+            "sift_http_requests_total",
+            &[("route", UNMATCHED_ROUTE), ("status", "404")],
+        );
+        assert!(unmatched.get() >= 600);
         h.shutdown();
     }
 }

@@ -422,6 +422,10 @@ fn open_regions(
             opened.push((i, core));
         }
     };
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "read once per start: each call re-reads the cgroup limits"
+    )]
     let threads = std::thread::available_parallelism()
         .map_or(1, NonZeroUsize::get)
         .min(cfg.regions.len());
