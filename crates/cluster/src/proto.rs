@@ -145,3 +145,141 @@ pub struct StatusReply {
     /// Workers flagged dead (missed heartbeats).
     pub dead: Vec<String>,
 }
+
+#[cfg(test)]
+pub(crate) mod tests {
+    use super::*;
+    use sift_core::{Spike, Timeline};
+    use sift_simtime::Hour;
+    use sift_trends::RisingTerm;
+
+    /// `value` encodes to `doc`, the document the `Value`-tree codec wrote
+    /// before the direct one replaced it, and `doc` decodes back to it
+    /// (compared through `Debug` where the type has no `PartialEq`).
+    #[track_caller]
+    pub(crate) fn assert_pinned<T>(value: &T, doc: &str)
+    where
+        T: Serialize + serde::de::DeserializeOwned + std::fmt::Debug,
+    {
+        assert_eq!(serde_json::to_string(value).expect("encode"), doc);
+        let back: T = serde_json::from_str(doc).expect("decode");
+        assert_eq!(format!("{back:?}"), format!("{value:?}"));
+    }
+
+    /// An outage with awkward numbers: integral, tiny and negative-zero
+    /// floats, a `u64` past `i64::MAX`, and text that needs escaping.
+    pub(crate) fn outage() -> RegionOutcome {
+        RegionOutcome {
+            state: State::TX,
+            timeline: Timeline {
+                state: State::TX,
+                start: Hour(9874),
+                values: vec![0.0, 100.0, 37.5, 1e-7, -0.0, 12_345_678.901_234],
+            },
+            rounds: 3,
+            converged: true,
+            frames_requested: u64::MAX,
+            frames_degraded: 0,
+            coverage: 1.0,
+            resumed_from_round: 0,
+            frames_replayed: 2,
+            rising_requested: 1,
+            spikes: vec![(
+                Spike {
+                    state: State::TX,
+                    start: Hour(9875),
+                    peak: Hour(9876),
+                    end: Hour(9878),
+                    magnitude: 100.0,
+                },
+                vec![RisingTerm {
+                    term: "att \"fiber\" down\u{7f} — ørsted".into(),
+                    weight: 55,
+                }],
+            )],
+        }
+    }
+
+    #[test]
+    fn wire_documents_match_the_previous_codec() {
+        let worker = || "w-1\\\u{0}".to_string();
+        assert_pinned(
+            &JoinRequest { worker: worker() },
+            r#"{"worker":"w-1\\\u0000"}"#,
+        );
+        let join = JoinReply {
+            accepted: true,
+            trace: Some("00-4bf9-00f0-01".into()),
+            shards: 51,
+            heartbeat_ms: 250,
+        };
+        assert_pinned(
+            &join,
+            r#"{"accepted":true,"trace":"00-4bf9-00f0-01","shards":51,"heartbeat_ms":250}"#,
+        );
+        assert_pinned(
+            &JoinReply {
+                trace: None,
+                ..join
+            },
+            r#"{"accepted":true,"trace":null,"shards":51,"heartbeat_ms":250}"#,
+        );
+        assert_pinned(
+            &LeaseRequest { worker: worker() },
+            r#"{"worker":"w-1\\\u0000"}"#,
+        );
+        let job = ShardJob {
+            state: State::DC,
+            epoch: 7,
+        };
+        assert_pinned(&job, r#"{"state":"DC","epoch":7}"#);
+        assert_pinned(&LeaseReply::Job(job), r#"{"Job":{"state":"DC","epoch":7}}"#);
+        assert_pinned(
+            &LeaseReply::Wait { poll_ms: 1000 },
+            r#"{"Wait":{"poll_ms":1000}}"#,
+        );
+        assert_pinned(&LeaseReply::Done, r#""Done""#);
+        let heartbeat = HeartbeatRequest {
+            worker: worker(),
+            state: State::WY,
+            epoch: 0,
+            releasing: false,
+        };
+        assert_pinned(
+            &heartbeat,
+            r#"{"worker":"w-1\\\u0000","state":"WY","epoch":0,"releasing":false}"#,
+        );
+        assert_pinned(&HeartbeatReply { keep: true }, r#"{"keep":true}"#);
+        let upload = ResultUpload {
+            worker: worker(),
+            epoch: 9,
+            outcome: outage(),
+        };
+        assert_pinned(
+            &upload,
+            r#"{"worker":"w-1\\\u0000","epoch":9,"outcome":{"state":"TX","timeline":{"state":"TX","start":9874,"values":[0.0,100.0,37.5,0.0000001,-0.0,12345678.901234]},"rounds":3,"converged":true,"frames_requested":18446744073709551615,"frames_degraded":0,"coverage":1.0,"resumed_from_round":0,"frames_replayed":2,"rising_requested":1,"spikes":[[{"state":"TX","start":9875,"peak":9876,"end":9878,"magnitude":100.0},[{"term":"att \"fiber\" down — ørsted","weight":55}]]]}}"#,
+        );
+        assert_pinned(&ResultReply { accepted: false }, r#"{"accepted":false}"#);
+        let status = StatusReply {
+            total: 2,
+            done: 1,
+            failed: 0,
+            rerouted: 1,
+            epoch: 10,
+            recoveries: 1,
+            leases: vec![(worker(), State::CA)],
+            shard_attempts: vec![(State::CA, 2), (State::TX, 1)],
+            done_states: vec![State::TX],
+            workers: vec![worker(), "w-2".into()],
+            dead: vec![],
+        };
+        assert_pinned(
+            &status,
+            r#"{"total":2,"done":1,"failed":0,"rerouted":1,"epoch":10,"recoveries":1,"leases":[["w-1\\\u0000","CA"]],"shard_attempts":[["CA",2],["TX",1]],"done_states":["TX"],"workers":["w-1\\\u0000","w-2"],"dead":[]}"#,
+        );
+        assert_pinned(
+            &StatusReply::default(),
+            r#"{"total":0,"done":0,"failed":0,"rerouted":0,"epoch":0,"recoveries":0,"leases":[],"shard_attempts":[],"done_states":[],"workers":[],"dead":[]}"#,
+        );
+    }
+}

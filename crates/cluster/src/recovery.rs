@@ -341,6 +341,65 @@ mod tests {
     use super::*;
     use sift_journal::testutil::scratch_dir;
 
+    #[test]
+    fn records_match_the_previous_codec() {
+        use crate::proto::tests::{assert_pinned, outage};
+        let worker = || "w-1".to_string();
+        let records = [
+            (
+                CoordRecord::Run {
+                    regions: vec![State::CA, State::TX, State::DC],
+                },
+                r#"{"Run":{"regions":["CA","TX","DC"]}}"#,
+            ),
+            (
+                CoordRecord::Recovered { next_epoch: 12 },
+                r#"{"Recovered":{"next_epoch":12}}"#,
+            ),
+            (
+                CoordRecord::Joined { worker: worker() },
+                r#"{"Joined":{"worker":"w-1"}}"#,
+            ),
+            (
+                CoordRecord::Leased {
+                    state: State::CA,
+                    worker: worker(),
+                    epoch: 3,
+                },
+                r#"{"Leased":{"state":"CA","worker":"w-1","epoch":3}}"#,
+            ),
+            (
+                CoordRecord::Released {
+                    state: State::CA,
+                    epoch: 3,
+                },
+                r#"{"Released":{"state":"CA","epoch":3}}"#,
+            ),
+            (
+                CoordRecord::Expired {
+                    state: State::CA,
+                    worker: worker(),
+                    epoch: 4,
+                    failed: true,
+                },
+                r#"{"Expired":{"state":"CA","worker":"w-1","epoch":4,"failed":true}}"#,
+            ),
+            (
+                CoordRecord::Done {
+                    state: State::TX,
+                    worker: worker(),
+                    epoch: 5,
+                    digest: 0xcbf2_9ce4_8422_2325,
+                    outcome: Box::new(outage()),
+                },
+                r#"{"Done":{"state":"TX","worker":"w-1","epoch":5,"digest":14695981039346656037,"outcome":{"state":"TX","timeline":{"state":"TX","start":9874,"values":[0.0,100.0,37.5,0.0000001,-0.0,12345678.901234]},"rounds":3,"converged":true,"frames_requested":18446744073709551615,"frames_degraded":0,"coverage":1.0,"resumed_from_round":0,"frames_replayed":2,"rising_requested":1,"spikes":[[{"state":"TX","start":9875,"peak":9876,"end":9878,"magnitude":100.0},[{"term":"att \"fiber\" down — ørsted","weight":55}]]]}}}"#,
+            ),
+        ];
+        for (record, doc) in &records {
+            assert_pinned(record, doc);
+        }
+    }
+
     fn regions() -> Vec<State> {
         vec![State::CA, State::TX]
     }

@@ -277,6 +277,7 @@ mod tests {
     use sift_journal::testutil::scratch_dir;
     use sift_journal::{CrashPlan, CrashSite};
     use sift_simtime::Hour;
+    use sift_trends::RisingTerm;
 
     fn term() -> SearchTerm {
         SearchTerm::parse("topic:Internet outage")
@@ -288,6 +289,98 @@ mod tests {
             state: State::TX,
             start: Hour(start),
             values,
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::Config::with_cases(128))]
+
+        /// Every record encodes to the `Value` tree's bytes, and its
+        /// document decodes as the tree decodes it.
+        #[test]
+        fn records_take_one_codec(seed in proptest::arbitrary::any::<u64>()) {
+            let rng = &mut proptest::test_runner::TestRng::new(seed);
+            let text = |rng: &mut proptest::test_runner::TestRng| -> String {
+                (0..rng.below(4)).map(|_| ["a", "\"", "\\", "\n", "é"][rng.below(5) as usize]).collect()
+            };
+            let state = State::from_index(rng.below(51) as usize);
+            let start = rng.next_u64() as i64 >> rng.below(64);
+            let record = match rng.below(4) {
+                0 => RegionRecord::Study {
+                    term: SearchTerm::Query(text(rng)),
+                    state,
+                    frames: plan(start >> 1).to_vec(),
+                },
+                1 => RegionRecord::Frame {
+                    round: rng.next_u32(),
+                    idx: rng.next_u32(),
+                    resp: frame(start, (0..rng.below(169)).map(|_| rng.below(256) as u8).collect()),
+                },
+                2 => RegionRecord::RoundDone { round: rng.next_u32() },
+                _ => RegionRecord::Rising {
+                    start,
+                    len: rng.next_u32(),
+                    resp: RisingResponse {
+                        state,
+                        start: Hour(start),
+                        rising: (0..rng.below(3))
+                            .map(|_| RisingTerm { term: text(rng), weight: rng.next_u32() })
+                            .collect(),
+                    },
+                },
+            };
+            let direct = encode(&record).expect("encode");
+            let tree = serde_json::to_value(&record).expect("tree");
+            proptest::prop_assert_eq!(&direct, &serde_json::to_string(&tree).expect("encode"));
+            let back: RegionRecord = serde_json::from_str(&direct).expect("decode");
+            let oracle: RegionRecord = serde_json::from_value(tree).expect("decode");
+            proptest::prop_assert_eq!(encode(&back).expect("encode"), encode(&oracle).expect("encode"));
+        }
+    }
+
+    #[test]
+    fn records_match_the_previous_codec() {
+        let records = [
+            (
+                RegionRecord::Study {
+                    term: SearchTerm::Query("é\"\u{1f}".into()),
+                    state: State::TX,
+                    frames: plan(-84).to_vec(),
+                },
+                r#"{"Study":{"term":{"Query":"é\"\u001f"},"state":"TX","frames":[{"start":-84,"end":84},{"start":0,"end":168}]}}"#,
+            ),
+            (
+                RegionRecord::Frame {
+                    round: 2,
+                    idx: 1,
+                    resp: frame(84, vec![0, 100, 42]),
+                },
+                r#"{"Frame":{"round":2,"idx":1,"resp":{"term":{"Topic":"InternetOutage"},"state":"TX","start":84,"values":[0,100,42]}}}"#,
+            ),
+            (
+                RegionRecord::RoundDone { round: 2 },
+                r#"{"RoundDone":{"round":2}}"#,
+            ),
+            (
+                RegionRecord::Rising {
+                    start: -24,
+                    len: 24,
+                    resp: RisingResponse {
+                        state: State::TX,
+                        start: Hour(-24),
+                        rising: vec![RisingTerm {
+                            term: "power outage near me".into(),
+                            weight: 100,
+                        }],
+                    },
+                },
+                r#"{"Rising":{"start":-24,"len":24,"resp":{"state":"TX","start":-24,"rising":[{"term":"power outage near me","weight":100}]}}}"#,
+            ),
+        ];
+        for (record, doc) in &records {
+            assert_eq!(encode(record).expect("encode"), *doc);
+            let back: RegionRecord = serde_json::from_str(doc).expect("decode");
+            assert_eq!(encode(&back).expect("re-encode"), *doc);
         }
     }
 

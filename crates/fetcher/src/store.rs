@@ -213,6 +213,44 @@ mod tests {
         assert_eq!(s.frames_for(State::TX, 0)[0].values, vec![1, 2, 3]);
     }
 
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::Config::with_cases(64))]
+
+        #[test]
+        fn store_document_takes_one_codec(seed in proptest::arbitrary::any::<u64>()) {
+            use crate::unit::tests::{any_frame, any_rising, assert_one_codec};
+            let rng = &mut proptest::test_runner::TestRng::new(seed);
+            let key = |rng: &mut proptest::test_runner::TestRng, frame: &FrameResponse| FrameKey {
+                state: frame.state,
+                start: frame.start,
+                tag: rng.next_u64(),
+            };
+            let doc = StoreDoc {
+                frames: (0..rng.below(3))
+                    .map(|_| {
+                        let frame = any_frame(rng);
+                        (key(rng, &frame), frame)
+                    })
+                    .collect(),
+                rising: (0..rng.below(3))
+                    .map(|_| {
+                        let resp = any_rising(rng);
+                        let len = rng.next_u32();
+                        (
+                            RisingKey {
+                                state: resp.state,
+                                start: resp.start,
+                                len,
+                            },
+                            resp,
+                        )
+                    })
+                    .collect(),
+            };
+            assert_one_codec(&doc);
+        }
+    }
+
     #[test]
     fn json_round_trip() {
         let mut s = ResponseStore::new();

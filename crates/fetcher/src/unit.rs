@@ -229,9 +229,117 @@ impl TrendsClient for RoundRobin {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
+    use proptest::test_runner::TestRng;
     use sift_trends::{Scenario, SearchTerm};
     use std::sync::atomic::{AtomicUsize, Ordering};
     use std::sync::Mutex;
+
+    /// `value` encodes to `doc`, the document the `Value`-tree codec wrote
+    /// before the direct one replaced it, and `doc` decodes back to it.
+    #[track_caller]
+    fn assert_pinned<T>(value: &ApiResult<T>, doc: &str)
+    where
+        T: serde::Serialize + serde::de::DeserializeOwned + PartialEq + std::fmt::Debug,
+    {
+        assert_eq!(serde_json::to_string(value).expect("encode"), doc);
+        let back: ApiResult<T> = serde_json::from_str(doc).expect("decode");
+        match (&back, value) {
+            (ApiResult::Ok(a), ApiResult::Ok(b)) => assert_eq!(a, b),
+            (ApiResult::Err(a), ApiResult::Err(b)) => assert_eq!(a, b),
+            _ => panic!("{doc} decoded to the other variant"),
+        }
+    }
+
+    /// `value` encodes to the `Value` tree's bytes, and its document
+    /// decodes as the tree decodes it.
+    #[track_caller]
+    pub(crate) fn assert_one_codec<T>(value: &T)
+    where
+        T: serde::Serialize + serde::de::DeserializeOwned,
+    {
+        let direct = serde_json::to_string(value).expect("encode");
+        let tree = serde_json::to_value(value).expect("tree");
+        assert_eq!(direct, serde_json::to_string(&tree).expect("encode"));
+        let back: T = serde_json::from_str(&direct).expect("decode");
+        let oracle: T = serde_json::from_value(tree).expect("decode");
+        assert_eq!(
+            serde_json::to_string(&back).expect("encode"),
+            serde_json::to_string(&oracle).expect("encode")
+        );
+    }
+
+    pub(crate) fn any_text(rng: &mut TestRng) -> String {
+        const PIECES: [&str; 6] = ["a", " ", "\"", "\\", "\u{1}", "é☃"];
+        (0..rng.below(4))
+            .map(|_| PIECES[rng.below(PIECES.len() as u64) as usize])
+            .collect()
+    }
+
+    pub(crate) fn any_frame(rng: &mut TestRng) -> FrameResponse {
+        FrameResponse {
+            term: match rng.below(2) {
+                0 => SearchTerm::Topic(sift_trends::terms::Topic::InternetOutage),
+                _ => SearchTerm::Query(any_text(rng)),
+            },
+            state: State::from_index(rng.below(51) as usize),
+            start: Hour(rng.next_u64() as i64 >> rng.below(64)),
+            values: (0..rng.below(169)).map(|_| rng.below(256) as u8).collect(),
+        }
+    }
+
+    pub(crate) fn any_rising(rng: &mut TestRng) -> RisingResponse {
+        RisingResponse {
+            state: State::from_index(rng.below(51) as usize),
+            start: Hour(rng.next_u64() as i64 >> rng.below(64)),
+            rising: (0..rng.below(4))
+                .map(|_| sift_trends::RisingTerm {
+                    term: any_text(rng),
+                    weight: rng.next_u32(),
+                })
+                .collect(),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::Config::with_cases(128))]
+
+        #[test]
+        fn reply_envelopes_take_one_codec(seed in proptest::arbitrary::any::<u64>()) {
+            let rng = &mut TestRng::new(seed);
+            assert_one_codec(&ApiResult::<FrameResponse>::Ok(any_frame(rng)));
+            assert_one_codec(&ApiResult::<RisingResponse>::Ok(any_rising(rng)));
+            let err = ServiceError::FrameTooLong {
+                requested: rng.next_u32(),
+                max: rng.next_u32(),
+            };
+            assert_one_codec(&ApiResult::<FrameResponse>::Err(err));
+            assert_one_codec(&ApiResult::<RisingResponse>::Err(ServiceError::EmptyFrame));
+        }
+    }
+
+    #[test]
+    fn reply_documents_match_the_previous_codec() {
+        let frame = ApiResult::Ok(FrameResponse {
+            term: SearchTerm::Topic(sift_trends::terms::Topic::InternetOutage),
+            state: State::CA,
+            start: Hour(9874),
+            values: vec![0, 100, 37, 255],
+        });
+        assert_pinned(
+            &frame,
+            r#"{"Ok":{"term":{"Topic":"InternetOutage"},"state":"CA","start":9874,"values":[0,100,37,255]}}"#,
+        );
+        let too_long = ApiResult::<FrameResponse>::Err(ServiceError::FrameTooLong {
+            requested: 200,
+            max: 168,
+        });
+        assert_pinned(
+            &too_long,
+            r#"{"Err":{"FrameTooLong":{"requested":200,"max":168}}}"#,
+        );
+        let empty = ApiResult::<FrameResponse>::Err(ServiceError::EmptyFrame);
+        assert_pinned(&empty, r#"{"Err":"EmptyFrame"}"#);
+    }
 
     fn service() -> Arc<TrendsService> {
         Arc::new(TrendsService::with_defaults(Scenario::single_region(

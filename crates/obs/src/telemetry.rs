@@ -42,10 +42,30 @@ pub struct StageTiming {
     pub total_seconds: f64,
     /// Mean seconds per run.
     pub mean_seconds: f64,
-    /// Estimated median, from the span histogram.
+    /// Estimated median, from the span histogram: a point inside the log
+    /// bucket holding the median, at most that bucket's upper bound (one
+    /// run reads as the bucket upper bound), clamped to `total_seconds`.
+    /// Exact when `count` is 1, an upper bound otherwise.
     pub p50_seconds: f64,
-    /// Estimated 99th percentile, from the span histogram.
+    /// Estimated 99th percentile, by the same bucket upper bound and the
+    /// same clamp as `p50_seconds`.
     pub p99_seconds: f64,
+}
+
+impl StageTiming {
+    /// The summary of one span's observations. No run of a stage outlasts
+    /// all its runs together, so the bucket estimates are clamped to the
+    /// stage's total.
+    fn from_state(name: String, delta: &HistogramState) -> StageTiming {
+        StageTiming {
+            name,
+            count: delta.count,
+            total_seconds: delta.sum,
+            mean_seconds: delta.mean(),
+            p50_seconds: delta.quantile(0.5).min(delta.sum),
+            p99_seconds: delta.quantile(0.99).min(delta.sum),
+        }
+    }
 }
 
 /// Per-stage timing summary over a window of work.
@@ -70,14 +90,7 @@ impl TelemetrySnapshot {
             if delta.count == 0 {
                 continue;
             }
-            stages.push(StageTiming {
-                name: name.clone(),
-                count: delta.count,
-                total_seconds: delta.sum,
-                mean_seconds: delta.mean(),
-                p50_seconds: delta.quantile(0.5),
-                p99_seconds: delta.quantile(0.99),
-            });
+            stages.push(StageTiming::from_state(name.clone(), &delta));
         }
         stages.sort_by(|a, b| {
             b.total_seconds
@@ -111,6 +124,24 @@ impl fmt::Display for TelemetrySnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_single_run_reports_its_own_time_as_p50_and_p99() {
+        // One 0.917 s run lands in the (0.5, 1.049] bucket, whose upper
+        // bound the histogram estimate returns.
+        let one_run = HistogramState {
+            bounds: vec![0.5, 1.049, 2.0],
+            buckets: vec![0, 1, 0, 0],
+            count: 1,
+            sum: 0.917,
+        };
+        assert!(one_run.quantile(0.5) > one_run.sum, "the bucket bound");
+        let stage = StageTiming::from_state("context".into(), &one_run);
+        assert_eq!(
+            (stage.p50_seconds, stage.p99_seconds, stage.total_seconds),
+            (0.917, 0.917, 0.917)
+        );
+    }
 
     #[test]
     fn snapshot_diffs_against_baseline() {

@@ -329,6 +329,69 @@ mod tests {
     use sift_journal::testutil::scratch_dir;
     use sift_trends::SearchTerm;
 
+    /// `value` encodes to the `Value` tree's bytes, and its document
+    /// decodes as the tree decodes it.
+    fn assert_one_codec<T: Serialize + serde::de::DeserializeOwned>(value: &T) {
+        let direct = serde_json::to_string(value).expect("encode");
+        let tree = serde_json::to_value(value).expect("tree");
+        assert_eq!(direct, serde_json::to_string(&tree).expect("encode"));
+        let back: T = serde_json::from_str(&direct).expect("decode");
+        let oracle: T = serde_json::from_value(tree).expect("decode");
+        assert_eq!(
+            serde_json::to_string(&back).expect("encode"),
+            serde_json::to_string(&oracle).expect("encode")
+        );
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::Config::with_cases(64))]
+
+        /// The WAL record and the checkpoint, mid-series.
+        #[test]
+        fn wal_record_and_checkpoint_take_one_codec(seed in proptest::arbitrary::any::<u64>()) {
+            let rng = &mut proptest::test_runner::TestRng::new(seed);
+            let resp = FrameResponse {
+                term: SearchTerm::parse("topic:Internet outage"),
+                state: State::TX,
+                start: Hour(0),
+                values: (0..168).map(|_| rng.below(101) as u8).collect(),
+            };
+            let mut stitcher = StreamStitcher::new(State::TX, Hour(0), 84);
+            let mut detector =
+                IncrementalDetector::new(State::TX, Hour(0), DetectParams::default());
+            let (mut fresh, mut spikes) = (Vec::new(), Vec::new());
+            stitcher.append(&resp, &mut fresh).expect("first frame");
+            detector.append(&fresh, &mut spikes);
+            assert_one_codec(&ServeRecord {
+                idx: rng.next_u64(),
+                resp,
+            });
+            assert_one_codec(&RegionCheckpoint {
+                next_frame: rng.next_u64(),
+                stitcher: stitcher.snapshot(),
+                detector: detector.snapshot(),
+                spikes,
+            });
+        }
+    }
+
+    #[test]
+    fn wal_record_matches_the_previous_codec() {
+        let record = ServeRecord {
+            idx: 17,
+            resp: FrameResponse {
+                term: SearchTerm::parse("topic:Internet outage"),
+                state: State::VT,
+                start: Hour(-168),
+                values: vec![100, 0, 3],
+            },
+        };
+        let doc = r#"{"idx":17,"resp":{"term":{"Topic":"InternetOutage"},"state":"VT","start":-168,"values":[100,0,3]}}"#;
+        assert_eq!(serde_json::to_string(&record).expect("encode"), doc);
+        let back: ServeRecord = serde_json::from_str(doc).expect("decode");
+        assert_eq!((back.idx, back.resp), (record.idx, record.resp));
+    }
+
     fn open_in(dir: &Path, state: State, start: Hour) -> io::Result<RegionCore> {
         RegionCore::open(
             dir,

@@ -135,6 +135,50 @@ mod tests {
         assert_eq!(resp, back);
     }
 
+    /// `value` encodes to `doc`, the document the `Value`-tree codec wrote
+    /// before the direct one replaced it, and `doc` decodes back to it.
+    #[track_caller]
+    fn assert_pinned<T>(value: &T, doc: &str)
+    where
+        T: Serialize + serde::de::DeserializeOwned + PartialEq + std::fmt::Debug,
+    {
+        assert_eq!(serde_json::to_string(value).expect("encode"), doc);
+        assert_eq!(&serde_json::from_str::<T>(doc).expect("decode"), value);
+    }
+
+    #[test]
+    fn wire_documents_match_the_previous_codec() {
+        let req = FrameRequest {
+            term: SearchTerm::Query("panne \"internet\"\tÉtat ☃".into()),
+            state: State::TX,
+            start: Hour(-3),
+            len: 168,
+            tag: u64::MAX,
+        };
+        assert_pinned(
+            &req,
+            r#"{"term":{"Query":"panne \"internet\"\tÉtat ☃"},"state":"TX","start":-3,"len":168,"tag":18446744073709551615}"#,
+        );
+        let resp = RisingResponse {
+            state: State::NY,
+            start: Hour(9874),
+            rising: vec![
+                RisingTerm {
+                    term: "spectrum internet outage".into(),
+                    weight: 100,
+                },
+                RisingTerm {
+                    term: "line\nbreak \u{1}".into(),
+                    weight: 0,
+                },
+            ],
+        };
+        assert_pinned(
+            &resp,
+            r#"{"state":"NY","start":9874,"rising":[{"term":"spectrum internet outage","weight":100},{"term":"line\nbreak \u0001","weight":0}]}"#,
+        );
+    }
+
     #[test]
     fn range_matches_len() {
         let req = FrameRequest {
