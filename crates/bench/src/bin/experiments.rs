@@ -5,7 +5,13 @@
 //! cargo run --release -p sift-bench --bin experiments            # everything
 //! cargo run --release -p sift-bench --bin experiments -- --only fig3,tab1
 //! cargo run --release -p sift-bench --bin experiments -- --quick # thinned world
+//! cargo run --release -p sift-bench --bin experiments -- --quick --only none \
+//!     --trace-out target/study-trace.json  # record the study's trace tree
 //! ```
+//!
+//! `--trace-out <path>` records the study's trace (its root is opened
+//! with `sift_obs::span_recorded`; without the flag nothing is recorded)
+//! and writes it as Chrome trace-event JSON, loadable in Perfetto.
 //!
 //! Output is organised per experiment id (fig1..fig6, tab1..tab3, stats,
 //! truth, ant, lag, ablation); EXPERIMENTS.md records
@@ -94,7 +100,12 @@ fn main() {
     // The study gets its own trace root (not a child of "experiments"),
     // so its tree completes — and can be exported and profiled — as soon
     // as the last region worker closes, independent of the rest of main.
-    let study_span = sift_obs::span_root("bench");
+    // Only `--trace-out` reads the tree, so only then is it recorded.
+    let study_span = if args.trace_out.is_some() {
+        sift_obs::span_recorded("bench")
+    } else {
+        sift_obs::span_root("bench")
+    };
     let study_trace_id = study_span.context().trace_id;
     let params = StudyParams {
         threads: args.threads,

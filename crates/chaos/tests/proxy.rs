@@ -203,7 +203,7 @@ fn pipelined_failures_resume_at_attempt_two() {
         Request::get("/ping"),
     ];
     let tid = {
-        let root = sift_obs::span_root("pipelined-trace-test");
+        let root = sift_obs::span_recorded("pipelined-trace-test");
         let results = c.send_pipelined(&pings);
         // Each request spends both attempts on a 500.
         assert!(results

@@ -265,8 +265,9 @@ fn run_study_impl(
     params: &StudyParams,
     durability: Option<&StudyDurability>,
 ) -> Result<StudyResult, StudyError> {
-    // The study span is the end-to-end root every stage hangs off: the
-    // bench binaries derive their timings from this trace tree.
+    // The study span is the end-to-end root every stage hangs off. With
+    // no span open it roots an unrecorded trace; a caller that reads the
+    // tree opens a `span_recorded` root around the study.
     let study_span = sift_obs::span("study");
     let study_ctx = study_span.context();
     let baseline = sift_obs::SpanBaseline::capture();
@@ -1075,7 +1076,7 @@ mod tests {
     fn study_assembles_one_trace_with_all_stages_and_a_critical_path() {
         let service = two_region_service();
         let tid = {
-            let root = sift_obs::span_root("study-trace-test");
+            let root = sift_obs::span_recorded("study-trace-test");
             let _ = run_study(&service, &small_params()).expect("study runs");
             root.context().trace_id
         };

@@ -299,7 +299,7 @@ mod tests {
         let n = items.len();
         let mut store = ResponseStore::new();
         let tid = {
-            let root = sift_obs::span_root("queue-trace-test");
+            let root = sift_obs::span_recorded("queue-trace-test");
             let report = run.execute(items, &mut store);
             assert_eq!(report.completed, n);
             root.context().trace_id

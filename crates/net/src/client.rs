@@ -240,7 +240,8 @@ impl HttpClient {
             .max(1);
 
         // One `request` span per request, all open at once: siblings under
-        // the caller's span, each stamped into its own request so the
+        // the caller's span (with none open, each roots an unrecorded trace
+        // of its own), each stamped into its own request so the
         // server-side work parents onto the exact attempt that carried it.
         let parent = sift_obs::SpanContext::current();
         let mut wire = Vec::with_capacity(bytes.min(2 * PIPELINE_WINDOW_BYTES));
@@ -832,7 +833,7 @@ mod tests {
         let h = spawn_server();
         let c = HttpClient::new(h.addr());
         let tid = {
-            let root = sift_obs::span_root("client-server-trace-test");
+            let root = sift_obs::span_recorded("client-server-trace-test");
             let resp = c.send_with_retry(&Request::get("/ping")).expect("send");
             assert_eq!(resp.status, StatusCode::OK);
             root.context().trace_id
@@ -862,7 +863,7 @@ mod tests {
     }
 
     #[test]
-    fn a_bare_send_opens_its_own_request_span() {
+    fn a_bare_send_stamps_a_fresh_root_and_records_only_under_a_recording_root() {
         // The handler answers with the trace context its request carried.
         let router = Router::new().route(Method::Get, "/trace", |req| {
             let carried = req.headers.get(X_SIFT_TRACE).unwrap_or("").to_owned();
@@ -870,17 +871,32 @@ mod tests {
         });
         let h = Server::new(router).bind("127.0.0.1:0").expect("bind");
         let c = HttpClient::new(h.addr());
+        let carried = |resp: &Response| {
+            sift_obs::SpanContext::from_header(&String::from_utf8_lossy(&resp.body))
+                .expect("the request carried a trace context")
+        };
+
+        // With no span open, the send roots a trace of its own, stamps it
+        // on the request, and records nothing.
         assert_eq!(sift_obs::SpanContext::current(), None, "no span is open");
-        let resp = c.send(&Request::get("/trace")).expect("send");
-        let carried = sift_obs::SpanContext::from_header(&String::from_utf8_lossy(&resp.body))
-            .expect("the request carried a trace context");
-        let trace = sift_obs::trace::wait_completed(carried.trace_id, Duration::from_secs(5))
+        let bare = carried(&c.send(&Request::get("/trace")).expect("send"));
+        assert!(!bare.is_recorded());
+        assert!(sift_obs::trace::wait_completed(bare.trace_id, Duration::from_secs(5)).is_none());
+
+        // Under a recording root, the same send records exactly one
+        // `request` span, and the server's `serve` span joins it.
+        let root = sift_obs::span_recorded("bare-send-test");
+        let root_ctx = root.context();
+        let sent = carried(&c.send(&Request::get("/trace")).expect("send"));
+        drop(root);
+        assert_eq!(sent.trace_id, root_ctx.trace_id);
+        let trace = sift_obs::trace::wait_completed(sent.trace_id, Duration::from_secs(5))
             .expect("trace completed");
         let requests: Vec<_> = trace.spans.iter().filter(|s| s.name == "request").collect();
         assert_eq!(requests.len(), 1, "exactly one request span");
         let request = requests[0];
-        assert_eq!(request.span_id, carried.span_id);
-        assert_eq!(request.parent_id, None, "the attempt roots the trace");
+        assert_eq!(request.span_id, sent.span_id);
+        assert_eq!(request.parent_id, Some(root_ctx.span_id));
         assert_eq!(request.arg("attempt"), Some(1));
         assert!(request.arg("bytes").is_some(), "response bytes attributed");
         let serve = trace
@@ -889,6 +905,7 @@ mod tests {
             .find(|s| s.name == "serve")
             .expect("server span joined the client trace");
         assert_eq!(serve.parent_id, Some(request.span_id));
+        assert!(trace.orphans().is_empty());
         h.shutdown();
     }
 
@@ -897,7 +914,7 @@ mod tests {
         let h = spawn_server();
         let c = HttpClient::new(h.addr()).with_retry(fast_retry(3));
         let traced = |send: &dyn Fn()| {
-            let root = sift_obs::span_root("retries-test");
+            let root = sift_obs::span_recorded("retries-test");
             let tid = root.context().trace_id;
             send();
             drop(root);

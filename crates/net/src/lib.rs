@@ -67,7 +67,8 @@ pub const FETCHER_IDENTITY_HEADER: &str = "x-fetcher-ip";
 /// and stamps that span here, so each attempt's server-side work parents
 /// onto that very attempt. The server reopens the context around
 /// dispatch, joining fetcher → HTTP → trends spans into one trace tree
-/// even across retries and fault-injected replays. A
-/// missing or malformed header starts a detached server-side trace; it
-/// never fails the request.
+/// even across retries and fault-injected replays, recorded when the
+/// client's trace is (the top bit of the trace id). A
+/// missing or malformed header starts a detached, unrecorded server-side
+/// trace; it never fails the request.
 pub const X_SIFT_TRACE: &str = "x-sift-trace";

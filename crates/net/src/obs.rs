@@ -15,8 +15,8 @@ pub const METRICS_CONTENT_TYPE: &str = "text/plain; version=0.0.4; charset=utf-8
 
 /// Adds `GET /metrics` (global-registry Prometheus text exposition),
 /// `GET /healthz` (liveness, answers `ok`) and `GET /trace/recent` (the
-/// last completed trace trees as a JSON array, oldest first) to
-/// `router`.
+/// last completed *recorded* trace trees as a JSON array, oldest first;
+/// see `sift_obs::span_recorded`) to `router`.
 ///
 /// Re-registering any of the routes replaces the previous handler, so
 /// mounting on a router that already has a `/healthz` is harmless.
@@ -67,7 +67,7 @@ mod tests {
     #[test]
     fn trace_recent_serves_completed_traces_as_json() {
         let ctx = {
-            let root = sift_obs::span_root("net-obs-trace-test");
+            let root = sift_obs::span_recorded("net-obs-trace-test");
             let _child = sift_obs::span("net-obs-trace-child");
             root.context()
         };

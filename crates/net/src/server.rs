@@ -564,7 +564,8 @@ fn serve_one(decided: &Decided<'_>, ctx: &ConnContext) -> Bytes {
     let req = decided.req;
     // Rejoin the caller's trace: the serve span parents onto the exact
     // client attempt that carried the X-Sift-Trace header, covering
-    // dispatch and serialization. No (or bad) header: a detached root.
+    // dispatch and serialization, and recorded when the caller's trace
+    // is. No (or bad) header: a detached, unrecorded root.
     let _serve_span = match trace_context(req) {
         Some(tc) => sift_obs::span_in(tc, "serve"),
         None => sift_obs::span_root("serve"),
@@ -1120,7 +1121,7 @@ mod tests {
                 ..Request::get("/echo")
             })
             .collect();
-        let root = sift_obs::span_root("pipelined-batch");
+        let root = sift_obs::span_recorded("pipelined-batch");
         let trace_id = root.context().trace_id;
         for reply in client.send_pipelined(&reqs) {
             assert_eq!(reply.expect("reply").status, StatusCode::OK);

@@ -3,10 +3,19 @@
 //! A span measures one stage of work *and* places it in a causal trace
 //! tree: every span carries a trace id, its own span id and its parent's
 //! id. Entering pushes the span onto a thread-local stack (so nested
-//! spans and attributed counters know their context); dropping
-//! the guard records the elapsed time into the global histogram
-//! `sift_span_seconds{span="<name>"}` and deposits a
-//! [`crate::trace::SpanRecord`] into the trace store.
+//! spans and attributed counters know their context); dropping the guard
+//! records the elapsed time into the global histogram
+//! `sift_span_seconds{span="<name>"}`.
+//!
+//! Whether the tree is *recorded* is decided once, when its root opens:
+//! a root opened with [`crate::span_recorded`] marks its trace, and every
+//! span of a marked trace deposits a [`crate::trace::SpanRecord`] (with
+//! its attributes) into the trace store when it closes. Every other root
+//! — [`crate::span`] on an empty stack, [`crate::span_root`] — opens an
+//! unrecorded trace, whose spans time into the histogram and carry ids
+//! for propagation but never touch the store or keep attributes. The
+//! mark is the top bit of the trace id, which the id counter never
+//! reaches, so it travels with every [`SpanContext`].
 //!
 //! Parentage follows the thread-local stack by default. Across
 //! boundaries where that stack is severed — worker threads, HTTP — the
@@ -16,14 +25,20 @@
 //! fetched or frames stitched attach to the innermost span via
 //! [`attr_add`] / [`attr_set`].
 
-use crate::metrics::HistogramSpec;
+use crate::metrics::{Histogram, HistogramSpec};
 use crate::trace::{self, SpanRecord};
 use std::cell::RefCell;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// The histogram every span records into, labelled by span name.
 pub const SPAN_METRIC: &str = "sift_span_seconds";
+
+/// The trace-id bit marking a recorded trace. Ids come from one counter
+/// starting at 1, which never reaches 2⁶³.
+const RECORDED: u64 = 1 << 63;
 
 static NEXT_ID: AtomicU64 = AtomicU64::new(1);
 
@@ -31,12 +46,19 @@ fn next_id() -> u64 {
     NEXT_ID.fetch_add(1, Ordering::Relaxed)
 }
 
+/// True when `trace_id` names a recorded trace (one rooted by
+/// [`crate::span_recorded`]).
+pub(crate) fn is_recorded(trace_id: u64) -> bool {
+    trace_id & RECORDED != 0
+}
+
 /// A span's position in its trace: enough to parent further spans onto
 /// it, locally ([`crate::span_in`]) or across a process boundary
 /// ([`SpanContext::to_header`] / [`SpanContext::from_header`]).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub struct SpanContext {
-    /// The trace the span belongs to.
+    /// The trace the span belongs to. Its top bit marks a recorded trace
+    /// ([`SpanContext::is_recorded`]).
     pub trace_id: u64,
     /// The span's own id; children set it as their parent id.
     pub span_id: u64,
@@ -53,8 +75,14 @@ impl SpanContext {
         })
     }
 
+    /// True when the trace is recorded: its spans land in the trace store.
+    pub fn is_recorded(self) -> bool {
+        is_recorded(self.trace_id)
+    }
+
     /// Wire encoding for the `X-Sift-Trace` header:
-    /// `<trace_id hex16>-<span_id hex16>`.
+    /// `<trace_id hex16>-<span_id hex16>`. A recorded trace's id has its
+    /// top bit set, so its value starts with `8`–`f`.
     pub fn to_header(self) -> String {
         format!("{:016x}-{:016x}", self.trace_id, self.span_id)
     }
@@ -80,26 +108,73 @@ struct Frame {
 }
 
 impl Frame {
+    /// The slot of `key`, created at 0; `None` in an unrecorded trace,
+    /// which keeps no attributes.
+    fn slot(&mut self, key: &'static str) -> Option<&mut u64> {
+        if !is_recorded(self.trace_id) {
+            return None;
+        }
+        let pos = match self.args.iter().position(|(k, _)| *k == key) {
+            Some(pos) => pos,
+            None => {
+                self.args.push((key, 0));
+                self.args.len() - 1
+            }
+        };
+        Some(&mut self.args[pos].1)
+    }
+
     fn add(&mut self, key: &'static str, n: u64) {
-        match self.args.iter_mut().find(|(k, _)| *k == key) {
-            Some(slot) => slot.1 = slot.1.saturating_add(n),
-            None => self.args.push((key, n)),
+        if let Some(slot) = self.slot(key) {
+            *slot = slot.saturating_add(n);
         }
     }
 }
 
-thread_local! {
-    static STACK: RefCell<Vec<Frame>> = const { RefCell::new(Vec::new()) };
+/// A span name and its `sift_span_seconds` series, resolved once per
+/// thread.
+#[derive(Debug)]
+struct SpanSeries {
+    name: Box<str>,
+    seconds: Histogram,
 }
 
-/// An in-progress span; dropping it records the duration and its trace
-/// record. Create with [`crate::span`] (child of the thread's innermost
-/// span, or a fresh trace root), [`crate::span_in`] (child of an
-/// explicit context) or [`crate::span_root`] (always a fresh root).
+thread_local! {
+    static STACK: RefCell<Vec<Frame>> = const { RefCell::new(Vec::new()) };
+    static SERIES: RefCell<HashMap<Box<str>, Arc<SpanSeries>>> = RefCell::new(HashMap::new());
+}
+
+/// The span series named `name`: a lookup in this thread's cache,
+/// registering the histogram only the first time the thread sees the name.
+fn series(name: &str) -> Arc<SpanSeries> {
+    SERIES.with(|cache| {
+        if let Some(series) = cache.borrow().get(name) {
+            return Arc::clone(series);
+        }
+        let series = Arc::new(SpanSeries {
+            name: name.into(),
+            seconds: crate::global().histogram(
+                SPAN_METRIC,
+                &[("span", name)],
+                &HistogramSpec::duration_seconds(),
+            ),
+        });
+        cache.borrow_mut().insert(name.into(), Arc::clone(&series));
+        series
+    })
+}
+
+/// An in-progress span; dropping it records the duration and, in a
+/// recorded trace, its trace record. Create with [`crate::span`] (child
+/// of the thread's innermost span, or a fresh unrecorded root),
+/// [`crate::span_in`] (child of an explicit context),
+/// [`crate::span_root`] (always a fresh unrecorded root) or
+/// [`crate::span_recorded`] (always a fresh recorded root).
 #[derive(Debug)]
 pub struct Span {
-    name: String,
+    series: Arc<SpanSeries>,
     start: Instant,
+    /// Start on the trace timebase; read only in a recorded trace.
     start_us: u64,
     trace_id: u64,
     span_id: u64,
@@ -108,23 +183,39 @@ pub struct Span {
 
 impl Span {
     /// Opens a span as a child of this thread's innermost open span (a
-    /// fresh trace root when the stack is empty). Prefer the crate-level
-    /// [`crate::span`] / [`crate::span_in`] helpers: strict-path crates
-    /// (`core`, `fetcher`) are lint-required (`trace-span`) to use the
-    /// context-carrying API so worker threads cannot silently sever
-    /// parentage.
+    /// fresh unrecorded root when the stack is empty). Prefer the
+    /// crate-level [`crate::span`] / [`crate::span_in`] helpers: library
+    /// code is clippy-barred from calling this directly so worker threads
+    /// cannot silently sever parentage.
     pub fn enter(name: &str) -> Span {
         Span::open(name, SpanContext::current())
     }
 
-    #[expect(clippy::disallowed_methods, reason = "span durations measure the host")]
+    /// Opens a child of `parent`, or an unrecorded root when it is `None`.
     pub(crate) fn open(name: &str, parent: Option<SpanContext>) -> Span {
+        match parent {
+            Some(p) => Span::start(name, next_id(), p.trace_id, Some(p.span_id)),
+            None => Span::root(name, false),
+        }
+    }
+
+    /// Opens the root of a fresh trace, recorded or not.
+    pub(crate) fn root(name: &str, recorded: bool) -> Span {
         let span_id = next_id();
-        let (trace_id, parent_id) = match parent {
-            Some(p) => (p.trace_id, Some(p.span_id)),
-            None => (next_id(), None),
+        let trace_id = if recorded {
+            next_id() | RECORDED
+        } else {
+            next_id()
         };
-        trace::span_opened(trace_id);
+        Span::start(name, span_id, trace_id, None)
+    }
+
+    #[expect(clippy::disallowed_methods, reason = "span durations measure the host")]
+    fn start(name: &str, span_id: u64, trace_id: u64, parent_id: Option<u64>) -> Span {
+        let recorded = is_recorded(trace_id);
+        if recorded {
+            trace::span_opened(trace_id);
+        }
         STACK.with(|s| {
             s.borrow_mut().push(Frame {
                 trace_id,
@@ -133,9 +224,9 @@ impl Span {
             })
         });
         Span {
-            name: name.to_owned(),
+            series: series(name),
             start: Instant::now(),
-            start_us: trace::epoch_micros(),
+            start_us: if recorded { trace::epoch_micros() } else { 0 },
             trace_id,
             span_id,
             parent_id,
@@ -144,7 +235,7 @@ impl Span {
 
     /// The span's name.
     pub fn name(&self) -> &str {
-        &self.name
+        &self.series.name
     }
 
     /// Time since the span was entered.
@@ -164,6 +255,9 @@ impl Span {
     /// for a caller holding several sibling spans open at once (pipelined
     /// requests), where "innermost" is whichever was opened last.
     pub fn attr_add(&self, key: &'static str, n: u64) {
+        if !is_recorded(self.trace_id) {
+            return;
+        }
         STACK.with(|s| {
             let mut stack = s.borrow_mut();
             if let Some(frame) = stack.iter_mut().rfind(|f| f.span_id == self.span_id) {
@@ -185,18 +279,15 @@ impl Drop for Span {
                 None => Vec::new(),
             }
         });
-        crate::global()
-            .histogram(
-                SPAN_METRIC,
-                &[("span", &self.name)],
-                &HistogramSpec::duration_seconds(),
-            )
-            .observe_duration(elapsed);
+        self.series.seconds.observe_duration(elapsed);
+        if !is_recorded(self.trace_id) {
+            return;
+        }
         trace::span_closed(SpanRecord {
             trace_id: self.trace_id,
             span_id: self.span_id,
             parent_id: self.parent_id,
-            name: std::mem::take(&mut self.name),
+            name: self.series.name.to_string(),
             start_us: self.start_us,
             dur_us: u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX),
             tid: trace::thread_ordinal(),
@@ -206,9 +297,9 @@ impl Drop for Span {
 }
 
 /// Adds `n` to the counter `key` on this thread's innermost open span
-/// (no-op outside any span). Keys are static, low-cardinality names —
-/// `"bytes"`, `"frames_stitched"`, `"retries"` — surfaced in the
-/// exported trace's `args`.
+/// (no-op outside any span, or in an unrecorded trace). Keys are static,
+/// low-cardinality names — `"bytes"`, `"frames_stitched"`, `"retries"` —
+/// surfaced in the exported trace's `args`.
 pub fn attr_add(key: &'static str, n: u64) {
     STACK.with(|s| {
         if let Some(frame) = s.borrow_mut().last_mut() {
@@ -218,15 +309,12 @@ pub fn attr_add(key: &'static str, n: u64) {
 }
 
 /// Sets the counter `key` on this thread's innermost open span to `v`
-/// (no-op outside any span) — for values that are assignments rather
-/// than accumulations, such as an attempt number.
+/// (no-op outside any span, or in an unrecorded trace) — for values that
+/// are assignments rather than accumulations, such as an attempt number.
 pub fn attr_set(key: &'static str, v: u64) {
     STACK.with(|s| {
-        if let Some(frame) = s.borrow_mut().last_mut() {
-            match frame.args.iter_mut().find(|(k, _)| *k == key) {
-                Some(slot) => slot.1 = v,
-                None => frame.args.push((key, v)),
-            }
+        if let Some(slot) = s.borrow_mut().last_mut().and_then(|f| f.slot(key)) {
+            *slot = v;
         }
     });
 }
@@ -273,7 +361,7 @@ mod tests {
 
     #[test]
     fn nested_spans_share_a_trace_and_chain_parents() {
-        let root = crate::span_root("trace-root-test");
+        let root = crate::span_recorded("trace-root-test");
         let root_ctx = root.context();
         let child = crate::span("trace-child-test");
         assert_eq!(child.context().trace_id, root_ctx.trace_id);
@@ -292,7 +380,7 @@ mod tests {
 
     #[test]
     fn span_in_adopts_context_across_threads() {
-        let root = crate::span_root("handoff-root-test");
+        let root = crate::span_recorded("handoff-root-test");
         let ctx = root.context();
         std::thread::scope(|s| {
             s.spawn(move || {
@@ -319,6 +407,9 @@ mod tests {
             trace_id: 0xdead_beef,
             span_id: 42,
         };
+        // An unrecorded context encodes as it always has, byte for byte.
+        assert!(!ctx.is_recorded());
+        assert_eq!(ctx.to_header(), "00000000deadbeef-000000000000002a");
         assert_eq!(SpanContext::from_header(&ctx.to_header()), Some(ctx));
         assert_eq!(SpanContext::from_header(""), None);
         assert_eq!(SpanContext::from_header("zz-11"), None);
@@ -327,8 +418,64 @@ mod tests {
     }
 
     #[test]
+    fn a_recorded_root_marks_its_whole_tree_and_the_header_carries_the_mark() {
+        let root = crate::span_recorded("recorded-mark-root-test");
+        let ctx = root.context();
+        assert!(ctx.is_recorded());
+        assert!(crate::span("recorded-mark-child-test")
+            .context()
+            .is_recorded());
+        let header = ctx.to_header();
+        assert_eq!(header.len(), 33);
+        let carried = SpanContext::from_header(&header).expect("parses");
+        assert_eq!(carried, ctx);
+        assert!(carried.is_recorded());
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                assert!(crate::span_in(carried, "recorded-mark-remote-test")
+                    .context()
+                    .is_recorded())
+            });
+        });
+        drop(root);
+        let trace = crate::trace::completed(ctx.trace_id).expect("recorded");
+        assert_eq!(trace.spans.len(), 3);
+        assert!(trace.orphans().is_empty());
+    }
+
+    #[test]
+    fn unrecorded_spans_time_but_leave_nothing_in_the_store() {
+        let count = || {
+            crate::global()
+                .histogram_states(SPAN_METRIC)
+                .into_iter()
+                .find(|(labels, _)| labels == &[("span".to_owned(), "unrecorded-test".to_owned())])
+                .map_or(0, |(_, s)| s.count)
+        };
+        let before = count();
+        let root = crate::span_root("unrecorded-test");
+        let ctx = root.context();
+        assert!(!ctx.is_recorded());
+        {
+            let child = crate::span("unrecorded-test");
+            assert_eq!(child.context().trace_id, ctx.trace_id, "still one tree");
+            assert!(!child.context().is_recorded());
+            attr_add("bytes", 3);
+        }
+        drop(root);
+        assert_eq!(count(), before + 2, "both spans timed");
+        assert!(crate::trace::completed(ctx.trace_id).is_none());
+        let waited = Instant::now();
+        assert!(crate::trace::wait_completed(ctx.trace_id, Duration::from_secs(30)).is_none());
+        assert!(
+            waited.elapsed() < Duration::from_secs(1),
+            "no wait on an unrecorded id"
+        );
+    }
+
+    #[test]
     fn span_attr_add_reaches_a_sibling_that_is_not_innermost() {
-        let root = crate::span_root("attr-sibling-root-test");
+        let root = crate::span_recorded("attr-sibling-root-test");
         let ctx = root.context();
         let first = crate::span_in(ctx, "attr-sibling-first-test");
         let second = crate::span_in(ctx, "attr-sibling-second-test");
@@ -348,7 +495,7 @@ mod tests {
 
     #[test]
     fn attrs_attach_to_innermost_span() {
-        let root = crate::span_root("attr-root-test");
+        let root = crate::span_recorded("attr-root-test");
         let ctx = root.context();
         {
             let _inner = crate::span("attr-inner-test");

@@ -1,11 +1,14 @@
 //! Trace assembly, export and critical-path analysis.
 //!
-//! Spans ([`crate::span`]) carry a trace id, a span id and a parent id;
-//! every closed span deposits a [`SpanRecord`] here, grouped by trace id.
-//! A trace is *completed* when its last open span closes (the open-span
-//! count reaches zero), which tolerates out-of-order closes across
-//! threads — a server-side span racing the client's root close still
-//! lands in the same tree. Completed traces sit in a bounded ring,
+//! Spans ([`crate::span`]) carry a trace id, a span id and a parent id.
+//! A trace whose root was opened with [`crate::span_recorded`] is
+//! *recorded*: each of its spans registers here when it opens and
+//! deposits a [`SpanRecord`] when it closes, grouped by trace id. Spans
+//! of any other trace never reach this store, so a process that reads no
+//! trace keeps none. A trace is *completed* when its last open span
+//! closes (the open-span count reaches zero), which tolerates
+//! out-of-order closes across threads — a server-side span racing the
+//! client's root close still lands in the same tree. Completed traces sit in a bounded ring,
 //! served as JSON by `GET /trace/recent` and exportable as
 //! Chrome trace-event JSON ([`chrome_trace_json`], Perfetto-loadable).
 //!
@@ -138,7 +141,8 @@ pub(crate) fn thread_ordinal() -> u64 {
     TID.with(|t| *t)
 }
 
-/// Bumps the open-span count of `trace_id` (called on span enter).
+/// Bumps the open-span count of recorded `trace_id` (called on span
+/// enter).
 pub(crate) fn span_opened(trace_id: u64) {
     let mut active = store().active.lock();
     active
@@ -151,8 +155,8 @@ pub(crate) fn span_opened(trace_id: u64) {
         .open += 1;
 }
 
-/// Records a closed span; completes the trace when it was the last open
-/// span.
+/// Records a closed span of a recorded trace; completes the trace when it
+/// was the last open span.
 pub(crate) fn span_closed(rec: SpanRecord) {
     let trace_id = rec.trace_id;
     let finished = {
@@ -223,10 +227,19 @@ pub fn completed(trace_id: u64) -> Option<Trace> {
         .cloned()
 }
 
+/// The number of recorded traces with spans still open.
+pub fn active_traces() -> usize {
+    store().active.lock().len()
+}
+
 /// Waits (polling) until `trace_id` completes — spans on other threads
-/// may close a beat after the root guard drops — up to `timeout`.
+/// may close a beat after the root guard drops — up to `timeout`. An
+/// unrecorded trace never completes here: `None` at once.
 #[expect(clippy::disallowed_methods, reason = "waits on host threads' spans")]
 pub fn wait_completed(trace_id: u64, timeout: Duration) -> Option<Trace> {
+    if !crate::span::is_recorded(trace_id) {
+        return None;
+    }
     let deadline = Instant::now() + timeout;
     loop {
         let still_open = store()

@@ -2,8 +2,8 @@
 //! scrape the server's own `GET /metrics` endpoint — request latencies by
 //! route, per-identity 429 counts, crawl throughput and study-stage span
 //! timings, all in Prometheus text format. The run's trace tree (client
-//! and server spans joined across the HTTP boundary by `X-Sift-Trace`)
-//! is exported as Chrome trace-event JSON — load it at
+//! and server spans joined across the HTTP boundary by `X-Sift-Trace`),
+//! recorded because its root is opened with `span_recorded`, is exported as Chrome trace-event JSON — load it at
 //! <https://ui.perfetto.dev> — and summarized as a critical-path report.
 //!
 //! Run with: `cargo run --release --example observability`
@@ -60,11 +60,12 @@ fn main() {
         ..StudyParams::default()
     };
     println!("running the SIFT study over HTTP ...");
-    // A root span here makes the whole crawl one trace: the study's
-    // pipeline spans, every HTTP attempt the queue issues, and the
-    // server-side serve spans (joined via the X-Sift-Trace header) all
-    // land in a single tree that completes when the last one closes.
-    let run_span = sift::obs::span_root("observability");
+    // A recorded root span here makes the whole crawl one trace: the
+    // study's pipeline spans, every HTTP attempt the queue issues, and
+    // the server-side serve spans (joined via the X-Sift-Trace header,
+    // which carries the recorded mark) all land in a single tree that
+    // completes when the last one closes. Without it nothing is kept.
+    let run_span = sift::obs::span_recorded("observability");
     let trace_id = run_span.context().trace_id;
     let result = run_study(&client, &params).expect("study over http");
     drop(run_span);

@@ -165,6 +165,20 @@ same_seed_gate serve "online daemon" online_daemon --seed 7
 diff tests/golden/online-daemon-seed7.txt target/serve-a.txt \
   || { echo "online daemon report differs from tests/golden/online-daemon-seed7.txt" >&2; exit 1; }
 
+# Recorded-trace gate: the observability example is the one end-to-end
+# reader of a recorded trace across HTTP outside the unit tests. It
+# records its crawl, exports the tree and walks its critical path; the
+# export must hold client `request` and server `serve` spans.
+cargo build --release --offline --locked --example observability
+rm -f target/observability-trace.json
+./target/release/examples/observability > target/observability.txt
+grep -Eq '^exported [0-9]+ spans \([1-9][0-9]* client request attempts, [1-9][0-9]* server serves\)' \
+  target/observability.txt \
+  && grep -q '"name":"request"' target/observability-trace.json \
+  && grep -q '"name":"serve"' target/observability-trace.json \
+  && grep -q '^critical path: ' target/observability.txt \
+  || { echo "observability example exported no joined trace with a critical path" >&2; exit 1; }
+
 # Thread-count gate: annotations, clusters and every table built from them
 # are a function of the study, not of how many workers computed them
 # (DESIGN.md decision 8), so one thread and four print the same report.

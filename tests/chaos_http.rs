@@ -175,7 +175,7 @@ fn chaos_study_yields_one_connected_trace_per_region() {
     // Root the run explicitly: everything the study does — pipeline
     // stages, every HTTP attempt, every server-side serve — must join
     // this one trace even while faults force retries and replays.
-    let root = sift::obs::span_root("chaos-study");
+    let root = sift::obs::span_recorded("chaos-study");
     let trace_id = root.context().trace_id;
     let _chaos = study_over(&server, "127.0.0.22");
     drop(root);
