@@ -26,36 +26,24 @@
 
 use serde::{Deserialize, Serialize};
 use sift_geo::State;
-use sift_journal::{CrashInjector, Journal};
+use sift_journal::Journal;
 use sift_simtime::HourRange;
 use sift_trends::{FrameResponse, RisingResponse, SearchTerm};
 use std::collections::HashMap;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 /// Durability configuration for `run_study_durable`: where the journals
-/// live, and (in tests) which crash plan to execute.
+/// live.
 #[derive(Clone)]
 pub struct StudyDurability {
     dir: PathBuf,
-    crash: Option<Arc<CrashInjector>>,
 }
 
 impl StudyDurability {
     /// Durability rooted at `dir` (created on first use).
     pub fn new(dir: impl Into<PathBuf>) -> StudyDurability {
-        StudyDurability {
-            dir: dir.into(),
-            crash: None,
-        }
-    }
-
-    /// Wires a crash injector into every journal append this study
-    /// performs (shared across regions).
-    pub fn with_crash(mut self, crash: Arc<CrashInjector>) -> StudyDurability {
-        self.crash = Some(crash);
-        self
+        StudyDurability { dir: dir.into() }
     }
 
     /// The durability root directory.
@@ -78,7 +66,7 @@ impl StudyDurability {
             state,
             frames: frames.to_vec(),
         };
-        RegionJournal::open(&self.dir.join(state.abbrev()), &study, self.crash.clone())
+        RegionJournal::open(&self.dir.join(state.abbrev()), &study)
     }
 }
 
@@ -135,13 +123,9 @@ pub struct RegionJournal {
 }
 
 impl RegionJournal {
-    fn open(
-        dir: &Path,
-        study: &RegionRecord,
-        crash: Option<Arc<CrashInjector>>,
-    ) -> io::Result<RegionJournal> {
+    fn open(dir: &Path, study: &RegionRecord) -> io::Result<RegionJournal> {
         std::fs::create_dir_all(dir)?;
-        let (journal, recovery) = Journal::open_with(&dir.join("region.wal"), crash)?;
+        let (journal, recovery) = Journal::open(&dir.join("region.wal"))?;
         let mut region = RegionJournal {
             journal,
             frames: HashMap::new(),
@@ -274,8 +258,7 @@ fn encode(record: &RegionRecord) -> io::Result<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sift_journal::testutil::scratch_dir;
-    use sift_journal::{CrashPlan, CrashSite};
+    use sift_journal::testutil::{scratch_dir, wal_cuts};
     use sift_simtime::Hour;
     use sift_trends::RisingTerm;
 
@@ -423,42 +406,42 @@ mod tests {
         assert_eq!(j.frames_replayed(), 2);
     }
 
-    /// Runs one slot and the seal of round 0 under `site`, which fires on
-    /// the third append: study record, frame, `RoundDone`.
-    fn crash_at_the_round_seal(tag: &str, site: CrashSite) -> StudyDurability {
-        let dir = scratch_dir(tag);
-        let inj = Arc::new(CrashInjector::new(CrashPlan::nowhere().at(site, 2)));
-        let durability = StudyDurability::new(&dir).with_crash(Arc::clone(&inj));
-        let crashed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut j = open(&durability);
-            j.record_frame(0, 0, &frame(0, vec![7])).expect("record");
-            j.round_done(0).expect("seal round"); // dies on the RoundDone record
-        }))
-        .is_err();
-        assert!(crashed && inj.tripped(), "injected crash must fire");
-        StudyDurability::new(&dir)
-    }
-
+    /// Every crash state of a journal holding the study record, one
+    /// frame and round 0's seal resumes where its whole records say: a
+    /// landed seal resumes at round 1; a torn or missing one resumes at
+    /// round 0 and recovers the journaled slot without the network. Run
+    /// on, each writes the uninterrupted journal again, byte for byte.
     #[test]
-    fn crash_after_the_round_seal_keeps_the_round_sealed() {
-        let clean = crash_at_the_round_seal("region_seal_after", CrashSite::AfterJournalRecord);
-        let mut j = open(&clean);
-        assert_eq!(j.resumed_from_round(), 1);
-        assert_eq!(j.replayed_frame(0, 0).expect("slot").values, vec![7]);
-    }
-
-    #[test]
-    fn torn_round_seal_replays_the_round_per_slot_and_seals_it_again() {
-        let clean = crash_at_the_round_seal("region_seal_torn", CrashSite::MidJournalRecord);
+    fn every_cut_of_a_sealed_round_resumes_where_its_records_say() {
+        let dir = scratch_dir("region_sealed");
         {
-            // The seal is lost, the frame before it is not: the round is
-            // recovered slot by slot, without the network.
-            let mut j = open(&clean);
-            assert_eq!(j.resumed_from_round(), 0);
-            assert_eq!(j.replayed_frame(0, 0).expect("slot").values, vec![7]);
-            j.round_done(0).expect("seal again");
+            let mut j = open(&StudyDurability::new(&dir));
+            j.record_frame(0, 0, &frame(0, vec![7])).expect("record");
+            j.round_done(0).expect("seal round");
         }
-        assert_eq!(open(&clean).resumed_from_round(), 1);
+        let wal = std::fs::read(dir.join("TX").join("region.wal")).expect("wal");
+        let cuts = wal_cuts(&wal);
+        assert_eq!(cuts.len(), 7, "study record, frame, seal");
+        for cut in cuts {
+            let dir = scratch_dir("region_sealed_cut");
+            std::fs::create_dir_all(dir.join("TX")).expect("region dir");
+            std::fs::write(dir.join("TX").join("region.wal"), &wal[..cut.len]).expect("cut");
+            let mut j = open(&StudyDurability::new(&dir));
+            assert_eq!(
+                j.resumed_from_round(),
+                u32::from(cut.records == 3),
+                "{cut:?}"
+            );
+            let slot = j.replayed_frame(0, 0);
+            assert_eq!(slot.is_some(), cut.records >= 2, "{cut:?}");
+            if slot.is_none() {
+                j.record_frame(0, 0, &frame(0, vec![7])).expect("record");
+            }
+            j.round_done(0).expect("seal again");
+            drop(j);
+            let resumed = std::fs::read(dir.join("TX").join("region.wal")).expect("wal");
+            assert!(resumed == wal, "{cut:?}: the resumed journal differs");
+        }
     }
 
     #[test]

@@ -669,15 +669,32 @@ mod tests {
         assert!(medium <= 3, "texture too strong: {:?}", outcome.spikes);
     }
 
+    /// Every crash state of the round loop's journal resumes to the
+    /// uninterrupted outcome, replaying each whole frame record instead
+    /// of fetching it.
     #[test]
-    fn durable_loop_crashed_mid_round_resumes_to_the_identical_outcome() {
+    fn durable_loop_resumes_to_the_identical_outcome_from_every_cut() {
         use crate::durable::StudyDurability;
-        use sift_journal::testutil::scratch_dir;
-        use sift_journal::{CrashInjector, CrashPlan, CrashSite};
-        use std::sync::Arc;
+        use sift_journal::testutil::{scratch_dir, wal_cuts};
+        use sift_journal::Journal;
 
         let term = SearchTerm::parse("topic:Internet outage");
         let frames = weekly_frames(900);
+        let run = |dir: &std::path::Path| {
+            let mut j = StudyDurability::new(dir)
+                .region(&term, State::TX, &frames)
+                .expect("open");
+            averaged_timeline_durable(
+                &service_with_events(),
+                &term,
+                State::TX,
+                &frames,
+                &RefetchParams::default(),
+                &DetectParams::default(),
+                &mut j,
+            )
+            .expect("durable run")
+        };
         let clean = averaged_timeline(
             &service_with_events(),
             &term,
@@ -688,49 +705,31 @@ mod tests {
         )
         .expect("clean run");
 
-        let dir = scratch_dir("refetch_durable");
-        let inj = Arc::new(CrashInjector::new(
-            CrashPlan::nowhere().at(CrashSite::MidJournalRecord, 9),
-        ));
-        let durability = StudyDurability::new(&dir).with_crash(inj);
-        let crashed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let mut j = durability.region(&term, State::TX, &frames).expect("open");
-            let _ = averaged_timeline_durable(
-                &service_with_events(),
-                &term,
-                State::TX,
-                &frames,
-                &RefetchParams::default(),
-                &DetectParams::default(),
-                &mut j,
+        let finished = scratch_dir("refetch_durable_finished");
+        run(&finished);
+        let path = finished.join("TX").join("region.wal");
+        let wal = std::fs::read(&path).expect("journal");
+        let records = Journal::open(&path).expect("journal").1.records;
+        for cut in wal_cuts(&wal) {
+            let dir = scratch_dir("refetch_durable_cut");
+            std::fs::create_dir_all(dir.join("TX")).expect("region dir");
+            std::fs::write(dir.join("TX").join("region.wal"), &wal[..cut.len]).expect("cut");
+            let resumed = run(&dir);
+            let journaled = records[..cut.records]
+                .iter()
+                .filter(|r| r.starts_with(b"{\"Frame\""))
+                .count();
+            assert_eq!(resumed.frames_replayed, journaled as u64, "{cut:?}");
+            assert_eq!(resumed.timeline, clean.timeline, "{cut:?}");
+            assert_eq!(resumed.spikes, clean.spikes, "{cut:?}");
+            assert_eq!(resumed.rounds, clean.rounds, "{cut:?}");
+            assert_eq!(resumed.converged, clean.converged, "{cut:?}");
+            assert_eq!(
+                resumed.frames_fetched, clean.frames_fetched,
+                "{cut:?}: replayed slots count toward the same logical workload"
             );
-        }))
-        .is_err();
-        assert!(crashed, "injected crash must fire");
-
-        let mut j = StudyDurability::new(&dir)
-            .region(&term, State::TX, &frames)
-            .expect("recover");
-        let resumed = averaged_timeline_durable(
-            &service_with_events(),
-            &term,
-            State::TX,
-            &frames,
-            &RefetchParams::default(),
-            &DetectParams::default(),
-            &mut j,
-        )
-        .expect("resumed run");
-
-        assert!(resumed.frames_replayed > 0, "{resumed:?}");
-        assert_eq!(resumed.timeline, clean.timeline);
-        assert_eq!(resumed.spikes, clean.spikes);
-        assert_eq!(resumed.rounds, clean.rounds);
-        assert_eq!(resumed.converged, clean.converged);
-        assert_eq!(
-            resumed.frames_fetched, clean.frames_fetched,
-            "replayed slots count toward the same logical workload"
-        );
+            std::fs::remove_dir_all(&dir).expect("clean up");
+        }
     }
 
     /// A client the round loop may only reach through the batch entry.

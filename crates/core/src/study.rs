@@ -957,83 +957,82 @@ mod tests {
         assert_eq!(outputs(&durable), outputs(&result));
     }
 
+    /// Every crash state of TX's journal, with CA's never started,
+    /// resumes to the uninterrupted result: TX resumes at the round after
+    /// its last whole seal (so a torn seal re-opens its round and recovers
+    /// it slot by slot), replays every whole frame record, and fetches
+    /// only what the cut lost.
     #[test]
-    fn durable_study_crashed_at_a_round_seal_resumes_identically() {
-        use sift_journal::testutil::scratch_dir;
-        use sift_journal::{CrashInjector, CrashPlan, CrashSite};
-        use std::sync::Arc;
+    fn durable_study_resumes_identically_from_every_cut() {
+        use sift_journal::testutil::{scratch_dir, wal_cuts};
+        use sift_journal::Journal;
 
-        let params = small_params();
-        let clean = run_study(&two_region_service(), &params).expect("clean study");
-
-        // The first life runs on one worker, so the n-th append is the
-        // same record every time: TX journals its study record, then per
-        // round one frame per slot and the `RoundDone` that seals it.
-        let first_life = StudyParams {
-            threads: 1,
-            ..params.clone()
+        // Four weeks, so the sweep stays small: it reruns the study once
+        // per cut.
+        let params = StudyParams {
+            range: HourRange::new(Hour(0), Hour(672)),
+            ..small_params()
         };
-        let slots = u64::try_from(plan_frames(params.range, params.plan).len()).unwrap();
-        let seal_of_round_1 = 2 * slots + 2;
+        let clean = run_study(&two_region_service(), &params).expect("clean study");
+        assert!(!clean.spikes.is_empty());
+        let finished = scratch_dir("study_durable_finished");
+        run_study_durable(
+            &two_region_service(),
+            &params,
+            &StudyDurability::new(&finished),
+        )
+        .expect("uninterrupted durable study");
+        let tx_wal = |dir: &std::path::Path| dir.join("TX").join("region.wal");
+        let wal = std::fs::read(tx_wal(&finished)).expect("TX journal");
+        let records = Journal::open(&tx_wal(&finished))
+            .expect("journal")
+            .1
+            .records;
+        let count = |prefix: &[Vec<u8>], kind: &[u8]| {
+            u64::try_from(prefix.iter().filter(|r| r.starts_with(kind)).count()).unwrap()
+        };
 
-        // Die just after round 1's seal lands (TX resumes at round 2), and
-        // half-way through writing it (the seal is torn off: TX resumes at
-        // round 1, recovers it slot by slot and seals it again).
-        for (site, tx_resumes_at) in [
-            (CrashSite::AfterJournalRecord, 2),
-            (CrashSite::MidJournalRecord, 1),
-        ] {
-            let dir = scratch_dir(&format!("study_durable_{}", site.label()));
-            let inj = Arc::new(CrashInjector::new(
-                CrashPlan::nowhere().at(site, seal_of_round_1),
-            ));
-            let crashed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let durability = StudyDurability::new(&dir).with_crash(Arc::clone(&inj));
-                let _ = run_study_durable(&two_region_service(), &first_life, &durability);
-            }))
-            .is_err();
-            assert!(crashed && inj.tripped(), "{site}: injected crash must fire");
+        for cut in wal_cuts(&wal) {
+            let dir = scratch_dir("study_durable_cut");
+            std::fs::create_dir_all(dir.join("TX")).expect("region dir");
+            std::fs::write(tx_wal(&dir), &wal[..cut.len]).expect("cut");
+            let prefix = &records[..cut.records];
 
             let service = two_region_service();
             let resumed = run_study_durable(&service, &params, &StudyDurability::new(&dir))
                 .expect("resumed study");
-
+            let seals = u32::try_from(count(prefix, b"{\"RoundDone\"")).unwrap();
             assert_eq!(
                 resumed.stats.resumed_from_round,
-                vec![(State::CA, 0), (State::TX, tx_resumes_at)],
-                "{site}"
+                vec![(State::CA, 0), (State::TX, seals)],
+                "{cut:?}"
             );
-            // Both of TX's journaled rounds replay; nothing of them is
-            // fetched again, torn seal or not.
-            assert_eq!(resumed.stats.frames_replayed, 2 * slots, "{site}");
+            let replayed = count(prefix, b"{\"Frame\"");
+            assert_eq!(resumed.stats.frames_replayed, replayed, "{cut:?}");
             assert_eq!(
-                service.stats().frames_served + resumed.stats.frames_replayed,
+                service.stats().frames_served + replayed,
                 clean.stats.frames_requested,
-                "{site}"
+                "{cut:?}"
             );
-            assert_eq!(resumed.spikes.len(), clean.spikes.len());
-            for (a, b) in resumed.spikes.iter().zip(clean.spikes.iter()) {
-                assert_eq!(a.spike, b.spike);
-                assert_eq!(a.annotations, b.annotations);
-            }
-            assert_eq!(resumed.timelines, clean.timelines);
-            assert_eq!(resumed.clusters.len(), clean.clusters.len());
-            assert_eq!(resumed.stats.frames_requested, clean.stats.frames_requested);
-
-            // A resume of the *finished* study is a pure replay: zero fetches.
-            let service = two_region_service();
-            let replayed = run_study_durable(&service, &params, &StudyDurability::new(&dir))
-                .expect("pure replay");
-            assert_eq!(
-                replayed.stats.frames_replayed,
-                replayed.stats.frames_requested
+            assert_eq!(outputs(&resumed), outputs(&clean), "{cut:?}");
+            assert!(
+                std::fs::read(tx_wal(&dir)).expect("TX journal") == wal,
+                "{cut:?}: the resumed journal differs"
             );
-            let served = service.stats();
-            assert_eq!((served.frames_served, served.rising_served), (0, 0));
-            for (a, b) in replayed.spikes.iter().zip(clean.spikes.iter()) {
-                assert_eq!(a.spike, b.spike);
-            }
+            std::fs::remove_dir_all(&dir).expect("clean up");
         }
+
+        // A resume of the *finished* study is a pure replay: zero fetches.
+        let service = two_region_service();
+        let replayed = run_study_durable(&service, &params, &StudyDurability::new(&finished))
+            .expect("pure replay");
+        assert_eq!(
+            replayed.stats.frames_replayed,
+            replayed.stats.frames_requested
+        );
+        let served = service.stats();
+        assert_eq!((served.frames_served, served.rising_served), (0, 0));
+        assert_eq!(outputs(&replayed), outputs(&clean));
     }
 
     #[test]

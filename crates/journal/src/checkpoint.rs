@@ -84,7 +84,7 @@ fn report_corrupt() {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::crash::{CrashPlan, CrashSite};
+    use crate::crash::CrashSite;
     use crate::testutil::{backdate, scratch_dir};
 
     #[test]
@@ -135,7 +135,7 @@ mod tests {
         let dir = scratch_dir("ckpt_crash");
         let path = dir.join("ckpt.bin");
         write_checkpoint(&path, b"gen-1", None).expect("seed");
-        let inj = CrashInjector::new(CrashPlan::nowhere().at(CrashSite::CheckpointTempWritten, 0));
+        let inj = CrashInjector::new(CrashSite::CheckpointTempWritten, 0);
         let crashed =
             std::panic::catch_unwind(|| write_checkpoint(&path, b"gen-2", Some(&inj))).is_err();
         assert!(crashed);

@@ -13,12 +13,10 @@
 //! replayed payloads and what was cut are reported in [`Recovery`] and
 //! the `sift_journal_*` metrics.
 
-use crate::crash::{CrashInjector, CrashSite};
 use crate::record::{self, Decoded};
 use std::fs::OpenOptions;
 use std::io::{self, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 
 /// Default append count between automatic fsyncs.
 pub const DEFAULT_SYNC_EVERY: u64 = 32;
@@ -38,7 +36,6 @@ pub struct Recovery {
 pub struct Journal {
     file: std::fs::File,
     path: PathBuf,
-    crash: Option<Arc<CrashInjector>>,
     sync_every: u64,
     unsynced: u64,
 }
@@ -47,14 +44,6 @@ impl Journal {
     /// Opens (creating if needed) the journal at `path`, recovering any
     /// existing records and truncating a torn or corrupt tail.
     pub fn open(path: &Path) -> io::Result<(Journal, Recovery)> {
-        Journal::open_with(path, None)
-    }
-
-    /// [`Journal::open`] with a crash injector wired into every append.
-    pub fn open_with(
-        path: &Path,
-        crash: Option<Arc<CrashInjector>>,
-    ) -> io::Result<(Journal, Recovery)> {
         let mut file = OpenOptions::new()
             .read(true)
             .append(true)
@@ -93,7 +82,6 @@ impl Journal {
             Journal {
                 file,
                 path: path.to_owned(),
-                crash,
                 sync_every: DEFAULT_SYNC_EVERY,
                 unsynced: 0,
             },
@@ -110,26 +98,10 @@ impl Journal {
     /// (crash-after-append loses nothing); fsync happens per the batch
     /// interval.
     pub fn append(&mut self, payload: &[u8]) -> io::Result<()> {
-        let frame = record::encode(payload);
-        if let Some(inj) = &self.crash {
-            if inj.check(CrashSite::MidJournalRecord) {
-                // Stage the wreckage the crash would leave: a torn
-                // half-record at the tail, then die.
-                let torn = frame.len() / 2;
-                #[expect(clippy::let_underscore_must_use, reason = "crash staging")]
-                let _ = self.file.write_all(&frame[..torn]);
-                #[expect(clippy::let_underscore_must_use, reason = "crash staging")]
-                let _ = self.file.sync_all();
-                inj.crash(CrashSite::MidJournalRecord);
-            }
-        }
-        self.file.write_all(&frame)?;
+        self.file.write_all(&record::encode(payload))?;
         self.unsynced += 1;
         if self.unsynced >= self.sync_every {
             self.sync()?;
-        }
-        if let Some(inj) = &self.crash {
-            inj.maybe_crash(CrashSite::AfterJournalRecord);
         }
         Ok(())
     }
@@ -161,8 +133,7 @@ impl Journal {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::crash::{CrashPlan, CrashPoint};
-    use crate::testutil::scratch_dir;
+    use crate::testutil::{scratch_dir, wal_cuts};
 
     fn reopen(path: &Path) -> Recovery {
         Journal::open(path).expect("reopen").1
@@ -187,45 +158,43 @@ mod tests {
         assert!(!rec.torn_tail);
     }
 
+    /// Every state a crash can leave the file in, a record boundary or
+    /// a cut inside a record, recovers its whole records, cuts the torn
+    /// rest, and takes appends again.
     #[test]
-    fn mid_record_crash_leaves_replayable_prefix() {
-        let dir = scratch_dir("journal_torn");
+    fn every_cut_recovers_its_whole_records_and_heals() {
+        let dir = scratch_dir("journal_cuts");
         let path = dir.join("wal.bin");
-        let inj = Arc::new(CrashInjector::new(
-            CrashPlan::nowhere().at(CrashSite::MidJournalRecord, 2),
-        ));
-        let result = std::panic::catch_unwind(|| {
-            let (mut j, _) = Journal::open_with(&path, Some(inj.clone())).expect("open");
-            j.append(b"record-0").expect("append");
-            j.append(b"record-1").expect("append");
-            j.append(b"record-2").expect("append"); // dies half-way through
-            unreachable!("crash must fire");
-        });
-        let payload = result.expect_err("must crash");
-        assert!(payload.downcast_ref::<CrashPoint>().is_some());
-
-        let rec = reopen(&path);
-        assert_eq!(
-            rec.records,
-            vec![b"record-0".to_vec(), b"record-1".to_vec()]
-        );
-        assert!(rec.torn_tail, "half-written frame must be detected");
-        assert!(rec.truncated_bytes > 0);
-        // The truncation healed the file: appending works again and the
-        // next recovery sees old + new.
-        let (mut j, _) = Journal::open(&path).expect("reopen for append");
-        j.append(b"record-2-retry").expect("append");
-        drop(j);
-        let rec = reopen(&path);
-        assert_eq!(
-            rec.records,
-            vec![
-                b"record-0".to_vec(),
-                b"record-1".to_vec(),
-                b"record-2-retry".to_vec()
-            ]
-        );
-        assert!(!rec.torn_tail);
+        let written = [
+            b"record-0".to_vec(),
+            b"record-1".to_vec(),
+            b"record-2".to_vec(),
+        ];
+        {
+            let (mut j, _) = Journal::open(&path).expect("open");
+            for payload in &written {
+                j.append(payload).expect("append");
+            }
+        }
+        let wal = std::fs::read(&path).expect("read");
+        let cuts = wal_cuts(&wal);
+        assert_eq!(cuts.len(), 2 * written.len() + 1);
+        for cut in cuts {
+            std::fs::write(&path, &wal[..cut.len]).expect("cut");
+            let rec = reopen(&path);
+            assert_eq!(rec.records, written[..cut.records], "{cut:?}");
+            assert_eq!(rec.torn_tail, cut.torn, "{cut:?}");
+            let whole = cut.records * (record::HEADER_LEN + b"record-0".len());
+            assert_eq!(rec.truncated_bytes, (cut.len - whole) as u64, "{cut:?}");
+            // The truncation healed the file: the next record lands right
+            // after the last whole one.
+            let (mut j, _) = Journal::open(&path).expect("reopen for append");
+            j.append(b"retry").expect("append");
+            drop(j);
+            let rec = reopen(&path);
+            assert_eq!(rec.records.len(), cut.records + 1, "{cut:?}");
+            assert!(!rec.torn_tail, "{cut:?}");
+        }
     }
 
     #[test]

@@ -16,15 +16,15 @@
 //!   ([`write_atomic`]); a reader sees a complete old snapshot or a
 //!   complete new one, never a mix. A checkpoint subsumes and empties the
 //!   journal.
-//! * [`CrashPlan`] / [`CrashInjector`] — deterministic crash injection at
-//!   the durability boundaries ([`CrashSite`]), mirroring `sift-chaos`'s
-//!   `FaultPlan`: the same seed dies at the same byte, so
-//!   crash-and-resume tests replay exactly.
+//! * [`testutil::wal_cuts`] — the crash states of a journal, built from
+//!   the finished file: a journal is append-only, so a crash leaves a
+//!   prefix of it, cut at a record boundary or inside a record.
+//! * [`CrashInjector`] — crash injection at the two checkpoint
+//!   boundaries ([`CrashSite`]), which no file prefix can stand for.
 //!
 //! The invariant the rest of the workspace builds on: **crawl → crash at
-//! any injected point → resume → identical result to an uninterrupted
-//! same-seed run**, with only the record in flight at the crash ever
-//! re-fetched.
+//! any point → resume → identical result to an uninterrupted same-seed
+//! run**, with only the record in flight at the crash ever re-fetched.
 //!
 //! Recovery telemetry flows through `sift-obs`:
 //! `sift_journal_records_replayed_total`,
@@ -45,6 +45,6 @@ pub mod testutil;
 
 pub use atomic::{tmp_path, write_atomic};
 pub use checkpoint::{checkpoint_age, read_checkpoint, write_checkpoint};
-pub use crash::{CrashInjector, CrashMode, CrashPlan, CrashPoint, CrashSite};
+pub use crash::{CrashInjector, CrashSite};
 pub use crc::crc32;
 pub use journal::{Journal, Recovery};

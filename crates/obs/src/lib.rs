@@ -149,16 +149,6 @@ pub fn histogram(name: &str, labels: &[(&str, &str)]) -> Histogram {
     })
 }
 
-/// Like [`histogram`] with an explicit bucket layout (used only if this
-/// call is the first registration of the series).
-pub fn histogram_with_spec(name: &str, labels: &[(&str, &str)], spec: &HistogramSpec) -> Histogram {
-    HISTOGRAMS.with(|cache| {
-        cache
-            .borrow_mut()
-            .get_or_register(name, labels, || global().histogram(name, labels, spec))
-    })
-}
-
 /// Opens a span as a child of this thread's innermost open span (or as
 /// the root of a fresh, unrecorded trace when none is open); dropping
 /// the returned guard records its duration into the global
@@ -215,13 +205,6 @@ mod tests {
                 .get()
         };
         assert_eq!((series("2"), series("3")), (2, 1));
-
-        // The first registration's layout sticks; a cached hit reuses it.
-        let spec = HistogramSpec::log(1.0, 10.0, 3);
-        histogram_with_spec("lib_spec_seconds", &[], &spec).observe(5.0);
-        let again = histogram("lib_spec_seconds", &[]);
-        assert_eq!(again.count(), 1);
-        assert_eq!(again.state().bounds, spec.bounds());
     }
 
     #[test]

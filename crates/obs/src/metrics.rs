@@ -195,7 +195,7 @@ impl Histogram {
     }
 
     /// The bucket an observation falls into (`bounds.len()` = overflow).
-    pub fn bucket_index(&self, v: f64) -> usize {
+    fn bucket_index(&self, v: f64) -> usize {
         self.core.bounds.partition_point(|b| v > *b)
     }
 

@@ -249,8 +249,8 @@ impl Daemon {
         Daemon::start_with_crash(cfg, client, clock, dir, None)
     }
 
-    /// [`Daemon::start`] with a crash injector wired into every journal
-    /// append and checkpoint (tests of the crash-recovery invariant).
+    /// [`Daemon::start`] with a crash injector wired into every checkpoint
+    /// install (a crash elsewhere is a cut of a WAL, built from files).
     #[expect(clippy::disallowed_methods, reason = "staleness is host time")]
     pub fn start_with_crash(
         cfg: ServeConfig,
@@ -455,7 +455,7 @@ fn publish_checkpoint_age(cores: &[RegionCore]) -> Option<Duration> {
 }
 
 /// The ingest thread: poll the clock, fetch every closed frame, sleep
-/// when idle. A panic (crash injector in panic mode, or a bug) marks
+/// when idle. A panic (an injected checkpoint crash, or a bug) marks
 /// ingest dead and leaves the HTTP front serving last-good data —
 /// graceful degradation, not collapse.
 #[expect(clippy::disallowed_methods, reason = "the idle wait is host time")]

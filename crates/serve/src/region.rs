@@ -115,7 +115,7 @@ impl RegionCore {
             }
         }
         let checkpoint_age = recovered.as_ref().and_then(|_| checkpoint_age(&ckpt_path));
-        let (journal, recovery) = Journal::open_with(&dir.join("region.wal"), crash.clone())?;
+        let (journal, recovery) = Journal::open(&dir.join("region.wal"))?;
 
         let keep = usize::try_from(plan.frame_len).unwrap_or(usize::MAX);
         let mut core = match recovered {

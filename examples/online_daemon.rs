@@ -1,8 +1,9 @@
 //! The online detector daemon end-to-end: a seeded world is served by
 //! the daemon as the simulated clock advances — spikes seal and stream
-//! out over HTTP long-polls — then a second daemon is killed mid-ingest
-//! at a durability boundary and restarted, and the example diffs its
-//! recovered spike set against the uninterrupted one. Everything printed
+//! out over HTTP long-polls — then a second daemon's ingest is killed
+//! between a checkpoint's temp write and its rename, the daemon is
+//! restarted, and the example diffs its recovered spike set against the
+//! uninterrupted one. Everything printed
 //! to stdout is a pure function of the scenario seed (staleness and
 //! timing, which are host-dependent, go to stderr), so two executions
 //! with the same `--seed` print byte-identical reports —
@@ -13,7 +14,7 @@
 
 use sift::geo::State;
 use sift::journal::testutil::scratch_dir;
-use sift::journal::{CrashInjector, CrashPlan, CrashSite};
+use sift::journal::{CrashInjector, CrashSite};
 use sift::net::{HttpClient, Request};
 use sift::serve::{Daemon, ServeConfig, SpikesReply};
 use sift::simtime::{Hour, HourRange, SimClock};
@@ -180,12 +181,14 @@ fn main() {
     print_spikes("CA at simulated hour 800", &reference_ca);
     daemon.shutdown();
 
-    // --- Life two: the same world, but the ingest thread is killed at a
-    // seed-derived durability boundary; the front keeps serving.
+    // --- Life two: the same world, but the ingest thread is killed
+    // inside a seed-derived checkpoint install, after its temp file is
+    // written and before the rename; the front keeps serving.
     let crash_dir = scratch_dir(&format!("online_daemon_crash_{seed}"));
-    let occurrence = 2 + seed % 5;
+    let occurrence = seed % 3;
     let inj = Arc::new(CrashInjector::new(
-        CrashPlan::nowhere().at(CrashSite::AfterJournalRecord, occurrence),
+        CrashSite::CheckpointTempWritten,
+        occurrence,
     ));
     let clock = Arc::new(SimClock::new(Hour(800)));
     let crashed = Daemon::start_with_crash(
@@ -202,12 +205,13 @@ fn main() {
     assert!(inj.tripped());
     let during = read_spikes(&crashed, "TX");
     println!(
-        "\ningest killed after journal record {occurrence}; front still serves {} spike(s)",
+        "\ningest killed before checkpoint {} was renamed into place; front still serves {} spike(s)",
+        occurrence + 1,
         during.spikes.len()
     );
     crashed.shutdown();
 
-    // --- Life three: restart on the orphaned checkpoint + WAL and let
+    // --- Life three: restart on the previous checkpoint + WAL and let
     // recovery replay the tail through the same apply path.
     let resumed = Daemon::start(
         serve_config(),

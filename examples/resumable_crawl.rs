@@ -1,41 +1,44 @@
 //! A resumable crawl end-to-end: the same seeded study is run three ways
-//! — uninterrupted, killed at an injected durability boundary, and then
-//! resumed from the journals the crash left behind — and the example
-//! diffs the resumed result against the uninterrupted one field by
-//! field. Every fetch is a pure function of the scenario seed and the
-//! request coordinates, and the single-threaded schedule makes the crash
-//! land at the same fetch every time, so two executions with the same
-//! `--seed` and `--crash-at` print byte-identical reports —
-//! `scripts/check.sh` diffs exactly that.
+//! — uninterrupted, cut short by a crash, and then resumed from the
+//! journals the crash left behind — and the example diffs the resumed
+//! result against the uninterrupted one field by field. A region's
+//! journal is append-only, so a crash leaves a prefix of the finished
+//! file: the crash state is built by cutting each region's journal of the
+//! uninterrupted run inside, or just after, a seed-derived record. Every
+//! fetch is a pure function of the scenario seed and the request
+//! coordinates, so two executions with the same `--seed` and
+//! `--crash-at` print byte-identical reports — `scripts/check.sh` diffs
+//! exactly that.
 //!
 //! Run with:
 //! `cargo run --release --example resumable_crawl -- --seed 7 --crash-at after_journal_record`
-//! (`--crash-at` takes a site label or index: mid_journal_record, the
-//! default, or after_journal_record. A study's journals are never
-//! checkpointed, so the two checkpoint sites are refused.)
+//! (`--crash-at` takes a label or index: mid_journal_record, the
+//! default, cuts inside the record and leaves a torn tail;
+//! after_journal_record cuts just after it.)
 
 use sift::core::{run_study_durable, StudyDurability, StudyParams, StudyResult};
 use sift::fetcher::{trends_router, HttpTrendsClient};
 use sift::geo::State;
-use sift::journal::testutil::scratch_dir;
-use sift::journal::{CrashInjector, CrashPlan, CrashSite};
+use sift::journal::testutil::{copy_dir, scratch_dir, wal_cuts};
 use sift::net::Server;
 use sift::simtime::{Hour, HourRange};
 use sift::trends::events::{Cause, OutageEvent, PowerTrigger};
 use sift::trends::terms::Provider;
 use sift::trends::{Scenario, TrendsService};
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
+
+const CRASH_SITES: [&str; 2] = ["mid_journal_record", "after_journal_record"];
 
 struct Args {
     seed: u64,
-    crash_at: CrashSite,
+    /// Whether the cut leaves a torn record (mid_journal_record).
+    torn: bool,
 }
 
 fn parse_args() -> Args {
     let mut out = Args {
         seed: 7,
-        crash_at: CrashSite::MidJournalRecord,
+        torn: true,
     };
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -47,22 +50,13 @@ fn parse_args() -> Args {
                     .expect("--seed takes an integer");
             }
             "--crash-at" => {
-                let v = args.next().expect("--crash-at takes a site label or index");
-                out.crash_at = CrashSite::ALL
-                    .into_iter()
+                let v = args.next().expect("--crash-at takes a label or index");
+                let site = CRASH_SITES
+                    .iter()
                     .enumerate()
-                    .find(|(i, s)| s.label() == v || i.to_string() == v)
-                    .map(|(_, s)| s)
-                    .expect("unknown crash site");
-                assert!(
-                    matches!(
-                        out.crash_at,
-                        CrashSite::MidJournalRecord | CrashSite::AfterJournalRecord
-                    ),
-                    "{} never fires here: a study's journal is its whole state, so it is \
-                     never checkpointed; use mid_journal_record or after_journal_record",
-                    out.crash_at
-                );
+                    .position(|(i, s)| *s == v || i.to_string() == v)
+                    .expect("--crash-at takes mid_journal_record or after_journal_record");
+                out.torn = site == 0;
             }
             other => panic!("unknown flag {other}"),
         }
@@ -122,9 +116,6 @@ fn study_params() -> StudyParams {
     StudyParams {
         range: HourRange::new(Hour(0), Hour(800)),
         regions: vec![State::TX, State::CA],
-        // One worker: the crash occurrence then lands at the same fetch
-        // in every execution, keeping the printed report byte-identical.
-        threads: 1,
         ..StudyParams::default()
     }
 }
@@ -158,11 +149,8 @@ fn same_result(a: &StudyResult, b: &StudyResult) -> bool {
 
 fn main() {
     let args = parse_args();
-    println!(
-        "resumable crawl, seed {} crashing at {}",
-        args.seed,
-        args.crash_at.label()
-    );
+    let site = CRASH_SITES[usize::from(!args.torn)];
+    println!("resumable crawl, seed {} crashing at {site}", args.seed);
 
     let service = Arc::new(TrendsService::with_defaults(world(args.seed)));
     let server = Server::new(trends_router(Arc::clone(&service)))
@@ -177,31 +165,25 @@ fn main() {
         .expect("uninterrupted study");
     print_report("uninterrupted run", &reference);
 
-    // --- First life: die at the requested durability boundary. The
-    // occurrence is seed-derived, so different seeds die at different
-    // fetches; the default panic hook's note on stderr is the expected
-    // sign of the injected death.
+    // --- First life, as a crash leaves it: each region's journal of the
+    // reference life cut inside, or just after, a seed-derived record.
     let crash_dir = scratch_dir(&format!("resumable_crawl_{}", args.seed));
-    let occurrence = 1 + args.seed % 3;
-    let inj = Arc::new(CrashInjector::new(
-        CrashPlan::nowhere().at(args.crash_at, occurrence),
-    ));
-    let crashed = catch_unwind(AssertUnwindSafe(|| {
-        let durability = StudyDurability::new(&crash_dir).with_crash(Arc::clone(&inj));
-        let _ = run_study_durable(&client, &study_params(), &durability);
-    }))
-    .is_err();
-    assert!(
-        crashed && inj.tripped(),
-        "the injected crash must fire before the study completes"
-    );
-    println!(
-        "\ncrashed at {} (occurrence {occurrence})",
-        args.crash_at.label()
-    );
+    copy_dir(&clean_dir, &crash_dir);
+    let record = usize::try_from(5 + args.seed % 13).expect("small record index");
+    for state in [State::TX, State::CA] {
+        let wal = crash_dir.join(state.abbrev()).join("region.wal");
+        let bytes = std::fs::read(&wal).expect("read journal");
+        let records = record + usize::from(!args.torn);
+        let cut = wal_cuts(&bytes)
+            .into_iter()
+            .find(|cut| cut.records == records && cut.torn == args.torn)
+            .expect("the journal holds the record");
+        std::fs::write(&wal, &bytes[..cut.len]).expect("cut journal");
+    }
+    println!("\ncrashed at {site} (record {record} of each region's journal)");
 
-    // --- Second life: reopen the same directory with no injector and let
-    // recovery replay the journaled work.
+    // --- Second life: reopen the cut directory and let recovery replay
+    // the journaled work.
     let resumed = run_study_durable(&client, &study_params(), &StudyDurability::new(&crash_dir))
         .expect("resumed study");
     print_report("resumed run", &resumed);

@@ -143,10 +143,10 @@ same_seed_gate chaos "chaos replay" chaos_crawl --seed 7
 diff tests/golden/chaos-crawl-seed7.txt target/chaos-a.txt \
   || { echo "chaos report differs from tests/golden/chaos-crawl-seed7.txt" >&2; exit 1; }
 
-# Resume: the injected crash lands at the same fetch, recovery replays
-# the same journal, and the resumed result diffs clean against the
-# uninterrupted run inside the example itself — at both journal crash
-# sites (a torn record, a landed one).
+# Resume: the crash state is each region's journal cut at the same
+# seed-derived record, recovery replays the same prefix, and the resumed
+# result diffs clean against the uninterrupted run inside the example
+# itself — cut inside the record (a torn tail) and just after it.
 same_seed_gate resume-mid "resumed replay" resumable_crawl \
   --seed 7 --crash-at mid_journal_record
 same_seed_gate resume-after "resumed replay" resumable_crawl \

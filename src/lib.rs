@@ -19,8 +19,9 @@
 //! * [`probe`] — the active-probing baseline (ANT/Trinocular-style).
 //! * [`obs`] — zero-dependency metrics, span timing and causal traces,
 //!   exposed live at `GET /metrics`.
-//! * [`journal`] — crash-safe durability: write-ahead journal, atomic
-//!   checkpoints, deterministic crash injection for resumable crawls.
+//! * [`journal`] — crash-safe durability for resumable crawls:
+//!   write-ahead journal, atomic checkpoints, and the crash states that
+//!   resume tests build from a finished journal.
 //! * [`serve`] — SIFT-as-a-service: a crash-recoverable online detector
 //!   daemon with bounded-staleness reads and graceful degradation.
 //! * [`geo`], [`simtime`], [`nlp`] — geography, civil time and semantic

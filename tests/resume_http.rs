@@ -1,54 +1,96 @@
-//! Crash-consistency acceptance: a seeded HTTP crawl killed at each of
-//! its durability boundaries — mid-journal-record, at the `RoundDone`
-//! record that seals a re-fetch round (just after it lands, and half-way
-//! through writing it) and mid-refetch-round — must resume to the
-//! *identical* spike set, timelines and clusters an uninterrupted run
-//! produces, re-fetching at most the single response that was in flight
-//! when the process died. The in-process harness injects panics and
-//! recovers under `catch_unwind`; the out-of-process harness spawns this
-//! test binary as a child, aborts it at a journal boundary (no unwinding,
-//! no flushing — the closest stand-in for `kill -9`) and resumes from the
-//! orphaned journal files.
+//! Crash-consistency acceptance: a seeded crawl of two regions must
+//! resume, from every state a crash can leave its journals in, to the
+//! *identical* spike set, timelines, clusters and heavy hitters an
+//! uninterrupted run produces, and write the uninterrupted journals
+//! again byte for byte. A region's journal is append-only, so every
+//! crash state is a prefix of the finished file (Pillai et al., OSDI
+//! 2014): the sweep runs the study once, then cuts one region's journal
+//! at every record boundary and half-way through every record, with the
+//! other region's journal whole or empty, and resumes from each. The
+//! second test kills a real child process (SIGKILL: no unwinding, no
+//! flushing) while it crawls over HTTP, and resumes from the files it
+//! left.
 
 mod common;
 
 use common::world;
-use sift::core::{
-    plan_frames, run_study, run_study_durable, StudyDurability, StudyParams, StudyResult,
-};
+use sift::core::{run_study, run_study_durable, StudyDurability, StudyParams, StudyResult};
 use sift::fetcher::{trends_router, HttpTrendsClient};
-use sift::journal::testutil::scratch_dir;
-use sift::journal::{CrashInjector, CrashMode, CrashPlan, CrashSite};
+use sift::geo::State;
+use sift::journal::testutil::{copy_dir, scratch_dir, wal_cuts};
+use sift::journal::Journal;
 use sift::net::{Server, ServerHandle};
 use sift::simtime::{Hour, HourRange};
-use sift::trends::TrendsService;
-use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::Path;
-use std::sync::Arc;
+use sift::trends::{
+    FetchError, FrameRequest, FrameResponse, RisingRequest, RisingResponse, TrendsClient,
+    TrendsService,
+};
+use std::collections::HashMap;
+use std::path::{Path, PathBuf};
+use std::sync::{Arc, Mutex};
+use std::time::{Duration, Instant};
+
+const REGIONS: [State; 2] = [State::TX, State::CA];
 
 fn study_params() -> StudyParams {
     StudyParams {
         range: HourRange::new(Hour(0), Hour(800)),
-        regions: vec![sift::geo::State::TX, sift::geo::State::CA],
+        regions: REGIONS.to_vec(),
         threads: 2,
         ..StudyParams::default()
     }
 }
 
-/// A fresh service + HTTP server + client (no rate limiter: every
-/// service-side `frames_served` tick is then exactly one study fetch,
-/// which the zero-refetch accounting below relies on).
-fn http_stack(identity: &str) -> (Arc<TrendsService>, ServerHandle, HttpTrendsClient) {
-    let service = Arc::new(TrendsService::with_defaults(world(&[
-        sift::geo::State::TX,
-        sift::geo::State::CA,
-    ])));
-    let server = Server::new(trends_router(Arc::clone(&service)))
+/// A fresh service + HTTP server + client.
+fn http_stack(identity: &str) -> (ServerHandle, HttpTrendsClient) {
+    let service = Arc::new(TrendsService::with_defaults(world(&REGIONS)));
+    let server = Server::new(trends_router(service))
         .with_workers(4)
         .bind("127.0.0.1:0")
         .expect("bind");
     let client = HttpTrendsClient::new(server.addr(), identity);
-    (service, server, client)
+    (server, client)
+}
+
+/// The in-process service behind a per-region fetch counter, frames and
+/// rising suggestions alike.
+struct Counting {
+    service: TrendsService,
+    fetches: Mutex<HashMap<State, u64>>,
+}
+
+impl Counting {
+    fn new() -> Counting {
+        Counting {
+            service: TrendsService::with_defaults(world(&REGIONS)),
+            fetches: Mutex::new(HashMap::new()),
+        }
+    }
+
+    fn count(&self, state: State) {
+        *self.fetches.lock().unwrap().entry(state).or_default() += 1;
+    }
+
+    fn fetches(&self, state: State) -> u64 {
+        self.fetches
+            .lock()
+            .unwrap()
+            .get(&state)
+            .copied()
+            .unwrap_or(0)
+    }
+}
+
+impl TrendsClient for Counting {
+    fn fetch_frame(&self, req: &FrameRequest) -> Result<FrameResponse, FetchError> {
+        self.count(req.state);
+        self.service.fetch_frame(req).map_err(FetchError::Service)
+    }
+
+    fn fetch_rising(&self, req: &RisingRequest) -> Result<RisingResponse, FetchError> {
+        self.count(req.state);
+        self.service.fetch_rising(req).map_err(FetchError::Service)
+    }
 }
 
 fn assert_same_result(resumed: &StudyResult, baseline: &StudyResult, what: &str) {
@@ -76,185 +118,217 @@ fn assert_same_result(resumed: &StudyResult, baseline: &StudyResult, what: &str)
     );
 }
 
-/// Runs the uninterrupted reference crawls; returns the plain result and
-/// the number of requests an uninterrupted *durable* run costs. The two
-/// baselines differ: journaling dedupes repeat rising fetches within a
-/// run (recorded once, replayed after), so the durable run is the fair
-/// served-count yardstick — after first asserting it produces the exact
-/// same result as the journal-free path.
-fn baseline() -> (StudyResult, u64) {
-    let (_plain_service, plain_server, plain_client) = http_stack("127.0.0.10");
-    let result = run_study(&plain_client, &study_params()).expect("uninterrupted study");
-    plain_server.shutdown();
-
-    let (service, server, client) = http_stack("127.0.0.10");
-    let durable = run_study_durable(
-        &client,
-        &study_params(),
-        &StudyDurability::new(scratch_dir("resume_http_baseline")),
-    )
-    .expect("uninterrupted durable study");
-    let stats = service.stats();
-    server.shutdown();
-    assert_same_result(&durable, &result, "uninterrupted durable vs plain");
-    (result, stats.frames_served + stats.rising_served)
+fn wal_path(dir: &Path, state: State) -> PathBuf {
+    dir.join(state.abbrev()).join("region.wal")
 }
 
-#[test]
-fn crawl_killed_at_each_crash_point_resumes_to_the_identical_result() {
-    let (reference, served_uninterrupted) = baseline();
-
-    // The pinned crash points of the acceptance criteria: `(site,
-    // occurrence, first-life threads, the round TX then resumes at)`.
-    // The two at the round seal run their first life on one worker, so
-    // that the occurrence is the same record every time: TX journals its
-    // study record, then per round one frame per slot and the `RoundDone`
-    // that seals it. Landed, round 1's seal resumes TX at round 2; torn,
-    // at round 1, which is recovered slot by slot and sealed again.
-    let params = study_params();
-    let slots = u64::try_from(plan_frames(params.range, params.plan).len()).unwrap();
-    let seal_of_round_1 = 2 * slots + 2;
-    let crash_points = [
-        (
-            CrashSite::MidJournalRecord,
-            5,
-            2,
-            None,
-            "mid-journal-record",
-        ),
-        (
-            CrashSite::AfterJournalRecord,
-            seal_of_round_1,
-            1,
-            Some(2),
-            "after the round seal",
-        ),
-        (
-            CrashSite::MidJournalRecord,
-            seal_of_round_1,
-            1,
-            Some(1),
-            "torn round seal",
-        ),
-        (
-            CrashSite::AfterJournalRecord,
-            13,
-            2,
-            None,
-            "mid-refetch-round",
-        ),
-    ];
-
-    for (site, occurrence, threads, tx_resumes_at, what) in crash_points {
-        // Crashed and resumed runs share one service instance, so its
-        // counters accumulate the combined network cost of both lives.
-        let (service, server, client) = http_stack("127.0.0.11");
-        let dir = scratch_dir(&format!("resume_http_{}", site.label()));
-
-        let inj = Arc::new(CrashInjector::new(
-            CrashPlan::nowhere().at(site, occurrence),
-        ));
-        let first_life = StudyParams {
-            threads,
-            ..study_params()
-        };
-        let crashed = catch_unwind(AssertUnwindSafe(|| {
-            let durability = StudyDurability::new(&dir).with_crash(Arc::clone(&inj));
-            let _ = run_study_durable(&client, &first_life, &durability);
-        }))
-        .is_err();
-        assert!(crashed && inj.tripped(), "{what}: injected crash must fire");
-
-        let resumed = run_study_durable(&client, &study_params(), &StudyDurability::new(&dir))
-            .expect("resumed study");
-        let stats = service.stats();
-        server.shutdown();
-
-        assert_same_result(&resumed, &reference, what);
-        if let Some(round) = tx_resumes_at {
-            assert!(
-                resumed
-                    .stats
-                    .resumed_from_round
-                    .contains(&(sift::geo::State::TX, round)),
-                "{what}: the crash must land on the seal, stats: {:?}",
-                resumed.stats
-            );
-        }
+fn assert_same_wals(dir: &Path, finished: &Path, what: &str) {
+    for state in REGIONS {
+        let (got, want) = (wal_path(dir, state), wal_path(finished, state));
         assert!(
-            resumed.stats.frames_replayed > 0,
-            "{what}: resume must replay journaled work, stats: {:?}",
-            resumed.stats
-        );
-
-        // Zero-refetch invariant: across both lives, the service saw the
-        // uninterrupted workload plus at most the one response that was
-        // in flight at the crash.
-        let served = stats.frames_served + stats.rising_served;
-        assert!(
-            served >= served_uninterrupted,
-            "{what}: served {served} < uninterrupted {served_uninterrupted}"
-        );
-        assert!(
-            served <= served_uninterrupted + 1,
-            "{what}: {} journaled responses were re-fetched",
-            served - served_uninterrupted
+            std::fs::read(got).unwrap() == std::fs::read(want).unwrap(),
+            "{what}: {state}'s journal differs from the uninterrupted one"
         );
     }
 }
 
+/// The uninterrupted run: the plain result, the directory of a durable
+/// run that finished (after asserting it produced the same result), and
+/// what that durable run fetched per region.
+fn uninterrupted(tag: &str) -> (StudyResult, PathBuf, HashMap<State, u64>) {
+    let service = TrendsService::with_defaults(world(&REGIONS));
+    let reference = run_study(&service, &study_params()).expect("uninterrupted study");
+    let finished = scratch_dir(&format!("resume_http_finished_{tag}"));
+    let client = Counting::new();
+    let durable = run_study_durable(&client, &study_params(), &StudyDurability::new(&finished))
+        .expect("uninterrupted durable study");
+    assert_same_result(&durable, &reference, "uninterrupted durable vs plain");
+    let fetches = REGIONS.map(|s| (s, client.fetches(s))).into();
+    (reference, finished, fetches)
+}
+
+#[test]
+fn crawl_killed_at_each_crash_point_resumes_to_the_identical_result() {
+    let (reference, finished, uninterrupted) = uninterrupted("sweep");
+    let params = study_params();
+    let round_1_seal = br#"{"RoundDone":{"round":1}}"#;
+    let (mut states, mut at_round_1_seal) = (0, 0);
+
+    for (region, other) in [(State::TX, State::CA), (State::CA, State::TX)] {
+        let wal = std::fs::read(wal_path(&finished, region)).unwrap();
+        let records = Journal::open(&wal_path(&finished, region))
+            .unwrap()
+            .1
+            .records;
+        let frame_records = |n: usize| {
+            let frames = records[..n].iter().filter(|r| r.starts_with(b"{\"Frame\""));
+            frames.count() as u64
+        };
+        let other_frames = {
+            let other_records = Journal::open(&wal_path(&finished, other)).unwrap().1;
+            let frames = other_records.records.iter();
+            frames.filter(|r| r.starts_with(b"{\"Frame\"")).count() as u64
+        };
+        // What the resume fetched for `region` at the last record boundary.
+        let mut at_boundary: Option<u64> = None;
+
+        for cut in wal_cuts(&wal) {
+            let prefix = &records[..cut.records];
+            let seals = prefix.iter().filter(|r| r.starts_with(b"{\"RoundDone\""));
+            let seals = seals.count() as u32;
+            let mut costs = Vec::new();
+            for other_whole in [true, false] {
+                let what = format!(
+                    "{region} cut {cut:?}, {other} {}",
+                    if other_whole { "whole" } else { "empty" }
+                );
+                let dir = scratch_dir("resume_http_cut");
+                copy_dir(&finished, &dir);
+                std::fs::write(wal_path(&dir, region), &wal[..cut.len]).unwrap();
+                if !other_whole {
+                    std::fs::write(wal_path(&dir, other), b"").unwrap();
+                }
+
+                let client = Counting::new();
+                let resumed = run_study_durable(&client, &params, &StudyDurability::new(&dir))
+                    .unwrap_or_else(|e| panic!("{what}: resume failed: {e}"));
+                assert_same_result(&resumed, &reference, &what);
+                assert_same_wals(&dir, &finished, &what);
+                assert!(
+                    resumed.stats.resumed_from_round.contains(&(region, seals)),
+                    "{what}: {region} must resume after its last whole seal, stats: {:?}",
+                    resumed.stats
+                );
+                let other_replayed = if other_whole { other_frames } else { 0 };
+                assert_eq!(
+                    resumed.stats.frames_replayed,
+                    frame_records(cut.records) + other_replayed,
+                    "{what}: every whole frame record replays"
+                );
+                let other_cost = if other_whole {
+                    0
+                } else {
+                    uninterrupted[&other]
+                };
+                assert_eq!(client.fetches(other), other_cost, "{what}");
+                costs.push(client.fetches(region));
+                states += 1;
+                std::fs::remove_dir_all(&dir).unwrap();
+            }
+            let what = format!("{region} cut {cut:?}");
+            assert_eq!(
+                costs[0], costs[1],
+                "{what}: the other region changed the cost"
+            );
+            let cost = costs[0];
+
+            // Round 1's seal: landed, the region resumes at round 2; torn,
+            // at round 1, which it recovers slot by slot and seals again.
+            let landed = !cut.torn && cut.records > 0 && records[cut.records - 1] == round_1_seal;
+            let torn = cut.torn && records[cut.records] == round_1_seal;
+            if landed || torn {
+                assert_eq!(seals, if landed { 2 } else { 1 }, "{what}");
+                at_round_1_seal += 1;
+            }
+
+            // Refetch accounting: a torn record costs what the boundary
+            // before it costs; each whole record saves at most one fetch.
+            match at_boundary {
+                None => assert_eq!(cost, uninterrupted[&region], "{what}: the empty journal"),
+                Some(before) if cut.torn => assert_eq!(cost, before, "{what}"),
+                Some(before) => assert!(
+                    cost == before || cost + 1 == before,
+                    "{what}: one record saved {} fetches",
+                    before as i64 - cost as i64
+                ),
+            }
+            if !cut.torn {
+                at_boundary = Some(cost);
+            }
+        }
+        assert_eq!(
+            at_boundary,
+            Some(0),
+            "{region}: the whole journal costs nothing"
+        );
+    }
+    assert!(states >= 384, "{states} crash states");
+    assert_eq!(
+        at_round_1_seal,
+        2 * 2,
+        "round 1's seal, landed and torn, per region"
+    );
+}
+
 const CHILD_ENV: &str = "SIFT_RESUME_CHILD_DIR";
 
-/// The child's half of the out-of-process harness: crawl durably against
-/// its own server and die by `abort()` at a journal boundary. Never
-/// returns through the normal path unless the injector failed to fire —
-/// then it exits 0, which the parent treats as a harness failure.
-fn child_crawl_and_abort(dir: &Path) {
-    let (_service, _server, client) = http_stack("127.0.0.12");
-    let inj = Arc::new(CrashInjector::new(
-        CrashPlan::nowhere()
-            .at(CrashSite::AfterJournalRecord, 11)
-            .with_mode(CrashMode::Abort),
-    ));
-    let durability = StudyDurability::new(dir).with_crash(inj);
-    let _ = run_study_durable(&client, &study_params(), &durability);
-    std::process::exit(0);
+/// Whole records TX's journal must hold before the parent kills the child.
+const KILL_AFTER_RECORDS: usize = 10;
+
+/// The child's half of the out-of-process harness: crawl durably over
+/// HTTP, pausing before each fetch so the kill lands mid-crawl, then wait
+/// to be killed.
+fn child_crawl(dir: &Path) -> ! {
+    let (_server, client) = http_stack("127.0.0.12");
+    struct Paced(HttpTrendsClient);
+    impl TrendsClient for Paced {
+        fn fetch_frame(&self, req: &FrameRequest) -> Result<FrameResponse, FetchError> {
+            std::thread::sleep(Duration::from_millis(5));
+            self.0.fetch_frame(req)
+        }
+        fn fetch_rising(&self, req: &RisingRequest) -> Result<RisingResponse, FetchError> {
+            std::thread::sleep(Duration::from_millis(5));
+            self.0.fetch_rising(req)
+        }
+    }
+    let _ = run_study_durable(&Paced(client), &study_params(), &StudyDurability::new(dir));
+    loop {
+        std::thread::sleep(Duration::from_secs(1));
+    }
 }
 
 #[test]
 fn process_killed_without_unwinding_resumes_to_the_identical_result() {
     if let Ok(dir) = std::env::var(CHILD_ENV) {
-        child_crawl_and_abort(Path::new(&dir));
-        unreachable!("child must abort or exit");
+        child_crawl(Path::new(&dir));
     }
 
-    let (reference, _) = baseline();
+    let (reference, finished, _) = uninterrupted("kill");
     let dir = scratch_dir("resume_http_child");
-
-    let exe = std::env::current_exe().expect("test binary path");
-    let status = std::process::Command::new(exe)
+    let mut child = std::process::Command::new(std::env::current_exe().unwrap())
         .arg("process_killed_without_unwinding_resumes_to_the_identical_result")
         .arg("--exact")
         .arg("--test-threads=1")
         .env(CHILD_ENV, &dir)
         .stdout(std::process::Stdio::null())
         .stderr(std::process::Stdio::null())
-        .status()
+        .spawn()
         .expect("spawn child test process");
-    assert!(
-        !status.success(),
-        "child must die at the injected abort, not complete"
-    );
 
-    // The orphaned journal files survive the kill; resuming from them in
-    // this process reproduces the reference result.
-    let resumed = run_study_durable(
-        &http_stack("127.0.0.13").2,
-        &study_params(),
-        &StudyDurability::new(&dir),
-    )
-    .expect("resume from the killed child's journals");
+    // Kill it once TX's journal holds enough records. The kill may land
+    // anywhere, mid-record included: every instant is a crash state.
+    let deadline = Instant::now() + Duration::from_secs(60);
+    let records = || {
+        let wal = std::fs::read(wal_path(&dir, State::TX)).unwrap_or_default();
+        wal_cuts(&wal).last().map_or(0, |cut| cut.records)
+    };
+    while records() < KILL_AFTER_RECORDS && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    child.kill().expect("kill child");
+    let status = child.wait().expect("reap child");
+    assert!(
+        records() >= KILL_AFTER_RECORDS,
+        "the child journaled too little"
+    );
+    assert!(!status.success(), "the child must die by the kill");
+
+    let (server, client) = http_stack("127.0.0.13");
+    let resumed = run_study_durable(&client, &study_params(), &StudyDurability::new(&dir))
+        .expect("resume from the killed child's journals");
+    server.shutdown();
     assert_same_result(&resumed, &reference, "out-of-process kill");
+    assert_same_wals(&dir, &finished, "out-of-process kill");
     assert!(
         resumed.stats.frames_replayed > 0,
         "resume must replay the child's journaled work"

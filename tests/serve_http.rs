@@ -2,17 +2,23 @@
 //!
 //! Four properties are exercised end-to-end:
 //!
-//! 1. **Crash recovery, in-process** — the ingest thread is killed by an
-//!    injected panic at each durability boundary (mid-record, after a
-//!    record, between a checkpoint's temp write and rename, and between
-//!    rename and WAL truncation); the HTTP front keeps serving last-good
-//!    data, and a daemon restarted on the same directory catches up to
-//!    the *identical* spike set an uninterrupted daemon produces,
-//!    re-fetching at most the single torn frame.
+//! 1. **Crash recovery, in-process** — a region's WAL is append-only, so
+//!    every state a crash can leave it in is a prefix of the finished
+//!    file: the sweep runs a daemon once, cuts one region's WAL at every
+//!    record boundary and half-way through every record, and restarts a
+//!    daemon on each cut. Without checkpoints the cut is the whole
+//!    state; at the checkpoint cadence it is the tail behind the last
+//!    checkpoint. The two checkpoint boundaries (between a checkpoint's
+//!    temp write and its rename, and just after the rename) kill the
+//!    ingest thread with an injected panic; the HTTP front keeps serving
+//!    last-good data. Every restart catches up to the *identical* spike
+//!    set an uninterrupted daemon produces, fetching only the frames the
+//!    crash lost.
 //! 2. **Crash recovery, out-of-process** — this test binary is spawned
-//!    as a child that `abort()`s mid-ingest (no unwinding, no flushing —
-//!    the closest stand-in for `kill -9`); the parent resumes from the
-//!    orphaned files to the identical spike set.
+//!    as a child that ingests from a paced upstream; the parent kills it
+//!    (SIGKILL: no unwinding, no flushing) once its first checkpoint
+//!    lands, and resumes from the orphaned files to the identical spike
+//!    set.
 //! 3. **Overload** — three long-poll subscribers park (holding worker
 //!    threads but no admission slots, so a fresh read still succeeds
 //!    with `max_inflight = 1`); with the accept queue then pinned, a 4×
@@ -27,8 +33,8 @@ mod common;
 
 use common::world;
 use sift::geo::State;
-use sift::journal::testutil::scratch_dir;
-use sift::journal::{CrashInjector, CrashMode, CrashPlan, CrashSite};
+use sift::journal::testutil::{copy_dir, scratch_dir, wal_cuts};
+use sift::journal::{CrashInjector, CrashSite};
 use sift::net::{AdmissionConfig, HttpClient, Request, Response, StatusCode};
 use sift::serve::{Daemon, RegionsReply, ServeConfig, SpikesReply};
 use sift::simtime::{Hour, HourRange, SimClock};
@@ -38,7 +44,7 @@ use sift::trends::{
 };
 use std::io::Read;
 use std::net::TcpStream;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -86,14 +92,20 @@ impl TrendsClient for Upstream {
 
 const RANGE_END: i64 = 800;
 
-fn serve_config() -> ServeConfig {
-    let mut cfg = ServeConfig::new(
+/// The served study at the default checkpoint cadence.
+fn default_config() -> ServeConfig {
+    ServeConfig::new(
         SearchTerm::parse("topic:Internet outage"),
         vec![State::TX, State::CA],
         HourRange::new(Hour(0), Hour(RANGE_END)),
-    );
-    cfg.checkpoint_every = 3;
-    cfg
+    )
+}
+
+fn serve_config() -> ServeConfig {
+    ServeConfig {
+        checkpoint_every: 3,
+        ..default_config()
+    }
 }
 
 fn get(addr: std::net::SocketAddr, path: &str) -> Response {
@@ -126,31 +138,18 @@ fn poll_until(what: &str, mut done: impl FnMut() -> bool) {
 
 /// Runs an uninterrupted daemon over the full range and returns its
 /// per-region spike replies plus the number of upstream fetches it cost.
-fn baseline(upstream: &Arc<Upstream>, tag: &str) -> (SpikesReply, SpikesReply, u64) {
+fn baseline(upstream: &Arc<Upstream>, tag: &str) -> ([SpikesReply; 2], u64) {
     let before = upstream.fetches.load(Ordering::SeqCst);
-    let clock = Arc::new(SimClock::new(Hour(RANGE_END)));
     let dir = scratch_dir(&format!("serve_http_baseline_{tag}"));
-    let daemon = Daemon::start(
-        serve_config(),
-        Arc::clone(upstream) as Arc<dyn TrendsClient>,
-        clock,
-        &dir,
-    )
-    .expect("start baseline daemon");
-    assert!(
-        daemon.wait_caught_up(Duration::from_secs(30)),
-        "baseline daemon must catch up"
-    );
-    let tx = body_json::<SpikesReply>(&get(daemon.addr(), "/spikes?region=TX"));
-    let ca = body_json::<SpikesReply>(&get(daemon.addr(), "/spikes?region=CA"));
-    daemon.shutdown();
-    assert!(
-        !tx.spikes.is_empty() && !ca.spikes.is_empty(),
-        "the seeded world must produce sealed spikes (TX {}, CA {})",
-        tx.spikes.len(),
-        ca.spikes.len()
-    );
-    (tx, ca, upstream.fetches.load(Ordering::SeqCst) - before)
+    let replies = run_to_the_end(upstream, serve_config(), &dir, "baseline");
+    for reply in &replies {
+        assert!(
+            !reply.spikes.is_empty(),
+            "the seeded world must produce sealed spikes in {}",
+            reply.region
+        );
+    }
+    (replies, upstream.fetches.load(Ordering::SeqCst) - before)
 }
 
 fn assert_same_spikes(resumed: &SpikesReply, reference: &SpikesReply, what: &str) {
@@ -165,15 +164,98 @@ fn assert_same_spikes(resumed: &SpikesReply, reference: &SpikesReply, what: &str
     );
 }
 
+/// Starts a daemon on `dir`, waits for it to catch up with the clock at
+/// the range's end, and returns its TX and CA spike replies.
+fn run_to_the_end(
+    upstream: &Arc<Upstream>,
+    cfg: ServeConfig,
+    dir: &Path,
+    what: &str,
+) -> [SpikesReply; 2] {
+    let clock = Arc::new(SimClock::new(Hour(RANGE_END)));
+    let daemon = Daemon::start(
+        cfg,
+        Arc::clone(upstream) as Arc<dyn TrendsClient>,
+        clock,
+        dir,
+    )
+    .unwrap_or_else(|e| panic!("{what}: start daemon: {e}"));
+    assert!(
+        daemon.wait_caught_up(Duration::from_secs(30)),
+        "{what}: daemon must catch up"
+    );
+    let replies =
+        ["TX", "CA"].map(|r| body_json(&get(daemon.addr(), &format!("/spikes?region={r}"))));
+    daemon.shutdown();
+    replies
+}
+
+fn wal_path(dir: &Path, state: State) -> PathBuf {
+    dir.join(state.abbrev()).join("region.wal")
+}
+
+/// Runs a daemon at `checkpoint_every` once, then restarts one on every
+/// cut of each region's finished WAL (the other region whole): each
+/// catches up to the reference spikes, fetching exactly the frames whose
+/// records the cut lost, and writes the finished WAL again. Returns the
+/// number of crash states.
+fn sweep_wal_cuts(
+    upstream: &Arc<Upstream>,
+    checkpoint_every: u64,
+    reference: &[SpikesReply; 2],
+) -> usize {
+    let cfg = ServeConfig {
+        checkpoint_every,
+        ..serve_config()
+    };
+    let finished = scratch_dir(&format!("serve_http_finished_{checkpoint_every}"));
+    let replies = run_to_the_end(upstream, cfg.clone(), &finished, "uninterrupted");
+    for (got, want) in replies.iter().zip(reference) {
+        assert_same_spikes(got, want, &format!("checkpoint_every {checkpoint_every}"));
+    }
+    let mut states = 0;
+    for region in [State::TX, State::CA] {
+        let wal = std::fs::read(wal_path(&finished, region)).unwrap();
+        let cuts = wal_cuts(&wal);
+        let records = cuts.last().unwrap().records;
+        for cut in cuts {
+            let what = format!("checkpoint_every {checkpoint_every}, {region} cut {cut:?}");
+            let dir = scratch_dir("serve_http_cut");
+            copy_dir(&finished, &dir);
+            std::fs::write(wal_path(&dir, region), &wal[..cut.len]).unwrap();
+            let before = upstream.fetches.load(Ordering::SeqCst);
+            let replies = run_to_the_end(upstream, cfg.clone(), &dir, &what);
+            for (got, want) in replies.iter().zip(reference) {
+                assert_same_spikes(got, want, &what);
+            }
+            let fetched = upstream.fetches.load(Ordering::SeqCst) - before;
+            assert_eq!(fetched as usize, records - cut.records, "{what}: fetches");
+            assert!(
+                std::fs::read(wal_path(&dir, region)).unwrap() == wal,
+                "{what}: the restarted daemon's WAL differs"
+            );
+            std::fs::remove_dir_all(&dir).unwrap();
+            states += 1;
+        }
+    }
+    states
+}
+
 #[test]
 fn daemon_killed_at_each_crash_point_resumes_to_identical_spikes() {
     let _serial = RUN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let upstream = Upstream::new();
-    let (ref_tx, ref_ca, fetches_uninterrupted) = baseline(&upstream, "inproc");
+    let (reference, fetches_uninterrupted) = baseline(&upstream, "inproc");
+
+    // With no checkpoint, a cut WAL is the daemon's whole durable state.
+    let states = sweep_wal_cuts(&upstream, u64::MAX, &reference);
+    assert!(states >= 38, "{states} crash states without checkpoints");
+    // At the default cadence, the cut is the tail behind the last
+    // checkpoint.
+    let states = sweep_wal_cuts(&upstream, default_config().checkpoint_every, &reference);
+    assert!(states > 2, "{states} crash states in the checkpointed tail");
 
     let crash_points = [
-        (CrashSite::MidJournalRecord, 4, "mid-journal-record"),
-        (CrashSite::AfterJournalRecord, 7, "after-journal-record"),
         (
             CrashSite::CheckpointTempWritten,
             2,
@@ -190,11 +272,9 @@ fn daemon_killed_at_each_crash_point_resumes_to_identical_spikes() {
     for (site, occurrence, what) in crash_points {
         let before = upstream.fetches.load(Ordering::SeqCst);
         let deaths_before = ingest_deaths();
-        let dir = scratch_dir(&format!("serve_http_{}", site.label()));
+        let dir = scratch_dir(&format!("serve_http_{site:?}"));
         let clock = Arc::new(SimClock::new(Hour(RANGE_END)));
-        let inj = Arc::new(CrashInjector::new(
-            CrashPlan::nowhere().at(site, occurrence),
-        ));
+        let inj = Arc::new(CrashInjector::new(site, occurrence));
 
         let crashed = Daemon::start_with_crash(
             serve_config(),
@@ -220,32 +300,19 @@ fn daemon_killed_at_each_crash_point_resumes_to_identical_spikes() {
 
         // Restart on the same directory: checkpoint + WAL-tail replay
         // must reach the identical spike set.
-        let resumed = Daemon::start(
-            serve_config(),
-            Arc::clone(&upstream) as Arc<dyn TrendsClient>,
-            clock,
-            &dir,
-        )
-        .expect("restart daemon");
-        assert!(
-            resumed.wait_caught_up(Duration::from_secs(30)),
-            "{what}: resumed daemon must catch up"
-        );
-        let tx = body_json::<SpikesReply>(&get(resumed.addr(), "/spikes?region=TX"));
-        let ca = body_json::<SpikesReply>(&get(resumed.addr(), "/spikes?region=CA"));
-        assert_same_spikes(&tx, &ref_tx, what);
-        assert_same_spikes(&ca, &ref_ca, what);
+        let replies = run_to_the_end(&upstream, serve_config(), &dir, what);
+        for (got, want) in replies.iter().zip(&reference) {
+            assert_same_spikes(got, want, what);
+        }
 
-        // Zero-refetch accounting: across both lives the upstream served
-        // the uninterrupted workload plus at most the one frame whose
-        // record was torn mid-append.
+        // Zero-refetch accounting: both lives together fetched the
+        // uninterrupted workload, plus at most the frame in flight.
         let fetched = upstream.fetches.load(Ordering::SeqCst) - before;
         assert!(
             fetched >= fetches_uninterrupted && fetched <= fetches_uninterrupted + 1,
             "{what}: {fetched} fetches vs uninterrupted {fetches_uninterrupted} — \
              journaled frames must replay, not refetch"
         );
-        resumed.shutdown();
     }
 }
 
@@ -301,75 +368,69 @@ fn spikes_endpoint_filters_validates_and_reports_status() {
 
 const CHILD_ENV: &str = "SIFT_SERVE_CHILD_DIR";
 
-/// The child's half of the out-of-process harness: ingest against its
-/// own in-process upstream and die by `abort()` at a journal boundary.
-/// Never returns unless the injector failed to fire — then it exits 0,
-/// which the parent treats as a harness failure.
-fn child_ingest_and_abort(dir: &Path) {
-    let upstream = Upstream::new();
+/// The child's half of the out-of-process harness: ingest from an
+/// upstream that pauses before each frame, so the kill lands mid-ingest,
+/// then wait to be killed.
+fn child_ingest(dir: &Path) -> ! {
+    struct Paced(Arc<Upstream>);
+    impl TrendsClient for Paced {
+        fn fetch_frame(&self, req: &FrameRequest) -> Result<FrameResponse, FetchError> {
+            std::thread::sleep(Duration::from_millis(20));
+            self.0.fetch_frame(req)
+        }
+        fn fetch_rising(&self, req: &RisingRequest) -> Result<RisingResponse, FetchError> {
+            self.0.fetch_rising(req)
+        }
+    }
     let clock = Arc::new(SimClock::new(Hour(RANGE_END)));
-    let inj = Arc::new(CrashInjector::new(
-        CrashPlan::nowhere()
-            .at(CrashSite::AfterJournalRecord, 9)
-            .with_mode(CrashMode::Abort),
-    ));
-    let daemon = Daemon::start_with_crash(
-        serve_config(),
-        upstream as Arc<dyn TrendsClient>,
-        clock,
-        dir,
-        Some(inj),
-    )
-    .expect("child daemon");
-    // The abort (whole-process death, no unwinding) fires from the
-    // ingest thread long before this times out.
-    let _ = daemon.wait_caught_up(Duration::from_secs(30));
-    std::process::exit(0);
+    let upstream = Arc::new(Paced(Upstream::new()));
+    let _daemon = Daemon::start(serve_config(), upstream, clock, dir).expect("child daemon");
+    loop {
+        std::thread::sleep(Duration::from_secs(1));
+    }
 }
 
 #[test]
 fn process_aborted_mid_ingest_resumes_to_identical_spikes() {
     if let Ok(dir) = std::env::var(CHILD_ENV) {
-        child_ingest_and_abort(Path::new(&dir));
-        unreachable!("child must abort");
+        child_ingest(Path::new(&dir));
     }
 
     let _serial = RUN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let upstream = Upstream::new();
-    let (ref_tx, ref_ca, _) = baseline(&upstream, "abort");
+    let (reference, _) = baseline(&upstream, "kill");
     let dir = scratch_dir("serve_http_child");
 
     let exe = std::env::current_exe().expect("test binary path");
-    let status = std::process::Command::new(exe)
+    let mut child = std::process::Command::new(exe)
         .arg("process_aborted_mid_ingest_resumes_to_identical_spikes")
         .arg("--exact")
         .arg("--test-threads=1")
         .env(CHILD_ENV, &dir)
         .stdout(std::process::Stdio::null())
         .stderr(std::process::Stdio::null())
-        .status()
+        .spawn()
         .expect("spawn child test process");
-    assert!(
-        !status.success(),
-        "child must die at the injected abort, not complete"
-    );
+
+    // Kill it once TX's first checkpoint has landed. The kill may land
+    // anywhere, mid-record or mid-checkpoint included: every instant is
+    // a crash state.
+    let checkpoint = dir.join("TX").join("region.ckpt");
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while !checkpoint.exists() && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    child.kill().expect("kill child");
+    let status = child.wait().expect("reap child");
+    assert!(checkpoint.exists(), "the child never checkpointed");
+    assert!(!status.success(), "the child must die by the kill");
 
     // The orphaned checkpoint + WAL survive the kill; a daemon resumed
     // on them reproduces the uninterrupted spike set exactly.
-    let clock = Arc::new(SimClock::new(Hour(RANGE_END)));
-    let resumed = Daemon::start(
-        serve_config(),
-        Arc::clone(&upstream) as Arc<dyn TrendsClient>,
-        clock,
-        &dir,
-    )
-    .expect("resume from the killed child's files");
-    assert!(resumed.wait_caught_up(Duration::from_secs(30)));
-    let tx = body_json::<SpikesReply>(&get(resumed.addr(), "/spikes?region=TX"));
-    let ca = body_json::<SpikesReply>(&get(resumed.addr(), "/spikes?region=CA"));
-    assert_same_spikes(&tx, &ref_tx, "out-of-process abort");
-    assert_same_spikes(&ca, &ref_ca, "out-of-process abort");
-    resumed.shutdown();
+    let replies = run_to_the_end(&upstream, serve_config(), &dir, "out-of-process kill");
+    for (got, want) in replies.iter().zip(&reference) {
+        assert_same_spikes(got, want, "out-of-process kill");
+    }
 }
 
 #[test]
