@@ -260,7 +260,6 @@ proptest! {
             granted.windows(2).all(|w| w[0] < w[1]),
             "granted epochs must be strictly increasing: {granted:?}"
         );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// Cutting the WAL at an arbitrary byte inside its final record —
@@ -319,7 +318,6 @@ proptest! {
         prop_assert!(!rec2.torn_tail, "the tail was healed");
         prop_assert!(after.workers.iter().any(|w| w == "w5"));
         prop_assert_eq!(after.recoveries, 1);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// Reopen is exact: after an arbitrary schedule over arbitrary
@@ -366,6 +364,5 @@ proptest! {
             .count();
         prop_assert_eq!(restarts, segments.len() - 1);
         prop_assert_eq!(first.recoveries as usize, restarts);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

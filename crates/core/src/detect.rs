@@ -202,6 +202,11 @@ impl DetectorSnapshot {
     pub fn series(&self) -> (State, Hour) {
         (self.state, self.origin)
     }
+
+    /// Spikes the detector had sealed when the snapshot was taken.
+    pub fn emitted(&self) -> usize {
+        self.emitted
+    }
 }
 
 /// The prominence walk, online: values stream in hour by hour and spikes

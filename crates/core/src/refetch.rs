@@ -728,7 +728,6 @@ mod tests {
                 resumed.frames_fetched, clean.frames_fetched,
                 "{cut:?}: replayed slots count toward the same logical workload"
             );
-            std::fs::remove_dir_all(&dir).expect("clean up");
         }
     }
 
@@ -840,7 +839,8 @@ mod tests {
         assert_eq!(calls, vec![frames.len(); outcome.rounds as usize]);
 
         let journaled = Batched::new();
-        let mut j = StudyDurability::new(scratch_dir("refetch_batch_of_one"))
+        let dir = scratch_dir("refetch_batch_of_one");
+        let mut j = StudyDurability::new(&dir)
             .region(&term, State::TX, &frames)
             .expect("open");
         let durable = averaged_timeline_durable(

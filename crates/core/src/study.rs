@@ -941,7 +941,8 @@ mod tests {
         // A journal wants each response before the next is asked: the
         // same requests, one per call.
         let journaled = counting();
-        let durability = StudyDurability::new(scratch_dir("study_rising_once"));
+        let dir = scratch_dir("study_rising_once");
+        let durability = StudyDurability::new(&dir);
         let durable = run_study_durable(&journaled, &params, &durability).expect("durable");
         let durable_calls = journaled.calls.lock().expect("calls lock").clone();
         assert!(durable_calls.iter().all(|call| call.len() == 1));
@@ -1019,7 +1020,6 @@ mod tests {
                 std::fs::read(tx_wal(&dir)).expect("TX journal") == wal,
                 "{cut:?}: the resumed journal differs"
             );
-            std::fs::remove_dir_all(&dir).expect("clean up");
         }
 
         // A resume of the *finished* study is a pure replay: zero fetches.
@@ -1043,7 +1043,8 @@ mod tests {
             range: HourRange::new(Hour(0), Hour(1008)),
             ..small_params()
         };
-        let durability = StudyDurability::new(scratch_dir("study_foreign_dir"));
+        let dir = scratch_dir("study_foreign_dir");
+        let durability = StudyDurability::new(&dir);
         run_study_durable(&two_region_service(), &first, &durability).expect("first study");
 
         // Another range over the same directory: its `(round, idx)` slots

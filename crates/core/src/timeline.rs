@@ -200,6 +200,12 @@ impl StitcherSnapshot {
     pub fn series(&self) -> (State, Hour) {
         (self.state, self.start)
     }
+
+    /// One past the last hour the snapshot's series covers. No spike of
+    /// the series can end after it.
+    pub fn covered_until(&self) -> Hour {
+        self.start + self.covered
+    }
 }
 
 /// Incrementally stitches frames as they arrive, producing the *raw*

@@ -1,5 +1,6 @@
 //! Test support for durability: scratch directories, unique without
-//! wall-clock reads (process id plus a process-wide counter); file
+//! wall-clock reads (process id plus a process-wide counter) and removed
+//! when their guard drops; file
 //! backdating for tests of mtime-derived ages; and crash states built
 //! from files. A WAL is append-only, so every state a crash can leave it
 //! in is a prefix of the finished file (Pillai et al., OSDI 2014): run a
@@ -11,22 +12,53 @@ use crate::record::{self, Decoded};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// A fresh, empty directory under the system temp dir. The `tag` keeps
-/// paths readable in failure output; uniqueness comes from the pid and a
-/// monotonic counter, so parallel tests and repeated runs never collide
-/// with a live directory (a stale same-pid leftover from a previous run
-/// is cleared first).
+/// A fresh, empty directory under the system temp dir, removed when the
+/// guard drops. The `tag` keeps paths readable in failure output;
+/// uniqueness comes from the pid and a monotonic counter, so parallel
+/// tests and repeated runs never collide with a live directory (a stale
+/// same-pid leftover from a previous run is cleared first).
 #[expect(clippy::expect_used, reason = "test scaffolding")]
-pub fn scratch_dir(tag: &str) -> PathBuf {
+pub fn scratch_dir(tag: &str) -> ScratchDir {
     static SEQ: AtomicU64 = AtomicU64::new(0);
     let n = SEQ.fetch_add(1, Ordering::Relaxed);
-    let dir =
+    let path =
         std::env::temp_dir().join(format!("sift-journal-{}-{}-{}", std::process::id(), n, tag));
-    if dir.exists() {
-        std::fs::remove_dir_all(&dir).expect("clear stale scratch dir");
+    if path.exists() {
+        std::fs::remove_dir_all(&path).expect("clear stale scratch dir");
     }
-    std::fs::create_dir_all(&dir).expect("create scratch dir");
-    dir
+    std::fs::create_dir_all(&path).expect("create scratch dir");
+    ScratchDir { path }
+}
+
+/// A directory made by [`scratch_dir`]. Dropping it removes the
+/// directory and everything in it, unless the thread is panicking: then
+/// the directory stays, so a failure message still points at real files.
+#[derive(Debug)]
+pub struct ScratchDir {
+    path: PathBuf,
+}
+
+impl std::ops::Deref for ScratchDir {
+    type Target = Path;
+
+    fn deref(&self) -> &Path {
+        &self.path
+    }
+}
+
+impl From<&ScratchDir> for PathBuf {
+    fn from(dir: &ScratchDir) -> PathBuf {
+        dir.path.clone()
+    }
+}
+
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        if !std::thread::panicking() {
+            #[expect(clippy::let_underscore_must_use, reason = "best-effort cleanup")]
+            let _ = std::fs::remove_dir_all(&self.path);
+        }
+    }
 }
 
 /// Sets the mtime of the file at `path` to `age` before now.

@@ -81,7 +81,6 @@ proptest! {
             prop_assert_eq!(rec2.records.len(), keep + 1);
             prop_assert!(!rec2.torn_tail);
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// A single flipped bit anywhere in record `j`'s frame truncates
@@ -108,7 +107,6 @@ proptest! {
         let (_, rec) = Journal::open(&path).expect("recovery must not error");
         prop_assert_eq!(&rec.records, &records[..damaged]);
         prop_assert!(rec.torn_tail);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     /// Checkpoint(first k ops) + journal(remaining ops) recovers to the
@@ -151,7 +149,6 @@ proptest! {
             got.insert(k, v);
         }
         prop_assert_eq!(got, want);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 

@@ -634,11 +634,10 @@ fn build_router(shared: &Arc<Shared>) -> Router {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sift_journal::testutil::{backdate, scratch_dir};
+    use sift_journal::testutil::{backdate, scratch_dir, ScratchDir};
     use sift_journal::Journal;
     use sift_simtime::HourRange;
     use sift_trends::{Scenario, ScenarioParams, SearchTerm, TrendsService};
-    use std::path::PathBuf;
 
     /// Eight regions, the four largest first, as in the full region order.
     const REGIONS: [State; 8] = [
@@ -702,7 +701,7 @@ mod tests {
         tag: &str,
         regions: &[State],
         client: &Arc<dyn TrendsClient>,
-    ) -> (PathBuf, Served) {
+    ) -> (ScratchDir, Served) {
         let dir = scratch_dir(tag);
         let daemon = start(config(regions), client, &dir).expect("start");
         assert!(daemon.wait_caught_up(Duration::from_secs(60)), "caught up");

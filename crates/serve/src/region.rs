@@ -11,6 +11,14 @@
 //! through the *same* apply path as live ingest — a `kill -9` at any
 //! durability boundary restarts to the identical spike set, re-ingesting
 //! at most the un-checkpointed tail.
+//!
+//! A checkpoint payload is a JSON head (the next frame, both snapshots
+//! and the spike count), one `\n`, then every sealed spike as a 32-byte
+//! little-endian row: `start`, `peak` and `end` as `i64` hours and the
+//! magnitude's `f64` bits. The region is the checkpoint's own series.
+//! The spike list is the bulk of the state and grows for the daemon's
+//! whole life; as JSON it made a restart parse every magnitude of it
+//! back from text.
 
 use crate::degrade::DegradeReason;
 use serde::{Deserialize, Serialize};
@@ -36,15 +44,19 @@ struct ServeRecord {
     resp: FrameResponse,
 }
 
-/// Checkpoint payload: everything needed to resume ingest and serving
-/// exactly where the region stood.
+/// The JSON head of a checkpoint payload: everything needed to resume
+/// ingest exactly where the region stood, bar the spike table after it.
 #[derive(Serialize, Deserialize)]
-struct RegionCheckpoint {
+struct CheckpointHead {
     next_frame: u64,
     stitcher: StitcherSnapshot,
     detector: DetectorSnapshot,
-    spikes: Vec<Spike>,
+    /// Rows in the spike table.
+    spikes: u64,
 }
+
+/// Bytes per sealed spike in a checkpoint's table.
+const SPIKE_ROW: usize = 32;
 
 /// The mutable core of one region, always accessed under the runtime's
 /// mutex.
@@ -96,21 +108,21 @@ impl RegionCore {
         std::fs::create_dir_all(dir)?;
         let ckpt_path = dir.join("region.ckpt");
         let recovered = match read_checkpoint(&ckpt_path)? {
-            Some(bytes) => Some(decode_checkpoint(&bytes)?),
+            Some(bytes) => Some(
+                decode_checkpoint(&bytes)
+                    .map_err(|e| invalid(format!("{}: {e}", ckpt_path.display())))?,
+            ),
             None => None,
         };
-        if let Some(ckpt) = &recovered {
-            for found in [ckpt.stitcher.series(), ckpt.detector.series()] {
+        if let Some((head, _)) = &recovered {
+            for found in [head.stitcher.series(), head.detector.series()] {
                 if found != (state, start) {
-                    return Err(io::Error::new(
-                        io::ErrorKind::InvalidData,
-                        format!(
-                            "{} holds a checkpoint of {} from {}, not {state} from {start}",
-                            ckpt_path.display(),
-                            found.0,
-                            found.1
-                        ),
-                    ));
+                    return Err(invalid(format!(
+                        "{} holds a checkpoint of {} from {}, not {state} from {start}",
+                        ckpt_path.display(),
+                        found.0,
+                        found.1
+                    )));
                 }
             }
         }
@@ -119,12 +131,12 @@ impl RegionCore {
 
         let keep = usize::try_from(plan.frame_len).unwrap_or(usize::MAX);
         let mut core = match recovered {
-            Some(ckpt) => RegionCore {
+            Some((head, spikes)) => RegionCore {
                 state,
-                stitcher: StreamStitcher::restore(ckpt.stitcher),
-                detector: IncrementalDetector::restore(ckpt.detector),
-                spikes: ckpt.spikes,
-                next_frame: usize::try_from(ckpt.next_frame).unwrap_or(usize::MAX),
+                stitcher: StreamStitcher::restore(head.stitcher),
+                detector: IncrementalDetector::restore(head.detector),
+                spikes,
+                next_frame: usize::try_from(head.next_frame).unwrap_or(usize::MAX),
                 journal,
                 ckpt_path,
                 crash,
@@ -161,13 +173,10 @@ impl RegionCore {
             // Its CRC checks, so an undecodable record is no torn write:
             // it comes from another format or program.
             let rec = serde_json::from_slice::<ServeRecord>(payload).map_err(|e| {
-                io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!(
-                        "{} holds an undecodable record: {e}",
-                        core.journal.path().display()
-                    ),
-                )
+                invalid(format!(
+                    "{} holds an undecodable record: {e}",
+                    core.journal.path().display()
+                ))
             })?;
             let idx = usize::try_from(rec.idx).unwrap_or(usize::MAX);
             if idx != core.next_frame {
@@ -176,7 +185,7 @@ impl RegionCore {
             core.wal_tail += 1;
             core.replayed += 1;
             if let Err(e) = core.apply(&rec.resp) {
-                return Err(io::Error::new(io::ErrorKind::InvalidData, e));
+                return Err(invalid(e));
             }
         }
         if core.replayed > 0 {
@@ -207,21 +216,16 @@ impl RegionCore {
         resp: &FrameResponse,
         checkpoint_every: u64,
     ) -> io::Result<usize> {
-        self.stitcher
-            .check(resp)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+        self.stitcher.check(resp).map_err(invalid)?;
         let record = ServeRecord {
             idx: u64::try_from(idx).unwrap_or(u64::MAX),
             resp: resp.clone(),
         };
-        let json = serde_json::to_string(&record)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+        let json = serde_json::to_string(&record).map_err(invalid)?;
         self.journal.append(json.as_bytes())?;
         self.wal_tail += 1;
 
-        let sealed = self
-            .apply(resp)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+        let sealed = self.apply(resp).map_err(invalid)?;
 
         if self.wal_tail >= checkpoint_every {
             // A failed checkpoint is degradation, not death: the WAL tail
@@ -262,16 +266,15 @@ impl RegionCore {
 
     /// Installs an atomic checkpoint subsuming (and truncating) the WAL.
     fn checkpoint(&mut self) -> io::Result<()> {
-        let ckpt = RegionCheckpoint {
+        let head = CheckpointHead {
             next_frame: u64::try_from(self.next_frame).unwrap_or(u64::MAX),
             stitcher: self.stitcher.snapshot(),
             detector: self.detector.snapshot(),
-            spikes: self.spikes.clone(),
+            spikes: u64::try_from(self.spikes.len()).unwrap_or(u64::MAX),
         };
-        let json = serde_json::to_string(&ckpt)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
+        let payload = encode_checkpoint(&head, &self.spikes)?;
         self.journal.sync()?;
-        write_checkpoint(&self.ckpt_path, json.as_bytes(), self.crash.as_deref())?;
+        write_checkpoint(&self.ckpt_path, &payload, self.crash.as_deref())?;
         self.journal.truncate_all()?;
         self.wal_tail = 0;
         sift_obs::counter("sift_serve_checkpoints_total", &[]).inc();
@@ -317,16 +320,107 @@ impl RegionCore {
     }
 }
 
-fn decode_checkpoint(bytes: &[u8]) -> io::Result<RegionCheckpoint> {
-    let json =
-        std::str::from_utf8(bytes).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))?;
-    serde_json::from_str(json).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+/// A checkpoint payload: `head`, `\n`, then one row per spike.
+fn encode_checkpoint(head: &CheckpointHead, spikes: &[Spike]) -> io::Result<Vec<u8>> {
+    let mut bytes = serde_json::to_vec(head).map_err(invalid)?;
+    bytes.reserve(1 + SPIKE_ROW * spikes.len());
+    bytes.push(b'\n');
+    encode_table(spikes, &mut bytes);
+    Ok(bytes)
+}
+
+/// Appends one table row per spike to `bytes`: `start`, `peak` and `end`
+/// as little-endian `i64` hours, then the magnitude's `f64` bits. The
+/// region is not stored.
+fn encode_table(spikes: &[Spike], bytes: &mut Vec<u8>) {
+    for s in spikes {
+        bytes.extend_from_slice(&s.start.0.to_le_bytes());
+        bytes.extend_from_slice(&s.peak.0.to_le_bytes());
+        bytes.extend_from_slice(&s.end.0.to_le_bytes());
+        bytes.extend_from_slice(&s.magnitude.to_bits().to_le_bytes());
+    }
+}
+
+/// The spikes of `state` in the whole rows of `table`, bit for bit as
+/// [`encode_table`] wrote them.
+fn decode_table(state: State, table: &[u8]) -> impl Iterator<Item = Spike> + '_ {
+    table.chunks_exact(SPIKE_ROW).map(move |row| {
+        let word = |i: usize| {
+            let mut word = [0; 8];
+            word.copy_from_slice(&row[8 * i..8 * (i + 1)]);
+            word
+        };
+        Spike {
+            state,
+            start: Hour(i64::from_le_bytes(word(0))),
+            peak: Hour(i64::from_le_bytes(word(1))),
+            end: Hour(i64::from_le_bytes(word(2))),
+            magnitude: f64::from_bits(u64::from_le_bytes(word(3))),
+        }
+    })
+}
+
+/// Decodes a checkpoint payload and refuses, as `InvalidData`, a spike
+/// table the checkpoint's own detector could not have sealed: a row
+/// count other than the head's or the detector's, a spike that is not
+/// `start <= peak < end` inside `[series start, covered until)`, rows
+/// out of `(start, peak)` order, or a magnitude that is not finite.
+fn decode_checkpoint(bytes: &[u8]) -> io::Result<(CheckpointHead, Vec<Spike>)> {
+    let Some(newline) = bytes.iter().position(|&b| b == b'\n') else {
+        return Err(invalid("checkpoint has no spike table"));
+    };
+    let (head, table) = (&bytes[..newline], &bytes[newline + 1..]);
+    let head: CheckpointHead = serde_json::from_slice(head).map_err(invalid)?;
+    let count = usize::try_from(head.spikes).map_err(invalid)?;
+    if count.checked_mul(SPIKE_ROW) != Some(table.len()) {
+        return Err(invalid(format!(
+            "a spike table of {} bytes does not hold {count} spikes",
+            table.len()
+        )));
+    }
+    if count != head.detector.emitted() {
+        return Err(invalid(format!(
+            "{count} spikes in a checkpoint whose detector sealed {}",
+            head.detector.emitted()
+        )));
+    }
+    let (state, first) = head.stitcher.series();
+    let covered = head.stitcher.covered_until();
+    let mut spikes: Vec<Spike> = Vec::with_capacity(count);
+    for spike in decode_table(state, table) {
+        let refusal = if !(spike.start <= spike.peak && spike.peak < spike.end) {
+            Some("is not start <= peak < end")
+        } else if spike.start < first || spike.end > covered {
+            Some("lies outside the series")
+        } else if spikes
+            .last()
+            .is_some_and(|prev| (prev.start, prev.peak) >= (spike.start, spike.peak))
+        {
+            Some("is out of (start, peak) order")
+        } else if !spike.magnitude.is_finite() {
+            Some("has a magnitude that is not finite")
+        } else {
+            None
+        };
+        if let Some(why) = refusal {
+            return Err(invalid(format!(
+                "checkpointed spike {} {why}: {spike:?} in [{first}, {covered})",
+                spikes.len()
+            )));
+        }
+        spikes.push(spike);
+    }
+    Ok((head, spikes))
+}
+
+fn invalid(e: impl Into<Box<dyn std::error::Error + Send + Sync>>) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, e)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sift_journal::testutil::scratch_dir;
+    use sift_journal::testutil::{scratch_dir, ScratchDir};
     use sift_trends::SearchTerm;
 
     /// `value` encodes to the `Value` tree's bytes, and its document
@@ -343,22 +437,60 @@ mod tests {
         );
     }
 
+    /// The spikes as `(state, start, peak, end, magnitude bits)`: equal
+    /// exactly when the spikes are equal bit for bit.
+    fn bits(spikes: &[Spike]) -> Vec<(State, Hour, Hour, Hour, u64)> {
+        spikes
+            .iter()
+            .map(|s| (s.state, s.start, s.peak, s.end, s.magnitude.to_bits()))
+            .collect()
+    }
+
+    /// A magnitude from the corners of `f64`: signed zeros, subnormals of
+    /// either sign, or any bit pattern at all (NaN payloads included).
+    fn magnitude() -> impl proptest::strategy::Strategy<Value = f64> {
+        use proptest::strategy::{Just, Strategy};
+        proptest::prop_oneof![
+            Just(0.0),
+            Just(-0.0),
+            (1u64..1 << 52).prop_map(f64::from_bits),
+            (1u64..1 << 52).prop_map(|m| -f64::from_bits(m)),
+            proptest::arbitrary::any::<u64>().prop_map(f64::from_bits),
+        ]
+    }
+
+    /// The head of a checkpoint taken of `stitcher` and `detector`.
+    fn head_of(
+        next_frame: u64,
+        stitcher: &StreamStitcher,
+        detector: &IncrementalDetector,
+        spikes: &[Spike],
+    ) -> CheckpointHead {
+        CheckpointHead {
+            next_frame,
+            stitcher: stitcher.snapshot(),
+            detector: detector.snapshot(),
+            spikes: spikes.len() as u64,
+        }
+    }
+
     proptest::proptest! {
         #![proptest_config(proptest::test_runner::Config::with_cases(64))]
 
-        /// The WAL record and the checkpoint, mid-series.
+        /// The WAL record and the checkpoint head, mid-series; the whole
+        /// checkpoint decodes to the head and spikes it was written from.
         #[test]
         fn wal_record_and_checkpoint_take_one_codec(seed in proptest::arbitrary::any::<u64>()) {
             let rng = &mut proptest::test_runner::TestRng::new(seed);
+            let start = Hour(-336);
             let resp = FrameResponse {
                 term: SearchTerm::parse("topic:Internet outage"),
                 state: State::TX,
-                start: Hour(0),
+                start,
                 values: (0..168).map(|_| rng.below(101) as u8).collect(),
             };
-            let mut stitcher = StreamStitcher::new(State::TX, Hour(0), 84);
-            let mut detector =
-                IncrementalDetector::new(State::TX, Hour(0), DetectParams::default());
+            let mut stitcher = StreamStitcher::new(State::TX, start, 84);
+            let mut detector = IncrementalDetector::new(State::TX, start, DetectParams::default());
             let (mut fresh, mut spikes) = (Vec::new(), Vec::new());
             stitcher.append(&resp, &mut fresh).expect("first frame");
             detector.append(&fresh, &mut spikes);
@@ -366,13 +498,238 @@ mod tests {
                 idx: rng.next_u64(),
                 resp,
             });
-            assert_one_codec(&RegionCheckpoint {
-                next_frame: rng.next_u64(),
-                stitcher: stitcher.snapshot(),
-                detector: detector.snapshot(),
-                spikes,
+            let head = head_of(rng.next_u64(), &stitcher, &detector, &spikes);
+            assert_one_codec(&head);
+            let payload = encode_checkpoint(&head, &spikes).expect("encode");
+            let (back, decoded) = decode_checkpoint(&payload).expect("decode");
+            proptest::prop_assert_eq!(
+                serde_json::to_string(&back).expect("encode"),
+                serde_json::to_string(&head).expect("encode")
+            );
+            proptest::prop_assert_eq!(bits(&decoded), bits(&spikes));
+        }
+
+        /// Any spikes, hours of either sign and magnitudes from the
+        /// corners of `f64`, come back from the table bit for bit.
+        #[test]
+        fn spike_table_round_trips_bit_for_bit(
+            rows in proptest::collection::vec(
+                (
+                    proptest::arbitrary::any::<i64>(),
+                    proptest::arbitrary::any::<i64>(),
+                    proptest::arbitrary::any::<i64>(),
+                    magnitude(),
+                ),
+                0..48,
+            ),
+        ) {
+            let spikes: Vec<Spike> = rows
+                .into_iter()
+                .map(|(start, peak, end, magnitude)| Spike {
+                    state: State::AK,
+                    start: Hour(start),
+                    peak: Hour(peak),
+                    end: Hour(end),
+                    magnitude,
+                })
+                .collect();
+            let mut table = Vec::new();
+            encode_table(&spikes, &mut table);
+            proptest::prop_assert_eq!(table.len(), SPIKE_ROW * spikes.len());
+            let decoded: Vec<Spike> = decode_table(State::AK, &table).collect();
+            proptest::prop_assert_eq!(bits(&decoded), bits(&spikes));
+        }
+    }
+
+    /// One checkpoint, byte for byte: VT from hour -24 after one
+    /// eight-hour frame that sealed three spikes. A change to this document
+    /// is a change of the checkpoint format.
+    #[test]
+    fn checkpoint_matches_its_pinned_document() {
+        let resp = FrameResponse {
+            term: SearchTerm::parse("topic:Internet outage"),
+            state: State::VT,
+            start: Hour(-24),
+            values: vec![0, 30, 80, 35, 0, 0, 3, 0],
+        };
+        let mut stitcher = StreamStitcher::new(State::VT, Hour(-24), 4);
+        let mut detector = IncrementalDetector::new(State::VT, Hour(-24), DetectParams::default());
+        let (mut fresh, mut spikes) = (Vec::new(), Vec::new());
+        stitcher.append(&resp, &mut fresh).expect("frame");
+        detector.append(&fresh, &mut spikes);
+        let head = r#"{"next_frame":1,"stitcher":{"state":"VT","start":-24,"covered":8,"prev_scale":1.0,"keep":4,"tail":[0.0,0.0,3.0,0.0],"max_raw":80.0},"detector":{"state":"VT","params":{"min_peak":0.5,"walk_floor":0.25,"max_spikes":20000},"origin":-24,"tail":[],"tail_start":8,"emitted":3},"spikes":3}"#;
+        // Rows of start, peak, end and magnitude bits: (-23, -22, -21,
+        // 80.0), (-21, -21, -20, 35.0) and (-18, -18, -17, 3.0).
+        let table = b"\
+            \xe9\xff\xff\xff\xff\xff\xff\xff\xea\xff\xff\xff\xff\xff\xff\xff\
+            \xeb\xff\xff\xff\xff\xff\xff\xff\x00\x00\x00\x00\x00\x00\x54\x40\
+            \xeb\xff\xff\xff\xff\xff\xff\xff\xeb\xff\xff\xff\xff\xff\xff\xff\
+            \xec\xff\xff\xff\xff\xff\xff\xff\x00\x00\x00\x00\x00\x80\x41\x40\
+            \xee\xff\xff\xff\xff\xff\xff\xff\xee\xff\xff\xff\xff\xff\xff\xff\
+            \xef\xff\xff\xff\xff\xff\xff\xff\x00\x00\x00\x00\x00\x00\x08\x40";
+        let doc = [head.as_bytes(), b"\n", table].concat();
+        let head = head_of(1, &stitcher, &detector, &spikes);
+        assert_eq!(encode_checkpoint(&head, &spikes).expect("encode"), doc);
+        let (back, decoded) = decode_checkpoint(&doc).expect("decode");
+        assert_eq!(
+            serde_json::to_string(&back).expect("encode"),
+            serde_json::to_string(&head).expect("encode")
+        );
+        assert_eq!(bits(&decoded), bits(&spikes));
+        let rows: Vec<_> = decoded
+            .iter()
+            .map(|s| (s.start.0, s.peak.0, s.end.0))
+            .collect();
+        assert_eq!(rows, [(-23, -22, -21), (-21, -21, -20), (-18, -18, -17)]);
+    }
+
+    /// TX from hour -168 after one frame with a spike a day (hours 5–7,
+    /// peaking at 6): the head and the seven spikes it sealed.
+    fn sealed_week() -> (CheckpointHead, Vec<Spike>) {
+        let resp = FrameResponse {
+            term: SearchTerm::parse("topic:Internet outage"),
+            state: State::TX,
+            start: Hour(-168),
+            values: (0..168)
+                .map(|h| match h % 24 {
+                    5 => 30,
+                    6 => 80,
+                    7 => 45,
+                    _ => 0,
+                })
+                .collect(),
+        };
+        let mut stitcher = StreamStitcher::new(State::TX, Hour(-168), 168);
+        let mut detector = IncrementalDetector::new(State::TX, Hour(-168), DetectParams::default());
+        let (mut fresh, mut spikes) = (Vec::new(), Vec::new());
+        stitcher.append(&resp, &mut fresh).expect("frame");
+        detector.append(&fresh, &mut spikes);
+        assert_eq!(spikes.len(), 7, "{spikes:?}");
+        (head_of(1, &stitcher, &detector, &spikes), spikes)
+    }
+
+    /// `payload` is refused as `InvalidData`, with a message naming
+    /// `rule`.
+    fn assert_refused(payload: &[u8], what: &str, rule: &str) {
+        match decode_checkpoint(payload) {
+            Ok(_) => panic!("{what}: decoded"),
+            Err(e) => {
+                assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{what}: {e}");
+                assert!(e.to_string().contains(rule), "{what}: {e}");
+            }
+        }
+    }
+
+    /// The week's checkpoint with `edit` applied to its spikes (the head
+    /// counts them after the edit) is refused by `rule`.
+    fn assert_edit_refused(what: &str, rule: &str, edit: impl FnOnce(&mut Vec<Spike>)) {
+        let (mut head, mut spikes) = sealed_week();
+        decode_checkpoint(&encode_checkpoint(&head, &spikes).expect("encode"))
+            .expect("the unedited week decodes");
+        edit(&mut spikes);
+        head.spikes = spikes.len() as u64;
+        let payload = encode_checkpoint(&head, &spikes).expect("encode");
+        assert_refused(&payload, what, rule);
+    }
+
+    #[test]
+    fn a_table_of_the_wrong_length_is_refused() {
+        let (head, spikes) = sealed_week();
+        let payload = encode_checkpoint(&head, &spikes).expect("encode");
+        let rule = "does not hold 7 spikes";
+        for (what, len) in [
+            ("a byte short", payload.len() - 1),
+            ("a row short", payload.len() - SPIKE_ROW),
+        ] {
+            assert_refused(&payload[..len], what, rule);
+        }
+        for (what, extra) in [("a byte long", 1), ("a row long", SPIKE_ROW)] {
+            let mut long = payload.clone();
+            long.resize(long.len() + extra, 0);
+            assert_refused(&long, what, rule);
+        }
+    }
+
+    #[test]
+    fn a_count_other_than_the_detectors_is_refused() {
+        let rule = "whose detector sealed 7";
+        assert_edit_refused("a row missing", rule, |spikes| {
+            spikes.pop();
+        });
+        assert_edit_refused("a row too many", rule, |spikes| {
+            spikes.push(Spike {
+                start: Hour(-3),
+                peak: Hour(-2),
+                end: Hour(-1),
+                ..spikes[0]
+            });
+        });
+    }
+
+    #[test]
+    fn a_spike_not_start_peak_end_is_refused() {
+        let rule = "is not start <= peak < end";
+        assert_edit_refused("peak at end", rule, |spikes| {
+            spikes[2].peak = spikes[2].end;
+        });
+        assert_edit_refused("peak before start", rule, |spikes| {
+            spikes[2].peak = spikes[2].start - 1;
+        });
+        assert_edit_refused("end at start", rule, |spikes| {
+            spikes[2].end = spikes[2].start;
+        });
+    }
+
+    #[test]
+    fn a_spike_outside_the_series_is_refused() {
+        let rule = "lies outside the series";
+        assert_edit_refused("before the series", rule, |spikes| {
+            spikes[0].start = Hour(-169);
+        });
+        assert_edit_refused("past what it covers", rule, |spikes| {
+            spikes[6].end = Hour(1);
+        });
+    }
+
+    #[test]
+    fn spikes_out_of_order_are_refused() {
+        let rule = "is out of (start, peak) order";
+        assert_edit_refused("two swapped", rule, |spikes| spikes.swap(3, 4));
+        assert_edit_refused("one twice", rule, |spikes| spikes[4] = spikes[3]);
+    }
+
+    #[test]
+    fn a_magnitude_that_is_not_finite_is_refused() {
+        for magnitude in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let what = format!("magnitude {magnitude}");
+            assert_edit_refused(&what, "magnitude that is not finite", |spikes| {
+                spikes[5].magnitude = magnitude;
             });
         }
+    }
+
+    /// The all-JSON checkpoint that came before the spike table is
+    /// refused like a foreign one, with or without a line after it.
+    #[test]
+    fn an_all_json_checkpoint_is_refused() {
+        #[derive(Serialize)]
+        struct AllJson {
+            next_frame: u64,
+            stitcher: StitcherSnapshot,
+            detector: DetectorSnapshot,
+            spikes: Vec<Spike>,
+        }
+        let (head, spikes) = sealed_week();
+        let old = serde_json::to_vec(&AllJson {
+            next_frame: head.next_frame,
+            stitcher: head.stitcher,
+            detector: head.detector,
+            spikes,
+        })
+        .expect("encode");
+        assert_refused(&old, "all JSON", "no spike table");
+        let with_newline = [old.as_slice(), b"\n"].concat();
+        assert_refused(&with_newline, "all JSON and a newline", "");
     }
 
     #[test]
@@ -403,13 +760,10 @@ mod tests {
         )
     }
 
-    fn fresh_core(tag: &str) -> RegionCore {
-        open_in(
-            &scratch_dir(&format!("serve_region_{tag}")),
-            State::TX,
-            Hour(0),
-        )
-        .expect("open region")
+    fn fresh_core(tag: &str) -> (ScratchDir, RegionCore) {
+        let dir = scratch_dir(&format!("serve_region_{tag}"));
+        let core = open_in(&dir, State::TX, Hour(0)).expect("open region");
+        (dir, core)
     }
 
     fn flat_frame(value: u8) -> FrameResponse {
@@ -425,7 +779,7 @@ mod tests {
     /// frames outrank a WAL backlog, which outranks a lagging detector.
     #[test]
     fn degrade_lattice_orders_by_severity() {
-        let mut core = fresh_core("lattice");
+        let (_dir, mut core) = fresh_core("lattice");
 
         // Fresh region, simulated present far ahead: missing frames.
         assert_eq!(
@@ -525,7 +879,7 @@ mod tests {
     /// back to the daemon epoch before the first frame.
     #[test]
     fn watermark_and_staleness_track_ingest() {
-        let mut core = fresh_core("watermark");
+        let (_dir, mut core) = fresh_core("watermark");
         let epoch = Instant::now() - std::time::Duration::from_millis(50);
         assert_eq!(core.watermark(), Hour(0));
         assert!(core.staleness_ms(epoch) >= 50);

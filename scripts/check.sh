@@ -82,7 +82,17 @@ if grep -q '^sift-chaos ' <<< "$normal_deps"; then
 fi
 # The root package auto-discovers tests/*.rs, so this runs every
 # acceptance test (overload, resume, cluster, nemesis, serve, ...) too.
+# Tests clean up after themselves: a `sift_journal::testutil::scratch_dir`
+# is removed when its guard drops, so a passing run leaves no more
+# `sift-journal-*` directories in the temp dir than it found.
+scratch_dirs() { find "${TMPDIR:-/tmp}" -maxdepth 1 -name 'sift-journal-*' | wc -l; }
+scratch_before=$(scratch_dirs)
 cargo test -q --offline --locked --workspace
+scratch_after=$(scratch_dirs)
+if ((scratch_after > scratch_before)); then
+  echo "the tests left $((scratch_after - scratch_before)) sift-journal-* directories behind" >&2
+  exit 1
+fi
 
 # Static analysis. Each scope's lints are listed once, here; the calls
 # library code may not make are in clippy.toml. A site that needs an

@@ -110,7 +110,7 @@ fn run_under_nemesis(seed: u64, regions: &[State], tag: &str) -> NemesisReportPa
         params,
         config,
         trends.addr(),
-        dir,
+        dir.to_path_buf(),
         &worker_ids,
         &worker_config,
     )
@@ -211,7 +211,7 @@ fn asymmetric_partition_zombie_uploads_are_fenced_but_the_run_converges() {
         params,
         config,
         trends.addr(),
-        dir,
+        dir.to_path_buf(),
         &worker_ids,
         &WorkerConfig::default(),
     )

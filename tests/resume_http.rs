@@ -17,7 +17,7 @@ use common::world;
 use sift::core::{run_study, run_study_durable, StudyDurability, StudyParams, StudyResult};
 use sift::fetcher::{trends_router, HttpTrendsClient};
 use sift::geo::State;
-use sift::journal::testutil::{copy_dir, scratch_dir, wal_cuts};
+use sift::journal::testutil::{copy_dir, scratch_dir, wal_cuts, ScratchDir};
 use sift::journal::Journal;
 use sift::net::{Server, ServerHandle};
 use sift::simtime::{Hour, HourRange};
@@ -135,7 +135,7 @@ fn assert_same_wals(dir: &Path, finished: &Path, what: &str) {
 /// The uninterrupted run: the plain result, the directory of a durable
 /// run that finished (after asserting it produced the same result), and
 /// what that durable run fetched per region.
-fn uninterrupted(tag: &str) -> (StudyResult, PathBuf, HashMap<State, u64>) {
+fn uninterrupted(tag: &str) -> (StudyResult, ScratchDir, HashMap<State, u64>) {
     let service = TrendsService::with_defaults(world(&REGIONS));
     let reference = run_study(&service, &study_params()).expect("uninterrupted study");
     let finished = scratch_dir(&format!("resume_http_finished_{tag}"));
@@ -213,7 +213,6 @@ fn crawl_killed_at_each_crash_point_resumes_to_the_identical_result() {
                 assert_eq!(client.fetches(other), other_cost, "{what}");
                 costs.push(client.fetches(region));
                 states += 1;
-                std::fs::remove_dir_all(&dir).unwrap();
             }
             let what = format!("{region} cut {cut:?}");
             assert_eq!(
@@ -299,7 +298,7 @@ fn process_killed_without_unwinding_resumes_to_the_identical_result() {
         .arg("process_killed_without_unwinding_resumes_to_the_identical_result")
         .arg("--exact")
         .arg("--test-threads=1")
-        .env(CHILD_ENV, &dir)
+        .env(CHILD_ENV, &*dir)
         .stdout(std::process::Stdio::null())
         .stderr(std::process::Stdio::null())
         .spawn()

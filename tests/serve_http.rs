@@ -234,7 +234,6 @@ fn sweep_wal_cuts(
                 std::fs::read(wal_path(&dir, region)).unwrap() == wal,
                 "{what}: the restarted daemon's WAL differs"
             );
-            std::fs::remove_dir_all(&dir).unwrap();
             states += 1;
         }
     }
@@ -406,7 +405,7 @@ fn process_aborted_mid_ingest_resumes_to_identical_spikes() {
         .arg("process_aborted_mid_ingest_resumes_to_identical_spikes")
         .arg("--exact")
         .arg("--test-threads=1")
-        .env(CHILD_ENV, &dir)
+        .env(CHILD_ENV, &*dir)
         .stdout(std::process::Stdio::null())
         .stderr(std::process::Stdio::null())
         .spawn()
