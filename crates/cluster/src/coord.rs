@@ -233,9 +233,9 @@ pub struct Coordinator {
     /// that number as an argument (the `*_at` methods), so only the thin
     /// public wrappers read the clock.
     epoch: Instant,
-    /// The trace context workers parent their spans onto.
-    trace_root: Option<sift_obs::SpanContext>,
-    baseline: sift_obs::SpanBaseline,
+    /// The trace context workers parent their spans onto, as its
+    /// `X-Sift-Trace` header.
+    trace_root: Option<String>,
     inner: Mutex<CoordState>,
 }
 
@@ -296,8 +296,7 @@ impl Coordinator {
             params,
             config,
             epoch: Instant::now(),
-            trace_root: sift_obs::SpanContext::current(),
-            baseline: sift_obs::SpanBaseline::capture(),
+            trace_root: sift_obs::SpanContext::current().map(|c| c.to_header()),
             inner: Mutex::new(CoordState {
                 leases: table.shards.iter().map(|_| None).collect(),
                 table,
@@ -359,7 +358,7 @@ impl Coordinator {
             .set(i64::try_from(s.table.workers.len()).unwrap_or(i64::MAX));
         JoinReply {
             accepted: !s.table.dead.contains(&req.worker),
-            trace: self.trace_root.map(|c| c.to_header()),
+            trace: self.trace_root.clone(),
             shards: s.table.shards.len(),
             heartbeat_ms: u64::try_from(self.config.heartbeat_interval.as_millis())
                 .unwrap_or(u64::MAX),
@@ -542,8 +541,11 @@ impl Coordinator {
             .saturating_add(u64::try_from(timeout.as_millis()).unwrap_or(u64::MAX));
         loop {
             if let Some(outcomes) = self.poll_at(self.now_ms(), deadline_ms)? {
+                // The table covers the global phase alone: worker spans
+                // join by header, which carries no tally.
+                let assemble = sift_obs::span_tallied("assemble");
                 let mut result = assemble_study(&self.params, outcomes, false);
-                result.stats.telemetry = sift_obs::TelemetrySnapshot::since(&self.baseline);
+                result.stats.telemetry = assemble.stages();
                 return Ok(result);
             }
             std::thread::sleep(Duration::from_millis(self.config.poll_ms.clamp(1, 100)));

@@ -138,7 +138,7 @@ fn run_worker(
         .and_then(|j| j.trace)
         .and_then(|h| sift_obs::SpanContext::from_header(&h));
     let _worker_span = match trace {
-        Some(ctx) => sift_obs::span_in(ctx, "worker"),
+        Some(ctx) => sift_obs::span_in(&ctx, "worker"),
         None => sift_obs::span_root("worker"),
     };
 
@@ -304,7 +304,7 @@ fn run_shard(
         let ctx = sift_obs::SpanContext::current();
         std::thread::spawn(move || {
             let hb = HttpClient::new(coord_addr).with_identity(worker.clone());
-            let _span = ctx.map(|c| sift_obs::span_in(c, "heartbeat"));
+            let _span = ctx.map(|c| sift_obs::span_in(&c, "heartbeat"));
             while !hb_stop.load(Ordering::SeqCst) && !kill.load(Ordering::SeqCst) {
                 std::thread::sleep(every);
                 if hb_stop.load(Ordering::SeqCst) || kill.load(Ordering::SeqCst) {

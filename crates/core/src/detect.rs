@@ -22,7 +22,7 @@ use sift_geo::State;
 use sift_simtime::{Hour, HourRange};
 
 /// Detection parameters.
-#[derive(Clone, Copy, Debug, Serialize, Deserialize)]
+#[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
 pub struct DetectParams {
     /// Minimum peak value (on the timeline's 0–100 scale) for a spike to
     /// be kept. After global renormalization against a two-year maximum,
@@ -206,6 +206,12 @@ impl DetectorSnapshot {
     /// Spikes the detector had sealed when the snapshot was taken.
     pub fn emitted(&self) -> usize {
         self.emitted
+    }
+
+    /// The parameters the detector was walking with. A checkpoint reader
+    /// compares them with the ones it was given.
+    pub fn params(&self) -> DetectParams {
+        self.params
     }
 }
 

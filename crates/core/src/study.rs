@@ -114,8 +114,9 @@ pub struct StudyStats {
     /// instead of the network, across all regions (durable resumes only).
     #[serde(default)]
     pub frames_replayed: u64,
-    /// Per-stage span timings recorded while this study ran.
-    pub telemetry: sift_obs::TelemetrySnapshot,
+    /// Per-stage timings of this study's own spans, as its root span
+    /// tallied them (no other study's, no server's reached by header).
+    pub telemetry: sift_obs::StageTable,
 }
 
 /// Everything a study produces.
@@ -265,12 +266,12 @@ fn run_study_impl(
     params: &StudyParams,
     durability: Option<&StudyDurability>,
 ) -> Result<StudyResult, StudyError> {
-    // The study span is the end-to-end root every stage hangs off. With
-    // no span open it roots an unrecorded trace; a caller that reads the
-    // tree opens a `span_recorded` root around the study.
-    let study_span = sift_obs::span("study");
+    // The study span is the end-to-end root every stage hangs off, and
+    // its tally is the study's stage table. With no span open it roots
+    // an unrecorded trace; a caller that reads the tree opens a
+    // `span_recorded` root around the study.
+    let study_span = sift_obs::span_tallied("study");
     let study_ctx = study_span.context();
-    let baseline = sift_obs::SpanBaseline::capture();
     let plan = {
         let _span = sift_obs::span("plan");
         plan_frames(params.range, params.plan)
@@ -296,7 +297,7 @@ fn run_study_impl(
         let handles: Vec<_> = chunks
             .into_iter()
             .map(|chunk| {
-                let plan = &plan;
+                let (plan, study_ctx) = (&plan, &study_ctx);
                 scope.spawn(move || {
                     chunk
                         .into_iter()
@@ -323,7 +324,7 @@ fn run_study_impl(
     }
 
     let mut result = assemble_study(params, regions, durability.is_some());
-    result.stats.telemetry = sift_obs::TelemetrySnapshot::since(&baseline);
+    result.stats.telemetry = study_span.stages();
     Ok(result)
 }
 
@@ -461,7 +462,7 @@ fn annotate_lists(
     context: sift_obs::SpanContext,
 ) -> Vec<Vec<Annotation>> {
     let annotate_chunk = |chunk: &[&[RisingTerm]]| -> Vec<Vec<Annotation>> {
-        let _span = sift_obs::span_in(context, "annotate");
+        let _span = sift_obs::span_in(&context, "annotate");
         sift_obs::attr_add(
             "lists_annotated",
             u64::try_from(chunk.len()).unwrap_or(u64::MAX),
@@ -880,6 +881,87 @@ mod tests {
             shared_days(&spikes, &params) > 0,
             "the fixture must have spikes of one region sharing a day"
         );
+    }
+
+    /// An in-process client that opens a `frame` span per frame fetched,
+    /// as an HTTP fetcher unit does, and waits on `barrier` at its first
+    /// one: two studies over two such clients are both under way before
+    /// either fetches anything.
+    struct MeetAtFirstFetch<'a> {
+        inner: &'a TrendsService,
+        barrier: &'a std::sync::Barrier,
+        met: std::sync::atomic::AtomicBool,
+    }
+
+    impl TrendsClient for MeetAtFirstFetch<'_> {
+        fn fetch_frame(
+            &self,
+            req: &sift_trends::FrameRequest,
+        ) -> Result<sift_trends::FrameResponse, FetchError> {
+            let _span = sift_obs::span("frame");
+            if !self.met.swap(true, std::sync::atomic::Ordering::SeqCst) {
+                self.barrier.wait();
+            }
+            TrendsClient::fetch_frame(self.inner, req)
+        }
+
+        fn fetch_rising(
+            &self,
+            req: &RisingRequest,
+        ) -> Result<sift_trends::RisingResponse, FetchError> {
+            TrendsClient::fetch_rising(self.inner, req)
+        }
+    }
+
+    #[test]
+    fn concurrent_studies_each_tally_only_their_own_spans() {
+        let regions = [State::TX, State::CA, State::NY, State::FL];
+        let service = TrendsService::with_defaults(Scenario::generate(ScenarioParams {
+            background_scale: 0.2,
+            regions: regions.to_vec(),
+            ..ScenarioParams::default()
+        }));
+        let [one, three] = [&regions[..1], &regions[1..]].map(|regions| StudyParams {
+            range: HourRange::new(Hour(0), Hour(600)),
+            regions: regions.to_vec(),
+            threads: 3,
+            daily_rising: false,
+            ..StudyParams::default()
+        });
+        let barrier = std::sync::Barrier::new(2);
+        let results: Vec<StudyResult> = std::thread::scope(|s| {
+            let studies: Vec<_> = [&one, &three]
+                .map(|params| {
+                    let (service, barrier) = (&service, &barrier);
+                    s.spawn(move || {
+                        let client = MeetAtFirstFetch {
+                            inner: service,
+                            barrier,
+                            met: std::sync::atomic::AtomicBool::new(false),
+                        };
+                        run_study(&client, params).expect("study runs")
+                    })
+                })
+                .into_iter()
+                .collect();
+            studies
+                .into_iter()
+                .map(|h| h.join().expect("study thread"))
+                .collect()
+        });
+        for (params, result) in [(&one, &results[0]), (&three, &results[1])] {
+            let count = |name: &str| {
+                let stages = &result.stats.telemetry.stages;
+                stages
+                    .iter()
+                    .find(|s| s.name == name)
+                    .map_or(0, |s| s.count)
+            };
+            let table = &result.stats.telemetry;
+            assert_eq!(count("region"), params.regions.len() as u64, "{table}");
+            assert!(result.stats.frames_requested > 0);
+            assert_eq!(count("frame"), result.stats.frames_requested, "{table}");
+        }
     }
 
     /// A client the rising gather may only reach through the batch entry;

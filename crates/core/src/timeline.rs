@@ -206,6 +206,12 @@ impl StitcherSnapshot {
     pub fn covered_until(&self) -> Hour {
         self.start + self.covered
     }
+
+    /// Raw hours the stitcher retains: the widest frame of its plan. A
+    /// checkpoint reader compares this with the plan it was given.
+    pub fn keep(&self) -> usize {
+        self.keep
+    }
 }
 
 /// Incrementally stitches frames as they arrive, producing the *raw*

@@ -74,7 +74,7 @@ impl Chunk {
 
     /// Sends the chunk through `unit`, under a `fetch` span that joins
     /// the caller's trace.
-    fn fetch(&self, unit: &dyn TrendsClient, ctx: Option<sift_obs::SpanContext>) -> Replies {
+    fn fetch(&self, unit: &dyn TrendsClient, ctx: Option<&sift_obs::SpanContext>) -> Replies {
         if !unit.healthy() {
             return None;
         }
@@ -112,6 +112,7 @@ impl CollectionRun {
         // Captured on the calling thread; each chunk's thread reopens it
         // so its fetch span joins the caller's trace.
         let ctx = sift_obs::SpanContext::current();
+        let ctx = ctx.as_ref();
         let mut replies: Vec<Replies> = std::iter::repeat_with(|| None).take(k).collect();
         std::thread::scope(|scope| {
             for ((chunk, unit), slot) in chunks.iter().zip(&self.units).zip(&mut replies) {

@@ -248,7 +248,7 @@ impl HttpClient {
         let spans: Vec<sift_obs::Span> = reqs[..window]
             .iter()
             .map(|req| {
-                let span = match parent {
+                let span = match &parent {
                     Some(ctx) => sift_obs::span_in(ctx, "request"),
                     None => sift_obs::span_root("request"),
                 };

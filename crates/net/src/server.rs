@@ -567,7 +567,7 @@ fn serve_one(decided: &Decided<'_>, ctx: &ConnContext) -> Bytes {
     // dispatch and serialization, and recorded when the caller's trace
     // is. No (or bad) header: a detached, unrecorded root.
     let _serve_span = match trace_context(req) {
-        Some(tc) => sift_obs::span_in(tc, "serve"),
+        Some(tc) => sift_obs::span_in(&tc, "serve"),
         None => sift_obs::span_root("serve"),
     };
     let started_at = Instant::now();

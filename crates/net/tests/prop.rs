@@ -173,7 +173,8 @@ proptest! {
         code in 100u16..600,
         edits in proptest::collection::vec((0u8..3, any::<u32>(), any::<u8>()), 1..5),
     ) {
-        let trace = sift_obs::SpanContext { trace_id: 0x5eed, span_id: u64::from(code) };
+        let trace = sift_obs::SpanContext::from_header(&format!("{:016x}-{code:016x}", 0x5eed))
+            .expect("a well-formed context");
         let mut req = req;
         req.headers.set(sift_net::X_SIFT_TRACE, trace.to_header());
         let resp = Response {

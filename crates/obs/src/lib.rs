@@ -18,17 +18,17 @@
 //!   record into the trace store. [`SpanContext`] hands the tree (and
 //!   whether it is recorded) across worker threads ([`span_in`]) and
 //!   across HTTP (the `X-Sift-Trace` header).
+//!   A study's [`StageTable`] is the tally its [`span_tallied`] root
+//!   keeps of its own spans: per name, the exact count and total time.
 //! * [`trace`] — assembly of completed trace trees, a Chrome
 //!   trace-event JSON exporter ([`trace::chrome_trace_json`],
 //!   Perfetto-loadable) and a critical-path analyzer
 //!   ([`trace::critical_path`]).
-//! * [`telemetry`] — serializable per-stage timing summaries
-//!   ([`TelemetrySnapshot`]) built by diffing span histograms, embedded in
-//!   study results and printed as tables by the bench binaries.
 //!
 //! The usual entry points are the crate-level helpers: [`counter`],
 //! [`gauge`], [`histogram`] (global registry, thread-locally cached
-//! handles), [`span`], [`span_in`], [`span_recorded`] and [`attr_add`].
+//! handles), [`span`], [`span_in`], [`span_tallied`], [`span_recorded`]
+//! and [`attr_add`].
 //! There is no log: a diagnostic is a counter, a gauge or a span
 //! attribute, readable at `GET /metrics` and in exported traces.
 
@@ -38,13 +38,11 @@
 pub mod metrics;
 pub mod registry;
 pub mod span;
-pub mod telemetry;
 pub mod trace;
 
 pub use metrics::{Counter, Gauge, GaugeGuard, Histogram, HistogramSpec, HistogramState};
 pub use registry::{MetricKey, Registry};
-pub use span::{attr_add, attr_set, Span, SpanContext, SPAN_METRIC};
-pub use telemetry::{SpanBaseline, StageTiming, TelemetrySnapshot};
+pub use span::{attr_add, attr_set, Span, SpanContext, Stage, StageTable, SPAN_METRIC};
 pub use trace::{chrome_trace_json, critical_path, CriticalPath, SpanRecord, Trace};
 
 use std::cell::RefCell;
@@ -162,9 +160,18 @@ pub fn span(name: &str) -> Span {
 /// Opens a span as a child of an explicit [`SpanContext`] — the handoff
 /// API for crossing thread or process boundaries, where the thread-local
 /// stack would otherwise sever parentage. The span is recorded when
-/// `ctx`'s trace is.
-pub fn span_in(ctx: SpanContext, name: &str) -> Span {
-    Span::open(name, Some(ctx))
+/// `ctx`'s trace is, and adds to `ctx`'s tally, if any.
+pub fn span_in(ctx: &SpanContext, name: &str) -> Span {
+    Span::open(name, Some(ctx.clone()))
+}
+
+/// Opens a span as a child of this thread's innermost open span, like
+/// [`span`], that starts a fresh tally: each span of its subtree that
+/// reaches it (through this thread's stack, or a context handed to
+/// [`span_in`]) adds its name and elapsed time when it closes, the
+/// tallied span itself included. [`Span::stages`] reads the table.
+pub fn span_tallied(name: &str) -> Span {
+    Span::tallied(name)
 }
 
 /// Opens a span as the root of a fresh, unrecorded trace, regardless of

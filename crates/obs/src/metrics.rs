@@ -233,8 +233,8 @@ impl Histogram {
     }
 }
 
-/// A snapshot of a histogram's buckets, used for exposition, quantile
-/// estimation and before/after differencing.
+/// A snapshot of a histogram's buckets, used for exposition and
+/// quantile estimation.
 #[derive(Clone, Debug, PartialEq)]
 pub struct HistogramState {
     /// Bucket upper bounds.
@@ -248,26 +248,6 @@ pub struct HistogramState {
 }
 
 impl HistogramState {
-    /// The observations recorded since `earlier` (which must be a snapshot
-    /// of the same histogram, taken before this one).
-    pub fn since(&self, earlier: &HistogramState) -> HistogramState {
-        assert_eq!(
-            self.bounds, earlier.bounds,
-            "snapshots of different layouts"
-        );
-        HistogramState {
-            bounds: self.bounds.clone(),
-            buckets: self
-                .buckets
-                .iter()
-                .zip(&earlier.buckets)
-                .map(|(now, then)| now.saturating_sub(*then))
-                .collect(),
-            count: self.count.saturating_sub(earlier.count),
-            sum: self.sum - earlier.sum,
-        }
-    }
-
     /// See [`Histogram::quantile`].
     #[expect(clippy::expect_used, reason = "specs guarantee at least one bound")]
     pub fn quantile(&self, q: f64) -> f64 {
@@ -304,15 +284,6 @@ impl HistogramState {
             cumulative += n;
         }
         *self.bounds.last().expect("non-empty bounds")
-    }
-
-    /// Mean observation, 0.0 when empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum / self.count as f64
-        }
     }
 }
 
@@ -358,7 +329,6 @@ mod tests {
         assert_eq!(s.buckets, vec![2, 1, 1, 1]);
         assert_eq!(s.count, 5);
         assert!((s.sum - 106.0).abs() < 1e-9);
-        assert!((s.mean() - 21.2).abs() < 1e-9);
     }
 
     #[test]
@@ -377,19 +347,6 @@ mod tests {
         let h = Histogram::with_spec(&HistogramSpec::explicit(vec![1.0, 2.0]));
         h.observe(50.0);
         assert!((h.quantile(0.99) - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn state_since_subtracts() {
-        let h = Histogram::with_spec(&HistogramSpec::explicit(vec![1.0]));
-        h.observe(0.5);
-        let before = h.state();
-        h.observe(0.7);
-        h.observe(9.0);
-        let delta = h.state().since(&before);
-        assert_eq!(delta.count, 2);
-        assert_eq!(delta.buckets, vec![1, 1]);
-        assert!((delta.sum - 9.7).abs() < 1e-9);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! resolves handles once (or per thread, see [`crate::counter`]) and the
 //! increments themselves never touch the registry again.
 
-use crate::metrics::{Counter, Gauge, Histogram, HistogramSpec, HistogramState};
+use crate::metrics::{Counter, Gauge, Histogram, HistogramSpec};
 use parking_lot::RwLock;
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
@@ -188,20 +188,6 @@ impl Registry {
             Instrument::Histogram(h) => h.clone(),
             other => panic!("{name} already registered as a {}", other.kind()),
         }
-    }
-
-    /// Point-in-time states of every histogram series named `name`,
-    /// keyed by label pairs.
-    pub fn histogram_states(&self, name: &str) -> Vec<(Vec<(String, String)>, HistogramState)> {
-        self.series
-            .read()
-            .iter()
-            .filter(|(k, _)| k.name() == name)
-            .filter_map(|(k, i)| match i {
-                Instrument::Histogram(h) => Some((k.labels().to_vec(), h.state())),
-                _ => None,
-            })
-            .collect()
     }
 
     /// Number of registered series.
@@ -437,18 +423,5 @@ mod tests {
             text.contains("sift_obs_labels_dropped_total{metric=\"h_seconds\"} 1"),
             "{text}"
         );
-    }
-
-    #[test]
-    fn histogram_states_filters_by_name() {
-        let r = Registry::new();
-        let spec = HistogramSpec::explicit(vec![1.0]);
-        r.histogram("spans", &[("span", "a")], &spec).observe(0.5);
-        r.histogram("spans", &[("span", "b")], &spec).observe(2.0);
-        r.counter("other_total", &[]).inc();
-        let states = r.histogram_states("spans");
-        assert_eq!(states.len(), 2);
-        assert_eq!(states[0].0, vec![("span".to_owned(), "a".to_owned())]);
-        assert_eq!(states[0].1.count, 1);
     }
 }

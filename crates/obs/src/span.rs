@@ -24,11 +24,19 @@
 //! header via [`SpanContext::to_header`]). Counters such as bytes
 //! fetched or frames stitched attach to the innermost span via
 //! [`attr_add`] / [`attr_set`].
+//!
+//! A span opened with [`crate::span_tallied`] starts a tally, which
+//! travels like parentage (frames, [`SpanContext`], [`crate::span_in`]),
+//! never in the header: each span that reaches it adds its name and
+//! elapsed time at close, and [`Span::stages`] reads the sums.
 
 use crate::metrics::{Histogram, HistogramSpec};
 use crate::trace::{self, SpanRecord};
+use parking_lot::Mutex;
+use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::collections::HashMap;
+use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -52,16 +60,47 @@ pub(crate) fn is_recorded(trace_id: u64) -> bool {
     trace_id & RECORDED != 0
 }
 
+/// The stage table of one tallied subtree, shared by its spans.
+#[derive(Clone, Debug, Default)]
+struct Tally(Arc<Mutex<Vec<Stage>>>);
+
+impl Tally {
+    fn add(&self, name: &str, elapsed: Duration) {
+        let mut stages = self.0.lock();
+        match stages.iter_mut().find(|s| *s.name == *name) {
+            Some(stage) => {
+                stage.count += 1;
+                stage.total_seconds += elapsed.as_secs_f64();
+            }
+            None => stages.push(Stage {
+                name: name.into(),
+                count: 1,
+                total_seconds: elapsed.as_secs_f64(),
+            }),
+        }
+    }
+}
+
+impl PartialEq for Tally {
+    fn eq(&self, other: &Tally) -> bool {
+        Arc::ptr_eq(&self.0, &other.0)
+    }
+}
+
+impl Eq for Tally {}
+
 /// A span's position in its trace: enough to parent further spans onto
 /// it, locally ([`crate::span_in`]) or across a process boundary
-/// ([`SpanContext::to_header`] / [`SpanContext::from_header`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+/// ([`SpanContext::to_header`] / [`SpanContext::from_header`]). Locally
+/// it also carries the span's tally, if any; the header does not.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SpanContext {
     /// The trace the span belongs to. Its top bit marks a recorded trace
     /// ([`SpanContext::is_recorded`]).
     pub trace_id: u64,
     /// The span's own id; children set it as their parent id.
     pub span_id: u64,
+    tally: Option<Tally>,
 }
 
 impl SpanContext {
@@ -71,19 +110,20 @@ impl SpanContext {
             s.borrow().last().map(|f| SpanContext {
                 trace_id: f.trace_id,
                 span_id: f.span_id,
+                tally: f.tally.clone(),
             })
         })
     }
 
     /// True when the trace is recorded: its spans land in the trace store.
-    pub fn is_recorded(self) -> bool {
+    pub fn is_recorded(&self) -> bool {
         is_recorded(self.trace_id)
     }
 
     /// Wire encoding for the `X-Sift-Trace` header:
     /// `<trace_id hex16>-<span_id hex16>`. A recorded trace's id has its
     /// top bit set, so its value starts with `8`–`f`.
-    pub fn to_header(self) -> String {
+    pub fn to_header(&self) -> String {
         format!("{:016x}-{:016x}", self.trace_id, self.span_id)
     }
 
@@ -97,7 +137,11 @@ impl SpanContext {
         if trace_id == 0 || span_id == 0 {
             return None;
         }
-        Some(SpanContext { trace_id, span_id })
+        Some(SpanContext {
+            trace_id,
+            span_id,
+            tally: None,
+        })
     }
 }
 
@@ -105,6 +149,7 @@ struct Frame {
     trace_id: u64,
     span_id: u64,
     args: Vec<(&'static str, u64)>,
+    tally: Option<Tally>,
 }
 
 impl Frame {
@@ -164,12 +209,13 @@ fn series(name: &str) -> Arc<SpanSeries> {
     })
 }
 
-/// An in-progress span; dropping it records the duration and, in a
-/// recorded trace, its trace record. Create with [`crate::span`] (child
-/// of the thread's innermost span, or a fresh unrecorded root),
-/// [`crate::span_in`] (child of an explicit context),
-/// [`crate::span_root`] (always a fresh unrecorded root) or
-/// [`crate::span_recorded`] (always a fresh recorded root).
+/// An in-progress span; dropping it records the duration, adds it to
+/// its tally if it has one and, in a recorded trace, deposits its trace
+/// record. Create with [`crate::span`] (child of the thread's innermost
+/// span, or a fresh unrecorded root), [`crate::span_in`] (child of an
+/// explicit context), [`crate::span_tallied`] (a child that starts a
+/// fresh tally), [`crate::span_root`] (always a fresh unrecorded root)
+/// or [`crate::span_recorded`] (always a fresh recorded root).
 #[derive(Debug)]
 pub struct Span {
     series: Arc<SpanSeries>,
@@ -179,6 +225,7 @@ pub struct Span {
     trace_id: u64,
     span_id: u64,
     parent_id: Option<u64>,
+    tally: Option<Tally>,
 }
 
 impl Span {
@@ -191,12 +238,21 @@ impl Span {
         Span::open(name, SpanContext::current())
     }
 
-    /// Opens a child of `parent`, or an unrecorded root when it is `None`.
+    /// Opens a child of `parent` (in its tally), or an unrecorded root.
     pub(crate) fn open(name: &str, parent: Option<SpanContext>) -> Span {
         match parent {
-            Some(p) => Span::start(name, next_id(), p.trace_id, Some(p.span_id)),
+            Some(p) => Span::start(name, next_id(), p.trace_id, Some(p.span_id), p.tally),
             None => Span::root(name, false),
         }
+    }
+
+    /// Opens a child of this thread's innermost open span (a fresh
+    /// unrecorded root when the stack is empty) with a fresh tally.
+    pub(crate) fn tallied(name: &str) -> Span {
+        let parent = SpanContext::current();
+        let trace_id = parent.as_ref().map_or_else(next_id, |p| p.trace_id);
+        let parent_id = parent.map(|p| p.span_id);
+        Span::start(name, next_id(), trace_id, parent_id, Some(Tally::default()))
     }
 
     /// Opens the root of a fresh trace, recorded or not.
@@ -207,11 +263,17 @@ impl Span {
         } else {
             next_id()
         };
-        Span::start(name, span_id, trace_id, None)
+        Span::start(name, span_id, trace_id, None, None)
     }
 
     #[expect(clippy::disallowed_methods, reason = "span durations measure the host")]
-    fn start(name: &str, span_id: u64, trace_id: u64, parent_id: Option<u64>) -> Span {
+    fn start(
+        name: &str,
+        span_id: u64,
+        trace_id: u64,
+        parent_id: Option<u64>,
+        tally: Option<Tally>,
+    ) -> Span {
         let recorded = is_recorded(trace_id);
         if recorded {
             trace::span_opened(trace_id);
@@ -221,6 +283,7 @@ impl Span {
                 trace_id,
                 span_id,
                 args: Vec::new(),
+                tally: tally.clone(),
             })
         });
         Span {
@@ -230,6 +293,7 @@ impl Span {
             trace_id,
             span_id,
             parent_id,
+            tally,
         }
     }
 
@@ -243,12 +307,28 @@ impl Span {
         self.start.elapsed()
     }
 
-    /// The span's trace position, for parenting further spans onto it.
+    /// The span's trace position and tally, for parenting spans onto it.
     pub fn context(&self) -> SpanContext {
         SpanContext {
             trace_id: self.trace_id,
             span_id: self.span_id,
+            tally: self.tally.clone(),
         }
+    }
+
+    /// The tally this span adds to, as it stands: every span of the tally
+    /// closed so far, this one not yet. Empty when the span has no tally.
+    pub fn stages(&self) -> StageTable {
+        let mut stages = self
+            .tally
+            .as_ref()
+            .map_or_else(Vec::new, |t| t.0.lock().clone());
+        stages.sort_by(|a, b| {
+            b.total_seconds
+                .total_cmp(&a.total_seconds)
+                .then_with(|| a.name.cmp(&b.name))
+        });
+        StageTable { stages }
     }
 
     /// [`attr_add`] on this span wherever it sits in the thread's stack,
@@ -280,6 +360,9 @@ impl Drop for Span {
             }
         });
         self.series.seconds.observe_duration(elapsed);
+        if let Some(tally) = &self.tally {
+            tally.add(&self.series.name, elapsed);
+        }
         if !is_recorded(self.trace_id) {
             return;
         }
@@ -293,6 +376,43 @@ impl Drop for Span {
             tid: trace::thread_ordinal(),
             args,
         });
+    }
+}
+
+/// A tally read out ([`Span::stages`]): per span name, how many spans
+/// closed and their total time.
+#[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
+pub struct StageTable {
+    /// One row per span name, by total time descending, then by name.
+    pub stages: Vec<Stage>,
+}
+
+/// One row of a [`StageTable`].
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub struct Stage {
+    /// Span name.
+    pub name: String,
+    /// Spans of that name that closed, exactly (at least 1).
+    pub count: u64,
+    /// Their elapsed times summed.
+    pub total_seconds: f64,
+}
+
+impl fmt::Display for StageTable {
+    /// Renders a fixed-width timing table, one row per stage; the mean
+    /// is the total over the count.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        writeln!(
+            f,
+            "  {:<24} {:>8} {:>12} {:>12}",
+            "stage", "count", "total", "mean"
+        )?;
+        for s in &self.stages {
+            let mean = s.total_seconds / s.count as f64;
+            let (name, count, total) = (&s.name, s.count, s.total_seconds);
+            writeln!(f, "  {name:<24} {count:>8} {total:>11.3}s {mean:>11.6}s")?;
+        }
+        Ok(())
     }
 }
 
@@ -323,14 +443,15 @@ pub fn attr_set(key: &'static str, v: u64) {
 mod tests {
     use super::*;
 
+    /// Spans of `name` timed into `sift_span_seconds` so far, read
+    /// through this thread's handle on the series.
+    fn timed(name: &str) -> u64 {
+        series(name).seconds.count()
+    }
+
     #[test]
     fn spans_nest_and_record() {
-        let before = crate::global()
-            .histogram_states(SPAN_METRIC)
-            .into_iter()
-            .find(|(labels, _)| labels == &[("span".to_owned(), "outer-test".to_owned())])
-            .map(|(_, s)| s.count)
-            .unwrap_or(0);
+        let before = timed("outer-test");
         {
             let outer = crate::span("outer-test");
             assert_eq!(SpanContext::current(), Some(outer.context()));
@@ -342,13 +463,7 @@ mod tests {
             assert_eq!(SpanContext::current(), Some(outer.context()));
         }
         assert_eq!(SpanContext::current(), None);
-        let after = crate::global()
-            .histogram_states(SPAN_METRIC)
-            .into_iter()
-            .find(|(labels, _)| labels == &[("span".to_owned(), "outer-test".to_owned())])
-            .map(|(_, s)| s.count)
-            .unwrap_or(0);
-        assert_eq!(after, before + 1);
+        assert_eq!(timed("outer-test"), before + 1);
     }
 
     #[test]
@@ -383,8 +498,8 @@ mod tests {
         let root = crate::span_recorded("handoff-root-test");
         let ctx = root.context();
         std::thread::scope(|s| {
-            s.spawn(move || {
-                let worker = crate::span_in(ctx, "handoff-worker-test");
+            s.spawn(|| {
+                let worker = crate::span_in(&ctx, "handoff-worker-test");
                 assert_eq!(worker.context().trace_id, ctx.trace_id);
                 assert_eq!(worker.parent_id, Some(ctx.span_id));
                 assert_eq!(SpanContext::current(), Some(worker.context()));
@@ -406,6 +521,7 @@ mod tests {
         let ctx = SpanContext {
             trace_id: 0xdead_beef,
             span_id: 42,
+            tally: None,
         };
         // An unrecorded context encodes as it always has, byte for byte.
         assert!(!ctx.is_recorded());
@@ -432,7 +548,7 @@ mod tests {
         assert!(carried.is_recorded());
         std::thread::scope(|s| {
             s.spawn(|| {
-                assert!(crate::span_in(carried, "recorded-mark-remote-test")
+                assert!(crate::span_in(&carried, "recorded-mark-remote-test")
                     .context()
                     .is_recorded())
             });
@@ -445,14 +561,7 @@ mod tests {
 
     #[test]
     fn unrecorded_spans_time_but_leave_nothing_in_the_store() {
-        let count = || {
-            crate::global()
-                .histogram_states(SPAN_METRIC)
-                .into_iter()
-                .find(|(labels, _)| labels == &[("span".to_owned(), "unrecorded-test".to_owned())])
-                .map_or(0, |(_, s)| s.count)
-        };
-        let before = count();
+        let before = timed("unrecorded-test");
         let root = crate::span_root("unrecorded-test");
         let ctx = root.context();
         assert!(!ctx.is_recorded());
@@ -463,7 +572,7 @@ mod tests {
             attr_add("bytes", 3);
         }
         drop(root);
-        assert_eq!(count(), before + 2, "both spans timed");
+        assert_eq!(timed("unrecorded-test"), before + 2, "both spans timed");
         assert!(crate::trace::completed(ctx.trace_id).is_none());
         let waited = Instant::now();
         assert!(crate::trace::wait_completed(ctx.trace_id, Duration::from_secs(30)).is_none());
@@ -477,8 +586,8 @@ mod tests {
     fn span_attr_add_reaches_a_sibling_that_is_not_innermost() {
         let root = crate::span_recorded("attr-sibling-root-test");
         let ctx = root.context();
-        let first = crate::span_in(ctx, "attr-sibling-first-test");
-        let second = crate::span_in(ctx, "attr-sibling-second-test");
+        let first = crate::span_in(&ctx, "attr-sibling-first-test");
+        let second = crate::span_in(&ctx, "attr-sibling-second-test");
         first.attr_add("bytes", 7);
         drop(first); // out of stack order, as replies arrive
         drop(second);
@@ -519,5 +628,69 @@ mod tests {
             .find(|s| s.name == "attr-root-test")
             .expect("root");
         assert_eq!(root_rec.arg("frames_stitched"), Some(2));
+    }
+
+    /// The rows of `table` as `(name, count)`.
+    fn counts(table: &StageTable) -> Vec<(&str, u64)> {
+        let mut rows: Vec<_> = table
+            .stages
+            .iter()
+            .map(|s| (s.name.as_str(), s.count))
+            .collect();
+        rows.sort_unstable();
+        rows
+    }
+
+    #[test]
+    fn a_tally_counts_its_subtree_on_every_thread_and_nothing_else() {
+        let outside = crate::span("tally-outside-test");
+        let study = crate::span_tallied("tally-root-test");
+        assert_eq!(study.context().trace_id, outside.context().trace_id);
+        let ctx = study.context();
+        drop(crate::span("tally-child-test"));
+        std::thread::scope(|s| {
+            for _ in 0..3 {
+                s.spawn(|| {
+                    let _worker = crate::span_in(&ctx, "tally-worker-test");
+                    drop(crate::span("tally-child-test"));
+                    // A fresh root, and a context carried by header, leave
+                    // the tally behind.
+                    drop(crate::span_root("tally-detached-test"));
+                    let remote = SpanContext::from_header(&ctx.to_header()).expect("parses");
+                    drop(crate::span_in(&remote, "tally-detached-test"));
+                });
+            }
+        });
+        let table = study.stages();
+        assert_eq!(
+            counts(&table),
+            [("tally-child-test", 4), ("tally-worker-test", 3)]
+        );
+        drop(study);
+        assert!(
+            outside.stages().stages.is_empty(),
+            "no tally above the root"
+        );
+        assert!(crate::span("tally-after-test").stages().stages.is_empty());
+    }
+
+    #[test]
+    fn a_stage_table_prints_count_total_and_mean() {
+        let table = StageTable {
+            stages: vec![Stage {
+                name: "detect".into(),
+                count: 4,
+                total_seconds: 0.5,
+            }],
+        };
+        let text = table.to_string();
+        assert!(text.contains("stage") && text.contains("mean"), "{text}");
+        assert!(
+            text.contains("detect") && text.contains("0.125000s"),
+            "{text}"
+        );
+        let back: StageTable =
+            serde_json::from_str(&serde_json::to_string(&table).expect("encode")).expect("decode");
+        assert_eq!(back, table);
     }
 }

@@ -28,10 +28,12 @@ pub struct ServeConfig {
     /// stops at its end; the simulated clock decides how much of it is
     /// fetchable *now*.
     pub range: HourRange,
-    /// Frame planning parameters (length and overlap).
+    /// Frame planning parameters (length and overlap). A region's
+    /// checkpoint taken with another frame length is refused at start.
     pub plan: PlanParams,
     /// Detection parameters for the incremental walk. Must satisfy
-    /// `min_peak > walk_floor` (asserted by the detector).
+    /// `min_peak > walk_floor` (asserted by the detector). A region's
+    /// checkpoint taken with others is refused at start.
     pub detect: DetectParams,
     /// WAL records between checkpoints: a crash replays at most this
     /// many frames per region.

@@ -96,7 +96,9 @@ impl RegionCore {
     /// live apply path. A checkpoint taken for another region or another
     /// origin hour is `InvalidData`: restoring it would serve that
     /// series' spikes under this region's name until the first ingest
-    /// failed. So is a whole WAL record that does not decode.
+    /// failed. So is one taken with other detection parameters or
+    /// another frame length, which would keep running in this region
+    /// alone. So is a whole WAL record that does not decode.
     pub(crate) fn open(
         dir: &Path,
         state: State,
@@ -114,6 +116,7 @@ impl RegionCore {
             ),
             None => None,
         };
+        let keep = usize::try_from(plan.frame_len).unwrap_or(usize::MAX);
         if let Some((head, _)) = &recovered {
             for found in [head.stitcher.series(), head.detector.series()] {
                 if found != (state, start) {
@@ -125,11 +128,24 @@ impl RegionCore {
                     )));
                 }
             }
+            if head.detector.params() != detect {
+                return Err(invalid(format!(
+                    "{} holds a checkpoint with detect {:?}, not {detect:?}",
+                    ckpt_path.display(),
+                    head.detector.params()
+                )));
+            }
+            if head.stitcher.keep() != keep {
+                return Err(invalid(format!(
+                    "{} holds a checkpoint with frame_len {}, not {keep}",
+                    ckpt_path.display(),
+                    head.stitcher.keep()
+                )));
+            }
         }
         let checkpoint_age = recovered.as_ref().and_then(|_| checkpoint_age(&ckpt_path));
         let (journal, recovery) = Journal::open(&dir.join("region.wal"))?;
 
-        let keep = usize::try_from(plan.frame_len).unwrap_or(usize::MAX);
         let mut core = match recovered {
             Some((head, spikes)) => RegionCore {
                 state,
@@ -836,6 +852,65 @@ mod tests {
         }
         let core = open_in(&dir, State::TX, Hour(0)).expect("its own region reopens");
         assert_eq!(core.watermark(), Hour(168));
+    }
+
+    /// A checkpoint keeps the detection parameters and the frame length
+    /// it was taken with. Reopening it with others is refused, naming
+    /// the field, both values and the checkpoint; reopening it with its
+    /// own recovers the identical spike set.
+    #[test]
+    fn a_checkpoint_reopened_with_other_parameters_is_refused() {
+        let dir = scratch_dir("serve_region_params");
+        let spiky = FrameResponse {
+            values: (0..168).map(|h| if h % 24 == 6 { 80 } else { 0 }).collect(),
+            ..flat_frame(0)
+        };
+        let sealed = {
+            let mut core = open_in(&dir, State::TX, Hour(0)).expect("open region");
+            core.ingest(0, &spiky, 1).expect("ingest");
+            assert_eq!(core.wal_tail, 0, "the frame was checkpointed");
+            core.spikes.clone()
+        };
+        assert_eq!(sealed.len(), 7, "{sealed:?}");
+        let other = DetectParams {
+            min_peak: 50.0,
+            walk_floor: 20.0,
+            max_spikes: 7,
+        };
+        let short = PlanParams {
+            frame_len: 84,
+            step: 42,
+        };
+        for (plan, detect, field, values) in [
+            (
+                PlanParams::default(),
+                other,
+                "detect",
+                [
+                    format!("{:?}", DetectParams::default()),
+                    format!("{other:?}"),
+                ],
+            ),
+            (
+                short,
+                DetectParams::default(),
+                "frame_len",
+                ["168".to_owned(), "84".to_owned()],
+            ),
+        ] {
+            match RegionCore::open(&dir, State::TX, Hour(0), plan, detect, None) {
+                Ok(_) => panic!("a checkpoint reopened with another {field}"),
+                Err(e) => {
+                    assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{e}");
+                    let text = e.to_string();
+                    let path = dir.join("region.ckpt").display().to_string();
+                    assert!(text.contains(field) && text.contains(&path), "{text}");
+                    assert!(values.iter().all(|v| text.contains(v.as_str())), "{text}");
+                }
+            }
+        }
+        let core = open_in(&dir, State::TX, Hour(0)).expect("reopens with its own parameters");
+        assert_eq!(core.spikes, sealed);
     }
 
     /// A WAL record whose CRC checks but whose payload does not decode

@@ -65,6 +65,10 @@ fn main() {
     // the server-side serve spans (joined via the X-Sift-Trace header,
     // which carries the recorded mark) all land in a single tree that
     // completes when the last one closes. Without it nothing is kept.
+    // The per-stage table printed below is the study's own: its root
+    // span's tally of every pipeline stage and HTTP attempt, recorded or
+    // not. The server's serve spans join the trace by header, which
+    // carries no tally, so they time into `/metrics` alone.
     let run_span = sift::obs::span_recorded("observability");
     let trace_id = run_span.context().trace_id;
     let result = run_study(&client, &params).expect("study over http");

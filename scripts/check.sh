@@ -12,10 +12,10 @@ cd "$(dirname "$0")/.."
 
 # Flake budget, not part of the default gate: `check.sh --soak N` runs the
 # suites that start threads or sockets (every sift-core, sift-cluster,
-# sift-net, sift-fetcher, sift-serve and sift-chaos test, plus the root
-# cluster_http, nemesis_http, overload_http, chaos_http, resume_http,
-# pipeline_http, serve_http and metrics_http acceptance tests) N times at
-# --test-threads 1 and N times at the
+# sift-net, sift-fetcher, sift-serve, sift-chaos and sift-obs test, plus
+# the root cluster_http, nemesis_http, overload_http, chaos_http,
+# resume_http, pipeline_http, serve_http and metrics_http acceptance
+# tests) N times at --test-threads 1 and N times at the
 # default, with one CPU hog per core — the condition both flakes found so
 # far needed. It counts: tests passed and failed, runs that died without
 # a verdict, and the slowest single test (timed between result lines, so
@@ -25,7 +25,7 @@ soak() {
   local n=$1 threads suite line now ms
   local passed=0 failed=0 dead_runs=0 slowest_ms=0 slowest=none hogs=()
   local suites=("-p sift-core" "-p sift-cluster" "-p sift-net" "-p sift-fetcher"
-    "-p sift-serve" "-p sift-chaos"
+    "-p sift-serve" "-p sift-chaos" "-p sift-obs"
     "--test cluster_http --test nemesis_http"
     "--test overload_http --test chaos_http"
     "--test resume_http --test pipeline_http"
