@@ -10,12 +10,11 @@
 //! bounce-then-shed shape the fetcher queue applies to individual
 //! requests.
 //!
-//! A coordinator opened with [`Coordinator::durable`] additionally
-//! journals every control-state transition through `sift-journal` before
-//! acknowledging it (see [`crate::recovery`]): kill the process at any
-//! point and a restart replays the WAL, bumps the fencing epoch past
-//! everything it ever granted, and resumes the run without re-crawling
-//! accepted shards.
+//! A coordinator ([`Coordinator::durable`]) journals every control-state
+//! transition through `sift-journal` before acknowledging it (see
+//! [`crate::recovery`]): kill the process at any point and a restart
+//! replays the WAL, bumps the fencing epoch past everything it ever
+//! granted, and resumes the run without re-crawling accepted shards.
 //!
 //! Once every shard has an accepted [`RegionOutcome`], the coordinator
 //! folds them through [`sift_core::assemble_study`] — the *same* global
@@ -160,16 +159,15 @@ struct CoordState {
     table: CoordTable,
     /// Live leases, one slot per shard in `table.shards` order.
     leases: Vec<Option<Lease>>,
-    /// The WAL; `None` for a purely in-memory run. Living inside the
-    /// state mutex means journal order provably equals apply order.
-    durability: Option<CoordDurability>,
+    /// The WAL. Living inside the state mutex means journal order
+    /// provably equals apply order.
+    durability: CoordDurability,
 }
 
 impl CoordState {
-    /// WAL before acknowledgement: applies `rec` only once it is durable
-    /// (at once for an in-memory run). Returns `false`, with the table
-    /// untouched, when it could not be made durable — the caller must
-    /// then withhold the acknowledgement.
+    /// WAL before acknowledgement: applies `rec` only once it is durable.
+    /// Returns `false`, with the table untouched, when it could not be
+    /// made durable — the caller must then withhold the acknowledgement.
     fn commit(&mut self, rec: CoordRecord) -> bool {
         let durable = self.log(&rec);
         if durable {
@@ -187,13 +185,9 @@ impl CoordState {
         self.table.apply(rec);
     }
 
-    /// Appends `rec` if this coordinator is durable; `false` only when
-    /// the append failed.
+    /// Appends `rec`; `false` when the append failed.
     fn log(&mut self, rec: &CoordRecord) -> bool {
-        let Some(d) = self.durability.as_mut() else {
-            return true;
-        };
-        match d.append(rec) {
+        match self.durability.append(rec) {
             Ok(()) => true,
             Err(_) => {
                 sift_obs::counter("sift_cluster_wal_errors_total", &[]).inc();
@@ -240,21 +234,16 @@ pub struct Coordinator {
 }
 
 impl Coordinator {
-    /// An in-memory coordinator for `params`, one shard per region. The
-    /// span active at construction time (if any) becomes the run's trace
-    /// root, propagated to workers at join.
-    pub fn new(params: StudyParams, config: ClusterConfig) -> Coordinator {
-        let table = CoordTable::initial(&params.regions);
-        Coordinator::from_table(params, config, table, None)
-    }
-
-    /// A crash-recoverable coordinator whose control state lives under
-    /// `dir`. A fresh directory starts a fresh run; a directory holding a
-    /// prior coordinator's WAL *recovers* it: the shard table is folded
-    /// back from the records, in-flight leases revert to pending, the
-    /// fencing epoch is bumped strictly past every epoch the previous
-    /// incarnation granted, and already-accepted outcomes are restored so
-    /// their shards are never re-crawled.
+    /// A crash-recoverable coordinator for `params`, one shard per
+    /// region, whose control state lives under `dir`. A fresh directory
+    /// starts a fresh run; a directory holding a prior coordinator's WAL
+    /// *recovers* it: the shard table is folded back from the records,
+    /// in-flight leases revert to pending, the fencing epoch is bumped
+    /// strictly past every epoch the previous incarnation granted, and
+    /// already-accepted outcomes are restored so their shards are never
+    /// re-crawled. The span active at construction time (if any) becomes
+    /// the run's trace root, propagated to workers at join.
+    #[expect(clippy::disallowed_methods, reason = "leases time real processes")]
     pub fn durable(
         params: StudyParams,
         config: ClusterConfig,
@@ -272,19 +261,6 @@ impl Coordinator {
             sift_obs::counter("sift_cluster_coord_recoveries_total", &[]).inc();
             sift_obs::counter("sift_cluster_epoch_bumps_total", &[]).inc();
         }
-        Ok((
-            Coordinator::from_table(params, config, table, Some(durability)),
-            recovery,
-        ))
-    }
-
-    #[expect(clippy::disallowed_methods, reason = "leases time real processes")]
-    fn from_table(
-        params: StudyParams,
-        config: ClusterConfig,
-        table: CoordTable,
-        durability: Option<CoordDurability>,
-    ) -> Coordinator {
         let pending = table
             .shards
             .iter()
@@ -292,7 +268,7 @@ impl Coordinator {
             .count();
         sift_obs::gauge("sift_cluster_shards_pending", &[])
             .set(i64::try_from(pending).unwrap_or(i64::MAX));
-        Coordinator {
+        let coord = Coordinator {
             params,
             config,
             epoch: Instant::now(),
@@ -302,7 +278,8 @@ impl Coordinator {
                 table,
                 durability,
             }),
-        }
+        };
+        Ok((coord, recovery))
     }
 
     /// The study parameters this run shards over.
@@ -655,7 +632,7 @@ fn json_reply<T: serde::Serialize>(value: &T) -> Response {
 mod tests {
     use super::*;
     use sift_core::Timeline;
-    use sift_journal::testutil::scratch_dir;
+    use sift_journal::testutil::{scratch_dir, ScratchDir};
     use sift_simtime::{Hour, HourRange};
     use std::collections::HashSet;
 
@@ -677,6 +654,15 @@ mod tests {
             poll_ms: 5,
             attempt_budget: 3,
         }
+    }
+
+    /// A fresh coordinator for `regions` in its own scratch directory
+    /// (held for as long as the coordinator is used).
+    fn fresh(regions: Vec<State>, config: ClusterConfig) -> (ScratchDir, Coordinator) {
+        let dir = scratch_dir("coord");
+        let (c, rec) = Coordinator::durable(params(regions), config, &dir).expect("durable");
+        assert!(!rec.had_state);
+        (dir, c)
     }
 
     fn lease_at(c: &Coordinator, now_ms: u64, worker: &str) -> (LeaseReply, Option<u64>) {
@@ -755,7 +741,7 @@ mod tests {
 
     #[test]
     fn epochs_are_unique_and_a_dead_workers_shard_goes_to_a_survivor() {
-        let c = Coordinator::new(params(vec![State::CA, State::TX, State::NY]), config());
+        let (_dir, c) = fresh(vec![State::CA, State::TX, State::NY], config());
         let jobs: Vec<ShardJob> = (0..3).map(|_| job_at(&c, 0, "w0")).collect();
         assert!(matches!(lease_at(&c, 0, "w0").0, LeaseReply::Wait { .. }));
         // w0 goes silent; whoever asks next takes its shards over.
@@ -775,7 +761,7 @@ mod tests {
         let regions = vec![State::CA, State::TX, State::NY, State::FL, State::WA];
         let k = regions.len();
         for order in 0u32..1 << k {
-            let c = Coordinator::new(params(regions.clone()), config());
+            let (_dir, c) = fresh(regions.clone(), config());
             for worker in ["w0", "w1"] {
                 c.join(&JoinRequest {
                     worker: worker.into(),
@@ -796,7 +782,7 @@ mod tests {
         }
         // A benched worker is the one requester refused while shards are
         // pending: w0 went silent on CA, so at 51 ms all k are pending.
-        let c = Coordinator::new(params(regions), config());
+        let (_dir, c) = fresh(regions, config());
         job_at(&c, 0, "w0");
         let (reply, hint) = lease_at(&c, 51, "w0");
         assert!(matches!(reply, LeaseReply::Wait { .. }), "{reply:?}");
@@ -814,7 +800,7 @@ mod tests {
             sift_obs::counter("sift_cluster_reroute_total", &[("reason", reason)]).get()
         };
         let reroutes_before = reroutes();
-        let c = Coordinator::new(params(vec![State::CA]), config());
+        let (_dir, c) = fresh(vec![State::CA], config());
         c.join(&JoinRequest {
             worker: "w0".into(),
         });
@@ -849,7 +835,7 @@ mod tests {
     fn attempt_budget_fails_the_shard_eventually() {
         let mut cfg = config();
         cfg.attempt_budget = 2;
-        let c = Coordinator::new(params(vec![State::CA]), cfg);
+        let (_dir, c) = fresh(vec![State::CA], cfg);
         // Each holder goes silent; the next worker asks 51 ms later.
         job_at(&c, 0, "w0");
         job_at(&c, 51, "w1");
@@ -874,7 +860,7 @@ mod tests {
 
     #[test]
     fn voluntary_release_reroutes_without_benching() {
-        let c = Coordinator::new(params(vec![State::CA]), config());
+        let (_dir, c) = fresh(vec![State::CA], config());
         let job = job_at(&c, 0, "w0");
         assert!(!beat_at(&c, 0, "w0", job, true));
         let status = c.status_at(0);
@@ -886,7 +872,7 @@ mod tests {
 
     #[test]
     fn benched_worker_and_empty_table_get_a_retry_after_hint() {
-        let c = Coordinator::new(params(vec![State::CA]), config());
+        let (_dir, c) = fresh(vec![State::CA], config());
         job_at(&c, 0, "w0");
         // Another worker with nothing pending: long-poll hint.
         let (reply, hint) = lease_at(&c, 0, "w1");
@@ -904,7 +890,7 @@ mod tests {
 
     #[test]
     fn status_reports_epoch_recoveries_and_per_shard_grants() {
-        let c = Coordinator::new(params(vec![State::CA, State::TX]), config());
+        let (_dir, c) = fresh(vec![State::CA, State::TX], config());
         job_at(&c, 0, "w0");
         job_at(&c, 0, "w0");
         let status = c.status_at(0);
@@ -920,7 +906,7 @@ mod tests {
 
     #[test]
     fn poll_yields_outcomes_once_complete_and_a_count_on_timeout() {
-        let c = Coordinator::new(params(vec![State::CA, State::TX]), config());
+        let (_dir, c) = fresh(vec![State::CA, State::TX], config());
         for _ in 0..2 {
             assert!(matches!(c.poll_at(0, u64::MAX), Ok(None)));
             let job = job_at(&c, 0, "w0");
@@ -930,7 +916,7 @@ mod tests {
         let states: Vec<State> = outcomes.iter().map(|o| o.state).collect();
         assert_eq!(states, [State::CA, State::TX], "shard order");
         // An incomplete run past its deadline reports how far it got.
-        let c = Coordinator::new(params(vec![State::CA, State::TX]), config());
+        let (_dir, c) = fresh(vec![State::CA, State::TX], config());
         let job = job_at(&c, 0, "w0");
         assert!(c.result_at(0, upload("w0", job)).accepted);
         let err = c.poll_at(10, 10).unwrap_err();
@@ -1000,7 +986,7 @@ mod tests {
         let (c, _) = Coordinator::durable(p.clone(), config(), &dir).expect("durable");
         let fail_appends = |on: bool| {
             let mut s = c.inner.lock();
-            s.durability.as_mut().expect("durable").fail_appends = on;
+            s.durability.fail_appends = on;
         };
         let ca = job_at(&c, 0, "w0");
         assert_eq!(ca.epoch, 0);

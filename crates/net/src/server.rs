@@ -52,8 +52,7 @@ pub struct Server {
     router: Arc<Router>,
     limiter: Option<Arc<RateLimiter>>,
     workers: usize,
-    admission: AdmissionConfig,
-    admission_shared: Option<Arc<AdmissionController>>,
+    admission: Arc<AdmissionController>,
 }
 
 impl Server {
@@ -65,8 +64,7 @@ impl Server {
             workers: 4,
             // No bounds unless asked for; the controller still powers
             // graceful drain.
-            admission: AdmissionConfig::unlimited(),
-            admission_shared: None,
+            admission: Arc::new(AdmissionController::new(AdmissionConfig::unlimited())),
         }
     }
 
@@ -76,20 +74,14 @@ impl Server {
         self
     }
 
-    /// Bounds the accept queue and in-flight request count; excess load
-    /// is shed with `503 + Retry-After` (see [`crate::admission`]).
-    pub fn with_admission(mut self, config: AdmissionConfig) -> Self {
-        self.admission = config;
-        self
-    }
-
-    /// Uses a caller-owned admission controller instead of building one
-    /// internally from the [`Self::with_admission`] config. Handlers that
-    /// need admission state — a long-poll route parking its waiter via
+    /// Bounds the accept queue and in-flight request count with
+    /// `controller`; excess load is shed with `503 + Retry-After` (see
+    /// [`crate::admission`]). Handlers that need admission state — a
+    /// long-poll route parking its waiter via
     /// [`AdmissionController::park`], or a drain-aware wait loop — hold a
     /// clone of the same `Arc` the server sheds with.
-    pub fn with_admission_controller(mut self, controller: Arc<AdmissionController>) -> Self {
-        self.admission_shared = Some(controller);
+    pub fn with_admission(mut self, controller: Arc<AdmissionController>) -> Self {
+        self.admission = controller;
         self
     }
 
@@ -107,9 +99,7 @@ impl Server {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
         let shutdown = Arc::new(AtomicBool::new(false));
-        let admission = self
-            .admission_shared
-            .unwrap_or_else(|| Arc::new(AdmissionController::new(self.admission)));
+        let admission = self.admission;
         let started = Instant::now();
         #[expect(
             clippy::disallowed_methods,
@@ -853,11 +843,11 @@ mod tests {
         let gate = Gate::new();
         let h = Server::new(gated_router(&gate))
             .with_workers(2)
-            .with_admission(AdmissionConfig {
+            .with_admission(Arc::new(AdmissionController::new(AdmissionConfig {
                 max_inflight: 1,
                 max_queue: 0,
                 retry_after_secs: 3,
-            })
+            })))
             .bind("127.0.0.1:0")
             .expect("bind");
         let _open_guard = OpenOnDrop(Arc::clone(&gate));
@@ -1006,11 +996,11 @@ mod tests {
     #[test]
     fn a_batch_never_sheds_itself_under_an_inflight_cap_of_one() {
         let h = Server::new(test_router())
-            .with_admission(AdmissionConfig {
+            .with_admission(Arc::new(AdmissionController::new(AdmissionConfig {
                 max_inflight: 1,
                 max_queue: 0,
                 retry_after_secs: 3,
-            })
+            })))
             .bind("127.0.0.1:0")
             .expect("bind");
         let mut s = TcpStream::connect(h.addr()).expect("connect");

@@ -7,8 +7,7 @@
 //! subsystem, hand-rolled over atomics:
 //!
 //! * [`metrics`] — labeled [`Counter`]/[`Gauge`] and a log-bucketed
-//!   [`Histogram`] with quantile estimation; every increment is a single
-//!   lock-free atomic RMW.
+//!   [`Histogram`]; every increment is a single lock-free atomic RMW.
 //! * [`registry`] — a global [`Registry`] keyed by metric name + labels,
 //!   rendering the Prometheus text exposition format for `GET /metrics`.
 //! * [`span`] — RAII [`Span`] timers forming causal trace trees: each

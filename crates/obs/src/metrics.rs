@@ -148,7 +148,7 @@ pub(crate) struct HistogramCore {
     sum_bits: AtomicU64,
 }
 
-/// A log-bucketed histogram with quantile estimation.
+/// A log-bucketed histogram.
 #[derive(Clone, Debug)]
 pub struct Histogram {
     core: Arc<HistogramCore>,
@@ -209,14 +209,6 @@ impl Histogram {
         f64::from_bits(self.core.sum_bits.load(Ordering::Relaxed))
     }
 
-    /// Estimates the `q`-quantile (`0.0 ..= 1.0`) by linear interpolation
-    /// within the bucket holding that rank. The estimate lands in the same
-    /// bucket as the exact quantile, so its error is bounded by one bucket
-    /// width. Returns 0.0 for an empty histogram.
-    pub fn quantile(&self, q: f64) -> f64 {
-        self.state().quantile(q)
-    }
-
     /// A point-in-time copy of the histogram's contents.
     pub fn state(&self) -> HistogramState {
         HistogramState {
@@ -233,8 +225,7 @@ impl Histogram {
     }
 }
 
-/// A snapshot of a histogram's buckets, used for exposition and
-/// quantile estimation.
+/// A snapshot of a histogram's buckets, used for exposition.
 #[derive(Clone, Debug, PartialEq)]
 pub struct HistogramState {
     /// Bucket upper bounds.
@@ -245,46 +236,6 @@ pub struct HistogramState {
     pub count: u64,
     /// Sum of observations.
     pub sum: f64,
-}
-
-impl HistogramState {
-    /// See [`Histogram::quantile`].
-    #[expect(clippy::expect_used, reason = "specs guarantee at least one bound")]
-    pub fn quantile(&self, q: f64) -> f64 {
-        assert!((0.0..=1.0).contains(&q), "quantile out of range");
-        if self.count == 0 {
-            return 0.0;
-        }
-        // 1-based rank of the order statistic we are after.
-        #[expect(
-            clippy::cast_possible_truncation,
-            clippy::cast_sign_loss,
-            reason = "q is in [0, 1], so the product is in [0, count]; float `as` saturates"
-        )]
-        let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
-        let mut cumulative = 0u64;
-        for (i, n) in self.buckets.iter().enumerate() {
-            if *n == 0 {
-                continue;
-            }
-            if cumulative + n >= rank {
-                let lower = if i == 0 { 0.0 } else { self.bounds[i - 1] };
-                let upper = match self.bounds.get(i) {
-                    Some(b) => *b,
-                    // Overflow bucket is unbounded; the last bound is the
-                    // best defensible answer.
-                    None => return *self.bounds.last().expect("non-empty bounds"),
-                };
-                let into = (rank - cumulative) as f64 / *n as f64;
-                // The interpolation can round one ulp past the bucket's
-                // upper bound when `into` is 1; clamp so the estimate
-                // always stays inside the bucket holding the exact rank.
-                return (lower + (upper - lower) * into).min(upper);
-            }
-            cumulative += n;
-        }
-        *self.bounds.last().expect("non-empty bounds")
-    }
 }
 
 #[cfg(test)]
@@ -329,24 +280,6 @@ mod tests {
         assert_eq!(s.buckets, vec![2, 1, 1, 1]);
         assert_eq!(s.count, 5);
         assert!((s.sum - 106.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn quantiles_interpolate_within_bucket() {
-        let h = Histogram::with_spec(&HistogramSpec::explicit(vec![1.0, 2.0, 4.0]));
-        for _ in 0..10 {
-            h.observe(1.5); // all mass in (1, 2]
-        }
-        let q = h.quantile(0.5);
-        assert!((1.0..=2.0).contains(&q), "{q}");
-        assert_eq!(h.quantile(0.0).to_bits(), h.quantile(1e-9).to_bits());
-    }
-
-    #[test]
-    fn overflow_quantile_reports_last_bound() {
-        let h = Histogram::with_spec(&HistogramSpec::explicit(vec![1.0, 2.0]));
-        h.observe(50.0);
-        assert!((h.quantile(0.99) - 2.0).abs() < 1e-12);
     }
 
     #[test]

@@ -12,6 +12,12 @@ use std::time::Duration;
 /// (`DetectorLagging`) when the detector's open segment grows past it.
 pub(crate) const LAG_BUDGET_HOURS: i64 = 14 * 24;
 
+/// Reads degrade (`WalBacklog`) when a region's un-checkpointed WAL tail
+/// exceeds this many checkpoint intervals (`checkpoint_every` records
+/// each): its checkpoints are failing, and a crash now would mean a long
+/// replay.
+pub(crate) const WAL_BACKLOG_CHECKPOINTS: u64 = 4;
+
 /// Host-time sleep between ingest polls of the simulated clock.
 pub(crate) const POLL_INTERVAL: Duration = Duration::from_millis(2);
 
@@ -36,11 +42,9 @@ pub struct ServeConfig {
     /// checkpoint taken with others is refused at start.
     pub detect: DetectParams,
     /// WAL records between checkpoints: a crash replays at most this
-    /// many frames per region.
+    /// many frames per region while checkpoints succeed. Reads degrade
+    /// (`WalBacklog`) once a region's tail exceeds four times this.
     pub checkpoint_every: u64,
-    /// Reads degrade (`WalBacklog`) when the un-checkpointed WAL tail
-    /// exceeds this many records (checkpoints are failing).
-    pub max_wal_backlog: u64,
     /// Longest a `/spikes/subscribe` long-poll parks before answering
     /// empty.
     pub long_poll_max: Duration,
@@ -62,7 +66,6 @@ impl ServeConfig {
             plan: PlanParams::default(),
             detect: DetectParams::default(),
             checkpoint_every: 4,
-            max_wal_backlog: 16,
             long_poll_max: Duration::from_secs(10),
             admission: AdmissionConfig::default(),
             workers: 8,

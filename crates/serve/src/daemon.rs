@@ -19,14 +19,13 @@
 //! `X-Sift-Degraded` header naming the [`DegradeReason`] — the read
 //! still serves last-good data.
 
-use crate::config::{ServeConfig, LAG_BUDGET_HOURS, POLL_INTERVAL};
+use crate::config::{ServeConfig, LAG_BUDGET_HOURS, POLL_INTERVAL, WAL_BACKLOG_CHECKPOINTS};
 use crate::degrade::DegradeReason;
 use crate::region::RegionCore;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use sift_core::{plan_frames, FramePlan, Spike};
 use sift_geo::State;
-use sift_journal::CrashInjector;
 use sift_net::{
     mount_observability, AdmissionController, Method, Request, Response, Router, Server,
     ServerHandle, StatusCode,
@@ -124,17 +123,22 @@ impl Shared {
         }
     }
 
+    /// The most severe degrade condition a locked region core is in.
+    fn degrade(&self, core: &RegionCore) -> Option<DegradeReason> {
+        core.degrade(
+            self.fetchable_until(),
+            LAG_BUDGET_HOURS,
+            WAL_BACKLOG_CHECKPOINTS.saturating_mul(self.cfg.checkpoint_every),
+        )
+    }
+
     /// Builds the `/spikes` reply for a locked region core.
     fn spikes_reply(
         &self,
         core: &RegionCore,
         since: Option<i64>,
     ) -> (SpikesReply, Option<DegradeReason>) {
-        let degraded = core.degrade(
-            self.fetchable_until(),
-            LAG_BUDGET_HOURS,
-            self.cfg.max_wal_backlog,
-        );
+        let degraded = self.degrade(core);
         let spikes: Vec<Spike> = match since {
             Some(h) => core
                 .spikes
@@ -158,11 +162,7 @@ impl Shared {
         let mut regions = Vec::with_capacity(self.regions.len());
         for rt in &self.regions {
             let core = rt.core.lock();
-            let degraded = core.degrade(
-                self.fetchable_until(),
-                LAG_BUDGET_HOURS,
-                self.cfg.max_wal_backlog,
-            );
+            let degraded = self.degrade(&core);
             regions.push(RegionStatus {
                 region: rt.state,
                 watermark: core.watermark().0,
@@ -240,27 +240,15 @@ impl Daemon {
     /// Starts the daemon: recovers every region from `dir` (checkpoint +
     /// WAL tail), binds the HTTP server on a free localhost port, and
     /// spawns the ingest thread against `clock`.
+    #[expect(clippy::disallowed_methods, reason = "staleness is host time")]
     pub fn start(
         cfg: ServeConfig,
         client: Arc<dyn TrendsClient>,
         clock: Arc<SimClock>,
         dir: &Path,
     ) -> io::Result<Daemon> {
-        Daemon::start_with_crash(cfg, client, clock, dir, None)
-    }
-
-    /// [`Daemon::start`] with a crash injector wired into every checkpoint
-    /// install (a crash elsewhere is a cut of a WAL, built from files).
-    #[expect(clippy::disallowed_methods, reason = "staleness is host time")]
-    pub fn start_with_crash(
-        cfg: ServeConfig,
-        client: Arc<dyn TrendsClient>,
-        clock: Arc<SimClock>,
-        dir: &Path,
-        crash: Option<Arc<CrashInjector>>,
-    ) -> io::Result<Daemon> {
         let plan = plan_frames(cfg.range, cfg.plan);
-        let cores = open_regions(&cfg, dir, crash.as_ref())?;
+        let cores = open_regions(&cfg, dir)?;
         publish_checkpoint_age(&cores);
         let regions = cores
             .into_iter()
@@ -289,7 +277,7 @@ impl Daemon {
 
         let router = build_router(&shared);
         let server = Server::new(router)
-            .with_admission_controller(Arc::clone(&admission))
+            .with_admission(Arc::clone(&admission))
             .with_workers(workers)
             .bind("127.0.0.1:0")?;
 
@@ -321,9 +309,9 @@ impl Daemon {
         &self.shared.admission
     }
 
-    /// True when the ingest thread has died (a crash injector fired, or
-    /// a bug). The HTTP front keeps serving last-good data; reads will
-    /// degrade as the watermark falls behind.
+    /// True when the ingest thread has died (a panic in the upstream
+    /// client, or a bug). The HTTP front keeps serving last-good data;
+    /// reads will degrade as the watermark falls behind.
     pub fn ingest_dead(&self) -> bool {
         self.shared.ingest_dead.load(Ordering::SeqCst)
     }
@@ -380,7 +368,7 @@ impl Daemon {
         }
         if let Some(ingest) = self.ingest.take() {
             // A crashed ingest thread already unwound; joining it then
-            // just collects the panic, which is expected in crash tests.
+            // just collects the panic.
             #[expect(clippy::let_underscore_must_use, reason = "the panic is expected")]
             let _ = ingest.join();
         }
@@ -398,11 +386,7 @@ impl Daemon {
 /// the error depends on which thread opened what: the cores come back in
 /// `cfg.regions` order, and the error is that of the first failing
 /// region in that order.
-fn open_regions(
-    cfg: &ServeConfig,
-    dir: &Path,
-    crash: Option<&Arc<CrashInjector>>,
-) -> io::Result<Vec<RegionCore>> {
+fn open_regions(cfg: &ServeConfig, dir: &Path) -> io::Result<Vec<RegionCore>> {
     let next = AtomicUsize::new(0);
     let open = || {
         let mut opened = Vec::new();
@@ -417,7 +401,7 @@ fn open_regions(
                 cfg.range.start,
                 cfg.plan,
                 cfg.detect,
-                crash.cloned(),
+                cfg.checkpoint_every,
             );
             opened.push((i, core));
         }
@@ -455,7 +439,7 @@ fn publish_checkpoint_age(cores: &[RegionCore]) -> Option<Duration> {
 }
 
 /// The ingest thread: poll the clock, fetch every closed frame, sleep
-/// when idle. A panic (an injected checkpoint crash, or a bug) marks
+/// when idle. A panic (in the upstream client, or a bug) marks
 /// ingest dead and leaves the HTTP front serving last-good data —
 /// graceful degradation, not collapse.
 #[expect(clippy::disallowed_methods, reason = "the idle wait is host time")]
@@ -507,11 +491,10 @@ fn ingest_tick(shared: &Shared) -> bool {
             match shared.client.fetch_frame(&req) {
                 Ok(resp) => {
                     let span = sift_obs::span_root("serve.ingest_frame");
-                    let sealed = {
-                        let mut core = rt.core.lock();
-                        core.fetch_failing = false;
-                        core.ingest(idx, &resp, shared.cfg.checkpoint_every)
-                    };
+                    let sealed = rt
+                        .core
+                        .lock()
+                        .ingest(idx, &resp, shared.cfg.checkpoint_every);
                     drop(span);
                     match sealed {
                         Ok(n) => {
@@ -529,7 +512,6 @@ fn ingest_tick(shared: &Shared) -> bool {
                     }
                 }
                 Err(_) => {
-                    rt.core.lock().fetch_failing = true;
                     sift_obs::counter(
                         "sift_serve_fetch_errors_total",
                         &[("region", rt.state.abbrev())],
@@ -767,7 +749,7 @@ mod tests {
             );
         }
         for order in [pair, [State::CA, State::TX]] {
-            let cores = open_regions(&config(&order), &dir, None).expect("open");
+            let cores = open_regions(&config(&order), &dir).expect("open");
             let oldest = publish_checkpoint_age(&cores).expect("recovered");
             assert!((1_000..1_060).contains(&oldest.as_secs()), "{oldest:?}");
         }

@@ -18,7 +18,7 @@ pub enum DegradeReason {
     /// Ingest is missing frames: the region's watermark trails the
     /// simulated present by more than the configured lag budget.
     MissingFrames,
-    /// The write-ahead log has grown past the checkpoint interval —
+    /// The write-ahead log has grown past four checkpoint intervals —
     /// checkpoints are failing, and a crash now would mean a long replay.
     WalBacklog,
     /// The incremental detector's open segment has exceeded the lag

@@ -10,7 +10,9 @@
 //! journal truncated. Recovery is therefore checkpoint + WAL-tail replay
 //! through the *same* apply path as live ingest — a `kill -9` at any
 //! durability boundary restarts to the identical spike set, re-ingesting
-//! at most the un-checkpointed tail.
+//! at most the un-checkpointed tail. A crash inside an install is
+//! finished by the next `open`, so the region goes on checkpointing at
+//! the frames, and into the files, of a run that never crashed.
 //!
 //! A checkpoint payload is a JSON head (the next frame, both snapshots
 //! and the spike count), one `\n`, then every sealed spike as a 32-byte
@@ -27,12 +29,11 @@ use sift_core::{
     StitcherSnapshot, StreamStitcher,
 };
 use sift_geo::State;
-use sift_journal::{checkpoint_age, read_checkpoint, write_checkpoint, CrashInjector, Journal};
+use sift_journal::{checkpoint_age, read_checkpoint, write_checkpoint, Journal};
 use sift_simtime::Hour;
 use sift_trends::FrameResponse;
 use std::io;
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// One WAL record: a frame accepted for ingest, tagged with its plan
@@ -73,7 +74,6 @@ pub(crate) struct RegionCore {
     pub next_frame: usize,
     journal: Journal,
     ckpt_path: PathBuf,
-    crash: Option<Arc<CrashInjector>>,
     /// WAL records since the last successful checkpoint (including a
     /// replayed tail).
     pub wal_tail: u64,
@@ -82,8 +82,6 @@ pub(crate) struct RegionCore {
     /// Age of the checkpoint `open` recovered from (its mtime); `None`
     /// when the region started without one.
     pub checkpoint_age: Option<Duration>,
-    /// The most recent fetch attempt failed (cleared by any success).
-    pub fetch_failing: bool,
     /// Host time of the last applied frame; `None` until the first.
     last_advance: Option<Instant>,
     /// Scratch for the stitcher's newly covered values.
@@ -93,7 +91,8 @@ pub(crate) struct RegionCore {
 impl RegionCore {
     /// Opens (and recovers) the region rooted at `dir`: loads the newest
     /// checkpoint if one exists, then replays the WAL tail through the
-    /// live apply path. A checkpoint taken for another region or another
+    /// live apply path, then finishes a checkpoint install the crash
+    /// interrupted. A checkpoint taken for another region or another
     /// origin hour is `InvalidData`: restoring it would serve that
     /// series' spikes under this region's name until the first ingest
     /// failed. So is one taken with other detection parameters or
@@ -105,7 +104,7 @@ impl RegionCore {
         start: Hour,
         plan: PlanParams,
         detect: DetectParams,
-        crash: Option<Arc<CrashInjector>>,
+        checkpoint_every: u64,
     ) -> io::Result<RegionCore> {
         std::fs::create_dir_all(dir)?;
         let ckpt_path = dir.join("region.ckpt");
@@ -146,45 +145,40 @@ impl RegionCore {
         let checkpoint_age = recovered.as_ref().and_then(|_| checkpoint_age(&ckpt_path));
         let (journal, recovery) = Journal::open(&dir.join("region.wal"))?;
 
-        let mut core = match recovered {
-            Some((head, spikes)) => RegionCore {
-                state,
-                stitcher: StreamStitcher::restore(head.stitcher),
-                detector: IncrementalDetector::restore(head.detector),
+        let (stitcher, detector, spikes, next_frame) = match recovered {
+            Some((head, spikes)) => (
+                StreamStitcher::restore(head.stitcher),
+                IncrementalDetector::restore(head.detector),
                 spikes,
-                next_frame: usize::try_from(head.next_frame).unwrap_or(usize::MAX),
-                journal,
-                ckpt_path,
-                crash,
-                wal_tail: 0,
-                replayed: 0,
-                checkpoint_age,
-                fetch_failing: false,
-                last_advance: None,
-                new_values: Vec::new(),
-            },
-            None => RegionCore {
-                state,
-                stitcher: StreamStitcher::new(state, start, keep),
-                detector: IncrementalDetector::new(state, start, detect),
-                spikes: Vec::new(),
-                next_frame: 0,
-                journal,
-                ckpt_path,
-                crash,
-                wal_tail: 0,
-                replayed: 0,
-                checkpoint_age: None,
-                fetch_failing: false,
-                last_advance: None,
-                new_values: Vec::new(),
-            },
+                usize::try_from(head.next_frame).unwrap_or(usize::MAX),
+            ),
+            None => (
+                StreamStitcher::new(state, start, keep),
+                IncrementalDetector::new(state, start, detect),
+                Vec::new(),
+                0,
+            ),
+        };
+        let mut core = RegionCore {
+            state,
+            stitcher,
+            detector,
+            spikes,
+            next_frame,
+            journal,
+            ckpt_path,
+            wal_tail: 0,
+            replayed: 0,
+            checkpoint_age,
+            last_advance: None,
+            new_values: Vec::new(),
         };
 
         // Replay the un-checkpointed tail through the same apply path as
         // live ingest. Records the checkpoint already subsumes (a crash
         // between checkpoint install and journal truncation) are skipped
         // by index.
+        let mut skipped = false;
         for payload in &recovery.records {
             // Its CRC checks, so an undecodable record is no torn write:
             // it comes from another format or program.
@@ -196,6 +190,7 @@ impl RegionCore {
             })?;
             let idx = usize::try_from(rec.idx).unwrap_or(usize::MAX);
             if idx != core.next_frame {
+                skipped = true;
                 continue; // already in the checkpoint
             }
             core.wal_tail += 1;
@@ -210,6 +205,12 @@ impl RegionCore {
                 &[("region", state.abbrev())],
             )
             .add(core.replayed);
+        }
+        // A crash inside an install leaves the WAL it was to truncate:
+        // behind the new checkpoint (its records skipped above), or a
+        // whole interval of records behind the old one (replayed above).
+        if skipped || core.wal_tail >= checkpoint_every {
+            core.checkpoint();
         }
         Ok(core)
     }
@@ -244,12 +245,7 @@ impl RegionCore {
         let sealed = self.apply(resp).map_err(invalid)?;
 
         if self.wal_tail >= checkpoint_every {
-            // A failed checkpoint is degradation, not death: the WAL tail
-            // keeps every accepted frame, reads keep flowing, and the
-            // growing tail surfaces as `WalBacklog`.
-            if self.checkpoint().is_err() {
-                sift_obs::counter("sift_serve_checkpoint_failures_total", &[]).inc();
-            }
+            self.checkpoint();
         }
         Ok(sealed)
     }
@@ -281,7 +277,16 @@ impl RegionCore {
     }
 
     /// Installs an atomic checkpoint subsuming (and truncating) the WAL.
-    fn checkpoint(&mut self) -> io::Result<()> {
+    /// A failed install is degradation, not death: the WAL tail keeps
+    /// every accepted frame, reads keep flowing, and the growing tail
+    /// surfaces as `WalBacklog`.
+    fn checkpoint(&mut self) {
+        if self.install_checkpoint().is_err() {
+            sift_obs::counter("sift_serve_checkpoint_failures_total", &[]).inc();
+        }
+    }
+
+    fn install_checkpoint(&mut self) -> io::Result<()> {
         let head = CheckpointHead {
             next_frame: u64::try_from(self.next_frame).unwrap_or(u64::MAX),
             stitcher: self.stitcher.snapshot(),
@@ -290,7 +295,7 @@ impl RegionCore {
         };
         let payload = encode_checkpoint(&head, &self.spikes)?;
         self.journal.sync()?;
-        write_checkpoint(&self.ckpt_path, &payload, self.crash.as_deref())?;
+        write_checkpoint(&self.ckpt_path, &payload, None)?;
         self.journal.truncate_all()?;
         self.wal_tail = 0;
         sift_obs::counter("sift_serve_checkpoints_total", &[]).inc();
@@ -321,12 +326,12 @@ impl RegionCore {
         &self,
         fetchable_until: Hour,
         lag_budget_hours: i64,
-        max_wal_backlog: u64,
+        wal_backlog: u64,
     ) -> Option<DegradeReason> {
         if fetchable_until - self.watermark() > lag_budget_hours {
             return Some(DegradeReason::MissingFrames);
         }
-        if self.wal_tail > max_wal_backlog {
+        if self.wal_tail > wal_backlog {
             return Some(DegradeReason::WalBacklog);
         }
         if i64::try_from(self.open_hours()).unwrap_or(i64::MAX) > lag_budget_hours {
@@ -772,7 +777,7 @@ mod tests {
             start,
             PlanParams::default(),
             DetectParams::default(),
-            None,
+            4,
         )
     }
 
@@ -898,7 +903,7 @@ mod tests {
                 ["168".to_owned(), "84".to_owned()],
             ),
         ] {
-            match RegionCore::open(&dir, State::TX, Hour(0), plan, detect, None) {
+            match RegionCore::open(&dir, State::TX, Hour(0), plan, detect, 4) {
                 Ok(_) => panic!("a checkpoint reopened with another {field}"),
                 Err(e) => {
                     assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{e}");

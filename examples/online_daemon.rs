@@ -1,9 +1,9 @@
 //! The online detector daemon end-to-end: a seeded world is served by
 //! the daemon as the simulated clock advances — spikes seal and stream
-//! out over HTTP long-polls — then a second daemon's ingest is killed
-//! between a checkpoint's temp write and its rename, the daemon is
-//! restarted, and the example diffs its recovered spike set against the
-//! uninterrupted one. Everything printed
+//! out over HTTP long-polls — then a second daemon's ingest thread dies
+//! on an upstream that panics mid-fetch, two frames past a checkpoint,
+//! the daemon is restarted, and the example diffs its recovered spike
+//! set against the uninterrupted one. Everything printed
 //! to stdout is a pure function of the scenario seed (staleness and
 //! timing, which are host-dependent, go to stderr), so two executions
 //! with the same `--seed` print byte-identical reports —
@@ -14,13 +14,16 @@
 
 use sift::geo::State;
 use sift::journal::testutil::scratch_dir;
-use sift::journal::{CrashInjector, CrashSite};
 use sift::net::{HttpClient, Request};
 use sift::serve::{Daemon, ServeConfig, SpikesReply};
 use sift::simtime::{Hour, HourRange, SimClock};
 use sift::trends::events::{Cause, OutageEvent, PowerTrigger};
 use sift::trends::terms::Provider;
-use sift::trends::{Scenario, SearchTerm, TrendsClient, TrendsService};
+use sift::trends::{
+    FetchError, FrameRequest, FrameResponse, RisingRequest, RisingResponse, Scenario, SearchTerm,
+    TrendsClient, TrendsService,
+};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -97,6 +100,28 @@ fn serve_config() -> ServeConfig {
     );
     cfg.checkpoint_every = 3;
     cfg
+}
+
+/// The world's service behind a client whose `dies_at`-th frame fetch
+/// (0-based) panics: the daemon's ingest thread dies there.
+struct DyingUpstream {
+    service: Arc<TrendsService>,
+    fetches: AtomicU64,
+    dies_at: u64,
+}
+
+impl TrendsClient for DyingUpstream {
+    fn fetch_frame(&self, req: &FrameRequest) -> Result<FrameResponse, FetchError> {
+        let n = self.fetches.fetch_add(1, Ordering::SeqCst);
+        if n == self.dies_at {
+            panic!("upstream died at frame fetch {n}");
+        }
+        TrendsClient::fetch_frame(&*self.service, req)
+    }
+
+    fn fetch_rising(&self, req: &RisingRequest) -> Result<RisingResponse, FetchError> {
+        TrendsClient::fetch_rising(&*self.service, req)
+    }
 }
 
 fn read_spikes(daemon: &Daemon, region: &str) -> SpikesReply {
@@ -181,32 +206,26 @@ fn main() {
     print_spikes("CA at simulated hour 800", &reference_ca);
     daemon.shutdown();
 
-    // --- Life two: the same world, but the ingest thread is killed
-    // inside a seed-derived checkpoint install, after its temp file is
-    // written and before the rename; the front keeps serving.
+    // --- Life two: the same world, but the upstream panics inside a
+    // seed-derived frame fetch, two frames past one of TX's checkpoints
+    // (one every three frames, and TX ingests first): the ingest thread
+    // dies there and the front keeps serving.
     let crash_dir = scratch_dir(&format!("online_daemon_crash_{seed}"));
-    let occurrence = seed % 3;
-    let inj = Arc::new(CrashInjector::new(
-        CrashSite::CheckpointTempWritten,
-        occurrence,
-    ));
+    let dies_at = 3 * (seed % 3) + 2;
+    let dying = Arc::new(DyingUpstream {
+        service: Arc::clone(&upstream),
+        fetches: AtomicU64::new(0),
+        dies_at,
+    });
     let clock = Arc::new(SimClock::new(Hour(800)));
-    let crashed = Daemon::start_with_crash(
-        serve_config(),
-        Arc::clone(&upstream) as Arc<dyn TrendsClient>,
-        Arc::clone(&clock),
-        &crash_dir,
-        Some(Arc::clone(&inj)),
-    )
-    .expect("start crashing daemon");
+    let crashed = Daemon::start(serve_config(), dying, Arc::clone(&clock), &crash_dir)
+        .expect("start dying daemon");
     while !crashed.ingest_dead() {
         std::thread::sleep(Duration::from_millis(2));
     }
-    assert!(inj.tripped());
     let during = read_spikes(&crashed, "TX");
     println!(
-        "\ningest killed before checkpoint {} was renamed into place; front still serves {} spike(s)",
-        occurrence + 1,
+        "\ningest died on frame fetch {dies_at}; front still serves {} spike(s)",
         during.spikes.len()
     );
     crashed.shutdown();

@@ -80,6 +80,14 @@ if grep -q '^sift-chaos ' <<< "$normal_deps"; then
   echo "sift-chaos is a normal dependency of a product package" >&2
   exit 1
 fi
+# Crash states are built from files: a cut of a finished WAL, or the
+# files of a checkpoint install read between frames. The checkpoint
+# crash injector stays inside sift-journal, which no other code names.
+if grep -rlE --include='*.rs' 'CrashInjector|CrashSite|start_with_crash' crates src examples tests \
+  | grep -v '^crates/journal/'; then
+  echo "the files above name the checkpoint crash injector outside crates/journal" >&2
+  exit 1
+fi
 # The root package auto-discovers tests/*.rs, so this runs every
 # acceptance test (overload, resume, cluster, nemesis, serve, ...) too.
 # Tests clean up after themselves: a `sift_journal::testutil::scratch_dir`

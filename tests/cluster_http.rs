@@ -14,6 +14,7 @@ use sift::cluster::{
 use sift::core::{run_study, StudyParams, StudyResult};
 use sift::fetcher::{trends_router, HttpTrendsClient};
 use sift::geo::State;
+use sift::journal::testutil::{scratch_dir, ScratchDir};
 use sift::net::{HttpClient, Server, ServerHandle};
 use sift::simtime::{Hour, HourRange};
 use sift::trends::TrendsService;
@@ -81,6 +82,8 @@ fn baseline(regions: &[State]) -> StudyResult {
 }
 
 struct Cluster {
+    /// The coordinator's run directory, removed when the cluster drops.
+    _dir: ScratchDir,
     coord: Arc<Coordinator>,
     coord_server: ServerHandle,
     trends_server: ServerHandle,
@@ -89,7 +92,8 @@ struct Cluster {
 
 fn start_cluster(regions: &[State], n_workers: usize) -> Cluster {
     let params = study_params(regions);
-    let coord = Arc::new(Coordinator::new(
+    let dir = scratch_dir("cluster_http");
+    let (coord, _) = Coordinator::durable(
         params.clone(),
         ClusterConfig {
             heartbeat_interval: Duration::from_millis(75),
@@ -97,7 +101,10 @@ fn start_cluster(regions: &[State], n_workers: usize) -> Cluster {
             poll_ms: 10,
             attempt_budget: 3,
         },
-    ));
+        &dir,
+    )
+    .expect("open coordinator");
+    let coord = Arc::new(coord);
     let coord_server = Server::new(cluster_router(&coord))
         .with_workers(8)
         .bind("127.0.0.1:0")
@@ -115,6 +122,7 @@ fn start_cluster(regions: &[State], n_workers: usize) -> Cluster {
         })
         .collect();
     Cluster {
+        _dir: dir,
         coord,
         coord_server,
         trends_server,

@@ -19,7 +19,8 @@ use sift::fetcher::{
 };
 use sift::geo::State;
 use sift::net::{
-    AdmissionConfig, HttpClient, Method, Request, Response, RetryPolicy, Server, StatusCode,
+    AdmissionConfig, AdmissionController, HttpClient, Method, Request, Response, RetryPolicy,
+    Server, StatusCode,
 };
 use sift::simtime::{Hour, HourRange};
 use sift::trends::terms::Provider;
@@ -139,11 +140,11 @@ fn overload_run(service: &Arc<TrendsService>) -> [RunReport; 2] {
     });
     let server = Server::new(router)
         .with_workers(2)
-        .with_admission(AdmissionConfig {
+        .with_admission(Arc::new(AdmissionController::new(AdmissionConfig {
             max_inflight: 2,
             max_queue: 2,
             retry_after_secs: 2,
-        })
+        })))
         .bind("127.0.0.1:0")
         .expect("bind");
     let _open_guard = OpenOnDrop(Arc::clone(&gate));

@@ -1,40 +1,47 @@
 //! Serving acceptance: the online detector daemon over real sockets.
 //!
-//! Four properties are exercised end-to-end:
+//! Five properties are exercised end-to-end:
 //!
-//! 1. **Crash recovery, in-process** — a region's WAL is append-only, so
-//!    every state a crash can leave it in is a prefix of the finished
-//!    file: the sweep runs a daemon once, cuts one region's WAL at every
-//!    record boundary and half-way through every record, and restarts a
-//!    daemon on each cut. Without checkpoints the cut is the whole
-//!    state; at the checkpoint cadence it is the tail behind the last
-//!    checkpoint. The two checkpoint boundaries (between a checkpoint's
-//!    temp write and its rename, and just after the rename) kill the
-//!    ingest thread with an injected panic; the HTTP front keeps serving
-//!    last-good data. Every restart catches up to the *identical* spike
-//!    set an uninterrupted daemon produces, fetching only the frames the
-//!    crash lost.
-//! 2. **Crash recovery, out-of-process** — this test binary is spawned
+//! 1. **Crash recovery, in-process** — every state a crash can leave is
+//!    built from files (Pillai et al., OSDI 2014). A region's WAL is
+//!    append-only, so each such state is a prefix of the finished file:
+//!    the sweep runs a daemon once, cuts one region's WAL at every record
+//!    boundary and half-way through every record, and restarts a daemon
+//!    on each cut. A checkpoint install writes `region.ckpt.tmp`, renames
+//!    it over `region.ckpt`, then truncates the WAL: a second daemon
+//!    steps the simulated clock frame by frame, each region's files are
+//!    read after every frame, and every install of both regions yields
+//!    its two states — the temp file written but not renamed, and the
+//!    rename landed with the WAL not yet truncated. Every restart catches
+//!    up to the *identical* spike set an uninterrupted daemon produces,
+//!    fetching only the frames the crash lost, and leaves the region's
+//!    files as the uninterrupted run did.
+//! 2. **Ingest death** — an upstream that panics at a chosen fetch kills
+//!    the ingest thread; the HTTP front keeps serving last-good data, and
+//!    a restart reaches the identical spike set without refetching a
+//!    journaled frame.
+//! 3. **Crash recovery, out-of-process** — this test binary is spawned
 //!    as a child that ingests from a paced upstream; the parent kills it
 //!    (SIGKILL: no unwinding, no flushing) once its first checkpoint
 //!    lands, and resumes from the orphaned files to the identical spike
 //!    set.
-//! 3. **Overload** — three long-poll subscribers park (holding worker
+//! 4. **Overload** — three long-poll subscribers park (holding worker
 //!    threads but no admission slots, so a fresh read still succeeds
 //!    with `max_inflight = 1`); with the accept queue then pinned, a 4×
 //!    burst is shed instantly with `503 + Retry-After`, and when the
 //!    clock advances every parked subscriber still receives its spikes.
-//! 4. **Graceful degradation** — a failing upstream or a stalled
-//!    checkpoint turns reads degraded, labelled by reason in the `X-Sift-Degraded` header
-//!    and counted in `sift_serve_degraded_reads_total{reason=…}`, while
-//!    the reads themselves keep answering `200`.
+//! 5. **Graceful degradation** — a failing upstream, or a region whose
+//!    checkpoints cannot be installed, turns reads degraded, labelled by
+//!    reason in the `X-Sift-Degraded` header and counted in
+//!    `sift_serve_degraded_reads_total{reason=…}`, while the reads
+//!    themselves keep answering `200`.
 
 mod common;
 
 use common::world;
+use sift::core::plan_frames;
 use sift::geo::State;
 use sift::journal::testutil::{copy_dir, scratch_dir, wal_cuts};
-use sift::journal::{CrashInjector, CrashSite};
 use sift::net::{AdmissionConfig, HttpClient, Request, Response, StatusCode};
 use sift::serve::{Daemon, RegionsReply, ServeConfig, SpikesReply};
 use sift::simtime::{Hour, HourRange, SimClock};
@@ -54,12 +61,15 @@ use std::time::{Duration, Instant};
 static RUN_LOCK: Mutex<()> = Mutex::new(());
 
 /// An in-process upstream: the deterministic trends service behind a
-/// [`TrendsClient`] with test-controlled failure injection and a fetch
-/// counter (for the zero-refetch accounting).
+/// [`TrendsClient`] with test-controlled failure injection, a fetch
+/// counter (for the zero-refetch accounting) and a fetch it panics at.
 struct Upstream {
     service: Arc<TrendsService>,
     failing: AtomicBool,
     fetches: AtomicU64,
+    /// The value of `fetches` at which the next fetch panics, once;
+    /// `u64::MAX` for never.
+    dies_at: AtomicU64,
 }
 
 impl Upstream {
@@ -68,6 +78,7 @@ impl Upstream {
             service: Arc::new(TrendsService::with_defaults(world(&[State::TX, State::CA]))),
             failing: AtomicBool::new(false),
             fetches: AtomicU64::new(0),
+            dies_at: AtomicU64::new(u64::MAX),
         })
     }
 }
@@ -76,6 +87,13 @@ impl TrendsClient for Upstream {
     fn fetch_frame(&self, req: &FrameRequest) -> Result<FrameResponse, FetchError> {
         if self.failing.load(Ordering::SeqCst) {
             return Err(FetchError::Transport("injected upstream outage".into()));
+        }
+        let n = self.fetches.load(Ordering::SeqCst);
+        let dies = self
+            .dies_at
+            .compare_exchange(n, u64::MAX, Ordering::SeqCst, Ordering::SeqCst);
+        if dies.is_ok() {
+            panic!("upstream panics at fetch {n}");
         }
         self.fetches.fetch_add(1, Ordering::SeqCst);
         self.service.fetch_frame(req).map_err(FetchError::Service)
@@ -164,6 +182,16 @@ fn assert_same_spikes(resumed: &SpikesReply, reference: &SpikesReply, what: &str
     );
 }
 
+fn start(upstream: &Arc<Upstream>, cfg: ServeConfig, clock: &Arc<SimClock>, dir: &Path) -> Daemon {
+    Daemon::start(
+        cfg,
+        Arc::clone(upstream) as Arc<dyn TrendsClient>,
+        Arc::clone(clock),
+        dir,
+    )
+    .expect("start daemon")
+}
+
 /// Starts a daemon on `dir`, waits for it to catch up with the clock at
 /// the range's end, and returns its TX and CA spike replies.
 fn run_to_the_end(
@@ -192,6 +220,38 @@ fn run_to_the_end(
 
 fn wal_path(dir: &Path, state: State) -> PathBuf {
     dir.join(state.abbrev()).join("region.wal")
+}
+
+fn ckpt_path(dir: &Path, state: State) -> PathBuf {
+    dir.join(state.abbrev()).join("region.ckpt")
+}
+
+/// One region's durable files: its checkpoint, if any, and its WAL.
+#[derive(Clone, Debug, Default, PartialEq)]
+struct RegionFiles {
+    ckpt: Option<Vec<u8>>,
+    wal: Vec<u8>,
+}
+
+fn read_region(dir: &Path, state: State) -> RegionFiles {
+    RegionFiles {
+        ckpt: std::fs::read(ckpt_path(dir, state)).ok(),
+        wal: std::fs::read(wal_path(dir, state)).unwrap(),
+    }
+}
+
+/// Replaces `state`'s files under `dir` with `files`, plus a
+/// `region.ckpt.tmp` holding `tmp` when given.
+fn write_region(dir: &Path, state: State, files: &RegionFiles, tmp: Option<&[u8]>) {
+    match &files.ckpt {
+        Some(bytes) => std::fs::write(ckpt_path(dir, state), bytes).unwrap(),
+        None => std::fs::remove_file(ckpt_path(dir, state)).unwrap(),
+    }
+    std::fs::write(wal_path(dir, state), &files.wal).unwrap();
+    if let Some(bytes) = tmp {
+        let tmp_path = dir.join(state.abbrev()).join("region.ckpt.tmp");
+        std::fs::write(tmp_path, bytes).unwrap();
+    }
 }
 
 /// Runs a daemon at `checkpoint_every` once, then restarts one on every
@@ -240,11 +300,120 @@ fn sweep_wal_cuts(
     states
 }
 
+/// Steps a daemon at `cfg` through the plan one frame at a time (the
+/// clock set to each frame's end in turn) and returns both regions'
+/// files, `[TX, CA]`, after every frame.
+fn files_frame_by_frame(upstream: &Arc<Upstream>, cfg: &ServeConfig) -> Vec<[RegionFiles; 2]> {
+    let dir = scratch_dir("serve_http_stepped");
+    let clock = Arc::new(SimClock::new(cfg.range.start));
+    let daemon = start(upstream, cfg.clone(), &clock, &dir);
+    let steps = plan_frames(cfg.range, cfg.plan)
+        .frames
+        .iter()
+        .map(|frame| {
+            clock.set(frame.end);
+            assert!(daemon.wait_caught_up(Duration::from_secs(30)));
+            [State::TX, State::CA].map(|r| read_region(&dir, r))
+        })
+        .collect();
+    daemon.shutdown();
+    steps
+}
+
+/// Restarts a daemon on both crash states of every checkpoint install
+/// of each region (the other region whole). The install at frame `j`
+/// leaves, if the process dies inside it, either the old checkpoint with
+/// the WAL through frame `j` and `region.ckpt.tmp` holding the new
+/// checkpoint (*temp written*), or the new checkpoint with that same WAL
+/// (*renamed, WAL not yet truncated*). Each restart catches up to the
+/// reference spikes, fetches exactly the frames after `j`, and finishes
+/// with the uninterrupted run's WAL and checkpoint. Returns the number
+/// of crash states.
+fn sweep_checkpoint_installs(upstream: &Arc<Upstream>, reference: &[SpikesReply; 2]) -> usize {
+    let cfg = serve_config();
+    let finished = scratch_dir("serve_http_installs_finished");
+    let replies = run_to_the_end(upstream, cfg.clone(), &finished, "uninterrupted");
+    for (got, want) in replies.iter().zip(reference) {
+        assert_same_spikes(got, want, "installs: uninterrupted");
+    }
+    // Frame j's WAL record is the j-th record of a WAL never truncated.
+    let untruncated = scratch_dir("serve_http_installs_untruncated");
+    let no_checkpoints = ServeConfig {
+        checkpoint_every: u64::MAX,
+        ..cfg.clone()
+    };
+    run_to_the_end(upstream, no_checkpoints, &untruncated, "no checkpoints");
+    let steps = files_frame_by_frame(upstream, &cfg);
+    let frames = steps.len();
+
+    let mut states = 0;
+    for (r, region) in [State::TX, State::CA].into_iter().enumerate() {
+        let finished_files = read_region(&finished, region);
+        assert_eq!(
+            steps[frames - 1][r],
+            finished_files,
+            "{region}: stepped run"
+        );
+        let full_wal = std::fs::read(wal_path(&untruncated, region)).unwrap();
+        let ends: Vec<usize> = wal_cuts(&full_wal)
+            .into_iter()
+            .filter(|cut| !cut.torn)
+            .map(|cut| cut.len)
+            .collect();
+        assert_eq!(ends.len(), frames + 1, "{region}: one record per frame");
+        for j in 0..frames {
+            let before = if j == 0 {
+                RegionFiles::default()
+            } else {
+                steps[j - 1][r].clone()
+            };
+            let after = &steps[j][r];
+            if after.ckpt == before.ckpt {
+                continue; // no install at frame j
+            }
+            assert!(after.wal.is_empty(), "{region} frame {j}: WAL truncated");
+            let wal = [before.wal.as_slice(), &full_wal[ends[j]..ends[j + 1]]].concat();
+            let temp_written = RegionFiles {
+                ckpt: before.ckpt.clone(),
+                wal: wal.clone(),
+            };
+            let renamed = RegionFiles {
+                ckpt: after.ckpt.clone(),
+                wal,
+            };
+            for (state, tmp, site) in [
+                (&temp_written, after.ckpt.as_deref(), "temp written"),
+                (&renamed, None, "renamed, WAL not yet truncated"),
+            ] {
+                let what = format!("{region} install at frame {j}, {site}");
+                let dir = scratch_dir("serve_http_install");
+                copy_dir(&finished, &dir);
+                write_region(&dir, region, state, tmp);
+                let before = upstream.fetches.load(Ordering::SeqCst);
+                let replies = run_to_the_end(upstream, cfg.clone(), &dir, &what);
+                for (got, want) in replies.iter().zip(reference) {
+                    assert_same_spikes(got, want, &what);
+                }
+                let fetched = upstream.fetches.load(Ordering::SeqCst) - before;
+                assert_eq!(fetched as usize, frames - (j + 1), "{what}: fetches");
+                assert!(
+                    read_region(&dir, region) == finished_files,
+                    "{what}: the restarted daemon's files differ"
+                );
+                states += 1;
+            }
+        }
+    }
+    let installs = frames as u64 / cfg.checkpoint_every;
+    assert_eq!(states as u64, 2 * 2 * installs, "two states per install");
+    states
+}
+
 #[test]
 fn daemon_killed_at_each_crash_point_resumes_to_identical_spikes() {
     let _serial = RUN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
     let upstream = Upstream::new();
-    let (reference, fetches_uninterrupted) = baseline(&upstream, "inproc");
+    let (reference, _) = baseline(&upstream, "inproc");
 
     // With no checkpoint, a cut WAL is the daemon's whole durable state.
     let states = sweep_wal_cuts(&upstream, u64::MAX, &reference);
@@ -253,66 +422,49 @@ fn daemon_killed_at_each_crash_point_resumes_to_identical_spikes() {
     // checkpoint.
     let states = sweep_wal_cuts(&upstream, default_config().checkpoint_every, &reference);
     assert!(states > 2, "{states} crash states in the checkpointed tail");
+    // Inside every checkpoint install of both regions.
+    let states = sweep_checkpoint_installs(&upstream, &reference);
+    assert!(
+        states >= 12,
+        "{states} crash states inside checkpoint installs"
+    );
+}
 
-    let crash_points = [
-        (
-            CrashSite::CheckpointTempWritten,
-            2,
-            "checkpoint temp-vs-rename",
-        ),
-        (
-            CrashSite::AfterCheckpointRename,
-            2,
-            "checkpoint rename-vs-truncate",
-        ),
-    ];
+#[test]
+fn ingest_death_keeps_reads_answering_and_a_restart_catches_up() {
+    let _serial = RUN_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    let upstream = Upstream::new();
+    let (reference, fetches_uninterrupted) = baseline(&upstream, "death");
+    let deaths = || sift::obs::counter("sift_serve_ingest_deaths_total", &[]).get();
+    let deaths_before = deaths();
 
-    let ingest_deaths = || sift::obs::counter("sift_serve_ingest_deaths_total", &[]).get();
-    for (site, occurrence, what) in crash_points {
-        let before = upstream.fetches.load(Ordering::SeqCst);
-        let deaths_before = ingest_deaths();
-        let dir = scratch_dir(&format!("serve_http_{site:?}"));
-        let clock = Arc::new(SimClock::new(Hour(RANGE_END)));
-        let inj = Arc::new(CrashInjector::new(site, occurrence));
+    // TX ingests first: its sixth fetch panics, two frames past its first
+    // checkpoint, so the restart has a WAL tail to replay.
+    let before = upstream.fetches.load(Ordering::SeqCst);
+    upstream.dies_at.store(before + 5, Ordering::SeqCst);
+    let dir = scratch_dir("serve_http_ingest_death");
+    let clock = Arc::new(SimClock::new(Hour(RANGE_END)));
+    let daemon = start(&upstream, serve_config(), &clock, &dir);
+    poll_until("ingest death", || daemon.ingest_dead());
+    assert_eq!(deaths(), deaths_before + 1, "ingest death counted");
 
-        let crashed = Daemon::start_with_crash(
-            serve_config(),
-            Arc::clone(&upstream) as Arc<dyn TrendsClient>,
-            Arc::clone(&clock),
-            &dir,
-            Some(Arc::clone(&inj)),
-        )
-        .expect("start crashing daemon");
-        poll_until(&format!("{what}: ingest death"), || crashed.ingest_dead());
-        assert!(inj.tripped(), "{what}: injected crash must fire");
-        assert!(
-            ingest_deaths() > deaths_before,
-            "{what}: ingest death counted"
-        );
+    // The front survives its ingest thread: reads still answer 200 from
+    // last-good state.
+    let during = get(daemon.addr(), "/spikes?region=TX");
+    assert_eq!(during.status, StatusCode::OK, "read after ingest death");
+    let _ = staleness_ms(&during);
+    daemon.shutdown();
+    assert_eq!(upstream.fetches.load(Ordering::SeqCst), before + 5);
 
-        // The front survives its ingest thread: reads still answer 200
-        // from last-good state.
-        let during = get(crashed.addr(), "/spikes?region=TX");
-        assert_eq!(during.status, StatusCode::OK, "{what}: read during outage");
-        let _ = staleness_ms(&during);
-        crashed.shutdown();
-
-        // Restart on the same directory: checkpoint + WAL-tail replay
-        // must reach the identical spike set.
-        let replies = run_to_the_end(&upstream, serve_config(), &dir, what);
-        for (got, want) in replies.iter().zip(&reference) {
-            assert_same_spikes(got, want, what);
-        }
-
-        // Zero-refetch accounting: both lives together fetched the
-        // uninterrupted workload, plus at most the frame in flight.
-        let fetched = upstream.fetches.load(Ordering::SeqCst) - before;
-        assert!(
-            fetched >= fetches_uninterrupted && fetched <= fetches_uninterrupted + 1,
-            "{what}: {fetched} fetches vs uninterrupted {fetches_uninterrupted} — \
-             journaled frames must replay, not refetch"
-        );
+    // Restart on the same directory: checkpoint + WAL-tail replay reaches
+    // the identical spike set, and both lives together fetch exactly the
+    // uninterrupted workload — journaled frames replay, not refetch.
+    let replies = run_to_the_end(&upstream, serve_config(), &dir, "after ingest death");
+    for (got, want) in replies.iter().zip(&reference) {
+        assert_same_spikes(got, want, "after ingest death");
     }
+    let fetched = upstream.fetches.load(Ordering::SeqCst) - before;
+    assert_eq!(fetched, fetches_uninterrupted, "fetches across both lives");
 }
 
 #[test]
@@ -321,13 +473,7 @@ fn spikes_endpoint_filters_validates_and_reports_status() {
     let upstream = Upstream::new();
     let clock = Arc::new(SimClock::new(Hour(RANGE_END)));
     let dir = scratch_dir("serve_http_endpoints");
-    let daemon = Daemon::start(
-        serve_config(),
-        Arc::clone(&upstream) as Arc<dyn TrendsClient>,
-        clock,
-        &dir,
-    )
-    .expect("start daemon");
+    let daemon = start(&upstream, serve_config(), &clock, &dir);
     assert!(daemon.wait_caught_up(Duration::from_secs(30)));
     let addr = daemon.addr();
 
@@ -449,13 +595,7 @@ fn burst_sheds_while_parked_subscribers_survive() {
 
     let clock = Arc::new(SimClock::new(Hour(500)));
     let dir = scratch_dir("serve_http_burst");
-    let daemon = Daemon::start(
-        cfg,
-        Arc::clone(&upstream) as Arc<dyn TrendsClient>,
-        Arc::clone(&clock),
-        &dir,
-    )
-    .expect("start daemon");
+    let daemon = start(&upstream, cfg, &clock, &dir);
     assert!(daemon.wait_caught_up(Duration::from_secs(30)));
     let addr = daemon.addr();
     let cursor = body_json::<SpikesReply>(&get(addr, "/spikes?region=TX")).cursor;
@@ -551,13 +691,7 @@ fn degraded_reads_serve_last_good_data_with_reason_labels() {
     // never advances, so reads degrade as MissingFrames — but still 200.
     upstream.failing.store(true, Ordering::SeqCst);
     let dir = scratch_dir("serve_http_degraded");
-    let daemon = Daemon::start(
-        serve_config(),
-        Arc::clone(&upstream) as Arc<dyn TrendsClient>,
-        Arc::clone(&clock),
-        &dir,
-    )
-    .expect("start daemon");
+    let daemon = start(&upstream, serve_config(), &clock, &dir);
     let addr = daemon.addr();
 
     let resp = get(addr, "/spikes?region=TX");
@@ -584,22 +718,51 @@ fn degraded_reads_serve_last_good_data_with_reason_labels() {
     assert!(!body_json::<SpikesReply>(&resp).spikes.is_empty());
     daemon.shutdown();
 
-    // A daemon that cannot checkpoint (zero backlog budget, checkpoints
-    // effectively disabled) degrades as WalBacklog.
-    let mut cfg = serve_config();
-    cfg.checkpoint_every = 1_000;
-    cfg.max_wal_backlog = 0;
+    // A region whose checkpoints cannot be installed: a directory sits
+    // where TX's temp file goes, so every install fails at its first
+    // step. TX keeps ingesting and serving, counts each failure, and its
+    // reads degrade as WalBacklog once the WAL tail exceeds four
+    // checkpoint intervals, not before. CA checkpoints as usual.
+    let cfg = ServeConfig {
+        checkpoint_every: 1,
+        ..serve_config()
+    };
+    let backlog = 4 * cfg.checkpoint_every;
     let dir = scratch_dir("serve_http_wal_backlog");
-    let daemon = Daemon::start(
-        cfg,
-        Arc::clone(&upstream) as Arc<dyn TrendsClient>,
-        clock,
-        &dir,
-    )
-    .expect("start daemon");
-    assert!(daemon.wait_caught_up(Duration::from_secs(30)));
-    let resp = get(daemon.addr(), "/spikes?region=TX");
-    assert_eq!(resp.status, StatusCode::OK);
-    assert_eq!(resp.headers.get("x-sift-degraded"), Some("wal_backlog"));
+    std::fs::create_dir_all(dir.join("TX").join("region.ckpt.tmp")).unwrap();
+    let failures = || sift::obs::counter("sift_serve_checkpoint_failures_total", &[]).get();
+    let failures_before = failures();
+    let clock = Arc::new(SimClock::new(Hour(0)));
+    let daemon = start(&upstream, cfg.clone(), &clock, &dir);
+    let frames = plan_frames(cfg.range, cfg.plan).frames;
+    assert!(
+        frames.len() as u64 > backlog,
+        "the plan outgrows the backlog"
+    );
+    for (j, frame) in frames.iter().enumerate() {
+        clock.set(frame.end);
+        assert!(daemon.wait_caught_up(Duration::from_secs(30)));
+        let tail = j as u64 + 1;
+        assert_eq!(
+            failures() - failures_before,
+            tail,
+            "frame {j}: failed installs"
+        );
+        let want = (tail > backlog).then_some("wal_backlog");
+        for (region, degraded) in [("TX", want), ("CA", None)] {
+            let resp = get(daemon.addr(), &format!("/spikes?region={region}"));
+            assert_eq!(resp.status, StatusCode::OK, "{region} frame {j}");
+            assert_eq!(
+                resp.headers.get("x-sift-degraded"),
+                degraded,
+                "{region} after frame {j}"
+            );
+            assert_eq!(body_json::<SpikesReply>(&resp).watermark, frame.end.0);
+        }
+    }
+    assert!(
+        !ckpt_path(&dir, State::TX).exists(),
+        "no TX checkpoint landed"
+    );
     daemon.shutdown();
 }
