@@ -16,10 +16,12 @@
 //! same walk online, sealing spikes as soon as the series makes them
 //! final (see the equivalence note on the type).
 
-use crate::timeline::{to_i64, Timeline};
+use crate::timeline::{put_state, read_state, to_i64, Timeline};
 use serde::{Deserialize, Serialize};
 use sift_geo::State;
+use sift_journal::codec::{invalid, put_f64s, Reader};
 use sift_simtime::{Hour, HourRange};
+use std::io;
 
 /// Detection parameters.
 #[derive(Clone, Copy, Debug, PartialEq, Serialize, Deserialize)]
@@ -183,10 +185,11 @@ fn detect_values_into(
     emitted
 }
 
-/// Serializable state of an [`IncrementalDetector`], for checkpointing.
-/// Holds only the open suffix of the series — everything before the last
-/// sealed barrier has already been emitted and never needs revisiting.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+/// The state of an [`IncrementalDetector`], for checkpointing, with a
+/// binary form of its own ([`DetectorSnapshot::encode`]). Holds only the
+/// open suffix of the series — everything before the last sealed
+/// barrier has already been emitted and never needs revisiting.
+#[derive(Clone, Debug)]
 pub struct DetectorSnapshot {
     state: State,
     params: DetectParams,
@@ -212,6 +215,77 @@ impl DetectorSnapshot {
     /// compares them with the ones it was given.
     pub fn params(&self) -> DetectParams {
         self.params
+    }
+
+    /// One past the last hour the detector had seen.
+    pub fn watermark(&self) -> Hour {
+        self.origin + self.tail_start + to_i64(self.tail.len())
+    }
+
+    /// Appends the snapshot's binary form to `out`, little-endian: the
+    /// region's index byte, the bits of `min_peak` and `walk_floor`,
+    /// `max_spikes`, `origin`, `tail_start`, `emitted`, then the open
+    /// suffix as a count and each value's bits.
+    pub fn encode(&self, out: &mut Vec<u8>) {
+        let word = |n: usize| u64::try_from(n).unwrap_or(u64::MAX).to_le_bytes();
+        put_state(out, self.state);
+        out.extend_from_slice(&self.params.min_peak.to_bits().to_le_bytes());
+        out.extend_from_slice(&self.params.walk_floor.to_bits().to_le_bytes());
+        out.extend_from_slice(&word(self.params.max_spikes));
+        out.extend_from_slice(&self.origin.0.to_le_bytes());
+        out.extend_from_slice(&self.tail_start.to_le_bytes());
+        out.extend_from_slice(&word(self.emitted));
+        put_f64s(out, &self.tail);
+    }
+
+    /// Reads back what [`encode`](Self::encode) wrote, bit for bit, and
+    /// refuses as `InvalidData` a snapshot no detector could have taken:
+    /// a region index past the last region, parameters
+    /// [`IncrementalDetector::new`] would reject (`min_peak` not above
+    /// `walk_floor`), a negative `tail_start`, or a watermark past the
+    /// last hour.
+    pub fn decode(r: &mut Reader<'_>) -> io::Result<DetectorSnapshot> {
+        let state = read_state(r, "detector state")?;
+        let (min_peak, walk_floor) = (r.f64("detector min_peak")?, r.f64("detector walk_floor")?);
+        let size = |r: &mut Reader<'_>, what: &str| {
+            let n = r.u64(what)?;
+            usize::try_from(n).map_err(|_| invalid(format!("{what} {n} does not fit")))
+        };
+        let max_spikes = size(r, "detector max_spikes")?;
+        let origin = Hour(r.i64("detector origin")?);
+        let tail_start = r.i64("detector tail_start")?;
+        let emitted = size(r, "detector emitted")?;
+        let tail = r.f64s("detector tail")?;
+        // Written as a negation so a NaN bound is refused too.
+        #[expect(clippy::neg_cmp_op_on_partial_ord, reason = "refuses NaN")]
+        if !(min_peak > walk_floor) {
+            return Err(invalid(format!(
+                "detector min_peak {min_peak} is not above walk_floor {walk_floor}"
+            )));
+        }
+        let seen = i64::try_from(tail.len())
+            .ok()
+            .and_then(|open| tail_start.checked_add(open))
+            .filter(|_| tail_start >= 0);
+        if seen.and_then(|seen| origin.0.checked_add(seen)).is_none() {
+            return Err(invalid(format!(
+                "a detector with {} open hours from {tail_start} past hour {}",
+                tail.len(),
+                origin.0
+            )));
+        }
+        Ok(DetectorSnapshot {
+            state,
+            params: DetectParams {
+                min_peak,
+                walk_floor,
+                max_spikes,
+            },
+            origin,
+            tail,
+            tail_start,
+            emitted,
+        })
     }
 }
 
@@ -620,10 +694,57 @@ mod tests {
             let mut out = Vec::new();
             let mut det = IncrementalDetector::new(State::TX, Hour(0), DetectParams::default());
             det.append(&v[..cut], &mut out);
-            let mut det = IncrementalDetector::restore(det.snapshot());
+            let mut det =
+                IncrementalDetector::restore(round_trip(&det.snapshot()).expect("decode"));
             det.append(&v[cut..], &mut out);
             det.finish(&mut out);
             assert_eq!(out, batch, "cut={cut}");
+        }
+    }
+
+    /// `snap` through its binary form, with nothing left over.
+    fn round_trip(snap: &DetectorSnapshot) -> io::Result<DetectorSnapshot> {
+        let mut bytes = Vec::new();
+        snap.encode(&mut bytes);
+        let mut r = Reader::new(&bytes);
+        let back = DetectorSnapshot::decode(&mut r)?;
+        r.finish("detector snapshot")?;
+        Ok(back)
+    }
+
+    /// A snapshot no detector could have taken decodes to `InvalidData`
+    /// naming the rule: parameters `new` refuses (NaN included), a
+    /// negative `tail_start`, a watermark past the last hour, a region
+    /// index past the last, a cut.
+    #[test]
+    fn a_detector_snapshot_no_detector_took_is_refused() {
+        let mut det = IncrementalDetector::new(State::TX, Hour(-5), DetectParams::default());
+        det.append(&[0.0, 3.0, 0.0, 2.0, 4.0], &mut Vec::new());
+        let snap = det.snapshot();
+        let back = round_trip(&snap).expect("a real snapshot decodes");
+        assert_eq!(format!("{back:?}"), format!("{snap:?}"));
+        assert_eq!(back.watermark(), det.watermark());
+
+        let refused = |edit: &dyn Fn(&mut DetectorSnapshot), rule: &str| {
+            let mut bad = snap.clone();
+            edit(&mut bad);
+            let e = round_trip(&bad).expect_err(rule);
+            assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{e}");
+            assert!(e.to_string().contains(rule), "{rule}: {e}");
+        };
+        refused(&|s| s.params.walk_floor = 0.5, "is not above walk_floor");
+        refused(&|s| s.params.min_peak = f64::NAN, "min_peak NaN");
+        refused(&|s| s.tail_start = -1, "open hours from -1");
+        refused(&|s| s.origin = Hour(i64::MAX - 3), "2 open hours from 3");
+        let mut bytes = Vec::new();
+        snap.encode(&mut bytes);
+        let mut foreign = bytes.clone();
+        foreign[0] = u8::MAX;
+        let e = DetectorSnapshot::decode(&mut Reader::new(&foreign)).expect_err("index 255");
+        assert!(e.to_string().contains("index 255 names no region"), "{e}");
+        for cut in 0..bytes.len() {
+            let e = DetectorSnapshot::decode(&mut Reader::new(&bytes[..cut])).expect_err("cut");
+            assert!(e.to_string().contains("truncated"), "cut at {cut}: {e}");
         }
     }
 

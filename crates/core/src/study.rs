@@ -964,6 +964,61 @@ mod tests {
         }
     }
 
+    /// The table's self times agree with the recorded trace of an
+    /// in-process study at one thread: per name, the spans' `dur_us`
+    /// less the `dur_us` of their children on the same thread. Records
+    /// truncate to whole microseconds, so a span's term reads up to 1 µs
+    /// low and each child's up to 1 µs high: the row may exceed the
+    /// trace by under 1 µs per span and fall short of it by under 1 µs
+    /// per child.
+    #[test]
+    fn stage_self_times_agree_with_the_recorded_trace() {
+        let regions = [State::TX, State::CA];
+        let service = TrendsService::with_defaults(Scenario::generate(ScenarioParams {
+            background_scale: 0.2,
+            regions: regions.to_vec(),
+            ..ScenarioParams::default()
+        }));
+        let params = StudyParams {
+            range: HourRange::new(Hour(0), Hour(600)),
+            regions: regions.to_vec(),
+            threads: 1,
+            ..StudyParams::default()
+        };
+        let root = sift_obs::span_recorded("self-time-study");
+        let trace_id = root.context().trace_id;
+        let result = run_study(&service, &params).expect("study runs");
+        drop(root);
+        let trace = sift_obs::trace::wait_completed(trace_id, std::time::Duration::from_secs(30))
+            .expect("trace completes");
+        let span = |id: u64| trace.spans.iter().find(|s| s.span_id == id);
+        // Per name: spans, same-thread children, and the trace's self
+        // time in microseconds.
+        let mut by_name: std::collections::BTreeMap<&str, (u64, u64, i64)> = Default::default();
+        for s in &trace.spans {
+            let (count, _, own) = by_name.entry(s.name.as_str()).or_default();
+            *count += 1;
+            *own += s.dur_us as i64;
+            if let Some(parent) = s.parent_id.and_then(span).filter(|p| p.tid == s.tid) {
+                let (_, children, own) = by_name.entry(parent.name.as_str()).or_default();
+                *children += 1;
+                *own -= s.dur_us as i64;
+            }
+        }
+        let table = &result.stats.telemetry;
+        assert!(table.stages.len() >= 4, "{table}");
+        for stage in &table.stages {
+            let (count, children, own_us) = by_name[stage.name.as_str()];
+            assert_eq!(count, stage.count, "{}: {table}", stage.name);
+            let over_us = stage.self_seconds * 1e6 - own_us as f64;
+            assert!(
+                (-(children as f64) - 1e-3..count as f64 + 1e-3).contains(&over_us),
+                "{}: self time {over_us} µs over the trace's, {count} spans, {children} children",
+                stage.name
+            );
+        }
+    }
+
     /// A client the rising gather may only reach through the batch entry;
     /// it records the `(region, start, len)` of every request per call.
     struct CountingRisings {

@@ -23,10 +23,12 @@
 
 use serde::{Deserialize, Serialize};
 use sift_geo::State;
+use sift_journal::codec::{invalid, put_f64s, Reader};
 use sift_simtime::{Hour, HourRange};
 use sift_trends::FrameResponse;
 use std::borrow::Borrow;
 use std::fmt;
+use std::io;
 
 /// A continuous, globally-calibrated interest time series for one region,
 /// renormalized to a 0–100 index over its full range.
@@ -45,6 +47,20 @@ pub struct Timeline {
 /// introducing a panic path.
 pub(crate) fn to_i64(n: usize) -> i64 {
     i64::try_from(n).unwrap_or(i64::MAX)
+}
+
+/// Appends `state` to a binary payload as its one-byte index.
+pub fn put_state(out: &mut Vec<u8>, state: State) {
+    out.push(u8::try_from(state.index()).unwrap_or(u8::MAX));
+}
+
+/// Reads a region's one-byte index, refusing one past the last region.
+pub fn read_state(r: &mut Reader<'_>, what: &str) -> io::Result<State> {
+    let i = r.u8(what)?;
+    State::ALL
+        .get(usize::from(i))
+        .copied()
+        .ok_or_else(|| invalid(format!("{what} index {i} names no region")))
 }
 
 impl Timeline {
@@ -182,8 +198,9 @@ pub fn stitch<T: Borrow<FrameResponse>>(frames: &[T]) -> Result<Timeline, Stitch
     Ok(out)
 }
 
-/// Serializable state of a [`StreamStitcher`], for checkpointing.
-#[derive(Clone, Debug, Serialize, Deserialize)]
+/// The state of a [`StreamStitcher`], for checkpointing, with a binary
+/// form of its own ([`StitcherSnapshot::encode`]).
+#[derive(Clone, Debug)]
 pub struct StitcherSnapshot {
     state: State,
     start: Hour,
@@ -211,6 +228,56 @@ impl StitcherSnapshot {
     /// checkpoint reader compares this with the plan it was given.
     pub fn keep(&self) -> usize {
         self.keep
+    }
+
+    /// Appends the snapshot's binary form to `out`, little-endian: the
+    /// region's index byte, `start`, `covered`, `keep`, the bits of
+    /// `prev_scale` and `max_raw`, then the retained tail as a count and
+    /// each value's bits.
+    pub fn encode(&self, out: &mut Vec<u8>) {
+        put_state(out, self.state);
+        out.extend_from_slice(&self.start.0.to_le_bytes());
+        out.extend_from_slice(&self.covered.to_le_bytes());
+        out.extend_from_slice(&u64::try_from(self.keep).unwrap_or(u64::MAX).to_le_bytes());
+        out.extend_from_slice(&self.prev_scale.to_bits().to_le_bytes());
+        out.extend_from_slice(&self.max_raw.to_bits().to_le_bytes());
+        put_f64s(out, &self.tail);
+    }
+
+    /// Reads back what [`encode`](Self::encode) wrote, bit for bit, and
+    /// refuses as `InvalidData` a snapshot no stitcher could have taken:
+    /// a region index past the last region, a negative coverage or one
+    /// whose end is past the last hour, or a tail other than the last
+    /// `min(covered, keep)` hours.
+    pub fn decode(r: &mut Reader<'_>) -> io::Result<StitcherSnapshot> {
+        let state = read_state(r, "stitcher state")?;
+        let start = Hour(r.i64("stitcher start")?);
+        let covered = r.i64("stitcher covered")?;
+        let keep = r.u64("stitcher keep")?;
+        let snap = StitcherSnapshot {
+            state,
+            start,
+            covered,
+            keep: usize::try_from(keep)
+                .map_err(|_| invalid(format!("stitcher keep {keep} does not fit")))?,
+            prev_scale: r.f64("stitcher prev_scale")?,
+            max_raw: r.f64("stitcher max_raw")?,
+            tail: r.f64s("stitcher tail")?,
+        };
+        if covered < 0 || start.0.checked_add(covered).is_none() {
+            return Err(invalid(format!(
+                "a stitcher covering {covered} hours from hour {}",
+                start.0
+            )));
+        }
+        let retained = usize::try_from(covered).map_or(snap.keep, |c| c.min(snap.keep));
+        if snap.tail.len() != retained {
+            return Err(invalid(format!(
+                "a stitcher tail of {} hours, not the last {retained} of {covered} covered",
+                snap.tail.len()
+            )));
+        }
+        Ok(snap)
     }
 }
 
@@ -572,7 +639,7 @@ mod tests {
         let mut new = Vec::new();
         for (i, f) in frames.iter().enumerate() {
             if i == cut {
-                st = StreamStitcher::restore(st.snapshot());
+                st = StreamStitcher::restore(round_trip(&st.snapshot()).expect("decode"));
             }
             st.append(f, &mut new).expect("stream append");
             raw.extend_from_slice(&new);
@@ -603,6 +670,57 @@ mod tests {
                     .eq(uncut.iter().map(|v| v.to_bits())),
                 "cut={cut}"
             );
+        }
+    }
+
+    /// `snap` through its binary form, with nothing left over.
+    fn round_trip(snap: &StitcherSnapshot) -> io::Result<StitcherSnapshot> {
+        let mut bytes = Vec::new();
+        snap.encode(&mut bytes);
+        let mut r = Reader::new(&bytes);
+        let back = StitcherSnapshot::decode(&mut r)?;
+        r.finish("stitcher snapshot")?;
+        Ok(back)
+    }
+
+    /// A snapshot no stitcher could have taken decodes to `InvalidData`
+    /// naming the rule: a region index past the last, a negative or
+    /// overflowing coverage, a tail of the wrong length, a cut.
+    #[test]
+    fn a_stitcher_snapshot_no_stitcher_took_is_refused() {
+        let mut st = StreamStitcher::new(State::TX, Hour(0), 4);
+        st.append(
+            &frame(State::TX, 0, vec![10, 20, 30, 40, 50, 60]),
+            &mut Vec::new(),
+        )
+        .expect("frame");
+        let snap = st.snapshot();
+        let mut bytes = Vec::new();
+        snap.encode(&mut bytes);
+        let back = round_trip(&snap).expect("a real snapshot decodes");
+        assert_eq!(format!("{back:?}"), format!("{snap:?}"));
+
+        let refused = |edit: &dyn Fn(&mut StitcherSnapshot), rule: &str| {
+            let mut bad = snap.clone();
+            edit(&mut bad);
+            let e = round_trip(&bad).expect_err(rule);
+            assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{e}");
+            assert!(e.to_string().contains(rule), "{rule}: {e}");
+        };
+        refused(&|s| s.covered = -1, "covering -1 hours");
+        refused(&|s| s.start = Hour(i64::MAX - 2), "covering 6 hours");
+        refused(
+            &|s| s.tail.push(1.0),
+            "tail of 5 hours, not the last 4 of 6",
+        );
+        refused(&|s| s.keep = 8, "tail of 4 hours, not the last 6 of 6");
+        let mut foreign = bytes.clone();
+        foreign[0] = 51;
+        let e = StitcherSnapshot::decode(&mut Reader::new(&foreign)).expect_err("index 51");
+        assert!(e.to_string().contains("index 51 names no region"), "{e}");
+        for cut in 0..bytes.len() {
+            let e = StitcherSnapshot::decode(&mut Reader::new(&bytes[..cut])).expect_err("cut");
+            assert!(e.to_string().contains("truncated"), "cut at {cut}: {e}");
         }
     }
 

@@ -11,8 +11,9 @@
 use proptest::prelude::*;
 use sift_core::detect::{detect_spikes, DetectParams};
 use sift_core::timeline::{stitch, Timeline};
-use sift_core::{IncrementalDetector, StreamStitcher};
+use sift_core::{DetectorSnapshot, IncrementalDetector, StitcherSnapshot, StreamStitcher};
 use sift_geo::State;
+use sift_journal::codec::Reader;
 use sift_simtime::Hour;
 use sift_trends::{FrameResponse, SearchTerm};
 
@@ -70,10 +71,13 @@ fn run_incremental(
         det.append(&values[fed..end], &mut out);
         fed = end;
         if restore_every > 0 && i % restore_every == 0 {
-            // Crash here: round-trip the snapshot through its serialized
+            // Crash here: round-trip the snapshot through its binary
             // form, exactly like the daemon's checkpoint file.
-            let json = serde_json::to_string(&det.snapshot()).expect("encode snapshot");
-            let snap = serde_json::from_str(&json).expect("decode snapshot");
+            let mut bytes = Vec::new();
+            det.snapshot().encode(&mut bytes);
+            let mut r = Reader::new(&bytes);
+            let snap = DetectorSnapshot::decode(&mut r).expect("decode snapshot");
+            r.finish("detector snapshot").expect("nothing left over");
             det = IncrementalDetector::restore(snap);
         }
     }
@@ -96,7 +100,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Incremental detection over any chunking of the series, with
-    /// serialized snapshot/restore at arbitrary points, yields the exact
+    /// binary snapshot/restore at arbitrary points, yields the exact
     /// spike set batch detection computes — same count, same bounds,
     /// bit-identical magnitudes.
     #[test]
@@ -114,7 +118,7 @@ proptest! {
     }
 
     /// The streaming stitcher, fed the frames one at a time with a
-    /// serialized snapshot/restore after an arbitrary frame, reproduces
+    /// binary snapshot/restore after an arbitrary frame, reproduces
     /// the uninterrupted batch run bit-for-bit modulo the final global
     /// renormalization factor (which needs future data and is therefore
     /// deferred by the daemon): a restore loses nothing.
@@ -135,8 +139,11 @@ proptest! {
             st.append(frame, &mut new_values).expect("stream stitch");
             raw.extend_from_slice(&new_values);
             if i == cut {
-                let json = serde_json::to_string(&st.snapshot()).expect("encode snapshot");
-                let snap = serde_json::from_str(&json).expect("decode snapshot");
+                let mut bytes = Vec::new();
+                st.snapshot().encode(&mut bytes);
+                let mut r = Reader::new(&bytes);
+                let snap = StitcherSnapshot::decode(&mut r).expect("decode snapshot");
+                r.finish("stitcher snapshot").expect("nothing left over");
                 st = StreamStitcher::restore(snap);
             }
         }

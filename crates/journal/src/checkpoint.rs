@@ -10,8 +10,10 @@
 
 use crate::atomic::write_atomic;
 use crate::crash::CrashInjector;
-use crate::record::{self, Decoded};
-use std::io;
+use crate::crc::crc32;
+use crate::record;
+use std::fs::File;
+use std::io::{self, Read};
 use std::path::Path;
 use std::time::Duration;
 
@@ -36,28 +38,38 @@ pub fn write_checkpoint(
 /// checkpoint": the file is absent, or it fails validation — which the
 /// atomic install protocol makes possible only through disk-level
 /// corruption, so it is reported and treated as absence rather than
-/// trusted or fatal. The payload is the buffer read, with its frame
-/// trimmed off the front: no second copy.
+/// trusted or fatal. The frame is read first and the payload straight
+/// into a buffer of its own length: no copy, no shift and no zero-fill.
 pub fn read_checkpoint(path: &Path) -> io::Result<Option<Vec<u8>>> {
-    let mut bytes = match std::fs::read(path) {
-        Ok(b) => b,
+    let mut file = match File::open(path) {
+        Ok(f) => f,
         Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
         Err(e) => return Err(e),
     };
-    if bytes.len() < MAGIC.len() || &bytes[..MAGIC.len()] != MAGIC {
+    let mut frame = [0; MAGIC.len() + record::HEADER_LEN];
+    let size = file.metadata()?.len();
+    let header = match file.read_exact(&mut frame) {
+        Ok(()) if frame.starts_with(MAGIC) => record::parse_header(&frame[MAGIC.len()..]),
+        Ok(()) => None,
+        Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => None,
+        Err(e) => return Err(e),
+    };
+    // The file must end where the payload does.
+    let Some((len, crc)) = header
+        .filter(|&(len, _)| u64::try_from(frame.len() + len).is_ok_and(|whole| whole == size))
+    else {
         report_corrupt();
         return Ok(None);
-    }
-    match record::decode(&bytes, MAGIC.len()) {
-        Decoded::Record { payload, next } if next == bytes.len() => {
-            let frame = next - payload.len();
-            bytes.drain(..frame);
-            Ok(Some(bytes))
-        }
-        Decoded::Record { .. } | Decoded::Invalid | Decoded::End => {
-            report_corrupt();
-            Ok(None)
-        }
+    };
+    // Read into spare capacity: no zero-fill ahead of the read.
+    let mut payload = Vec::with_capacity(len);
+    file.take(u64::try_from(len).unwrap_or(u64::MAX))
+        .read_to_end(&mut payload)?;
+    if payload.len() == len && crc32(&payload) == crc {
+        Ok(Some(payload))
+    } else {
+        report_corrupt();
+        Ok(None)
     }
 }
 
@@ -128,6 +140,27 @@ mod tests {
         // Wrong magic entirely.
         std::fs::write(&path, b"NOTACKPT").expect("overwrite");
         assert_eq!(read_checkpoint(&path).expect("read"), None);
+    }
+
+    /// A checkpoint file cut inside its frame or payload, or with bytes
+    /// after its payload, is no checkpoint.
+    #[test]
+    fn a_checkpoint_cut_short_or_run_long_is_treated_as_absent() {
+        let dir = scratch_dir("ckpt_length");
+        let path = dir.join("ckpt.bin");
+        write_checkpoint(&path, b"snapshot", None).expect("write");
+        let whole = std::fs::read(&path).expect("read raw");
+        let mut damaged: Vec<Vec<u8>> = (0..whole.len()).map(|n| whole[..n].to_vec()).collect();
+        damaged.push([whole.as_slice(), b"!"].concat());
+        for bytes in damaged {
+            write_atomic(&path, &bytes, None).expect("stage");
+            assert_eq!(read_checkpoint(&path).expect("read"), None, "{bytes:?}");
+        }
+        write_atomic(&path, &whole, None).expect("restore");
+        assert_eq!(
+            read_checkpoint(&path).expect("read"),
+            Some(b"snapshot".to_vec())
+        );
     }
 
     #[test]

@@ -16,6 +16,9 @@
 //!   ([`write_atomic`]); a reader sees a complete old snapshot or a
 //!   complete new one, never a mix. A checkpoint subsumes and empties the
 //!   journal.
+//! * [`codec::Reader`] — reads back the fixed-layout little-endian
+//!   payloads a program journals and checkpoints for itself, refusing a
+//!   short or over-long one as `InvalidData`.
 //! * [`testutil::wal_cuts`] — the crash states of a journal, built from
 //!   the finished file: a journal is append-only, so a crash leaves a
 //!   prefix of it, cut at a record boundary or inside a record.
@@ -37,6 +40,7 @@
 
 pub mod atomic;
 pub mod checkpoint;
+pub mod codec;
 pub mod crash;
 pub mod crc;
 pub mod journal;

@@ -25,6 +25,24 @@ pub fn encode(payload: &[u8]) -> Vec<u8> {
     out
 }
 
+/// The payload length and CRC a frame header holds; `None` when
+/// `header` is not [`HEADER_LEN`] bytes or the length is past
+/// [`MAX_PAYLOAD`].
+pub fn parse_header(header: &[u8]) -> Option<(usize, u32)> {
+    let word = |i: usize| {
+        let mut word = [0; 4];
+        word.copy_from_slice(&header[4 * i..4 * (i + 1)]);
+        u32::from_le_bytes(word)
+    };
+    if header.len() != HEADER_LEN {
+        return None;
+    }
+    let len = usize::try_from(word(0))
+        .ok()
+        .filter(|&len| len <= MAX_PAYLOAD)?;
+    Some((len, word(1)))
+}
+
 /// What decoding at an offset found.
 #[derive(Debug, PartialEq, Eq)]
 pub enum Decoded<'a> {
@@ -55,14 +73,9 @@ pub fn decode(buf: &[u8], offset: usize) -> Decoded<'_> {
     let Some(header) = buf.get(offset..offset + HEADER_LEN) else {
         return Decoded::Invalid; // partial header at the tail
     };
-    #[expect(clippy::expect_used, reason = "the slice is exactly 4 bytes")]
-    let len = u32::from_le_bytes(header[0..4].try_into().expect("4-byte slice"));
-    #[expect(clippy::expect_used, reason = "the slice is exactly 4 bytes")]
-    let crc = u32::from_le_bytes(header[4..8].try_into().expect("4-byte slice"));
-    let len = len as usize;
-    if len > MAX_PAYLOAD {
+    let Some((len, crc)) = parse_header(header) else {
         return Decoded::Invalid;
-    }
+    };
     let start = offset + HEADER_LEN;
     let Some(payload) = buf.get(start..start + len) else {
         return Decoded::Invalid; // short payload at the tail

@@ -27,8 +27,14 @@
 //!
 //! A span opened with [`crate::span_tallied`] starts a tally, which
 //! travels like parentage (frames, [`SpanContext`], [`crate::span_in`]),
-//! never in the header: each span that reaches it adds its name and
-//! elapsed time at close, and [`Span::stages`] reads the sums.
+//! never in the header: each span that reaches it adds its name, its
+//! elapsed time and its self time at close, and [`Span::stages`] reads
+//! the sums. Self time is the elapsed time less that of the span's
+//! children on its own thread: a closing span adds its elapsed time to
+//! its parent's frame when the parent is open on the same thread.
+//! Children on other threads (a worker reopened with
+//! [`crate::span_in`]) run beside their parent, not inside its thread's
+//! time, and are not subtracted.
 
 use crate::metrics::{Histogram, HistogramSpec};
 use crate::trace::{self, SpanRecord};
@@ -65,17 +71,19 @@ pub(crate) fn is_recorded(trace_id: u64) -> bool {
 struct Tally(Arc<Mutex<Vec<Stage>>>);
 
 impl Tally {
-    fn add(&self, name: &str, elapsed: Duration) {
+    fn add(&self, name: &str, elapsed: Duration, own: Duration) {
         let mut stages = self.0.lock();
         match stages.iter_mut().find(|s| *s.name == *name) {
             Some(stage) => {
                 stage.count += 1;
                 stage.total_seconds += elapsed.as_secs_f64();
+                stage.self_seconds += own.as_secs_f64();
             }
             None => stages.push(Stage {
                 name: name.into(),
                 count: 1,
                 total_seconds: elapsed.as_secs_f64(),
+                self_seconds: own.as_secs_f64(),
             }),
         }
     }
@@ -150,6 +158,8 @@ struct Frame {
     span_id: u64,
     args: Vec<(&'static str, u64)>,
     tally: Option<Tally>,
+    /// Elapsed time of the children that closed on this thread.
+    children: Duration,
 }
 
 impl Frame {
@@ -284,6 +294,7 @@ impl Span {
                 span_id,
                 args: Vec::new(),
                 tally: tally.clone(),
+                children: Duration::ZERO,
             })
         });
         Span {
@@ -351,17 +362,25 @@ impl Drop for Span {
     fn drop(&mut self) {
         let elapsed = self.start.elapsed();
         // Guards drop LIFO in correct code; tolerate out-of-order drops
-        // by removing the exact frame wherever it sits.
-        let args = STACK.with(|s| {
+        // by removing the exact frame wherever it sits. The parent, if
+        // it is open on this thread, counts this span as its child.
+        let (args, children) = STACK.with(|s| {
             let mut stack = s.borrow_mut();
-            match stack.iter().rposition(|f| f.span_id == self.span_id) {
-                Some(pos) => stack.remove(pos).args,
-                None => Vec::new(),
+            let frame = stack
+                .iter()
+                .rposition(|f| f.span_id == self.span_id)
+                .map(|pos| stack.remove(pos));
+            if let Some(parent) = self
+                .parent_id
+                .and_then(|id| stack.iter_mut().rfind(|f| f.span_id == id))
+            {
+                parent.children += elapsed;
             }
+            frame.map_or((Vec::new(), Duration::ZERO), |f| (f.args, f.children))
         });
         self.series.seconds.observe_duration(elapsed);
         if let Some(tally) = &self.tally {
-            tally.add(&self.series.name, elapsed);
+            tally.add(&self.series.name, elapsed, elapsed.saturating_sub(children));
         }
         if !is_recorded(self.trace_id) {
             return;
@@ -380,7 +399,7 @@ impl Drop for Span {
 }
 
 /// A tally read out ([`Span::stages`]): per span name, how many spans
-/// closed and their total time.
+/// closed, their total time and their self time.
 #[derive(Clone, Debug, Default, PartialEq, Serialize, Deserialize)]
 pub struct StageTable {
     /// One row per span name, by total time descending, then by name.
@@ -396,21 +415,29 @@ pub struct Stage {
     pub count: u64,
     /// Their elapsed times summed.
     pub total_seconds: f64,
+    /// Their self times summed: each span's elapsed time less that of its
+    /// children closed on the same thread. Children on other threads are
+    /// not subtracted, so a span that waits on workers keeps the wait.
+    pub self_seconds: f64,
 }
 
 impl fmt::Display for StageTable {
     /// Renders a fixed-width timing table, one row per stage; the mean
-    /// is the total over the count.
+    /// is the total over the count, and `self` the total less the time
+    /// of same-thread children.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "  {:<24} {:>8} {:>12} {:>12}",
-            "stage", "count", "total", "mean"
+            "  {:<24} {:>8} {:>12} {:>12} {:>12}",
+            "stage", "count", "total", "self", "mean"
         )?;
         for s in &self.stages {
             let mean = s.total_seconds / s.count as f64;
-            let (name, count, total) = (&s.name, s.count, s.total_seconds);
-            writeln!(f, "  {name:<24} {count:>8} {total:>11.3}s {mean:>11.6}s")?;
+            let (name, count, total, own) = (&s.name, s.count, s.total_seconds, s.self_seconds);
+            writeln!(
+                f,
+                "  {name:<24} {count:>8} {total:>11.3}s {own:>11.3}s {mean:>11.6}s"
+            )?;
         }
         Ok(())
     }
@@ -674,19 +701,61 @@ mod tests {
         assert!(crate::span("tally-after-test").stages().stages.is_empty());
     }
 
+    /// A span's self time leaves out its same-thread children, nested
+    /// or reopened with `span_in`, and keeps its children on other
+    /// threads.
     #[test]
-    fn a_stage_table_prints_count_total_and_mean() {
+    fn self_time_subtracts_children_on_the_same_thread_only() {
+        let study = crate::span_tallied("self-root-test");
+        let ctx = study.context();
+        {
+            let parent = crate::span("self-parent-test");
+            let parent_ctx = parent.context();
+            drop(crate::span("self-child-test"));
+            drop(crate::span_in(&parent_ctx, "self-child-test"));
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    let _worker = crate::span_in(&parent_ctx, "self-worker-test");
+                    std::thread::sleep(Duration::from_millis(30));
+                });
+            });
+        }
+        drop(crate::span_in(&ctx, "self-leaf-test"));
+        let table = study.stages();
+        let row = |name: &str| {
+            let stage = table.stages.iter().find(|s| s.name == name).expect(name);
+            (stage.total_seconds, stage.self_seconds)
+        };
+        let (parent_total, parent_self) = row("self-parent-test");
+        let (child_total, child_self) = row("self-child-test");
+        let (worker_total, _) = row("self-worker-test");
+        assert_eq!(
+            child_self.to_bits(),
+            child_total.to_bits(),
+            "a leaf's self time is its total"
+        );
+        let subtracted = parent_total - parent_self;
+        assert!((subtracted - child_total).abs() < 1e-9, "{table}");
+        assert!(
+            parent_self >= worker_total,
+            "the worker is not subtracted: {table}"
+        );
+    }
+
+    #[test]
+    fn a_stage_table_prints_count_total_self_and_mean() {
         let table = StageTable {
             stages: vec![Stage {
                 name: "detect".into(),
                 count: 4,
                 total_seconds: 0.5,
+                self_seconds: 0.375,
             }],
         };
         let text = table.to_string();
-        assert!(text.contains("stage") && text.contains("mean"), "{text}");
+        assert!(text.contains("stage") && text.contains("self"), "{text}");
         assert!(
-            text.contains("detect") && text.contains("0.125000s"),
+            text.contains("detect") && text.contains("0.375s") && text.contains("0.125000s"),
             "{text}"
         );
         let back: StageTable =

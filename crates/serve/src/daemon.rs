@@ -398,6 +398,7 @@ fn open_regions(cfg: &ServeConfig, dir: &Path) -> io::Result<Vec<RegionCore>> {
             let core = RegionCore::open(
                 &dir.join(state.abbrev()),
                 state,
+                &cfg.term,
                 cfg.range.start,
                 cfg.plan,
                 cfg.detect,

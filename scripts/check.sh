@@ -88,6 +88,15 @@ if grep -rlE --include='*.rs' 'CrashInjector|CrashSite|start_with_crash' crates 
   echo "the files above name the checkpoint crash injector outside crates/journal" >&2
   exit 1
 fi
+# A daemon region's durable state (checkpoint and WAL record) has one
+# binary codec: no line of sift-serve's product code names serde_json.
+# A file's test code is its `#[cfg(test)]` module, at the end of the file.
+if find crates/serve/src -name '*.rs' -exec \
+  awk '/^#\[cfg\(test\)\]/ { nextfile } /serde_json/ { print FILENAME ":" FNR ": " $0 }' {} + \
+  | grep .; then
+  echo "the lines above name serde_json outside sift-serve's tests" >&2
+  exit 1
+fi
 # The root package auto-discovers tests/*.rs, so this runs every
 # acceptance test (overload, resume, cluster, nemesis, serve, ...) too.
 # Tests clean up after themselves: a `sift_journal::testutil::scratch_dir`

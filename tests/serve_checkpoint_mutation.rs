@@ -1,18 +1,21 @@
-//! Mutated checkpoints never panic the daemon.
+//! Mutated checkpoints and WAL records never panic the daemon.
 //!
 //! A real region checkpoint is mutated and re-framed with
-//! `write_checkpoint`, so the CRC passes and the mutation reaches the
-//! decoder and the restore path instead of being rejected as corruption.
-//! The payload is a JSON head, a newline and a table of 32-byte spike
-//! rows. Some mutations land anywhere: random byte flips, a truncation,
-//! inserted bytes, or a changed digit (which mostly keeps the head's
-//! JSON valid and so reaches restore and replay). The rest aim at the
-//! table: bit flips inside it, a length that is not a multiple of 32,
-//! and a spike count one off. Beside the checkpoint sits the WAL tail the
-//! region really left, so a checkpoint that decodes is replayed onto.
-//! `Daemon::start` must then either recover (`Ok`) or refuse the
-//! directory with `InvalidData`, within a bounded time: never panic,
-//! never hang.
+//! `write_checkpoint`, and the WAL record the region really left behind
+//! it is mutated and re-appended through a `Journal`, so every CRC
+//! passes and the mutation reaches the decoder and the restore and
+//! replay paths instead of being rejected as corruption. The checkpoint
+//! payload is the tag `RGN1`, the head's length as a `u32`, the binary
+//! head (ending in the spike count) and a table of 32-byte spike rows.
+//! Some mutations land anywhere: random byte flips, a truncation or
+//! inserted bytes. The rest aim: flips inside the head (which mostly
+//! land in a snapshot's `f64`s, keep the head decodable and so reach
+//! restore and replay), a head length moved a few bytes, bit flips
+//! inside the table, a table length that is not a multiple of 32, and a
+//! spike count one off. A WAL record is flipped, cut, grown, or moved to
+//! the plan index before or after its own. `Daemon::start` must then
+//! either recover (`Ok`) or refuse the directory with `InvalidData`,
+//! within a bounded time: never panic, never hang.
 
 mod common;
 
@@ -20,7 +23,7 @@ use common::world;
 use proptest::prelude::*;
 use sift::geo::State;
 use sift::journal::testutil::scratch_dir;
-use sift::journal::{read_checkpoint, write_checkpoint};
+use sift::journal::{read_checkpoint, write_checkpoint, Journal};
 use sift::serve::{Daemon, ServeConfig};
 use sift::simtime::{Hour, HourRange, SimClock};
 use sift::trends::{SearchTerm, TrendsClient, TrendsService};
@@ -45,10 +48,11 @@ fn upstream() -> Arc<dyn TrendsClient> {
     Arc::new(TrendsService::with_defaults(world(&[State::TX])))
 }
 
-/// TX's checkpoint payload and WAL file after ingesting the whole plan
-/// (nine frames, a checkpoint every four: one record stays in the WAL).
-fn source() -> &'static (Vec<u8>, Vec<u8>) {
-    static SOURCE: OnceLock<(Vec<u8>, Vec<u8>)> = OnceLock::new();
+/// TX's checkpoint payload and WAL records after ingesting the whole
+/// plan (nine frames, a checkpoint every four: one record stays in the
+/// WAL).
+fn source() -> &'static (Vec<u8>, Vec<Vec<u8>>) {
+    static SOURCE: OnceLock<(Vec<u8>, Vec<Vec<u8>>)> = OnceLock::new();
     SOURCE.get_or_init(|| {
         let dir = scratch_dir("serve_mutation_source");
         let clock = Arc::new(SimClock::new(Hour(RANGE_END)));
@@ -59,26 +63,28 @@ fn source() -> &'static (Vec<u8>, Vec<u8>) {
         let payload = read_checkpoint(&region.join("region.ckpt"))
             .expect("read checkpoint")
             .expect("TX checkpointed");
-        let wal = std::fs::read(region.join("region.wal")).expect("read wal");
-        assert!(!wal.is_empty(), "TX left a WAL tail");
-        let table = table_start(&payload).expect("a spike table");
+        let (_, wal) = Journal::open(&region.join("region.wal")).expect("open wal");
+        assert_eq!(wal.records.len(), 1, "TX left one WAL record");
+        let (_, table) = parts(&payload).expect("a head and a table");
         assert!(table < payload.len(), "TX checkpointed spikes");
-        (payload, wal)
+        (payload, wal.records)
     })
 }
 
-/// One edit of the payload. Positions are taken modulo the length of
-/// what they edit: the payload, its count of ASCII digits (`Digit`) or
-/// its spike table (`TableFlip`, `TableRagged`). `TableRagged` inserts
-/// `n` (1–31) bytes into the table, or cuts as many off its end, so it
-/// no longer holds a whole number of rows; `CountOff` moves the head's
-/// spike count one up or down.
+/// One edit of the checkpoint payload. Positions are taken modulo the
+/// length of what they edit: the payload, its head (`HeadFlip`) or its
+/// spike table (`TableFlip`, `TableRagged`). `HeadLen` moves the head's
+/// length field by `delta` bytes; `TableRagged` inserts `n` (1–31)
+/// bytes into the table, or cuts as many off its end, so it no longer
+/// holds a whole number of rows; `CountOff` moves the head's spike count
+/// one up or down.
 #[derive(Clone, Debug)]
 enum Mutation {
     Flip { at: usize, mask: u8 },
     Truncate { to: usize },
     Insert { at: usize, byte: u8 },
-    Digit { nth: usize, digit: u8 },
+    HeadFlip { at: usize, mask: u8 },
+    HeadLen { delta: i8 },
     TableFlip { at: usize, mask: u8 },
     TableRagged { at: usize, n: usize, cut: bool },
     CountOff { up: bool },
@@ -89,7 +95,8 @@ fn mutation() -> impl Strategy<Value = Mutation> {
         (any::<usize>(), 1u8..=255).prop_map(|(at, mask)| Mutation::Flip { at, mask }),
         any::<usize>().prop_map(|to| Mutation::Truncate { to }),
         (any::<usize>(), any::<u8>()).prop_map(|(at, byte)| Mutation::Insert { at, byte }),
-        (any::<usize>(), b'0'..=b'9').prop_map(|(nth, digit)| Mutation::Digit { nth, digit }),
+        (any::<usize>(), 1u8..=255).prop_map(|(at, mask)| Mutation::HeadFlip { at, mask }),
+        prop_oneof![-4i8..0, 1i8..5].prop_map(|delta| Mutation::HeadLen { delta }),
         (any::<usize>(), 1u8..=255).prop_map(|(at, mask)| Mutation::TableFlip { at, mask }),
         (any::<usize>(), 1usize..32, any::<bool>())
             .prop_map(|(at, n, cut)| Mutation::TableRagged { at, n, cut }),
@@ -97,75 +104,97 @@ fn mutation() -> impl Strategy<Value = Mutation> {
     ]
 }
 
-/// Where the spike table starts: one past the first newline.
-fn table_start(bytes: &[u8]) -> Option<usize> {
-    bytes.iter().position(|&b| b == b'\n').map(|i| i + 1)
+/// One edit of a WAL record: flip, cut or grow it anywhere, or move its
+/// plan index (the 8 bytes after the tag byte) one down or up.
+#[derive(Clone, Debug)]
+enum RecordMutation {
+    Flip { at: usize, mask: u8 },
+    Truncate { to: usize },
+    Insert { at: usize, byte: u8 },
+    IdxOff { up: bool },
+}
+
+fn record_mutation() -> impl Strategy<Value = RecordMutation> {
+    prop_oneof![
+        (any::<usize>(), 1u8..=255).prop_map(|(at, mask)| RecordMutation::Flip { at, mask }),
+        any::<usize>().prop_map(|to| RecordMutation::Truncate { to }),
+        (any::<usize>(), any::<u8>()).prop_map(|(at, byte)| RecordMutation::Insert { at, byte }),
+        any::<bool>().prop_map(|up| RecordMutation::IdxOff { up }),
+    ]
+}
+
+/// Where the head and the spike table start (the head's length field
+/// permitting): after the 4-byte tag and 4-byte length, and after the
+/// head. `None` once an edit cut into the length field or made it run
+/// past the end.
+fn parts(bytes: &[u8]) -> Option<(usize, usize)> {
+    let field = bytes.get(4..8)?;
+    let len = u32::from_le_bytes(field.try_into().ok()?) as usize;
+    let table = 8usize.checked_add(len).filter(|&t| t <= bytes.len())?;
+    Some((8, table))
+}
+
+/// `bytes[at..at + 8]` as a little-endian `u64` moved one up or down.
+fn word_off(bytes: &mut [u8], at: usize, up: bool) {
+    if let Some(word) = bytes.get_mut(at..at + 8) {
+        let n = u64::from_le_bytes(word.try_into().expect("8 bytes"));
+        let n = if up {
+            n.wrapping_add(1)
+        } else {
+            n.wrapping_sub(1)
+        };
+        word.copy_from_slice(&n.to_le_bytes());
+    }
 }
 
 fn mutate(payload: &[u8], edits: &[Mutation]) -> Vec<u8> {
     let mut bytes = payload.to_vec();
     for edit in edits {
         let len = bytes.len();
-        let table = table_start(&bytes).unwrap_or(len);
-        let table_len = len - table;
+        let (head, table) = parts(&bytes).unwrap_or((len, len));
+        let (head_len, table_len) = (table - head, len - table);
         match *edit {
             Mutation::Flip { at, mask } if len > 0 => bytes[at % len] ^= mask,
-            Mutation::Flip { .. } => {}
             Mutation::Truncate { to } => bytes.truncate(to % (len + 1)),
             Mutation::Insert { at, byte } => bytes.insert(at % (len + 1), byte),
-            Mutation::Digit { nth, digit } => {
-                let digits = bytes.iter().filter(|b| b.is_ascii_digit()).count();
-                if let Some(b) = bytes
-                    .iter_mut()
-                    .filter(|b| b.is_ascii_digit())
-                    .nth(nth % digits.max(1))
-                {
-                    *b = digit;
-                }
+            Mutation::HeadFlip { at, mask } if head_len > 0 => bytes[head + at % head_len] ^= mask,
+            Mutation::HeadLen { delta } if len >= 8 => {
+                let field: [u8; 4] = bytes[4..8].try_into().expect("4 bytes");
+                let moved = u32::from_le_bytes(field).wrapping_add_signed(i32::from(delta));
+                bytes[4..8].copy_from_slice(&moved.to_le_bytes());
             }
             Mutation::TableFlip { at, mask } if table_len > 0 => {
                 bytes[table + at % table_len] ^= mask;
             }
-            Mutation::TableFlip { .. } => {}
             Mutation::TableRagged { n, cut: true, .. } => bytes.truncate(len - n.min(table_len)),
             Mutation::TableRagged { at, n, cut: false } => {
                 let at = table + at % (table_len + 1);
                 bytes.splice(at..at, vec![0xA5; n]);
             }
-            Mutation::CountOff { up } => bytes = count_off(&bytes, up),
+            Mutation::CountOff { up } if head_len >= 8 => word_off(&mut bytes, table - 8, up),
+            Mutation::Flip { .. }
+            | Mutation::HeadFlip { .. }
+            | Mutation::HeadLen { .. }
+            | Mutation::TableFlip { .. }
+            | Mutation::CountOff { .. } => {}
         }
     }
     bytes
 }
 
-/// `bytes` with the head's `"spikes":N` moved to N ± 1 (unchanged if
-/// an earlier edit broke the field).
-fn count_off(bytes: &[u8], up: bool) -> Vec<u8> {
-    const FIELD: &[u8] = b",\"spikes\":";
-    let head = &bytes[..table_start(bytes).unwrap_or(bytes.len())];
-    let Some(at) = head.windows(FIELD.len()).rposition(|w| w == FIELD) else {
-        return bytes.to_vec();
-    };
-    let digits_at = at + FIELD.len();
-    let digits = head[digits_at..]
-        .iter()
-        .take_while(|b| b.is_ascii_digit())
-        .count();
-    let Some(count) = std::str::from_utf8(&head[digits_at..digits_at + digits])
-        .ok()
-        .and_then(|d| d.parse::<u64>().ok())
-    else {
-        return bytes.to_vec();
-    };
-    let count = if up {
-        count + 1
-    } else {
-        count.saturating_sub(1)
-    };
-    let mut out = bytes[..digits_at].to_vec();
-    out.extend_from_slice(count.to_string().as_bytes());
-    out.extend_from_slice(&bytes[digits_at + digits..]);
-    out
+fn mutate_record(record: &[u8], edits: &[RecordMutation]) -> Vec<u8> {
+    let mut bytes = record.to_vec();
+    for edit in edits {
+        let len = bytes.len();
+        match *edit {
+            RecordMutation::Flip { at, mask } if len > 0 => bytes[at % len] ^= mask,
+            RecordMutation::Flip { .. } => {}
+            RecordMutation::Truncate { to } => bytes.truncate(to % (len + 1)),
+            RecordMutation::Insert { at, byte } => bytes.insert(at % (len + 1), byte),
+            RecordMutation::IdxOff { up } => word_off(&mut bytes, 1, up),
+        }
+    }
+    bytes
 }
 
 /// Starts a daemon on `dir` on a helper thread and waits at most a
@@ -189,19 +218,24 @@ fn start_within_a_minute(dir: PathBuf) -> io::Result<()> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Whatever the mutation, the daemon recovers or refuses with
+    /// Whatever the mutations, the daemon recovers or refuses with
     /// `InvalidData`.
     #[test]
     fn a_mutated_checkpoint_is_recovered_or_refused(
-        edits in proptest::collection::vec(mutation(), 1..4),
+        edits in proptest::collection::vec(mutation(), 0..4),
+        record_edits in proptest::collection::vec(record_mutation(), 0..3),
     ) {
-        let (payload, wal) = source();
+        let (payload, records) = source();
         let dir = scratch_dir("serve_mutation");
         let region = dir.join("TX");
         std::fs::create_dir_all(&region).expect("region dir");
         write_checkpoint(&region.join("region.ckpt"), &mutate(payload, &edits), None)
             .expect("write checkpoint");
-        std::fs::write(region.join("region.wal"), wal).expect("write wal");
+        let (mut wal, _) = Journal::open(&region.join("region.wal")).expect("open wal");
+        for record in records {
+            wal.append(&mutate_record(record, &record_edits)).expect("append record");
+        }
+        drop(wal);
         if let Err(e) = start_within_a_minute(dir.to_path_buf()) {
             prop_assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{}", e);
         }
