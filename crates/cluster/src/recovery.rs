@@ -266,7 +266,6 @@ impl CoordDurability {
         dir: &Path,
         regions: &[State],
     ) -> io::Result<(CoordDurability, CoordTable, CoordRecovery)> {
-        std::fs::create_dir_all(dir)?;
         let (mut journal, wal) = Journal::open(&dir.join("coord.wal"))?;
         // Control records are acknowledgements-in-waiting: every append
         // must be durable before the reply goes out, so fsync per record.

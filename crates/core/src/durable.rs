@@ -124,7 +124,6 @@ pub struct RegionJournal {
 
 impl RegionJournal {
     fn open(dir: &Path, study: &RegionRecord) -> io::Result<RegionJournal> {
-        std::fs::create_dir_all(dir)?;
         let (journal, recovery) = Journal::open(&dir.join("region.wal"))?;
         let mut region = RegionJournal {
             journal,

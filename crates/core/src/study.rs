@@ -279,49 +279,14 @@ fn run_study_impl(
 
     // ---- Parallel per-region phase: collect, average, detect, gather
     // rising suggestions.
-    let threads = params.threads.clamp(1, params.regions.len().max(1));
-    let chunks: Vec<Vec<State>> = (0..threads)
-        .map(|t| {
-            params
-                .regions
-                .iter()
-                .copied()
-                .skip(t)
-                .step_by(threads)
-                .collect()
-        })
-        .collect();
-
-    #[expect(clippy::expect_used, reason = "re-raise a worker panic on join")]
-    let outcomes: Vec<Result<RegionOutcome, StudyError>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = chunks
-            .into_iter()
-            .map(|chunk| {
-                let (plan, study_ctx) = (&plan, &study_ctx);
-                scope.spawn(move || {
-                    chunk
-                        .into_iter()
-                        .map(|state| {
-                            // Reopen the study context on this worker
-                            // thread; its own span stack is empty and
-                            // would orphan every region's spans.
-                            let _region_span = sift_obs::span_in(study_ctx, "region");
-                            run_region_study(client, params, &plan.frames, state, durability)
-                        })
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("region worker panicked"))
-            .collect()
-    });
-
-    let mut regions = Vec::with_capacity(outcomes.len());
-    for o in outcomes {
-        regions.push(o?);
-    }
+    let regions = sift_obs::fan_out(&params.regions, params.threads, |&state| {
+        // Reopen the study context: a helper thread's span stack is
+        // empty and would orphan every region's spans.
+        let _region_span = sift_obs::span_in(&study_ctx, "region");
+        run_region_study(client, params, &plan.frames, state, durability)
+    })
+    .into_iter()
+    .collect::<Result<Vec<_>, _>>()?;
 
     let mut result = assemble_study(params, regions, durability.is_some());
     result.stats.telemetry = study_span.stages();
@@ -449,19 +414,20 @@ pub fn assemble_study(
 /// Annotates each distinct suggestion list against the study's phrase
 /// table, on `params.threads` threads.
 ///
-/// The lists are cut into contiguous chunks; the calling thread takes the
-/// first instead of idling, scoped workers the rest, each under its own
-/// `annotate` span parented on `context`. A list's annotations are a
-/// function of its content and the read-only table alone, and the chunks
-/// are concatenated in order, so the thread count cannot reach the
-/// result.
+/// The lists are cut into one contiguous chunk per thread and fanned out
+/// with [`sift_obs::fan_out`], each chunk under its own `annotate` span
+/// parented on `context`. A list's annotations are a function of its
+/// content and the read-only table alone, and the chunks are
+/// concatenated in order, so the thread count cannot reach the result.
 fn annotate_lists(
     table: &PhraseTable<'_>,
     lists: &[&[RisingTerm]],
     params: &StudyParams,
     context: sift_obs::SpanContext,
 ) -> Vec<Vec<Annotation>> {
-    let annotate_chunk = |chunk: &[&[RisingTerm]]| -> Vec<Vec<Annotation>> {
+    let per_thread = lists.len().div_ceil(params.threads.max(1)).max(1);
+    let chunks: Vec<_> = lists.chunks(per_thread).collect();
+    sift_obs::fan_out(&chunks, params.threads, |chunk| {
         let _span = sift_obs::span_in(&context, "annotate");
         sift_obs::attr_add(
             "lists_annotated",
@@ -470,22 +436,11 @@ fn annotate_lists(
         chunk
             .iter()
             .map(|list| table.annotate(list, &params.context))
-            .collect()
-    };
-    let per_thread = lists.len().div_ceil(params.threads.max(1)).max(1);
-    let mut chunks = lists.chunks(per_thread);
-    let first = chunks.next().unwrap_or_default();
-    std::thread::scope(|scope| {
-        let workers: Vec<_> = chunks
-            .map(|chunk| scope.spawn(move || annotate_chunk(chunk)))
-            .collect();
-        let mut annotated = annotate_chunk(first);
-        for worker in workers {
-            #[expect(clippy::expect_used, reason = "re-raise a worker panic on join")]
-            annotated.extend(worker.join().expect("annotate worker panicked"));
-        }
-        annotated
+            .collect::<Vec<_>>()
     })
+    .into_iter()
+    .flatten()
+    .collect()
 }
 
 /// The per-region pipeline: averaging, detection, rising gathering.

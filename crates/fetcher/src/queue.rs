@@ -1,8 +1,9 @@
 //! Mapping the crawl workload across fetcher units.
 //!
 //! [`CollectionRun::execute`] cuts the workload into one contiguous chunk
-//! per unit, in submission order, and fetches the chunks side by side. A
-//! unit answers its chunk in one [`TrendsClient::fetch_frames`] and one
+//! per unit, in submission order, and fetches the chunks on up to one
+//! thread per unit ([`sift_obs::fan_out`]). A unit answers its chunk in
+//! one [`TrendsClient::fetch_frames`] and one
 //! [`TrendsClient::fetch_risings`] call. Each unit crawls under its own
 //! identity, so the service's per-IP rate limiting throttles units
 //! independently — the design the paper describes.
@@ -73,9 +74,9 @@ impl Chunk {
     }
 
     /// Sends the chunk through `unit`, under a `fetch` span that joins
-    /// the caller's trace.
+    /// the caller's trace. An empty chunk sends nothing and opens no span.
     fn fetch(&self, unit: &dyn TrendsClient, ctx: Option<&sift_obs::SpanContext>) -> Replies {
-        if !unit.healthy() {
+        if self.is_frame.is_empty() || !unit.healthy() {
             return None;
         }
         let _span = match ctx {
@@ -109,18 +110,13 @@ impl CollectionRun {
         let chunks: Vec<Chunk> = (0..k)
             .map(|u| Chunk::new(items.by_ref().take((u + 1) * n / k - u * n / k)))
             .collect();
-        // Captured on the calling thread; each chunk's thread reopens it
-        // so its fetch span joins the caller's trace.
+        // Captured on the calling thread; the thread that fetches a chunk
+        // reopens it so its fetch span joins the caller's trace.
         let ctx = sift_obs::SpanContext::current();
         let ctx = ctx.as_ref();
-        let mut replies: Vec<Replies> = std::iter::repeat_with(|| None).take(k).collect();
-        std::thread::scope(|scope| {
-            for ((chunk, unit), slot) in chunks.iter().zip(&self.units).zip(&mut replies) {
-                if !chunk.is_frame.is_empty() {
-                    scope.spawn(move || *slot = chunk.fetch(unit.as_ref(), ctx));
-                }
-            }
-        });
+        let shares: Vec<_> = chunks.iter().zip(&self.units).collect();
+        let replies =
+            sift_obs::fan_out(&shares, k, |(chunk, unit)| chunk.fetch(unit.as_ref(), ctx));
 
         let mut report = RunReport {
             per_unit: self

@@ -41,14 +41,23 @@ pub struct Journal {
 }
 
 impl Journal {
-    /// Opens (creating if needed) the journal at `path`, recovering any
-    /// existing records and truncating a torn or corrupt tail.
+    /// Opens (creating if needed, with its missing parent directories)
+    /// the journal at `path`, recovering any existing records and
+    /// truncating a torn or corrupt tail.
     pub fn open(path: &Path) -> io::Result<(Journal, Recovery)> {
-        let mut file = OpenOptions::new()
-            .read(true)
-            .append(true)
-            .create(true)
-            .open(path)?;
+        let mut options = OpenOptions::new();
+        options.read(true).append(true).create(true);
+        // Reopening an existing journal costs one open; the directory is
+        // made only on the first.
+        let mut file = match options.open(path) {
+            Err(e) if e.kind() == io::ErrorKind::NotFound => {
+                if let Some(dir) = path.parent() {
+                    std::fs::create_dir_all(dir)?;
+                }
+                options.open(path)?
+            }
+            opened => opened?,
+        };
         let mut bytes = Vec::new();
         file.seek(SeekFrom::Start(0))?;
         file.read_to_end(&mut bytes)?;
@@ -156,6 +165,17 @@ mod tests {
             vec![b"one".to_vec(), b"two".to_vec(), b"three".to_vec()]
         );
         assert!(!rec.torn_tail);
+    }
+
+    #[test]
+    fn a_journal_under_a_missing_directory_creates_it() {
+        let dir = scratch_dir("journal_missing_dir");
+        let path = dir.join("run").join("TX").join("wal.bin");
+        let (mut j, rec) = Journal::open(&path).expect("open makes the directories");
+        assert!(rec.records.is_empty());
+        j.append(b"first").expect("append");
+        drop(j);
+        assert_eq!(reopen(&path).records, vec![b"first".to_vec()]);
     }
 
     /// Every state a crash can leave the file in, a record boundary or

@@ -35,7 +35,7 @@ use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -489,7 +489,7 @@ fn serve_batch(batch: &[Request], peer: &SocketAddr, ctx: &ConnContext, out: &mu
             }
         }
         next += wave.len();
-        for reply in dispatch_wave(&wave, ctx) {
+        for reply in sift_obs::fan_out(&wave, ctx.cores, |decided| serve_one(decided, ctx)) {
             out.extend_from_slice(&reply);
         }
         // Dropping the wave frees its slots; the write is not covered.
@@ -508,44 +508,6 @@ fn rate_limit(ctx: &ConnContext, req: &Request, peer: &SocketAddr) -> Option<(St
         RateLimitDecision::Allowed => None,
         RateLimitDecision::Limited { retry_after_secs } => Some((identity, retry_after_secs)),
     }
-}
-
-/// Serves a wave on this thread plus up to `cores - 1` helpers, each
-/// taking the next request by index; the replies come back in wave order.
-fn dispatch_wave(wave: &[Decided<'_>], ctx: &ConnContext) -> Vec<Bytes> {
-    let next = AtomicUsize::new(0);
-    let serve = || {
-        let mut served = Vec::new();
-        loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            let Some(decided) = wave.get(i) else {
-                return served;
-            };
-            served.push((i, serve_one(decided, ctx)));
-        }
-    };
-    let threads = wave.len().min(ctx.cores);
-    let mut served = std::thread::scope(|s| {
-        // A helper the OS will not start leaves its share to the others.
-        let helpers: Vec<_> = (1..threads)
-            .filter_map(|_| {
-                std::thread::Builder::new()
-                    .name("sift-net-dispatch".into())
-                    .spawn_scoped(s, serve)
-                    .ok()
-            })
-            .collect();
-        let mut served = serve();
-        for helper in helpers {
-            match helper.join() {
-                Ok(part) => served.extend(part),
-                Err(panic) => std::panic::resume_unwind(panic),
-            }
-        }
-        served
-    });
-    served.sort_unstable_by_key(|(i, _)| *i);
-    served.into_iter().map(|(_, reply)| reply).collect()
 }
 
 /// Serves one decided request on the calling thread and returns its
@@ -600,7 +562,7 @@ fn serve_one(decided: &Decided<'_>, ctx: &ConnContext) -> Bytes {
 mod tests {
     use super::*;
     use crate::http::Method;
-    use std::sync::atomic::AtomicBool;
+    use std::sync::atomic::{AtomicBool, AtomicUsize};
     use std::sync::Condvar;
     use std::sync::Mutex as StdMutex;
 

@@ -19,6 +19,10 @@
 //!   across HTTP (the `X-Sift-Trace` header).
 //!   A study's [`StageTable`] is the tally its [`span_tallied`] root
 //!   keeps of its own spans: per name, the exact count and total time.
+//! * [`fan`] — [`fan_out`], the one way work is spread over threads:
+//!   the caller plus scoped helpers taking items by index, results back
+//!   in item order. It lives here because every crate that spreads work
+//!   over threads already depends on this one.
 //! * [`trace`] — assembly of completed trace trees, a Chrome
 //!   trace-event JSON exporter ([`trace::chrome_trace_json`],
 //!   Perfetto-loadable) and a critical-path analyzer
@@ -34,11 +38,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod fan;
 pub mod metrics;
 pub mod registry;
 pub mod span;
 pub mod trace;
 
+pub use fan::fan_out;
 pub use metrics::{Counter, Gauge, GaugeGuard, Histogram, HistogramSpec, HistogramState};
 pub use registry::{MetricKey, Registry};
 pub use span::{attr_add, attr_set, Span, SpanContext, Stage, StageTable, SPAN_METRIC};

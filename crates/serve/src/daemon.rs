@@ -37,7 +37,7 @@ use std::net::SocketAddr;
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -379,54 +379,31 @@ impl Daemon {
 }
 
 /// Recovers every region of `cfg.regions` from `dir` (checkpoint + WAL
-/// tail), on up to one thread per available core. Each thread takes the
-/// next region index from a shared counter rather than a contiguous
-/// chunk: the leading regions hold the largest checkpoints, so chunks
-/// would leave one thread with most of the work. Neither the result nor
-/// the error depends on which thread opened what: the cores come back in
+/// tail), on up to one thread per available core. [`sift_obs::fan_out`]
+/// hands out regions one at a time rather than in contiguous chunks: the
+/// leading regions hold the largest checkpoints, so chunks would leave
+/// one thread with most of the work. The cores come back in
 /// `cfg.regions` order, and the error is that of the first failing
-/// region in that order.
+/// region in that order, whichever thread opened what.
 fn open_regions(cfg: &ServeConfig, dir: &Path) -> io::Result<Vec<RegionCore>> {
-    let next = AtomicUsize::new(0);
-    let open = || {
-        let mut opened = Vec::new();
-        loop {
-            let i = next.fetch_add(1, Ordering::Relaxed);
-            let Some(&state) = cfg.regions.get(i) else {
-                return opened;
-            };
-            let core = RegionCore::open(
-                &dir.join(state.abbrev()),
-                state,
-                &cfg.term,
-                cfg.range.start,
-                cfg.plan,
-                cfg.detect,
-                cfg.checkpoint_every,
-            );
-            opened.push((i, core));
-        }
-    };
     #[expect(
         clippy::disallowed_methods,
         reason = "read once per start: each call re-reads the cgroup limits"
     )]
-    let threads = std::thread::available_parallelism()
-        .map_or(1, NonZeroUsize::get)
-        .min(cfg.regions.len());
-    let mut opened = std::thread::scope(|s| {
-        let helpers: Vec<_> = (1..threads).map(|_| s.spawn(open)).collect();
-        let mut opened = open();
-        for helper in helpers {
-            match helper.join() {
-                Ok(part) => opened.extend(part),
-                Err(panic) => std::panic::resume_unwind(panic),
-            }
-        }
-        opened
-    });
-    opened.sort_unstable_by_key(|(i, _)| *i);
-    opened.into_iter().map(|(_, core)| core).collect()
+    let threads = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+    sift_obs::fan_out(&cfg.regions, threads, |&state| {
+        RegionCore::open(
+            &dir.join(state.abbrev()),
+            state,
+            &cfg.term,
+            cfg.range.start,
+            cfg.plan,
+            cfg.detect,
+            cfg.checkpoint_every,
+        )
+    })
+    .into_iter()
+    .collect()
 }
 
 /// Publishes the age of the oldest checkpoint `cores` recovered from as

@@ -123,7 +123,6 @@ impl RegionCore {
         detect: DetectParams,
         checkpoint_every: u64,
     ) -> io::Result<RegionCore> {
-        std::fs::create_dir_all(dir)?;
         let ckpt_path = dir.join("region.ckpt");
         let recovered = match read_checkpoint(&ckpt_path)? {
             Some(bytes) => Some(
